@@ -37,7 +37,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = [
         "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12", "E13", "E14", "E15",
-        "E16", "E17", "E18", "E19",
+        "E16", "E17", "E18",
     ];
     let selected: Vec<&str> = if args.is_empty() {
         all.to_vec()
@@ -63,7 +63,6 @@ fn main() {
             "E16" => e16(),
             "E17" => e17(),
             "E18" => e18(),
-            "E19" => e19(),
             other => eprintln!("unknown experiment {other}; known: {all:?}"),
         }
     }
@@ -918,31 +917,24 @@ fn e15() {
     println!("wrote BENCH_e15.json");
 }
 
-/// E16 — the hot-loop layer: packed key codes, galloping merges, and
-/// session-lifetime scratch arenas, each measured against its
-/// pre-change baseline *in the same run* so the regression tracker
-/// sees both columns of one row. Three sub-grids:
+/// E16 — the hot-loop layer: packed key codes and galloping merges,
+/// each measured against its pre-change baseline *in the same run* so
+/// the regression tracker sees both columns of one row. Two sub-grids:
 ///
 /// 1. merge join over a 3-attribute join key (`x = {A0..A3}`,
 ///    `y = {A1..A4}`): packed u64 key compares vs the slice-compare +
 ///    linear-advance baseline, single-threaded (the CI speedup gate
 ///    reads the largest-support row);
 /// 2. sorted-run merges at length skew 1x / 16x / 256x: galloping
-///    (exponential-search) advancement vs the always-linear merge;
-/// 3. 100 repeated `Session::check` calls on one warm session (scratch
-///    arenas reused) vs 100 cold sessions (fresh arenas per check).
+///    (exponential-search) advancement vs the always-linear merge.
 ///
 /// Writes the grid to `BENCH_e16.json` in the current directory.
 fn e16() {
-    use bagcons::session::Session;
     use bagcons_core::exec::merge_sorted_runs_for_bench;
     use bagcons_core::join::{bag_join_merge_baseline_with, bag_join_merge_with};
     use bagcons_core::{Bag, ExecConfig, Value};
 
-    header(
-        "E16",
-        "hot loops: packed key codes / galloping merges / warm scratch",
-    );
+    header("E16", "hot loops: packed key codes / galloping merges");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host}");
     let reps = 7;
@@ -1084,55 +1076,6 @@ fn e16() {
         ));
     }
 
-    // --- 3. warm (one session) vs cold (fresh session) scratch ----------
-    println!(
-        "{:>9} {:>8} {:>12} {:>12} {:>9}",
-        "support", "checks", "warm(ms)", "cold(ms)", "speedup"
-    );
-    let x2 = Schema::range(0, 2);
-    let y2 = Schema::range(1, 3);
-    let mut rng = StdRng::seed_from_u64(0xE2);
-    let checks = 100usize;
-    for exp in [10u32, 12] {
-        let support = 1usize << exp;
-        let (r, s) = planted_pair(&x2, &y2, support as u64, support, 1 << 20, &mut rng).unwrap();
-        let bags = [&r, &s];
-        // Each sample is the total for `checks` repeated decisions; three
-        // samples keep the (expensive) sub-grid within budget. Warm and
-        // cold samples interleave (one pair per rep) so slow drift in the
-        // shared container doesn't land on one column wholesale.
-        let scratch_reps = 3;
-        let mut warm_samples = Vec::with_capacity(scratch_reps);
-        let mut cold_samples = Vec::with_capacity(scratch_reps);
-        for _ in 0..scratch_reps {
-            let session = Session::builder().threads(1).build().expect("valid");
-            let t0 = Instant::now();
-            for _ in 0..checks {
-                let out = session.check(&bags).unwrap();
-                assert_eq!(std::hint::black_box(out.decision).as_str(), "consistent");
-            }
-            warm_samples.push(ms(t0));
-            let t0 = Instant::now();
-            for _ in 0..checks {
-                let session = Session::builder().threads(1).build().expect("valid");
-                let out = session.check(&bags).unwrap();
-                assert_eq!(std::hint::black_box(out.decision).as_str(), "consistent");
-            }
-            cold_samples.push(ms(t0));
-        }
-        let warm_ms = median(warm_samples);
-        let cold_ms = median(cold_samples);
-        println!(
-            "{support:>9} {checks:>8} {warm_ms:>12.3} {cold_ms:>12.3} {:>8.2}x",
-            cold_ms / warm_ms
-        );
-        rows.push(format!(
-            "    {{\"kind\": \"scratch\", \"support\": {support}, \"checks\": {checks}, \
-             \"threads\": 1, \"warm_session_ms\": {warm_ms:.4}, \
-             \"cold_session_ms\": {cold_ms:.4}}}"
-        ));
-    }
-
     let json = format!(
         "{{\n  \"experiment\": \"e16_hotloop\",\n  \"workload\": \
          \"merge_join: x={{A0..A3}} y={{A1..A4}}, 3-attr join keys are \
@@ -1140,13 +1083,11 @@ fn e16() {
          shared prefixes, 1/16 match rate — packed u64 key codes vs \
          slice-compare baseline measured in the same run; gallop_merge: \
          sorted u64 runs at length skew 1x/16x/256x, galloping vs linear \
-         advancement; scratch: 100 repeated Session::check on one warm \
-         session vs 100 cold sessions (planted_pair seed=0xE2)\",\n  \
-         \"unit\": \"milliseconds, median of 7 (scratch rows: median of 3 \
-         totals over 100 checks)\",\n  \
+         advancement\",\n  \
+         \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"all rows are threads = 1: this experiment isolates \
-         per-element compare/advance/alloc cost below the thread level; \
+         per-element compare/advance cost below the thread level; \
          each row carries the optimised and baseline columns from the \
          same binary so trend tracking compares like with like\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
@@ -1159,17 +1100,13 @@ fn e16() {
 /// E17 — the serving layer: request latency for a read-mostly mixed
 /// workload against a live loopback daemon, vs client count × dataset
 /// size, warm (one session per client) vs cold (re-`open` before every
-/// request). A final sub-grid hammers the shared `ScratchPool` from
-/// 1/4/8 threads to measure shard-mutex contention directly (the pool
-/// is what every connection's session allocates through).
+/// request).
 ///
 /// Writes the grid to `BENCH_e17.json` in the current directory.
 fn e17() {
-    use bagcons_core::exec::ScratchPool;
     use bagcons_serve::{ServeOptions, Server};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use std::sync::Arc;
 
     header("E17", "serve: request latency vs clients × dataset size");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1310,60 +1247,20 @@ fn e17() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --- shared scratch-pool hammer: shard-mutex contention -------------
-    println!("{:>8} {:>10} {:>10}", "threads", "ops/thread", "total(ms)");
-    let ops = 200_000usize;
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    };
-    for threads in [1usize, 4, 8] {
-        let samples: Vec<f64> = (0..3)
-            .map(|_| {
-                let pool = Arc::new(ScratchPool::new());
-                let t0 = Instant::now();
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let pool = Arc::clone(&pool);
-                        std::thread::spawn(move || {
-                            for _ in 0..ops {
-                                let mut words = pool.take_words();
-                                words.push(std::hint::black_box(1u64));
-                                pool.put_words(words);
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().expect("hammer thread");
-                }
-                ms(t0)
-            })
-            .collect();
-        let total_ms = median(samples);
-        println!("{threads:>8} {ops:>10} {total_ms:>10.3}");
-        rows.push(format!(
-            "    {{\"kind\": \"scratch_pool\", \"threads\": {threads}, \"ops\": {ops}, \
-             \"total_ms\": {total_ms:.4}}}"
-        ));
-    }
-
     let json = format!(
         "{{\n  \"experiment\": \"e17_serve\",\n  \"workload\": \
          \"serve: loopback daemon, path dataset A0-A1 x A1-A2 of the given \
          support, N concurrent clients each issuing a read-mostly mix \
          (4 checks per +-1 delta toggle on a private copy-on-write \
          session); warm = one open per client, cold = re-open before \
-         every request; scratch_pool: N threads hammering the shared \
-         sharded ScratchPool take/put cycle\",\n  \
+         every request\",\n  \
          \"unit\": \"milliseconds (client-observed per-request latency; \
          total is wall clock for the whole burst)\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"p99 vs clients is the admission-control story: the \
          worker budget queues excess decisions instead of oversubscribing \
          the executor, so p50 should stay flat while p99 grows with the \
-         queue; scratch_pool rows flat across threads = sharding removed \
-         the pool mutex from the contention profile\",\n  \
+         queue\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
@@ -1540,107 +1437,4 @@ fn e18() {
     );
     std::fs::write("BENCH_e18.json", &json).expect("write BENCH_e18.json");
     println!("wrote BENCH_e18.json");
-}
-
-/// E19 — coordinator-vs-local wall clock for the distributed pairwise
-/// screen (PR 10): the same `check` over worker-process counts
-/// {0, 1, 2, 4} on a multi-pair acyclic family, across a support grid.
-/// Workers are real `bagcons worker` children over pipes (resolved from
-/// `BAGCONS_WORKER_BIN` or the `bagcons` binary next to this harness),
-/// reused across repetitions through one long-lived [`bagcons_dist::pool::WorkerPool`] per
-/// cell — the daemon's amortization, not per-check spawn cost. Writes
-/// the grid to `BENCH_e19.json` in the current directory.
-fn e19() {
-    use bagcons::session::Session;
-    use bagcons_dist::{ClusterConfig, WorkerPool};
-
-    header("E19", "distributed pairwise screen: workers vs local");
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host parallelism: {host}");
-    let worker_bin = std::env::var_os("BAGCONS_WORKER_BIN")
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            let sibling = std::env::current_exe().ok()?.with_file_name("bagcons");
-            sibling.is_file().then_some(sibling)
-        });
-    let Some(worker_bin) = worker_bin else {
-        println!(
-            "E19 SKIPPED: no `bagcons` binary next to the harness and no \
-             BAGCONS_WORKER_BIN set — build the CLI first (cargo build --release)"
-        );
-        return;
-    };
-    println!("worker binary: {}", worker_bin.display());
-    println!(
-        "{:>9} {:>8} {:>11} {:>9} {:>9}",
-        "support", "workers", "check(ms)", "remote", "local"
-    );
-    let h = path(6);
-    let mut rng = StdRng::seed_from_u64(0xE19);
-    let reps = 5;
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    };
-    let session = Session::builder().threads(1).build().expect("valid");
-    let mut rows = Vec::new();
-    for exp in [12u32, 14, 16] {
-        let support = 1usize << exp;
-        let (bags, _) =
-            planted_family(&h, support as u64, support, 1 << 12, &mut rng).expect("planted family");
-        let refs: Vec<&Bag> = bags.iter().collect();
-        for workers in [0usize, 1, 2, 4] {
-            let cfg = ClusterConfig::builder()
-                .workers(workers)
-                .threads(1)
-                .worker_bin(worker_bin.clone())
-                .build();
-            let pool = WorkerPool::new(cfg);
-            let mut remote = 0;
-            let mut local = 0;
-            let check_ms = median(
-                (0..reps)
-                    .map(|_| {
-                        let t0 = Instant::now();
-                        let dist = pool.check(&session, &refs).expect("distributed check");
-                        let dt = ms(t0);
-                        assert_eq!(
-                            std::hint::black_box(&dist).outcome.decision.as_str(),
-                            "consistent",
-                            "planted family"
-                        );
-                        assert_eq!(dist.stats.degraded_workers, 0, "healthy bench run");
-                        remote = dist.stats.pairs_remote;
-                        local = dist.stats.pairs_local;
-                        dt
-                    })
-                    .collect(),
-            );
-            println!("{support:>9} {workers:>8} {check_ms:>11.3} {remote:>9} {local:>9}");
-            rows.push(format!(
-                "    {{\"support\": {support}, \"workers\": {workers}, \
-                 \"check_ms\": {check_ms:.4}, \"pairs_remote\": {remote}, \
-                 \"pairs_local\": {local}}}"
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e19_dist\",\n  \"workload\": \
-         \"planted_family over path(6) (5 bags, 4 overlapping pairs + \
-         disjoint totals pairs), domain=support, mult=2^12, seed=0xE19; check_ms = \
-         one distributed Session check through a long-lived WorkerPool \
-         (workers=0 solves every pair in-process through the same \
-         coordinator; workers=N ships round-robin partitions to `bagcons \
-         worker` children over pipes as sub-snapshots and collects typed \
-         verdicts)\",\n  \"unit\": \"milliseconds, median of 5\",\n  \
-         \"host_parallelism\": {host},\n  \
-         \"note\": \"the gate compares workers=4 against workers=0 on the \
-         largest support: pair-level process parallelism must beat the \
-         sequential screen despite snapshot encode + pipe transport; \
-         skipped on hosts with fewer than 4 cores\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_e19.json", &json).expect("write BENCH_e19.json");
-    println!("wrote BENCH_e19.json");
 }

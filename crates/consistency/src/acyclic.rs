@@ -10,7 +10,6 @@
 
 use crate::minimal::minimal_two_bag_witness;
 use crate::pairwise::first_inconsistent_pair_with;
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{Bag, CoreError, ExecConfig, FxHashMap, Schema};
 use bagcons_flow::ConsistencyNetwork;
 use bagcons_hypergraph::{rip_order, Hypergraph};
@@ -115,23 +114,11 @@ pub fn acyclic_global_witness_exec(
     strategy: WitnessStrategy,
     exec: &ExecConfig,
 ) -> Result<Bag, AcyclicError> {
-    acyclic_global_witness_pooled(bags, strategy, exec, &ScratchPool::new())
-}
-
-/// [`acyclic_global_witness_exec`] drawing the chain's network-build
-/// scratch buffers from a caller-owned [`ScratchPool`] (the session
-/// facade passes its session-lifetime pool here).
-pub fn acyclic_global_witness_pooled(
-    bags: &[&Bag],
-    strategy: WitnessStrategy,
-    exec: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Bag, AcyclicError> {
     // 1. Pairwise consistency (necessary; sufficient by Theorem 2).
     if let Some((i, j)) = first_inconsistent_pair_with(bags, exec)? {
         return Err(AcyclicError::InconsistentPair(i, j));
     }
-    witness_chain(bags, strategy, exec, pool)
+    witness_chain(bags, strategy, exec)
 }
 
 /// The inductive chain of Theorem 6 *without* the pairwise pre-check:
@@ -142,7 +129,6 @@ pub(crate) fn witness_chain(
     bags: &[&Bag],
     strategy: WitnessStrategy,
     exec: &ExecConfig,
-    pool: &ScratchPool,
 ) -> Result<Bag, AcyclicError> {
     // 2. Deduplicate by schema: pairwise consistent bags with equal
     //    schemas are equal, so one representative suffices.
@@ -167,7 +153,7 @@ pub(crate) fn witness_chain(
         let r = by_schema[x];
         let next = match strategy {
             WitnessStrategy::Saturated => {
-                ConsistencyNetwork::build_pooled_with(&t, r, exec, pool)?.solve_with(exec)
+                ConsistencyNetwork::build_with(&t, r, exec)?.solve_with(exec)
             }
             WitnessStrategy::Minimal => minimal_two_bag_witness(&t, r)?,
         };

@@ -88,7 +88,7 @@ pub fn decide_global_consistency_exec(
     cfg: &SolverConfig,
     exec: &ExecConfig,
 ) -> Result<GcpbReport, CoreError> {
-    Ok(check_impl(bags, cfg, exec, &bagcons_core::exec::ScratchPool::new())?.into())
+    Ok(check_impl(bags, cfg, exec)?.into())
 }
 
 #[cfg(test)]

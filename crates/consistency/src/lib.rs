@@ -97,7 +97,7 @@ pub use kwise::k_wise_consistent;
 pub use minimal::minimal_two_bag_witness;
 pub use pairwise::{bags_consistent, consistency_witness, pairwise_consistent};
 pub use report::{Lemma2Report, Render, ReportFormat};
-pub use session::{DatasetSource, PairJob, PairVerdict, Session, SessionBuilder, SessionError};
+pub use session::{DatasetSource, Session, SessionBuilder, SessionError};
 pub use stream::{ConsistencyStream, UpdateOutcome};
 pub use tseitin::tseitin_bags;
 

@@ -21,7 +21,6 @@
 //! cannot represent that, so lifting tracks plain `Vec<Schema>` states.
 
 use crate::tseitin::{tseitin_bags, TseitinError};
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{Attr, Bag, CoreError, ExecConfig, FxHashMap, Schema, Value};
 use bagcons_hypergraph::{find_obstruction, Hypergraph, SafeDeletion};
 use std::fmt;
@@ -100,21 +99,6 @@ pub fn lift_step_with(
     u0: Value,
     cfg: &ExecConfig,
 ) -> Result<Vec<Bag>, LiftError> {
-    lift_step_pooled_with(d0, targets, op, u0, cfg, &ScratchPool::new())
-}
-
-/// [`lift_step_with`] drawing the row-extension scratch buffer from a
-/// caller-owned [`ScratchPool`]: one buffer serves every target bag of
-/// the step (and every step of a sequence lift) instead of reallocating
-/// per bag.
-pub fn lift_step_pooled_with(
-    d0: &[Bag],
-    targets: &[Schema],
-    op: &SafeDeletion,
-    u0: Value,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Vec<Bag>, LiftError> {
     let by_schema: FxHashMap<&Schema, &Bag> = d0.iter().map(|b| (b.schema(), b)).collect();
     let find = |s: &Schema| -> Result<&Bag, LiftError> {
         by_schema
@@ -124,31 +108,18 @@ pub fn lift_step_pooled_with(
     };
     match op {
         SafeDeletion::Vertex(a) => {
-            let mut scratch = pool.take_values();
+            // One row-assembly buffer serves every target bag of the step.
+            let mut scratch = Vec::new();
             let mut out = Vec::with_capacity(targets.len());
             for x in targets {
-                let y = x.without(*a);
-                let source = match find(&y) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        pool.put_values(scratch);
-                        return Err(e);
-                    }
-                };
+                let source = find(&x.without(*a))?;
                 let lifted = if x.contains(*a) {
-                    match extend_with_default(source, x, *a, u0, &mut scratch) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            pool.put_values(scratch);
-                            return Err(e.into());
-                        }
-                    }
+                    extend_with_default(source, x, *a, u0, &mut scratch)?
                 } else {
                     source.clone()
                 };
                 out.push(lifted);
             }
-            pool.put_values(scratch);
             Ok(out)
         }
         SafeDeletion::CoveredEdge { edge, cover } => targets
@@ -214,20 +185,6 @@ pub fn lift_through_sequence_with(
     u0: Value,
     cfg: &ExecConfig,
 ) -> Result<Vec<Bag>, LiftError> {
-    lift_through_sequence_pooled_with(start_schemas, ops, d_final, u0, cfg, &ScratchPool::new())
-}
-
-/// [`lift_through_sequence_with`] drawing scratch buffers from a
-/// caller-owned [`ScratchPool`] (threaded into every
-/// [`lift_step_pooled_with`]).
-pub fn lift_through_sequence_pooled_with(
-    start_schemas: &[Schema],
-    ops: &[SafeDeletion],
-    d_final: &[Bag],
-    u0: Value,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Vec<Bag>, LiftError> {
     // Forward schema states s_0 .. s_n.
     let mut states: Vec<Vec<Schema>> = Vec::with_capacity(ops.len() + 1);
     let mut s: Vec<Schema> = {
@@ -244,7 +201,7 @@ pub fn lift_through_sequence_pooled_with(
     // Backward lifting.
     let mut bags: Vec<Bag> = d_final.to_vec();
     for (i, op) in ops.iter().enumerate().rev() {
-        bags = lift_step_pooled_with(&bags, &states[i], op, u0, cfg, pool)?;
+        bags = lift_step_with(&bags, &states[i], op, u0, cfg)?;
     }
     Ok(bags)
 }
@@ -268,16 +225,6 @@ pub fn lift_through_sequence_pooled_with(
 /// ```
 pub fn pairwise_consistent_globally_inconsistent(
     h: &Hypergraph,
-) -> Result<Option<Vec<Bag>>, LiftError> {
-    pairwise_consistent_globally_inconsistent_pooled(h, &ScratchPool::new())
-}
-
-/// [`pairwise_consistent_globally_inconsistent`] drawing the lift's
-/// scratch buffers from a caller-owned [`ScratchPool`] (the session
-/// facade passes its session-lifetime pool).
-pub fn pairwise_consistent_globally_inconsistent_pooled(
-    h: &Hypergraph,
-    pool: &ScratchPool,
 ) -> Result<Option<Vec<Bag>>, LiftError> {
     let Some(ob) = find_obstruction(h) else {
         return Ok(None);
@@ -306,13 +253,12 @@ pub fn pairwise_consistent_globally_inconsistent_pooled(
             None => return Err(LiftError::MissingSchema(s.clone())),
         }
     }
-    let lifted = lift_through_sequence_pooled_with(
+    let lifted = lift_through_sequence_with(
         h.edges(),
         &ob.deletions,
         &d_final,
         Value(0),
         &ExecConfig::default(),
-        pool,
     )?;
     Ok(Some(lifted))
 }

@@ -5,7 +5,6 @@
 //! strongly-polynomial witness construction via a saturated max-flow of
 //! `N(R,S)`.
 
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{Bag, CoreError, ExecConfig, Result, Schema};
 use bagcons_flow::ConsistencyNetwork;
 
@@ -71,24 +70,12 @@ pub fn consistency_witness(r: &Bag, s: &Bag) -> Result<Option<Bag>> {
 /// the marginal pre-check, the `N(R,S)` middle-edge build, and the
 /// witness's closing seal all run shard-parallel when `cfg` permits.
 pub fn consistency_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
-    consistency_witness_pooled_with(r, s, cfg, &ScratchPool::new())
-}
-
-/// [`consistency_witness_with`] drawing the network build's scratch
-/// buffers from a caller-owned [`ScratchPool`] (the session facade
-/// passes its session-lifetime pool).
-pub fn consistency_witness_pooled_with(
-    r: &Bag,
-    s: &Bag,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Option<Bag>> {
     // Cheap marginal pre-check avoids building the join for clearly
     // inconsistent inputs; the flow solve re-verifies via saturation.
     if !bags_consistent_with(r, s, cfg)? {
         return Ok(None);
     }
-    let witness = ConsistencyNetwork::build_pooled_with(r, s, cfg, pool)?.solve_with(cfg);
+    let witness = ConsistencyNetwork::build_with(r, s, cfg)?.solve_with(cfg);
     debug_assert!(
         witness.is_some(),
         "Lemma 2: marginal equality implies a saturated flow"

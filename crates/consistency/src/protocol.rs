@@ -1,6 +1,6 @@
 //! The line protocol shared by every delta-stream front end — one
-//! parser/renderer pair for the `watch` CLI loop, the `bagcons serve`
-//! daemon, and the `bagcons-dist` worker transport.
+//! parser/renderer pair for the `watch` CLI loop and the `bagcons serve`
+//! daemon.
 //!
 //! Before this module, delta-line handling (`parse_delta_line` plus the
 //! index range check and [`DeltaSet`] assembly), `err <kind>:` rendering,
@@ -15,9 +15,8 @@
 //!   text framing and the `"status":<code>` JSON splice over the
 //!   library's [`Render`] output (the CLI exit-code contract on a wire).
 //! * [`error_response`] / [`parse_error_line`] — the `err <kind>: <msg>`
-//!   shape, rendered *and* parsed here so a transport (the distributed
-//!   worker's `ERROR` frame) can carry the canonical line and the
-//!   receiving side can recover the kind without a second grammar.
+//!   shape, rendered *and* parsed here so a client of the line protocol
+//!   can recover the kind without a second grammar.
 //! * [`ok_response`] — the `ok <verb> k=v ...` acknowledgement shape.
 //!
 //! `crates/serve` re-exports these verbatim (its golden protocol tests
@@ -122,10 +121,8 @@ pub fn error_response(format: ReportFormat, kind: &str, message: &str) -> String
 }
 
 /// Parses the canonical text error line back into `(kind, message)` —
-/// the inverse of [`error_response`] in [`ReportFormat::Text`]. The
-/// distributed worker transport ships its typed failures as exactly
-/// this line inside an `ERROR` frame; the coordinator recovers the kind
-/// here instead of growing a second error grammar.
+/// the inverse of [`error_response`] in [`ReportFormat::Text`], for
+/// clients of the line protocol.
 pub fn parse_error_line(line: &str) -> Option<(&str, &str)> {
     let rest = line.strip_prefix("err ")?;
     let (kind, msg) = rest.split_once(": ")?;

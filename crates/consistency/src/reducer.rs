@@ -15,27 +15,21 @@
 //! multiplicities) and the tests exhibit the paper's obstacle concretely:
 //! after naive full reduction the bag join still over-counts.
 
-use bagcons_core::exec::{run_shards, shard_ranges, ScratchPool};
+use bagcons_core::exec::{run_shards, shard_ranges};
 use bagcons_core::join::multi_relation_join;
 use bagcons_core::{Bag, ExecConfig, Relation, Result, RowStore, Value};
 use bagcons_hypergraph::{Hypergraph, JoinTree};
 
 /// Interns the `idx`-projections of `rows` into a key arena — the probe
-/// set for one semijoin sweep, built without per-key boxing. The
-/// projection buffer comes from (and returns to) `pool`.
-fn key_set<'a>(
-    rows: impl Iterator<Item = &'a [Value]>,
-    idx: &[usize],
-    pool: &ScratchPool,
-) -> RowStore {
+/// set for one semijoin sweep, built without per-key boxing.
+fn key_set<'a>(rows: impl Iterator<Item = &'a [Value]>, idx: &[usize]) -> RowStore {
     let mut keys = RowStore::new(idx.len());
-    let mut scratch = pool.take_values();
+    let mut scratch = Vec::with_capacity(idx.len());
     for row in rows {
         scratch.clear();
         scratch.extend(idx.iter().map(|&i| row[i]));
         keys.intern(&scratch);
     }
-    pool.put_values(scratch);
     keys
 }
 
@@ -52,11 +46,10 @@ fn probe_ids(
     idx: &[usize],
     s_keys: &RowStore,
     cfg: &ExecConfig,
-    pool: &ScratchPool,
 ) -> Vec<u32> {
     let ranges = shard_ranges(len, cfg.shards_for(len), |_| false);
     let kept: Vec<Vec<u32>> = run_shards(cfg.threads(), ranges, |range| {
-        let mut scratch = pool.take_values();
+        let mut scratch = Vec::with_capacity(idx.len());
         let mut ids = Vec::new();
         for id in range {
             let id = id as u32;
@@ -70,7 +63,6 @@ fn probe_ids(
                 ids.push(id);
             }
         }
-        pool.put_values(scratch);
         ids
     });
     kept.into_iter().flatten().collect()
@@ -91,23 +83,11 @@ pub fn semijoin(r: &Relation, s: &Relation) -> Result<Relation> {
 /// ranges (no key-group constraint); per-shard survivor lists splice back
 /// in row order, so the result matches the sequential scan exactly.
 pub fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Result<Relation> {
-    semijoin_pooled_with(r, s, cfg, &ScratchPool::new())
-}
-
-/// [`semijoin_with`] drawing key-projection scratch buffers from a
-/// caller-owned [`ScratchPool`] (the session facade passes its
-/// session-lifetime pool).
-pub fn semijoin_pooled_with(
-    r: &Relation,
-    s: &Relation,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Relation> {
     let z = r.schema().intersection(s.schema());
-    let s_keys = key_set(s.iter(), &s.schema().projection_indices(&z)?, pool);
+    let s_keys = key_set(s.iter(), &s.schema().projection_indices(&z)?);
     let idx = r.schema().projection_indices(&z)?;
     let store = r.store();
-    let kept = probe_ids(store, &|_| true, r.len(), &idx, &s_keys, cfg, pool);
+    let kept = probe_ids(store, &|_| true, r.len(), &idx, &s_keys, cfg);
     let mut out = Relation::with_capacity(r.schema().clone(), kept.len());
     for id in kept {
         out.insert_row(store.row(bagcons_core::RowId(id)))?;
@@ -249,22 +229,10 @@ pub fn naive_bag_semijoin(r: &Bag, s: &Bag) -> Result<Bag> {
 /// [`naive_bag_semijoin`] under an explicit execution configuration
 /// (same index-range sharding as [`semijoin_with`]).
 pub fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
-    naive_bag_semijoin_pooled_with(r, s, cfg, &ScratchPool::new())
-}
-
-/// [`naive_bag_semijoin_with`] drawing key-projection scratch buffers
-/// from a caller-owned [`ScratchPool`].
-pub fn naive_bag_semijoin_pooled_with(
-    r: &Bag,
-    s: &Bag,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Bag> {
     let z = r.schema().intersection(s.schema());
     let s_keys = key_set(
         s.iter().map(|(row, _)| row),
         &s.schema().projection_indices(&z)?,
-        pool,
     );
     let idx = r.schema().projection_indices(&z)?;
     let store = r.store();
@@ -276,7 +244,6 @@ pub fn naive_bag_semijoin_pooled_with(
         &idx,
         &s_keys,
         cfg,
-        pool,
     );
     let mut out = Bag::with_capacity(r.schema().clone(), kept.len());
     for id in kept {

@@ -45,11 +45,10 @@ use crate::global::{
 };
 use crate::lifting::LiftError;
 use crate::pairwise::{
-    bags_consistent_with, consistency_witness_pooled_with, first_inconsistent_pair_with,
+    bags_consistent_with, consistency_witness_with, first_inconsistent_pair_with,
 };
-use crate::reducer::{acyclic_join_with, naive_bag_semijoin_pooled_with, semijoin_pooled_with};
+use crate::reducer::{acyclic_join_with, naive_bag_semijoin_with, semijoin_with};
 use crate::report::{Json, Lemma2Report, Render};
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::io::{parse_bag_with, write_bag, NameInterner, ParseError};
 use bagcons_core::{
     AbortReason, AttrNames, Bag, CoreError, Deadline, ExecConfig, Relation, Schema,
@@ -62,7 +61,6 @@ use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
 use bagcons_snap::{looks_like_snapshot, SnapError, Snapshot, SnapshotWriter};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Any failure a [`Session`] method can surface.
@@ -359,9 +357,8 @@ pub struct CheckOutcome {
     pub search_nodes: u64,
     /// A witness bag over the union schema, when consistent.
     pub witness: Option<Bag>,
-    /// The first inconsistent index pair, in lexicographic order —
-    /// acyclic-branch refusals, plus cyclic-branch refusals found by a
-    /// [`Session::check_via`] pairwise screen.
+    /// The first inconsistent index pair, in lexicographic order, on
+    /// acyclic-branch refusals.
     pub inconsistent_pair: Option<(usize, usize)>,
     /// Why the decision is [`Decision::Unknown`], when it is: the node
     /// budget ran out, the session deadline expired, or a
@@ -792,13 +789,11 @@ impl Render for CounterexampleOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct SessionBuilder {
     threads: Option<usize>,
-    workers: Option<usize>,
     exec: Option<ExecConfig>,
     solver: SolverConfig,
     budget: Option<u64>,
     deadline: Option<Duration>,
     max_mismatches: Option<usize>,
-    scratch: Option<Arc<ScratchPool>>,
 }
 
 impl SessionBuilder {
@@ -807,19 +802,6 @@ impl SessionBuilder {
     /// passed to [`SessionBuilder::exec`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Worker-**process** count for the distributed pair-graph backend
-    /// (default 0 — everything runs in-process). The session itself
-    /// never spawns processes: this knob is the `ClusterConfig` seed the
-    /// `bagcons-dist` coordinator (and the CLI's `--workers` flag, and
-    /// the serving daemon's pool) reads back through
-    /// [`Session::workers`]. Orthogonal to
-    /// [`SessionBuilder::threads`], which caps threads *within* each
-    /// process.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
         self
     }
 
@@ -867,15 +849,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Shares an existing scratch pool instead of allocating a private
-    /// one — many sessions (e.g. the serving daemon's per-connection
-    /// sessions) can then draw their reusable buffers from one sharded
-    /// pool.
-    pub fn scratch(mut self, pool: Arc<ScratchPool>) -> Self {
-        self.scratch = Some(pool);
-        self
-    }
-
     /// Validates the configuration and builds the session.
     pub fn build(self) -> Result<Session, CoreError> {
         let exec = match (self.exec, self.threads) {
@@ -897,13 +870,11 @@ impl SessionBuilder {
         Ok(Session {
             exec,
             solver,
-            workers: self.workers.unwrap_or(0),
             time_budget: self.deadline,
             interner: NameInterner::new(),
             max_mismatches: self
                 .max_mismatches
                 .unwrap_or(Session::DEFAULT_MAX_MISMATCHES),
-            scratch: self.scratch.unwrap_or_else(|| Arc::new(ScratchPool::new())),
         })
     }
 }
@@ -914,18 +885,11 @@ impl SessionBuilder {
 pub struct Session {
     exec: ExecConfig,
     solver: SolverConfig,
-    /// Requested worker-process count for the distributed backend
-    /// ([`SessionBuilder::workers`]); advisory — see [`Session::workers`].
-    workers: usize,
     /// Per-operation wall-clock budget ([`SessionBuilder::deadline`]);
     /// each top-level call arms a fresh [`Deadline`] from it.
     time_budget: Option<Duration>,
     interner: NameInterner,
     max_mismatches: usize,
-    /// Session-lifetime scratch arenas (network edge buffers, semijoin
-    /// key projections, lifting rows) reused across every
-    /// check/witness/stream call instead of reallocating per call.
-    scratch: Arc<ScratchPool>,
 }
 
 impl Default for Session {
@@ -964,15 +928,6 @@ impl Session {
         self.time_budget
     }
 
-    /// The configured worker-process count for the distributed
-    /// pair-graph backend (0 = in-process). Advisory: `Session::check`
-    /// itself always runs locally; a distributed front end (the
-    /// `bagcons-dist` coordinator) reads this to size its pool and
-    /// dispatches the pairwise screen through [`Session::check_via`].
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Arms a fresh per-operation [`Deadline`] (the builder's time budget
     /// merged with any deadline on the exec config) and returns the
     /// governed exec + solver configs one top-level call runs under.
@@ -980,22 +935,9 @@ impl Session {
         arm_configs(&self.exec, &self.solver, self.time_budget)
     }
 
-    /// The scratch pool as a shareable handle (for streams and other
-    /// long-lived state that must outlive the session borrow).
-    pub(crate) fn scratch_handle(&self) -> Arc<ScratchPool> {
-        Arc::clone(&self.scratch)
-    }
-
     /// The diagnose mismatch cap.
     pub fn max_mismatches(&self) -> usize {
         self.max_mismatches
-    }
-
-    /// The session-lifetime scratch pool every pooled hot path draws
-    /// from. Buffers return to the pool after each call, so repeated
-    /// checks and stream updates reuse one set of allocations.
-    pub fn scratch(&self) -> &ScratchPool {
-        &self.scratch
     }
 
     /// Display names for every attribute loaded through this session.
@@ -1118,44 +1060,7 @@ impl Session {
     /// set — never an error, never a hang.
     pub fn check(&self, bags: &[&Bag]) -> Result<CheckOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        Ok(check_impl(bags, &solver, &exec, &self.scratch)?)
-    }
-
-    /// [`Session::check`] with the pairwise screen dispatched through
-    /// `screen` instead of the in-process sweep — the seam a
-    /// distributed backend (the `bagcons-dist` coordinator) plugs into.
-    ///
-    /// `screen` receives every index pair `i < j` in lexicographic
-    /// order and must answer a consistency verdict per pair, however it
-    /// likes (worker processes, in-process solves, a cache). The rest
-    /// of the pipeline — outcome assembly, stage accounting, the
-    /// acyclic witness chain, the cyclic exact search — runs here, so a
-    /// screen that answers the same verdicts as the local sweep yields
-    /// a bit-identical [`CheckOutcome`] regardless of where the pairs
-    /// were solved.
-    ///
-    /// Differences from [`Session::check`], by design:
-    ///
-    /// * On **cyclic** schemas the screen runs *before* the ILP and a
-    ///   pairwise refutation short-circuits the search (Lemma 1:
-    ///   pairwise inconsistency already refutes global consistency), so
-    ///   the outcome carries `inconsistent_pair` with 0 search nodes
-    ///   where `check` would have burned nodes proving `Unsat`. The
-    ///   *decision* is identical; the report reaches it down a cheaper
-    ///   path, identical across every screen backend.
-    /// * A screen returning [`CoreError::Aborted`] degrades to
-    ///   [`Decision::Unknown`] exactly like an in-process deadline.
-    ///
-    /// The screen also receives the **armed** [`ExecConfig`] — the
-    /// session's configuration with the per-operation deadline already
-    /// ticking — so an external backend can poll the same governance
-    /// the in-process sweep obeys.
-    pub fn check_via<F>(&self, bags: &[&Bag], screen: F) -> Result<CheckOutcome, SessionError>
-    where
-        F: FnOnce(&[PairJob], &ExecConfig) -> bagcons_core::Result<Vec<PairVerdict>>,
-    {
-        let (exec, solver) = self.arm();
-        Ok(check_via_impl(bags, &solver, &exec, &self.scratch, screen)?)
+        Ok(check_impl(bags, &solver, &exec)?)
     }
 
     /// [`Session::check`], rendering the full witness bag when one
@@ -1163,7 +1068,7 @@ impl Session {
     pub fn witness(&self, bags: &[&Bag]) -> Result<WitnessOutcome, SessionError> {
         let (exec, solver) = self.arm();
         Ok(WitnessOutcome {
-            check: check_impl(bags, &solver, &exec, &self.scratch)?,
+            check: check_impl(bags, &solver, &exec)?,
         })
     }
 
@@ -1222,8 +1127,7 @@ impl Session {
         let mut stages = Vec::new();
         let t = Instant::now();
         let h = schema_hypergraph(bags);
-        let family =
-            crate::lifting::pairwise_consistent_globally_inconsistent_pooled(&h, &self.scratch)?;
+        let family = crate::lifting::pairwise_consistent_globally_inconsistent(&h)?;
         push_stage(&mut stages, "lift", t);
         Ok(CounterexampleOutcome {
             hypergraph: h,
@@ -1244,7 +1148,7 @@ impl Session {
 
     /// Corollary 1: a two-bag witness via a saturated flow of `N(R,S)`.
     pub fn consistency_witness(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<Option<Bag>> {
-        consistency_witness_pooled_with(r, s, &self.exec, &self.scratch)
+        consistency_witness_with(r, s, &self.exec)
     }
 
     /// True iff every two bags of the collection are consistent.
@@ -1272,12 +1176,12 @@ impl Session {
         bags: &[&Bag],
         strategy: WitnessStrategy,
     ) -> Result<Bag, AcyclicError> {
-        crate::acyclic::acyclic_global_witness_pooled(bags, strategy, &self.exec, &self.scratch)
+        crate::acyclic::acyclic_global_witness_exec(bags, strategy, &self.exec)
     }
 
     /// The set-semantics semijoin `R ⋉ S`.
     pub fn semijoin(&self, r: &Relation, s: &Relation) -> bagcons_core::Result<Relation> {
-        semijoin_pooled_with(r, s, &self.exec, &self.scratch)
+        semijoin_with(r, s, &self.exec)
     }
 
     /// Yannakakis' acyclic join (`None` on cyclic schemas).
@@ -1287,7 +1191,7 @@ impl Session {
 
     /// The naive support-pruning bag "semijoin" (Section 6's obstacle).
     pub fn naive_bag_semijoin(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<Bag> {
-        naive_bag_semijoin_pooled_with(r, s, &self.exec, &self.scratch)
+        naive_bag_semijoin_with(r, s, &self.exec)
     }
 }
 
@@ -1335,7 +1239,6 @@ pub(crate) fn check_impl(
     bags: &[&Bag],
     solver: &SolverConfig,
     exec: &ExecConfig,
-    pool: &ScratchPool,
 ) -> bagcons_core::Result<CheckOutcome> {
     let mut stages = Vec::new();
     let t = Instant::now();
@@ -1353,178 +1256,72 @@ pub(crate) fn check_impl(
             Err(e) => return Err(e),
         };
         push_stage(&mut stages, "pairwise", t);
-        if let Some((i, j)) = pair {
-            return Ok(refuted_outcome(Branch::Acyclic, (i, j), stages));
+        if pair.is_some() {
+            return Ok(CheckOutcome {
+                decision: Decision::Inconsistent,
+                branch: Branch::Acyclic,
+                search_nodes: 0,
+                witness: None,
+                inconsistent_pair: pair,
+                abort_reason: None,
+                stages,
+            });
         }
-        acyclic_witness_outcome(bags, exec, pool, stages)
+        let t = Instant::now();
+        let witness = match witness_chain(bags, WitnessStrategy::Saturated, exec) {
+            Ok(w) => w,
+            Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
+                push_stage(&mut stages, "witness", t);
+                return Ok(aborted_outcome(Branch::Acyclic, reason, stages));
+            }
+            Err(AcyclicError::Core(e)) => return Err(e),
+            Err(AcyclicError::NotAcyclic(h)) => {
+                unreachable!("hypergraph {h} tested acyclic above")
+            }
+            Err(e @ AcyclicError::InconsistentPair(..))
+            | Err(e @ AcyclicError::DuplicateSchemaMismatch(..)) => {
+                unreachable!("pairwise consistency established above: {e}")
+            }
+        };
+        push_stage(&mut stages, "witness", t);
+        Ok(CheckOutcome {
+            decision: Decision::Consistent,
+            branch: Branch::Acyclic,
+            search_nodes: 0,
+            witness: Some(witness),
+            inconsistent_pair: None,
+            abort_reason: None,
+            stages,
+        })
     } else {
-        cyclic_search_outcome(bags, solver, stages)
+        let t = Instant::now();
+        let decision = globally_consistent_via_ilp(bags, solver)?;
+        push_stage(&mut stages, "search", t);
+        let search_nodes = decision.stats.nodes;
+        let mut abort_reason = None;
+        let (outcome, witness) = match &decision.outcome {
+            IlpOutcome::Sat(_) => {
+                let t = Instant::now();
+                let w = witness_from_ilp(bags, &decision)?.expect("Sat carries witness");
+                push_stage(&mut stages, "witness", t);
+                (Decision::Consistent, Some(w))
+            }
+            IlpOutcome::Unsat => (Decision::Inconsistent, None),
+            IlpOutcome::Aborted(reason) => {
+                abort_reason = Some(*reason);
+                (Decision::Unknown, None)
+            }
+        };
+        Ok(CheckOutcome {
+            decision: outcome,
+            branch: Branch::CyclicSearch,
+            search_nodes,
+            witness,
+            inconsistent_pair: None,
+            abort_reason,
+            stages,
+        })
     }
-}
-
-/// One pairwise job of a [`Session::check_via`] screen: a bag-index
-/// pair `i < j` into the caller's slice, in lexicographic order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PairJob {
-    /// Left bag index (`i < j`).
-    pub i: usize,
-    /// Right bag index.
-    pub j: usize,
-}
-
-/// One verdict a [`Session::check_via`] screen backend answers for a
-/// [`PairJob`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PairVerdict {
-    /// Left bag index, echoed from the job.
-    pub i: usize,
-    /// Right bag index, echoed from the job.
-    pub j: usize,
-    /// Whether bags `i` and `j` are consistent (Lemma 2).
-    pub consistent: bool,
-}
-
-/// [`check_impl`] with the pairwise sweep handed to an external screen;
-/// see [`Session::check_via`] for the contract. Both dichotomy branches
-/// share the tails ([`acyclic_witness_outcome`] /
-/// [`cyclic_search_outcome`]) with the local pipeline, so identical
-/// verdicts produce identical outcomes.
-pub(crate) fn check_via_impl<F>(
-    bags: &[&Bag],
-    solver: &SolverConfig,
-    exec: &ExecConfig,
-    pool: &ScratchPool,
-    screen: F,
-) -> bagcons_core::Result<CheckOutcome>
-where
-    F: FnOnce(&[PairJob], &ExecConfig) -> bagcons_core::Result<Vec<PairVerdict>>,
-{
-    let mut stages = Vec::new();
-    let t = Instant::now();
-    let h = schema_hypergraph(bags);
-    let acyclic = is_acyclic(&h);
-    push_stage(&mut stages, "schema", t);
-    let branch = if acyclic {
-        Branch::Acyclic
-    } else {
-        Branch::CyclicSearch
-    };
-    let t = Instant::now();
-    let mut jobs = Vec::with_capacity(bags.len() * bags.len().saturating_sub(1) / 2);
-    for i in 0..bags.len() {
-        for j in (i + 1)..bags.len() {
-            jobs.push(PairJob { i, j });
-        }
-    }
-    let verdicts = match screen(&jobs, exec) {
-        Ok(v) => v,
-        Err(CoreError::Aborted(reason)) => {
-            push_stage(&mut stages, "pairwise", t);
-            return Ok(aborted_outcome(branch, reason, stages));
-        }
-        Err(e) => return Err(e),
-    };
-    // Lexicographic minimum, independent of verdict arrival order, so
-    // the reported pair matches the sequential sweep's first hit.
-    let pair = verdicts
-        .iter()
-        .filter(|v| !v.consistent)
-        .map(|v| (v.i, v.j))
-        .min();
-    push_stage(&mut stages, "pairwise", t);
-    if let Some((i, j)) = pair {
-        return Ok(refuted_outcome(branch, (i, j), stages));
-    }
-    if acyclic {
-        acyclic_witness_outcome(bags, exec, pool, stages)
-    } else {
-        cyclic_search_outcome(bags, solver, stages)
-    }
-}
-
-/// The Inconsistent-by-pairwise-refutation outcome both pipelines share.
-fn refuted_outcome(branch: Branch, pair: (usize, usize), stages: Vec<StageTiming>) -> CheckOutcome {
-    CheckOutcome {
-        decision: Decision::Inconsistent,
-        branch,
-        search_nodes: 0,
-        witness: None,
-        inconsistent_pair: Some(pair),
-        abort_reason: None,
-        stages,
-    }
-}
-
-/// The acyclic branch's tail once every pair passed: Theorem 6's
-/// witness chain, with deadline aborts degrading to `Unknown`.
-fn acyclic_witness_outcome(
-    bags: &[&Bag],
-    exec: &ExecConfig,
-    pool: &ScratchPool,
-    mut stages: Vec<StageTiming>,
-) -> bagcons_core::Result<CheckOutcome> {
-    let t = Instant::now();
-    let witness = match witness_chain(bags, WitnessStrategy::Saturated, exec, pool) {
-        Ok(w) => w,
-        Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
-            push_stage(&mut stages, "witness", t);
-            return Ok(aborted_outcome(Branch::Acyclic, reason, stages));
-        }
-        Err(AcyclicError::Core(e)) => return Err(e),
-        Err(AcyclicError::NotAcyclic(h)) => {
-            unreachable!("hypergraph {h} tested acyclic above")
-        }
-        Err(e @ AcyclicError::InconsistentPair(..))
-        | Err(e @ AcyclicError::DuplicateSchemaMismatch(..)) => {
-            unreachable!("pairwise consistency established above: {e}")
-        }
-    };
-    push_stage(&mut stages, "witness", t);
-    Ok(CheckOutcome {
-        decision: Decision::Consistent,
-        branch: Branch::Acyclic,
-        search_nodes: 0,
-        witness: Some(witness),
-        inconsistent_pair: None,
-        abort_reason: None,
-        stages,
-    })
-}
-
-/// The cyclic branch's tail: the exact ILP search (and the witness it
-/// materializes on `Sat`).
-fn cyclic_search_outcome(
-    bags: &[&Bag],
-    solver: &SolverConfig,
-    mut stages: Vec<StageTiming>,
-) -> bagcons_core::Result<CheckOutcome> {
-    let t = Instant::now();
-    let decision = globally_consistent_via_ilp(bags, solver)?;
-    push_stage(&mut stages, "search", t);
-    let search_nodes = decision.stats.nodes;
-    let mut abort_reason = None;
-    let (outcome, witness) = match &decision.outcome {
-        IlpOutcome::Sat(_) => {
-            let t = Instant::now();
-            let w = witness_from_ilp(bags, &decision)?.expect("Sat carries witness");
-            push_stage(&mut stages, "witness", t);
-            (Decision::Consistent, Some(w))
-        }
-        IlpOutcome::Unsat => (Decision::Inconsistent, None),
-        IlpOutcome::Aborted(reason) => {
-            abort_reason = Some(*reason);
-            (Decision::Unknown, None)
-        }
-    };
-    Ok(CheckOutcome {
-        decision: outcome,
-        branch: Branch::CyclicSearch,
-        search_nodes,
-        witness,
-        inconsistent_pair: None,
-        abort_reason,
-        stages,
-    })
 }
 
 #[cfg(test)]

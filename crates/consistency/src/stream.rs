@@ -84,7 +84,6 @@ use crate::session::{
     arm_configs, check_impl, json_stages, push_stage, Branch, Decision, Session, SessionError,
     StageTiming,
 };
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{
     AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig,
 };
@@ -119,14 +118,13 @@ struct PairState {
 /// the [module docs](self) and [`Session::open_stream`].
 ///
 /// The stream owns a copy of the opening session's governance
-/// configuration (exec, solver, per-operation time budget, scratch
-/// pool), so it has no borrow of the session and can be moved across
-/// threads or stored in long-lived connection state.
+/// configuration (exec, solver, per-operation time budget), so it has
+/// no borrow of the session and can be moved across threads or stored
+/// in long-lived connection state.
 pub struct ConsistencyStream {
     exec: ExecConfig,
     solver: SolverConfig,
     time_budget: Option<Duration>,
-    scratch: Arc<ScratchPool>,
     /// The bags, shared copy-on-write: sealed state is immutable, so
     /// readers of the same generation alias these allocations until a
     /// delta forces a private clone of the touched bag.
@@ -315,12 +313,7 @@ impl ConsistencyStream {
                 let (check, consistent) = if shared.arity() == 0 {
                     (PairCheck::Totals, totals[i] == totals[j])
                 } else {
-                    let mut net = ConsistencyNetwork::build_pooled_with(
-                        &bags[i],
-                        &bags[j],
-                        &exec,
-                        session.scratch(),
-                    )?;
+                    let mut net = ConsistencyNetwork::build_with(&bags[i], &bags[j], &exec)?;
                     // Reinstall persisted warm flow for this pair, if
                     // any; a non-matching column is ignored and the
                     // reaugment below runs cold.
@@ -346,7 +339,6 @@ impl ConsistencyStream {
             exec: session.exec().clone(),
             solver: session.solver().clone(),
             time_budget: session.time_budget(),
-            scratch: session.scratch_handle(),
             bags,
             totals,
             acyclic,
@@ -622,11 +614,10 @@ impl ConsistencyStream {
                                 }
                             }
                         } else {
-                            let built = ConsistencyNetwork::build_pooled_with(
+                            let built = ConsistencyNetwork::build_with(
                                 &self.bags[p.i],
                                 &self.bags[p.j],
                                 exec,
-                                &self.scratch,
                             )
                             .and_then(|mut fresh| {
                                 let consistent = fresh.try_reaugment(exec)?;
@@ -774,7 +765,7 @@ impl ConsistencyStream {
         if self.witness.is_none() {
             let (exec, solver) = self.arm();
             let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-            let out = check_impl(&refs, &solver, &exec, &self.scratch)?;
+            let out = check_impl(&refs, &solver, &exec)?;
             debug_assert!(
                 out.decision == Decision::Consistent || out.abort_reason.is_some(),
                 "a consistent stream state must re-verify (or abort)"

@@ -680,127 +680,6 @@ pub fn merge_sorted_runs_for_bench<T: Copy>(
     merge_sorted_runs_impl(a, b, cmp, gallop)
 }
 
-/// A session-lifetime pool of scratch buffers for the solve hot paths.
-///
-/// Each consistency solve used to allocate its working buffers — network
-/// row scratch, semijoin key arenas, lifting extension rows — from
-/// scratch and drop them on return. Repeated `check`/`witness`/stream
-/// updates through one session pay that allocator round-trip every time.
-/// The pool keeps the freed buffers instead: `take_*` pops a warm buffer
-/// (empty, but with its previous capacity), `put_*` clears and returns
-/// it. Misses fall back to `Vec::new`, so the pool is never required for
-/// correctness, only for reuse.
-///
-/// The pool is internally synchronized (shard workers check buffers in
-/// and out concurrently) and bounded: at most [`ScratchPool::MAX_RETAINED`]
-/// buffers per kind are retained in each shard, so one huge transient
-/// workload cannot pin its peak memory for the life of the session.
-///
-/// Internally the freelists are split across [`ScratchPool::SHARDS`]
-/// lock shards keyed by the calling thread, so many concurrent streams
-/// (the serving daemon routes every connection's session through one
-/// shared pool) don't serialize on a single mutex. A thread always
-/// returns buffers to the shard it took them from, which keeps the warm
-/// single-threaded hit rate identical to the unsharded pool.
-#[derive(Debug)]
-pub struct ScratchPool {
-    shards: [ScratchShard; ScratchPool::SHARDS],
-}
-
-#[derive(Debug, Default)]
-struct ScratchShard {
-    values: Mutex<Vec<Vec<Value>>>,
-    words: Mutex<Vec<Vec<u64>>>,
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        ScratchPool {
-            shards: std::array::from_fn(|_| ScratchShard::default()),
-        }
-    }
-}
-
-impl ScratchPool {
-    /// Retention cap per buffer kind *per shard*; see the type docs.
-    pub const MAX_RETAINED: usize = 32;
-
-    /// Number of internal lock shards (power of two).
-    pub const SHARDS: usize = 8;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// The shard serving the calling thread. The thread-id hash is
-    /// cached in a thread-local so steady-state take/put pairs cost one
-    /// `Cell` read, and a thread keeps hitting the same (warm) freelist.
-    fn shard(&self) -> &ScratchShard {
-        use std::hash::{Hash, Hasher};
-        thread_local! {
-            static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-        }
-        let idx = SHARD.with(|cached| {
-            let idx = cached.get();
-            if idx != usize::MAX {
-                return idx;
-            }
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            let idx = (h.finish() as usize) & (Self::SHARDS - 1);
-            cached.set(idx);
-            idx
-        });
-        &self.shards[idx]
-    }
-
-    /// Pops a pooled `Vec<Value>` scratch buffer (empty; warm capacity
-    /// if one was returned earlier), or a fresh one on a miss.
-    pub fn take_values(&self) -> Vec<Value> {
-        match self.shard().values.lock() {
-            Ok(mut pool) => pool.pop().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Returns a `Vec<Value>` scratch buffer to the pool for reuse.
-    /// Zero-capacity buffers and overflow past the retention cap are
-    /// simply dropped.
-    pub fn put_values(&self, mut buf: Vec<Value>) {
-        buf.clear();
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut pool) = self.shard().values.lock() {
-            if pool.len() < Self::MAX_RETAINED {
-                pool.push(buf);
-            }
-        }
-    }
-
-    /// Pops a pooled `Vec<u64>` scratch buffer, or a fresh one on a miss.
-    pub fn take_words(&self) -> Vec<u64> {
-        match self.shard().words.lock() {
-            Ok(mut pool) => pool.pop().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Returns a `Vec<u64>` scratch buffer to the pool for reuse.
-    pub fn put_words(&self, mut buf: Vec<u64>) {
-        buf.clear();
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut pool) = self.shard().words.lock() {
-            if pool.len() < Self::MAX_RETAINED {
-                pool.push(buf);
-            }
-        }
-    }
-}
-
 /// One shard's output: freshly assembled rows (flat, row-major) with
 /// precomputed content hashes and a parallel `u64` payload column
 /// (multiplicities for bags, capacities for network middle edges).
@@ -1266,60 +1145,6 @@ mod tests {
             let galloped = merge_sorted_runs_impl(a, b, |x, y| x.cmp(y), true);
             assert_eq!(linear, galloped);
         }
-    }
-
-    #[test]
-    fn scratch_pool_reuses_capacity_and_bounds_retention() {
-        let pool = ScratchPool::new();
-        let mut buf = pool.take_values();
-        assert!(buf.is_empty());
-        buf.extend(v(&[1, 2, 3]));
-        let cap = buf.capacity();
-        pool.put_values(buf);
-        let warm = pool.take_values();
-        assert!(warm.is_empty());
-        assert_eq!(warm.capacity(), cap);
-        // Retention is bounded.
-        for _ in 0..2 * ScratchPool::MAX_RETAINED {
-            pool.put_words(Vec::with_capacity(8));
-        }
-        let retained = (0..2 * ScratchPool::MAX_RETAINED)
-            .map(|_| pool.take_words())
-            .filter(|b| b.capacity() > 0)
-            .count();
-        assert!(retained <= ScratchPool::MAX_RETAINED);
-    }
-
-    #[test]
-    fn scratch_pool_shards_survive_concurrent_traffic() {
-        let pool = std::sync::Arc::new(ScratchPool::new());
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = std::sync::Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        let mut buf = pool.take_values();
-                        assert!(buf.is_empty());
-                        buf.extend(v(&[1, 2]));
-                        pool.put_values(buf);
-                        let mut w = pool.take_words();
-                        w.push(7);
-                        pool.put_words(w);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        // Same-thread warm reuse holds after concurrent traffic: a
-        // thread always returns to (and takes from) its own shard.
-        let mut buf = pool.take_values();
-        buf.clear();
-        buf.extend(v(&[1, 2, 3]));
-        let cap = buf.capacity();
-        pool.put_values(buf);
-        assert_eq!(pool.take_values().capacity(), cap);
     }
 
     #[test]

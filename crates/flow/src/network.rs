@@ -26,7 +26,7 @@
 //!   building `N(R,S)` performs no per-tuple heap allocation.
 
 use crate::dinic::{EdgeId, FlowNetwork};
-use bagcons_core::exec::{ExecConfig, ScratchPool, ShardRun};
+use bagcons_core::exec::{ExecConfig, ShardRun};
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
 use bagcons_core::{Bag, CoreError, Result, RowId, RowStore, Schema, Value};
 
@@ -150,20 +150,6 @@ impl ConsistencyNetwork {
         Self::build_excluding_with(r, s, |_| false, cfg)
     }
 
-    /// [`ConsistencyNetwork::build_with`] drawing per-shard scratch
-    /// buffers from a caller-owned [`ScratchPool`] — sessions that
-    /// rebuild networks repeatedly (streams, self-reducible witness
-    /// search) reuse one set of allocations instead of reallocating per
-    /// build.
-    pub fn build_pooled_with(
-        r: &Bag,
-        s: &Bag,
-        cfg: &ExecConfig,
-        pool: &ScratchPool,
-    ) -> Result<Self> {
-        Self::build_excluding_pooled_with(r, s, |_| false, cfg, pool)
-    }
-
     /// Builds `N(R,S)` omitting middle edges whose `XY`-row satisfies
     /// `exclude` — the self-reducibility hook of Section 5.3.
     pub fn build_excluding(
@@ -189,19 +175,6 @@ impl ConsistencyNetwork {
         s: &Bag,
         exclude: impl Fn(&[Value]) -> bool + Sync,
         cfg: &ExecConfig,
-    ) -> Result<Self> {
-        Self::build_excluding_pooled_with(r, s, exclude, cfg, &ScratchPool::new())
-    }
-
-    /// [`ConsistencyNetwork::build_excluding_with`] drawing per-shard
-    /// row-assembly buffers from `pool` and returning them when the
-    /// build completes.
-    pub fn build_excluding_pooled_with(
-        r: &Bag,
-        s: &Bag,
-        exclude: impl Fn(&[Value]) -> bool + Sync,
-        cfg: &ExecConfig,
-        pool: &ScratchPool,
     ) -> Result<Self> {
         let plan = JoinPlan::new(r.schema(), s.schema());
         let r_rows = r.sorted_rows();
@@ -255,8 +228,7 @@ impl ConsistencyNetwork {
                     pairs: Vec::new(),
                     run: ShardRun::new(out_schema.arity()),
                 };
-                let mut scratch = pool.take_values();
-                scratch.reserve(out_schema.arity());
+                let mut scratch = Vec::with_capacity(out_schema.arity());
                 sweep.for_each(|i, j| {
                     let (r_row, rm) = r_rows[i];
                     let (s_row, sm) = s_rows[j];
@@ -267,7 +239,6 @@ impl ConsistencyNetwork {
                     buf.run.push(&scratch, rm.min(sm));
                     buf.pairs.push((i as u32, j as u32));
                 });
-                pool.put_values(scratch);
                 buf
             })?;
 
@@ -474,17 +445,6 @@ impl ConsistencyNetwork {
     /// [`ConsistencyNetwork::reaugment`] after edits first).
     pub fn is_saturated(&self) -> bool {
         self.total_r == self.total_s && self.flow_value == self.total_r
-    }
-
-    /// The total flow currently routed source → sink. With
-    /// [`ConsistencyNetwork::edge_flows`] this is the import/export
-    /// contract of a warm flow column: a partial (unsaturated) column
-    /// shipped from another process still passes
-    /// [`ConsistencyNetwork::install_flows`] validation and banks
-    /// exactly this much value, leaving only the remainder for
-    /// [`ConsistencyNetwork::try_reaugment`] to find.
-    pub fn flow_value(&self) -> u128 {
-        self.flow_value
     }
 
     /// The witness bag of the retained flow, when saturated — like
@@ -875,30 +835,6 @@ mod tests {
             }
         }
         check_warm_restart(&mut r, &mut s, &edits);
-    }
-
-    #[test]
-    fn pooled_build_reuses_scratch_and_matches_plain_build() {
-        let mut r = Bag::new(schema(&[0, 1]));
-        let mut s = Bag::new(schema(&[1, 2]));
-        for i in 0..80u64 {
-            r.insert(vec![Value(i % 9), Value(i % 4)], i % 5 + 1)
-                .unwrap();
-            s.insert(vec![Value(i % 4), Value(i % 7)], i % 3 + 1)
-                .unwrap();
-        }
-        let plain = ConsistencyNetwork::build(&r, &s).unwrap();
-        let plain_rows: Vec<Vec<Value>> = plain.middle_rows().map(|row| row.to_vec()).collect();
-        let plain_witness = plain.solve();
-        let pool = ScratchPool::new();
-        let cfg = ExecConfig::sequential();
-        for round in 0..3 {
-            let pooled = ConsistencyNetwork::build_pooled_with(&r, &s, &cfg, &pool).unwrap();
-            let pooled_rows: Vec<Vec<Value>> =
-                pooled.middle_rows().map(|row| row.to_vec()).collect();
-            assert_eq!(pooled_rows, plain_rows, "round {round}");
-            assert_eq!(pooled.solve(), plain_witness, "round {round}");
-        }
     }
 
     #[test]

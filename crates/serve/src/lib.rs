@@ -36,8 +36,8 @@
 //! decision is `status=<code> <outcome text>`, an error is
 //! `err <kind>: <message>`; in `json` format both are single-line JSON
 //! objects with a `"status"` key. The response shapes are the canonical
-//! renderers in [`bagcons::protocol`], shared with the `watch` CLI and
-//! the `bagcons-dist` worker transport. Error kinds distinguish the
+//! renderers in [`bagcons::protocol`], shared with the `watch` CLI.
+//! Error kinds distinguish the
 //! caller's fault from the world's: a policy or grammar violation is
 //! `err usage:`/`err protocol:`, a filesystem failure during `load`/
 //! `save` is `err io:`. A malformed request is answered with a

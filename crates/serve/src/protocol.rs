@@ -3,8 +3,8 @@
 //!
 //! Response rendering is **shared**, not serve-specific: the
 //! `status=`/`err <kind>:`/`ok <verb>` shapes live in
-//! [`bagcons::protocol`] (one parser/renderer pair for the `watch` CLI,
-//! this daemon, and the `bagcons-dist` worker transport) and are
+//! [`bagcons::protocol`] (one parser/renderer pair for the `watch` CLI
+//! and this daemon) and are
 //! re-exported here verbatim, so the daemon's golden tests pin the one
 //! canonical implementation. Only the request grammar — the command
 //! table — is serve-only.

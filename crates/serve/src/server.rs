@@ -14,7 +14,6 @@ use crate::registry::{Dataset, Registry};
 use bagcons::report::ReportFormat;
 use bagcons::session::{Session, SessionError};
 use bagcons::stream::ConsistencyStream;
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{AttrNames, Bag, DeltaSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,15 +59,6 @@ pub struct ServeOptions {
     /// default) trusts paths as before, for operator-driven deployments.
     /// Operator preloads ([`Server::preload`]) always bypass the check.
     pub data_dir: Option<PathBuf>,
-    /// Worker processes for the distributed pairwise screen (0 = all
-    /// local). When set, the daemon owns one [`bagcons_dist::WorkerPool`]
-    /// shared by every connection: `open`/`sync` screen the pair graph
-    /// across workers and import the warm flow columns into the
-    /// incremental stream.
-    pub workers: usize,
-    /// Worker binary for the pool (`None`: `BAGCONS_WORKER_BIN`, then
-    /// the current executable when it is the `bagcons` CLI).
-    pub worker_bin: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -82,8 +72,6 @@ impl Default for ServeOptions {
             worker_budget: None,
             max_connections: 64,
             data_dir: None,
-            workers: 0,
-            worker_bin: None,
         }
     }
 }
@@ -161,12 +149,7 @@ struct Shared {
     /// One loader for all datasets so attribute names intern identically
     /// across files loaded by different connections.
     loader: Mutex<Session>,
-    /// One sharded scratch pool for every connection's session.
-    scratch: Arc<ScratchPool>,
     budget: WorkerBudget,
-    /// Worker-process pool for the distributed pairwise screen
-    /// (`--workers N`); `None` keeps every solve in-process.
-    dist: Option<bagcons_dist::WorkerPool>,
     shutdown: AtomicBool,
     connections: AtomicUsize,
     opts: ServeOptions,
@@ -186,9 +169,9 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
     }
 
-    /// A per-connection session drawing on the shared scratch pool.
+    /// A per-connection session under the daemon's options.
     fn build_session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
-        let mut b = Session::builder().scratch(Arc::clone(&self.scratch));
+        let mut b = Session::builder();
         if let Some(threads) = self.opts.threads {
             b = b.threads(threads);
         }
@@ -255,19 +238,6 @@ impl Shared {
             return Err(AuthError::Usage(format!("{raw:?} escapes the data dir")));
         }
         Ok(real)
-    }
-
-    /// Runs the distributed pairwise screen for a stream open, returning
-    /// the warm flow columns to resume from — or `None` when there is no
-    /// pool or the screen failed (the caller opens cold; degradation is
-    /// never an error).
-    fn warm_columns(&self, session: &Session, bags: &[Arc<Bag>]) -> Option<Vec<Option<Vec<u64>>>> {
-        let pool = self.dist.as_ref()?;
-        let refs: Vec<&Bag> = bags.iter().map(|b| b.as_ref()).collect();
-        match pool.warm_screen(session, &refs) {
-            Ok(out) => Some(out.warm),
-            Err(_) => None,
-        }
     }
 
     /// Loads dataset files through the shared loader — text bags parse
@@ -589,16 +559,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = dataset.current();
             let _permit = shared.budget.acquire();
-            // With a worker pool, screen the pair graph across processes
-            // and open the stream from the warm flow columns; without
-            // one (or if the screen degrades), open cold.
-            let opened = match shared.warm_columns(&conn.session, &generation.bags) {
-                Some(warm) => conn
-                    .session
-                    .open_stream_resumed(generation.bags.clone(), &warm),
-                None => conn.session.open_stream_shared(generation.bags.clone()),
-            };
-            match opened {
+            match conn.session.open_stream_shared(generation.bags.clone()) {
                 Ok(stream) => {
                     let reply = protocol::ok_response(
                         fmt,
@@ -629,13 +590,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = open.dataset.current();
             let _permit = shared.budget.acquire();
-            let opened = match shared.warm_columns(&conn.session, &generation.bags) {
-                Some(warm) => conn
-                    .session
-                    .open_stream_resumed(generation.bags.clone(), &warm),
-                None => conn.session.open_stream_shared(generation.bags.clone()),
-            };
-            match opened {
+            match conn.session.open_stream_shared(generation.bags.clone()) {
                 Ok(stream) => {
                     open.parent_seq = generation.seq;
                     open.stream = stream;
@@ -956,22 +911,6 @@ impl Server {
         let loader = Session::builder()
             .build()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let scratch = Arc::new(ScratchPool::new());
-        let dist = if opts.workers > 0 {
-            let mut cluster = bagcons_dist::ClusterConfig::builder().workers(opts.workers);
-            if let Some(threads) = opts.threads {
-                cluster = cluster.threads(threads);
-            }
-            if let Some(bin) = &opts.worker_bin {
-                cluster = cluster.worker_bin(bin.clone());
-            }
-            if let Some(t) = opts.timeout {
-                cluster = cluster.worker_deadline(t);
-            }
-            Some(bagcons_dist::WorkerPool::new(cluster.build()))
-        } else {
-            None
-        };
         Ok(Server {
             listeners,
             tcp_addr,
@@ -979,9 +918,7 @@ impl Server {
             shared: Arc::new(Shared {
                 registry: Registry::new(),
                 loader: Mutex::new(loader),
-                scratch,
                 budget: WorkerBudget::new(worker_budget),
-                dist,
                 shutdown: AtomicBool::new(false),
                 connections: AtomicUsize::new(0),
                 opts,

@@ -171,11 +171,7 @@ impl From<std::io::Error> for SnapError {
 /// depends on the last); four independent chains let wide cores verify
 /// multi-megabyte arenas at load time without dominating the open.
 /// Deterministic across runs (the workspace hasher is unseeded).
-///
-/// Public because the section table and the [`frame`] wire protocol
-/// share one hash: a byte string hashed by a snapshot writer verifies
-/// identically after a trip through a pipe.
-pub fn content_hash(bytes: &[u8]) -> u64 {
+fn content_hash(bytes: &[u8]) -> u64 {
     let mut lanes = [0u64; 4];
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {
@@ -765,203 +761,6 @@ impl Snapshot {
             return None;
         }
         Relation::from_sealed_store(bag.schema().clone(), bag.store().clone())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Wire framing
-// ---------------------------------------------------------------------
-
-/// Length-prefixed, content-hashed message frames over byte streams —
-/// the transport layer of the distributed pair-graph protocol
-/// (`bagcons-dist`), reusing this crate's section encoding discipline
-/// on a pipe instead of a file.
-///
-/// # Frame layout (version 1)
-///
-/// ```text
-/// header  (24 B): magic "BAGWIRE1" · kind u32 · seq u32 · len u64
-/// trailer  (8 B): hash u64            (striped content hash of payload)
-/// payload (len B): immediately after the trailer, unpadded
-/// ```
-///
-/// All integers are little-endian; `hash` is [`content_hash`], the same
-/// four-lane striped Fx digest that guards snapshot sections, so a
-/// snapshot byte string carried as a frame payload is covered twice —
-/// once per section, once per frame — by one hash implementation.
-/// Unlike file sections, frames are unpadded: pipes are byte streams
-/// and alignment buys nothing there. `kind` is message-layer-defined
-/// (readers treat unknown kinds as a protocol error, mirroring the
-/// snapshot reader's unknown-section policy); `seq` is a free
-/// correlation field. `len` above [`frame::MAX_FRAME`] is rejected
-/// before any allocation, so a corrupt header cannot OOM the reader.
-pub mod frame {
-    use super::content_hash;
-    use std::fmt;
-    use std::io::{self, Read, Write};
-
-    /// Frame magic: identifies one wire frame (any kind).
-    pub const FRAME_MAGIC: [u8; 8] = *b"BAGWIRE1";
-
-    /// Hard cap on a single frame's payload (1 GiB): a corrupted or
-    /// hostile length field fails typed instead of allocating.
-    pub const MAX_FRAME: u64 = 1 << 30;
-
-    const FRAME_HEADER_LEN: usize = 32;
-
-    /// One decoded frame.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct Frame {
-        /// Message kind (defined by the layer above).
-        pub kind: u32,
-        /// Free correlation field (e.g. a pair id).
-        pub seq: u32,
-        /// The hash-verified payload bytes.
-        pub payload: Vec<u8>,
-    }
-
-    /// Typed frame-read failures. `Io` covers the stream dying
-    /// mid-frame (a killed worker); the rest are corruption.
-    #[derive(Debug)]
-    pub enum FrameError {
-        /// Underlying stream failure or truncation mid-frame.
-        Io(io::Error),
-        /// The first eight bytes are not [`FRAME_MAGIC`].
-        BadMagic,
-        /// The header declares a payload larger than [`MAX_FRAME`].
-        Oversize(u64),
-        /// The payload does not match the header's striped hash.
-        HashMismatch {
-            /// The offending frame's kind field.
-            kind: u32,
-        },
-    }
-
-    impl fmt::Display for FrameError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                FrameError::Io(e) => write!(f, "frame i/o error: {e}"),
-                FrameError::BadMagic => write!(f, "not a wire frame (bad magic)"),
-                FrameError::Oversize(len) => {
-                    write!(f, "frame payload of {len} bytes exceeds cap {MAX_FRAME}")
-                }
-                FrameError::HashMismatch { kind } => {
-                    write!(f, "frame (kind {kind}) failed its content hash")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for FrameError {}
-
-    impl From<io::Error> for FrameError {
-        fn from(e: io::Error) -> Self {
-            FrameError::Io(e)
-        }
-    }
-
-    /// Writes one frame: header, hash trailer, payload. One
-    /// `write_all` per field keeps syscall count flat; callers flush
-    /// when the conversation turn ends.
-    pub fn write_frame(w: &mut impl Write, kind: u32, seq: u32, payload: &[u8]) -> io::Result<()> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        header[..8].copy_from_slice(&FRAME_MAGIC);
-        header[8..12].copy_from_slice(&kind.to_le_bytes());
-        header[12..16].copy_from_slice(&seq.to_le_bytes());
-        header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&content_hash(payload).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(payload)
-    }
-
-    /// Reads one frame. `Ok(None)` on clean EOF **at a frame boundary**
-    /// (the peer closed after a complete message); EOF mid-frame is
-    /// [`FrameError::Io`] with `UnexpectedEof` — how a killed worker
-    /// surfaces to the coordinator.
-    pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        // Distinguish clean EOF (zero bytes) from a torn header.
-        let mut got = 0;
-        while got < FRAME_HEADER_LEN {
-            match r.read(&mut header[got..])? {
-                0 if got == 0 => return Ok(None),
-                0 => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream closed mid-frame-header",
-                    )))
-                }
-                n => got += n,
-            }
-        }
-        if header[..8] != FRAME_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let kind = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
-        let seq = u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice"));
-        let len = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-        let hash = u64::from_le_bytes(header[24..32].try_into().expect("8-byte slice"));
-        if len > MAX_FRAME {
-            return Err(FrameError::Oversize(len));
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        if content_hash(&payload) != hash {
-            return Err(FrameError::HashMismatch { kind });
-        }
-        Ok(Some(Frame { kind, seq, payload }))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn frames_round_trip() {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, 3, 7, b"hello").unwrap();
-            write_frame(&mut buf, 4, 0, b"").unwrap();
-            let mut r = &buf[..];
-            let a = read_frame(&mut r).unwrap().unwrap();
-            assert_eq!((a.kind, a.seq, a.payload.as_slice()), (3, 7, &b"hello"[..]));
-            let b = read_frame(&mut r).unwrap().unwrap();
-            assert_eq!((b.kind, b.seq, b.payload.len()), (4, 0, 0));
-            assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-        }
-
-        #[test]
-        fn torn_and_corrupt_frames_fail_typed() {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, 1, 0, b"payload").unwrap();
-            // Truncated mid-payload: a killed peer.
-            let mut torn = &buf[..buf.len() - 3];
-            assert!(matches!(read_frame(&mut torn), Err(FrameError::Io(_))));
-            // Truncated mid-header.
-            let mut torn = &buf[..10];
-            assert!(matches!(read_frame(&mut torn), Err(FrameError::Io(_))));
-            // Flipped payload byte: hash mismatch.
-            let mut flipped = buf.clone();
-            let last = flipped.len() - 1;
-            flipped[last] ^= 0x40;
-            assert!(matches!(
-                read_frame(&mut &flipped[..]),
-                Err(FrameError::HashMismatch { kind: 1 })
-            ));
-            // Wrong magic.
-            let mut bad = buf.clone();
-            bad[0] = b'X';
-            assert!(matches!(
-                read_frame(&mut &bad[..]),
-                Err(FrameError::BadMagic)
-            ));
-            // Oversize length field fails before allocating.
-            let mut huge = buf;
-            huge[16..24].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-            assert!(matches!(
-                read_frame(&mut &huge[..]),
-                Err(FrameError::Oversize(_))
-            ));
-        }
     }
 }
 

@@ -28,15 +28,8 @@ MIN_SNAP_SPEEDUP x faster than parsing + sealing the equivalent text
 dataset. Both columns come from the same run, so this gate is also
 host-independent and never skips.
 
-An E19 file (experiment tag starting with "e19") gates the distributed
-execution backend: on the largest-support row, the coordinator with
-workers=4 `bagcons worker` processes must beat the workers=0
-all-in-process run by MIN_DIST_SPEEDUP x. Like the parallel gates it
-skips — loudly, exit 0 — when the recorded host_parallelism is below
-4: worker processes on a 1-core host only measure scheduling overhead.
-
 Usage: check_speedup.py BENCH_e13.json BENCH_e14.json BENCH_e16.json \
-       BENCH_e18.json BENCH_e19.json
+       BENCH_e18.json
 """
 
 import json
@@ -50,10 +43,6 @@ MIN_PACKED_SPEEDUP = 1.15
 E16_SUPPORT_FLOOR = 4096
 
 MIN_SNAP_SPEEDUP = 10.0
-
-MIN_DIST_SPEEDUP = 1.2
-DIST_WORKERS_BASE = 0
-DIST_WORKERS_PAR = 4
 
 
 def check_e16(path: str, doc: dict) -> bool:
@@ -96,33 +85,6 @@ def check_e18(path: str, doc: dict) -> bool:
     return ok
 
 
-def check_e19(path: str, doc: dict) -> bool:
-    host = doc.get("host_parallelism", 0)
-    if host < DIST_WORKERS_PAR:
-        print(f"{path}: host_parallelism={host} < {DIST_WORKERS_PAR}; "
-              "worker processes cannot speed up a 1-core host — skipping")
-        return True
-    rows = doc["results"]
-    largest = max(row["support"] for row in rows)
-    by_workers = {r["workers"]: r for r in rows if r["support"] == largest}
-    base = by_workers.get(DIST_WORKERS_BASE)
-    par = by_workers.get(DIST_WORKERS_PAR)
-    if base is None or par is None:
-        print(f"{path}: missing workers={DIST_WORKERS_BASE} or "
-              f"workers={DIST_WORKERS_PAR} row at support={largest}")
-        return False
-    t0, t4 = base["check_ms"], par["check_ms"]
-    speedup = t0 / t4 if t4 > 0 else float("inf")
-    ok = speedup >= MIN_DIST_SPEEDUP
-    verdict = "PASS" if ok else "FAIL"
-    print(f"{path}: support={largest} (host_parallelism={host}) "
-          f"workers=0 {t0:.3f} ms  workers=4 {t4:.3f} ms  "
-          f"speedup={speedup:.2f}x")
-    print(f"  {verdict}: distributed screen vs local "
-          f"(required >= {MIN_DIST_SPEEDUP}x)")
-    return ok
-
-
 def check(path: str) -> bool:
     with open(path) as fh:
         doc = json.load(fh)
@@ -130,8 +92,6 @@ def check(path: str) -> bool:
         return check_e16(path, doc)
     if doc.get("experiment", "").startswith("e18"):
         return check_e18(path, doc)
-    if doc.get("experiment", "").startswith("e19"):
-        return check_e19(path, doc)
     host = doc.get("host_parallelism", 0)
     if host < THREADS_PAR:
         print(f"{path}: host_parallelism={host} < {THREADS_PAR}; "

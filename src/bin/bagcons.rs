@@ -24,13 +24,6 @@
 //!
 //! options:
 //!   --threads N         worker threads (default: one per core, capped at 8)
-//!   --workers N         distribute the pairwise screen across N `bagcons
-//!                       worker` child processes (default 0 = in-process);
-//!                       applies to `check` and `serve`. Workers speak the
-//!                       snapshot wire format over pipes (see bagcons-dist);
-//!                       a killed or wedged worker degrades its share of the
-//!                       pairs back to local execution, never changing the
-//!                       decision
 //!   --budget N          node budget for the cyclic exact search
 //!                       (default 50000000)
 //!   --timeout MS        wall-clock budget in milliseconds per operation
@@ -86,7 +79,6 @@ struct Cli {
     cmd: String,
     files: Vec<String>,
     threads: Option<usize>,
-    workers: usize,
     budget: u64,
     timeout: Option<std::time::Duration>,
     format: ReportFormat,
@@ -101,12 +93,6 @@ struct Cli {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The hidden `worker` subcommand is the child half of `--workers`:
-    // a coordinator owns both pipe ends, so it takes no options and
-    // bypasses argument parsing entirely (see bagcons_dist::worker).
-    if args.first().map(String::as_str) == Some("worker") {
-        std::process::exit(bagcons_dist::worker::run_stdio());
-    }
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -127,7 +113,7 @@ fn main() -> ExitCode {
         return cmd_snapshot(&cli);
     }
 
-    let mut builder = Session::builder().budget(cli.budget).workers(cli.workers);
+    let mut builder = Session::builder().budget(cli.budget);
     if let Some(threads) = cli.threads {
         builder = builder.threads(threads);
     }
@@ -178,7 +164,6 @@ fn main() -> ExitCode {
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut positional: Vec<String> = Vec::new();
     let mut threads = None;
-    let mut workers = 0usize;
     let mut budget = DEFAULT_BUDGET;
     let mut timeout = None;
     let mut format = ReportFormat::Text;
@@ -210,11 +195,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .parse::<usize>()
                         .map_err(|_| "--threads expects an unsigned integer".to_string())?,
                 );
-            }
-            "--workers" => {
-                workers = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|_| "--workers expects an unsigned integer".to_string())?;
             }
             "--budget" => {
                 budget = value(&mut it)?
@@ -263,7 +243,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         cmd,
         files,
         threads,
-        workers,
         budget,
         timeout,
         format,
@@ -279,10 +258,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bagcons <check|witness|diagnose|pairwise|schema|counterexample|watch|serve|snapshot> \
-         [--threads N] [--workers N] [--budget N] [--timeout MS] [--format text|json] <FILE>...\n\
-         --workers N distributes the pairwise screen across N `bagcons worker`\n\
-         child processes (check/serve; 0 = in-process, worker death degrades\n\
-         to local execution without changing the decision).\n\
+         [--threads N] [--budget N] [--timeout MS] [--format text|json] <FILE>...\n\
          FILEs hold bags in tabular text form (`A B #` header, `1 2 : 3` rows) or\n\
          binary snapshots written by `bagcons snapshot save` (auto-detected).\n\
          watch reads `<bag-index> <values...> : <±delta>` lines from stdin and\n\
@@ -311,16 +287,7 @@ fn fail(e: impl std::fmt::Display) -> ExitCode {
 }
 
 fn cmd_check(session: &Session, refs: &[&bagcons_core::Bag], format: ReportFormat) -> ExitCode {
-    // With `--workers N` the pairwise screen runs across worker
-    // processes; the session assembles the outcome either way, so the
-    // rendering (and the exit-code contract) is identical.
-    let checked = if session.workers() > 0 {
-        let cfg = bagcons_dist::ClusterConfig::from_session(session);
-        bagcons_dist::check(session, refs, &cfg).map(|dist| dist.outcome)
-    } else {
-        session.check(refs)
-    };
-    match checked {
+    match session.check(refs) {
         Ok(outcome) => {
             emit(&outcome.render(format, session.names()));
             ExitCode::from(outcome.decision.exit_code())
@@ -433,7 +400,7 @@ fn cmd_watch(session: &Session, bags: Vec<bagcons_core::Bag>, format: ReportForm
             }
             _ => {}
         }
-        // Shared grammar with the daemon and the worker transport:
+        // Shared grammar with the daemon:
         // parsing, the range check, and DeltaSet assembly all live in
         // bagcons::protocol, so every front end rejects the same input
         // with the same words.
@@ -468,7 +435,6 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
     }
     opts.unix = cli.unix.as_ref().map(std::path::PathBuf::from);
     opts.threads = cli.threads;
-    opts.workers = cli.workers;
     opts.budget = Some(cli.budget);
     opts.timeout = cli.timeout;
     opts.worker_budget = cli.worker_budget;

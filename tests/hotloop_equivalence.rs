@@ -1,14 +1,14 @@
 //! Property tests: the hot-loop layer (packed key codes, galloping
-//! merges, session-lifetime scratch arenas) is a pure re-encoding.
+//! merges) is a pure re-encoding.
 //!
 //! Each optimisation must be observationally invisible: the packed
 //! per-row words order exactly as lexicographic row compares, the
 //! galloping advancement emits the bit-identical merge, the packed
 //! merge join reproduces the slice-compare baseline at every thread
 //! count, delta repair (which gallops its fresh-tail merge) lands on
-//! the same bag a from-scratch rebuild does, and a warm `Session`
-//! (whose scratch arenas have been reused across a hundred checks)
-//! reports exactly what a fresh `Session` reports.
+//! the same bag a from-scratch rebuild does, and a `Session` reused
+//! across a hundred checks reports exactly what a fresh `Session`
+//! reports.
 
 use bag_consistency::prelude::*;
 use bagcons_core::exec::merge_sorted_runs_for_bench;
@@ -215,8 +215,8 @@ fn strip_micros(json: &str) -> String {
     out
 }
 
-/// A hundred checks against one warm `Session` (scratch arenas reused
-/// throughout) report exactly what a fresh per-check `Session` reports:
+/// A hundred checks against one reused `Session` report exactly what a
+/// fresh per-check `Session` reports:
 /// same decision, branch, search effort, witness bag, and JSON report
 /// (timings normalised).
 #[test]
