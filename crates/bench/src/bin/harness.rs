@@ -764,24 +764,21 @@ fn e14() {
     println!("wrote BENCH_e14.json");
 }
 
-/// E15 — the incremental layer: warm-restarted delta re-checks
-/// (`Session::open_stream` + `update`) vs a from-scratch per-pair
-/// rebuild (network build + solve), across the e02 support grid.
-/// Three delta shapes: an in-place bump of an existing row (+1 then a
-/// −1 revert, network repaired via capacity edits + Dinic
-/// re-augmentation), a support-changing fresh-row delta (incremental
-/// bag reseal + pair-network rebuild), and the non-incremental baseline
-/// a server without the stream would pay per edit. Writes the grid to
+/// E15 — the incremental layer: delta re-checks through
+/// `Session::open_stream` and `update` vs a from-scratch per-pair flow
+/// rebuild (network build and solve), across the e02 support grid. Three delta shapes: an in-place
+/// bump of an existing row (+1 then a −1 revert; the bag's multiplicity
+/// column and one key of the pair's marginal difference change), a
+/// support-changing fresh-row delta (incremental bag reseal + the same
+/// one-key difference update), and the flow construction a checker
+/// without Lemma 2 marginals would redo per edit. Writes the grid to
 /// `BENCH_e15.json` in the current directory.
 fn e15() {
     use bagcons::session::Session;
     use bagcons_core::DeltaSet;
     use bagcons_flow::ConsistencyNetwork;
 
-    header(
-        "E15",
-        "incremental delta re-check (warm restart) vs full rebuild",
-    );
+    header("E15", "incremental delta re-check vs full flow rebuild");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host}");
     println!(
@@ -800,11 +797,9 @@ fn e15() {
             .open_stream(vec![r.clone(), s.clone()])
             .expect("stream opens");
         // A *matched* bump: +1 on an R row and +1 on an S row sharing
-        // its join key, so the totals stay equal and the warm restart
-        // must actually re-augment one unit through the touched arcs
-        // (a one-sided bump would short-circuit at the totals check and
-        // measure only capacity bookkeeping). The reverts exercise the
-        // flow-cancellation path the same way.
+        // its join key, so the pair flips inconsistent and back to
+        // consistent through the same marginal-difference key; the
+        // reverts flip it again.
         let r_target: Vec<u64> = r.sorted_rows()[0].0.iter().map(|v| v.get()).collect();
         let key = r_target[1]; // shared attribute A1: last column of R
         let s_target: Vec<u64> = s
@@ -844,7 +839,7 @@ fn e15() {
                     assert_eq!(
                         out.decision.as_str(),
                         "consistent",
-                        "matched bump must re-saturate via re-augmentation"
+                        "matched bump must cancel in the marginal difference"
                     );
                     stream.update(0, &r_minus).unwrap();
                     let out = stream.update(1, &s_minus).unwrap();
@@ -854,7 +849,7 @@ fn e15() {
                 })
                 .collect(),
         );
-        // Fresh-row delta: incremental reseal + pair rebuild.
+        // Fresh-row delta: incremental reseal + difference update.
         let reseal_ms = median(
             (0..reps)
                 .map(|rep| {
@@ -872,7 +867,7 @@ fn e15() {
                 })
                 .collect(),
         );
-        // Baseline: what a non-incremental checker redoes per edit.
+        // Baseline: the per-pair flow construction, from scratch.
         let rebuild_ms = median(
             (0..reps)
                 .map(|_| {
@@ -883,7 +878,8 @@ fn e15() {
                         session.exec(),
                     )
                     .unwrap()
-                    .solve_with(session.exec());
+                    .solve_with(session.exec())
+                    .unwrap();
                     let dt = ms(t0);
                     assert!(std::hint::black_box(witness).is_some());
                     dt
@@ -903,14 +899,14 @@ fn e15() {
         "{{\n  \"experiment\": \"e15_incremental\",\n  \"workload\": \
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE2 (e02); \
          in-place = per-update cost of a matched +-1 bump cycle on both \
-         sides sharing a join key (forces real flow cancellation and \
-         re-augmentation); reseal = fresh-row delta; rebuild = per-pair \
-         network build + solve from scratch\",\n  \
+         sides sharing a join key (each update changes one key of the \
+         pair's marginal difference); reseal = fresh-row delta; rebuild = \
+         per-pair network build + solve from scratch\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
-         \"note\": \"incremental_ms must beat rebuild_ms: the warm restart \
-         cancels/augments only the touched arcs while the rebuild re-sorts, \
-         re-joins, and re-solves everything\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"note\": \"incremental_ms must beat rebuild_ms: an update adds \
+         each edit to one key of the pair's marginal difference while the \
+         rebuild re-sorts, re-joins, and re-solves everything\",\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_e15.json", &json).expect("write BENCH_e15.json");
@@ -1269,27 +1265,22 @@ fn e17() {
 }
 
 /// E18 — the snapshot layer: zero-copy snapshot open vs text parse +
-/// seal over a support grid, and warm stream resume (persisted flow
-/// columns reinstalled, [`bagcons_flow::ConsistencyNetwork`] only
-/// re-verified) vs the cold per-pair max-flow rebuild. The dataset is a
-/// planted consistent pair written three ways from one prep session:
-/// two text bag files with the rows deliberately scrambled (so the
-/// parse path pays the real seal sort), and one snapshot file carrying
-/// the sealed arenas plus the stream's warm flow column. Writes the
-/// grid to `BENCH_e18.json` in the current directory.
+/// seal over a support grid, plus the cost of opening a stream over the
+/// loaded pair. The dataset is a planted consistent pair written two
+/// ways from one prep session: two text bag files with the rows
+/// deliberately scrambled (so the parse path pays the real seal sort),
+/// and one snapshot file carrying the sealed arenas. Writes the grid to
+/// `BENCH_e18.json` in the current directory.
 fn e18() {
     use bagcons::session::Session;
     use std::sync::Arc;
 
-    header(
-        "E18",
-        "snapshot open vs parse+seal; warm resume vs cold rebuild",
-    );
+    header("E18", "snapshot open vs parse+seal; stream open");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host}");
     println!(
-        "{:>9} {:>12} {:>13} {:>13} {:>9} {:>11} {:>11}",
-        "support", "snap bytes", "parse+seal", "snap open", "speedup", "cold(ms)", "warm(ms)"
+        "{:>9} {:>12} {:>13} {:>13} {:>9} {:>11}",
+        "support", "snap bytes", "parse+seal", "snap open", "speedup", "stream(ms)"
     );
     let dir = std::env::temp_dir().join(format!("bagcons-e18-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1319,25 +1310,17 @@ fn e18() {
         };
         let rp = write_text(&r, ["A0", "A1"], "r");
         let sp = write_text(&s, ["A1", "A2"], "s");
-        // Prep session: parse the text back (so the snapshots hold the
-        // same symbolic attrs a text load produces), warm a stream, and
-        // persist two snapshots — a plain one (what `snapshot save`
-        // emits; the load comparison) and one carrying the warm flow
-        // column (the resume comparison).
+        // Prep session: parse the text back (so the snapshot holds the
+        // same symbolic attrs a text load produces) and persist it the
+        // way `snapshot save` does.
         let snap_path = dir.join(format!("d{support}.snap"));
-        let warm_path = dir.join(format!("w{support}.snap"));
         {
             let mut prep = Session::builder().threads(1).build().expect("valid");
             let mut bags = prep.load_path(&rp).expect("parse r");
             bags.extend(prep.load_path(&sp).expect("parse s"));
-            let arcs: Vec<Arc<Bag>> = bags.iter().cloned().map(Arc::new).collect();
-            let stream = prep.open_stream_shared(arcs).expect("stream opens");
-            assert_eq!(stream.decision().as_str(), "consistent", "planted pair");
             let refs: Vec<&Bag> = bags.iter().collect();
             prep.write_snapshot(&snap_path, &refs)
                 .expect("write snapshot");
-            prep.write_snapshot_warm(&warm_path, &refs, stream.warm_flows())
-                .expect("write warm snapshot");
         }
         let snap_bytes = std::fs::metadata(&snap_path)
             .expect("snapshot written")
@@ -1369,69 +1352,56 @@ fn e18() {
         let parse_ms = load_ms(&[&rp, &sp]);
         let snap_ms = load_ms(&[&snap_path]);
 
-        // Stream opening from in-memory bags: cold rebuilds and solves
-        // the pair network from zero; warm reinstalls the persisted flow
-        // column and only re-verifies feasibility.
+        // Stream opening from the snapshot-loaded bags: every pair's
+        // keyed marginal difference accumulated from both sides.
         let session = Session::builder().threads(1).build().expect("valid");
-        let (bags, flows) = {
+        let arcs: Vec<Arc<Bag>> = {
             let mut loader = Session::builder().threads(1).build().expect("valid");
-            let (bags, flows) = loader.load_snapshot_warm(&warm_path).expect("reload");
-            (bags, flows.expect("snapshot carries flows"))
+            let bags = loader.load_snapshot(&snap_path).expect("reload");
+            bags.into_iter().map(Arc::new).collect()
         };
-        let arcs: Vec<Arc<Bag>> = bags.into_iter().map(Arc::new).collect();
-        let stream_ms = |warm: bool| -> f64 {
-            median(
-                (0..reps)
-                    .map(|_| {
-                        let pinned = arcs.clone();
-                        let t0 = Instant::now();
-                        let stream = if warm {
-                            session.open_stream_resumed(pinned, &flows)
-                        } else {
-                            session.open_stream_shared(pinned)
-                        }
-                        .expect("stream opens");
-                        let dt = ms(t0);
-                        assert_eq!(
-                            std::hint::black_box(stream).decision().as_str(),
-                            "consistent"
-                        );
-                        dt
-                    })
-                    .collect(),
-            )
-        };
-        let cold_ms = stream_ms(false);
-        let warm_ms = stream_ms(true);
+        let stream_ms = median(
+            (0..reps)
+                .map(|_| {
+                    let pinned = arcs.clone();
+                    let t0 = Instant::now();
+                    let stream = session.open_stream_shared(pinned).expect("stream opens");
+                    let dt = ms(t0);
+                    assert_eq!(
+                        std::hint::black_box(stream).decision().as_str(),
+                        "consistent"
+                    );
+                    dt
+                })
+                .collect(),
+        );
         println!(
             "{support:>9} {snap_bytes:>12} {parse_ms:>13.3} {snap_ms:>13.3} {:>8.1}x \
-             {cold_ms:>11.3} {warm_ms:>11.3}",
+             {stream_ms:>11.3}",
             parse_ms / snap_ms
         );
         rows.push(format!(
             "    {{\"support\": {support}, \"snapshot_bytes\": {snap_bytes}, \
              \"parse_seal_ms\": {parse_ms:.4}, \"snap_open_ms\": {snap_ms:.4}, \
-             \"cold_stream_ms\": {cold_ms:.4}, \"warm_resume_ms\": {warm_ms:.4}}}"
+             \"cold_stream_ms\": {stream_ms:.4}}}"
         ));
     }
     let _ = std::fs::remove_dir_all(&dir);
     let json = format!(
         "{{\n  \"experiment\": \"e18_snapshot\",\n  \"workload\": \
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE18, written \
-         as scrambled text bag files and as one snapshot carrying the warm \
-         flow column; parse_seal = Session::load_path on the two text files \
-         (tokenize + intern + sort + seal), snap_open = Session::load_path \
-         on the snapshot (verify hashes + adopt sealed arenas); cold_stream \
-         = open_stream_shared (per-pair network build + max-flow from \
-         zero), warm_resume = open_stream_resumed (network build + \
-         persisted flow column reinstalled, feasibility re-verified)\",\n  \
+         as scrambled text bag files and as one snapshot; parse_seal = \
+         Session::load_path on the two text files (tokenize + intern + \
+         sort + seal), snap_open = Session::load_path on the snapshot \
+         (verify hashes + adopt sealed arenas); cold_stream = \
+         open_stream_shared on the loaded pair (keyed marginal difference \
+         accumulated from both sides)\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"snap_open must beat parse_seal by >= 10x on the \
          largest row: the snapshot adopts the sealed sorted-run arena \
          after hash verification instead of re-tokenizing, re-interning, \
-         and re-sorting; warm_resume must not lose to cold_stream — the \
-         reinstalled flow makes the first re-augmentation a no-op\",\n  \
+         and re-sorting\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

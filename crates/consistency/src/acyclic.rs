@@ -153,7 +153,7 @@ pub(crate) fn witness_chain(
         let r = by_schema[x];
         let next = match strategy {
             WitnessStrategy::Saturated => {
-                ConsistencyNetwork::build_with(&t, r, exec)?.solve_with(exec)
+                ConsistencyNetwork::build_with(&t, r, exec)?.solve_with(exec)?
             }
             WitnessStrategy::Minimal => minimal_two_bag_witness(&t, r)?,
         };

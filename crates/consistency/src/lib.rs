@@ -62,10 +62,11 @@
 //!
 //! For workloads that *edit* bags between questions,
 //! [`Session::open_stream`] returns a [`stream::ConsistencyStream`]:
-//! per-pair flow networks are cached with their flows and repaired in
-//! place on each [`stream::ConsistencyStream::update`] (capacity edits +
-//! warm-restarted Dinic), so a small multiplicity delta is re-decided at
-//! delta-proportional cost instead of a full rebuild. The CLI exposes
+//! each bag pair keeps its Lemma 2 keyed marginal difference
+//! `R[Z] − S[Z]`, and each [`stream::ConsistencyStream::update`] adds
+//! every edit to one key per pair sharing the edited bag, so a small
+//! multiplicity delta is re-decided at delta-proportional cost instead
+//! of a full rebuild. The CLI exposes
 //! this as `bagcons watch`. See the [`stream`] module docs for the
 //! delta invariants and the cyclic-schema fallback.
 

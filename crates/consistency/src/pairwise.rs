@@ -75,7 +75,7 @@ pub fn consistency_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Op
     if !bags_consistent_with(r, s, cfg)? {
         return Ok(None);
     }
-    let witness = ConsistencyNetwork::build_with(r, s, cfg)?.solve_with(cfg);
+    let witness = ConsistencyNetwork::build_with(r, s, cfg)?.solve_with(cfg)?;
     debug_assert!(
         witness.is_some(),
         "Lemma 2: marginal equality implies a saturated flow"

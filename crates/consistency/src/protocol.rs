@@ -14,9 +14,7 @@
 //! * [`decision_response`] / [`aborted_response`] — the `status=<code>`
 //!   text framing and the `"status":<code>` JSON splice over the
 //!   library's [`Render`] output (the CLI exit-code contract on a wire).
-//! * [`error_response`] / [`parse_error_line`] — the `err <kind>: <msg>`
-//!   shape, rendered *and* parsed here so a client of the line protocol
-//!   can recover the kind without a second grammar.
+//! * [`error_response`] — the `err <kind>: <msg>` shape.
 //! * [`ok_response`] — the `ok <verb> k=v ...` acknowledgement shape.
 //!
 //! `crates/serve` re-exports these verbatim (its golden protocol tests
@@ -120,18 +118,6 @@ pub fn error_response(format: ReportFormat, kind: &str, message: &str) -> String
     }
 }
 
-/// Parses the canonical text error line back into `(kind, message)` —
-/// the inverse of [`error_response`] in [`ReportFormat::Text`], for
-/// clients of the line protocol.
-pub fn parse_error_line(line: &str) -> Option<(&str, &str)> {
-    let rest = line.strip_prefix("err ")?;
-    let (kind, msg) = rest.split_once(": ")?;
-    if kind.is_empty() || kind.contains(' ') {
-        return None;
-    }
-    Some((kind, msg))
-}
-
 /// Renders a non-decision success response (`ok <verb> k=v ...` in text;
 /// a `{"report":"ok","verb":...}` object in JSON, values as strings).
 pub fn ok_response(format: ReportFormat, verb: &str, fields: &[(&str, String)]) -> String {
@@ -183,14 +169,5 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         // Wrong arity surfaces from DeltaSet::bump.
         assert!(parse_delta_edit("0 1 : +1", 5, &bags).is_err());
-    }
-
-    #[test]
-    fn error_lines_round_trip() {
-        let line = error_response(ReportFormat::Text, "io", "no such file");
-        assert_eq!(line, "err io: no such file");
-        assert_eq!(parse_error_line(&line), Some(("io", "no such file")));
-        assert_eq!(parse_error_line("ok load"), None);
-        assert_eq!(parse_error_line("err malformed"), None);
     }
 }

@@ -258,7 +258,7 @@ impl Lemma2Report {
         let prog = ConsistencyProgram::build(&[r, s])?;
         let integral_feasible = matches!(solve(&prog, solver), IlpOutcome::Sat(_));
 
-        let witness = ConsistencyNetwork::build_with(r, s, exec)?.solve_with(exec);
+        let witness = ConsistencyNetwork::build_with(r, s, exec)?.solve_with(exec)?;
         let saturated_flow = witness.is_some();
 
         Ok(Lemma2Report {

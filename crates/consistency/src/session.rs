@@ -963,25 +963,11 @@ impl Session {
     /// name wins, so live names are never clobbered). Bags arrive
     /// sealed — no parsing, no interning, no sort.
     pub fn load_snapshot(&mut self, path: impl AsRef<Path>) -> Result<Vec<Bag>, SessionError> {
-        let (bags, _) = self.load_snapshot_warm(path)?;
-        Ok(bags)
-    }
-
-    /// [`Session::load_snapshot`] that additionally surfaces the warm
-    /// per-pair flow columns, if the snapshot carries any — feed them to
-    /// [`Session::open_stream_resumed`] to skip the cold max-flow on
-    /// resume.
-    #[allow(clippy::type_complexity)]
-    pub fn load_snapshot_warm(
-        &mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<(Vec<Bag>, Option<Vec<Option<Vec<u64>>>>), SessionError> {
-        let snapshot = Snapshot::open(path)?;
-        let (bags, names, flows) = snapshot.into_parts();
+        let (bags, names) = Snapshot::open(path)?.into_parts();
         for (attr, name) in &names {
             self.interner.restore(*attr, name);
         }
-        Ok((bags, flows))
+        Ok(bags)
     }
 
     /// Writes `bags` as a snapshot at `path`, carrying this session's
@@ -998,26 +984,6 @@ impl Session {
             writer.add_bag(bag).map_err(SessionError::Snap)?;
         }
         writer.set_names(self.interner.entries());
-        writer.write_file(path).map_err(SessionError::Snap)?;
-        Ok(())
-    }
-
-    /// [`Session::write_snapshot`] that also persists warm per-pair flow
-    /// columns ([`ConsistencyStream::warm_flows`](crate::stream::ConsistencyStream::warm_flows)),
-    /// so a restart can [`Session::open_stream_resumed`] instead of
-    /// re-solving every pair's max-flow from zero.
-    pub fn write_snapshot_warm(
-        &self,
-        path: impl AsRef<Path>,
-        bags: &[&Bag],
-        flows: Vec<Option<Vec<u64>>>,
-    ) -> Result<(), SessionError> {
-        let mut writer = SnapshotWriter::new();
-        for bag in bags {
-            writer.add_bag(bag).map_err(SessionError::Snap)?;
-        }
-        writer.set_names(self.interner.entries());
-        writer.set_flows(flows);
         writer.write_file(path).map_err(SessionError::Snap)?;
         Ok(())
     }

@@ -3,21 +3,27 @@
 //! [`Session::open_stream`] turns a collection of bags into a
 //! [`ConsistencyStream`]: a stateful checker that answers the global
 //! consistency question after every [`ConsistencyStream::update`] at a
-//! cost proportional to the **delta**, not the database. The stream
-//! caches, per bag pair, either the pair's flow network `N(R,S)` with
-//! its per-edge flows retained (schemas that share attributes) or just
-//! the side totals (disjoint schemas), and on an update:
+//! cost proportional to the **delta**, not the database.
+//!
+//! The stream decides pairs by Lemma 2: `R(X)` and `S(Y)` are consistent
+//! iff `R[Z] = S[Z]` on `Z = X ∩ Y`. Per bag pair it keeps the keyed
+//! marginal difference `D(k) = R[Z](k) − S[Z](k)` as an `i128` per
+//! shared-attribute key, plus the number of keys where `D` is nonzero;
+//! the pair is consistent iff that count is 0. Disjoint schemas are the
+//! `Z = ∅` case: one arity-0 key whose difference is `‖R‖u − ‖S‖u`.
+//! Opening a stream accumulates each side's rows straight into the
+//! differences, and an update:
 //!
 //! * applies the [`DeltaSet`] to the target bag through
 //!   [`Bag::apply_delta_with`] — in-place multiplicity patches when the
 //!   support is untouched, an incremental prefix/tail merge otherwise;
-//! * **repairs** the networks of the pairs the edited bag participates
-//!   in: support-preserving deltas map to edge-capacity edits
-//!   ([`bagcons_flow::ConsistencyNetwork::apply_edit`]), overflowing
-//!   flow is cancelled along the touched arcs, and Dinic re-augments
-//!   from the previous feasible flow; support-changing deltas rebuild
-//!   only the touched pairs' networks;
-//! * leaves every pair not sharing the edited bag fully cached.
+//! * adds each edit's `±delta` to one key of every pair the edited bag
+//!   participates in — support-preserving and support-changing edits
+//!   take the same path, and this step cannot fail;
+//! * leaves every pair not sharing the edited bag untouched.
+//!
+//! No flow network is built: a witness is only constructed on demand by
+//! [`ConsistencyStream::witness`].
 //!
 //! # Shared generations (copy-on-write)
 //!
@@ -34,49 +40,41 @@
 //! # Batched updates
 //!
 //! [`ConsistencyStream::update_batch`] applies a burst of deltas and
-//! re-decides **once**: every edit is applied first, then each touched
-//! pair is repaired a single time (all capacity edits, then one
-//! re-augmentation), amortizing the repair cost across the burst. The
-//! batch is atomic: if any delta fails to apply, the already-applied
-//! prefix is rolled back with negated deltas and the stream state is
-//! exactly as before.
+//! re-decides **once**. The batch is atomic: if any delta fails to
+//! apply, the already-applied prefix is rolled back with negated deltas
+//! and the stream state is exactly as before.
 //!
-//! # Delta invariants (when is an update cheap?)
+//! # Decision invariants
 //!
-//! * Edits that keep every edited row's multiplicity **non-zero and
-//!   already in the support** stay entirely in place: the bag's sealed
-//!   run is untouched and pair networks warm-restart.
-//! * Edits that add or remove support rows reseal the bag incrementally
-//!   and **rebuild the touched pairs'** networks (the vertex set
-//!   changed); untouched pairs still keep their caches.
-//! * On an **acyclic** schema the cached pairwise decisions *are* the
-//!   global decision (Theorem 2), so updates never re-run a global
-//!   procedure. On a **cyclic** schema pairwise consistency does not
-//!   decide global consistency: each update that leaves every pair
-//!   consistent falls back to the exact integer search — the stream
-//!   then only saves the pairwise recheck, and
-//!   [`UpdateOutcome::full_search`] reports the fallback.
+//! * On an **acyclic** schema the pairwise decisions *are* the global
+//!   decision (Theorem 2), so updates never re-run a global procedure.
+//!   On a **cyclic** schema pairwise consistency does not decide global
+//!   consistency: each update that leaves every pair consistent falls
+//!   back to the exact integer search — the stream then only saves the
+//!   pairwise recheck, and [`UpdateOutcome::full_search`] reports the
+//!   fallback.
 //! * A failed update (overflow/underflow/schema mismatch) is atomic:
-//!   bag, caches, and decision are left exactly as before.
+//!   bags, pair differences, and decision are left exactly as before.
 //!
 //! # Governance and fault containment
 //!
 //! Each update arms a fresh per-operation [`bagcons_core::Deadline`]
 //! from the opening session's configuration
 //! ([`crate::session::SessionBuilder::deadline`]; adjustable per stream
-//! via [`ConsistencyStream::set_time_budget`]) and polls it between
-//! pair repairs. An expiry or cancellation **after** the delta applied
-//! degrades gracefully: the pairs not yet repaired are marked stale,
-//! the update returns [`Decision::Unknown`] with
-//! [`UpdateOutcome::abort_reason`] set, and the next update rebuilds
-//! the stale pairs before deciding — no cache is ever left silently
-//! wrong. A worker panic during a pair rebuild (surfaced as
-//! [`bagcons_core::CoreError::WorkerPanicked`]) follows the same stale
-//! protocol but propagates as an error; the stream stays usable. The
-//! cyclic branch's exact search carries its own abort reason: a node
-//! budget exhausted mid-search reports
-//! [`bagcons_core::AbortReason::NodeBudget`] through the outcome's text
-//! and JSON.
+//! via [`ConsistencyStream::set_time_budget`]). The apply stage honours
+//! it (an abort there rolls the batch back). Once the delta is applied
+//! the pair differences are updated unconditionally, then the deadline
+//! is polled once: an expiry or cancellation at that point reports
+//! [`Decision::Unknown`] with [`UpdateOutcome::abort_reason`] set, and
+//! the next update re-decides from the (exact) pair state. A worker
+//! panic while applying (surfaced as
+//! [`bagcons_core::CoreError::WorkerPanicked`]) rolls the batch back and
+//! propagates as an error; the stream stays usable. If a rollback itself
+//! fails, the stream is poisoned: its decision is unknown until the next
+//! update recomputes every pair from the bags. The cyclic branch's exact
+//! search carries its own abort reason: a node budget exhausted
+//! mid-search reports [`bagcons_core::AbortReason::NodeBudget`] through
+//! the outcome's text and JSON.
 
 use crate::global::{globally_consistent_via_ilp, schema_hypergraph};
 use crate::report::{Json, Render};
@@ -85,33 +83,111 @@ use crate::session::{
     StageTiming,
 };
 use bagcons_core::{
-    AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig,
+    AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig, RowStore,
+    Value,
 };
-use bagcons_flow::{ConsistencyNetwork, Side};
 use bagcons_hypergraph::is_acyclic;
 use bagcons_lp::ilp::SolverConfig;
 use bagcons_lp::IlpOutcome;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cached consistency evidence for one bag pair.
-enum PairCheck {
-    /// Disjoint schemas: consistent iff the unary totals agree.
-    Totals,
-    /// Overlapping schemas: the warm-restartable network `N(R,S)`.
-    Network(Box<ConsistencyNetwork>),
+/// A keyed marginal difference `D(k)` over the shared attributes of one
+/// bag pair, with the count of keys where it is nonzero.
+struct KeyedDiff {
+    /// Every shared-attribute key either side has held since the pair
+    /// was last (re)built.
+    keys: RowStore,
+    /// `D(k)`, parallel to `keys`.
+    diff: Vec<i128>,
+    nonzero: usize,
 }
 
+impl KeyedDiff {
+    fn new(arity: usize) -> Self {
+        KeyedDiff {
+            keys: RowStore::new(arity),
+            diff: Vec::new(),
+            nonzero: 0,
+        }
+    }
+
+    /// `D(key) += delta`, keeping the nonzero count in step.
+    fn add(&mut self, key: &[Value], delta: i128) {
+        if delta == 0 {
+            return;
+        }
+        let (id, fresh) = self.keys.intern(key);
+        if fresh {
+            self.diff.push(0);
+        }
+        let d = &mut self.diff[id.index()];
+        let was_zero = *d == 0;
+        *d += delta;
+        match (was_zero, *d == 0) {
+            (true, false) => self.nonzero += 1,
+            (false, true) => self.nonzero -= 1,
+            _ => {}
+        }
+    }
+
+    /// Adds `sign × R[Z]` for every row of `bag`, projecting rows onto
+    /// `Z` through `z_cols`.
+    fn accumulate(&mut self, bag: &Bag, z_cols: &[usize], sign: i128) {
+        let mut key = Vec::with_capacity(z_cols.len());
+        for (row, m) in bag.iter() {
+            project(row, z_cols, &mut key);
+            self.add(&key, sign * i128::from(m));
+        }
+    }
+}
+
+/// Writes `row[z_cols]` into `key`.
+fn project(row: &[Value], z_cols: &[usize], key: &mut Vec<Value>) {
+    key.clear();
+    key.extend(z_cols.iter().map(|&c| row[c]));
+}
+
+/// Lemma 2 state of one bag pair `i < j`: `D = R_i[Z] − R_j[Z]` on
+/// their shared attributes `Z`. The pair is consistent iff `D = 0`.
 struct PairState {
     i: usize,
     j: usize,
-    check: PairCheck,
-    consistent: bool,
-    /// True while the cached evidence is out of date with the bags — set
-    /// when a governed repair aborted (or a rebuild's worker panicked)
-    /// before reaching this pair. Stale pairs rebuild on the next
-    /// update's repair pass and never feed a decision.
-    stale: bool,
+    /// Positions of `Z` in bag `i`'s schema.
+    z_of_i: Vec<usize>,
+    /// Positions of `Z` in bag `j`'s schema.
+    z_of_j: Vec<usize>,
+    diff: KeyedDiff,
+}
+
+impl PairState {
+    fn open(i: usize, j: usize, bags: &[Arc<Bag>]) -> Result<Self, CoreError> {
+        let z = bags[i].schema().intersection(bags[j].schema());
+        let mut pair = PairState {
+            i,
+            j,
+            z_of_i: bags[i].schema().projection_indices(&z)?,
+            z_of_j: bags[j].schema().projection_indices(&z)?,
+            diff: KeyedDiff::new(z.arity()),
+        };
+        pair.accumulate(bags);
+        Ok(pair)
+    }
+
+    fn accumulate(&mut self, bags: &[Arc<Bag>]) {
+        self.diff.accumulate(&bags[self.i], &self.z_of_i, 1);
+        self.diff.accumulate(&bags[self.j], &self.z_of_j, -1);
+    }
+
+    /// Recomputes `D` from the bags, discarding the incremental state.
+    fn rebuild(&mut self, bags: &[Arc<Bag>]) {
+        self.diff = KeyedDiff::new(self.z_of_i.len());
+        self.accumulate(bags);
+    }
+
+    fn consistent(&self) -> bool {
+        self.diff.nonzero == 0
+    }
 }
 
 /// A stateful incremental checker over a fixed collection of bags; see
@@ -129,12 +205,14 @@ pub struct ConsistencyStream {
     /// readers of the same generation alias these allocations until a
     /// delta forces a private clone of the touched bag.
     bags: Vec<Arc<Bag>>,
-    /// Cached `‖R‖u` per bag, updated from [`DeltaApply::unary_change`].
-    totals: Vec<u128>,
     acyclic: bool,
-    /// All pairs `i < j`, in lexicographic order (so the first cached
+    /// All pairs `i < j`, in lexicographic order (so the first
     /// inconsistent pair matches the full rebuild's reporting).
     pairs: Vec<PairState>,
+    /// Set when a failed batch could not be rolled back: the pair
+    /// differences may not match the bags, so the next update recomputes
+    /// every pair from the bags before deciding.
+    poisoned: bool,
     decision: Decision,
     inconsistent_pair: Option<(usize, usize)>,
     search_nodes: u64,
@@ -157,9 +235,11 @@ pub struct UpdateOutcome {
     pub deltas: usize,
     /// What the batch did to the bags, aggregated over every delta.
     pub applied: DeltaApply,
-    /// Pairs whose cached network warm-restarted in place.
+    /// Pairs whose marginal differences the batch updated: every pair
+    /// sharing an edited bag, disjoint-schema pairs included.
     pub pairs_repaired: usize,
-    /// Pairs whose network had to rebuild (support change).
+    /// Pairs recomputed from the bags — nonzero only on the first update
+    /// after a failed rollback poisoned the stream.
     pub pairs_rebuilt: usize,
     /// The first inconsistent pair, when the decision is negative on
     /// pairwise evidence.
@@ -250,12 +330,12 @@ impl Render for UpdateOutcome {
 
 impl Session {
     /// Opens an incremental consistency stream over `bags`: the initial
-    /// decision is computed once (pair networks solved and cached), and
-    /// each subsequent [`ConsistencyStream::update`] re-decides at
-    /// delta-proportional cost. See the [`stream`](crate::stream)
-    /// module docs for the caching and fallback invariants.
+    /// decision is computed once (every pair's marginal difference
+    /// accumulated), and each subsequent [`ConsistencyStream::update`]
+    /// re-decides at delta-proportional cost. See the
+    /// [`stream`](crate::stream) module docs for the invariants.
     pub fn open_stream(&self, bags: Vec<Bag>) -> Result<ConsistencyStream, SessionError> {
-        ConsistencyStream::open(self, bags.into_iter().map(Arc::new).collect(), None)
+        ConsistencyStream::open(self, bags.into_iter().map(Arc::new).collect())
     }
 
     /// [`Session::open_stream`] over an already-shared *generation* of
@@ -267,24 +347,7 @@ impl Session {
         &self,
         bags: Vec<Arc<Bag>>,
     ) -> Result<ConsistencyStream, SessionError> {
-        ConsistencyStream::open(self, bags, None)
-    }
-
-    /// [`Session::open_stream_shared`] resuming from persisted warm
-    /// state: `flows` is the per-pair middle-edge flow column a previous
-    /// stream exported through [`ConsistencyStream::warm_flows`] (and a
-    /// snapshot round-tripped). Each pair's network is still rebuilt
-    /// deterministically from the bags, but the feasible flow is
-    /// reinstalled instead of re-augmented from zero — a column that no
-    /// longer matches the rebuilt network is simply ignored, falling
-    /// back to the cold path, so stale warm state costs nothing but
-    /// time.
-    pub fn open_stream_resumed(
-        &self,
-        bags: Vec<Arc<Bag>>,
-        flows: &[Option<Vec<u64>>],
-    ) -> Result<ConsistencyStream, SessionError> {
-        ConsistencyStream::open(self, bags, Some(flows))
+        ConsistencyStream::open(self, bags)
     }
 }
 
@@ -292,47 +355,19 @@ impl Session {
 pub type BatchEdit = (usize, DeltaSet);
 
 impl ConsistencyStream {
-    fn open(
-        session: &Session,
-        mut bags: Vec<Arc<Bag>>,
-        warm: Option<&[Option<Vec<u64>>]>,
-    ) -> Result<Self, SessionError> {
+    fn open(session: &Session, mut bags: Vec<Arc<Bag>>) -> Result<Self, SessionError> {
         let (exec, solver) = session.arm();
         for bag in &mut bags {
             if !bag.is_sealed() {
                 Arc::make_mut(bag).try_seal_with(&exec)?;
             }
         }
-        let totals: Vec<u128> = bags.iter().map(|b| b.unary_size()).collect();
         let refs: Vec<&Bag> = bags.iter().map(|b| b.as_ref()).collect();
         let acyclic = is_acyclic(&schema_hypergraph(&refs));
         let mut pairs = Vec::new();
         for i in 0..bags.len() {
             for j in (i + 1)..bags.len() {
-                let shared = bags[i].schema().intersection(bags[j].schema());
-                let (check, consistent) = if shared.arity() == 0 {
-                    (PairCheck::Totals, totals[i] == totals[j])
-                } else {
-                    let mut net = ConsistencyNetwork::build_with(&bags[i], &bags[j], &exec)?;
-                    // Reinstall persisted warm flow for this pair, if
-                    // any; a non-matching column is ignored and the
-                    // reaugment below runs cold.
-                    if let Some(column) = warm
-                        .and_then(|w| w.get(pairs.len()))
-                        .and_then(|f| f.as_ref())
-                    {
-                        net.install_flows(column);
-                    }
-                    let consistent = net.try_reaugment(&exec)?;
-                    (PairCheck::Network(Box::new(net)), consistent)
-                };
-                pairs.push(PairState {
-                    i,
-                    j,
-                    check,
-                    consistent,
-                    stale: false,
-                });
+                pairs.push(PairState::open(i, j, &bags)?);
             }
         }
         let mut stream = ConsistencyStream {
@@ -340,9 +375,9 @@ impl ConsistencyStream {
             solver: session.solver().clone(),
             time_budget: session.time_budget(),
             bags,
-            totals,
             acyclic,
             pairs,
+            poisoned: false,
             decision: Decision::Consistent,
             inconsistent_pair: None,
             search_nodes: 0,
@@ -366,21 +401,20 @@ impl ConsistencyStream {
         self.time_budget = budget;
     }
 
-    /// Applies `delta` to bag `bag`, repairs the touched pair caches,
-    /// and re-decides. Errors before the delta commits are atomic; a
-    /// deadline expiry after it degrades to [`Decision::Unknown`] with
-    /// stale pairs queued for the next update (see the module docs).
+    /// Applies `delta` to bag `bag`, updates the touched pairs'
+    /// marginal differences, and re-decides. Errors before the delta
+    /// commits are atomic; a deadline expiry after it degrades to
+    /// [`Decision::Unknown`] (see the module docs).
     pub fn update(&mut self, bag: usize, delta: &DeltaSet) -> Result<UpdateOutcome, SessionError> {
         self.update_impl(&[(bag, delta)])
     }
 
-    /// Applies a whole batch of deltas, then repairs each touched pair
-    /// **once** and re-decides **once** — the amortized form of calling
-    /// [`ConsistencyStream::update`] per delta. The batch is atomic: on
-    /// any apply failure the already-applied prefix is rolled back (with
-    /// negated deltas) and the error is returned with the stream state
-    /// unchanged. An empty batch re-decides without touching the bags
-    /// (repairing any pairs left stale by an earlier aborted pass).
+    /// Applies a whole batch of deltas, then re-decides **once** — the
+    /// amortized form of calling [`ConsistencyStream::update`] per
+    /// delta. The batch is atomic: on any apply failure the
+    /// already-applied prefix is rolled back (with negated deltas) and
+    /// the error is returned with the stream state unchanged. An empty
+    /// batch re-decides without touching the bags.
     pub fn update_batch(&mut self, edits: &[BatchEdit]) -> Result<UpdateOutcome, SessionError> {
         let refs: Vec<(usize, &DeltaSet)> = edits.iter().map(|(b, d)| (*b, d)).collect();
         self.update_impl(&refs)
@@ -417,20 +451,24 @@ impl ConsistencyStream {
         push_stage(&mut stages, "apply", t);
 
         let t = Instant::now();
-        let (repaired, rebuilt, abort) = self.repair(edits, &applied, &exec)?;
+        let (repaired, rebuilt) = self.repair(edits, &applied);
         push_stage(&mut stages, "repair", t);
 
         let t = Instant::now();
-        let full_search = if let Some(reason) = abort {
-            // Pairs past the abort point are stale: the decision cannot
-            // be trusted until a later pass rebuilds them.
-            self.decision = Decision::Unknown;
-            self.abort_reason = Some(reason);
-            self.inconsistent_pair = None;
-            self.search_nodes = 0;
-            false
+        // The pair update cannot be interrupted, so the deadline is
+        // polled once after it: an expiry reports Unknown, yet the pair
+        // state stays exact for the next update to decide from.
+        let abort = if repaired + rebuilt > 0 {
+            exec.deadline().poll()
         } else {
-            self.decide(&solver)?
+            None
+        };
+        let full_search = match abort {
+            Some(reason) => {
+                self.degrade(Some(reason));
+                false
+            }
+            None => self.decide(&solver)?,
         };
         push_stage(&mut stages, "decide", t);
 
@@ -462,10 +500,7 @@ impl ConsistencyStream {
         let mut applied: Vec<DeltaApply> = Vec::with_capacity(edits.len());
         for (k, (bag, delta)) in edits.iter().enumerate() {
             match Arc::make_mut(&mut self.bags[*bag]).apply_delta_with(delta, exec) {
-                Ok(a) => {
-                    self.totals[*bag] = (self.totals[*bag] as i128 + a.unary_change) as u128;
-                    applied.push(a);
-                }
+                Ok(a) => applied.push(a),
                 Err(e) => {
                     // Roll back the applied prefix, newest first, under
                     // an ungoverned deadline (a rollback must not be
@@ -475,28 +510,17 @@ impl ConsistencyStream {
                     let mut rollback_failed = false;
                     for (b, d) in edits[..k].iter().rev() {
                         let neg = negated(d);
-                        match Arc::make_mut(&mut self.bags[*b]).apply_delta_with(&neg, &ungoverned)
-                        {
-                            Ok(undone) => {
-                                self.totals[*b] =
-                                    (self.totals[*b] as i128 + undone.unary_change) as u128;
-                            }
-                            Err(_) => rollback_failed = true,
-                        }
+                        rollback_failed |= Arc::make_mut(&mut self.bags[*b])
+                            .apply_delta_with(&neg, &ungoverned)
+                            .is_err();
                     }
                     if rollback_failed {
                         // The pre-batch state could not be restored
                         // (should be impossible: reverting a just-applied
-                        // delta cannot overflow). Poison every cache so
-                        // nothing stale feeds a decision.
-                        for p in &mut self.pairs {
-                            p.stale = true;
-                        }
-                        self.decision = Decision::Unknown;
-                        self.abort_reason = None;
-                        self.inconsistent_pair = None;
-                        self.search_nodes = 0;
-                        self.witness = None;
+                        // delta cannot overflow). Nothing incremental can
+                        // be trusted until the pairs are recomputed.
+                        self.poisoned = true;
+                        self.degrade(None);
                     }
                     return Err(e.into());
                 }
@@ -505,182 +529,63 @@ impl ConsistencyStream {
         Ok(applied)
     }
 
-    /// Marks every pair from `idx` on whose cache an edit to one of the
-    /// `edited` bags invalidated (already-stale pairs stay stale).
-    fn mark_stale_from(&mut self, idx: usize, edited: &[bool]) {
-        for p in &mut self.pairs[idx..] {
-            if edited[p.i] || edited[p.j] {
-                p.stale = true;
+    /// Brings every pair's marginal difference in step with the bags:
+    /// each applied edit adds its `±delta` to one key of every pair that
+    /// shares its bag, or — on a poisoned stream — every pair is
+    /// recomputed from the bags. Returns `(repaired, rebuilt)` pair
+    /// counts; cannot fail.
+    fn repair(&mut self, edits: &[(usize, &DeltaSet)], applied: &[DeltaApply]) -> (usize, usize) {
+        if self.poisoned {
+            for p in &mut self.pairs {
+                p.rebuild(&self.bags);
             }
+            self.poisoned = false;
+            self.witness = None;
+            return (0, self.pairs.len());
         }
-    }
-
-    /// Repairs or rebuilds every pair cache invalidated by the batch,
-    /// plus any pair left stale by an earlier aborted pass. Each touched
-    /// pair is processed once: all capacity edits first, then a single
-    /// re-augmentation (the batch amortization). Returns
-    /// `(repaired, rebuilt, abort)`; on `abort` the unprocessed pairs
-    /// are stale and the caller must not trust the cached flags.
-    fn repair(
-        &mut self,
-        edits: &[(usize, &DeltaSet)],
-        applied: &[DeltaApply],
-        exec: &ExecConfig,
-    ) -> Result<(usize, usize, Option<AbortReason>), SessionError> {
-        enum Step {
-            Totals,
-            Repaired,
-            Rebuilt,
-            Abort(AbortReason),
-            Fail(CoreError),
-        }
-        let mut repaired = 0usize;
-        let mut rebuilt = 0usize;
-        // Per-bag view of the batch: was it edited at all, and did any
-        // of its deltas change the support?
-        let mut edited = vec![false; self.bags.len()];
-        let mut support_changed = vec![false; self.bags.len()];
-        for ((bag, _), a) in edits.iter().zip(applied) {
-            edited[*bag] = true;
-            support_changed[*bag] |= a.support_changed();
-        }
-        let have_stale = self.pairs.iter().any(|p| p.stale);
-        if applied.iter().all(DeltaApply::is_noop) && !have_stale {
-            return Ok((0, 0, None));
-        }
-        self.witness = None;
-        for idx in 0..self.pairs.len() {
-            let (was_stale, touched) = {
-                let p = &self.pairs[idx];
-                (p.stale, edited[p.i] || edited[p.j])
-            };
-            if !touched && !was_stale {
+        let mut touched = vec![false; self.pairs.len()];
+        let mut key = Vec::new();
+        for ((bag, delta), a) in edits.iter().zip(applied) {
+            if a.is_noop() {
                 continue;
             }
-            if let Some(reason) = exec.deadline().poll() {
-                self.mark_stale_from(idx, &edited);
-                return Ok((repaired, rebuilt, Some(reason)));
-            }
-            let step = {
-                let p = &mut self.pairs[idx];
-                match &mut p.check {
-                    PairCheck::Totals => {
-                        p.consistent = self.totals[p.i] == self.totals[p.j];
-                        p.stale = false;
-                        Step::Totals
-                    }
-                    PairCheck::Network(net) => {
-                        // The delta-based in-place patch is only sound
-                        // for a network that saw every earlier edit, and
-                        // only while the support of both sides held.
-                        let support_broke = (edited[p.i] && support_changed[p.i])
-                            || (edited[p.j] && support_changed[p.j]);
-                        let mut in_place = !was_stale && touched && !support_broke;
-                        if in_place {
-                            'edits: for (bag, delta) in edits {
-                                let side = if *bag == p.i {
-                                    Side::R
-                                } else if *bag == p.j {
-                                    Side::S
-                                } else {
-                                    continue;
-                                };
-                                for e in delta.edits() {
-                                    let mult = self.bags[*bag].multiplicity(e.row());
-                                    if !net.apply_edit(side, e.row(), mult) {
-                                        // A row the network never saw:
-                                        // the support did change for this
-                                        // pair's purposes — rebuild.
-                                        in_place = false;
-                                        break 'edits;
-                                    }
-                                }
-                            }
-                        }
-                        if in_place {
-                            match net.try_reaugment(exec) {
-                                Ok(consistent) => {
-                                    p.consistent = consistent;
-                                    p.stale = false;
-                                    Step::Repaired
-                                }
-                                Err(CoreError::Aborted(reason)) => {
-                                    p.stale = true;
-                                    Step::Abort(reason)
-                                }
-                                Err(e) => {
-                                    p.stale = true;
-                                    Step::Fail(e)
-                                }
-                            }
-                        } else {
-                            let built = ConsistencyNetwork::build_with(
-                                &self.bags[p.i],
-                                &self.bags[p.j],
-                                exec,
-                            )
-                            .and_then(|mut fresh| {
-                                let consistent = fresh.try_reaugment(exec)?;
-                                Ok((fresh, consistent))
-                            });
-                            match built {
-                                Ok((fresh, consistent)) => {
-                                    p.consistent = consistent;
-                                    **net = fresh;
-                                    p.stale = false;
-                                    Step::Rebuilt
-                                }
-                                Err(CoreError::Aborted(reason)) => {
-                                    p.stale = true;
-                                    Step::Abort(reason)
-                                }
-                                Err(e) => {
-                                    p.stale = true;
-                                    Step::Fail(e)
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            match step {
-                Step::Totals => {}
-                Step::Repaired => repaired += 1,
-                Step::Rebuilt => rebuilt += 1,
-                Step::Abort(reason) => {
-                    self.mark_stale_from(idx + 1, &edited);
-                    return Ok((repaired, rebuilt, Some(reason)));
-                }
-                Step::Fail(e) => {
-                    // Worker panic (or another hard failure) during a
-                    // rebuild: the pair's old network is untouched but
-                    // out of date. Degrade the decision and surface the
-                    // contained error; the next update rebuilds.
-                    self.mark_stale_from(idx + 1, &edited);
-                    self.decision = Decision::Unknown;
-                    self.abort_reason = None;
-                    self.inconsistent_pair = None;
-                    self.search_nodes = 0;
-                    self.witness = None;
-                    return Err(e.into());
+            self.witness = None;
+            for (p, hit) in self.pairs.iter_mut().zip(&mut touched) {
+                let (z_cols, sign) = if p.i == *bag {
+                    (&p.z_of_i, 1)
+                } else if p.j == *bag {
+                    (&p.z_of_j, -1)
+                } else {
+                    continue;
+                };
+                *hit = true;
+                for e in delta.edits() {
+                    project(e.row(), z_cols, &mut key);
+                    p.diff.add(&key, sign * i128::from(e.delta()));
                 }
             }
         }
-        Ok((repaired, rebuilt, None))
+        (touched.iter().filter(|&&hit| hit).count(), 0)
     }
 
-    /// Recomputes the global decision from the pair caches; returns
+    /// Marks the current decision unknown (`reason` says why, when the
+    /// cause is an abort).
+    fn degrade(&mut self, reason: Option<AbortReason>) {
+        self.decision = Decision::Unknown;
+        self.abort_reason = reason;
+        self.inconsistent_pair = None;
+        self.search_nodes = 0;
+        self.witness = None;
+    }
+
+    /// Recomputes the global decision from the pair differences; returns
     /// whether the exact search ran (cyclic branch, pairwise clean).
     fn decide(&mut self, solver: &SolverConfig) -> Result<bool, SessionError> {
-        debug_assert!(
-            self.pairs.iter().all(|p| !p.stale),
-            "decide must not read stale pair caches"
-        );
         self.abort_reason = None;
         self.inconsistent_pair = self
             .pairs
             .iter()
-            .find(|p| !p.consistent)
+            .find(|p| !p.consistent())
             .map(|p| (p.i, p.j));
         if self.inconsistent_pair.is_some() {
             // Pairwise inconsistency refutes global consistency on both
@@ -774,22 +679,6 @@ impl ConsistencyStream {
         }
         Ok(self.witness.as_ref())
     }
-
-    /// Exports the warm per-pair flow columns — one entry per pair in
-    /// lexicographic `i < j` order, `Some` for network-backed pairs and
-    /// `None` for totals-only (disjoint-schema) pairs. Persist this
-    /// alongside the bags (`SnapshotWriter::set_flows`) and feed it to
-    /// [`Session::open_stream_resumed`] after a restart to skip the
-    /// cold max-flow.
-    pub fn warm_flows(&self) -> Vec<Option<Vec<u64>>> {
-        self.pairs
-            .iter()
-            .map(|p| match &p.check {
-                PairCheck::Totals => None,
-                PairCheck::Network(net) => Some(net.edge_flows()),
-            })
-            .collect()
-    }
 }
 
 /// The sign-flipped copy of a delta set (used to roll back a batch).
@@ -805,7 +694,7 @@ fn negated(delta: &DeltaSet) -> DeltaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagcons_core::{Attr, Schema};
+    use bagcons_core::{Attr, Schema, Value};
 
     fn schema(ids: &[u32]) -> Schema {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
@@ -848,6 +737,10 @@ mod tests {
 
     #[test]
     fn support_changing_delta_rebuilds_touched_pair_only() {
+        // Support-changing and support-preserving edits take the same
+        // path: each updates the differences of exactly the pairs that
+        // share the edited bag (disjoint pairs included), and nothing is
+        // ever rebuilt.
         let (r, s) = path_pair();
         let t = Bag::from_u64s(schema(&[3]), [(&[9u64][..], 5)]).unwrap();
         let session = Session::default();
@@ -855,22 +748,22 @@ mod tests {
         // totals: 5 vs 5 vs 5 — fully consistent, acyclic
         assert_eq!(stream.decision(), Decision::Consistent);
 
-        // add a fresh row to bag 0: its support changes, so pair (0,1)
-        // rebuilds; pair (0,2) is totals-only; pair (1,2) is untouched.
+        // add a fresh row to bag 0: its support changes; pairs (0,1) and
+        // (0,2) update, pair (1,2) is untouched.
         let mut d = DeltaSet::new(schema(&[0, 1]));
         d.bump_u64s(&[2, 0], 1).unwrap();
         let out = stream.update(0, &d).unwrap();
         assert!(out.applied.support_changed());
-        assert_eq!(out.pairs_rebuilt, 1);
-        assert_eq!(out.pairs_repaired, 0);
+        assert_eq!(out.pairs_rebuilt, 0);
+        assert_eq!(out.pairs_repaired, 2);
         assert_eq!(out.decision, Decision::Inconsistent);
 
-        // matching bump on an existing S row: in-place on pair (0,1)
+        // matching bump on an existing S row: pairs (0,1) and (1,2)
         let mut d = DeltaSet::new(schema(&[1, 2]));
         d.bump_u64s(&[0, 7], 1).unwrap();
         let out = stream.update(1, &d).unwrap();
         assert_eq!(out.pairs_rebuilt, 0);
-        assert_eq!(out.pairs_repaired, 1);
+        assert_eq!(out.pairs_repaired, 2);
         // bag 2 is now one short on totals
         assert_eq!(out.decision, Decision::Inconsistent);
         assert_eq!(out.inconsistent_pair, Some((0, 2)));
@@ -878,14 +771,14 @@ mod tests {
         d.bump_u64s(&[9], 1).unwrap();
         let out = stream.update(2, &d).unwrap();
         assert_eq!(out.decision, Decision::Consistent);
-        assert_eq!(out.pairs_rebuilt, 0, "totals pairs never rebuild");
+        assert_eq!(out.pairs_repaired, 2);
+        assert_eq!(out.pairs_rebuilt, 0);
     }
 
     #[test]
     fn net_zero_fresh_row_edit_still_repairs_in_place() {
-        // A batch that touches a row the network never saw but folds it
-        // back to zero is support-preserving end to end: the repair must
-        // warm-restart, not rebuild.
+        // A batch that touches a fresh row but folds it back to zero is
+        // support-preserving end to end, and updates the pair once.
         let (r, s) = path_pair();
         let session = Session::default();
         let mut stream = session.open_stream(vec![r, s]).unwrap();
@@ -895,7 +788,7 @@ mod tests {
         d.bump_u64s(&[9, 9], -4).unwrap();
         let out = stream.update(0, &d).unwrap();
         assert!(!out.applied.support_changed());
-        assert_eq!(out.pairs_repaired, 1, "net-zero fresh row must not rebuild");
+        assert_eq!(out.pairs_repaired, 1, "net-zero fresh row updates in place");
         assert_eq!(out.pairs_rebuilt, 0);
         assert_eq!(out.decision, Decision::Inconsistent);
     }
@@ -1109,6 +1002,101 @@ mod tests {
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
+    }
+
+    /// Two legal, consistent bags whose shared-key mass is 2^64: a u64
+    /// marginal would overflow, the i128 differences decide exactly.
+    #[test]
+    fn shared_key_mass_beyond_u64_stays_exact() {
+        let half = 1u64 << 63;
+        let r = Bag::from_u64s(
+            schema(&[0, 1]),
+            [(&[0u64, 7][..], half), (&[1, 7][..], half)],
+        )
+        .unwrap();
+        let s = Bag::from_u64s(
+            schema(&[1, 2]),
+            [(&[7u64, 0][..], half), (&[7, 1][..], half)],
+        )
+        .unwrap();
+        let session = Session::default();
+        let mut stream = session.open_stream(vec![r, s]).unwrap();
+        assert_eq!(stream.decision(), Decision::Consistent);
+
+        let mut plus = DeltaSet::new(schema(&[0, 1]));
+        plus.bump_u64s(&[0, 7], 1).unwrap();
+        let out = stream.update(0, &plus).unwrap();
+        assert_eq!(out.decision, Decision::Inconsistent);
+        assert_eq!(out.inconsistent_pair, Some((0, 1)));
+
+        let mut minus = DeltaSet::new(schema(&[0, 1]));
+        minus.bump_u64s(&[0, 7], -1).unwrap();
+        let out = stream.update(0, &minus).unwrap();
+        assert_eq!(out.decision, Decision::Consistent);
+    }
+
+    /// Oracle check: after every edit of a pseudo-random stream (in-place
+    /// bumps, fresh rows, drops to zero, on both sides of an overlapping
+    /// pair and a disjoint singleton), the incremental decision equals a
+    /// stream freshly opened over the same bags.
+    #[test]
+    fn randomized_edit_stream_matches_rebuild() {
+        let (r, s) = path_pair();
+        let t = Bag::from_u64s(schema(&[3]), [(&[9u64][..], 5)]).unwrap();
+        let session = Session::default();
+        let mut stream = session.open_stream(vec![r, s, t]).unwrap();
+        let mut x = 0x9e3779b97f4a7c15u64;
+        for step in 0..200 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let bag = (x >> 8) as usize % 3;
+            let (a, b) = ((x >> 16) % 3, (x >> 24) % 3);
+            let row: Vec<u64> = if bag == 2 {
+                vec![9 + a % 2]
+            } else {
+                vec![a, b]
+            };
+            let current = stream.bags()[bag]
+                .multiplicity(&row.iter().copied().map(Value::new).collect::<Vec<_>>());
+            // -current..=+2: includes drops to zero and fresh rows
+            let delta = ((x >> 32) % (current + 3)) as i64 - current as i64;
+            let mut d = DeltaSet::new(stream.bags()[bag].schema().clone());
+            d.bump_u64s(&row, delta).unwrap();
+            let out = stream.update(bag, &d).unwrap();
+            let fresh = session.open_stream_shared(stream.share_bags()).unwrap();
+            assert_eq!(out.decision, fresh.decision(), "step {step}");
+            assert_eq!(
+                out.inconsistent_pair,
+                fresh.inconsistent_pair(),
+                "step {step}"
+            );
+        }
+    }
+
+    /// A poisoned stream (failed rollback) recomputes every pair from
+    /// the bags on its next update.
+    #[test]
+    fn poisoned_stream_rebuilds_every_pair() {
+        let (r, s) = path_pair();
+        let t = Bag::from_u64s(schema(&[3]), [(&[9u64][..], 5)]).unwrap();
+        let session = Session::default();
+        let mut stream = session.open_stream(vec![r, s, t]).unwrap();
+        stream.poisoned = true;
+        stream.degrade(None);
+        let mut d = DeltaSet::new(schema(&[0, 1]));
+        d.bump_u64s(&[0, 0], 1).unwrap();
+        let out = stream.update(0, &d).unwrap();
+        assert_eq!(out.pairs_rebuilt, 3);
+        assert_eq!(out.pairs_repaired, 0);
+        assert_eq!(out.decision, Decision::Inconsistent);
+        assert_eq!(out.inconsistent_pair, Some((0, 1)));
+        let mut d = DeltaSet::new(schema(&[0, 1]));
+        d.bump_u64s(&[0, 0], -1).unwrap();
+        let out = stream.update(0, &d).unwrap();
+        assert_eq!(out.pairs_rebuilt, 0);
+        assert_eq!(out.pairs_repaired, 2);
+        assert_eq!(out.decision, Decision::Consistent);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A **failpoint site** is a named call to [`fire`] placed on an
 //! interesting code path — inside a seal's shard task, a join's merge
-//! worker, the flow-network builder, the reaugment step, the stream
+//! worker, the flow-network builder, the max-flow solve, the stream
 //! update. Without the `fault-injection` feature every site compiles to
 //! an empty inlined function: zero overhead, nothing to configure.
 //!
@@ -25,7 +25,7 @@
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]) |
 //! | `join::hash::shard` | hash-join probe shard task |
 //! | `network::build` | flow-network middle-edge build shard |
-//! | `network::reaugment` | Dinic reaugmentation entry |
+//! | `network::solve` | witness max-flow solve entry (`ConsistencyNetwork::solve_with`) |
 //! | `stream::update` | consistency-stream update entry |
 //!
 //! Arming is process-global (sites are hit from worker threads), so

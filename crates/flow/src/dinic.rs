@@ -20,27 +20,13 @@ struct Edge {
     rev: usize,
 }
 
-/// A directed flow network with `u64` capacities.
+/// A directed flow network with `u64` capacities, solved once.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
     adj: Vec<Vec<usize>>, // vertex -> edge indices
     edges: Vec<Edge>,
     /// Original capacity of each forward edge (for flow reconstruction).
     orig_cap: Vec<(usize, u64)>, // EdgeId -> (edge index, original cap)
-    /// BFS level scratch, reused across [`FlowNetwork::max_flow`] calls.
-    level_buf: Vec<i32>,
-    /// DFS edge-cursor scratch, reused across calls.
-    iter_buf: Vec<usize>,
-    /// Level labels of the last BFS phase that reached the sink, kept as
-    /// a **speculative starting frontier** for the next call: after
-    /// small capacity edits ([`FlowNetwork::set_capacity`]) the old
-    /// layered graph usually still contains the reopened slack, so the
-    /// next solve augments along it directly before falling back to
-    /// fresh BFS phases. Always sound — the DFS only walks
-    /// level-increasing residual edges, so anything it finds is a
-    /// genuine augmenting path whatever the labels — and never affects
-    /// maximality, which the BFS loop certifies as before.
-    warm_level: Vec<i32>,
 }
 
 impl FlowNetwork {
@@ -50,9 +36,6 @@ impl FlowNetwork {
             adj: vec![Vec::new(); n],
             edges: Vec::new(),
             orig_cap: Vec::new(),
-            level_buf: Vec::new(),
-            iter_buf: Vec::new(),
-            warm_level: Vec::new(),
         }
     }
 
@@ -95,84 +78,11 @@ impl FlowNetwork {
         cap - self.edges[e].cap
     }
 
-    /// The capacity edge `id` was last given ([`FlowNetwork::add_edge`] /
-    /// [`FlowNetwork::set_capacity`]).
-    pub fn capacity(&self, id: EdgeId) -> u64 {
-        self.orig_cap[id.0].1
-    }
-
-    /// Re-capacitates edge `id`, keeping its current flow — the
-    /// warm-restart primitive: raising a capacity opens residual room for
-    /// the next [`FlowNetwork::max_flow`] call to augment into, without
-    /// zeroing the feasible flow already found.
-    ///
-    /// # Panics
-    /// Panics if the current flow exceeds `cap`; cancel the excess with
-    /// [`FlowNetwork::reduce_flow`] first.
-    pub fn set_capacity(&mut self, id: EdgeId, cap: u64) {
-        let (e, old) = self.orig_cap[id.0];
-        let flow = old - self.edges[e].cap;
-        assert!(
-            flow <= cap,
-            "set_capacity below current flow ({flow} > {cap}); reduce_flow first"
-        );
-        self.edges[e].cap = cap - flow;
-        self.orig_cap[id.0].1 = cap;
-    }
-
-    /// Cancels `amount` units of flow on edge `id` (forward residual
-    /// grows, reverse residual shrinks). The caller is responsible for
-    /// keeping the overall flow conserved — cancel matching amounts along
-    /// a full source-to-sink path.
-    ///
-    /// # Panics
-    /// Panics if `amount` exceeds the edge's current flow.
-    pub fn reduce_flow(&mut self, id: EdgeId, amount: u64) {
-        let (e, cap) = self.orig_cap[id.0];
-        let flow = cap - self.edges[e].cap;
-        assert!(
-            amount <= flow,
-            "cannot cancel {amount} of {flow} flow units"
-        );
-        self.edges[e].cap += amount;
-        let rev = self.edges[e].rev;
-        self.edges[rev].cap -= amount;
-    }
-
-    /// Routes `amount` additional units of flow through edge `id`
-    /// (forward residual shrinks, reverse residual grows) — the inverse
-    /// of [`FlowNetwork::reduce_flow`], used to reinstall a persisted
-    /// feasible flow without re-running augmentation. The caller is
-    /// responsible for conservation: push matching amounts along a full
-    /// source-to-sink path.
-    ///
-    /// # Panics
-    /// Panics if `amount` exceeds the edge's residual capacity.
-    pub fn push_flow(&mut self, id: EdgeId, amount: u64) {
-        let (e, _) = self.orig_cap[id.0];
-        assert!(
-            amount <= self.edges[e].cap,
-            "cannot push {amount} units into {} residual units",
-            self.edges[e].cap
-        );
-        self.edges[e].cap -= amount;
-        let rev = self.edges[e].rev;
-        self.edges[rev].cap += amount;
-    }
-
     /// Computes a maximum `s → t` flow and returns its value.
     ///
     /// The value is returned as `u128` because it is a *sum* of `u64`
     /// capacities and can exceed `u64::MAX` even though each individual
     /// edge flow fits in a `u64`.
-    ///
-    /// Repeated calls reuse the BFS/DFS scratch buffers, and a call that
-    /// follows capacity edits first augments along the **previous**
-    /// sink-reaching level labels (see the `warm_level` field): after a
-    /// small [`FlowNetwork::set_capacity`] edit the reopened slack
-    /// usually sits on the old layered graph, so it drains without any
-    /// new BFS. The fresh BFS phases then run exactly as before, so the
-    /// returned value is the true max-flow value regardless.
     pub fn max_flow(&mut self, s: usize, t: usize) -> u128 {
         let (total, aborted) = self.max_flow_governed(s, t, &Deadline::NONE);
         debug_assert!(aborted.is_none(), "Deadline::NONE never fires");
@@ -180,22 +90,20 @@ impl FlowNetwork {
     }
 
     /// Augmenting paths between deadline polls in
-    /// [`FlowNetwork::max_flow_governed`]'s blocking-flow loops: frequent
+    /// [`FlowNetwork::max_flow_governed`]'s blocking-flow loop: frequent
     /// enough that a stuck phase is noticed quickly, sparse enough that
     /// the `Instant::now()` syscall is noise against the DFS work.
     const PATHS_PER_POLL: u32 = 64;
 
     /// [`FlowNetwork::max_flow`] under a cooperative [`Deadline`]: the
-    /// deadline is polled once per phase (before the warm blocking flow
-    /// and before each BFS) and every `PATHS_PER_POLL`
-    /// augmenting paths inside the blocking-flow loops.
+    /// deadline is polled before each BFS phase and every
+    /// `PATHS_PER_POLL` augmenting paths inside the blocking-flow loop.
     ///
     /// Returns `(augmented, abort)`. On abort (`Some` reason) the network
     /// holds a **valid feasible flow** — every DFS augmentation is
     /// path-atomic, so conservation holds and `augmented` units really
-    /// were routed `s → t`; it is just not certified maximal. Callers may
-    /// bank the partial value and call again later to resume where the
-    /// search stopped (residual capacities persist).
+    /// were routed `s → t`; it is just not certified maximal. Residual
+    /// capacities persist, so a later call continues from that flow.
     pub fn max_flow_governed(
         &mut self,
         s: usize,
@@ -205,92 +113,46 @@ impl FlowNetwork {
         assert_ne!(s, t, "source and sink must differ");
         let n = self.adj.len();
         let mut total: u128 = 0;
-        let mut level = std::mem::take(&mut self.level_buf);
-        let mut it = std::mem::take(&mut self.iter_buf);
-        level.resize(n, -1);
-        it.resize(n, 0);
-        let warm = std::mem::take(&mut self.warm_level);
-        let mut wrote_warm = false;
-        let mut aborted: Option<AbortReason> = None;
+        let mut level = vec![-1i32; n];
+        let mut it = vec![0usize; n];
         let mut paths: u32 = 0;
-        'search: {
-            // Warm phase: speculative blocking flow along the last run's
-            // layered graph. Sound for any labels (the DFS walks only
-            // level-increasing residual edges, so every path it finds is a
-            // genuine augmenting path); the guard just skips labels that
-            // cannot possibly route `s → t`.
-            if warm.len() == n && warm[s] == 0 && warm[t] > 0 {
-                if let Some(r) = deadline.poll() {
-                    aborted = Some(r);
-                    break 'search;
-                }
-                it.iter_mut().for_each(|i| *i = 0);
-                loop {
-                    let pushed = self.dfs(s, t, u64::MAX, &warm, &mut it);
-                    if pushed == 0 {
-                        break;
-                    }
-                    total += pushed as u128;
-                    paths += 1;
-                    if paths % Self::PATHS_PER_POLL == 0 {
-                        if let Some(r) = deadline.poll() {
-                            aborted = Some(r);
-                            break 'search;
-                        }
+        loop {
+            if let Some(r) = deadline.poll() {
+                return (total, Some(r));
+            }
+            // BFS phase: layered residual graph.
+            level.iter_mut().for_each(|l| *l = -1);
+            level[s] = 0;
+            let mut queue = std::collections::VecDeque::from([s]);
+            while let Some(u) = queue.pop_front() {
+                for &e in &self.adj[u] {
+                    let edge = &self.edges[e];
+                    if edge.cap > 0 && level[edge.to] < 0 {
+                        level[edge.to] = level[u] + 1;
+                        queue.push_back(edge.to);
                     }
                 }
             }
+            if level[t] < 0 {
+                // Maximality certified: no augmenting path remains.
+                return (total, None);
+            }
+            // DFS phase: blocking flow.
+            it.iter_mut().for_each(|i| *i = 0);
             loop {
-                if let Some(r) = deadline.poll() {
-                    aborted = Some(r);
-                    break 'search;
+                let pushed = self.dfs(s, t, u64::MAX, &level, &mut it);
+                if pushed == 0 {
+                    break;
                 }
-                // BFS phase: layered residual graph.
-                level.iter_mut().for_each(|l| *l = -1);
-                level[s] = 0;
-                let mut queue = std::collections::VecDeque::from([s]);
-                while let Some(u) = queue.pop_front() {
-                    for &e in &self.adj[u] {
-                        let edge = &self.edges[e];
-                        if edge.cap > 0 && level[edge.to] < 0 {
-                            level[edge.to] = level[u] + 1;
-                            queue.push_back(edge.to);
-                        }
-                    }
-                }
-                if level[t] < 0 {
-                    // Maximality certified: no augmenting path remains.
-                    break 'search;
-                }
-                // Keep these labels for the next call's warm phase.
-                self.warm_level.clone_from(&level);
-                wrote_warm = true;
-                // DFS phase: blocking flow.
-                it.iter_mut().for_each(|i| *i = 0);
-                loop {
-                    let pushed = self.dfs(s, t, u64::MAX, &level, &mut it);
-                    if pushed == 0 {
-                        break;
-                    }
-                    total += pushed as u128;
-                    paths += 1;
-                    if paths % Self::PATHS_PER_POLL == 0 {
-                        if let Some(r) = deadline.poll() {
-                            aborted = Some(r);
-                            break 'search;
-                        }
+                total += pushed as u128;
+                paths += 1;
+                if paths % Self::PATHS_PER_POLL == 0 {
+                    if let Some(r) = deadline.poll() {
+                        return (total, Some(r));
                     }
                 }
             }
         }
-        if !wrote_warm {
-            // No phase reached the sink this call; the previous labels
-            // stay the best speculative frontier.
-            self.warm_level = warm;
-        }
-        self.level_buf = level;
-        self.iter_buf = it;
-        (total, aborted)
     }
 
     fn dfs(&mut self, u: usize, t: usize, limit: u64, level: &[i32], it: &mut [usize]) -> u64 {
@@ -412,46 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_keeps_flow_and_reopens_residual() {
-        let mut net = FlowNetwork::new(3);
-        let a = net.add_edge(0, 1, 5);
-        let b = net.add_edge(1, 2, 5);
-        assert_eq!(net.max_flow(0, 2), 5);
-        // raise both capacities: the old flow stays, the slack augments
-        net.set_capacity(a, 8);
-        net.set_capacity(b, 7);
-        assert_eq!(net.capacity(a), 8);
-        assert_eq!(net.flow(a), 5, "warm restart keeps the old flow");
-        assert_eq!(net.max_flow(0, 2), 2, "only the new slack augments");
-        assert_eq!(net.flow(a), 7);
-    }
-
-    #[test]
-    fn reduce_flow_then_shrink_capacity() {
-        let mut net = FlowNetwork::new(3);
-        let a = net.add_edge(0, 1, 5);
-        let b = net.add_edge(1, 2, 5);
-        assert_eq!(net.max_flow(0, 2), 5);
-        // shrink a below its flow: cancel along the full path first
-        net.reduce_flow(a, 2);
-        net.reduce_flow(b, 2);
-        net.set_capacity(a, 3);
-        assert_eq!(net.flow(a), 3);
-        assert_eq!(net.flow(b), 3);
-        // nothing left to augment: a is saturated at its new capacity
-        assert_eq!(net.max_flow(0, 2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "set_capacity below current flow")]
-    fn set_capacity_below_flow_panics() {
-        let mut net = FlowNetwork::new(2);
-        let e = net.add_edge(0, 1, 4);
-        net.max_flow(0, 1);
-        net.set_capacity(e, 3);
-    }
-
-    #[test]
     fn max_flow_is_idempotent() {
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 5);
@@ -459,47 +281,6 @@ mod tests {
         assert_eq!(net.max_flow(0, 2), 5);
         // residual graph has no augmenting path left
         assert_eq!(net.max_flow(0, 2), 0);
-    }
-
-    /// Warm restarts across many rounds of capacity edits must agree
-    /// with a cold solve of the same final capacities, on a network with
-    /// enough path diversity that the stale layered graph is sometimes
-    /// wrong (and must then be corrected by the fresh BFS phases).
-    #[test]
-    fn warm_restart_matches_cold_solve_across_edit_rounds() {
-        let build = |caps: &[u64]| {
-            // s=0, left {1,2}, right {3,4}, t=5; 8 capacity slots.
-            let mut net = FlowNetwork::new(6);
-            let ids = [
-                net.add_edge(0, 1, caps[0]),
-                net.add_edge(0, 2, caps[1]),
-                net.add_edge(1, 3, caps[2]),
-                net.add_edge(1, 4, caps[3]),
-                net.add_edge(2, 3, caps[4]),
-                net.add_edge(2, 4, caps[5]),
-                net.add_edge(3, 5, caps[6]),
-                net.add_edge(4, 5, caps[7]),
-            ];
-            (net, ids)
-        };
-        let mut caps = [4u64, 3, 2, 2, 3, 1, 5, 2];
-        let (mut warm, ids) = build(&caps);
-        let mut warm_total = warm.max_flow(0, 5);
-        for round in 0..6u64 {
-            // Deterministic pseudo-random raises (warm restarts only
-            // ever see capacity raises without reduce_flow).
-            for (slot, cap) in caps.iter_mut().enumerate() {
-                *cap += (round * 7 + slot as u64 * 3) % 4;
-                warm.set_capacity(ids[slot], *cap);
-            }
-            warm_total += warm.max_flow(0, 5);
-            let (mut cold, _) = build(&caps);
-            assert_eq!(
-                warm_total,
-                cold.max_flow(0, 5),
-                "round {round}: warm cumulative flow diverged from cold solve"
-            );
-        }
     }
 
     /// An expired deadline aborts the search before any augmentation;
@@ -528,23 +309,5 @@ mod tests {
         let (got, aborted) = net.max_flow_governed(0, 1, &Deadline::cancelled_by(token));
         assert_eq!(got, 0);
         assert_eq!(aborted, Some(AbortReason::Cancelled));
-    }
-
-    /// The speculative warm phase alone (no fresh BFS needed) drains
-    /// slack reopened on the previous layered graph.
-    #[test]
-    fn warm_phase_survives_useless_intermediate_calls() {
-        let mut net = FlowNetwork::new(3);
-        let a = net.add_edge(0, 1, 5);
-        let b = net.add_edge(1, 2, 5);
-        assert_eq!(net.max_flow(0, 2), 5);
-        // A saturated re-solve reaches the sink with no BFS phase; the
-        // previous sink-reaching labels must survive it.
-        assert_eq!(net.max_flow(0, 2), 0);
-        net.set_capacity(a, 9);
-        net.set_capacity(b, 8);
-        assert_eq!(net.max_flow(0, 2), 3);
-        assert_eq!(net.flow(a), 8);
-        assert_eq!(net.flow(b), 8);
     }
 }

@@ -16,11 +16,9 @@
 //!   DESIGN.md §5).
 //! * [`network`] — construction of `N(R,S)`, saturation testing, and
 //!   witness extraction, including the middle-edge exclusion hook used by
-//!   the minimal-witness self-reduction of Section 5.3, and the
-//!   **warm-restart** repair path ([`network::ConsistencyNetwork::apply_edit`]):
-//!   a multiplicity delta maps to edge-capacity edits, overflowing flow
-//!   is cancelled along the touched arcs only, and Dinic re-augments
-//!   from the previous feasible flow instead of from zero.
+//!   the minimal-witness self-reduction of Section 5.3. This is the
+//!   paper's Corollary 1 construction; deciding consistency needs no
+//!   flow at all (Lemma 2 compares marginals, see `bagcons::pairwise`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,4 +29,4 @@ pub mod network;
 
 pub use dinic::{EdgeId, FlowNetwork};
 pub use mincost::MinCostFlow;
-pub use network::{ConsistencyNetwork, Side};
+pub use network::ConsistencyNetwork;

@@ -30,65 +30,16 @@ use bagcons_core::exec::{ExecConfig, ShardRun};
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
 use bagcons_core::{Bag, CoreError, Result, RowId, RowStore, Schema, Value};
 
-/// Which side of `N(R,S)` a row edit targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
-    /// The source side (`R`: edits re-capacitate `s* → r` arcs).
-    R,
-    /// The sink side (`S`: edits re-capacitate `s → t*` arcs).
-    S,
-}
-
-/// One middle edge: its flow-network id, its `XY`-row, and the sorted
-/// positions of its endpoints on each side.
+/// One middle edge: its flow-network id and its `XY`-row.
 #[derive(Clone, Copy, Debug)]
 struct MiddleEdge {
     edge: EdgeId,
     row: RowId,
-    r: u32,
-    s: u32,
 }
 
-/// CSR incidence lists: `edges[offsets[v]..offsets[v + 1]]` are the
-/// middle-edge indices touching vertex `v` of one side. Built lazily on
-/// the first [`ConsistencyNetwork::apply_edit`] — one-shot solves never
-/// pay for it.
-#[derive(Clone, Debug)]
-struct Incidence {
-    offsets: Vec<usize>,
-    edges: Vec<u32>,
-}
-
-impl Incidence {
-    fn build(n: usize, middle: &[MiddleEdge], key: impl Fn(&MiddleEdge) -> u32) -> Self {
-        let mut offsets = vec![0usize; n + 1];
-        for m in middle {
-            offsets[key(m) as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut edges = vec![0u32; middle.len()];
-        for (idx, m) in middle.iter().enumerate() {
-            let k = key(m) as usize;
-            edges[cursor[k]] = idx as u32;
-            cursor[k] += 1;
-        }
-        Incidence { offsets, edges }
-    }
-
-    fn at(&self, v: usize) -> &[u32] {
-        &self.edges[self.offsets[v]..self.offsets[v + 1]]
-    }
-}
-
-/// The network `N(R,S)` with bookkeeping to extract witness bags and to
-/// **warm-restart** after multiplicity deltas: per-edge flows are
-/// retained across [`ConsistencyNetwork::apply_edit`] calls, so a small
-/// edit costs one flow-cancellation along the touched arcs plus a Dinic
-/// re-augmentation from the previous feasible flow — never a re-solve
-/// from zero.
+/// The network `N(R,S)` with the bookkeeping to extract a witness bag
+/// from its saturated flow. A network is built, solved once by
+/// [`ConsistencyNetwork::solve_with`], and dropped.
 pub struct ConsistencyNetwork {
     net: FlowNetwork,
     source: usize,
@@ -98,44 +49,8 @@ pub struct ConsistencyNetwork {
     rows: RowStore,
     /// One entry per middle edge, in the deterministic build order.
     middle: Vec<MiddleEdge>,
-    /// `R'` rows interned in sorted order: `RowId` = vertex position,
-    /// the keying [`ConsistencyNetwork::apply_edit`] resolves edits by.
-    r_index: RowStore,
-    /// `S'` rows interned in sorted order.
-    s_index: RowStore,
-    /// Current multiplicities per sorted `R'` position.
-    r_mults: Vec<u64>,
-    /// Current multiplicities per sorted `S'` position.
-    s_mults: Vec<u64>,
-    /// `s* → r` arc per `R'` position.
-    source_edges: Vec<EdgeId>,
-    /// `s → t*` arc per `S'` position.
-    sink_edges: Vec<EdgeId>,
-    r_incidence: Option<Incidence>,
-    s_incidence: Option<Incidence>,
-    /// Value of the flow currently routed (kept across repairs).
-    flow_value: u128,
     total_r: u128,
     total_s: u128,
-}
-
-/// Cancels `x` units along the unique length-3 path through middle edge
-/// `mi` (source arc → middle arc → sink arc). Free function over
-/// disjoint fields so callers can hold incidence borrows.
-fn cancel_path(
-    net: &mut FlowNetwork,
-    middle: &[MiddleEdge],
-    source_edges: &[EdgeId],
-    sink_edges: &[EdgeId],
-    flow_value: &mut u128,
-    mi: usize,
-    x: u64,
-) {
-    let m = &middle[mi];
-    net.reduce_flow(m.edge, x);
-    net.reduce_flow(source_edges[m.r as usize], x);
-    net.reduce_flow(sink_edges[m.s as usize], x);
-    *flow_value -= x as u128;
 }
 
 impl ConsistencyNetwork {
@@ -185,25 +100,14 @@ impl ConsistencyNetwork {
         let mut net = FlowNetwork::new(n);
 
         let mut total_r: u128 = 0;
-        let mut r_index = RowStore::with_capacity(r.schema().arity(), r_rows.len());
-        let mut r_mults = Vec::with_capacity(r_rows.len());
-        let mut source_edges = Vec::with_capacity(r_rows.len());
-        for (i, &(row, m)) in r_rows.iter().enumerate() {
-            source_edges.push(net.add_edge(source, 1 + i, m));
-            // Support rows are distinct; sorted position = RowId.
-            r_index.push_unique_unchecked(row);
-            r_mults.push(m);
+        for (i, &(_, m)) in r_rows.iter().enumerate() {
+            net.add_edge(source, 1 + i, m);
             total_r += m as u128;
         }
         let mut total_s: u128 = 0;
-        let mut s_index = RowStore::with_capacity(s.schema().arity(), s_rows.len());
-        let mut s_mults = Vec::with_capacity(s_rows.len());
-        let mut sink_edges = Vec::with_capacity(s_rows.len());
         let s_base = 1 + r_rows.len();
-        for (j, &(row, m)) in s_rows.iter().enumerate() {
-            sink_edges.push(net.add_edge(s_base + j, sink, m));
-            s_index.push_unique_unchecked(row);
-            s_mults.push(m);
+        for (j, &(_, m)) in s_rows.iter().enumerate() {
+            net.add_edge(s_base + j, sink, m);
             total_s += m as u128;
         }
 
@@ -250,15 +154,10 @@ impl ConsistencyNetwork {
         let mut middle = Vec::with_capacity(edge_count);
         for buf in &buffers {
             for (p, &(i, j)) in buf.pairs.iter().enumerate() {
-                let id = net.add_edge(1 + i as usize, s_base + j as usize, buf.run.payload(p));
+                let edge = net.add_edge(1 + i as usize, s_base + j as usize, buf.run.payload(p));
                 // Distinct (R-row, S-row) pairs assemble distinct XY rows.
-                let rid = rows.push_unique_hashed(buf.run.row(p), buf.run.hash(p));
-                middle.push(MiddleEdge {
-                    edge: id,
-                    row: rid,
-                    r: i,
-                    s: j,
-                });
+                let row = rows.push_unique_hashed(buf.run.row(p), buf.run.hash(p));
+                middle.push(MiddleEdge { edge, row });
             }
         }
 
@@ -269,15 +168,6 @@ impl ConsistencyNetwork {
             xy: out_schema,
             rows,
             middle,
-            r_index,
-            s_index,
-            r_mults,
-            s_mults,
-            source_edges,
-            sink_edges,
-            r_incidence: None,
-            s_incidence: None,
-            flow_value: 0,
             total_r,
             total_s,
         })
@@ -300,186 +190,45 @@ impl ConsistencyNetwork {
         self.middle.iter().map(|m| self.rows.row(m.row))
     }
 
-    /// The flow routed through each middle edge, in deterministic build
-    /// order — the persistable warm state of this network. Because
-    /// `build*` emits middle edges in an order that is bit-identical
-    /// across thread counts, this column plus the two bags fully
-    /// determines the feasible flow: a freshly rebuilt network accepts
-    /// it back through [`ConsistencyNetwork::install_flows`].
-    pub fn edge_flows(&self) -> Vec<u64> {
-        self.middle.iter().map(|m| self.net.flow(m.edge)).collect()
-    }
-
-    /// Reinstalls a persisted middle-edge flow column into a freshly
-    /// built (zero-flow) network, routing each unit along its unique
-    /// source → middle → sink path — the warm-restart half of snapshot
-    /// resume, after which [`ConsistencyNetwork::try_reaugment`] has
-    /// little or nothing left to do.
-    ///
-    /// The column is validated before anything is pushed: the length
-    /// must match the middle-edge count, each entry must fit its middle
-    /// capacity, and the per-vertex sums must fit the boundary-arc
-    /// capacities (checked in `u128`, so adversarial columns cannot
-    /// overflow). Returns `false` — leaving the network untouched — on
-    /// any violation or if this network already carries flow; callers
-    /// then simply fall back to cold augmentation.
-    pub fn install_flows(&mut self, flows: &[u64]) -> bool {
-        if self.flow_value != 0 || flows.len() != self.middle.len() {
-            return false;
-        }
-        let mut r_sums = vec![0u128; self.r_mults.len()];
-        let mut s_sums = vec![0u128; self.s_mults.len()];
-        for (m, &f) in self.middle.iter().zip(flows) {
-            if f > self.net.capacity(m.edge) {
-                return false;
-            }
-            r_sums[m.r as usize] += f as u128;
-            s_sums[m.s as usize] += f as u128;
-        }
-        let r_ok = r_sums
-            .iter()
-            .zip(&self.r_mults)
-            .all(|(&sum, &cap)| sum <= cap as u128);
-        let s_ok = s_sums
-            .iter()
-            .zip(&self.s_mults)
-            .all(|(&sum, &cap)| sum <= cap as u128);
-        if !r_ok || !s_ok {
-            return false;
-        }
-        for (m, &f) in self.middle.iter().zip(flows) {
-            if f > 0 {
-                self.net.push_flow(self.source_edges[m.r as usize], f);
-                self.net.push_flow(m.edge, f);
-                self.net.push_flow(self.sink_edges[m.s as usize], f);
-                self.flow_value += f as u128;
-            }
-        }
-        true
+    /// Sequential, ungoverned [`ConsistencyNetwork::solve_with`]: the
+    /// witness bag `T(t) = f(t[X], t[Y])` of a saturated max-flow, or
+    /// `None` when no flow saturates the network.
+    pub fn solve(self) -> Option<Bag> {
+        self.solve_with(&ExecConfig::sequential())
+            .expect("an ungoverned sequential solve cannot abort")
     }
 
     /// Runs max-flow; if the flow saturates every source and sink arc,
     /// returns the witness bag `T(t) = f(t[X], t[Y])`, else `None`.
-    pub fn solve(self) -> Option<Bag> {
-        self.solve_with(&ExecConfig::sequential())
-    }
-
-    /// [`ConsistencyNetwork::solve`] under an explicit execution
-    /// configuration: the witness's closing seal — a sort plus re-layout
-    /// of the whole support, the last sequential bulk step on the
-    /// witness path — runs through the parallel [`Bag::seal_with`] when
-    /// `cfg` shards it. The max-flow search itself stays sequential
-    /// (augmenting paths are inherently ordered).
-    pub fn solve_with(mut self, cfg: &ExecConfig) -> Option<Bag> {
-        self.reaugment().then(|| self.extract_witness(cfg))
-    }
-
-    /// [`ConsistencyNetwork::solve_with`] under governance: honours
-    /// `cfg`'s [`bagcons_core::Deadline`] in both the max-flow search
-    /// (per-phase polls) and the witness's closing seal.
+    ///
+    /// Honours `cfg`'s [`bagcons_core::Deadline`] in the max-flow search
+    /// (polled per Dinic phase and every few augmenting paths) and in
+    /// the witness's closing seal, which runs shard-parallel when `cfg`
+    /// permits. The max-flow search itself stays sequential (augmenting
+    /// paths are inherently ordered).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Aborted`] when the deadline fires — the partial flow
-    /// found so far is banked inside `self`, but `self` is consumed, so
-    /// retrying means rebuilding (use [`ConsistencyNetwork::try_reaugment`]
-    /// then [`ConsistencyNetwork::try_witness_with`] on a borrowed network
-    /// to keep resumability). [`CoreError::WorkerPanicked`] when a seal
-    /// worker panics.
-    pub fn try_solve_with(mut self, cfg: &ExecConfig) -> Result<Option<Bag>> {
-        if !self.try_reaugment(cfg)? {
-            return Ok(None);
-        }
-        self.try_witness_with(cfg)
-    }
-
-    /// Augments the retained flow to a maximum with Dinic — from
-    /// whatever feasible flow previous solves and
-    /// [`ConsistencyNetwork::apply_edit`] repairs left behind, not from
-    /// zero. Returns `true` iff the resulting flow is **saturated**
-    /// (every source and sink arc at capacity), i.e. iff the two bags
-    /// are currently consistent (Lemma 2). Idempotent; with unequal
-    /// side totals the (impossible) augmentation is skipped outright.
-    pub fn reaugment(&mut self) -> bool {
+    /// [`CoreError::Aborted`] when the deadline fires;
+    /// [`CoreError::WorkerPanicked`] when a seal worker panics.
+    pub fn solve_with(mut self, cfg: &ExecConfig) -> Result<Option<Bag>> {
+        bagcons_core::fault::fire("network::solve");
         if self.total_r != self.total_s {
             // A saturated flow needs both sides saturated; impossible.
-            return false;
-        }
-        if self.flow_value != self.total_r {
-            self.flow_value += self.net.max_flow(self.source, self.sink);
-        }
-        self.flow_value == self.total_r
-    }
-
-    /// [`ConsistencyNetwork::reaugment`] under governance: Dinic polls
-    /// `cfg`'s [`bagcons_core::Deadline`] per phase (and every few
-    /// augmenting paths).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Aborted`] when the deadline fires mid-search. The
-    /// network stays **valid and resumable**: the partial augmentation is
-    /// banked into the retained flow value (every augmenting path is
-    /// atomic, so the flow is feasible and conserved), and a later call —
-    /// with a fresh deadline or none — picks up from the residual graph
-    /// rather than from zero.
-    pub fn try_reaugment(&mut self, cfg: &ExecConfig) -> Result<bool> {
-        bagcons_core::fault::fire("network::reaugment");
-        if self.total_r != self.total_s {
-            // A saturated flow needs both sides saturated; impossible.
-            return Ok(false);
-        }
-        if self.flow_value != self.total_r {
-            let (added, aborted) =
-                self.net
-                    .max_flow_governed(self.source, self.sink, cfg.deadline());
-            self.flow_value += added;
-            if let Some(reason) = aborted {
-                return Err(CoreError::Aborted(reason));
-            }
-        }
-        Ok(self.flow_value == self.total_r)
-    }
-
-    /// True iff the retained flow saturates the network (call
-    /// [`ConsistencyNetwork::reaugment`] after edits first).
-    pub fn is_saturated(&self) -> bool {
-        self.total_r == self.total_s && self.flow_value == self.total_r
-    }
-
-    /// The witness bag of the retained flow, when saturated — like
-    /// [`ConsistencyNetwork::solve_with`] but borrowing, so a cached
-    /// network survives to absorb the next delta.
-    pub fn witness_with(&self, cfg: &ExecConfig) -> Option<Bag> {
-        self.is_saturated().then(|| self.extract_witness(cfg))
-    }
-
-    /// [`ConsistencyNetwork::witness_with`] under governance: the
-    /// witness's closing seal honours `cfg`'s deadline and contains
-    /// worker panics. The network itself is only read — on error nothing
-    /// is cached or mutated.
-    pub fn try_witness_with(&self, cfg: &ExecConfig) -> Result<Option<Bag>> {
-        if !self.is_saturated() {
             return Ok(None);
         }
-        let mut witness = self.assemble_witness();
-        witness.try_seal_with(cfg)?;
-        Ok(Some(witness))
-    }
-
-    /// Builds `T(t) = f(t[X], t[Y])` from the current per-edge flows.
-    fn extract_witness(&self, cfg: &ExecConfig) -> Bag {
-        let mut witness = self.assemble_witness();
-        witness.seal_with(cfg);
-        witness
-    }
-
-    /// The unsealed witness bag of the current per-edge flows. Witnesses
-    /// leave sealed ([`ConsistencyNetwork::extract_witness`] /
-    /// [`ConsistencyNetwork::try_witness_with`]): the acyclic chain feeds
-    /// them straight back into the next network build (which wants sorted
-    /// order) and into prefix marginals (which then skip hashing).
-    fn assemble_witness(&self) -> Bag {
+        let (flow, aborted) = self
+            .net
+            .max_flow_governed(self.source, self.sink, cfg.deadline());
+        if let Some(reason) = aborted {
+            return Err(CoreError::Aborted(reason));
+        }
+        if flow != self.total_r {
+            return Ok(None);
+        }
+        // Witnesses leave sealed: the acyclic chain feeds them straight
+        // back into the next network build (which wants sorted order)
+        // and into prefix marginals (which then skip hashing).
         let mut witness = Bag::with_capacity(self.xy.clone(), self.middle.len());
         for m in &self.middle {
             let f = self.net.flow(m.edge);
@@ -489,125 +238,8 @@ impl ConsistencyNetwork {
                     .expect("middle rows are valid XY rows and flows fit u64");
             }
         }
-        witness
-    }
-
-    /// Maps one multiplicity edit — `row` on `side` now has count
-    /// `new_mult` — onto edge-capacity edits, cancelling only the
-    /// overflowing flow along the touched arcs. Returns `false` (network
-    /// unchanged) when `row` is not a support row of that side *and*
-    /// `new_mult > 0`: the edit grows the vertex set, and the caller
-    /// must rebuild. An unknown row with target count `0` is a no-op
-    /// (`true`) — a vertex that never existed and still does not.
-    ///
-    /// After a batch of edits, call [`ConsistencyNetwork::reaugment`] to
-    /// restore maximality and learn whether the pair is still
-    /// consistent. Cost is proportional to the touched vertex's degree
-    /// plus one Dinic re-augmentation over the (small) residual slack —
-    /// not to the network size.
-    pub fn apply_edit(&mut self, side: Side, row: &[Value], new_mult: u64) -> bool {
-        let index = match side {
-            Side::R => &self.r_index,
-            Side::S => &self.s_index,
-        };
-        let Some(rid) = index.lookup(row) else {
-            return new_mult == 0;
-        };
-        let v = rid.index();
-        let old = match side {
-            Side::R => self.r_mults[v],
-            Side::S => self.s_mults[v],
-        };
-        if old == new_mult {
-            return true;
-        }
-        self.ensure_incidence();
-        let inc = match side {
-            Side::R => self.r_incidence.as_ref().expect("built above").at(v),
-            Side::S => self.s_incidence.as_ref().expect("built above").at(v),
-        };
-        let boundary = match side {
-            Side::R => self.source_edges[v],
-            Side::S => self.sink_edges[v],
-        };
-        let other_mult = |m: &MiddleEdge| match side {
-            Side::R => self.s_mults[m.s as usize],
-            Side::S => self.r_mults[m.r as usize],
-        };
-        if new_mult < old {
-            // Middle capacities at this vertex shrink to the new
-            // bottleneck; cancel whatever flow no longer fits.
-            for &mi in inc {
-                let m = self.middle[mi as usize];
-                let new_cap = new_mult.min(other_mult(&m));
-                let f = self.net.flow(m.edge);
-                if f > new_cap {
-                    cancel_path(
-                        &mut self.net,
-                        &self.middle,
-                        &self.source_edges,
-                        &self.sink_edges,
-                        &mut self.flow_value,
-                        mi as usize,
-                        f - new_cap,
-                    );
-                }
-                self.net.set_capacity(m.edge, new_cap);
-            }
-            // The boundary arc may still carry more than the new
-            // capacity even though every middle arc fits individually.
-            let f = self.net.flow(boundary);
-            if f > new_mult {
-                let mut excess = f - new_mult;
-                for &mi in inc {
-                    if excess == 0 {
-                        break;
-                    }
-                    let mf = self.net.flow(self.middle[mi as usize].edge);
-                    if mf == 0 {
-                        continue;
-                    }
-                    let x = mf.min(excess);
-                    cancel_path(
-                        &mut self.net,
-                        &self.middle,
-                        &self.source_edges,
-                        &self.sink_edges,
-                        &mut self.flow_value,
-                        mi as usize,
-                        x,
-                    );
-                    excess -= x;
-                }
-                debug_assert_eq!(excess, 0, "boundary flow = sum of middle flows");
-            }
-            self.net.set_capacity(boundary, new_mult);
-        } else {
-            // Growing: pure capacity increases, nothing to cancel.
-            self.net.set_capacity(boundary, new_mult);
-            for &mi in inc {
-                let m = self.middle[mi as usize];
-                self.net.set_capacity(m.edge, new_mult.min(other_mult(&m)));
-            }
-        }
-        match side {
-            Side::R => {
-                self.total_r = self.total_r - old as u128 + new_mult as u128;
-                self.r_mults[v] = new_mult;
-            }
-            Side::S => {
-                self.total_s = self.total_s - old as u128 + new_mult as u128;
-                self.s_mults[v] = new_mult;
-            }
-        }
-        true
-    }
-
-    fn ensure_incidence(&mut self) {
-        if self.r_incidence.is_none() {
-            self.r_incidence = Some(Incidence::build(self.r_mults.len(), &self.middle, |m| m.r));
-            self.s_incidence = Some(Incidence::build(self.s_mults.len(), &self.middle, |m| m.s));
-        }
+        witness.try_seal_with(cfg)?;
+        Ok(Some(witness))
     }
 }
 
@@ -742,119 +374,6 @@ mod tests {
             assert_eq!(par_rows, seq_rows, "threads = {threads}");
             assert_eq!(par.solve(), seq_witness, "threads = {threads}");
         }
-    }
-
-    /// Drives a network through a sequence of in-place multiplicity
-    /// edits, checking after every step that the warm-restarted decision
-    /// and witness match a from-scratch rebuild.
-    fn check_warm_restart(r: &mut Bag, s: &mut Bag, edits: &[(Side, Vec<Value>, u64)]) {
-        let mut net = ConsistencyNetwork::build(r, s).unwrap();
-        net.reaugment();
-        for (step, (side, row, new_mult)) in edits.iter().enumerate() {
-            match side {
-                Side::R => r.set(row.clone(), *new_mult).unwrap(),
-                Side::S => s.set(row.clone(), *new_mult).unwrap(),
-            }
-            assert!(
-                net.apply_edit(*side, row, *new_mult),
-                "step {step}: row must be known"
-            );
-            let warm = net.reaugment();
-            let cold_net = ConsistencyNetwork::build(r, s).unwrap();
-            let cold = cold_net.solve();
-            assert_eq!(warm, cold.is_some(), "step {step}: decision diverged");
-            if warm {
-                let w = net
-                    .witness_with(&ExecConfig::sequential())
-                    .expect("saturated");
-                assert_eq!(w.marginal(r.schema()).unwrap(), *r, "step {step}");
-                assert_eq!(w.marginal(s.schema()).unwrap(), *s, "step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_restart_tracks_rebuild_through_edit_stream() {
-        let (mut r, mut s) = section3_pair();
-        let edits = vec![
-            // bump one R row: totals diverge, inconsistent
-            (Side::R, vec![Value(1), Value(2)], 2),
-            // matching bump on S restores consistency
-            (Side::S, vec![Value(2), Value(1)], 2),
-            // revert both (capacity decreases: the cancel path)
-            (Side::R, vec![Value(1), Value(2)], 1),
-            (Side::S, vec![Value(2), Value(1)], 1),
-            // grow both sides heavily, then shrink one to zero
-            (Side::R, vec![Value(2), Value(2)], 9),
-            (Side::S, vec![Value(2), Value(2)], 9),
-            (Side::R, vec![Value(2), Value(2)], 0),
-            (Side::S, vec![Value(2), Value(2)], 0),
-            // back to the original pair
-            (Side::R, vec![Value(2), Value(2)], 1),
-            (Side::S, vec![Value(2), Value(2)], 1),
-        ];
-        check_warm_restart(&mut r, &mut s, &edits);
-    }
-
-    #[test]
-    fn warm_restart_randomized_edit_stream() {
-        let mut r = Bag::new(schema(&[0, 1]));
-        let mut s = Bag::new(schema(&[1, 2]));
-        for i in 0..60u64 {
-            r.insert(vec![Value(i % 7), Value(i % 5)], i % 4 + 1)
-                .unwrap();
-            s.insert(vec![Value(i % 5), Value(i % 6)], i % 3 + 1)
-                .unwrap();
-        }
-        r.seal();
-        s.seal();
-        // deterministic pseudo-random walk over existing support rows
-        let r_rows: Vec<Vec<Value>> = r
-            .sorted_rows()
-            .iter()
-            .map(|(row, _)| row.to_vec())
-            .collect();
-        let s_rows: Vec<Vec<Value>> = s
-            .sorted_rows()
-            .iter()
-            .map(|(row, _)| row.to_vec())
-            .collect();
-        let mut edits = Vec::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..40 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let on_r = x % 2 == 0;
-            let pick = (x >> 8) as usize;
-            let mult = (x >> 32) % 6; // 0..=5, including drops to zero
-            if on_r {
-                edits.push((Side::R, r_rows[pick % r_rows.len()].clone(), mult));
-            } else {
-                edits.push((Side::S, s_rows[pick % s_rows.len()].clone(), mult));
-            }
-        }
-        check_warm_restart(&mut r, &mut s, &edits);
-    }
-
-    #[test]
-    fn apply_edit_unknown_row_reports_structural_change() {
-        let (r, s) = section3_pair();
-        let mut net = ConsistencyNetwork::build(&r, &s).unwrap();
-        net.reaugment();
-        assert!(!net.apply_edit(Side::R, &[Value(9), Value(9)], 1));
-        assert!(
-            net.apply_edit(Side::R, &[Value(9), Value(9)], 0),
-            "unknown row with target count 0 is a no-op, not structural"
-        );
-        assert!(
-            net.apply_edit(Side::R, &[Value(1), Value(2)], 1),
-            "no-op edit ok"
-        );
-        assert!(
-            net.is_saturated(),
-            "unknown-row probe must not corrupt state"
-        );
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! | `<bag> <vals...> : <±d>` | one delta (`parse_delta_line` format) → one decision |
 //! | `batch` … `end` | group deltas; one [`bagcons::stream::ConsistencyStream::update_batch`] decision on `end` |
 //! | `bulk <delta>[;<delta>]*` | a whole delta batch in one framed line: one payload, one round trip, one decision (all-or-nothing parse; `batch`/`end` stay as the incremental aliases) |
-//! | `check` | re-emit the session's decision (repairs stale pairs) |
+//! | `check` | re-decide the session's current state |
 //! | `sync` | re-pin the session to the dataset's current generation |
 //! | `commit` | publish the session's bags as the next generation (CAS) |
 //! | `timeout <ms\|none>` | per-request wall-clock budget for this session |

@@ -4,15 +4,14 @@
 //! full seal (sort + re-layout + packed-view rebuild). This crate is the
 //! persistence format that skips all of it on the way back in: a
 //! snapshot file stores each bag's columnar arena, multiplicity column,
-//! and schema — plus the session's attribute-name table and, optionally,
-//! the warm per-pair flows of a consistency stream — as length-prefixed,
-//! 8-byte-aligned, content-hashed sections. Loading validates the header
-//! and every section hash, then reconstructs [`Bag`]s by **bulk-moving**
-//! the arena bytes through [`RowStore::from_sorted_rows`]: no
-//! re-interning, no re-sorting. The sealed sorted-run invariant is
-//! *checked* (one adjacent-pair pass doubles as the distinctness
-//! certificate), never recomputed, and the packed view rebuilds lazily
-//! exactly as after a live seal.
+//! and schema — plus the session's attribute-name table — as
+//! length-prefixed, 8-byte-aligned, content-hashed sections. Loading
+//! validates the header and every section hash, then reconstructs
+//! [`Bag`]s by **bulk-moving** the arena bytes through
+//! [`RowStore::from_sorted_rows`]: no re-interning, no re-sorting. The
+//! sealed sorted-run invariant is *checked* (one adjacent-pair pass
+//! doubles as the distinctness certificate), never recomputed, and the
+//! packed view rebuilds lazily exactly as after a live seal.
 //!
 //! Hand-rolled like `report::Json` — the build environment is offline,
 //! so no serde.
@@ -38,8 +37,13 @@
 //! Section kinds: `META` (bag/pair counts + flags), per-bag `SCHEMA`
 //! (attr ids, strictly ascending), `ARENA` (row-major values), `MULTS`
 //! (dense multiplicity column — its length defines the row count),
-//! `NAMES` (attribute display names), per-pair `FLOWS` (middle-edge
-//! flow column of a feasible flow, in deterministic build order).
+//! `NAMES` (attribute display names), per-pair `FLOWS` (retired).
+//!
+//! `FLOWS` is retired: earlier writers stored per-pair middle-edge flow
+//! columns there. The writer never emits it and records a zero pair
+//! count and clear flags in `META`; the reader verifies a `FLOWS`
+//! section's hash like any other and ignores its payload, so such files
+//! still load. [`SnapInfo`] reports the recorded pair count and flag.
 //!
 //! Corruption never panics: truncation, bad magic, wrong version, and
 //! flipped bytes all surface as typed [`SnapError`] variants, and the
@@ -253,13 +257,12 @@ struct BagParts {
     mults: Vec<u64>,
 }
 
-/// Serializes sealed bags (plus names and optional warm flows) into the
-/// canonical snapshot byte string.
+/// Serializes sealed bags (plus names) into the canonical snapshot byte
+/// string.
 #[derive(Default)]
 pub struct SnapshotWriter {
     bags: Vec<BagParts>,
     names: Vec<(Attr, String)>,
-    flows: Option<Vec<Option<Vec<u64>>>>,
 }
 
 impl SnapshotWriter {
@@ -289,23 +292,14 @@ impl SnapshotWriter {
         self.names = names;
     }
 
-    /// Sets the warm per-pair flow columns, in the lexicographic
-    /// `i < j` pair order of a `ConsistencyStream`. `None` entries are
-    /// pairs decided without a network (totals mismatch).
-    pub fn set_flows(&mut self, flows: Vec<Option<Vec<u64>>>) {
-        self.flows = Some(flows);
-    }
-
     /// The canonical snapshot bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut sections: Vec<(u32, u32, Vec<u8>)> = Vec::new();
 
         let mut meta = Vec::with_capacity(16);
         push_u32(&mut meta, self.bags.len() as u32);
-        let flags = if self.flows.is_some() { 1u32 } else { 0 };
-        push_u32(&mut meta, flags);
-        let pair_count = self.flows.as_ref().map_or(0, |f| f.len()) as u32;
-        push_u32(&mut meta, pair_count);
+        push_u32(&mut meta, 0); // flags: no flows
+        push_u32(&mut meta, 0); // pair count: no flows
         push_u32(&mut meta, 0); // reserved
         sections.push((kind::META, 0, meta));
 
@@ -341,18 +335,6 @@ impl SnapshotWriter {
             }
         }
         sections.push((kind::NAMES, 0, names));
-
-        if let Some(flows) = &self.flows {
-            for (k, per_pair) in flows.iter().enumerate() {
-                if let Some(column) = per_pair {
-                    let mut payload = Vec::with_capacity(8 * column.len());
-                    for &f in column {
-                        push_u64(&mut payload, f);
-                    }
-                    sections.push((kind::FLOWS, k as u32, payload));
-                }
-            }
-        }
 
         // Lay out: header · table · 8-aligned payloads.
         let table_len = sections.len() * ENTRY_LEN;
@@ -423,10 +405,11 @@ pub struct SnapInfo {
     pub file_len: u64,
     /// Number of bags recorded in the meta section.
     pub bag_count: u32,
-    /// Number of stream pairs the flow sections describe (0 when no
-    /// warm state is stored).
+    /// Number of stream pairs recorded in the meta section (nonzero
+    /// only in files written with the retired flow sections).
     pub pair_count: u32,
-    /// Whether warm flow sections are present.
+    /// Whether the meta section flags flow sections (see the module
+    /// docs: they are verified and ignored).
     pub has_flows: bool,
     /// The section table, in file order.
     pub sections: Vec<SectionInfo>,
@@ -555,12 +538,10 @@ pub fn verify(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
     inspect(bytes)
 }
 
-/// A decoded snapshot: sealed bags, attribute names, and (optionally)
-/// warm per-pair flow columns.
+/// A decoded snapshot: sealed bags and attribute names.
 pub struct Snapshot {
     bags: Vec<Bag>,
     names: Vec<(Attr, String)>,
-    flows: Option<Vec<Option<Vec<u64>>>>,
 }
 
 impl Snapshot {
@@ -583,14 +564,13 @@ impl Snapshot {
                 });
             }
         }
-        let (bag_count, pair_count, has_flows) = decode_meta(&sections, bytes)?;
+        let (bag_count, _, _) = decode_meta(&sections, bytes)?;
 
         let n = bag_count as usize;
         let mut schemas: Vec<Option<Vec<Attr>>> = (0..n).map(|_| None).collect();
         let mut arenas: Vec<Option<Vec<Value>>> = (0..n).map(|_| None).collect();
         let mut mult_cols: Vec<Option<Vec<u64>>> = (0..n).map(|_| None).collect();
         let mut names: Option<Vec<(Attr, String)>> = None;
-        let mut flows: Vec<Option<Vec<u64>>> = (0..pair_count as usize).map(|_| None).collect();
 
         for s in &sections {
             let payload = section_payload(bytes, s);
@@ -673,26 +653,8 @@ impl Snapshot {
                     }
                     names = Some(table);
                 }
-                kind::FLOWS => {
-                    if !has_flows {
-                        return Err(SnapError::Malformed("flows section without flows flag"));
-                    }
-                    let slot = flows
-                        .get_mut(s.index as usize)
-                        .ok_or(SnapError::Malformed("flows section for unknown pair"))?;
-                    if slot.is_some() {
-                        return Err(SnapError::Malformed("duplicate flows section"));
-                    }
-                    if payload.len() % 8 != 0 {
-                        return Err(SnapError::Malformed("flows length not a multiple of 8"));
-                    }
-                    *slot = Some(
-                        payload
-                            .chunks_exact(8)
-                            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                            .collect(),
-                    );
-                }
+                // Retired: hash-verified above, payload ignored.
+                kind::FLOWS => {}
                 _ => return Err(SnapError::Malformed("unknown section kind")),
             }
         }
@@ -728,7 +690,6 @@ impl Snapshot {
         Ok(Snapshot {
             bags,
             names: names.unwrap_or_default(),
-            flows: if has_flows { Some(flows) } else { None },
         })
     }
 
@@ -742,15 +703,9 @@ impl Snapshot {
         &self.names
     }
 
-    /// The stored warm per-pair flow columns, if any.
-    pub fn flows(&self) -> Option<&[Option<Vec<u64>>]> {
-        self.flows.as_deref()
-    }
-
-    /// Decomposes into `(bags, names, flows)` without cloning.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (Vec<Bag>, Vec<(Attr, String)>, Option<Vec<Option<Vec<u64>>>>) {
-        (self.bags, self.names, self.flows)
+    /// Decomposes into `(bags, names)` without cloning.
+    pub fn into_parts(self) -> (Vec<Bag>, Vec<(Attr, String)>) {
+        (self.bags, self.names)
     }
 
     /// Reconstructs bag `i` as a [`Relation`] when every multiplicity
@@ -883,20 +838,6 @@ mod tests {
         // meta + schema + arena + mults + names
         assert_eq!(info.sections.len(), 5);
         assert!(info.sections.iter().all(|s| s.offset % 8 == 0));
-    }
-
-    #[test]
-    fn flows_round_trip() {
-        let mut w = SnapshotWriter::new();
-        w.add_bag(&sample_bag()).unwrap();
-        w.add_bag(&sample_bag()).unwrap();
-        w.set_flows(vec![Some(vec![1, 2, 3]), None]);
-        let bytes = w.to_bytes();
-        let snap = Snapshot::from_bytes(&bytes).unwrap();
-        let flows = snap.flows().unwrap();
-        assert_eq!(flows.len(), 2);
-        assert_eq!(flows[0].as_deref(), Some(&[1u64, 2, 3][..]));
-        assert!(flows[1].is_none());
     }
 
     #[test]

@@ -52,11 +52,11 @@
 //! bags). `watch` additionally reads delta lines
 //! `<bag-index> <values...> : <±delta>` from stdin (0-based index in
 //! FILE order, values in the bag's schema order, `: delta` defaulting
-//! to `+1`) and re-decides incrementally after each one: cached
-//! per-pair flow networks are repaired in place for support-preserving
-//! edits instead of rebuilding from scratch. A `batch` line opens a
-//! delta group that is applied — and decided — as one atomic update on
-//! the matching `end` line, amortizing pair repair across the burst.
+//! to `+1`) and re-decides incrementally after each one: every bag pair
+//! keeps its keyed marginal difference on the shared attributes, and an
+//! edit updates one key per pair instead of rebuilding from scratch. A
+//! `batch` line opens a delta group that is applied — and decided — as
+//! one atomic update on the matching `end` line.
 //! Exit codes: 0 = yes/ok, 1 = no, 2 = usage or input error, 3 =
 //! undecided (search budget exhausted); `watch` exits with the code of
 //! its final decision.

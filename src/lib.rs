@@ -16,8 +16,8 @@
 //! * [`lp`] — the linear program `P(R₁,…,R_m)`, exact integer
 //!   search, Carathéodory / Eisenbrand–Shmonin sparsification;
 //! * [`snap`] — the versioned binary snapshot container: sealed arenas,
-//!   multiplicity columns, schemas, names, and warm stream flows as
-//!   content-hashed sections that load with no re-parse, re-intern, or
+//!   multiplicity columns, schemas, and names as content-hashed
+//!   sections that load with no re-parse, re-intern, or
 //!   re-sort ([`Session::load_snapshot`](bagcons::session::Session::load_snapshot));
 //! * [`bagcons`] — the paper's algorithms behind the [`Session`] facade:
 //!   two-bag consistency (Lemma 2), the local-to-global structure theorem

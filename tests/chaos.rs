@@ -8,19 +8,19 @@
 //!
 //! * [`FaultAction::Panic`] on executor-task sites exercises worker
 //!   containment: the panic must surface as
-//!   [`CoreError::WorkerPanicked`] with the operands rolled back or the
-//!   affected pair caches marked stale — never as a wrong decision.
+//!   [`CoreError::WorkerPanicked`] with the operands rolled back —
+//!   never as a wrong decision.
 //! * [`FaultAction::InjectDeadline`] on any site trips every subsequent
 //!   `Deadline::poll`, exercising the cooperative-cancellation paths
-//!   (graceful `Decision::Unknown` degradation, stale-pair queueing)
-//!   without waiting on a real clock. It needs a real armed deadline to
-//!   bite, so every session here carries a one-hour budget that never
-//!   expires on its own.
+//!   (graceful `Decision::Unknown` degradation) without waiting on a
+//!   real clock. It needs a real armed deadline to bite, so every
+//!   session here carries a one-hour budget that never expires on its
+//!   own.
 //!
 //! Recovery protocol after a tripped fault: disarm, then — if the delta
 //! rolled back (atomic apply-stage failure) — re-apply it, or — if it
-//! committed — run a no-op update so the stale pairs rebuild. Either
-//! way the resulting decision trace must equal the undisturbed run's.
+//! committed — run a no-op update so the stream re-decides. Either way
+//! the resulting decision trace must equal the undisturbed run's.
 //!
 //! Arming is process-global, so every test serializes on
 //! [`bagcons_core::fault::test_lock`] and silences the panic hook while
@@ -38,15 +38,13 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Fault scenarios: site × action. Panic is limited to sites that fire
 /// inside executor tasks (contained by `catch_unwind`) or before any
-/// state mutation (`stream::update` entry); mid-repair caller-thread
-/// sites get the cooperative deadline instead.
-const SCENARIOS: [(&str, FaultAction); 7] = [
+/// state mutation (`stream::update` entry). Streams build no flow
+/// networks, so the `network::*` sites are exercised through
+/// `Session::check` below instead.
+const SCENARIOS: [(&str, FaultAction); 4] = [
     ("bag::reseal_delta::merge", FaultAction::Panic),
-    ("network::build", FaultAction::Panic),
     ("stream::update", FaultAction::Panic),
     ("bag::reseal_delta::merge", FaultAction::InjectDeadline),
-    ("network::build", FaultAction::InjectDeadline),
-    ("network::reaugment", FaultAction::InjectDeadline),
     ("stream::update", FaultAction::InjectDeadline),
 ];
 
@@ -54,7 +52,7 @@ fn schema(ids: &[u32]) -> Schema {
     Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
 }
 
-/// Two network pairs (A-B ⋈ B-C) plus a totals-only singleton, all with
+/// An overlapping pair (A-B ⋈ B-C) plus a disjoint singleton, all with
 /// equal totals so the stream opens consistent.
 fn fixture() -> Vec<Bag> {
     vec![
@@ -180,8 +178,8 @@ fn disturbed(
                 );
             }
             fault::reset();
-            // Atomic apply-stage failures roll the delta back; post-apply
-            // failures commit it and leave stale pairs for the next pass.
+            // Atomic apply-stage failures roll the delta back; a post-apply
+            // expiry commits it and only degrades that step's decision.
             let committed = stream.bags()[*bag].unary_size() == before + bump;
             let recovery = if committed {
                 DeltaSet::new(stream.bags()[*bag].schema().clone())
@@ -262,6 +260,35 @@ fn worker_panic_in_check_is_typed_and_retryable() {
     }
 }
 
+/// An injected deadline at the witness max-flow of the acyclic chain
+/// degrades `Session::check` to `Decision::Unknown` with the deadline
+/// reason, and the same inputs re-check to the base decision once
+/// disarmed.
+#[test]
+fn injected_deadline_in_witness_solve_degrades_check() {
+    let _serial = fault::test_lock();
+    fault::reset();
+    for threads in THREADS {
+        let s = session(threads);
+        let bags = fixture();
+        let refs: Vec<&Bag> = bags.iter().collect();
+        let base = s.check(&refs).unwrap();
+        assert_eq!(base.decision, Decision::Consistent);
+
+        fault::arm("network::solve", FaultAction::InjectDeadline, 1);
+        let out = s.check(&refs).unwrap();
+        assert_eq!(out.decision, Decision::Unknown, "threads={threads}");
+        assert_eq!(
+            out.abort_reason,
+            Some(AbortReason::DeadlineExceeded),
+            "threads={threads}"
+        );
+        fault::reset();
+        let again = s.check(&refs).unwrap();
+        assert_eq!(again.decision, base.decision, "threads={threads}");
+    }
+}
+
 /// Like [`fixture`] but inserted in descending row order, which defeats
 /// the sorted-append fast path: these bags arrive unsealed, so the
 /// opening seal really runs (and its failpoint really fires).
@@ -319,7 +346,7 @@ fn injected_deadline_mid_merge_is_atomic() {
                 assert_eq!(stream.decision(), Decision::Consistent);
             }
             // the merge may finish before its next poll: then the delta
-            // commits and the expiry degrades the repair stage instead
+            // commits and the expiry degrades the decision instead
             Ok(out) => assert!(out.abort_reason.is_some(), "threads={threads}"),
             other => panic!("threads={threads}: unexpected {other:?}"),
         }

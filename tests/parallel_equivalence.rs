@@ -462,7 +462,7 @@ fn run_delta_stream(seed: u64, edits: usize) {
     assert_eq!(streams[0].decision(), Decision::Consistent);
 
     // Pinned flip: one bump makes the planted family inconsistent, the
-    // revert restores it — through the in-place warm-restart path.
+    // revert restores it — through in-place (support-preserving) deltas.
     let flip_row: Vec<bagcons_core::Value> = reference[0].sorted_rows()[0].0.to_vec();
     let mut plus = DeltaSet::new(reference[0].schema().clone());
     plus.bump(&flip_row, 1).unwrap();

@@ -200,8 +200,8 @@ fn snapshot_loaded_stream_matches_text_loaded_trace() {
         assert_eq!(stream.decision().as_str(), "consistent");
         let refs: Vec<&Bag> = stream.bags().iter().map(|b| b.as_ref()).collect();
         session
-            .write_snapshot_warm(&snap_path, &refs, stream.warm_flows())
-            .expect("write warm snapshot");
+            .write_snapshot(&snap_path, &refs)
+            .expect("write snapshot");
     }
     assert!(matches!(
         DatasetSource::detect(&r_path).expect("detect text"),
@@ -223,7 +223,7 @@ fn snapshot_loaded_stream_matches_text_loaded_trace() {
         text_bags.extend(text_session.load_path(&s_path).expect("load s"));
         let mut text_stream = text_session.open_stream(text_bags).expect("open text");
 
-        // Candidate traces: cold snapshot open, and warm flow resume.
+        // Candidate trace: snapshot open.
         let mut snap_session = Session::builder()
             .threads(threads)
             .build()
@@ -231,23 +231,8 @@ fn snapshot_loaded_stream_matches_text_loaded_trace() {
         let snap_bags = snap_session.load_path(&snap_path).expect("load snapshot");
         let mut snap_stream = snap_session.open_stream(snap_bags).expect("open snap");
 
-        let mut warm_session = Session::builder()
-            .threads(threads)
-            .build()
-            .expect("session");
-        let (warm_bags, flows) = warm_session
-            .load_snapshot_warm(&snap_path)
-            .expect("load warm");
-        let flows = flows.expect("snapshot carries flow columns");
-        let mut warm_stream = warm_session
-            .open_stream_resumed(
-                warm_bags.into_iter().map(std::sync::Arc::new).collect(),
-                &flows,
-            )
-            .expect("resume");
-
-        let streams: [&mut bagcons::stream::ConsistencyStream; 3] =
-            [&mut text_stream, &mut snap_stream, &mut warm_stream];
+        let streams: [&mut bagcons::stream::ConsistencyStream; 2] =
+            [&mut text_stream, &mut snap_stream];
         let mut traces: Vec<Vec<String>> = streams
             .iter()
             .map(|s| vec![s.decision().as_str().to_string()])
@@ -268,16 +253,65 @@ fn snapshot_loaded_stream_matches_text_loaded_trace() {
                 ));
             }
         }
-        assert_eq!(
-            traces[0], traces[1],
-            "cold snapshot trace, threads={threads}"
-        );
-        assert_eq!(traces[0], traces[2], "warm resume trace, threads={threads}");
+        assert_eq!(traces[0], traces[1], "snapshot trace, threads={threads}");
         // The script is decision-bearing: the first delta flips the
         // fixture inconsistent, the revert flips it back.
         assert_eq!(traces[0][1].as_str(), "inconsistent:inconsistent");
         assert_eq!(traces[0][2].as_str(), "consistent:consistent");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot written with the retired per-pair FLOWS section (the
+/// [`R_TEXT`]/[`S_TEXT`] pair plus its stream's flow column, saved by an
+/// earlier release) still opens: the reader verifies the section's hash
+/// and ignores it, yielding the same bags and names as a flow-free save
+/// of the same pair.
+#[test]
+fn snapshot_with_retired_flows_section_opens_like_a_flow_free_save() {
+    let legacy = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("pair_with_flows_v1.snap");
+    let bytes = std::fs::read(&legacy).expect("read fixture");
+    let info = bagcons_snap::verify(&bytes).expect("legacy file verifies");
+    assert!(info.has_flows);
+    assert_eq!(info.pair_count, 1);
+    assert!(info.sections.iter().any(|s| s.name == "flows"));
+
+    let dir = temp_dir();
+    let fresh = dir.join("pair.snap");
+    {
+        let mut session = Session::builder().build().expect("session");
+        let r = session.load_bag(R_TEXT).expect("parse r");
+        let s = session.load_bag(S_TEXT).expect("parse s");
+        session.write_snapshot(&fresh, &[&r, &s]).expect("write");
+    }
+    let fresh_info = bagcons_snap::verify(&std::fs::read(&fresh).expect("read")).expect("verify");
+    assert!(!fresh_info.has_flows);
+    assert_eq!(fresh_info.pair_count, 0);
+
+    let mut legacy_session = Session::builder().build().expect("session");
+    let legacy_bags = legacy_session.load_path(&legacy).expect("load legacy");
+    let mut fresh_session = Session::builder().build().expect("session");
+    let fresh_bags = fresh_session.load_path(&fresh).expect("load fresh");
+    assert_eq!(legacy_bags, fresh_bags);
+    for (a, b) in legacy_bags.iter().zip(&fresh_bags) {
+        assert_eq!(a.sorted_rows(), b.sorted_rows());
+    }
+    let names = |session: &Session, bags: &[Bag]| -> Vec<String> {
+        bags.iter()
+            .flat_map(|b| b.schema().attrs().to_vec())
+            .map(|a| session.names().name(a))
+            .collect()
+    };
+    assert_eq!(
+        names(&legacy_session, &legacy_bags),
+        names(&fresh_session, &fresh_bags)
+    );
+    assert_eq!(names(&legacy_session, &legacy_bags), ["A", "B", "B", "C"]);
+    let stream = legacy_session.open_stream(legacy_bags).expect("open");
+    assert_eq!(stream.decision().as_str(), "consistent");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
