@@ -4,7 +4,7 @@
 //! Shape reproduced: both are polynomial; the marginal test is the
 //! cheapest decision procedure, the flow adds witness construction.
 
-use bagcons::pairwise::bags_consistent;
+use bagcons::session::Session;
 use bagcons_core::Schema;
 use bagcons_flow::ConsistencyNetwork;
 use bagcons_gen::consistent::planted_pair;
@@ -18,13 +18,14 @@ fn bench(c: &mut Criterion) {
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
     let mut rng = StdRng::seed_from_u64(0xE2);
+    let session = Session::default();
     for exp in [6u32, 8, 10] {
         let support = 1usize << exp;
         let (r, s) = planted_pair(&x, &y, support as u64, support, 1 << 20, &mut rng).unwrap();
         g.bench_with_input(
             BenchmarkId::new("marginal_test", support),
             &support,
-            |b, _| b.iter(|| bags_consistent(&r, &s).unwrap()),
+            |b, _| b.iter(|| session.bags_consistent(&r, &s).unwrap()),
         );
         g.bench_with_input(
             BenchmarkId::new("flow_saturation", support),

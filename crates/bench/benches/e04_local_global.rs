@@ -5,9 +5,10 @@
 //! size; the cyclic counterexample construction + refutation stays cheap
 //! because the Tseitin contradiction empties the join.
 
-use bagcons::acyclic::{acyclic_global_witness_with, WitnessStrategy};
+use bagcons::acyclic::WitnessStrategy;
 use bagcons::global::globally_consistent_via_ilp;
 use bagcons::lifting::pairwise_consistent_globally_inconsistent;
+use bagcons::session::Session;
 use bagcons::tseitin::tseitin_bags;
 use bagcons_core::Bag;
 use bagcons_gen::consistent::planted_family;
@@ -21,13 +22,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e04_local_global");
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(0xE4);
+    let session = Session::builder().threads(1).build().unwrap();
     // acyclic: pairwise check + witness chain on paths
     for m in [4u32, 8] {
         let (bags, _) = planted_family(&path(m + 1), 3, 64, 8, &mut rng).unwrap();
         g.bench_with_input(BenchmarkId::new("acyclic_certify", m), &m, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
-                acyclic_global_witness_with(&refs, WitnessStrategy::Saturated)
+                session
+                    .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
                     .unwrap()
                     .support_size()
             })

@@ -4,7 +4,8 @@
 //! Shape reproduced: building the uniform (bag-join-like) witness costs
 //! `Θ(2ⁿ)`; the minimal chain witness stays polynomial in `n`.
 
-use bagcons::acyclic::{acyclic_global_witness_with, WitnessStrategy};
+use bagcons::acyclic::WitnessStrategy;
+use bagcons::session::Session;
 use bagcons_core::Bag;
 use bagcons_gen::families::{example1_chain, example1_uniform_witness};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e05_np_witness");
     g.sample_size(10);
+    let session = Session::builder().threads(1).build().unwrap();
     for n in [8u32, 12, 16] {
         g.bench_with_input(BenchmarkId::new("uniform_witness", n), &n, |b, &n| {
             b.iter(|| example1_uniform_witness(n).unwrap().support_size())
@@ -20,7 +22,8 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("minimal_chain_witness", n), &n, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
-                acyclic_global_witness_with(&refs, WitnessStrategy::Minimal)
+                session
+                    .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
                     .unwrap()
                     .support_size()
             })

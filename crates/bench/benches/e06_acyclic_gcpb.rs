@@ -3,11 +3,10 @@
 //! Shape reproduced: runtime grows polynomially (roughly linearly in the
 //! number of edges × support) with zero exact-search nodes.
 
-use bagcons::dichotomy::decide_global_consistency;
+use bagcons::session::{Decision, Session};
 use bagcons_core::Bag;
 use bagcons_gen::consistent::planted_family;
 use bagcons_hypergraph::{path, star};
-use bagcons_lp::ilp::SolverConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,14 +15,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e06_acyclic_gcpb");
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(0xE6);
+    let session = Session::default();
     for m in [2u32, 4, 8, 12] {
         let (bags, _) = planted_family(&path(m + 1), 4, 256, 16, &mut rng).unwrap();
         g.bench_with_input(BenchmarkId::new("path", m), &m, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
-                let rep = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
-                assert!(rep.acyclic && rep.search_nodes == 0);
-                rep.outcome.is_consistent()
+                let out = session.check(&refs).unwrap();
+                assert!(out.branch.is_acyclic() && out.search_nodes == 0);
+                out.decision == Decision::Consistent
             })
         });
     }
@@ -31,12 +31,7 @@ fn bench(c: &mut Criterion) {
         let (bags, _) = planted_family(&star(m), 4, 256, 16, &mut rng).unwrap();
         g.bench_with_input(BenchmarkId::new("star", m), &m, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
-            b.iter(|| {
-                decide_global_consistency(&refs, &SolverConfig::default())
-                    .unwrap()
-                    .outcome
-                    .is_consistent()
-            })
+            b.iter(|| session.check(&refs).unwrap().decision == Decision::Consistent)
         });
     }
     g.finish();

@@ -6,7 +6,7 @@
 //! not decide the problem.
 
 use bagcons::global::globally_consistent_via_ilp;
-use bagcons::pairwise::pairwise_consistent;
+use bagcons::session::Session;
 use bagcons_core::Bag;
 use bagcons_gen::tables::{planted_3dct, sparse_3dct, tseitin_3dct};
 use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
@@ -18,6 +18,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e07_cyclic_gcpb");
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(0xE7);
+    let session = Session::default();
     for n in [2usize, 3, 4] {
         let inst = planted_3dct(n, 5, &mut rng);
         let bags = inst.to_bags().unwrap();
@@ -32,7 +33,7 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("pairwise_only", n), &n, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
-            b.iter(|| pairwise_consistent(&refs).unwrap())
+            b.iter(|| session.pairwise_consistent(&refs).unwrap())
         });
     }
     for n in [4usize, 8] {

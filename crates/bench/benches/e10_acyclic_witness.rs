@@ -6,8 +6,9 @@
 //! polynomial on the triangle, while the bag decision runs the exact
 //! search.
 
-use bagcons::acyclic::{acyclic_global_witness_with, WitnessStrategy};
+use bagcons::acyclic::WitnessStrategy;
 use bagcons::global::globally_consistent_via_ilp;
+use bagcons::session::Session;
 use bagcons::sets::relations_globally_consistent;
 use bagcons_core::{Bag, Relation};
 use bagcons_gen::consistent::planted_family;
@@ -22,12 +23,14 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10_acyclic_witness");
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(0xE10);
+    let session = Session::builder().threads(1).build().unwrap();
     for m in [2u32, 6, 10] {
         let (bags, _) = planted_family(&path(m + 1), 4, 96, 12, &mut rng).unwrap();
         g.bench_with_input(BenchmarkId::new("theorem6_minimal_chain", m), &m, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
-                acyclic_global_witness_with(&refs, WitnessStrategy::Minimal)
+                session
+                    .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
                     .unwrap()
                     .support_size()
             })
@@ -35,7 +38,8 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("saturated_chain", m), &m, |b, _| {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
-                acyclic_global_witness_with(&refs, WitnessStrategy::Saturated)
+                session
+                    .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
                     .unwrap()
                     .support_size()
             })

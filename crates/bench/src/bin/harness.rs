@@ -10,14 +10,13 @@
 //! Output is deterministic (fixed RNG seeds); timings vary by machine but
 //! the growth shapes do not.
 
-use bagcons::acyclic::{acyclic_global_witness_with, WitnessStrategy};
-use bagcons::dichotomy::decide_global_consistency;
-use bagcons::global::{globally_consistent_via_ilp, is_global_witness};
+use bagcons::acyclic::WitnessStrategy;
+use bagcons::global::globally_consistent_via_ilp;
 use bagcons::lifting::pairwise_consistent_globally_inconsistent;
 use bagcons::minimal::minimal_two_bag_witness;
-use bagcons::pairwise::{consistency_witness, pairwise_consistent};
 use bagcons::reductions::{lift_clique_complement_instance, lift_cycle_instance};
 use bagcons::report::Lemma2Report;
+use bagcons::session::{Branch, Decision, Session};
 use bagcons::sets::relations_globally_consistent;
 use bagcons::tseitin::tseitin_bags;
 use bagcons_core::{Bag, Relation, Schema};
@@ -160,12 +159,16 @@ fn e3() {
     let mut rng = StdRng::seed_from_u64(3);
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
+    let session = Session::default();
     for exp in [4u32, 6, 8, 10, 12] {
         let support = 1usize << exp;
         let domain = (support as u64).max(4);
         let (r, s) = planted_pair(&x, &y, domain, support, 1 << 40, &mut rng).unwrap();
         let t0 = Instant::now();
-        let w = consistency_witness(&r, &s).unwrap().expect("planted");
+        let w = session
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .expect("planted");
         let dt = ms(t0);
         let join = bagcons_core::join::relation_join(&r.support(), &s.support());
         println!(
@@ -194,20 +197,18 @@ fn e4() {
         ("C5", cycle(5)),
         ("H4", full_clique_complement(4)),
     ];
+    let session = Session::default();
     for (name, h) in cases {
         let acyclic = is_acyclic(&h);
         let (bags, _) = planted_family(&h, 3, 20, 6, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(pairwise_consistent(&refs).unwrap());
-        let planted_ok = decide_global_consistency(&refs, &SolverConfig::default())
-            .unwrap()
-            .outcome
-            .is_consistent();
+        assert!(session.pairwise_consistent(&refs).unwrap());
+        let planted_ok = session.check(&refs).unwrap().decision == Decision::Consistent;
         let counter = pairwise_consistent_globally_inconsistent(&h).unwrap();
         let counter_desc = match counter {
             Some(bags) => {
                 let refs: Vec<&Bag> = bags.iter().collect();
-                assert!(pairwise_consistent(&refs).unwrap());
+                assert!(session.pairwise_consistent(&refs).unwrap());
                 let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
                 assert_eq!(dec.outcome, IlpOutcome::Unsat);
                 "pairwise✓ global✗"
@@ -229,6 +230,7 @@ fn e5() {
         "{:>3} {:>12} {:>14} {:>16} {:>12}",
         "n", "input bits", "uniform 2^n", "minimal chain", "ES bound"
     );
+    let session = Session::builder().threads(1).build().expect("valid");
     for n in [4u32, 6, 8, 10, 12, 14] {
         let bags = example1_chain(n).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
@@ -241,8 +243,10 @@ fn e5() {
         } else {
             format!("2^{n}")
         };
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
-        assert!(is_global_witness(&t, &refs).unwrap());
+        let t = session
+            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .unwrap();
+        assert!(session.is_global_witness(&t, &refs).unwrap());
         let bound = es_support_bound(&refs);
         assert!((t.support_size() as u64) <= bound);
         println!(
@@ -264,18 +268,17 @@ fn e6() {
         "edges", "support", "witness", "time(ms)"
     );
     let mut rng = StdRng::seed_from_u64(6);
+    let session = Session::default();
     for m in [2u32, 4, 6, 8, 10, 12] {
         let h = path(m + 1); // m edges
         let (bags, _) = planted_family(&h, 4, 512, 32, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
         let t0 = Instant::now();
-        let rep = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
+        let out = session.check(&refs).unwrap();
         let dt = ms(t0);
-        assert!(rep.acyclic && rep.outcome.is_consistent());
-        let w = match rep.outcome {
-            bagcons::dichotomy::GcpbOutcome::Consistent(w) => w.support_size(),
-            _ => unreachable!(),
-        };
+        assert_eq!(out.branch, Branch::Acyclic);
+        assert_eq!(out.decision, Decision::Consistent);
+        let w = out.witness.expect("consistent").support_size();
         println!(
             "{:>7} {:>9} {:>12} {:>12.2}",
             m,
@@ -334,7 +337,7 @@ fn e7() {
     let inst = tseitin_3dct(1 << 30).unwrap();
     let bags = inst.to_bags().unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    assert!(pairwise_consistent(&refs).unwrap());
+    assert!(Session::default().pairwise_consistent(&refs).unwrap());
     let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
     assert_eq!(dec.outcome, IlpOutcome::Unsat);
     println!(
@@ -412,10 +415,11 @@ fn e9() {
     let mut rng = StdRng::seed_from_u64(9);
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
+    let session = Session::default();
     for exp in [3u32, 4, 5, 6, 7, 8] {
         let support = 1usize << exp;
         let (r, s) = planted_pair(&x, &y, (support as u64) / 2 + 2, support, 64, &mut rng).unwrap();
-        let flow_w = consistency_witness(&r, &s).unwrap().unwrap();
+        let flow_w = session.consistency_witness(&r, &s).unwrap().unwrap();
         let join = bagcons_core::join::relation_join(&r.support(), &s.support());
         let t0 = Instant::now();
         let min_w = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
@@ -445,12 +449,15 @@ fn e10() {
         "edges", "Σ‖Ri‖supp", "‖T‖supp", "ok", "time(ms)"
     );
     let mut rng = StdRng::seed_from_u64(10);
+    let session = Session::builder().threads(1).build().expect("valid");
     for m in [2u32, 4, 6, 8, 10] {
         let h = path(m + 1);
         let (bags, _) = planted_family(&h, 4, 128, 16, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
         let t0 = Instant::now();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
+        let t = session
+            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .unwrap();
         let dt = ms(t0);
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
         assert!(t.support_size() <= bound);
@@ -459,7 +466,7 @@ fn e10() {
             m,
             bound,
             t.support_size(),
-            is_global_witness(&t, &refs).unwrap(),
+            session.is_global_witness(&t, &refs).unwrap(),
             dt
         );
     }
@@ -774,7 +781,6 @@ fn e14() {
 /// without Lemma 2 marginals would redo per edit. Writes the grid to
 /// `BENCH_e15.json` in the current directory.
 fn e15() {
-    use bagcons::session::Session;
     use bagcons_core::DeltaSet;
     use bagcons_flow::ConsistencyNetwork;
 
@@ -1272,7 +1278,6 @@ fn e17() {
 /// and one snapshot file carrying the sealed arenas. Writes the grid to
 /// `BENCH_e18.json` in the current directory.
 fn e18() {
-    use bagcons::session::Session;
     use std::sync::Arc;
 
     header("E18", "snapshot open vs parse+seal; stream open");

@@ -19,13 +19,10 @@ use std::fmt;
 #[derive(Debug)]
 pub enum AcyclicError {
     /// The schemas do not form an acyclic hypergraph — use
-    /// [`crate::dichotomy`] instead.
+    /// [`crate::session::Session::check`] instead.
     NotAcyclic(Hypergraph),
     /// Bags at these indices are inconsistent (hence no global witness).
     InconsistentPair(usize, usize),
-    /// Two bags share a schema but differ (a special case of pairwise
-    /// inconsistency reported separately for clarity).
-    DuplicateSchemaMismatch(Schema),
     /// An underlying core operation failed.
     Core(CoreError),
 }
@@ -36,9 +33,6 @@ impl fmt::Display for AcyclicError {
             AcyclicError::NotAcyclic(h) => write!(f, "schema hypergraph is cyclic: {h}"),
             AcyclicError::InconsistentPair(i, j) => {
                 write!(f, "bags {i} and {j} are not consistent")
-            }
-            AcyclicError::DuplicateSchemaMismatch(s) => {
-                write!(f, "two distinct bags share schema {s}")
             }
             AcyclicError::Core(e) => write!(f, "{e}"),
         }
@@ -65,51 +59,11 @@ pub enum WitnessStrategy {
 }
 
 /// Theorem 6: decides global consistency of pairwise consistent bags over
-/// an acyclic schema and constructs a witness, in polynomial time.
-///
-/// Returns the witness bag over the union schema. With
-/// [`WitnessStrategy::Minimal`] the returned bag satisfies
-/// `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
-///
-/// ```
-/// use bagcons::acyclic::acyclic_global_witness;
-/// use bagcons_core::{Bag, Schema};
-///
-/// // a path schema A0–A1–A2–A3 (acyclic)
-/// let r1 = Bag::from_u64s(Schema::range(0, 2), [(&[0u64, 0][..], 2), (&[1, 1][..], 1)])?;
-/// let r2 = Bag::from_u64s(Schema::range(1, 3), [(&[0u64, 4][..], 2), (&[1, 5][..], 1)])?;
-/// let r3 = Bag::from_u64s(Schema::range(2, 4), [(&[4u64, 9][..], 2), (&[5, 9][..], 1)])?;
-/// let t = acyclic_global_witness(&[&r1, &r2, &r3]).expect("pairwise consistent + acyclic");
-/// assert_eq!(t.marginal(r1.schema())?, r1);
-/// assert_eq!(t.marginal(r3.schema())?, r3);
-/// // Theorem 6 support bound
-/// assert!(t.support_size() <= r1.support_size() + r2.support_size() + r3.support_size());
-/// # Ok::<(), bagcons_core::CoreError>(())
-/// ```
-///
-/// Legacy shim — prefer
+/// an acyclic schema and constructs a witness, in polynomial time. The
+/// pairwise marginal checks and each saturated-flow network build along
+/// the chain shard across threads per `exec`. The public entry is
 /// [`crate::session::Session::acyclic_global_witness`].
-#[doc(hidden)]
-pub fn acyclic_global_witness(bags: &[&Bag]) -> Result<Bag, AcyclicError> {
-    crate::session::Session::default().acyclic_global_witness(bags, WitnessStrategy::Minimal)
-}
-
-/// [`acyclic_global_witness`] with an explicit per-step strategy.
-///
-/// Legacy sequential shim — prefer
-/// [`crate::session::Session::acyclic_global_witness`].
-#[doc(hidden)]
-pub fn acyclic_global_witness_with(
-    bags: &[&Bag],
-    strategy: WitnessStrategy,
-) -> Result<Bag, AcyclicError> {
-    acyclic_global_witness_exec(bags, strategy, &ExecConfig::sequential())
-}
-
-/// [`acyclic_global_witness_with`] under an explicit execution
-/// configuration: the pairwise marginal checks and each saturated-flow
-/// network build along the chain shard across threads.
-pub fn acyclic_global_witness_exec(
+pub(crate) fn acyclic_global_witness_exec(
     bags: &[&Bag],
     strategy: WitnessStrategy,
     exec: &ExecConfig,
@@ -167,8 +121,12 @@ pub(crate) fn witness_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::is_global_witness;
+    use crate::session::Session;
     use bagcons_core::Attr;
+
+    fn minimal(bags: &[&Bag]) -> Result<Bag, AcyclicError> {
+        Session::default().acyclic_global_witness(bags, WitnessStrategy::Minimal)
+    }
 
     fn schema(ids: &[u32]) -> Schema {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
@@ -187,8 +145,10 @@ mod tests {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
         for strategy in [WitnessStrategy::Saturated, WitnessStrategy::Minimal] {
-            let t = acyclic_global_witness_with(&refs, strategy).unwrap();
-            assert!(is_global_witness(&t, &refs).unwrap());
+            let t = Session::default()
+                .acyclic_global_witness(&refs, strategy)
+                .unwrap();
+            assert!(Session::default().is_global_witness(&t, &refs).unwrap());
         }
     }
 
@@ -196,7 +156,7 @@ mod tests {
     fn theorem6_support_bound() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
+        let t = minimal(&refs).unwrap();
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
         assert!(t.support_size() <= bound, "‖T‖supp ≤ Σ ‖R_i‖supp");
     }
@@ -205,7 +165,7 @@ mod tests {
     fn theorem3_multiplicity_bound_holds_too() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness(&refs).unwrap();
+        let t = minimal(&refs).unwrap();
         let max_mu = refs.iter().map(|b| b.multiplicity_bound()).max().unwrap();
         assert!(t.multiplicity_bound() <= max_mu);
     }
@@ -215,7 +175,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 1)]).unwrap();
         let t = Bag::from_u64s(schema(&[0, 2]), [(&[0u64, 0][..], 1)]).unwrap();
-        match acyclic_global_witness(&[&r, &s, &t]) {
+        match minimal(&[&r, &s, &t]) {
             Err(AcyclicError::NotAcyclic(_)) => {}
             other => panic!("expected NotAcyclic, got {other:?}"),
         }
@@ -225,7 +185,7 @@ mod tests {
     fn rejects_inconsistent_pair() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 2)]).unwrap();
-        match acyclic_global_witness(&[&r, &s]) {
+        match minimal(&[&r, &s]) {
             Err(AcyclicError::InconsistentPair(0, 1)) => {}
             other => panic!("expected InconsistentPair, got {other:?}"),
         }
@@ -235,8 +195,8 @@ mod tests {
     fn duplicate_schemas_are_merged() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 5][..], 1)]).unwrap();
-        let t = acyclic_global_witness(&[&r, &r.clone(), &s]).unwrap();
-        assert!(is_global_witness(&t, &[&r, &s]).unwrap());
+        let t = minimal(&[&r, &r.clone(), &s]).unwrap();
+        assert!(Session::default().is_global_witness(&t, &[&r, &s]).unwrap());
     }
 
     #[test]
@@ -250,20 +210,20 @@ mod tests {
         )
         .unwrap();
         let refs = [&r1, &r2, &r3];
-        let t = acyclic_global_witness(&refs).unwrap();
-        assert!(is_global_witness(&t, &refs).unwrap());
+        let t = minimal(&refs).unwrap();
+        assert!(Session::default().is_global_witness(&t, &refs).unwrap());
     }
 
     #[test]
     fn single_bag_is_its_own_witness() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 5)]).unwrap();
-        let t = acyclic_global_witness(&[&r]).unwrap();
+        let t = minimal(&[&r]).unwrap();
         assert_eq!(t, r);
     }
 
     #[test]
     fn empty_collection() {
-        let t = acyclic_global_witness(&[]).unwrap();
+        let t = minimal(&[]).unwrap();
         assert!(t.is_empty());
     }
 
@@ -276,8 +236,10 @@ mod tests {
         )
         .unwrap();
         let small = big.marginal(&schema(&[1, 2])).unwrap();
-        let t = acyclic_global_witness(&[&big, &small]).unwrap();
-        assert!(is_global_witness(&t, &[&big, &small]).unwrap());
+        let t = minimal(&[&big, &small]).unwrap();
+        assert!(Session::default()
+            .is_global_witness(&t, &[&big, &small])
+            .unwrap());
         assert_eq!(t, big);
     }
 }

@@ -1,7 +1,8 @@
 //! Consistency diagnosis: *why* is a collection inconsistent?
 //!
 //! The decision procedures answer yes/no; a user repairing data wants the
-//! offending evidence. [`diagnose`] pinpoints, per Lemma 2:
+//! offending evidence. [`Session::diagnose`](crate::session::Session::diagnose)
+//! pinpoints, per Lemma 2:
 //!
 //! * which **pair** of bags disagrees,
 //! * on which **shared tuple** their marginals differ and by how much, or
@@ -73,20 +74,16 @@ impl Diagnosis {
 }
 
 /// Diagnoses a collection, reporting up to `max_mismatches` marginal
-/// discrepancies with their exact locations.
-///
-/// Legacy shim (default execution config, like every other plain shim) —
-/// prefer [`crate::session::Session::diagnose`], which also carries the
-/// mismatch budget.
-#[doc(hidden)]
-pub fn diagnose(bags: &[&Bag], max_mismatches: usize) -> Result<Diagnosis> {
-    diagnose_with(bags, max_mismatches, &ExecConfig::default())
-}
-
-/// [`diagnose`] under an explicit execution configuration: each pairwise
-/// probe and the per-pair marginal re-computation shard across threads
-/// when the bags are sealed and `cfg` permits.
-pub fn diagnose_with(bags: &[&Bag], max_mismatches: usize, cfg: &ExecConfig) -> Result<Diagnosis> {
+/// discrepancies with their exact locations. Each pairwise probe and the
+/// per-pair marginal re-computation shard across threads when the bags
+/// are sealed and `cfg` permits. The public entry is
+/// [`crate::session::Session::diagnose`], which carries the mismatch
+/// budget.
+pub(crate) fn diagnose_with(
+    bags: &[&Bag],
+    max_mismatches: usize,
+    cfg: &ExecConfig,
+) -> Result<Diagnosis> {
     let mut mismatches = Vec::new();
     'pairs: for i in 0..bags.len() {
         for j in (i + 1)..bags.len() {
@@ -137,6 +134,7 @@ pub fn diagnose_with(bags: &[&Bag], max_mismatches: usize, cfg: &ExecConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use crate::tseitin::tseitin_bags;
     use bagcons_core::{Attr, Value};
     use bagcons_hypergraph::triangle;
@@ -145,11 +143,19 @@ mod tests {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
     }
 
+    fn diagnose(bags: &[&Bag], max_mismatches: usize) -> Diagnosis {
+        let session = Session::builder()
+            .max_mismatches(max_mismatches)
+            .build()
+            .unwrap();
+        session.diagnose(bags).unwrap().diagnosis
+    }
+
     #[test]
     fn locates_the_exact_mismatch() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 5][..], 2), (&[2, 6][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[5u64, 9][..], 3), (&[6, 9][..], 1)]).unwrap();
-        let d = diagnose(&[&r, &s], 10).unwrap();
+        let d = diagnose(&[&r, &s], 10);
         let Diagnosis::PairwiseInconsistent(ms) = d else {
             panic!("expected mismatch");
         };
@@ -165,7 +171,7 @@ mod tests {
     fn reports_tuples_missing_on_one_side() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 5][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[6u64, 9][..], 2)]).unwrap();
-        let d = diagnose(&[&r, &s], 10).unwrap();
+        let d = diagnose(&[&r, &s], 10);
         let Diagnosis::PairwiseInconsistent(ms) = d else {
             panic!("expected mismatch");
         };
@@ -179,7 +185,7 @@ mod tests {
     fn cap_is_respected() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 1), (&[1, 2][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[3u64, 1][..], 1), (&[4, 1][..], 1)]).unwrap();
-        let d = diagnose(&[&r, &s], 1).unwrap();
+        let d = diagnose(&[&r, &s], 1);
         let Diagnosis::PairwiseInconsistent(ms) = d else {
             panic!("expected mismatch");
         };
@@ -190,7 +196,7 @@ mod tests {
     fn pairwise_consistent_cyclic_collection_gets_obstruction() {
         let bags = tseitin_bags(&triangle()).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let d = diagnose(&refs, 10).unwrap();
+        let d = diagnose(&refs, 10);
         let Diagnosis::PairwiseConsistent {
             acyclic,
             obstruction,
@@ -206,7 +212,7 @@ mod tests {
     fn acyclic_consistent_collection_is_clean() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 5][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[5u64, 9][..], 2)]).unwrap();
-        let d = diagnose(&[&r, &s], 10).unwrap();
+        let d = diagnose(&[&r, &s], 10);
         assert!(d.is_pairwise_consistent());
         let Diagnosis::PairwiseConsistent {
             acyclic,

@@ -6,7 +6,7 @@
 //! schema-oblivious decision procedure via the integer program
 //! `P(R₁,…,R_m)` — the NP algorithm of Corollary 3. The polynomial path
 //! for acyclic schemas lives in [`crate::acyclic`]; the dispatch between
-//! the two is [`crate::dichotomy`].
+//! the two is [`crate::session::Session::check`].
 
 use bagcons_core::{Bag, ExecConfig, Result, Schema};
 use bagcons_hypergraph::Hypergraph;
@@ -14,18 +14,11 @@ use bagcons_lp::ilp::{solve_with_stats, IlpOutcome, SolveStats, SolverConfig};
 use bagcons_lp::ConsistencyProgram;
 
 /// True iff `t` witnesses the global consistency of `bags`:
-/// `t` is over the union schema and `t[X_i] = R_i` for every `i`.
-///
-/// Legacy shim — prefer [`crate::session::Session::is_global_witness`].
-#[doc(hidden)]
-pub fn is_global_witness(t: &Bag, bags: &[&Bag]) -> Result<bool> {
-    crate::session::Session::default().is_global_witness(t, bags)
-}
-
-/// [`is_global_witness`] under an explicit execution configuration: each
+/// `t` is over the union schema and `t[X_i] = R_i` for every `i`. Each
 /// `t[X_i]` marginal shards across threads when `t` is sealed, its
-/// schema-prefix marginals especially profiting on wide witnesses.
-pub fn is_global_witness_with(t: &Bag, bags: &[&Bag], cfg: &ExecConfig) -> Result<bool> {
+/// schema-prefix marginals especially profiting on wide witnesses. The
+/// public entry is [`crate::session::Session::is_global_witness`].
+pub(crate) fn is_global_witness_with(t: &Bag, bags: &[&Bag], cfg: &ExecConfig) -> Result<bool> {
     let union = union_schema(bags);
     if t.schema() != &union {
         return Ok(false);
@@ -63,8 +56,9 @@ pub struct IlpDecision {
 
 /// Decides global consistency through the integer program `P(R₁,…,R_m)`
 /// regardless of the schema's structure — the NP procedure of
-/// Corollary 3. Exponential in the worst case; polynomial-path callers
-/// should use [`crate::dichotomy::decide_global_consistency`].
+/// Corollary 3. Exponential in the worst case; callers wanting the
+/// polynomial path on acyclic schemas should use
+/// [`crate::session::Session::check`].
 pub fn globally_consistent_via_ilp(bags: &[&Bag], cfg: &SolverConfig) -> Result<IlpDecision> {
     let prog = ConsistencyProgram::build(bags)?;
     let num_variables = prog.num_variables();
@@ -72,7 +66,11 @@ pub fn globally_consistent_via_ilp(bags: &[&Bag], cfg: &SolverConfig) -> Result<
     let outcome = match outcome {
         IlpOutcome::Sat(x) => {
             let witness = prog.bag_from_solution(&x)?;
-            debug_assert!(is_global_witness(&witness, bags)?);
+            debug_assert!(is_global_witness_with(
+                &witness,
+                bags,
+                &ExecConfig::default()
+            )?);
             // Re-encode as Sat carrying the vector; callers wanting the bag
             // use `witness_from_ilp`.
             IlpOutcome::Sat(x)
@@ -100,6 +98,7 @@ pub fn witness_from_ilp(bags: &[&Bag], decision: &IlpDecision) -> Result<Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use bagcons_core::Attr;
     use bagcons_hypergraph::is_acyclic;
 
@@ -112,12 +111,14 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 5][..], 2)]).unwrap();
         let t = Bag::from_u64s(schema(&[0, 1, 2]), [(&[1u64, 1, 5][..], 2)]).unwrap();
-        assert!(is_global_witness(&t, &[&r, &s]).unwrap());
+        assert!(Session::default().is_global_witness(&t, &[&r, &s]).unwrap());
         // wrong schema
-        assert!(!is_global_witness(&r, &[&r, &s]).unwrap());
+        assert!(!Session::default().is_global_witness(&r, &[&r, &s]).unwrap());
         // wrong multiplicity
         let t_bad = Bag::from_u64s(schema(&[0, 1, 2]), [(&[1u64, 1, 5][..], 3)]).unwrap();
-        assert!(!is_global_witness(&t_bad, &[&r, &s]).unwrap());
+        assert!(!Session::default()
+            .is_global_witness(&t_bad, &[&r, &s])
+            .unwrap());
     }
 
     #[test]
@@ -142,7 +143,9 @@ mod tests {
         let dec = globally_consistent_via_ilp(&[&r, &s, &t], &SolverConfig::default()).unwrap();
         assert!(dec.outcome.is_sat());
         let w = witness_from_ilp(&[&r, &s, &t], &dec).unwrap().unwrap();
-        assert!(is_global_witness(&w, &[&r, &s, &t]).unwrap());
+        assert!(Session::default()
+            .is_global_witness(&w, &[&r, &s, &t])
+            .unwrap());
     }
 
     #[test]

@@ -83,7 +83,9 @@ mod tests {
             k_wise_consistent(&refs, 2, &SolverConfig::default()).unwrap(),
             Some(true)
         );
-        assert!(crate::pairwise::pairwise_consistent(&refs).unwrap());
+        assert!(crate::session::Session::default()
+            .pairwise_consistent(&refs)
+            .unwrap());
     }
 
     #[test]

@@ -37,24 +37,25 @@
 //! | Exhibit the pairwise-vs-global gap (Theorem 2 (e)⇒(a)) | [`counterexample`](session::Session::counterexample) |
 //! | Re-check a stream of small edits incrementally | [`open_stream`](session::Session::open_stream) |
 //!
-//! The pre-session plain free functions (`bags_consistent`,
-//! `decide_global_consistency`, …) remain available as `#[doc(hidden)]`
-//! shims delegating through `Session::default()`; the `_with(&ExecConfig)`
-//! variants are the canonical internals the session calls.
+//! The session is the one public entry to each operation it offers:
+//! Lemma 2's pair test, Corollary 1's witness, Theorem 6's chain, the
+//! global-witness check, and the set-semantics reducers are all
+//! `Session` methods running under its `ExecConfig`. The
+//! `_with(&ExecConfig)` functions behind them are crate-private.
 //!
 //! ## Paper-item map
 //!
 //! | Paper item | Module / entry point |
 //! |---|---|
 //! | Lemma 2 (five characterizations of two-bag consistency) | [`pairwise`], [`report::Lemma2Report`] |
-//! | Corollary 1 (strongly-poly witness for two bags) | [`pairwise::consistency_witness_with`] |
+//! | Corollary 1 (strongly-poly witness for two bags) | [`session::Session::consistency_witness`] |
 //! | Theorem 2 (acyclic ⟺ local-to-global for bags) | [`acyclic`], [`tseitin`], [`lifting`] |
 //! | Lemma 4 (k-wise-consistency-preserving lifting) | [`lifting`] |
 //! | Theorem 3 / Corollary 3 (NP membership, witness bounds) | re-exported from [`bagcons_lp::bounds`] |
-//! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`dichotomy`], [`session::Session::check`] |
+//! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`session::Session::check`] |
 //! | Lemmas 6, 7 (hardness chain reductions) | [`reductions`] |
 //! | Theorem 5 / Corollary 4 (minimal two-bag witness) | [`minimal`] |
-//! | Theorem 6 (acyclic witness construction) | [`acyclic::acyclic_global_witness_exec`] |
+//! | Theorem 6 (acyclic witness construction) | [`acyclic`], [`session::Session::acyclic_global_witness`] |
 //! | Section 5.1 (set-semantics baseline) | [`sets`] |
 //! | Section 6 (full reducers: set case + the bag obstacle) | [`reducer`] |
 //!
@@ -75,7 +76,6 @@
 
 pub mod acyclic;
 pub mod diagnose;
-pub mod dichotomy;
 pub mod global;
 pub mod kwise;
 pub mod lifting;
@@ -91,12 +91,10 @@ pub mod sets;
 pub mod stream;
 pub mod tseitin;
 
-pub use acyclic::{acyclic_global_witness, AcyclicError};
-pub use dichotomy::{decide_global_consistency, GcpbOutcome, GcpbReport};
-pub use global::{globally_consistent_via_ilp, is_global_witness, schema_hypergraph};
+pub use acyclic::AcyclicError;
+pub use global::{globally_consistent_via_ilp, schema_hypergraph};
 pub use kwise::k_wise_consistent;
 pub use minimal::minimal_two_bag_witness;
-pub use pairwise::{bags_consistent, consistency_witness, pairwise_consistent};
 pub use report::{Lemma2Report, Render, ReportFormat};
 pub use session::{DatasetSource, Session, SessionBuilder, SessionError};
 pub use stream::{ConsistencyStream, UpdateOutcome};

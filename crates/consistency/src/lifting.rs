@@ -76,22 +76,8 @@ pub fn apply_to_schemas(schemas: &[Schema], op: &SafeDeletion) -> Vec<Schema> {
 
 /// One backward lift step: given bags `d0` aligned with
 /// `apply_to_schemas(targets, op)`, produces bags aligned with `targets`.
-///
-/// Legacy shim (default execution config) — [`lift_step_with`] is the
-/// canonical entry.
-#[doc(hidden)]
-pub fn lift_step(
-    d0: &[Bag],
-    targets: &[Schema],
-    op: &SafeDeletion,
-    u0: Value,
-) -> Result<Vec<Bag>, LiftError> {
-    lift_step_with(d0, targets, op, u0, &ExecConfig::default())
-}
-
-/// [`lift_step`] under an explicit execution configuration: the
-/// covered-edge restore is a marginal of the covering bag, which shards
-/// across threads when that bag is sealed and `cfg` permits.
+/// The covered-edge restore is a marginal of the covering bag, which
+/// shards across threads when that bag is sealed and `cfg` permits.
 pub fn lift_step_with(
     d0: &[Bag],
     targets: &[Schema],
@@ -162,22 +148,8 @@ fn extend_with_default(
 
 /// Lifts a collection through an entire deletion sequence: `d_final` is
 /// aligned with the schemas obtained by applying all of `ops` to
-/// `start_schemas`; the result is aligned with `start_schemas`.
-///
-/// Legacy shim (default execution config) —
-/// [`lift_through_sequence_with`] is the canonical entry.
-#[doc(hidden)]
-pub fn lift_through_sequence(
-    start_schemas: &[Schema],
-    ops: &[SafeDeletion],
-    d_final: &[Bag],
-    u0: Value,
-) -> Result<Vec<Bag>, LiftError> {
-    lift_through_sequence_with(start_schemas, ops, d_final, u0, &ExecConfig::default())
-}
-
-/// [`lift_through_sequence`] under an explicit execution configuration
-/// (threaded into every [`lift_step_with`]).
+/// `start_schemas`; the result is aligned with `start_schemas`. `cfg` is
+/// threaded into every [`lift_step_with`].
 pub fn lift_through_sequence_with(
     start_schemas: &[Schema],
     ops: &[SafeDeletion],
@@ -213,12 +185,12 @@ pub fn lift_through_sequence_with(
 ///
 /// ```
 /// use bagcons::lifting::pairwise_consistent_globally_inconsistent;
-/// use bagcons::pairwise::pairwise_consistent;
+/// use bagcons::session::Session;
 /// use bagcons_hypergraph::{cycle, path};
 ///
 /// let paradox = pairwise_consistent_globally_inconsistent(&cycle(5)).unwrap().unwrap();
 /// let refs: Vec<_> = paradox.iter().collect();
-/// assert!(pairwise_consistent(&refs).unwrap());
+/// assert!(Session::default().pairwise_consistent(&refs).unwrap());
 ///
 /// // acyclic schemas have the local-to-global property: no paradox exists
 /// assert!(pairwise_consistent_globally_inconsistent(&path(5)).unwrap().is_none());
@@ -267,7 +239,7 @@ pub fn pairwise_consistent_globally_inconsistent(
 mod tests {
     use super::*;
     use crate::global::globally_consistent_via_ilp;
-    use crate::pairwise::pairwise_consistent;
+    use crate::session::Session;
     use bagcons_core::Attr;
     use bagcons_hypergraph::{cycle, full_clique_complement, path};
     use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
@@ -281,11 +253,12 @@ mod tests {
         let y = schema(&[1]);
         let source = Bag::from_u64s(y, [(&[5u64][..], 3)]).unwrap();
         let x = schema(&[0, 1]);
-        let lifted = lift_step(
+        let lifted = lift_step_with(
             &[source],
             std::slice::from_ref(&x),
             &SafeDeletion::Vertex(Attr::new(0)),
             Value(9),
+            &ExecConfig::default(),
         )
         .unwrap();
         assert_eq!(lifted[0].schema(), &x);
@@ -298,7 +271,7 @@ mod tests {
         let cover = schema(&[0, 1]);
         let edge = schema(&[1]);
         let big = Bag::from_u64s(cover.clone(), [(&[1u64, 7][..], 2), (&[2, 7][..], 3)]).unwrap();
-        let lifted = lift_step(
+        let lifted = lift_step_with(
             std::slice::from_ref(&big),
             &[edge.clone(), cover.clone()],
             &SafeDeletion::CoveredEdge {
@@ -306,6 +279,7 @@ mod tests {
                 cover: cover.clone(),
             },
             Value(0),
+            &ExecConfig::default(),
         )
         .unwrap();
         assert_eq!(lifted.len(), 2);
@@ -315,11 +289,12 @@ mod tests {
 
     #[test]
     fn missing_schema_is_reported() {
-        let res = lift_step(
+        let res = lift_step_with(
             &[],
             &[schema(&[0, 1])],
             &SafeDeletion::Vertex(Attr::new(0)),
             Value(0),
+            &ExecConfig::default(),
         );
         assert!(matches!(res, Err(LiftError::MissingSchema(_))));
     }
@@ -334,7 +309,7 @@ mod tests {
             assert_eq!(bags.len(), h.num_edges());
             let refs: Vec<&Bag> = bags.iter().collect();
             assert!(
-                pairwise_consistent(&refs).unwrap(),
+                Session::default().pairwise_consistent(&refs).unwrap(),
                 "C_{n} lift not pairwise consistent"
             );
             let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
@@ -354,7 +329,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
-            assert!(pairwise_consistent(&refs).unwrap());
+            assert!(Session::default().pairwise_consistent(&refs).unwrap());
             let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
             assert_eq!(dec.outcome, IlpOutcome::Unsat);
         }
@@ -382,7 +357,7 @@ mod tests {
             assert_eq!(bag.schema(), edge);
         }
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(pairwise_consistent(&refs).unwrap());
+        assert!(Session::default().pairwise_consistent(&refs).unwrap());
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Unsat);
     }
@@ -402,7 +377,7 @@ mod tests {
             .unwrap();
         assert_eq!(bags.len(), 4);
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(pairwise_consistent(&refs).unwrap());
+        assert!(Session::default().pairwise_consistent(&refs).unwrap());
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Unsat);
     }
@@ -432,7 +407,7 @@ mod tests {
             .unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
         // 2-wise holds
-        assert!(pairwise_consistent(&refs).unwrap());
+        assert!(Session::default().pairwise_consistent(&refs).unwrap());
         // m-wise fails
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Unsat);

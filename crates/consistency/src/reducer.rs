@@ -10,7 +10,8 @@
 //! For **bags**, the paper poses it as an *open problem* to even define
 //! the right notion: "the bag-join of a globally consistent collection of
 //! bags need not witness their global consistency", so removing dangling
-//! tuples cannot make the join a witness. [`naive_bag_semijoin`]
+//! tuples cannot make the join a witness.
+//! [`Session::naive_bag_semijoin`](crate::session::Session::naive_bag_semijoin)
 //! implements the obvious candidate (restrict the support, keep
 //! multiplicities) and the tests exhibit the paper's obstacle concretely:
 //! after naive full reduction the bag join still over-counts.
@@ -69,20 +70,12 @@ fn probe_ids(
 }
 
 /// The semijoin `R ⋉ S`: tuples of `R` that join with at least one tuple
-/// of `S` (set semantics). One columnar scan per side through a reused
-/// scratch buffer.
-///
-/// Legacy shim — prefer [`crate::session::Session::semijoin`].
-#[doc(hidden)]
-pub fn semijoin(r: &Relation, s: &Relation) -> Result<Relation> {
-    crate::session::Session::default().semijoin(r, s)
-}
-
-/// [`semijoin`] under an explicit execution configuration: the probe
-/// sweep over `R`'s rows is row-independent, so it shards by plain index
-/// ranges (no key-group constraint); per-shard survivor lists splice back
-/// in row order, so the result matches the sequential scan exactly.
-pub fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Result<Relation> {
+/// of `S` (set semantics). The probe sweep over `R`'s rows is
+/// row-independent, so it shards by plain index ranges (no key-group
+/// constraint); per-shard survivor lists splice back in row order, so the
+/// result matches the sequential scan exactly. The public entry is
+/// [`crate::session::Session::semijoin`].
+pub(crate) fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Result<Relation> {
     let z = r.schema().intersection(s.schema());
     let s_keys = key_set(s.iter(), &s.schema().projection_indices(&z)?);
     let idx = r.schema().projection_indices(&z)?;
@@ -183,17 +176,10 @@ pub fn is_fully_reduced(rels: &[Relation]) -> Result<bool> {
 ///
 /// Unlike the naive multiway join, every intermediate result here is a
 /// projection of the final join, so intermediate sizes never exceed the
-/// output — the polynomiality the introduction cites.
-///
-/// Legacy shim — prefer [`crate::session::Session::acyclic_join`].
-#[doc(hidden)]
-pub fn acyclic_join(rels: &[Relation]) -> Result<Option<Relation>> {
-    crate::session::Session::default().acyclic_join(rels)
-}
-
-/// [`acyclic_join`] under an explicit execution configuration (the
-/// reducer's semijoin sweeps shard across threads).
-pub fn acyclic_join_with(rels: &[Relation], cfg: &ExecConfig) -> Result<Option<Relation>> {
+/// output — the polynomiality the introduction cites. The reducer's
+/// semijoin sweeps shard across threads per `cfg`. The public entry is
+/// [`crate::session::Session::acyclic_join`].
+pub(crate) fn acyclic_join_with(rels: &[Relation], cfg: &ExecConfig) -> Result<Option<Relation>> {
     let h = Hypergraph::from_edges(rels.iter().map(|r| r.schema().clone()));
     let Some(reducer) = FullReducer::build(&h) else {
         return Ok(None);
@@ -218,17 +204,10 @@ pub fn acyclic_join_with(rels: &[Relation], cfg: &ExecConfig) -> Result<Option<R
 /// The naive bag "semijoin": keep only support tuples that join with the
 /// other bag, preserving multiplicities. This is the obvious candidate
 /// the paper's Section 6 warns about — the tests show it cannot play the
-/// full-reducer role for bags.
-///
-/// Legacy shim — prefer [`crate::session::Session::naive_bag_semijoin`].
-#[doc(hidden)]
-pub fn naive_bag_semijoin(r: &Bag, s: &Bag) -> Result<Bag> {
-    crate::session::Session::default().naive_bag_semijoin(r, s)
-}
-
-/// [`naive_bag_semijoin`] under an explicit execution configuration
-/// (same index-range sharding as [`semijoin_with`]).
-pub fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
+/// full-reducer role for bags. Same index-range sharding as
+/// [`semijoin_with`]. The public entry is
+/// [`crate::session::Session::naive_bag_semijoin`].
+pub(crate) fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
     let z = r.schema().intersection(s.schema());
     let s_keys = key_set(
         s.iter().map(|(row, _)| row),
@@ -256,6 +235,7 @@ pub fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag
 mod tests {
     use super::*;
     use crate::pairwise::is_two_bag_witness;
+    use crate::session::Session;
     use bagcons_core::{Attr, Schema};
     use bagcons_hypergraph::{cycle, path, star};
 
@@ -267,7 +247,7 @@ mod tests {
     fn semijoin_drops_dangling_tuples() {
         let r = Relation::from_u64s(schema(&[0, 1]), [&[1u64, 1][..], &[2, 9][..]]).unwrap();
         let s = Relation::from_u64s(schema(&[1, 2]), [&[1u64, 5][..]]).unwrap();
-        let red = semijoin(&r, &s).unwrap();
+        let red = Session::default().semijoin(&r, &s).unwrap();
         assert_eq!(red.len(), 1);
         assert!(red.contains(&[bagcons_core::Value(1), bagcons_core::Value(1)]));
     }
@@ -337,7 +317,8 @@ mod tests {
         let r1 = Relation::from_u64s(schema(&[1, 2]), [&[1u64, 1][..], &[2, 2][..]]).unwrap();
         let r2 = Relation::from_u64s(schema(&[2, 3]), [&[1u64, 7][..], &[2, 8][..]]).unwrap();
         let rels = vec![r0.clone(), r1.clone(), r2.clone()];
-        let smart = acyclic_join(&rels)
+        let smart = Session::default()
+            .acyclic_join(&rels)
             .unwrap()
             .expect("path schema is acyclic");
         let naive = multi_relation_join(&[&r0, &r1, &r2]);
@@ -350,7 +331,10 @@ mod tests {
         let r = Relation::from_u64s(schema(&[0, 1]), [&[0u64, 0][..]]).unwrap();
         let s = Relation::from_u64s(schema(&[1, 2]), [&[0u64, 0][..]]).unwrap();
         let t = Relation::from_u64s(schema(&[0, 2]), [&[0u64, 0][..]]).unwrap();
-        assert!(acyclic_join(&[r, s, t]).unwrap().is_none());
+        assert!(Session::default()
+            .acyclic_join(&[r, s, t])
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -358,7 +342,8 @@ mod tests {
         let r = Relation::from_u64s(schema(&[0, 1]), [&[1u64, 1][..], &[2, 2][..]]).unwrap();
         let r2 = Relation::from_u64s(schema(&[0, 1]), [&[1u64, 1][..]]).unwrap();
         let s = Relation::from_u64s(schema(&[1, 2]), [&[1u64, 5][..]]).unwrap();
-        let smart = acyclic_join(&[r.clone(), r2.clone(), s.clone()])
+        let smart = Session::default()
+            .acyclic_join(&[r.clone(), r2.clone(), s.clone()])
             .unwrap()
             .unwrap();
         let naive = multi_relation_join(&[&r, &r2, &s]);
@@ -375,8 +360,8 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 1), (&[2, 2][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[2u64, 1][..], 1), (&[2, 2][..], 1)]).unwrap();
         // naive semijoins change nothing: nothing dangles
-        let r_red = naive_bag_semijoin(&r, &s).unwrap();
-        let s_red = naive_bag_semijoin(&s, &r).unwrap();
+        let r_red = Session::default().naive_bag_semijoin(&r, &s).unwrap();
+        let s_red = Session::default().naive_bag_semijoin(&s, &r).unwrap();
         assert_eq!(r_red, r);
         assert_eq!(s_red, s);
         // and the bag join of the "reduced" bags still fails as a witness
@@ -389,8 +374,13 @@ mod tests {
         // it is still a sensible support operation, matching the set case
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 5), (&[2, 9][..], 3)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 5][..], 2)]).unwrap();
-        let red = naive_bag_semijoin(&r, &s).unwrap();
-        assert_eq!(red.support(), semijoin(&r.support(), &s.support()).unwrap());
+        let red = Session::default().naive_bag_semijoin(&r, &s).unwrap();
+        assert_eq!(
+            red.support(),
+            Session::default()
+                .semijoin(&r.support(), &s.support())
+                .unwrap()
+        );
         assert_eq!(
             red.multiplicity(&[bagcons_core::Value(1), bagcons_core::Value(1)]),
             5

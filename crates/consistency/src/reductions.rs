@@ -304,7 +304,8 @@ fn enumerate_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{globally_consistent_via_ilp, is_global_witness, witness_from_ilp};
+    use crate::global::{globally_consistent_via_ilp, witness_from_ilp};
+    use crate::session::Session;
     use crate::tseitin::tseitin_bags;
     use bagcons_hypergraph::{cycle, full_clique_complement};
     use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
@@ -363,7 +364,7 @@ mod tests {
         // and the witness projects back to a witness of the original
         let back = project_cycle_witness(&w.unwrap(), 3).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(is_global_witness(&back, &refs).unwrap());
+        assert!(Session::default().is_global_witness(&back, &refs).unwrap());
     }
 
     #[test]
@@ -413,7 +414,7 @@ mod tests {
         assert!(o1.is_sat());
         let back = project_clique_complement_witness(&wl.unwrap(), 3).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(is_global_witness(&back, &refs).unwrap());
+        assert!(Session::default().is_global_witness(&back, &refs).unwrap());
     }
 
     #[test]

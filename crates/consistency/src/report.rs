@@ -232,19 +232,20 @@ pub struct Lemma2Report {
 
 impl Lemma2Report {
     /// Evaluates all five characterizations independently (sequential,
-    /// unlimited search — [`Lemma2Report::compute_with`] exposes the
-    /// knobs).
+    /// unlimited search — [`crate::session::Session::pairwise_report`]
+    /// runs them under the session's configuration).
     pub fn compute(r: &Bag, s: &Bag) -> Result<Lemma2Report> {
         Self::compute_with(r, s, &SolverConfig::default(), &ExecConfig::sequential())
     }
 
     /// [`Lemma2Report::compute`] under explicit solver and execution
-    /// configurations: the marginal comparison and the `N(R,S)` build
+    /// configurations (the implementation behind
+    /// [`crate::session::Session::pairwise_report`]): the marginal comparison and the `N(R,S)` build
     /// shard across threads when `exec` permits, and the exact integer
     /// search honors `solver`'s node budget (a budget abort counts as
     /// "not integrally feasible", which can break
     /// [`Lemma2Report::all_agree`] — pass an adequate budget).
-    pub fn compute_with(
+    pub(crate) fn compute_with(
         r: &Bag,
         s: &Bag,
         solver: &SolverConfig,

@@ -1,10 +1,9 @@
 //! The `Session` facade: one config-carrying entry surface for the
 //! whole consistency pipeline.
 //!
-//! PR 2 scaled the hot paths but left every decision procedure exposed
-//! twice (plain + `_with(&ExecConfig)`), with [`SolverConfig`],
-//! [`NameInterner`], and search budgets traveling separately by hand. A
-//! [`Session`] owns all of that configuration once:
+//! A [`Session`] owns every piece of configuration the pipeline needs —
+//! the [`ExecConfig`], the [`SolverConfig`], the [`NameInterner`], and
+//! the search budgets — once, instead of each call carrying them by hand:
 //!
 //! ```
 //! use bagcons::session::{Decision, Session};
@@ -29,9 +28,11 @@
 //! [`Session::schema_report`], [`Session::counterexample`]) return
 //! **typed outcome structs** — decision + witness + per-stage timings +
 //! which branch of Theorem 4's dichotomy ran — all implementing
-//! [`Render`]. The legacy plain free functions survive as `#[doc(hidden)]`
-//! delegates through [`Session::default`]; the `_with` variants remain
-//! the canonical internals.
+//! [`Render`]. The lower-level operations (Lemma 2's pair test,
+//! Corollary 1's witness, Theorem 6's chain, the global-witness check,
+//! the reducers) are plain-typed `Session` methods too; the
+//! `_with(&ExecConfig)` functions they run are crate-private, so each
+//! operation has exactly one public path.
 //!
 //! For edit-heavy workloads, [`Session::open_stream`] upgrades the
 //! one-shot [`Session::check`] into an incremental
@@ -1016,9 +1017,20 @@ impl Session {
         write_bag(bag, self.names())
     }
 
-    /// Decides global consistency (Theorem 4's dichotomy): polynomial
-    /// pairwise + witness-chain on acyclic schemas, exact integer search
-    /// on cyclic ones.
+    /// Decides global consistency following Theorem 4's dichotomy. For a
+    /// fixed schema hypergraph `H`:
+    ///
+    /// * if `H` is **acyclic**, the problem is polynomial — global
+    ///   consistency coincides with pairwise consistency (Theorem 2), and
+    ///   a witness comes from the Theorem 6 chain;
+    /// * if `H` is **cyclic**, the problem is NP-complete — the session
+    ///   falls back to the exact integer search over `P(R₁,…,R_m)`
+    ///   (Corollary 3's NP procedure), bounded by the node budget.
+    ///
+    /// [`CheckOutcome::branch`] reports which path ran and
+    /// [`CheckOutcome::search_nodes`] how much search it took, so the
+    /// experiment harness can measure the polynomial-vs-exponential shape
+    /// the theorem predicts.
     ///
     /// Under a [`SessionBuilder::deadline`] (or a cancel token on the
     /// exec config), expiry mid-pipeline returns
@@ -1102,22 +1114,52 @@ impl Session {
         })
     }
 
-    // ---- typed low-level delegates -------------------------------------
+    // ---- typed low-level operations ------------------------------------
     //
-    // The canonical `_with` internals under this session's ExecConfig;
-    // the legacy plain free functions route through `Session::default()`.
+    // Each runs its crate-private `_with` implementation under this
+    // session's ExecConfig; these methods are the only public path.
 
-    /// Lemma 2: decides consistency of two bags.
+    /// Lemma 2 (1)⟺(2): decides consistency of two bags by comparing
+    /// the marginals on the common attributes.
+    ///
+    /// ```
+    /// use bagcons::session::Session;
+    /// use bagcons_core::{Bag, Schema};
+    ///
+    /// let session = Session::default();
+    /// let r = Bag::from_u64s(Schema::range(0, 2), [(&[1u64, 2][..], 1), (&[2, 2][..], 1)])?;
+    /// let s = Bag::from_u64s(Schema::range(1, 3), [(&[2u64, 1][..], 1), (&[2, 2][..], 1)])?;
+    /// assert!(session.bags_consistent(&r, &s)?);
+    ///
+    /// // tripling one side breaks the shared marginal
+    /// assert!(!session.bags_consistent(&r, &s.scale(3)?)?);
+    /// # Ok::<(), bagcons_core::CoreError>(())
+    /// ```
     pub fn bags_consistent(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<bool> {
         bags_consistent_with(r, s, &self.exec)
     }
 
-    /// Corollary 1: a two-bag witness via a saturated flow of `N(R,S)`.
+    /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`
+    /// (constructed from an integral saturated flow of `N(R,S)`), or
+    /// `None` when the bags are inconsistent.
+    ///
+    /// ```
+    /// use bagcons::session::Session;
+    /// use bagcons_core::{Bag, Schema};
+    ///
+    /// let r = Bag::from_u64s(Schema::range(0, 2), [(&[0u64, 0][..], 2), (&[1, 0][..], 1)])?;
+    /// let s = Bag::from_u64s(Schema::range(1, 3), [(&[0u64, 5][..], 1), (&[0, 6][..], 2)])?;
+    /// let t = Session::default().consistency_witness(&r, &s)?.expect("consistent");
+    /// assert_eq!(t.marginal(r.schema())?, r);
+    /// assert_eq!(t.marginal(s.schema())?, s);
+    /// # Ok::<(), bagcons_core::CoreError>(())
+    /// ```
     pub fn consistency_witness(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<Option<Bag>> {
         consistency_witness_with(r, s, &self.exec)
     }
 
-    /// True iff every two bags of the collection are consistent.
+    /// True iff every two bags of the collection are consistent (the
+    /// paper's *pairwise consistency*).
     pub fn pairwise_consistent(&self, bags: &[&Bag]) -> bagcons_core::Result<bool> {
         Ok(first_inconsistent_pair_with(bags, &self.exec)?.is_none())
     }
@@ -1135,8 +1177,29 @@ impl Session {
         is_global_witness_with(t, bags, &self.exec)
     }
 
-    /// Theorem 6: a global witness over an acyclic schema, with the
-    /// per-step strategy spelled out.
+    /// Theorem 6: decides global consistency of pairwise consistent bags
+    /// over an acyclic schema and constructs a witness over the union
+    /// schema, in polynomial time. With [`WitnessStrategy::Minimal`] the
+    /// returned bag satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
+    ///
+    /// ```
+    /// use bagcons::acyclic::WitnessStrategy;
+    /// use bagcons::session::Session;
+    /// use bagcons_core::{Bag, Schema};
+    ///
+    /// // a path schema A0–A1–A2–A3 (acyclic)
+    /// let r1 = Bag::from_u64s(Schema::range(0, 2), [(&[0u64, 0][..], 2), (&[1, 1][..], 1)])?;
+    /// let r2 = Bag::from_u64s(Schema::range(1, 3), [(&[0u64, 4][..], 2), (&[1, 5][..], 1)])?;
+    /// let r3 = Bag::from_u64s(Schema::range(2, 4), [(&[4u64, 9][..], 2), (&[5, 9][..], 1)])?;
+    /// let t = Session::default()
+    ///     .acyclic_global_witness(&[&r1, &r2, &r3], WitnessStrategy::Minimal)
+    ///     .expect("pairwise consistent + acyclic");
+    /// assert_eq!(t.marginal(r1.schema())?, r1);
+    /// assert_eq!(t.marginal(r3.schema())?, r3);
+    /// // Theorem 6 support bound
+    /// assert!(t.support_size() <= r1.support_size() + r2.support_size() + r3.support_size());
+    /// # Ok::<(), bagcons_core::CoreError>(())
+    /// ```
     pub fn acyclic_global_witness(
         &self,
         bags: &[&Bag],
@@ -1194,8 +1257,8 @@ fn aborted_outcome(branch: Branch, reason: AbortReason, stages: Vec<StageTiming>
     }
 }
 
-/// The canonical dichotomy decision (shared by [`Session::check`] and the
-/// legacy [`crate::dichotomy::decide_global_consistency_exec`]).
+/// The dichotomy decision behind [`Session::check`], [`Session::witness`],
+/// and the stream's cyclic-schema fallback.
 ///
 /// Deadline/cancellation aborts ([`CoreError::Aborted`]) from the
 /// pairwise sweep or the witness chain are converted into an
@@ -1244,8 +1307,7 @@ pub(crate) fn check_impl(
             Err(AcyclicError::NotAcyclic(h)) => {
                 unreachable!("hypergraph {h} tested acyclic above")
             }
-            Err(e @ AcyclicError::InconsistentPair(..))
-            | Err(e @ AcyclicError::DuplicateSchemaMismatch(..)) => {
+            Err(e @ AcyclicError::InconsistentPair(..)) => {
                 unreachable!("pairwise consistency established above: {e}")
             }
         };
@@ -1293,7 +1355,6 @@ pub(crate) fn check_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dichotomy::{decide_global_consistency, GcpbOutcome};
     use bagcons_core::Attr;
 
     fn schema(ids: &[u32]) -> Schema {
@@ -1458,15 +1519,62 @@ mod tests {
     }
 
     #[test]
-    fn check_matches_legacy_dichotomy() {
+    fn acyclic_path_taken_for_path_schema() {
+        let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 2)]).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 3][..], 2)]).unwrap();
+        let session = Session::default();
+        let out = session.check(&[&r, &s]).unwrap();
+        assert!(out.branch.is_acyclic());
+        assert_eq!(out.search_nodes, 0);
+        assert_eq!(out.decision, Decision::Consistent);
+        let t = out.witness.as_ref().expect("consistent carries a witness");
+        assert!(session.is_global_witness(t, &[&r, &s]).unwrap());
+    }
+
+    #[test]
+    fn cyclic_path_taken_for_triangle() {
+        let d: Vec<(&[u64], u64)> = vec![(&[0, 0], 1), (&[1, 1], 1)];
+        let r = Bag::from_u64s(schema(&[0, 1]), d.clone()).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), d.clone()).unwrap();
+        let t = Bag::from_u64s(schema(&[0, 2]), d).unwrap();
+        let out = Session::default().check(&[&r, &s, &t]).unwrap();
+        assert_eq!(out.branch, Branch::CyclicSearch);
+        assert_eq!(out.decision, Decision::Consistent);
+        assert!(out.search_nodes > 0);
+    }
+
+    #[test]
+    fn parity_triangle_is_inconsistent_via_search() {
         let bags = parity_triangle();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let legacy = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
         let out = Session::default().check(&refs).unwrap();
-        assert!(matches!(legacy.outcome, GcpbOutcome::Inconsistent));
+        assert_eq!(out.branch, Branch::CyclicSearch);
         assert_eq!(out.decision, Decision::Inconsistent);
-        assert_eq!(legacy.search_nodes, out.search_nodes);
-        assert_eq!(legacy.acyclic, out.branch.is_acyclic());
+    }
+
+    #[test]
+    fn pairwise_inconsistent_acyclic_collection() {
+        let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 2)]).unwrap();
+        let out = Session::default().check(&[&r, &s]).unwrap();
+        assert!(out.branch.is_acyclic());
+        assert_eq!(out.decision, Decision::Inconsistent);
+    }
+
+    #[test]
+    fn node_budget_reports_unknown() {
+        // a loose satisfiable triangle with a 1-node budget
+        let wide: Vec<(&[u64], u64)> = vec![(&[0, 0], 3), (&[0, 1], 3), (&[1, 0], 3), (&[1, 1], 3)];
+        let r = Bag::from_u64s(schema(&[0, 1]), wide.clone()).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), wide.clone()).unwrap();
+        let t = Bag::from_u64s(schema(&[0, 2]), wide).unwrap();
+        let session = Session::builder()
+            .solver(SolverConfig::builder().node_limit(1).build())
+            .build()
+            .unwrap();
+        let out = session.check(&[&r, &s, &t]).unwrap();
+        assert_eq!(out.decision, Decision::Unknown);
+        assert_eq!(out.abort_reason, Some(AbortReason::NodeBudget));
     }
 
     #[test]

@@ -53,14 +53,14 @@ impl std::error::Error for TseitinError {}
 /// construction is polynomial for the fixed-parameter obstructions.
 ///
 /// ```
-/// use bagcons::pairwise::pairwise_consistent;
+/// use bagcons::session::Session;
 /// use bagcons::tseitin::tseitin_bags;
 /// use bagcons_hypergraph::triangle;
 ///
 /// let bags = tseitin_bags(&triangle()).unwrap();
 /// let refs: Vec<_> = bags.iter().collect();
 /// // locally consistent...
-/// assert!(pairwise_consistent(&refs).unwrap());
+/// assert!(Session::default().pairwise_consistent(&refs).unwrap());
 /// // ...but the three parity constraints admit no joint bag: even the
 /// // support-level join of the family is empty.
 /// let supports: Vec<_> = bags.iter().map(|b| b.support()).collect();
@@ -125,7 +125,7 @@ fn fill(
 mod tests {
     use super::*;
     use crate::global::globally_consistent_via_ilp;
-    use crate::pairwise::pairwise_consistent;
+    use crate::session::Session;
     use bagcons_core::Attr;
     use bagcons_hypergraph::{cycle, full_clique_complement, path, triangle};
     use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
@@ -169,7 +169,7 @@ mod tests {
             let bags = tseitin_bags(&cycle(n)).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
             assert!(
-                pairwise_consistent(&refs).unwrap(),
+                Session::default().pairwise_consistent(&refs).unwrap(),
                 "C(C_{n}) must be pairwise consistent"
             );
         }
@@ -181,7 +181,7 @@ mod tests {
             let bags = tseitin_bags(&full_clique_complement(n)).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
             assert!(
-                pairwise_consistent(&refs).unwrap(),
+                Session::default().pairwise_consistent(&refs).unwrap(),
                 "C(H_{n}) must be pairwise consistent"
             );
         }
@@ -247,7 +247,7 @@ mod tests {
             let bags = tseitin_bags(&h).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
             assert!(
-                pairwise_consistent(&refs).unwrap(),
+                Session::default().pairwise_consistent(&refs).unwrap(),
                 "C(circulant({n},{k})) must be pairwise consistent"
             );
             let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();

@@ -55,8 +55,7 @@ pub fn planted_pair<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagcons::global::is_global_witness;
-    use bagcons::pairwise::{bags_consistent, pairwise_consistent};
+    use bagcons::session::Session;
     use bagcons_core::{Attr, Schema};
     use bagcons_hypergraph::{cycle, path, star};
     use rand::rngs::StdRng;
@@ -68,8 +67,10 @@ mod tests {
         for h in [path(5), star(4), cycle(4)] {
             let (bags, witness) = planted_family(&h, 3, 40, 6, &mut rng).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
-            assert!(pairwise_consistent(&refs).unwrap());
-            assert!(is_global_witness(&witness, &refs).unwrap());
+            assert!(Session::default().pairwise_consistent(&refs).unwrap());
+            assert!(Session::default()
+                .is_global_witness(&witness, &refs)
+                .unwrap());
         }
     }
 
@@ -79,6 +80,6 @@ mod tests {
         let x = Schema::from_attrs([Attr(0), Attr(1)]);
         let y = Schema::from_attrs([Attr(1), Attr(2)]);
         let (r, s) = planted_pair(&x, &y, 4, 30, 8, &mut rng).unwrap();
-        assert!(bags_consistent(&r, &s).unwrap());
+        assert!(Session::default().bags_consistent(&r, &s).unwrap());
     }
 }

@@ -91,8 +91,7 @@ pub fn random_graph<R: Rng>(n: u32, p: f64, rng: &mut R) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagcons::global::is_global_witness;
-    use bagcons::pairwise::bags_consistent;
+    use bagcons::session::Session;
     use bagcons_lp::ilp::{count_solutions, SolverConfig};
     use bagcons_lp::ConsistencyProgram;
     use rand::rngs::StdRng;
@@ -105,7 +104,7 @@ mod tests {
         assert_eq!(s.support_size(), 2);
         assert_eq!(r.multiplicity(&[Value(1), Value(2)]), 1);
         assert_eq!(s.multiplicity(&[Value(2), Value(1)]), 1);
-        assert!(bags_consistent(&r, &s).unwrap());
+        assert!(Session::default().bags_consistent(&r, &s).unwrap());
     }
 
     #[test]
@@ -126,7 +125,10 @@ mod tests {
             let bags = example1_chain(n).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
             let j = example1_uniform_witness(n).unwrap();
-            assert!(is_global_witness(&j, &refs).unwrap(), "n = {n}");
+            assert!(
+                Session::default().is_global_witness(&j, &refs).unwrap(),
+                "n = {n}"
+            );
             assert_eq!(j.support_size(), 1 << n);
         }
     }

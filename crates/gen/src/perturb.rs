@@ -33,7 +33,7 @@ pub fn scale_one(bags: &mut [Bag], index: usize, k: u64) -> Result<()> {
 mod tests {
     use super::*;
     use crate::consistent::planted_family;
-    use bagcons::pairwise::pairwise_consistent;
+    use bagcons::session::Session;
     use bagcons_hypergraph::path;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -44,12 +44,12 @@ mod tests {
         let (mut bags, _) = planted_family(&path(4), 3, 30, 5, &mut rng).unwrap();
         {
             let refs: Vec<&Bag> = bags.iter().collect();
-            assert!(pairwise_consistent(&refs).unwrap());
+            assert!(Session::default().pairwise_consistent(&refs).unwrap());
         }
         let idx = bump_one_tuple(&mut bags, &mut rng).unwrap();
         assert!(idx.is_some());
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(!pairwise_consistent(&refs).unwrap());
+        assert!(!Session::default().pairwise_consistent(&refs).unwrap());
     }
 
     #[test]
@@ -58,7 +58,7 @@ mod tests {
         let (mut bags, _) = planted_family(&path(3), 3, 20, 5, &mut rng).unwrap();
         scale_one(&mut bags, 0, 3).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(!pairwise_consistent(&refs).unwrap());
+        assert!(!Session::default().pairwise_consistent(&refs).unwrap());
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn bumped_3dct<R: Rng>(base: &ContingencyTable3D, rng: &mut R) -> Contingenc
 mod tests {
     use super::*;
     use bagcons::global::globally_consistent_via_ilp;
-    use bagcons::pairwise::pairwise_consistent;
+    use bagcons::session::Session;
     use bagcons_lp::ilp::{IlpOutcome, SolverConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -134,7 +134,10 @@ mod tests {
             let inst = tseitin_3dct(scale).unwrap();
             let bags = inst.to_bags().unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
-            assert!(pairwise_consistent(&refs).unwrap(), "scale {scale}");
+            assert!(
+                Session::default().pairwise_consistent(&refs).unwrap(),
+                "scale {scale}"
+            );
             let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
             assert_eq!(dec.outcome, IlpOutcome::Unsat, "scale {scale}");
         }

@@ -69,21 +69,14 @@ pub use bagcons::session::Session;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use bagcons::dichotomy::{GcpbOutcome, GcpbReport};
     pub use bagcons::report::{Lemma2Report, Render, ReportFormat};
     pub use bagcons::session::{
         Branch, CheckOutcome, CounterexampleOutcome, DatasetSource, Decision, DiagnoseOutcome,
         PairwiseOutcome, SchemaOutcome, Session, SessionBuilder, SessionError, StageTiming,
         WitnessOutcome,
     };
-    #[allow(deprecated)]
-    #[doc(hidden)]
     pub use bagcons::{
-        acyclic::acyclic_global_witness,
-        dichotomy::decide_global_consistency,
-        global::{globally_consistent_via_ilp, is_global_witness},
-        minimal::minimal_two_bag_witness,
-        pairwise::{bags_consistent, consistency_witness, pairwise_consistent},
+        global::globally_consistent_via_ilp, minimal::minimal_two_bag_witness,
         tseitin::tseitin_bags,
     };
     pub use bagcons_core::{

@@ -118,7 +118,9 @@ fn counterexample_roundtrips_through_check() {
         .collect();
     assert_eq!(bags.len(), 3);
     let refs: Vec<&bagcons_core::Bag> = bags.iter().collect();
-    assert!(bagcons::pairwise::pairwise_consistent(&refs).unwrap());
+    assert!(bagcons::session::Session::default()
+        .pairwise_consistent(&refs)
+        .unwrap());
     let dec = bagcons::global::globally_consistent_via_ilp(
         &refs,
         &bagcons_lp::ilp::SolverConfig::default(),

@@ -2,8 +2,9 @@
 //! obstruction sequences, and the set-vs-bag contrast end to end.
 
 use bag_consistency::prelude::*;
+use bagcons::acyclic::WitnessStrategy;
 use bagcons::kwise::k_wise_consistent;
-use bagcons::lifting::{apply_to_schemas, lift_through_sequence};
+use bagcons::lifting::{apply_to_schemas, lift_through_sequence_with};
 use bagcons::sets::{coloring_relations, relations_globally_consistent};
 use bagcons_hypergraph::{find_obstruction, triangle, ObstructionKind, SafeDeletion};
 use bagcons_lp::ilp::SolverConfig;
@@ -14,16 +15,21 @@ fn prelude_covers_the_whole_headline_api() {
     let y = Schema::range(1, 3);
     let r = Bag::from_u64s(x, [(&[1u64, 2][..], 1), (&[2, 2][..], 1)]).unwrap();
     let s = Bag::from_u64s(y, [(&[2u64, 1][..], 1), (&[2, 2][..], 1)]).unwrap();
-    assert!(bags_consistent(&r, &s).unwrap());
-    let t = consistency_witness(&r, &s).unwrap().unwrap();
-    assert!(is_global_witness(&t, &[&r, &s]).unwrap());
+    let session = Session::default();
+    assert!(session.bags_consistent(&r, &s).unwrap());
+    let t = session.consistency_witness(&r, &s).unwrap().unwrap();
+    assert!(session.is_global_witness(&t, &[&r, &s]).unwrap());
     let tm = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
     assert!(tm.support_size() <= t.support_size());
-    assert!(pairwise_consistent(&[&r, &s]).unwrap());
-    let w = acyclic_global_witness(&[&r, &s]).unwrap();
-    assert!(is_global_witness(&w, &[&r, &s]).unwrap());
-    let rep = decide_global_consistency(&[&r, &s], &SolverConfig::default()).unwrap();
-    assert!(rep.outcome.is_consistent());
+    assert!(session.pairwise_consistent(&[&r, &s]).unwrap());
+    let w = session
+        .acyclic_global_witness(&[&r, &s], WitnessStrategy::Minimal)
+        .unwrap();
+    assert!(session.is_global_witness(&w, &[&r, &s]).unwrap());
+    let out = session.check(&[&r, &s]).unwrap();
+    assert_eq!(out.decision, Decision::Consistent);
+    let ilp = globally_consistent_via_ilp(&[&r, &s], session.solver()).unwrap();
+    assert!(ilp.outcome.is_sat());
     let tri = tseitin_bags(&triangle()).unwrap();
     assert_eq!(tri.len(), 3);
     let _h: Hypergraph = triangle();
@@ -56,8 +62,14 @@ fn lemma4_lifting_preserves_kwise_consistency_both_ways() {
     );
 
     // lift to D1 (original end)
-    let lifted =
-        lift_through_sequence(h.edges(), &ob.deletions, &seed, bagcons_core::Value(0)).unwrap();
+    let lifted = lift_through_sequence_with(
+        h.edges(),
+        &ob.deletions,
+        &seed,
+        bagcons_core::Value(0),
+        &ExecConfig::default(),
+    )
+    .unwrap();
     let refs: Vec<&Bag> = lifted.iter().collect();
     assert_eq!(
         k_wise_consistent(&refs, 2, &SolverConfig::default()).unwrap(),
@@ -131,10 +143,11 @@ fn bag_and_set_semantics_disagree_exactly_as_the_paper_says() {
     // R[B] = {0:2}, S[B] = {0:2} — consistent as bags AND relations
     let r = Bag::from_u64s(x, [(&[0u64, 0][..], 1), (&[1, 0][..], 1)]).unwrap();
     let s = Bag::from_u64s(y, [(&[0u64, 0][..], 2)]).unwrap();
-    assert!(bags_consistent(&r, &s).unwrap());
+    let session = Session::default();
+    assert!(session.bags_consistent(&r, &s).unwrap());
     // but scale one side: relations unchanged, bags now inconsistent
     let s3 = s.scale(3).unwrap();
-    assert!(!bags_consistent(&r, &s3).unwrap());
+    assert!(!session.bags_consistent(&r, &s3).unwrap());
     let (set_ok, _) = relations_globally_consistent(&[&r.support(), &s3.support()]).unwrap();
     assert!(set_ok, "set semantics ignores the multiplicity change");
 }

@@ -1,11 +1,11 @@
 //! Integration: the Theorem 4 dichotomy and the hardness reductions
 //! (experiments E6–E8 at test scale).
 
-use bagcons::dichotomy::{decide_global_consistency, GcpbOutcome};
-use bagcons::global::{globally_consistent_via_ilp, is_global_witness};
+use bagcons::global::globally_consistent_via_ilp;
 use bagcons::reductions::{
     lift_clique_complement_instance, lift_cycle_instance, project_cycle_witness,
 };
+use bagcons::session::{Decision, Session};
 use bagcons::tseitin::tseitin_bags;
 use bagcons_core::Bag;
 use bagcons_gen::consistent::planted_family;
@@ -21,10 +21,10 @@ fn acyclic_instances_never_touch_the_search() {
     for h in [path(4), path(8), star(5)] {
         let (bags, _) = planted_family(&h, 3, 30, 10, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let rep = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
-        assert!(rep.acyclic);
-        assert_eq!(rep.search_nodes, 0, "polynomial path must not search");
-        assert!(rep.outcome.is_consistent());
+        let out = Session::default().check(&refs).unwrap();
+        assert!(out.branch.is_acyclic());
+        assert_eq!(out.search_nodes, 0, "polynomial path must not search");
+        assert_eq!(out.decision, Decision::Consistent);
     }
 }
 
@@ -35,17 +35,17 @@ fn cyclic_instances_search_and_decide_correctly() {
     let sat = planted_3dct(3, 3, &mut rng);
     let bags = sat.to_bags().unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    let rep = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
-    assert!(!rep.acyclic);
-    assert!(rep.outcome.is_consistent());
+    let out = Session::default().check(&refs).unwrap();
+    assert!(!out.branch.is_acyclic());
+    assert_eq!(out.decision, Decision::Consistent);
 
     // unsatisfiable: Tseitin margins
     let unsat = tseitin_3dct(9).unwrap();
     let bags = unsat.to_bags().unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    let rep = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
-    assert!(!rep.acyclic);
-    assert!(matches!(rep.outcome, GcpbOutcome::Inconsistent));
+    let out = Session::default().check(&refs).unwrap();
+    assert!(!out.branch.is_acyclic());
+    assert_eq!(out.decision, Decision::Inconsistent);
 }
 
 #[test]
@@ -82,7 +82,9 @@ fn lemma6_chain_preserves_both_answers_up_to_c6() {
     let w = prog.bag_from_solution(x).unwrap();
     let back = project_cycle_witness(&w, 3).unwrap();
     let orig_refs: Vec<&Bag> = bags.iter().collect();
-    assert!(is_global_witness(&back, &orig_refs).unwrap());
+    assert!(Session::default()
+        .is_global_witness(&back, &orig_refs)
+        .unwrap());
 }
 
 #[test]
@@ -130,13 +132,10 @@ fn node_budget_degrades_gracefully() {
     let inst = planted_3dct(4, 6, &mut rng);
     let bags = inst.to_bags().unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    let tiny = SolverConfig {
-        node_limit: Some(2),
-        ..Default::default()
-    };
-    let rep = decide_global_consistency(&refs, &tiny).unwrap();
+    let tiny = Session::builder().budget(2).build().unwrap();
+    let out = tiny.check(&refs).unwrap();
     assert!(matches!(
-        rep.outcome,
-        GcpbOutcome::Unknown | GcpbOutcome::Consistent(_)
+        out.decision,
+        Decision::Unknown | Decision::Consistent
     ));
 }

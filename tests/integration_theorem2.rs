@@ -2,10 +2,10 @@
 //! bags (experiment E4 at test scale), plus the structural equivalences
 //! (a)–(d) of Theorems 1/2.
 
-use bagcons::acyclic::acyclic_global_witness;
-use bagcons::global::{globally_consistent_via_ilp, is_global_witness};
+use bagcons::acyclic::WitnessStrategy;
+use bagcons::global::globally_consistent_via_ilp;
 use bagcons::lifting::pairwise_consistent_globally_inconsistent;
-use bagcons::pairwise::pairwise_consistent;
+use bagcons::session::Session;
 use bagcons_core::{Attr, Bag, Schema};
 use bagcons_gen::consistent::planted_family;
 use bagcons_hypergraph::{
@@ -61,9 +61,14 @@ fn acyclic_direction_pairwise_implies_global() {
         for _ in 0..5 {
             let (bags, _) = planted_family(&h, 3, 25, 8, &mut rng).unwrap();
             let refs: Vec<&Bag> = bags.iter().collect();
-            assert!(pairwise_consistent(&refs).unwrap());
-            let t = acyclic_global_witness(&refs).unwrap();
-            assert!(is_global_witness(&t, &refs).unwrap(), "on {h}");
+            assert!(Session::default().pairwise_consistent(&refs).unwrap());
+            let t = Session::default()
+                .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+                .unwrap();
+            assert!(
+                Session::default().is_global_witness(&t, &refs).unwrap(),
+                "on {h}"
+            );
         }
     }
 }
@@ -87,7 +92,7 @@ fn cyclic_direction_explicit_counterexamples() {
         }
         let refs: Vec<&Bag> = bags.iter().collect();
         assert!(
-            pairwise_consistent(&refs).unwrap(),
+            Session::default().pairwise_consistent(&refs).unwrap(),
             "lift lost pairwise consistency on {h}"
         );
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();

@@ -1,9 +1,9 @@
 //! Integration: witness sizes — Theorem 3, Theorem 5, Theorem 6, and
 //! Example 1 (experiments E5, E9, E10 at test scale).
 
-use bagcons::acyclic::{acyclic_global_witness_with, WitnessStrategy};
-use bagcons::global::is_global_witness;
+use bagcons::acyclic::WitnessStrategy;
 use bagcons::minimal::minimal_two_bag_witness;
+use bagcons::session::Session;
 use bagcons_core::{Bag, Schema};
 use bagcons_gen::consistent::{planted_family, planted_pair};
 use bagcons_gen::families::{example1_chain, example1_uniform_witness, section3_pair};
@@ -30,7 +30,7 @@ fn example1_bag_join_witness_is_exponentially_bigger_than_input() {
             j.support_size()
         );
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(is_global_witness(&j, &refs).unwrap());
+        assert!(Session::default().is_global_witness(&j, &refs).unwrap());
     }
 }
 
@@ -42,8 +42,10 @@ fn example1_minimal_witness_stays_polynomial() {
     for n in [6u32, 10, 14] {
         let bags = example1_chain(n).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
-        assert!(is_global_witness(&t, &refs).unwrap());
+        let t = Session::default()
+            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .unwrap();
+        assert!(Session::default().is_global_witness(&t, &refs).unwrap());
         let supp_bound: usize = refs.iter().map(|b| b.support_size()).sum();
         assert!(t.support_size() <= supp_bound, "Theorem 6 bound at n = {n}");
         assert!((t.support_size() as u64) <= es_support_bound(&refs));
@@ -108,10 +110,12 @@ fn theorem6_chain_bound_on_larger_acyclic_families() {
     for h in [path(6), star(5)] {
         let (bags, _) = planted_family(&h, 4, 50, 12, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
+        let t = Session::default()
+            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .unwrap();
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
         assert!(t.support_size() <= bound);
-        assert!(is_global_witness(&t, &refs).unwrap());
+        assert!(Session::default().is_global_witness(&t, &refs).unwrap());
         // Theorem 3(1): multiplicities bounded by the inputs' maximum
         let mu = refs.iter().map(|b| b.multiplicity_bound()).max().unwrap();
         assert!(t.multiplicity_bound() <= mu);
@@ -126,10 +130,14 @@ fn saturated_vs_minimal_strategy_support_comparison() {
     let mut rng = StdRng::seed_from_u64(321);
     let (bags, _) = planted_family(&path(5), 4, 40, 9, &mut rng).unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    let sat = acyclic_global_witness_with(&refs, WitnessStrategy::Saturated).unwrap();
-    let min = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
-    assert!(is_global_witness(&sat, &refs).unwrap());
-    assert!(is_global_witness(&min, &refs).unwrap());
+    let sat = Session::default()
+        .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
+        .unwrap();
+    let min = Session::default()
+        .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+        .unwrap();
+    assert!(Session::default().is_global_witness(&sat, &refs).unwrap());
+    assert!(Session::default().is_global_witness(&min, &refs).unwrap());
     let bound: usize = refs.iter().map(|b| b.support_size()).sum();
     assert!(min.support_size() <= bound);
 }

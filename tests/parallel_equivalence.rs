@@ -41,6 +41,11 @@ fn cfg(threads: usize) -> ExecConfig {
         .unwrap()
 }
 
+/// A session running under [`cfg`].
+fn session(threads: usize) -> Session {
+    Session::builder().exec(cfg(threads)).build().unwrap()
+}
+
 /// Strategy: a bag over `{A_first..A_first+arity}` with a tiny domain, so
 /// keys collide heavily and shard boundaries land inside group clusters.
 fn arb_bag(first: u32, arity: u32, domain: u64, max_support: usize) -> impl Strategy<Value = Bag> {
@@ -216,9 +221,9 @@ proptest! {
     #[test]
     fn semijoin_parallel_matches_sequential((r, s) in arb_pair()) {
         let (r, s) = (r.support(), s.support());
-        let seq = bagcons::reducer::semijoin(&r, &s).unwrap();
+        let seq = Session::default().semijoin(&r, &s).unwrap();
         for threads in THREADS {
-            let par = bagcons::reducer::semijoin_with(&r, &s, &cfg(threads)).unwrap();
+            let par = session(threads).semijoin(&r, &s).unwrap();
             prop_assert_eq!(&par, &seq, "threads = {}", threads);
         }
     }
@@ -227,10 +232,9 @@ proptest! {
     /// end-to-end (marginal pre-check + network build + flow).
     #[test]
     fn consistency_witness_parallel_matches_sequential((r, s) in arb_pair()) {
-        let seq = consistency_witness(&r, &s).unwrap();
+        let seq = Session::default().consistency_witness(&r, &s).unwrap();
         for threads in THREADS {
-            let par = bagcons::pairwise::consistency_witness_with(&r, &s, &cfg(threads))
-                .unwrap();
+            let par = session(threads).consistency_witness(&r, &s).unwrap();
             prop_assert_eq!(&par, &seq, "threads = {}", threads);
         }
     }

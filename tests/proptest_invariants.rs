@@ -92,7 +92,7 @@ proptest! {
     /// Lemma 1: every consistency witness has support inside `R' ⋈ S'`.
     #[test]
     fn lemma1_witness_support((r, s) in arb_pair()) {
-        if let Some(t) = consistency_witness(&r, &s).unwrap() {
+        if let Some(t) = Session::default().consistency_witness(&r, &s).unwrap() {
             let join_supp = relation_join(&r.support(), &s.support());
             prop_assert!(t.support().subset_of(&join_supp));
         }
@@ -101,7 +101,7 @@ proptest! {
     /// Lemma 2: the flow test agrees with the marginal test.
     #[test]
     fn lemma2_flow_agrees_with_marginals((r, s) in arb_pair()) {
-        let by_marginals = bags_consistent(&r, &s).unwrap();
+        let by_marginals = Session::default().bags_consistent(&r, &s).unwrap();
         let by_flow = bagcons_flow::ConsistencyNetwork::build(&r, &s)
             .unwrap()
             .solve()
@@ -112,7 +112,7 @@ proptest! {
     /// Corollary 1: the witness really marginalizes to both inputs.
     #[test]
     fn corollary1_witness_is_correct((r, s) in arb_pair()) {
-        if let Some(t) = consistency_witness(&r, &s).unwrap() {
+        if let Some(t) = Session::default().consistency_witness(&r, &s).unwrap() {
             prop_assert_eq!(t.marginal(r.schema()).unwrap(), r);
             prop_assert_eq!(t.marginal(s.schema()).unwrap(), s);
         }
@@ -122,7 +122,7 @@ proptest! {
     /// support bounds.
     #[test]
     fn theorem3_bounds_on_flow_witness((r, s) in arb_pair()) {
-        if let Some(t) = consistency_witness(&r, &s).unwrap() {
+        if let Some(t) = Session::default().consistency_witness(&r, &s).unwrap() {
             let mu = r.multiplicity_bound().max(s.multiplicity_bound());
             prop_assert!(t.multiplicity_bound() <= mu);
             prop_assert!((t.support_size() as u128) <= r.unary_size() + s.unary_size());
@@ -150,10 +150,10 @@ proptest! {
     /// Scaling preserves pairwise consistency.
     #[test]
     fn scaling_preserves_consistency((r, s) in arb_pair(), k in 1..5u64) {
-        let consistent = bags_consistent(&r, &s).unwrap();
+        let consistent = Session::default().bags_consistent(&r, &s).unwrap();
         let rk = r.scale(k).unwrap();
         let sk = s.scale(k).unwrap();
-        prop_assert_eq!(bags_consistent(&rk, &sk).unwrap(), consistent);
+        prop_assert_eq!(Session::default().bags_consistent(&rk, &sk).unwrap(), consistent);
     }
 }
 

@@ -1,10 +1,8 @@
-//! Property tests: the `Session` facade is observationally identical to
-//! the legacy free-function API.
+//! Property tests: a `Session` answers identically at every thread count.
 //!
-//! `Session::default()` must be bit-identical to the legacy plain entry
-//! points (which now delegate through it), and a session pinned to
-//! threads 1/2/4 must be bit-identical to the canonical `_with` variants
-//! at the same thread counts. Inputs come from the `bagcons-gen` family
+//! A session pinned to one worker thread is the reference; sessions at
+//! threads 2 and 4 (sharding everything they legally can) must be
+//! bit-identical to it. Inputs come from the `bagcons-gen` family
 //! generators (planted consistent families, Tseitin paradoxes, Section 3
 //! pairs) driven by proptest-chosen seeds and perturbations, so both the
 //! acyclic and cyclic dichotomy branches and both the consistent and
@@ -12,19 +10,16 @@
 
 use bag_consistency::prelude::*;
 use bagcons::acyclic::WitnessStrategy;
-use bagcons::diagnose::{diagnose, Diagnosis};
-use bagcons::dichotomy::decide_global_consistency;
-use bagcons::pairwise::{bags_consistent_with, consistency_witness_with, first_inconsistent_pair};
+use bagcons::diagnose::Diagnosis;
 use bagcons_gen::consistent::{planted_family, planted_pair};
 use bagcons_gen::families::section3_pair;
 use bagcons_gen::perturb::bump_one_tuple;
-use bagcons_lp::ilp::SolverConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Thread counts under test (1 is the sequential fallback).
-const THREADS: [usize; 3] = [1, 2, 4];
+/// Thread counts compared against the `session(1)` reference.
+const THREADS: [usize; 2] = [2, 4];
 
 /// A session that shards everything it legally can at `threads` workers.
 fn session(threads: usize) -> Session {
@@ -36,14 +31,6 @@ fn session(threads: usize) -> Session {
                 .build()
                 .unwrap(),
         )
-        .build()
-        .unwrap()
-}
-
-fn exec(threads: usize) -> ExecConfig {
-    ExecConfig::builder()
-        .threads(threads)
-        .min_parallel_support(1)
         .build()
         .unwrap()
 }
@@ -66,35 +53,29 @@ fn gen_pair(seed: u64, support: usize, perturb: bool) -> (Bag, Bag) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Session::default()` ≡ legacy plain functions ≡ `_with` at every
-    /// thread count, for two-bag consistency and witnesses.
+    /// Two-bag consistency and witnesses agree with the one-thread
+    /// reference at every thread count and under `Session::default()`.
     #[test]
     fn two_bag_paths_agree(seed in 0u64..1 << 48, support in 0usize..64, perturb in 0u8..2) {
         let (r, s) = gen_pair(seed, support, perturb == 1);
-        let legacy = bags_consistent(&r, &s).unwrap();
-        let legacy_witness = consistency_witness(&r, &s).unwrap();
-        prop_assert_eq!(Session::default().bags_consistent(&r, &s).unwrap(), legacy);
-        prop_assert_eq!(
-            &Session::default().consistency_witness(&r, &s).unwrap(),
-            &legacy_witness
-        );
+        let reference = session(1);
+        let consistent = reference.bags_consistent(&r, &s).unwrap();
+        let witness = reference.consistency_witness(&r, &s).unwrap();
+        prop_assert_eq!(witness.is_some(), consistent);
+        prop_assert_eq!(Session::default().bags_consistent(&r, &s).unwrap(), consistent);
+        prop_assert_eq!(&Session::default().consistency_witness(&r, &s).unwrap(), &witness);
         for threads in THREADS {
-            prop_assert_eq!(bags_consistent_with(&r, &s, &exec(threads)).unwrap(), legacy);
-            prop_assert_eq!(session(threads).bags_consistent(&r, &s).unwrap(), legacy);
-            prop_assert_eq!(
-                &consistency_witness_with(&r, &s, &exec(threads)).unwrap(),
-                &legacy_witness,
-                "witness must be bit-identical at threads = {}", threads
-            );
+            prop_assert_eq!(session(threads).bags_consistent(&r, &s).unwrap(), consistent);
             prop_assert_eq!(
                 &session(threads).consistency_witness(&r, &s).unwrap(),
-                &legacy_witness
+                &witness,
+                "witness must be bit-identical at threads = {}", threads
             );
         }
     }
 
-    /// `Session::check` ≡ legacy `decide_global_consistency` on acyclic
-    /// planted families (decision, branch, witness, node count).
+    /// `Session::check` on acyclic planted families (decision, branch,
+    /// witness, node count) matches the one-thread dichotomy decision.
     #[test]
     fn check_matches_dichotomy_acyclic(seed in 0u64..1 << 48, perturb in 0u8..2) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -108,19 +89,16 @@ proptest! {
             bump_one_tuple(&mut bags, &mut rng).unwrap();
         }
         let refs: Vec<&Bag> = bags.iter().collect();
-        let legacy = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
+        let reference = session(1).check(&refs).unwrap();
+        prop_assert!(reference.branch.is_acyclic());
+        prop_assert_eq!(reference.witness.is_some(), reference.decision == Decision::Consistent);
         for threads in THREADS {
             let out = session(threads).check(&refs).unwrap();
-            prop_assert_eq!(out.branch.is_acyclic(), legacy.acyclic);
-            prop_assert_eq!(out.search_nodes, legacy.search_nodes);
-            match (&legacy.outcome, &out.decision) {
-                (GcpbOutcome::Consistent(w), Decision::Consistent) => {
-                    prop_assert_eq!(w, out.witness.as_ref().unwrap());
-                }
-                (GcpbOutcome::Inconsistent, Decision::Inconsistent) => {}
-                (GcpbOutcome::Unknown, Decision::Unknown) => {}
-                (l, o) => prop_assert!(false, "legacy {l:?} vs session {o:?}"),
-            }
+            prop_assert_eq!(out.branch, reference.branch);
+            prop_assert_eq!(out.search_nodes, reference.search_nodes);
+            prop_assert_eq!(out.decision, reference.decision);
+            prop_assert_eq!(&out.witness, &reference.witness);
+            prop_assert_eq!(out.inconsistent_pair, reference.inconsistent_pair);
         }
     }
 
@@ -134,24 +112,25 @@ proptest! {
             bump_one_tuple(&mut bags, &mut rng).unwrap();
         }
         let refs: Vec<&Bag> = bags.iter().collect();
-        let legacy = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
+        let reference = session(1).check(&refs).unwrap();
+        prop_assert!(!reference.branch.is_acyclic());
         for threads in THREADS {
             let out = session(threads).check(&refs).unwrap();
             prop_assert!(!out.branch.is_acyclic());
-            prop_assert_eq!(out.search_nodes, legacy.search_nodes);
-            prop_assert_eq!(out.decision == Decision::Consistent, legacy.outcome.is_consistent());
+            prop_assert_eq!(out.search_nodes, reference.search_nodes);
+            prop_assert_eq!(out.decision, reference.decision);
         }
     }
 
-    /// `Session::diagnose` ≡ legacy `diagnose` (same mismatches in the
-    /// same order, same schema verdict) at every thread count.
+    /// `Session::diagnose` reports the same mismatches in the same order
+    /// and the same schema verdict at every thread count.
     #[test]
     fn diagnose_agrees(seed in 0u64..1 << 48, perturb in 0u8..2) {
         let (r, s) = gen_pair(seed, 24, perturb == 1);
-        let legacy = diagnose(&[&r, &s], Session::DEFAULT_MAX_MISMATCHES).unwrap();
+        let reference = session(1).diagnose(&[&r, &s]).unwrap().diagnosis;
         for threads in THREADS {
             let out = session(threads).diagnose(&[&r, &s]).unwrap();
-            match (&legacy, &out.diagnosis) {
+            match (&reference, &out.diagnosis) {
                 (
                     Diagnosis::PairwiseConsistent { acyclic: a, .. },
                     Diagnosis::PairwiseConsistent { acyclic: b, .. },
@@ -164,20 +143,20 @@ proptest! {
         }
     }
 
-    /// The acyclic witness chain is bit-identical across the facade, the
-    /// legacy entry point, and every thread count, for both strategies.
+    /// The acyclic witness chain is bit-identical at every thread count,
+    /// for both strategies.
     #[test]
     fn acyclic_witness_agrees(seed in 0u64..1 << 48) {
         let mut rng = StdRng::seed_from_u64(seed);
         let h = Hypergraph::from_edges([Schema::range(0, 2), Schema::range(1, 3)]);
         let (bags, _) = planted_family(&h, 4, 32, 6, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let legacy = acyclic_global_witness(&refs).unwrap();
-        for threads in THREADS {
-            let t = session(threads)
-                .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
-                .unwrap();
-            prop_assert_eq!(&t, &legacy, "threads = {}", threads);
+        for strategy in [WitnessStrategy::Minimal, WitnessStrategy::Saturated] {
+            let reference = session(1).acyclic_global_witness(&refs, strategy).unwrap();
+            for threads in THREADS {
+                let t = session(threads).acyclic_global_witness(&refs, strategy).unwrap();
+                prop_assert_eq!(&t, &reference, "threads = {}, {:?}", threads, strategy);
+            }
         }
     }
 }
@@ -186,25 +165,30 @@ proptest! {
 fn section3_family_agrees_at_all_scales() {
     for n in [2u64, 3, 5, 16] {
         let (r, s) = section3_pair(n).unwrap();
-        let legacy = consistency_witness(&r, &s).unwrap().unwrap();
-        assert!(pairwise_consistent(&[&r, &s]).unwrap());
-        assert_eq!(first_inconsistent_pair(&[&r, &s]).unwrap(), None);
+        let reference = session(1);
+        let witness = reference.consistency_witness(&r, &s).unwrap().unwrap();
+        assert!(reference.pairwise_consistent(&[&r, &s]).unwrap());
+        assert_eq!(reference.first_inconsistent_pair(&[&r, &s]).unwrap(), None);
         for threads in THREADS {
             let sess = session(threads);
-            assert_eq!(sess.consistency_witness(&r, &s).unwrap().unwrap(), legacy);
+            assert_eq!(sess.consistency_witness(&r, &s).unwrap().unwrap(), witness);
             assert_eq!(sess.first_inconsistent_pair(&[&r, &s]).unwrap(), None);
         }
     }
 }
 
 #[test]
-fn session_default_matches_legacy_on_tseitin_paradox() {
+fn tseitin_paradox_agrees_across_threads() {
     let bags = bagcons::tseitin::tseitin_bags(&bagcons_hypergraph::cycle(4)).unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
-    assert!(pairwise_consistent(&refs).unwrap());
-    let legacy = decide_global_consistency(&refs, &SolverConfig::default()).unwrap();
-    assert!(matches!(legacy.outcome, GcpbOutcome::Inconsistent));
-    let out = Session::default().check(&refs).unwrap();
-    assert_eq!(out.decision, Decision::Inconsistent);
-    assert_eq!(out.search_nodes, legacy.search_nodes);
+    let reference = session(1);
+    assert!(reference.pairwise_consistent(&refs).unwrap());
+    let expected = reference.check(&refs).unwrap();
+    assert_eq!(expected.decision, Decision::Inconsistent);
+    for sess in [Session::default(), session(2), session(4)] {
+        assert!(sess.pairwise_consistent(&refs).unwrap());
+        let out = sess.check(&refs).unwrap();
+        assert_eq!(out.decision, Decision::Inconsistent);
+        assert_eq!(out.search_nodes, expected.search_nodes);
+    }
 }

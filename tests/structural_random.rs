@@ -4,7 +4,7 @@
 
 use bagcons::global::globally_consistent_via_ilp;
 use bagcons::lifting::pairwise_consistent_globally_inconsistent;
-use bagcons::pairwise::pairwise_consistent;
+use bagcons::session::Session;
 use bagcons_core::Bag;
 use bagcons_gen::random::random_hypergraph;
 use bagcons_hypergraph::{
@@ -71,7 +71,10 @@ fn counterexample_pipeline_on_random_cyclic_hypergraphs() {
             .expect("cyclic hypergraph must yield a counterexample");
         assert_eq!(bags.len(), h.num_edges());
         let refs: Vec<&Bag> = bags.iter().collect();
-        assert!(pairwise_consistent(&refs).unwrap(), "on {h}");
+        assert!(
+            Session::default().pairwise_consistent(&refs).unwrap(),
+            "on {h}"
+        );
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Unsat, "on {h}");
         verified += 1;
