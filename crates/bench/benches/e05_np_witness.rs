@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
             let refs: Vec<&Bag> = bags.iter().collect();
             b.iter(|| {
                 session
-                    .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+                    .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
                     .unwrap()
                     .support_size()
             })

@@ -1,6 +1,6 @@
 //! E13 — the sharded execution layer: merge join, prefix marginal sweep,
-//! and consistency-network middle-edge build at thread counts 1/2/4 on
-//! the e02 two-bag workload.
+//! and the two-bag witness fill at thread counts 1/2/4 on the e02
+//! two-bag workload.
 //!
 //! Shape expected: `threads = 1` matches the e12 sequential numbers
 //! (same code path); higher thread counts scale the three sweeps with
@@ -8,9 +8,9 @@
 //! thread + splice overhead, which the `min_parallel_support` fallback
 //! keeps off the default paths.
 
+use bagcons::session::Session;
 use bagcons_core::join::bag_join_merge_with;
 use bagcons_core::{ExecConfig, Schema};
-use bagcons_flow::ConsistencyNetwork;
 use bagcons_gen::consistent::planted_pair;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -32,6 +32,7 @@ fn bench(c: &mut Criterion) {
                 .min_parallel_support(1024)
                 .build()
                 .unwrap();
+            let session = Session::builder().exec(cfg.clone()).build().unwrap();
             let tag = format!("s{support}_t{threads}");
             g.bench_with_input(BenchmarkId::new("join_merge", &tag), &support, |b, _| {
                 b.iter(|| bag_join_merge_with(&r, &s, &cfg).unwrap().support_size())
@@ -39,11 +40,13 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new("marginal", &tag), &support, |b, _| {
                 b.iter(|| s.marginal_with(&z, &cfg).unwrap().support_size())
             });
-            g.bench_with_input(BenchmarkId::new("network_build", &tag), &support, |b, _| {
+            g.bench_with_input(BenchmarkId::new("witness_fill", &tag), &support, |b, _| {
                 b.iter(|| {
-                    ConsistencyNetwork::build_with(&r, &s, &cfg)
+                    session
+                        .consistency_witness(&r, &s)
                         .unwrap()
-                        .num_middle_edges()
+                        .expect("planted pairs are consistent")
+                        .support_size()
                 })
             });
         }

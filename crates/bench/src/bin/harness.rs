@@ -244,7 +244,7 @@ fn e5() {
             format!("2^{n}")
         };
         let t = session
-            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
             .unwrap();
         assert!(session.is_global_witness(&t, &refs).unwrap());
         let bound = es_support_bound(&refs);
@@ -410,7 +410,7 @@ fn e9() {
     header("E9", "Minimal two-bag witnesses vs the Carathéodory bound");
     println!(
         "{:>9} {:>10} {:>10} {:>12} {:>12}",
-        "bound", "flow W", "minimal W", "middle edges", "time(ms)"
+        "bound", "fill W", "minimal W", "middle edges", "time(ms)"
     );
     let mut rng = StdRng::seed_from_u64(9);
     let x = Schema::range(0, 2);
@@ -419,17 +419,20 @@ fn e9() {
     for exp in [3u32, 4, 5, 6, 7, 8] {
         let support = 1usize << exp;
         let (r, s) = planted_pair(&x, &y, (support as u64) / 2 + 2, support, 64, &mut rng).unwrap();
-        let flow_w = session.consistency_witness(&r, &s).unwrap().unwrap();
+        let fill_w = session.consistency_witness(&r, &s).unwrap().unwrap();
         let join = bagcons_core::join::relation_join(&r.support(), &s.support());
         let t0 = Instant::now();
         let min_w = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
         let dt = ms(t0);
         let bound = r.support_size() + s.support_size();
         assert!(min_w.support_size() <= bound);
+        // The fill is a vertex of each group's transportation polytope.
+        let groups = r.marginal(&x.intersection(&y)).unwrap().support_size();
+        assert!(fill_w.support_size() <= bound - groups);
         println!(
             "{:>9} {:>10} {:>10} {:>12} {:>12.2}",
             bound,
-            flow_w.support_size(),
+            fill_w.support_size(),
             min_w.support_size(),
             join.len(),
             dt
@@ -456,7 +459,7 @@ fn e10() {
         let refs: Vec<&Bag> = bags.iter().collect();
         let t0 = Instant::now();
         let t = session
-            .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+            .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
             .unwrap();
         let dt = ms(t0);
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
@@ -560,13 +563,12 @@ fn e12() {
 }
 
 /// E13 — the execution layer: shard-parallel merge join, prefix marginal
-/// sweep, and consistency-network build across a threads × support grid.
+/// sweep, and the two-bag witness fill across a threads × support grid.
 /// `threads = 1` is the unchanged sequential path (the PR 1 baseline);
 /// writes the grid to `BENCH_e13.json` in the current directory.
 fn e13() {
     use bagcons_core::join::bag_join_merge_with;
     use bagcons_core::ExecConfig;
-    use bagcons_flow::ConsistencyNetwork;
 
     header(
         "E13",
@@ -576,7 +578,7 @@ fn e13() {
     println!("host parallelism: {host} (speedups need threads <= cores)");
     println!(
         "{:>9} {:>8} {:>12} {:>14} {:>16}",
-        "support", "threads", "join(ms)", "marginal(ms)", "net build(ms)"
+        "support", "threads", "join(ms)", "marginal(ms)", "witness fill(ms)"
     );
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
@@ -592,6 +594,7 @@ fn e13() {
                 .min_parallel_support(1024)
                 .build()
                 .unwrap();
+            let session = Session::builder().exec(cfg.clone()).build().unwrap();
             let reps = 7;
             let time_ms = |f: &dyn Fn() -> usize| -> f64 {
                 // planted_pair inputs are non-empty, so every measured
@@ -609,18 +612,20 @@ fn e13() {
             };
             let join_ms = time_ms(&|| bag_join_merge_with(&r, &s, &cfg).unwrap().support_size());
             let marginal_ms = time_ms(&|| s.marginal_with(&z, &cfg).unwrap().support_size());
-            let build_ms = time_ms(&|| {
-                ConsistencyNetwork::build_with(&r, &s, &cfg)
+            let fill_ms = time_ms(&|| {
+                session
+                    .consistency_witness(&r, &s)
                     .unwrap()
-                    .num_middle_edges()
+                    .expect("planted pairs are consistent")
+                    .support_size()
             });
             println!(
-                "{support:>9} {threads:>8} {join_ms:>12.3} {marginal_ms:>14.3} {build_ms:>16.3}"
+                "{support:>9} {threads:>8} {join_ms:>12.3} {marginal_ms:>14.3} {fill_ms:>16.3}"
             );
             rows.push(format!(
                 "    {{\"support\": {support}, \"threads\": {threads}, \
                  \"join_merge_ms\": {join_ms:.4}, \"marginal_ms\": {marginal_ms:.4}, \
-                 \"network_build_ms\": {build_ms:.4}}}"
+                 \"witness_fill_ms\": {fill_ms:.4}}}"
             ));
         }
     }
@@ -878,14 +883,10 @@ fn e15() {
             (0..reps)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let witness = ConsistencyNetwork::build_with(
-                        &stream.bags()[0],
-                        &stream.bags()[1],
-                        session.exec(),
-                    )
-                    .unwrap()
-                    .solve_with(session.exec())
-                    .unwrap();
+                    let witness = ConsistencyNetwork::build(&stream.bags()[0], &stream.bags()[1])
+                        .unwrap()
+                        .solve_with(session.exec())
+                        .unwrap();
                     let dt = ms(t0);
                     assert!(std::hint::black_box(witness).is_some());
                     dt

@@ -4,14 +4,15 @@
 //! builds a global witness by induction along a **running intersection
 //! ordering** `X₁,…,X_m`: `T₁ = R₁`, and `T_i` witnesses the consistency
 //! of `T_{i-1}` and `R_i` (which Lemma 2 guarantees exists, because
-//! `X_i ∩ (X₁∪⋯∪X_{i-1}) ⊆ X_j` for some earlier `j`). Theorem 6 runs the
-//! **minimal** two-bag witness at every step (Corollary 4), giving the
-//! support bound `‖T‖supp ≤ Σ ‖R_i‖supp`.
+//! `X_i ∩ (X₁∪⋯∪X_{i-1}) ⊆ X_j` for some earlier `j`). Theorem 6 asks
+//! for a **minimal** two-bag witness at every step (Corollary 4). Each
+//! step here is the group fill of [`crate::pairwise`], which is already
+//! inclusion-minimal with support at most
+//! `‖T_{i-1}‖supp + ‖R_i‖supp − #groups`, so the chain meets Theorem 6's
+//! bound `‖T‖supp ≤ Σ ‖R_i‖supp` without any max-flow.
 
-use crate::minimal::minimal_two_bag_witness;
-use crate::pairwise::first_inconsistent_pair_with;
+use crate::pairwise::fill_witness_with;
 use bagcons_core::{Bag, CoreError, ExecConfig, FxHashMap, Schema};
-use bagcons_flow::ConsistencyNetwork;
 use bagcons_hypergraph::{rip_order, Hypergraph};
 use std::fmt;
 
@@ -48,43 +49,24 @@ impl From<CoreError> for AcyclicError {
 }
 
 /// Strategy for the per-step two-bag witness.
+///
+/// There is one: the group fill is both a saturated flow and a minimal
+/// witness, so Theorem 3's and Theorem 6's bounds both hold. The enum
+/// stays so that [`crate::session::Session::acyclic_global_witness`]
+/// keeps its signature for existing callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WitnessStrategy {
-    /// Any saturated flow (one max-flow per step). Theorem 3 bounds apply.
+    /// The one-pass group fill at every step of the chain.
     #[default]
     Saturated,
-    /// The minimal witness of Corollary 4 (`|J|+1` max-flows per step);
-    /// yields Theorem 6's bound `‖T‖supp ≤ Σ ‖R_i‖supp`.
-    Minimal,
-}
-
-/// Theorem 6: decides global consistency of pairwise consistent bags over
-/// an acyclic schema and constructs a witness, in polynomial time. The
-/// pairwise marginal checks and each saturated-flow network build along
-/// the chain shard across threads per `exec`. The public entry is
-/// [`crate::session::Session::acyclic_global_witness`].
-pub(crate) fn acyclic_global_witness_exec(
-    bags: &[&Bag],
-    strategy: WitnessStrategy,
-    exec: &ExecConfig,
-) -> Result<Bag, AcyclicError> {
-    // 1. Pairwise consistency (necessary; sufficient by Theorem 2).
-    if let Some((i, j)) = first_inconsistent_pair_with(bags, exec)? {
-        return Err(AcyclicError::InconsistentPair(i, j));
-    }
-    witness_chain(bags, strategy, exec)
 }
 
 /// The inductive chain of Theorem 6 *without* the pairwise pre-check:
 /// callers (the session facade, which times the two phases separately)
 /// must have already established pairwise consistency, or the chain's
 /// per-step "a witness exists" invariant may not hold.
-pub(crate) fn witness_chain(
-    bags: &[&Bag],
-    strategy: WitnessStrategy,
-    exec: &ExecConfig,
-) -> Result<Bag, AcyclicError> {
-    // 2. Deduplicate by schema: pairwise consistent bags with equal
+pub(crate) fn witness_chain(bags: &[&Bag], exec: &ExecConfig) -> Result<Bag, AcyclicError> {
+    // 1. Deduplicate by schema: pairwise consistent bags with equal
     //    schemas are equal, so one representative suffices.
     let mut by_schema: FxHashMap<Schema, &Bag> = FxHashMap::default();
     for bag in bags {
@@ -95,23 +77,16 @@ pub(crate) fn witness_chain(
     if by_schema.is_empty() {
         return Ok(Bag::new(Schema::empty()));
     }
-    // 3. Running-intersection ordering from a join tree (Theorem 6's
+    // 2. Running-intersection ordering from a join tree (Theorem 6's
     //    "rooted join-tree sorted in topological order").
     let h = Hypergraph::from_edges(by_schema.keys().cloned());
     let Some(order) = rip_order(&h) else {
         return Err(AcyclicError::NotAcyclic(h));
     };
-    // 4. Inductive chain: T_i witnesses (T_{i-1}, R_{σ(i)}).
+    // 3. Inductive chain: T_i witnesses (T_{i-1}, R_{σ(i)}).
     let mut t: Bag = (*by_schema[&order[0]]).clone();
     for x in &order[1..] {
-        let r = by_schema[x];
-        let next = match strategy {
-            WitnessStrategy::Saturated => {
-                ConsistencyNetwork::build_with(&t, r, exec)?.solve_with(exec)?
-            }
-            WitnessStrategy::Minimal => minimal_two_bag_witness(&t, r)?,
-        };
-        t = next.expect(
+        t = fill_witness_with(&t, by_schema[x], exec)?.expect(
             "Theorem 2 Step 1: T_{i-1} and R_i are consistent under RIP + pairwise consistency",
         );
     }
@@ -124,8 +99,8 @@ mod tests {
     use crate::session::Session;
     use bagcons_core::Attr;
 
-    fn minimal(bags: &[&Bag]) -> Result<Bag, AcyclicError> {
-        Session::default().acyclic_global_witness(bags, WitnessStrategy::Minimal)
+    fn chain(bags: &[&Bag]) -> Result<Bag, AcyclicError> {
+        Session::default().acyclic_global_witness(bags, WitnessStrategy::Saturated)
     }
 
     fn schema(ids: &[u32]) -> Schema {
@@ -144,19 +119,15 @@ mod tests {
     fn builds_witness_on_path_schema() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        for strategy in [WitnessStrategy::Saturated, WitnessStrategy::Minimal] {
-            let t = Session::default()
-                .acyclic_global_witness(&refs, strategy)
-                .unwrap();
-            assert!(Session::default().is_global_witness(&t, &refs).unwrap());
-        }
+        let t = chain(&refs).unwrap();
+        assert!(Session::default().is_global_witness(&t, &refs).unwrap());
     }
 
     #[test]
     fn theorem6_support_bound() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = minimal(&refs).unwrap();
+        let t = chain(&refs).unwrap();
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
         assert!(t.support_size() <= bound, "‖T‖supp ≤ Σ ‖R_i‖supp");
     }
@@ -165,7 +136,7 @@ mod tests {
     fn theorem3_multiplicity_bound_holds_too() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = minimal(&refs).unwrap();
+        let t = chain(&refs).unwrap();
         let max_mu = refs.iter().map(|b| b.multiplicity_bound()).max().unwrap();
         assert!(t.multiplicity_bound() <= max_mu);
     }
@@ -175,7 +146,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 1)]).unwrap();
         let t = Bag::from_u64s(schema(&[0, 2]), [(&[0u64, 0][..], 1)]).unwrap();
-        match minimal(&[&r, &s, &t]) {
+        match chain(&[&r, &s, &t]) {
             Err(AcyclicError::NotAcyclic(_)) => {}
             other => panic!("expected NotAcyclic, got {other:?}"),
         }
@@ -185,7 +156,7 @@ mod tests {
     fn rejects_inconsistent_pair() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 2)]).unwrap();
-        match minimal(&[&r, &s]) {
+        match chain(&[&r, &s]) {
             Err(AcyclicError::InconsistentPair(0, 1)) => {}
             other => panic!("expected InconsistentPair, got {other:?}"),
         }
@@ -195,7 +166,7 @@ mod tests {
     fn duplicate_schemas_are_merged() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 5][..], 1)]).unwrap();
-        let t = minimal(&[&r, &r.clone(), &s]).unwrap();
+        let t = chain(&[&r, &r.clone(), &s]).unwrap();
         assert!(Session::default().is_global_witness(&t, &[&r, &s]).unwrap());
     }
 
@@ -210,20 +181,20 @@ mod tests {
         )
         .unwrap();
         let refs = [&r1, &r2, &r3];
-        let t = minimal(&refs).unwrap();
+        let t = chain(&refs).unwrap();
         assert!(Session::default().is_global_witness(&t, &refs).unwrap());
     }
 
     #[test]
     fn single_bag_is_its_own_witness() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 5)]).unwrap();
-        let t = minimal(&[&r]).unwrap();
+        let t = chain(&[&r]).unwrap();
         assert_eq!(t, r);
     }
 
     #[test]
     fn empty_collection() {
-        let t = minimal(&[]).unwrap();
+        let t = chain(&[]).unwrap();
         assert!(t.is_empty());
     }
 
@@ -236,7 +207,7 @@ mod tests {
         )
         .unwrap();
         let small = big.marginal(&schema(&[1, 2])).unwrap();
-        let t = minimal(&[&big, &small]).unwrap();
+        let t = chain(&[&big, &small]).unwrap();
         assert!(Session::default()
             .is_global_witness(&t, &[&big, &small])
             .unwrap());

@@ -48,14 +48,14 @@
 //! | Paper item | Module / entry point |
 //! |---|---|
 //! | Lemma 2 (five characterizations of two-bag consistency) | [`pairwise`], [`report::Lemma2Report`] |
-//! | Corollary 1 (strongly-poly witness for two bags) | [`session::Session::consistency_witness`] |
+//! | Corollary 1 (strongly-poly witness for two bags) | the one-pass group fill in [`pairwise`], via [`session::Session::consistency_witness`] |
 //! | Theorem 2 (acyclic ⟺ local-to-global for bags) | [`acyclic`], [`tseitin`], [`lifting`] |
 //! | Lemma 4 (k-wise-consistency-preserving lifting) | [`lifting`] |
 //! | Theorem 3 / Corollary 3 (NP membership, witness bounds) | re-exported from [`bagcons_lp::bounds`] |
 //! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`session::Session::check`] |
 //! | Lemmas 6, 7 (hardness chain reductions) | [`reductions`] |
-//! | Theorem 5 / Corollary 4 (minimal two-bag witness) | [`minimal`] |
-//! | Theorem 6 (acyclic witness construction) | [`acyclic`], [`session::Session::acyclic_global_witness`] |
+//! | Theorem 5 / Corollary 4 (minimal two-bag witness, one max-flow per join tuple) | [`minimal`] |
+//! | Theorem 6 (acyclic witness construction) | [`acyclic`] chaining the [`pairwise`] group fill, via [`session::Session::acyclic_global_witness`] |
 //! | Section 5.1 (set-semantics baseline) | [`sets`] |
 //! | Section 6 (full reducers: set case + the bag obstacle) | [`reducer`] |
 //!

@@ -2,11 +2,15 @@
 //!
 //! Lemma 2 gives the polynomial decision procedure: `R(X)` and `S(Y)` are
 //! consistent iff `R[X∩Y] = S[X∩Y]`. Corollary 1 adds the
-//! strongly-polynomial witness construction via a saturated max-flow of
-//! `N(R,S)`.
+//! strongly-polynomial witness construction from a saturated flow of
+//! `N(R,S)`. Every middle edge of `N(R,S)` is uncapacitated, so the flow
+//! splits into one transportation problem per shared-key group, and
+//! `fill_witness_with` saturates each group in one northwest-corner
+//! pass instead of running max-flow. Both Corollary 1's witness and
+//! every step of Theorem 6's chain ([`crate::acyclic`]) are this fill.
 
+use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
 use bagcons_core::{Bag, CoreError, ExecConfig, Result, Schema};
-use bagcons_flow::ConsistencyNetwork;
 
 /// Lemma 2 (1)⟺(2): decides consistency of two bags by comparing the
 /// marginals on the common attributes, computed with shard-parallel
@@ -24,23 +28,99 @@ pub(crate) fn bags_consistent_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result
 }
 
 /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`
-/// (constructed from an integral saturated flow of `N(R,S)`), or `None`
-/// when the bags are inconsistent. The marginal pre-check, the `N(R,S)`
-/// middle-edge build, and the witness's closing seal all run
-/// shard-parallel when `cfg` permits. The public entry is
+/// (the group fill of [`fill_witness_with`]), or `None` when the bags
+/// are inconsistent. The public entry is
 /// [`crate::session::Session::consistency_witness`].
 pub(crate) fn consistency_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
-    // Cheap marginal pre-check avoids building the join for clearly
-    // inconsistent inputs; the flow solve re-verifies via saturation.
+    // Lemma 2's marginal test decides; the fill only runs on consistent
+    // inputs, where it always saturates.
     if !bags_consistent_with(r, s, cfg)? {
         return Ok(None);
     }
-    let witness = ConsistencyNetwork::build_with(r, s, cfg)?.solve_with(cfg)?;
+    let witness = fill_witness_with(r, s, cfg)?;
     debug_assert!(
         witness.is_some(),
-        "Lemma 2: marginal equality implies a saturated flow"
+        "Lemma 2: marginal equality implies a saturated fill"
     );
     Ok(witness)
+}
+
+/// A saturated flow of `N(R,S)` without a flow search, as a sealed
+/// witness bag; `None` when no flow saturates (the bags are
+/// inconsistent).
+///
+/// `R` and `S` pair off by shared key `Z`; within one key group every
+/// `R`-row can send to every `S`-row, so the group is a transportation
+/// problem. The northwest-corner rule fills it in one pass: send
+/// `q = min(left, right)` from the current `R`-row to the current
+/// `S`-row, then advance whichever side is used up. The fill is a vertex
+/// of `P(R,S)`, so its support is inclusion-minimal and at most
+/// `‖R‖supp + ‖S‖supp − #groups` (Theorem 5), and every `q` is at most
+/// an input multiplicity (Theorem 3), so nothing can overflow.
+///
+/// Key groups shard by range per `cfg` (shards poll its deadline); the
+/// result is sealed under `cfg` as well.
+pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
+    let total = r.unary_size();
+    if total != s.unary_size() {
+        return Ok(None);
+    }
+    let plan = JoinPlan::new(r.schema(), s.schema());
+    let r_rows = r.sorted_rows();
+    let s_rows = s.sorted_rows();
+    let z_of_r = r.schema().projection_indices(plan.common_schema())?;
+    let z_of_s = s.schema().projection_indices(plan.common_schema())?;
+    let shards =
+        try_merge_matching_pairs_sharded(&r_rows, &z_of_r, &s_rows, &z_of_s, cfg, |sweep| {
+            bagcons_core::fault::fire("witness::fill");
+            if let Some(reason) = cfg.deadline().poll() {
+                return Err(CoreError::Aborted(reason));
+            }
+            // (R-row, S-row, q) cells in key order.
+            let mut cells: Vec<(u32, u32, u64)> = Vec::new();
+            sweep.for_each_group(|ls, rs| {
+                let (mut a, mut b) = (0, 0);
+                let (mut left, mut right) = (r_rows[ls[0] as usize].1, s_rows[rs[0] as usize].1);
+                loop {
+                    let q = left.min(right);
+                    cells.push((ls[a], rs[b], q));
+                    left -= q;
+                    right -= q;
+                    if left == 0 {
+                        a += 1;
+                        if a == ls.len() {
+                            break;
+                        }
+                        left = r_rows[ls[a] as usize].1;
+                    }
+                    if right == 0 {
+                        b += 1;
+                        if b == rs.len() {
+                            break;
+                        }
+                        right = s_rows[rs[b] as usize].1;
+                    }
+                }
+            });
+            Ok(cells)
+        })?;
+    let mut witness = Bag::new(plan.output_schema().clone());
+    let mut row = Vec::with_capacity(plan.output_schema().arity());
+    let mut filled: u128 = 0;
+    for shard in shards {
+        for (i, j, q) in shard? {
+            plan.combine_into(r_rows[i as usize].0, s_rows[j as usize].0, &mut row);
+            // Distinct (R-row, S-row) cells assemble distinct XY rows.
+            witness.insert_row(&row, q)?;
+            filled += q as u128;
+        }
+    }
+    // Saturated iff every key group balanced and no key was unmatched.
+    if filled != total {
+        return Ok(None);
+    }
+    witness.try_seal_with(cfg)?;
+    Ok(Some(witness))
 }
 
 /// Returns the first (lexicographic) inconsistent index pair, or `None`

@@ -240,10 +240,11 @@ impl Lemma2Report {
 
     /// [`Lemma2Report::compute`] under explicit solver and execution
     /// configurations (the implementation behind
-    /// [`crate::session::Session::pairwise_report`]): the marginal comparison and the `N(R,S)` build
-    /// shard across threads when `exec` permits, and the exact integer
-    /// search honors `solver`'s node budget (a budget abort counts as
-    /// "not integrally feasible", which can break
+    /// [`crate::session::Session::pairwise_report`]): the marginal
+    /// comparison and the witness seal shard across threads when `exec`
+    /// permits, the max-flow of `N(R,S)` honours `exec`'s deadline, and
+    /// the exact integer search honors `solver`'s node budget (a budget
+    /// abort counts as "not integrally feasible", which can break
     /// [`Lemma2Report::all_agree`] — pass an adequate budget).
     pub(crate) fn compute_with(
         r: &Bag,
@@ -259,7 +260,7 @@ impl Lemma2Report {
         let prog = ConsistencyProgram::build(&[r, s])?;
         let integral_feasible = matches!(solve(&prog, solver), IlpOutcome::Sat(_));
 
-        let witness = ConsistencyNetwork::build_with(r, s, exec)?.solve_with(exec)?;
+        let witness = ConsistencyNetwork::build(r, s)?.solve_with(exec)?;
         let saturated_flow = witness.is_some();
 
         Ok(Lemma2Report {

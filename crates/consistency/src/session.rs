@@ -584,7 +584,7 @@ impl Render for DiagnoseOutcome {
 /// computed characterizations for one pair of bags.
 #[derive(Clone, Debug)]
 pub struct PairwiseOutcome {
-    /// The five truth values (and the flow witness, if any).
+    /// The five truth values (and the witness, if any).
     pub report: Lemma2Report,
     /// Wall-clock timings per pipeline stage.
     pub stages: Vec<StageTiming>,
@@ -1139,9 +1139,11 @@ impl Session {
         bags_consistent_with(r, s, &self.exec)
     }
 
-    /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`
-    /// (constructed from an integral saturated flow of `N(R,S)`), or
-    /// `None` when the bags are inconsistent.
+    /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`,
+    /// or `None` when the bags are inconsistent. The witness is the
+    /// one-pass fill of each shared-key group (a saturated flow of
+    /// `N(R,S)` found without a flow search); its support is
+    /// inclusion-minimal and at most `‖R‖supp + ‖S‖supp − |supp R[Z]|`.
     ///
     /// ```
     /// use bagcons::session::Session;
@@ -1179,8 +1181,10 @@ impl Session {
 
     /// Theorem 6: decides global consistency of pairwise consistent bags
     /// over an acyclic schema and constructs a witness over the union
-    /// schema, in polynomial time. With [`WitnessStrategy::Minimal`] the
-    /// returned bag satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
+    /// schema, in polynomial time. Every step is the one-pass group fill,
+    /// so the returned bag satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
+    /// [`WitnessStrategy`] has the single variant
+    /// [`WitnessStrategy::Saturated`].
     ///
     /// ```
     /// use bagcons::acyclic::WitnessStrategy;
@@ -1192,7 +1196,7 @@ impl Session {
     /// let r2 = Bag::from_u64s(Schema::range(1, 3), [(&[0u64, 4][..], 2), (&[1, 5][..], 1)])?;
     /// let r3 = Bag::from_u64s(Schema::range(2, 4), [(&[4u64, 9][..], 2), (&[5, 9][..], 1)])?;
     /// let t = Session::default()
-    ///     .acyclic_global_witness(&[&r1, &r2, &r3], WitnessStrategy::Minimal)
+    ///     .acyclic_global_witness(&[&r1, &r2, &r3], WitnessStrategy::Saturated)
     ///     .expect("pairwise consistent + acyclic");
     /// assert_eq!(t.marginal(r1.schema())?, r1);
     /// assert_eq!(t.marginal(r3.schema())?, r3);
@@ -1205,7 +1209,12 @@ impl Session {
         bags: &[&Bag],
         strategy: WitnessStrategy,
     ) -> Result<Bag, AcyclicError> {
-        crate::acyclic::acyclic_global_witness_exec(bags, strategy, &self.exec)
+        let WitnessStrategy::Saturated = strategy;
+        // Pairwise consistency is necessary, and sufficient by Theorem 2.
+        if let Some((i, j)) = first_inconsistent_pair_with(bags, &self.exec)? {
+            return Err(AcyclicError::InconsistentPair(i, j));
+        }
+        witness_chain(bags, &self.exec)
     }
 
     /// The set-semantics semijoin `R ⋉ S`.
@@ -1297,7 +1306,7 @@ pub(crate) fn check_impl(
             });
         }
         let t = Instant::now();
-        let witness = match witness_chain(bags, WitnessStrategy::Saturated, exec) {
+        let witness = match witness_chain(bags, exec) {
             Ok(w) => w,
             Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
                 push_stage(&mut stages, "witness", t);

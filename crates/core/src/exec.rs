@@ -682,7 +682,7 @@ pub fn merge_sorted_runs_for_bench<T: Copy>(
 
 /// One shard's output: freshly assembled rows (flat, row-major) with
 /// precomputed content hashes and a parallel `u64` payload column
-/// (multiplicities for bags, capacities for network middle edges).
+/// (multiplicities).
 #[derive(Clone, Debug)]
 pub struct ShardRun {
     arity: usize,

@@ -2,8 +2,7 @@
 //!
 //! A **failpoint site** is a named call to [`fire`] placed on an
 //! interesting code path — inside a seal's shard task, a join's merge
-//! worker, the flow-network builder, the max-flow solve, the stream
-//! update. Without the `fault-injection` feature every site compiles to
+//! worker, the witness fill's shard task, the stream update. Without the `fault-injection` feature every site compiles to
 //! an empty inlined function: zero overhead, nothing to configure.
 //!
 //! With the feature enabled, a test can *arm* a site:
@@ -24,8 +23,7 @@
 //! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]) |
 //! | `join::hash::shard` | hash-join probe shard task |
-//! | `network::build` | flow-network middle-edge build shard |
-//! | `network::solve` | witness max-flow solve entry (`ConsistencyNetwork::solve_with`) |
+//! | `witness::fill` | two-bag witness group-fill shard task (`bagcons::pairwise`) |
 //! | `stream::update` | consistency-stream update entry |
 //!
 //! Arming is process-global (sites are hit from worker threads), so

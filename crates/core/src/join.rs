@@ -918,8 +918,8 @@ fn relation_join_hash_planned(r: &Relation, s: &Relation, plan: &JoinPlan) -> Re
 }
 
 /// Sort-merge driver for callers that pair off two row lists on a shared
-/// key without materializing the join (the flow-network builders key
-/// their middle edges this way).
+/// key without materializing the join (the flow network `N(R,S)` keys
+/// its middle edges this way).
 ///
 /// Sorts positions of `left` and `right` by their projections onto the
 /// common key (`left_key`/`right_key` are each side's column indices for
@@ -943,36 +943,18 @@ pub fn merge_matching_pairs(
 /// Sharded [`merge_matching_pairs`]: the matched key space partitions
 /// into contiguous key-range shards (no join group straddles a shard),
 /// `shard` runs once per shard — in parallel per `cfg` — and its outputs
-/// return in ascending key order. The flow-network builder assembles its
-/// per-shard edge buffers through this.
+/// return in ascending key order. The witness fill
+/// (`bagcons::pairwise`) assembles its per-shard group fills through
+/// this.
 ///
 /// Each shard receives a [`PairSweep`] that replays that shard's pairs
 /// with the same ordering guarantees as [`merge_matching_pairs`]; the
 /// concatenation of all shards' pair sequences is exactly the sequential
-/// sequence.
-pub fn merge_matching_pairs_sharded<T: Send>(
-    left: &[(&[Value], u64)],
-    left_key: &[usize],
-    right: &[(&[Value], u64)],
-    right_key: &[usize],
-    cfg: &ExecConfig,
-    shard: impl Fn(PairSweep<'_, '_>) -> T + Sync,
-) -> Vec<T> {
-    // Ungoverned entry point: strips the deadline so the only failure
-    // mode is a worker panic, re-raised with its task index. Governed
-    // callers use [`try_merge_matching_pairs_sharded`].
-    let ungoverned = cfg.clone().with_deadline(crate::Deadline::NONE);
-    match try_merge_matching_pairs_sharded(left, left_key, right, right_key, &ungoverned, shard) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`merge_matching_pairs_sharded`] under governance: polls `cfg`'s
-/// [`crate::Deadline`] at shard-chunk boundaries and contains worker
-/// panics, returning [`CoreError::Aborted`] / [`CoreError::WorkerPanicked`]
-/// instead of hanging or unwinding. Nothing is assembled on the error
-/// path — per-shard outputs are dropped.
+/// sequence. Polls `cfg`'s [`crate::Deadline`] at shard-chunk boundaries
+/// and contains worker panics, returning [`CoreError::Aborted`] /
+/// [`CoreError::WorkerPanicked`] instead of hanging or unwinding.
+/// Nothing is assembled on the error path — per-shard outputs are
+/// dropped.
 pub fn try_merge_matching_pairs_sharded<T: Send>(
     left: &[(&[Value], u64)],
     left_key: &[usize],
@@ -1071,6 +1053,19 @@ impl PairSweep<'_, '_> {
     /// Invokes `on_pair(i, j)` for every matching pair in this shard,
     /// grouped by ascending key, `i` then `j` ascending within a group.
     pub fn for_each(&self, mut on_pair: impl FnMut(usize, usize)) {
+        self.for_each_group(|ls, rs| {
+            for &a in ls {
+                for &b in rs {
+                    on_pair(a as usize, b as usize);
+                }
+            }
+        });
+    }
+
+    /// Invokes `on_group(ls, rs)` once per key present on both sides of
+    /// this shard, in ascending key order: `ls` and `rs` are the left
+    /// and right row indices carrying that key, each ascending.
+    pub fn for_each_group(&self, mut on_group: impl FnMut(&[u32], &[u32])) {
         let k = self.keyed;
         let group_end = |rows: &[(&[Value], u64)], order: &[u32], idx: &[usize], start: usize| {
             let head = rows[order[start] as usize].0;
@@ -1093,11 +1088,7 @@ impl PairSweep<'_, '_> {
                     let i_end = group_end(k.left, &k.l_order, k.left_key, i).min(self.l_range.end);
                     let j_end =
                         group_end(k.right, &k.r_order, k.right_key, j).min(self.r_range.end);
-                    for &a in &k.l_order[i..i_end] {
-                        for &b in &k.r_order[j..j_end] {
-                            on_pair(a as usize, b as usize);
-                        }
-                    }
+                    on_group(&k.l_order[i..i_end], &k.r_order[j..j_end]);
                     i = i_end;
                     j = j_end;
                 }
@@ -1486,11 +1477,12 @@ mod tests {
                 deadline: Deadline::NONE,
             };
             let per_shard: Vec<Vec<(usize, usize)>> =
-                merge_matching_pairs_sharded(&left, &[0], &right, &[0], &cfg, |sweep| {
+                try_merge_matching_pairs_sharded(&left, &[0], &right, &[0], &cfg, |sweep| {
                     let mut pairs = Vec::new();
                     sweep.for_each(|i, j| pairs.push((i, j)));
                     pairs
-                });
+                })
+                .unwrap();
             let flat: Vec<(usize, usize)> = per_shard.into_iter().flatten().collect();
             assert_eq!(flat, seq, "threads = {threads}");
         }

@@ -85,10 +85,10 @@
 //!   permutation sorts via parallel chunk sorts plus pairwise sorted-run
 //!   merges ([`exec::parallel_sort_by`]), and the re-layout copies and
 //!   rehashes rows on shard workers;
-//! * **flow-network middle edges** (`ConsistencyNetwork::build_with` in
-//!   `bagcons-flow`) — per-shard edge buffers splice into the
-//!   network-local arena; its `solve_with` seals the witness through the
-//!   parallel seal.
+//! * **two-bag witness fill** (`bagcons::pairwise`, through
+//!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
+//!   split across shards, each shard fills its groups in one pass, and
+//!   the witness seals through the parallel seal.
 //!
 //! Shard invariants, relied on everywhere: **a shard boundary never
 //! splits a key group** (boundaries slide forward to the next group
@@ -97,7 +97,7 @@
 //! outputs are **tagged with their shard index and splice back in
 //! ascending shard order** — whichever worker finished which chunk when
 //! — reproducing the sequential emission order exactly. Prefix-marginal
-//! outputs are therefore born sealed, and join/network/seal outputs are
+//! outputs are therefore born sealed, and join/witness/seal outputs are
 //! bit-identical to their sequential counterparts at every thread
 //! count. Workers hash their output rows into [`exec::ShardRun`]s, so
 //! the sequential splice ([`RowStore::push_unique_hashed`]) only probes

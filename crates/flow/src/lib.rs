@@ -17,8 +17,10 @@
 //! * [`network`] — construction of `N(R,S)`, saturation testing, and
 //!   witness extraction, including the middle-edge exclusion hook used by
 //!   the minimal-witness self-reduction of Section 5.3. This is the
-//!   paper's Corollary 1 construction; deciding consistency needs no
-//!   flow at all (Lemma 2 compares marginals, see `bagcons::pairwise`).
+//!   paper's Corollary 1 construction. Neither deciding consistency nor
+//!   building the witnesses `check` returns needs it: Lemma 2 compares
+//!   marginals, and every middle edge is uncapacitated, so
+//!   `bagcons::pairwise` fills each shared-key group in one pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,6 +10,14 @@
 //! `R` and `S` are consistent (Lemma 2), and an integral saturated flow
 //! *is* a witness bag: `T(t) = f(t[X], t[Y])`.
 //!
+//! This is the paper's construction, kept where the paper needs a flow:
+//! Lemma 2's `saturated_flow` characterization
+//! (`bagcons::report::Lemma2Report`), Corollary 4's minimal-witness
+//! self-reduction (`bagcons::minimal`), and as a test oracle. Witnesses
+//! for `check`/`witness` come from the one-pass group fill in
+//! `bagcons::pairwise`, which needs no search because every middle edge
+//! is uncapacitated.
+//!
 //! Implementation notes:
 //!
 //! * "Unbounded" middle capacities are realized as `min(R(r), S(s))` —
@@ -26,8 +34,8 @@
 //!   building `N(R,S)` performs no per-tuple heap allocation.
 
 use crate::dinic::{EdgeId, FlowNetwork};
-use bagcons_core::exec::{ExecConfig, ShardRun};
-use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
+use bagcons_core::exec::ExecConfig;
+use bagcons_core::join::{merge_matching_pairs, JoinPlan};
 use bagcons_core::{Bag, CoreError, Result, RowId, RowStore, Schema, Value};
 
 /// One middle edge: its flow-network id and its `XY`-row.
@@ -59,38 +67,12 @@ impl ConsistencyNetwork {
         Self::build_excluding(r, s, |_| false)
     }
 
-    /// [`ConsistencyNetwork::build`] under an explicit execution
-    /// configuration (shard-parallel middle-edge construction).
-    pub fn build_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Self> {
-        Self::build_excluding_with(r, s, |_| false, cfg)
-    }
-
     /// Builds `N(R,S)` omitting middle edges whose `XY`-row satisfies
-    /// `exclude` — the self-reducibility hook of Section 5.3.
-    pub fn build_excluding(
-        r: &Bag,
-        s: &Bag,
-        exclude: impl Fn(&[Value]) -> bool + Sync,
-    ) -> Result<Self> {
-        Self::build_excluding_with(r, s, exclude, &ExecConfig::sequential())
-    }
-
-    /// [`ConsistencyNetwork::build_excluding`] under an explicit
-    /// execution configuration.
-    ///
-    /// The sort-merge key matching shards by key range
-    /// (`merge_matching_pairs_sharded`): each shard assembles its
-    /// candidate `XY`-rows, capacities, and vertex pairs into private
-    /// buffers (hashing rows on the worker thread), and the buffers then
-    /// splice into the network-local arena in ascending key order — the
-    /// exact edge order of the sequential build, so networks and witness
-    /// extraction are bit-for-bit deterministic across thread counts.
-    pub fn build_excluding_with(
-        r: &Bag,
-        s: &Bag,
-        exclude: impl Fn(&[Value]) -> bool + Sync,
-        cfg: &ExecConfig,
-    ) -> Result<Self> {
+    /// `exclude` — the self-reducibility hook of Section 5.3. Middle
+    /// edges are added in [`merge_matching_pairs`] order (ascending
+    /// shared key, then `R`-row, then `S`-row), so the network and its
+    /// witness are deterministic.
+    pub fn build_excluding(r: &Bag, s: &Bag, exclude: impl Fn(&[Value]) -> bool) -> Result<Self> {
         let plan = JoinPlan::new(r.schema(), s.schema());
         let r_rows = r.sorted_rows();
         let s_rows = s.sorted_rows();
@@ -113,59 +95,31 @@ impl ConsistencyNetwork {
 
         // Sort-merge the two sides on their Z-projections: vertex lists
         // are permuted by key (u32 sorts, no row data moves), then
-        // equal-key runs pair off group against group, one key-range
-        // shard per worker.
+        // equal-key runs pair off group against group.
         let z_of_s = s.schema().projection_indices(plan.common_schema())?;
         let z_of_r = r.schema().projection_indices(plan.common_schema())?;
-
-        let out_schema = plan.output_schema().clone();
-        /// One shard's middle edges: vertex index pairs aligned with a
-        /// [`ShardRun`] of combined rows (capacity in the payload column).
-        struct EdgeBuffer {
-            pairs: Vec<(u32, u32)>,
-            run: ShardRun,
-        }
-        let buffers: Vec<EdgeBuffer> =
-            try_merge_matching_pairs_sharded(&r_rows, &z_of_r, &s_rows, &z_of_s, cfg, |sweep| {
-                bagcons_core::fault::fire("network::build");
-                let mut buf = EdgeBuffer {
-                    pairs: Vec::new(),
-                    run: ShardRun::new(out_schema.arity()),
-                };
-                let mut scratch = Vec::with_capacity(out_schema.arity());
-                sweep.for_each(|i, j| {
-                    let (r_row, rm) = r_rows[i];
-                    let (s_row, sm) = s_rows[j];
-                    plan.combine_into(r_row, s_row, &mut scratch);
-                    if exclude(&scratch) {
-                        return;
-                    }
-                    buf.run.push(&scratch, rm.min(sm));
-                    buf.pairs.push((i as u32, j as u32));
-                });
-                buf
-            })?;
-
-        // Splice: edge insertion order across shards equals the
-        // sequential emission order; row hashes were precomputed on the
-        // workers, so this loop only probes the flat dedup table.
-        let edge_count: usize = buffers.iter().map(|b| b.pairs.len()).sum();
-        let mut rows = RowStore::with_capacity(out_schema.arity(), edge_count);
-        let mut middle = Vec::with_capacity(edge_count);
-        for buf in &buffers {
-            for (p, &(i, j)) in buf.pairs.iter().enumerate() {
-                let edge = net.add_edge(1 + i as usize, s_base + j as usize, buf.run.payload(p));
-                // Distinct (R-row, S-row) pairs assemble distinct XY rows.
-                let row = rows.push_unique_hashed(buf.run.row(p), buf.run.hash(p));
-                middle.push(MiddleEdge { edge, row });
+        let xy = plan.output_schema().clone();
+        let mut rows = RowStore::new(xy.arity());
+        let mut middle = Vec::new();
+        let mut scratch = Vec::with_capacity(xy.arity());
+        merge_matching_pairs(&r_rows, &z_of_r, &s_rows, &z_of_s, |i, j| {
+            let (r_row, rm) = r_rows[i];
+            let (s_row, sm) = s_rows[j];
+            plan.combine_into(r_row, s_row, &mut scratch);
+            if exclude(&scratch) {
+                return;
             }
-        }
+            let edge = net.add_edge(1 + i, s_base + j, rm.min(sm));
+            // Distinct (R-row, S-row) pairs assemble distinct XY rows.
+            let row = rows.push_unique_unchecked(&scratch);
+            middle.push(MiddleEdge { edge, row });
+        });
 
         Ok(ConsistencyNetwork {
             net,
             source,
             sink,
-            xy: out_schema,
+            xy,
             rows,
             middle,
             total_r,
@@ -173,21 +127,9 @@ impl ConsistencyNetwork {
         })
     }
 
-    /// The joined schema `XY`.
-    pub fn output_schema(&self) -> &Schema {
-        &self.xy
-    }
-
     /// Number of middle edges (= `|R' ⋈ S'|` minus exclusions).
     pub fn num_middle_edges(&self) -> usize {
         self.middle.len()
-    }
-
-    /// The candidate `XY`-rows behind the middle edges, in edge insertion
-    /// order. Equivalence tests compare this across execution
-    /// configurations — the order is identical for every thread count.
-    pub fn middle_rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        self.middle.iter().map(|m| self.rows.row(m.row))
     }
 
     /// Sequential, ungoverned [`ConsistencyNetwork::solve_with`]: the
@@ -212,7 +154,6 @@ impl ConsistencyNetwork {
     /// [`CoreError::Aborted`] when the deadline fires;
     /// [`CoreError::WorkerPanicked`] when a seal worker panics.
     pub fn solve_with(mut self, cfg: &ExecConfig) -> Result<Option<Bag>> {
-        bagcons_core::fault::fire("network::solve");
         if self.total_r != self.total_s {
             // A saturated flow needs both sides saturated; impossible.
             return Ok(None);
@@ -226,9 +167,8 @@ impl ConsistencyNetwork {
         if flow != self.total_r {
             return Ok(None);
         }
-        // Witnesses leave sealed: the acyclic chain feeds them straight
-        // back into the next network build (which wants sorted order)
-        // and into prefix marginals (which then skip hashing).
+        // Witnesses leave sealed, like the group fill's, so prefix
+        // marginals over them skip hashing.
         let mut witness = Bag::with_capacity(self.xy.clone(), self.middle.len());
         for m in &self.middle {
             let f = self.net.flow(m.edge);
@@ -348,32 +288,6 @@ mod tests {
         assert_eq!(t.multiplicity(&[Value(1), Value(2), Value(1)]), 1);
         assert_eq!(t.multiplicity(&[Value(2), Value(2), Value(2)]), 1);
         assert_eq!(t.support_size(), 2);
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let mut r = Bag::new(schema(&[0, 1]));
-        let mut s = Bag::new(schema(&[1, 2]));
-        for i in 0..120u64 {
-            r.insert(vec![Value(i % 11), Value(i % 4)], i % 5 + 1)
-                .unwrap();
-            s.insert(vec![Value(i % 4), Value(i % 9)], i % 3 + 1)
-                .unwrap();
-        }
-        let seq = ConsistencyNetwork::build(&r, &s).unwrap();
-        let seq_rows: Vec<Vec<Value>> = seq.middle_rows().map(|row| row.to_vec()).collect();
-        let seq_witness = seq.solve();
-        for threads in [2usize, 4] {
-            let cfg = ExecConfig::builder()
-                .threads(threads)
-                .min_parallel_support(1)
-                .build()
-                .unwrap();
-            let par = ConsistencyNetwork::build_with(&r, &s, &cfg).unwrap();
-            let par_rows: Vec<Vec<Value>> = par.middle_rows().map(|row| row.to_vec()).collect();
-            assert_eq!(par_rows, seq_rows, "threads = {threads}");
-            assert_eq!(par.solve(), seq_witness, "threads = {threads}");
-        }
     }
 
     #[test]

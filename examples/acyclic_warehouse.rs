@@ -71,7 +71,7 @@ fn main() {
 
     // 2. reconstruct a joint event log (Theorem 6)
     let log = session
-        .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+        .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
         .unwrap();
     assert!(session.is_global_witness(&log, &refs).unwrap());
     let bound: usize = refs.iter().map(|b| b.support_size()).sum();

@@ -45,7 +45,8 @@ fn main() {
     assert!(consistent);
 
     // ---------------------------------------------------------------
-    // 3. Corollary 1: build an actual joint bag via max-flow.
+    // 3. Corollary 1: build an actual joint bag (a saturated flow of
+    //    N(R,S), filled one shared-key group at a time).
     // ---------------------------------------------------------------
     let joint = session
         .consistency_witness(&sold, &handled)

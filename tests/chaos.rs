@@ -38,9 +38,9 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Fault scenarios: site × action. Panic is limited to sites that fire
 /// inside executor tasks (contained by `catch_unwind`) or before any
-/// state mutation (`stream::update` entry). Streams build no flow
-/// networks, so the `network::*` sites are exercised through
-/// `Session::check` below instead.
+/// state mutation (`stream::update` entry). Streams build no witness, so
+/// the `witness::fill` site is exercised through `Session::check` below
+/// instead.
 const SCENARIOS: [(&str, FaultAction); 4] = [
     ("bag::reseal_delta::merge", FaultAction::Panic),
     ("stream::update", FaultAction::Panic),
@@ -232,9 +232,9 @@ proptest! {
     }
 }
 
-/// A worker panic inside the acyclic witness chain surfaces as
-/// `WorkerPanicked` from `Session::check`, and the same inputs re-check
-/// clean once disarmed.
+/// A worker panic inside the acyclic witness chain's group fill surfaces
+/// as `WorkerPanicked` from `Session::check`, and the same inputs
+/// re-check clean once disarmed.
 #[test]
 fn worker_panic_in_check_is_typed_and_retryable() {
     let _serial = fault::test_lock();
@@ -247,10 +247,10 @@ fn worker_panic_in_check_is_typed_and_retryable() {
         let base = s.check(&refs).unwrap();
         assert_eq!(base.decision, Decision::Consistent);
 
-        fault::arm("network::build", FaultAction::Panic, 1);
+        fault::arm("witness::fill", FaultAction::Panic, 1);
         match s.check(&refs) {
             Err(SessionError::Core(CoreError::WorkerPanicked { message, .. })) => {
-                assert!(message.contains("network::build"), "message = {message:?}");
+                assert!(message.contains("witness::fill"), "message = {message:?}");
             }
             other => panic!("threads={threads}: expected WorkerPanicked, got {other:?}"),
         }
@@ -260,12 +260,11 @@ fn worker_panic_in_check_is_typed_and_retryable() {
     }
 }
 
-/// An injected deadline at the witness max-flow of the acyclic chain
-/// degrades `Session::check` to `Decision::Unknown` with the deadline
-/// reason, and the same inputs re-check to the base decision once
-/// disarmed.
+/// An injected deadline in the group fill of the acyclic chain degrades
+/// `Session::check` to `Decision::Unknown` with the deadline reason, and
+/// the same inputs re-check to the base decision once disarmed.
 #[test]
-fn injected_deadline_in_witness_solve_degrades_check() {
+fn injected_deadline_in_witness_fill_degrades_check() {
     let _serial = fault::test_lock();
     fault::reset();
     for threads in THREADS {
@@ -275,7 +274,7 @@ fn injected_deadline_in_witness_solve_degrades_check() {
         let base = s.check(&refs).unwrap();
         assert_eq!(base.decision, Decision::Consistent);
 
-        fault::arm("network::solve", FaultAction::InjectDeadline, 1);
+        fault::arm("witness::fill", FaultAction::InjectDeadline, 1);
         let out = s.check(&refs).unwrap();
         assert_eq!(out.decision, Decision::Unknown, "threads={threads}");
         assert_eq!(

@@ -23,7 +23,7 @@ fn prelude_covers_the_whole_headline_api() {
     assert!(tm.support_size() <= t.support_size());
     assert!(session.pairwise_consistent(&[&r, &s]).unwrap());
     let w = session
-        .acyclic_global_witness(&[&r, &s], WitnessStrategy::Minimal)
+        .acyclic_global_witness(&[&r, &s], WitnessStrategy::Saturated)
         .unwrap();
     assert!(session.is_global_witness(&w, &[&r, &s]).unwrap());
     let out = session.check(&[&r, &s]).unwrap();

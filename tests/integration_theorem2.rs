@@ -63,7 +63,7 @@ fn acyclic_direction_pairwise_implies_global() {
             let refs: Vec<&Bag> = bags.iter().collect();
             assert!(Session::default().pairwise_consistent(&refs).unwrap());
             let t = Session::default()
-                .acyclic_global_witness(&refs, WitnessStrategy::Minimal)
+                .acyclic_global_witness(&refs, WitnessStrategy::Saturated)
                 .unwrap();
             assert!(
                 Session::default().is_global_witness(&t, &refs).unwrap(),

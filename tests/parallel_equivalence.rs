@@ -2,8 +2,8 @@
 //! to sequential execution.
 //!
 //! Every `*_with` entry point of the execution layer (merge joins, the
-//! sharded hash probe, prefix marginals, the parallel seal, flow-network
-//! middle-edge builds, semijoin sweeps) must produce the same result at
+//! sharded hash probe, prefix marginals, the parallel seal, the witness
+//! group fill, semijoin sweeps) must produce the same result at
 //! every thread count — the shard plan never splits a key group,
 //! per-shard outputs are tagged with their shard index, and the splice
 //! reassembles them in ascending shard order regardless of which
@@ -202,18 +202,21 @@ proptest! {
         }
     }
 
-    /// Sharded network build ≡ sequential build: same middle-edge rows in
-    /// the same insertion order, and the same witness decision.
+    /// The flow-network witness is the same at every thread count: the
+    /// build is sequential, and the closing seal of `solve_with` (the
+    /// only sharded step) reproduces the sequential row layout.
     #[test]
     fn network_parallel_matches_sequential((r, s) in arb_pair()) {
         let seq = bagcons_flow::ConsistencyNetwork::build(&r, &s).unwrap();
-        let seq_rows: Vec<Vec<Value>> = seq.middle_rows().map(|row| row.to_vec()).collect();
+        let seq_edges = seq.num_middle_edges();
         let seq_witness = seq.solve();
+        let seq_rows: Option<Vec<(&[Value], u64)>> = seq_witness.as_ref().map(|w| w.iter().collect());
         for threads in THREADS {
-            let par = bagcons_flow::ConsistencyNetwork::build_with(&r, &s, &cfg(threads)).unwrap();
-            let par_rows: Vec<Vec<Value>> = par.middle_rows().map(|row| row.to_vec()).collect();
-            prop_assert_eq!(&par_rows, &seq_rows, "edge multiset, threads = {}", threads);
-            prop_assert_eq!(par.solve(), seq_witness.clone(), "witness, threads = {}", threads);
+            let par = bagcons_flow::ConsistencyNetwork::build(&r, &s).unwrap();
+            prop_assert_eq!(par.num_middle_edges(), seq_edges, "edge count, threads = {}", threads);
+            let par_witness = par.solve_with(&cfg(threads)).unwrap();
+            let par_rows: Option<Vec<(&[Value], u64)>> = par_witness.as_ref().map(|w| w.iter().collect());
+            prop_assert_eq!(&par_rows, &seq_rows, "witness, threads = {}", threads);
         }
     }
 
@@ -229,13 +232,25 @@ proptest! {
     }
 
     /// Consistency decisions and witnesses agree across configurations
-    /// end-to-end (marginal pre-check + network build + flow).
+    /// end-to-end (marginal pre-check + group fill), down to the sealed
+    /// row layout. The second pair is two marginals of one random bag, so
+    /// it is consistent and the fill runs over many shared-key groups
+    /// split across shards.
     #[test]
-    fn consistency_witness_parallel_matches_sequential((r, s) in arb_pair()) {
-        let seq = Session::default().consistency_witness(&r, &s).unwrap();
-        for threads in THREADS {
-            let par = session(threads).consistency_witness(&r, &s).unwrap();
-            prop_assert_eq!(&par, &seq, "threads = {}", threads);
+    fn consistency_witness_parallel_matches_sequential((r0, s0) in arb_pair(), t in arb_bag(0, 3, 8, 96)) {
+        let joint = (
+            t.marginal(&Schema::range(0, 2)).unwrap(),
+            t.marginal(&Schema::range(1, 3)).unwrap(),
+        );
+        for (r, s) in [(r0, s0), joint] {
+            let seq = session(1).consistency_witness(&r, &s).unwrap();
+            prop_assert_eq!(seq.is_some(), Session::default().bags_consistent(&r, &s).unwrap());
+            let seq_rows: Option<Vec<(&[Value], u64)>> = seq.as_ref().map(|w| w.iter().collect());
+            for threads in THREADS {
+                let par = session(threads).consistency_witness(&r, &s).unwrap();
+                let par_rows: Option<Vec<(&[Value], u64)>> = par.as_ref().map(|w| w.iter().collect());
+                prop_assert_eq!(&par_rows, &seq_rows, "threads = {}", threads);
+            }
         }
     }
 }
@@ -406,34 +421,6 @@ mod adversarial {
                 Err(bagcons_core::CoreError::MultiplicityOverflow),
                 "threads = {threads}"
             );
-        }
-    }
-
-    /// The network build with exclusions (the Section 5.3 hook) agrees
-    /// across configurations — the `exclude` closure runs on workers.
-    #[test]
-    fn excluding_build_parallel_matches_sequential() {
-        let mut r = Bag::new(schema(0, 2));
-        let mut s = Bag::new(schema(1, 2));
-        for i in 0..80u64 {
-            r.insert(vec![Value(i % 8), Value(i % 4)], i % 3 + 1)
-                .unwrap();
-            s.insert(vec![Value(i % 4), Value(i % 6)], i % 2 + 1)
-                .unwrap();
-        }
-        let exclude = |row: &[Value]| row[0] == row[2];
-        let seq = bagcons_flow::ConsistencyNetwork::build_excluding(&r, &s, exclude).unwrap();
-        let seq_rows: Vec<Vec<Value>> = seq.middle_rows().map(|row| row.to_vec()).collect();
-        for threads in THREADS {
-            let par = bagcons_flow::ConsistencyNetwork::build_excluding_with(
-                &r,
-                &s,
-                exclude,
-                &cfg(threads),
-            )
-            .unwrap();
-            let par_rows: Vec<Vec<Value>> = par.middle_rows().map(|row| row.to_vec()).collect();
-            assert_eq!(par_rows, seq_rows, "threads = {threads}");
         }
     }
 }

@@ -51,6 +51,17 @@ fn arb_pair() -> impl Strategy<Value = (Bag, Bag)> {
     (mk(x), mk(y))
 }
 
+/// Strategy: a consistent pair — the {A0,A1} and {A1,A2} marginals of
+/// one random bag over {A0,A1,A2}.
+fn arb_consistent_pair() -> impl Strategy<Value = (Bag, Bag)> {
+    arb_bag(3, 3, 12, 8).prop_map(|t| {
+        (
+            t.marginal(&Schema::range(0, 2)).unwrap(),
+            t.marginal(&Schema::range(1, 3)).unwrap(),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -118,7 +129,7 @@ proptest! {
         }
     }
 
-    /// Theorem 3(1)+(2): flow witnesses obey the multiplicity and unary
+    /// Theorem 3(1)+(2): fill witnesses obey the multiplicity and unary
     /// support bounds.
     #[test]
     fn theorem3_bounds_on_flow_witness((r, s) in arb_pair()) {
@@ -130,12 +141,36 @@ proptest! {
     }
 
     /// Theorem 5: minimal witnesses obey the Carathéodory support bound.
+    /// Corollary 4's witness and the group fill behind
+    /// `consistency_witness` are both vertices of `P(R,S)`: each
+    /// marginalizes to both inputs, has support at most
+    /// `|supp R| + |supp S| − |supp R[Z]|` and multiplicities at most the
+    /// inputs' maximum, and is inclusion-minimal — with any one support
+    /// row banned, `N(R,S)` restricted to the rest has no saturated flow.
     #[test]
-    fn theorem5_minimal_witness_bound((r, s) in arb_pair()) {
-        if let Some(t) = minimal_two_bag_witness(&r, &s).unwrap() {
-            prop_assert!(t.support_size() <= r.support_size() + s.support_size());
-            prop_assert_eq!(&t.marginal(r.schema()).unwrap(), &r);
-            prop_assert_eq!(&t.marginal(s.schema()).unwrap(), &s);
+    fn theorem5_minimal_witness_bound((r0, s0) in arb_pair(), (r1, s1) in arb_consistent_pair()) {
+        for (r, s) in [(r0, s0), (r1, s1)] {
+            let z = r.schema().intersection(s.schema());
+            let bound = r.support_size() + s.support_size() - r.marginal(&z).unwrap().support_size();
+            let mu = r.multiplicity_bound().max(s.multiplicity_bound());
+            let witnesses = [
+                minimal_two_bag_witness(&r, &s).unwrap(),
+                Session::default().consistency_witness(&r, &s).unwrap(),
+            ];
+            for t in witnesses.into_iter().flatten() {
+                prop_assert_eq!(&t.marginal(r.schema()).unwrap(), &r);
+                prop_assert_eq!(&t.marginal(s.schema()).unwrap(), &s);
+                prop_assert!(t.support_size() <= bound);
+                prop_assert!(t.multiplicity_bound() <= mu);
+                let support: Vec<&[Value]> = t.iter().map(|(row, _)| row).collect();
+                for banned in &support {
+                    let net = bagcons_flow::ConsistencyNetwork::build_excluding(&r, &s, |row| {
+                        row == *banned || !support.contains(&row)
+                    })
+                    .unwrap();
+                    prop_assert!(net.solve().is_none(), "support row {:?} is not needed", banned);
+                }
+            }
         }
     }
 
