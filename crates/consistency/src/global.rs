@@ -10,7 +10,7 @@
 
 use bagcons_core::{Bag, ExecConfig, Result, Schema};
 use bagcons_hypergraph::Hypergraph;
-use bagcons_lp::ilp::{solve_with_stats, IlpOutcome, SolveStats, SolverConfig};
+use bagcons_lp::ilp::{solve, IlpOutcome, SolveStats, SolverConfig};
 use bagcons_lp::ConsistencyProgram;
 
 /// True iff `t` witnesses the global consistency of `bags`:
@@ -43,15 +43,18 @@ pub fn schema_hypergraph(bags: &[&Bag]) -> Hypergraph {
     Hypergraph::from_edges(bags.iter().map(|b| b.schema().clone()))
 }
 
-/// Outcome of the generic ILP decision, with search statistics.
+/// Outcome of the generic ILP decision, with search statistics and, on
+/// `Sat`, the witness bag.
 #[derive(Clone, Debug)]
 pub struct IlpDecision {
-    /// `Sat(witness)` / `Unsat` / `Aborted(reason)`.
+    /// `Sat(x)` (the solution vector) / `Unsat` / `Aborted(reason)`.
     pub outcome: IlpOutcome,
     /// DFS nodes explored.
     pub stats: SolveStats,
     /// Number of variables `|J|` of the program.
     pub num_variables: usize,
+    /// The witness bag of a `Sat` outcome; `None` on `Unsat`/`Aborted`.
+    pub witness: Option<Bag>,
 }
 
 /// Decides global consistency through the integer program `P(R₁,…,R_m)`
@@ -62,44 +65,32 @@ pub struct IlpDecision {
 pub fn globally_consistent_via_ilp(bags: &[&Bag], cfg: &SolverConfig) -> Result<IlpDecision> {
     let prog = ConsistencyProgram::build(bags)?;
     let num_variables = prog.num_variables();
-    let (outcome, stats) = solve_with_stats(&prog, cfg);
-    let outcome = match outcome {
+    let (outcome, stats) = solve(&prog, cfg);
+    let witness = match &outcome {
         IlpOutcome::Sat(x) => {
-            let witness = prog.bag_from_solution(&x)?;
+            let witness = prog.bag_from_solution(x)?;
             debug_assert!(is_global_witness_with(
                 &witness,
                 bags,
                 &ExecConfig::default()
             )?);
-            // Re-encode as Sat carrying the vector; callers wanting the bag
-            // use `witness_from_ilp`.
-            IlpOutcome::Sat(x)
+            Some(witness)
         }
-        other => other,
+        _ => None,
     };
     Ok(IlpDecision {
         outcome,
         stats,
         num_variables,
+        witness,
     })
-}
-
-/// Converts a `Sat` ILP decision into its witness bag.
-pub fn witness_from_ilp(bags: &[&Bag], decision: &IlpDecision) -> Result<Option<Bag>> {
-    match &decision.outcome {
-        IlpOutcome::Sat(x) => {
-            let prog = ConsistencyProgram::build(bags)?;
-            Ok(Some(prog.bag_from_solution(x)?))
-        }
-        _ => Ok(None),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Session;
-    use bagcons_core::Attr;
+    use bagcons_core::{AbortReason, Attr};
     use bagcons_hypergraph::is_acyclic;
 
     fn schema(ids: &[u32]) -> Schema {
@@ -142,10 +133,16 @@ mod tests {
         let t = Bag::from_u64s(schema(&[0, 2]), d).unwrap();
         let dec = globally_consistent_via_ilp(&[&r, &s, &t], &SolverConfig::default()).unwrap();
         assert!(dec.outcome.is_sat());
-        let w = witness_from_ilp(&[&r, &s, &t], &dec).unwrap().unwrap();
+        let w = dec.witness.expect("Sat carries its witness");
         assert!(Session::default()
             .is_global_witness(&w, &[&r, &s, &t])
             .unwrap());
+
+        // a 1-node budget cannot finish the search: no witness
+        let cfg = SolverConfig::builder().node_limit(1).build();
+        let dec = globally_consistent_via_ilp(&[&r, &s, &t], &cfg).unwrap();
+        assert_eq!(dec.outcome, IlpOutcome::Aborted(AbortReason::NodeBudget));
+        assert!(dec.witness.is_none());
     }
 
     #[test]
@@ -157,7 +154,7 @@ mod tests {
         let t = Bag::from_u64s(schema(&[0, 2]), odd).unwrap();
         let dec = globally_consistent_via_ilp(&[&r, &s, &t], &SolverConfig::default()).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Unsat);
-        assert!(witness_from_ilp(&[&r, &s, &t], &dec).unwrap().is_none());
+        assert!(dec.witness.is_none());
     }
 
     #[test]

@@ -304,7 +304,7 @@ fn enumerate_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{globally_consistent_via_ilp, witness_from_ilp};
+    use crate::global::globally_consistent_via_ilp;
     use crate::session::Session;
     use crate::tseitin::tseitin_bags;
     use bagcons_hypergraph::{cycle, full_clique_complement};
@@ -313,8 +313,7 @@ mod tests {
     fn decide(bags: &[Bag]) -> (IlpOutcome, Option<Bag>) {
         let refs: Vec<&Bag> = bags.iter().collect();
         let dec = globally_consistent_via_ilp(&refs, &SolverConfig::default()).unwrap();
-        let w = witness_from_ilp(&refs, &dec).unwrap();
-        (dec.outcome, w)
+        (dec.outcome, dec.witness)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use bagcons_core::{AttrNames, Bag, ExecConfig, Result, Schema};
 use bagcons_flow::ConsistencyNetwork;
-use bagcons_lp::ilp::{solve, IlpOutcome, SolverConfig};
+use bagcons_lp::ilp::{solve, SolverConfig};
 use bagcons_lp::{rational_solution, ConsistencyProgram};
 use std::fmt;
 
@@ -258,7 +258,7 @@ impl Lemma2Report {
         let rational_feasible = rational_solution(r, s)?.is_some();
 
         let prog = ConsistencyProgram::build(&[r, s])?;
-        let integral_feasible = matches!(solve(&prog, solver), IlpOutcome::Sat(_));
+        let integral_feasible = solve(&prog, solver).0.is_sat();
 
         let witness = ConsistencyNetwork::build(r, s)?.solve_with(exec)?;
         let saturated_flow = witness.is_some();

@@ -41,9 +41,7 @@
 
 use crate::acyclic::{witness_chain, AcyclicError, WitnessStrategy};
 use crate::diagnose::{diagnose_with, Diagnosis};
-use crate::global::{
-    globally_consistent_via_ilp, is_global_witness_with, schema_hypergraph, witness_from_ilp,
-};
+use crate::global::{globally_consistent_via_ilp, is_global_witness_with, schema_hypergraph};
 use crate::lifting::LiftError;
 use crate::pairwise::{
     bags_consistent_with, consistency_witness_with, first_inconsistent_pair_with,
@@ -1331,29 +1329,25 @@ pub(crate) fn check_impl(
             stages,
         })
     } else {
+        // The search stage includes reading the witness bag off a `Sat`
+        // solution vector; there is no separate witness stage here.
         let t = Instant::now();
         let decision = globally_consistent_via_ilp(bags, solver)?;
         push_stage(&mut stages, "search", t);
-        let search_nodes = decision.stats.nodes;
         let mut abort_reason = None;
-        let (outcome, witness) = match &decision.outcome {
-            IlpOutcome::Sat(_) => {
-                let t = Instant::now();
-                let w = witness_from_ilp(bags, &decision)?.expect("Sat carries witness");
-                push_stage(&mut stages, "witness", t);
-                (Decision::Consistent, Some(w))
-            }
-            IlpOutcome::Unsat => (Decision::Inconsistent, None),
+        let outcome = match decision.outcome {
+            IlpOutcome::Sat(_) => Decision::Consistent,
+            IlpOutcome::Unsat => Decision::Inconsistent,
             IlpOutcome::Aborted(reason) => {
-                abort_reason = Some(*reason);
-                (Decision::Unknown, None)
+                abort_reason = Some(reason);
+                Decision::Unknown
             }
         };
         Ok(CheckOutcome {
             decision: outcome,
             branch: Branch::CyclicSearch,
-            search_nodes,
-            witness,
+            search_nodes: decision.stats.nodes,
+            witness: decision.witness,
             inconsistent_pair: None,
             abort_reason,
             stages,

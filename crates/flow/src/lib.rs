@@ -12,8 +12,8 @@
 //!
 //! * [`dinic`] — a general integral max-flow solver (Dinic's algorithm,
 //!   strongly polynomial; the paper cites Orlin's `O(nm)` algorithm — any
-//!   strongly-polynomial integral max-flow preserves every claim, see
-//!   DESIGN.md §5).
+//!   strongly-polynomial integral max-flow preserves every claim, since
+//!   the proofs use only integrality and polynomial running time).
 //! * [`network`] — construction of `N(R,S)`, saturation testing, and
 //!   witness extraction, including the middle-edge exclusion hook used by
 //!   the minimal-witness self-reduction of Section 5.3. This is the

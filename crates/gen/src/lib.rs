@@ -12,7 +12,8 @@
 //!   single bag) used to produce inconsistent inputs with known cause;
 //! * [`tables`] — synthetic 3-D contingency-table instances (the
 //!   Irving–Jerrum problem behind Lemma 6), planted-satisfiable and
-//!   Tseitin-unsatisfiable (see DESIGN.md §5 on this substitution);
+//!   Tseitin-unsatisfiable, standing in for the unpublished hard
+//!   instances (the substitution is explained in [`tables`]);
 //! * [`families`] — the paper's own example families: the
 //!   `2^{n-1}`-witness pair of Section 3, Example 1's exponential
 //!   bag-join chain, and random graphs for the \[HLY80\] set-case

@@ -2,9 +2,9 @@
 //!
 //! The paper's NP-hardness for GCPB(C₃) rests on the 3DCT problem of
 //! Irving and Jerrum. Their hard instances are not published as data, so
-//! (per the substitution rule documented in DESIGN.md §5) we generate
-//! synthetic equivalents with the same input format — three `n × n`
-//! margins — in two flavours:
+//! we substitute synthetic instances with the same input format — three
+//! `n × n` margins — whose answer is known by construction, in two
+//! flavours:
 //!
 //! * [`planted_3dct`] — margins of a random explicit table: always
 //!   satisfiable, with the table as hidden certificate;

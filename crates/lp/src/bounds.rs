@@ -178,7 +178,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        assert_eq!(solve(&prog, &SolverConfig::default()), IlpOutcome::Unsat);
+        assert_eq!(solve(&prog, &SolverConfig::default()).0, IlpOutcome::Unsat);
         assert!(minimize_support(&prog, &SolverConfig::default()).is_none());
     }
 }

@@ -29,16 +29,10 @@ pub struct SolverConfig {
     /// search with [`IlpOutcome::Aborted`]. [`Deadline::NONE`] (the
     /// default) never fires.
     pub deadline: Deadline,
-    /// Ablation: skip forced-variable detection (DESIGN.md ablation A1).
-    /// The search stays correct but explores more nodes.
-    pub disable_forcing: bool,
-    /// Ablation: skip the per-bag-total presolve (ablation A2). Total
-    /// mismatches are then discovered by exhaustive search instead.
-    pub disable_presolve: bool,
 }
 
 impl SolverConfig {
-    /// Starts building a configuration (all knobs default off/unlimited).
+    /// Starts building a configuration (no node budget, no deadline).
     pub fn builder() -> SolverConfigBuilder {
         SolverConfigBuilder::default()
     }
@@ -68,18 +62,6 @@ impl SolverConfigBuilder {
     /// Removes any node budget (the default).
     pub fn unlimited(mut self) -> Self {
         self.cfg.node_limit = None;
-        self
-    }
-
-    /// Ablation A1: skip forced-variable detection.
-    pub fn disable_forcing(mut self, yes: bool) -> Self {
-        self.cfg.disable_forcing = yes;
-        self
-    }
-
-    /// Ablation A2: skip the per-bag-total presolve.
-    pub fn disable_presolve(mut self, yes: bool) -> Self {
-        self.cfg.disable_presolve = yes;
         self
     }
 
@@ -131,7 +113,6 @@ struct Search<'a> {
     nodes: u64,
     node_limit: Option<u64>,
     deadline: Deadline,
-    use_forcing: bool,
 }
 
 enum Found {
@@ -156,12 +137,10 @@ impl<'a> Search<'a> {
         // Presolve 1: every bag must have the same total count (the
         // ∅-marginal condition) — any witness `T` satisfies
         // `‖T‖u = ‖R_i‖u` for all `i`.
-        if !cfg.disable_presolve {
-            let totals = prog.bag_totals();
-            if let Some(first) = totals.first() {
-                if totals.iter().any(|t| t != first) {
-                    return None;
-                }
+        let totals = prog.bag_totals();
+        if let Some(first) = totals.first() {
+            if totals.iter().any(|t| t != first) {
+                return None;
             }
         }
         // Presolve 2: rows with no covering variable must already be
@@ -182,7 +161,6 @@ impl<'a> Search<'a> {
             nodes: 0,
             node_limit: cfg.node_limit,
             deadline: cfg.deadline.clone(),
-            use_forcing: !cfg.disable_forcing,
         })
     }
 
@@ -213,7 +191,7 @@ impl<'a> Search<'a> {
         for &row in rows {
             let r = row as usize;
             ub = ub.min(self.residual[r]);
-            if self.use_forcing && self.remaining[r] == 1 {
+            if self.remaining[r] == 1 {
                 match forced {
                     None => forced = Some(self.residual[r]),
                     Some(f) if f != self.residual[r] => return Found::No,
@@ -283,15 +261,10 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Decides feasibility of `prog` over the non-negative integers.
-pub fn solve(prog: &ConsistencyProgram, cfg: &SolverConfig) -> IlpOutcome {
-    solve_masked(prog, cfg, &vec![false; prog.num_variables()]).0
-}
-
-/// Like [`solve`] but returns search statistics too.
-pub fn solve_with_stats(prog: &ConsistencyProgram, cfg: &SolverConfig) -> (IlpOutcome, SolveStats) {
-    let (o, s) = solve_masked(prog, cfg, &vec![false; prog.num_variables()]);
-    (o, s)
+/// Decides feasibility of `prog` over the non-negative integers, with the
+/// search statistics.
+pub fn solve(prog: &ConsistencyProgram, cfg: &SolverConfig) -> (IlpOutcome, SolveStats) {
+    solve_masked(prog, cfg, &vec![false; prog.num_variables()])
 }
 
 /// Feasibility with some variables banned (forced to 0) — the
@@ -385,7 +358,7 @@ mod tests {
     fn sat_on_consistent_pair() {
         let (r, s) = section3_pair();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        match solve(&prog, &SolverConfig::default()) {
+        match solve(&prog, &SolverConfig::default()).0 {
             IlpOutcome::Sat(x) => assert!(prog.is_feasible_point(&x)),
             other => panic!("expected Sat, got {other:?}"),
         }
@@ -410,7 +383,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[2u64, 1][..], 1)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        assert_eq!(solve(&prog, &SolverConfig::default()), IlpOutcome::Unsat);
+        assert_eq!(solve(&prog, &SolverConfig::default()).0, IlpOutcome::Unsat);
     }
 
     #[test]
@@ -420,7 +393,7 @@ mod tests {
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 1][..], 1), (&[1, 0][..], 1)]).unwrap();
         let t = Bag::from_u64s(schema(&[0, 2]), [(&[0u64, 0][..], 1), (&[1, 1][..], 1)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s, &t]).unwrap();
-        assert_eq!(solve(&prog, &SolverConfig::default()), IlpOutcome::Unsat);
+        assert_eq!(solve(&prog, &SolverConfig::default()).0, IlpOutcome::Unsat);
     }
 
     #[test]
@@ -434,7 +407,7 @@ mod tests {
         let r2 = Bag::from_u64s(schema(&[1, 2]), even).unwrap();
         let r3 = Bag::from_u64s(schema(&[0, 2]), odd).unwrap();
         let prog = ConsistencyProgram::build(&[&r1, &r2, &r3]).unwrap();
-        assert_eq!(solve(&prog, &SolverConfig::default()), IlpOutcome::Unsat);
+        assert_eq!(solve(&prog, &SolverConfig::default()).0, IlpOutcome::Unsat);
     }
 
     #[test]
@@ -449,28 +422,25 @@ mod tests {
         };
         // with 4 variables, one node cannot finish
         assert_eq!(
-            solve(&prog, &cfg),
+            solve(&prog, &cfg).0,
             IlpOutcome::Aborted(AbortReason::NodeBudget)
         );
     }
 
     #[test]
     fn expired_deadline_aborts_search() {
-        // Adversarial-ish loose instance; enough nodes that the
-        // every-128-nodes poll is guaranteed to run.
+        // The entry poll sees the already-expired deadline before any
+        // search node, so the abort is deterministic even on an instance
+        // the search would finish inside its first poll window.
         let r = Bag::from_u64s(schema(&[0]), [(&[0u64][..], 200), (&[1][..], 200)]).unwrap();
         let s = Bag::from_u64s(schema(&[1]), [(&[0u64][..], 200), (&[1][..], 200)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
         let cfg = SolverConfig::builder()
-            .disable_forcing(true)
             .deadline(Deadline::at(std::time::Instant::now()))
             .build();
-        match solve(&prog, &cfg) {
-            IlpOutcome::Aborted(AbortReason::DeadlineExceeded) => {}
-            // Tiny instances can finish inside the first poll window.
-            IlpOutcome::Sat(_) => {}
-            other => panic!("expected deadline abort or fast Sat, got {other:?}"),
-        }
+        let (outcome, stats) = solve(&prog, &cfg);
+        assert_eq!(outcome, IlpOutcome::Aborted(AbortReason::DeadlineExceeded));
+        assert_eq!(stats.nodes, 0);
     }
 
     #[test]
@@ -524,40 +494,15 @@ mod tests {
     }
 
     #[test]
-    fn ablation_flags_keep_answers_but_cost_more() {
-        // correctness must be invariant under the ablations; node counts
-        // must not decrease when pruning is disabled
+    fn presolve_refutes_total_mismatch_without_search() {
+        // bag totals 5 vs 6: the ∅-marginal presolve answers before the
+        // first search node
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 3), (&[1, 1][..], 2)]).unwrap();
-        let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 3), (&[1, 1][..], 2)]).unwrap();
-        let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let baseline = solve_with_stats(&prog, &SolverConfig::default());
-        let no_forcing = solve_with_stats(
-            &prog,
-            &SolverConfig {
-                disable_forcing: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(baseline.0.is_sat(), no_forcing.0.is_sat());
-        assert!(no_forcing.1.nodes >= baseline.1.nodes);
-
-        // total-mismatch instance: presolve answers instantly; without it
-        // the search still proves Unsat, just with work
         let bad = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 0][..], 4), (&[1, 1][..], 2)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &bad]).unwrap();
-        let with = solve_with_stats(&prog, &SolverConfig::default());
-        let without = solve_with_stats(
-            &prog,
-            &SolverConfig {
-                disable_presolve: true,
-                disable_forcing: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(with.0, IlpOutcome::Unsat);
-        assert_eq!(without.0, IlpOutcome::Unsat);
-        assert_eq!(with.1.nodes, 0);
-        assert!(without.1.nodes > 0);
+        let (outcome, stats) = solve(&prog, &SolverConfig::default());
+        assert_eq!(outcome, IlpOutcome::Unsat);
+        assert_eq!(stats.nodes, 0);
     }
 
     #[test]
@@ -566,7 +511,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 3)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let (o, stats) = solve_with_stats(&prog, &SolverConfig::default());
+        let (o, stats) = solve(&prog, &SolverConfig::default());
         assert!(o.is_sat());
         assert_eq!(stats.nodes, 1); // one variable, forced to 3
     }
