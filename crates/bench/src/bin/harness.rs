@@ -292,7 +292,9 @@ fn e6() {
     }
 }
 
-/// E7 — Theorem 4(2): GCPB on the triangle (3DCT) needs real search.
+/// E7 — Theorem 4(2): GCPB on the triangle (3DCT) needs real search; the
+/// overlap-Tseitin guard rows check that the search decides every one of
+/// 120 pairwise-consistent C3/C4 instances.
 fn e7() {
     header(
         "E7",
@@ -347,7 +349,69 @@ fn e7() {
         "tseitin margins (scale 2^30): pairwise ✓ but globally unsat — \
          pairwise checks do not decide GCPB(C3)"
     );
+
+    // Guard family, "overlap-Tseitin": a planted cycle plus the cycle's
+    // Tseitin bags on the *same* values, scaled by 1 + seed % 3. Pairwise
+    // consistent by construction, so only the search decides; a static
+    // variable order leaves 15 of the 120 undecided at 2M nodes. Each must
+    // decide inside the CLI's default budget, each Sat witness must
+    // verify, and exactly 9 are Unsat (confirmed by the static DFS).
+    println!(
+        "{:>6} {:>5} {:>6} {:>10} {:>8}",
+        "cycle", "seed", "|J|", "nodes", "answer"
+    );
+    let cfg = SolverConfig::builder()
+        .node_limit(CLI_DEFAULT_BUDGET)
+        .build();
+    let (mut total, mut unsat, mut worst) = (0u64, 0u32, (0u64, 0u32, 0u64));
+    for k in [3u32, 4] {
+        let (domain, support) = if k == 3 { (6, 45) } else { (5, 80) };
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            let (mut bags, _) = planted_family(&cycle(k), domain, support, 4, &mut rng).unwrap();
+            for (bag, g) in bags.iter_mut().zip(tseitin_bags(&cycle(k)).unwrap()) {
+                for (row, m) in g.sorted_rows() {
+                    bag.insert(row, m * (1 + seed % 3)).unwrap();
+                }
+                bag.seal();
+            }
+            let refs: Vec<&Bag> = bags.iter().collect();
+            assert!(Session::default().pairwise_consistent(&refs).unwrap());
+            let dec = globally_consistent_via_ilp(&refs, &cfg).unwrap();
+            let answer = match &dec.outcome {
+                IlpOutcome::Sat(_) => {
+                    let w = dec.witness.as_ref().expect("Sat carries its witness");
+                    assert!(Session::default().is_global_witness(w, &refs).unwrap());
+                    "sat"
+                }
+                IlpOutcome::Unsat => {
+                    unsat += 1;
+                    "unsat"
+                }
+                IlpOutcome::Aborted(r) => panic!("overlap-Tseitin C{k} seed {seed}: {r:?}"),
+            };
+            println!(
+                "{:>6} {:>5} {:>6} {:>10} {:>8}",
+                format!("C{k}"),
+                seed,
+                dec.num_variables,
+                dec.stats.nodes,
+                answer
+            );
+            total += dec.stats.nodes;
+            worst = worst.max((dec.stats.nodes, k, seed));
+        }
+    }
+    assert_eq!(unsat, 9, "overlap-Tseitin: 9 of the 120 are Unsat");
+    println!(
+        "overlap-Tseitin: 120 of 120 decided, {unsat} unsat, {total} nodes \
+         (worst C{} seed {} at {} nodes)",
+        worst.1, worst.2, worst.0
+    );
 }
+
+/// The `bagcons` CLI's default `--budget` (search nodes per decision).
+const CLI_DEFAULT_BUDGET: u64 = 50_000_000;
 
 /// E8 — Lemmas 6 & 7: the hardness chain preserves answers.
 fn e8() {

@@ -1022,8 +1022,10 @@ impl Session {
     ///   consistency coincides with pairwise consistency (Theorem 2), and
     ///   a witness comes from the Theorem 6 chain;
     /// * if `H` is **cyclic**, the problem is NP-complete — the session
-    ///   falls back to the exact integer search over `P(R₁,…,R_m)`
-    ///   (Corollary 3's NP procedure), bounded by the node budget.
+    ///   screens every pair first (pairwise consistency is still
+    ///   necessary, so a refuted pair decides with no search), then falls
+    ///   back to the exact integer search over `P(R₁,…,R_m)` (Corollary
+    ///   3's NP procedure), bounded by the node budget.
     ///
     /// [`CheckOutcome::branch`] reports which path ran and
     /// [`CheckOutcome::search_nodes`] how much search it took, so the
@@ -1281,28 +1283,38 @@ pub(crate) fn check_impl(
     let h = schema_hypergraph(bags);
     let acyclic = is_acyclic(&h);
     push_stage(&mut stages, "schema", t);
-    if acyclic {
-        let t = Instant::now();
-        let pair = match first_inconsistent_pair_with(bags, exec) {
-            Ok(pair) => pair,
-            Err(CoreError::Aborted(reason)) => {
-                push_stage(&mut stages, "pairwise", t);
-                return Ok(aborted_outcome(Branch::Acyclic, reason, stages));
-            }
-            Err(e) => return Err(e),
-        };
-        push_stage(&mut stages, "pairwise", t);
-        if pair.is_some() {
-            return Ok(CheckOutcome {
-                decision: Decision::Inconsistent,
-                branch: Branch::Acyclic,
-                search_nodes: 0,
-                witness: None,
-                inconsistent_pair: pair,
-                abort_reason: None,
-                stages,
-            });
+    let branch = if acyclic {
+        Branch::Acyclic
+    } else {
+        Branch::CyclicSearch
+    };
+    // Theorem 2: pairwise consistency is necessary on every schema, so a
+    // refuted pair decides either branch before any witness or search. On
+    // the cyclic branch, a screen that cannot sum a marginal in u64 leaves
+    // the decision to the search.
+    let t = Instant::now();
+    let pair = match first_inconsistent_pair_with(bags, exec) {
+        Ok(pair) => pair,
+        Err(CoreError::Aborted(reason)) => {
+            push_stage(&mut stages, "pairwise", t);
+            return Ok(aborted_outcome(branch, reason, stages));
         }
+        Err(CoreError::MultiplicityOverflow) if !acyclic => None,
+        Err(e) => return Err(e),
+    };
+    push_stage(&mut stages, "pairwise", t);
+    if pair.is_some() {
+        return Ok(CheckOutcome {
+            decision: Decision::Inconsistent,
+            branch,
+            search_nodes: 0,
+            witness: None,
+            inconsistent_pair: pair,
+            abort_reason: None,
+            stages,
+        });
+    }
+    if acyclic {
         let t = Instant::now();
         let witness = match witness_chain(bags, exec) {
             Ok(w) => w,

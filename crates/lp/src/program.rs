@@ -23,8 +23,13 @@ pub struct ConsistencyProgram {
     variables: Vec<Row>,
     /// Right-hand sides: one per constraint row, as `(bag, support row, b)`.
     constraints: Vec<(usize, Row, u64)>,
-    /// `var_rows[v]` = the `m` constraint-row indices variable `v` hits.
-    var_rows: Vec<Vec<u32>>,
+    /// `var_rows[v·m .. (v+1)·m]` = the `m` constraint rows variable `v`
+    /// hits, one per bag in bag order.
+    var_rows: Vec<u32>,
+    /// `row_vars[row_start[r] .. row_start[r+1]]` = the variables of
+    /// constraint row `r`, ascending: the transpose of `var_rows`.
+    row_start: Vec<u32>,
+    row_vars: Vec<u32>,
 }
 
 impl ConsistencyProgram {
@@ -60,18 +65,32 @@ impl ConsistencyProgram {
             .map(|x| join_schema.projection_indices(x))
             .collect::<Result<_>>()?;
 
-        let mut var_rows = Vec::with_capacity(variables.len());
+        let mut var_rows = Vec::with_capacity(variables.len() * bags.len());
         for t in &variables {
-            let mut rows = Vec::with_capacity(bags.len());
             for (i, idx) in projections.iter().enumerate() {
                 let proj: Row = idx.iter().map(|&p| t[p]).collect();
                 let row = row_index
                     .get(&(i, proj))
                     .copied()
                     .expect("join tuple projects into every support");
-                rows.push(row);
+                var_rows.push(row);
             }
-            var_rows.push(rows);
+        }
+
+        // Counting sort of the (row, variable) incidences by row; variables
+        // are visited in ascending order, so each row's list is ascending.
+        let mut row_start = vec![0u32; constraints.len() + 1];
+        for &row in &var_rows {
+            row_start[row as usize + 1] += 1;
+        }
+        for r in 0..constraints.len() {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut fill: Vec<u32> = row_start[..constraints.len()].to_vec();
+        let mut row_vars = vec![0u32; var_rows.len()];
+        for (i, &row) in var_rows.iter().enumerate() {
+            row_vars[fill[row as usize] as usize] = (i / bags.len()) as u32;
+            fill[row as usize] += 1;
         }
 
         Ok(ConsistencyProgram {
@@ -80,6 +99,8 @@ impl ConsistencyProgram {
             variables,
             constraints,
             var_rows,
+            row_start,
+            row_vars,
         })
     }
 
@@ -115,7 +136,13 @@ impl ConsistencyProgram {
 
     /// The constraint rows hit by variable `v` — exactly one per bag.
     pub fn rows_of(&self, v: usize) -> &[u32] {
-        &self.var_rows[v]
+        let m = self.num_bags();
+        &self.var_rows[v * m..(v + 1) * m]
+    }
+
+    /// The variables constraint row `row` sums over, ascending.
+    pub fn vars_of(&self, row: usize) -> &[u32] {
+        &self.row_vars[self.row_start[row] as usize..self.row_start[row + 1] as usize]
     }
 
     /// Which input bag a constraint row belongs to.
@@ -141,7 +168,7 @@ impl ConsistencyProgram {
         }
         let mut lhs = vec![0u128; self.constraints.len()];
         for (v, &xv) in x.iter().enumerate() {
-            for &row in &self.var_rows[v] {
+            for &row in self.rows_of(v) {
                 lhs[row as usize] += xv as u128;
             }
         }
@@ -192,11 +219,9 @@ impl ConsistencyProgram {
     /// 0 and exactly one in the rows of bag 1).
     pub fn is_bipartite_incidence(&self) -> bool {
         self.num_bags() == 2
-            && self.var_rows.iter().all(|rows| {
-                rows.len() == 2 && {
-                    let part = |r: u32| self.constraints[r as usize].0;
-                    part(rows[0]) != part(rows[1])
-                }
+            && self.var_rows.chunks(2).all(|rows| {
+                let part = |r: u32| self.constraints[r as usize].0;
+                part(rows[0]) != part(rows[1])
             })
     }
 }
@@ -232,6 +257,15 @@ mod tests {
         let p = ConsistencyProgram::build(&[&r, &s]).unwrap();
         for v in 0..p.num_variables() {
             assert_eq!(p.rows_of(v).len(), 2);
+            for &row in p.rows_of(v) {
+                assert!(p.vars_of(row as usize).contains(&(v as u32)));
+            }
+        }
+        // vars_of is exactly the transpose: every incidence once, ascending
+        let incidences: usize = (0..p.num_constraints()).map(|r| p.vars_of(r).len()).sum();
+        assert_eq!(incidences, 2 * p.num_variables());
+        for r in 0..p.num_constraints() {
+            assert!(p.vars_of(r).windows(2).all(|w| w[0] < w[1]));
         }
         assert!(p.is_bipartite_incidence());
     }
