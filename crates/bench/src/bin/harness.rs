@@ -277,7 +277,7 @@ fn e6() {
         let (bags, _) = planted_family(&h, 4, 512, 32, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
         let t0 = Instant::now();
-        let out = session.check(&refs).unwrap();
+        let out = session.witness(&refs).unwrap().check;
         let dt = ms(t0);
         assert_eq!(out.branch, Branch::Acyclic);
         assert_eq!(out.decision, Decision::Consistent);

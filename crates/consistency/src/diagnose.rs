@@ -11,8 +11,8 @@
 //!   optionally with the schema's minimal obstruction attached.
 
 use crate::global::schema_hypergraph;
-use crate::pairwise::bags_consistent_with;
-use bagcons_core::{Bag, ExecConfig, Result, Row, Schema};
+use crate::pairwise::PairState;
+use bagcons_core::{Bag, Result, Row, Schema};
 use bagcons_hypergraph::{find_obstruction, is_acyclic, Obstruction};
 use std::fmt;
 
@@ -74,47 +74,30 @@ impl Diagnosis {
 }
 
 /// Diagnoses a collection, reporting up to `max_mismatches` marginal
-/// discrepancies with their exact locations. Each pairwise probe and the
-/// per-pair marginal re-computation shard across threads when the bags
-/// are sealed and `cfg` permits. The public entry is
+/// discrepancies with their exact locations, read off each pair's keyed
+/// marginal difference ([`PairState`]). The public entry is
 /// [`crate::session::Session::diagnose`], which carries the mismatch
 /// budget.
-pub(crate) fn diagnose_with(
-    bags: &[&Bag],
-    max_mismatches: usize,
-    cfg: &ExecConfig,
-) -> Result<Diagnosis> {
+pub(crate) fn diagnose_bags(bags: &[&Bag], max_mismatches: usize) -> Result<Diagnosis> {
     let mut mismatches = Vec::new();
     'pairs: for i in 0..bags.len() {
         for j in (i + 1)..bags.len() {
-            if bags_consistent_with(bags[i], bags[j], cfg)? {
+            let pair = PairState::open(i, j, bags)?;
+            if pair.consistent() {
                 continue;
             }
             let common = bags[i].schema().intersection(bags[j].schema());
-            let mi = bags[i].marginal_with(&common, cfg)?;
-            let mj = bags[j].marginal_with(&common, cfg)?;
-            // every tuple in either marginal's support that disagrees
-            let mut keys: Vec<Row> = mi
-                .iter()
-                .map(|(r, _)| r.to_vec().into_boxed_slice())
-                .chain(mj.iter().map(|(r, _)| r.to_vec().into_boxed_slice()))
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            for key in keys {
-                let (a, b) = (mi.multiplicity(&key), mj.multiplicity(&key));
-                if a != b {
-                    mismatches.push(MarginalMismatch {
-                        left: i,
-                        right: j,
-                        common: common.clone(),
-                        tuple: key,
-                        left_count: a,
-                        right_count: b,
-                    });
-                    if mismatches.len() >= max_mismatches {
-                        break 'pairs;
-                    }
+            for (tuple, left_count, right_count) in pair.mismatches(bags)? {
+                mismatches.push(MarginalMismatch {
+                    left: i,
+                    right: j,
+                    common: common.clone(),
+                    tuple,
+                    left_count,
+                    right_count,
+                });
+                if mismatches.len() >= max_mismatches {
+                    break 'pairs;
                 }
             }
         }

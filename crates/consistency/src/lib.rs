@@ -11,9 +11,10 @@
 //! the exact-search configuration ([`bagcons_lp::ilp::SolverConfig`]),
 //! the attribute-name interner, and the search budgets — and exposes the
 //! paper's decision procedures as methods returning **typed outcome
-//! structs** (decision + witness + per-stage timings + which dichotomy
-//! branch ran) that render to human text or machine-readable JSON via
-//! [`report::Render`]:
+//! structs** (decision + per-stage timings + which dichotomy branch ran,
+//! and the witness bag from `witness`) that render to human text or
+//! machine-readable JSON via [`report::Render`]. `check` only decides;
+//! `witness` decides the same way and then builds:
 //!
 //! ```
 //! use bagcons::prelude_session::*;
@@ -23,7 +24,10 @@
 //! let s = session.load_bag("Dest Carrier #\n1 10 : 120\n2 11 : 80\n")?;
 //! let outcome = session.check(&[&r, &s])?;
 //! assert_eq!(outcome.decision, Decision::Consistent);
+//! assert!(outcome.witness.is_none());
 //! println!("{}", outcome.render(ReportFormat::Json, session.names()));
+//! let built = session.witness(&[&r, &s])?;
+//! assert!(session.is_global_witness(built.witness().unwrap(), &[&r, &s])?);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -47,12 +51,12 @@
 //!
 //! | Paper item | Module / entry point |
 //! |---|---|
-//! | Lemma 2 (five characterizations of two-bag consistency) | [`pairwise`], [`report::Lemma2Report`] |
+//! | Lemma 2 (five characterizations of two-bag consistency) | the one keyed-marginal-difference pair test in [`pairwise`] (session, screen, diagnosis and stream); [`report::Lemma2Report`] |
 //! | Corollary 1 (strongly-poly witness for two bags) | the one-pass group fill in [`pairwise`], via [`session::Session::consistency_witness`] |
 //! | Theorem 2 (acyclic ⟺ local-to-global for bags) | [`acyclic`], [`tseitin`], [`lifting`] |
 //! | Lemma 4 (k-wise-consistency-preserving lifting) | [`lifting`] |
 //! | Theorem 3 / Corollary 3 (NP membership, witness bounds) | re-exported from [`bagcons_lp::bounds`] |
-//! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`session::Session::check`] |
+//! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`session::Session::check`] (decides); [`session::Session::witness`] (builds) |
 //! | Lemmas 6, 7 (hardness chain reductions) | [`reductions`] |
 //! | Theorem 5 / Corollary 4 (minimal two-bag witness, one max-flow per join tuple) | [`minimal`] |
 //! | Theorem 6 (acyclic witness construction) | [`acyclic`] chaining the [`pairwise`] group fill, via [`session::Session::acyclic_global_witness`] |
@@ -63,13 +67,14 @@
 //!
 //! For workloads that *edit* bags between questions,
 //! [`Session::open_stream`] returns a [`stream::ConsistencyStream`]:
-//! each bag pair keeps its Lemma 2 keyed marginal difference
-//! `R[Z] − S[Z]`, and each [`stream::ConsistencyStream::update`] adds
+//! each bag pair keeps the same Lemma 2 pair test that `check` screens
+//! with — the keyed marginal difference `R[Z] − S[Z]` of [`pairwise`] —
+//! alive across updates. Each [`stream::ConsistencyStream::update`] adds
 //! every edit to one key per pair sharing the edited bag, so a small
 //! multiplicity delta is re-decided at delta-proportional cost instead
-//! of a full rebuild. The CLI exposes
-//! this as `bagcons watch`. See the [`stream`] module docs for the
-//! delta invariants and the cyclic-schema fallback.
+//! of a full rebuild, and the post-screen step is `check`'s own. The CLI
+//! exposes this as `bagcons watch`. See the [`stream`] module docs for
+//! the delta invariants and the cyclic-schema fallback.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

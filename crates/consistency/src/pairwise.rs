@@ -1,53 +1,167 @@
 //! Two-bag and pairwise consistency (Section 3 of the paper).
 //!
 //! Lemma 2 gives the polynomial decision procedure: `R(X)` and `S(Y)` are
-//! consistent iff `R[X∩Y] = S[X∩Y]`. Corollary 1 adds the
-//! strongly-polynomial witness construction from a saturated flow of
-//! `N(R,S)`. Every middle edge of `N(R,S)` is uncapacitated, so the flow
-//! splits into one transportation problem per shared-key group, and
-//! `fill_witness_with` saturates each group in one northwest-corner
-//! pass instead of running max-flow. Both Corollary 1's witness and
-//! every step of Theorem 6's chain ([`crate::acyclic`]) are this fill.
+//! consistent iff `R[X∩Y] = S[X∩Y]`. The crate's one test of it is
+//! `PairState`, the keyed difference `D(k) = R[Z](k) − S[Z](k)` on
+//! `Z = X ∩ Y` in `i128`, which no legal input can overflow (a bag has
+//! under 2^32 rows of multiplicity under 2^64). The session's pair test,
+//! the screen, the diagnosis and the stream ([`crate::stream`]) use it.
+//!
+//! Corollary 1 adds the strongly-polynomial witness construction from a
+//! saturated flow of `N(R,S)`. Every middle edge of `N(R,S)` is
+//! uncapacitated, so the flow splits into one transportation problem per
+//! shared-key group, and `fill_witness_with` saturates each group in one
+//! northwest-corner pass instead of running max-flow. Both Corollary 1's
+//! witness and every step of Theorem 6's chain ([`crate::acyclic`]) are
+//! this fill.
 
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
-use bagcons_core::{Bag, CoreError, ExecConfig, Result, Schema};
+use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Value};
+use std::borrow::Borrow;
 
-/// Lemma 2 (1)⟺(2): decides consistency of two bags by comparing the
-/// marginals on the common attributes, computed with shard-parallel
-/// prefix sweeps when the bags are sealed and `cfg` permits. The public
-/// entry is [`crate::session::Session::bags_consistent`].
-pub(crate) fn bags_consistent_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<bool> {
-    // ‖R‖u = ‖S‖u is the marginal equality on ∅ ⊆ Z: a free O(supp)
-    // columnar reduction that rejects most inconsistent pairs before the
-    // marginals are materialized.
+/// A keyed marginal difference `D(k)` over the shared attributes of one
+/// bag pair, with the count of keys where it is nonzero.
+pub(crate) struct KeyedDiff {
+    /// Every shared-attribute key either side has held since the pair
+    /// was last (re)built.
+    keys: RowStore,
+    /// `D(k)`, parallel to `keys`.
+    diff: Vec<i128>,
+    nonzero: usize,
+}
+
+impl KeyedDiff {
+    fn new(arity: usize) -> Self {
+        KeyedDiff {
+            keys: RowStore::new(arity),
+            diff: Vec::new(),
+            nonzero: 0,
+        }
+    }
+
+    /// `D(key) += delta`, keeping the nonzero count in step.
+    pub(crate) fn add(&mut self, key: &[Value], delta: i128) {
+        if delta == 0 {
+            return;
+        }
+        let (id, fresh) = self.keys.intern(key);
+        if fresh {
+            self.diff.push(0);
+        }
+        let d = &mut self.diff[id.index()];
+        let was_zero = *d == 0;
+        *d += delta;
+        match (was_zero, *d == 0) {
+            (true, false) => self.nonzero += 1,
+            (false, true) => self.nonzero -= 1,
+            _ => {}
+        }
+    }
+
+    /// Adds `sign × R[Z]` for every row of `bag`, projecting rows onto
+    /// `Z` through `z_cols`.
+    fn accumulate(&mut self, bag: &Bag, z_cols: &[usize], sign: i128) {
+        let mut key = Vec::with_capacity(z_cols.len());
+        for (row, m) in bag.iter() {
+            project(row, z_cols, &mut key);
+            self.add(&key, sign * i128::from(m));
+        }
+    }
+}
+
+/// Writes `row[z_cols]` into `key`.
+pub(crate) fn project(row: &[Value], z_cols: &[usize], key: &mut Vec<Value>) {
+    key.clear();
+    key.extend(z_cols.iter().map(|&c| row[c]));
+}
+
+/// Lemma 2 state of one bag pair `i < j`: `D = R_i[Z] − R_j[Z]` on
+/// their shared attributes `Z`. The pair is consistent iff `D = 0`.
+pub(crate) struct PairState {
+    pub(crate) i: usize,
+    pub(crate) j: usize,
+    /// Positions of `Z` in bag `i`'s schema.
+    pub(crate) z_of_i: Vec<usize>,
+    /// Positions of `Z` in bag `j`'s schema.
+    pub(crate) z_of_j: Vec<usize>,
+    pub(crate) diff: KeyedDiff,
+}
+
+impl PairState {
+    /// Accumulates `D` for `bags[i]` and `bags[j]`.
+    pub(crate) fn open<B: Borrow<Bag>>(i: usize, j: usize, bags: &[B]) -> Result<Self> {
+        let (r, s) = (bags[i].borrow(), bags[j].borrow());
+        let z = r.schema().intersection(s.schema());
+        let mut pair = PairState {
+            i,
+            j,
+            z_of_i: r.schema().projection_indices(&z)?,
+            z_of_j: s.schema().projection_indices(&z)?,
+            diff: KeyedDiff::new(z.arity()),
+        };
+        pair.rebuild(bags);
+        Ok(pair)
+    }
+
+    /// Recomputes `D` from the bags, discarding the incremental state.
+    pub(crate) fn rebuild<B: Borrow<Bag>>(&mut self, bags: &[B]) {
+        self.diff = KeyedDiff::new(self.z_of_i.len());
+        self.diff.accumulate(bags[self.i].borrow(), &self.z_of_i, 1);
+        self.diff
+            .accumulate(bags[self.j].borrow(), &self.z_of_j, -1);
+    }
+
+    pub(crate) fn consistent(&self) -> bool {
+        self.diff.nonzero == 0
+    }
+
+    /// Every key where the marginals differ, in key order, as
+    /// `(key, R_i[Z](key), R_j[Z](key))`. A marginal count that does not
+    /// fit a `u64` is reported as [`CoreError::MultiplicityOverflow`].
+    pub(crate) fn mismatches<B: Borrow<Bag>>(&self, bags: &[B]) -> Result<Vec<(Row, u64, u64)>> {
+        // R_i[Z] over the interned keys; R_j[Z] = R_i[Z] − D.
+        let d = &self.diff;
+        let mut left = vec![0i128; d.diff.len()];
+        let mut key = Vec::with_capacity(self.z_of_i.len());
+        for (row, m) in bags[self.i].borrow().iter() {
+            project(row, &self.z_of_i, &mut key);
+            if let Some(id) = d.keys.lookup(&key) {
+                left[id.index()] += i128::from(m);
+            }
+        }
+        let count = |c: i128| u64::try_from(c).map_err(|_| CoreError::MultiplicityOverflow);
+        let mut out: Vec<(Row, u64, u64)> = Vec::new();
+        for ((k, &delta), &l) in d.keys.iter().zip(&d.diff).zip(&left) {
+            if delta != 0 {
+                out.push((k.into(), count(l)?, count(l - delta)?));
+            }
+        }
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
+    }
+}
+
+/// Lemma 2 (1)⟺(2): decides consistency of two bags by their keyed
+/// marginal difference ([`PairState`]). The public entry is
+/// [`crate::session::Session::bags_consistent`].
+pub(crate) fn bags_consistent(r: &Bag, s: &Bag) -> Result<bool> {
+    // ‖R‖u = ‖S‖u is the marginal equality on ∅ ⊆ Z: exact in u128, it
+    // rejects most inconsistent pairs before any key is hashed, and it
+    // decides disjoint pairs outright.
     if r.unary_size() != s.unary_size() {
         return Ok(false);
     }
-    let z: Schema = r.schema().intersection(s.schema());
-    Ok(r.marginal_with(&z, cfg)? == s.marginal_with(&z, cfg)?)
+    if r.schema().intersection(s.schema()).is_empty() {
+        return Ok(true);
+    }
+    Ok(PairState::open(0, 1, &[r, s])?.consistent())
 }
 
-/// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`
-/// (the group fill of [`fill_witness_with`]), or `None` when the bags
+/// Corollary 1: a saturated flow of `N(R,S)` without a flow search, as a
+/// sealed witness bag `T(XY)` with `T[X] = R` and `T[Y] = S`; `None` when
+/// no flow saturates, which by Lemma 2 (1)⟺(5) is exactly when the bags
 /// are inconsistent. The public entry is
 /// [`crate::session::Session::consistency_witness`].
-pub(crate) fn consistency_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
-    // Lemma 2's marginal test decides; the fill only runs on consistent
-    // inputs, where it always saturates.
-    if !bags_consistent_with(r, s, cfg)? {
-        return Ok(None);
-    }
-    let witness = fill_witness_with(r, s, cfg)?;
-    debug_assert!(
-        witness.is_some(),
-        "Lemma 2: marginal equality implies a saturated fill"
-    );
-    Ok(witness)
-}
-
-/// A saturated flow of `N(R,S)` without a flow search, as a sealed
-/// witness bag; `None` when no flow saturates (the bags are
-/// inconsistent).
 ///
 /// `R` and `S` pair off by shared key `Z`; within one key group every
 /// `R`-row can send to every `S`-row, so the group is a transportation
@@ -139,7 +253,7 @@ pub(crate) fn first_inconsistent_pair_with(
             if let Some(reason) = cfg.deadline().poll() {
                 return Err(CoreError::Aborted(reason));
             }
-            if !bags_consistent_with(bags[i], bags[j], cfg)? {
+            if !bags_consistent(bags[i], bags[j])? {
                 return Ok(Some((i, j)));
             }
         }
@@ -157,7 +271,7 @@ pub fn is_two_bag_witness(t: &Bag, r: &Bag, s: &Bag) -> Result<bool> {
 mod tests {
     use super::*;
     use crate::session::Session;
-    use bagcons_core::{Attr, Value};
+    use bagcons_core::{Attr, Schema};
 
     fn schema(ids: &[u32]) -> Schema {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))

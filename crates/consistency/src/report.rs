@@ -6,11 +6,13 @@
 //! (5) `N(R,S)` admits a saturated flow.
 //!
 //! [`Lemma2Report`] evaluates each side with a *different* mechanism —
-//! marginal comparison, the closed-form rational point, the exact integer
-//! search, and the max-flow saturation test — so the equivalence can be
-//! cross-validated mechanically (experiment E2).
+//! the crate's keyed marginal difference ([`crate::pairwise`]), the
+//! closed-form rational point, the exact integer search, and the max-flow
+//! saturation test — so the equivalence can be cross-validated
+//! mechanically (experiment E2).
 
-use bagcons_core::{AttrNames, Bag, ExecConfig, Result, Schema};
+use crate::pairwise::bags_consistent;
+use bagcons_core::{AttrNames, Bag, ExecConfig, Result};
 use bagcons_flow::ConsistencyNetwork;
 use bagcons_lp::ilp::{solve, SolverConfig};
 use bagcons_lp::{rational_solution, ConsistencyProgram};
@@ -240,20 +242,19 @@ impl Lemma2Report {
 
     /// [`Lemma2Report::compute`] under explicit solver and execution
     /// configurations (the implementation behind
-    /// [`crate::session::Session::pairwise_report`]): the marginal
-    /// comparison and the witness seal shard across threads when `exec`
-    /// permits, the max-flow of `N(R,S)` honours `exec`'s deadline, and
-    /// the exact integer search honors `solver`'s node budget (a budget
-    /// abort counts as "not integrally feasible", which can break
-    /// [`Lemma2Report::all_agree`] — pass an adequate budget).
+    /// [`crate::session::Session::pairwise_report`]): the witness seal
+    /// shards across threads when `exec` permits, the max-flow of
+    /// `N(R,S)` honours `exec`'s deadline, and the exact integer search
+    /// honors `solver`'s node budget (a budget abort counts as "not
+    /// integrally feasible", which can break [`Lemma2Report::all_agree`]
+    /// — pass an adequate budget).
     pub(crate) fn compute_with(
         r: &Bag,
         s: &Bag,
         solver: &SolverConfig,
         exec: &ExecConfig,
     ) -> Result<Lemma2Report> {
-        let z: Schema = r.schema().intersection(s.schema());
-        let marginals_equal = r.marginal_with(&z, exec)? == s.marginal_with(&z, exec)?;
+        let marginals_equal = bags_consistent(r, s)?;
 
         let rational_feasible = rational_solution(r, s)?.is_some();
 
@@ -292,7 +293,7 @@ impl Lemma2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagcons_core::Attr;
+    use bagcons_core::{Attr, Schema};
 
     fn schema(ids: &[u32]) -> Schema {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))

@@ -26,10 +26,10 @@
 //! The methods ([`Session::check`], [`Session::witness`],
 //! [`Session::diagnose`], [`Session::pairwise_report`],
 //! [`Session::schema_report`], [`Session::counterexample`]) return
-//! **typed outcome structs** — decision + witness + per-stage timings +
-//! which branch of Theorem 4's dichotomy ran — all implementing
-//! [`Render`]. The lower-level operations (Lemma 2's pair test,
-//! Corollary 1's witness, Theorem 6's chain, the global-witness check,
+//! **typed outcome structs** — decision + per-stage timings + which
+//! branch of Theorem 4's dichotomy ran, and from `witness` the witness
+//! bag — all implementing [`Render`]. The lower-level operations
+//! (Lemma 2's pair test, Corollary 1's witness, Theorem 6's chain, the global-witness check,
 //! the reducers) are plain-typed `Session` methods too; the
 //! `_with(&ExecConfig)` functions they run are crate-private, so each
 //! operation has exactly one public path.
@@ -40,12 +40,10 @@
 //! multiplicity delta at delta-proportional cost.
 
 use crate::acyclic::{witness_chain, AcyclicError, WitnessStrategy};
-use crate::diagnose::{diagnose_with, Diagnosis};
+use crate::diagnose::{diagnose_bags, Diagnosis};
 use crate::global::{globally_consistent_via_ilp, is_global_witness_with, schema_hypergraph};
 use crate::lifting::LiftError;
-use crate::pairwise::{
-    bags_consistent_with, consistency_witness_with, first_inconsistent_pair_with,
-};
+use crate::pairwise::{bags_consistent, fill_witness_with, first_inconsistent_pair_with};
 use crate::reducer::{acyclic_join_with, naive_bag_semijoin_with, semijoin_with};
 use crate::report::{Json, Lemma2Report, Render};
 use bagcons_core::io::{parse_bag_with, write_bag, NameInterner, ParseError};
@@ -220,7 +218,8 @@ impl Decision {
 /// Which branch of Theorem 4's dichotomy ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Branch {
-    /// Acyclic schema: the polynomial pairwise + witness-chain path.
+    /// Acyclic schema: the polynomial path, where pairwise consistency
+    /// decides (Theorem 2) and witnesses come from Theorem 6's chain.
     Acyclic,
     /// Cyclic schema: the exact integer search over `P(R₁,…,R_m)`.
     CyclicSearch,
@@ -344,8 +343,9 @@ fn pretty_schema(s: &Schema, names: &AttrNames) -> String {
     format!("{{{}}}", cells.join(", "))
 }
 
-/// Outcome of [`Session::check`]: the Theorem 4 decision with its
-/// witness, branch, search effort, and per-stage timings.
+/// Outcome of [`Session::check`]: the Theorem 4 decision with its branch,
+/// search effort, and per-stage timings. [`Session::witness`] returns the
+/// same outcome with the witness filled in.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
     /// The decision.
@@ -354,7 +354,8 @@ pub struct CheckOutcome {
     pub branch: Branch,
     /// Exact-search nodes explored (0 on the acyclic branch).
     pub search_nodes: u64,
-    /// A witness bag over the union schema, when consistent.
+    /// A witness bag over the union schema: set by [`Session::witness`]
+    /// when consistent, always `None` from [`Session::check`].
     pub witness: Option<Bag>,
     /// The first inconsistent index pair, in lexicographic order, on
     /// acyclic-branch refusals.
@@ -423,8 +424,8 @@ impl Render for CheckOutcome {
     }
 }
 
-/// Outcome of [`Session::witness`]: a [`CheckOutcome`] whose renderings
-/// materialize the full witness bag instead of a summary.
+/// Outcome of [`Session::witness`]: the [`CheckOutcome`] of the same
+/// inputs with its witness built, rendered as the full witness bag.
 #[derive(Clone, Debug)]
 pub struct WitnessOutcome {
     /// The underlying decision.
@@ -1015,17 +1016,20 @@ impl Session {
         write_bag(bag, self.names())
     }
 
-    /// Decides global consistency following Theorem 4's dichotomy. For a
-    /// fixed schema hypergraph `H`:
+    /// Decides global consistency following Theorem 4's dichotomy. Lemma
+    /// 2's pair test screens every pair first: pairwise consistency is
+    /// necessary on any schema, so a refuted pair decides with no search.
+    /// Past the screen, for a fixed schema hypergraph `H`:
     ///
     /// * if `H` is **acyclic**, the problem is polynomial — global
-    ///   consistency coincides with pairwise consistency (Theorem 2), and
-    ///   a witness comes from the Theorem 6 chain;
+    ///   consistency coincides with pairwise consistency (Theorem 2), so
+    ///   the screen is the whole decision;
     /// * if `H` is **cyclic**, the problem is NP-complete — the session
-    ///   screens every pair first (pairwise consistency is still
-    ///   necessary, so a refuted pair decides with no search), then falls
-    ///   back to the exact integer search over `P(R₁,…,R_m)` (Corollary
-    ///   3's NP procedure), bounded by the node budget.
+    ///   falls back to the exact integer search over `P(R₁,…,R_m)`
+    ///   (Corollary 3's NP procedure), bounded by the node budget.
+    ///
+    /// `check` only decides: [`CheckOutcome::witness`] is always `None`.
+    /// [`Session::witness`] builds one.
     ///
     /// [`CheckOutcome::branch`] reports which path ran and
     /// [`CheckOutcome::search_nodes`] how much search it took, so the
@@ -1038,16 +1042,18 @@ impl Session {
     /// set — never an error, never a hang.
     pub fn check(&self, bags: &[&Bag]) -> Result<CheckOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        Ok(check_impl(bags, &solver, &exec)?)
+        Ok(check_impl(bags, &solver, &exec)?.0)
     }
 
-    /// [`Session::check`], rendering the full witness bag when one
-    /// exists.
+    /// [`Session::check`], then the witness of a consistent collection:
+    /// Theorem 6's chain on the acyclic branch (a `witness` stage that,
+    /// like any governed stage, can abort to [`Decision::Unknown`]), the
+    /// search's solution on the cyclic branch.
     pub fn witness(&self, bags: &[&Bag]) -> Result<WitnessOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        Ok(WitnessOutcome {
-            check: check_impl(bags, &solver, &exec)?,
-        })
+        let (mut check, solution) = check_impl(bags, &solver, &exec)?;
+        build_witness(bags, &mut check, solution, &exec)?;
+        Ok(WitnessOutcome { check })
     }
 
     /// Explains *why* a collection is inconsistent: which pair disagrees
@@ -1058,7 +1064,7 @@ impl Session {
     pub fn diagnose(&self, bags: &[&Bag]) -> Result<DiagnoseOutcome, SessionError> {
         let mut stages = Vec::new();
         let t = Instant::now();
-        let diagnosis = diagnose_with(bags, self.max_mismatches, &self.exec)?;
+        let diagnosis = diagnose_bags(bags, self.max_mismatches)?;
         push_stage(&mut stages, "diagnose", t);
         Ok(DiagnoseOutcome { diagnosis, stages })
     }
@@ -1120,7 +1126,8 @@ impl Session {
     // session's ExecConfig; these methods are the only public path.
 
     /// Lemma 2 (1)⟺(2): decides consistency of two bags by comparing
-    /// the marginals on the common attributes.
+    /// the marginals on the common attributes, as an exact keyed
+    /// difference that no legal input can overflow.
     ///
     /// ```
     /// use bagcons::session::Session;
@@ -1136,7 +1143,7 @@ impl Session {
     /// # Ok::<(), bagcons_core::CoreError>(())
     /// ```
     pub fn bags_consistent(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<bool> {
-        bags_consistent_with(r, s, &self.exec)
+        bags_consistent(r, s)
     }
 
     /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`,
@@ -1157,7 +1164,7 @@ impl Session {
     /// # Ok::<(), bagcons_core::CoreError>(())
     /// ```
     pub fn consistency_witness(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<Option<Bag>> {
-        consistency_witness_with(r, s, &self.exec)
+        fill_witness_with(r, s, &self.exec)
     }
 
     /// True iff every two bags of the collection are consistent (the
@@ -1252,119 +1259,117 @@ pub(crate) fn arm_configs(
     (exec.clone().with_deadline(deadline), solver)
 }
 
-/// The graceful-degradation outcome: a governed stage aborted, so the
-/// decision is [`Decision::Unknown`] with the reason attached.
-fn aborted_outcome(branch: Branch, reason: AbortReason, stages: Vec<StageTiming>) -> CheckOutcome {
+/// An outcome with no search, witness, pair or abort reason yet.
+fn outcome(decision: Decision, branch: Branch, stages: Vec<StageTiming>) -> CheckOutcome {
     CheckOutcome {
-        decision: Decision::Unknown,
+        decision,
         branch,
         search_nodes: 0,
         witness: None,
         inconsistent_pair: None,
-        abort_reason: Some(reason),
+        abort_reason: None,
         stages,
     }
 }
 
-/// The dichotomy decision behind [`Session::check`], [`Session::witness`],
-/// and the stream's cyclic-schema fallback.
+/// The dichotomy decision behind [`Session::check`] and
+/// [`Session::witness`]: the schema, the pairwise screen, then
+/// [`settle`]. It builds no witness.
 ///
 /// Deadline/cancellation aborts ([`CoreError::Aborted`]) from the
-/// pairwise sweep or the witness chain are converted into an
-/// [`Decision::Unknown`] outcome here, so governed callers never see
-/// them as errors.
+/// pairwise sweep are converted into an [`Decision::Unknown`] outcome
+/// here, so governed callers never see them as errors.
 pub(crate) fn check_impl(
     bags: &[&Bag],
     solver: &SolverConfig,
     exec: &ExecConfig,
-) -> bagcons_core::Result<CheckOutcome> {
+) -> bagcons_core::Result<(CheckOutcome, Option<Bag>)> {
     let mut stages = Vec::new();
     let t = Instant::now();
-    let h = schema_hypergraph(bags);
-    let acyclic = is_acyclic(&h);
-    push_stage(&mut stages, "schema", t);
-    let branch = if acyclic {
+    let branch = if is_acyclic(&schema_hypergraph(bags)) {
         Branch::Acyclic
     } else {
         Branch::CyclicSearch
     };
+    push_stage(&mut stages, "schema", t);
     // Theorem 2: pairwise consistency is necessary on every schema, so a
-    // refuted pair decides either branch before any witness or search. On
-    // the cyclic branch, a screen that cannot sum a marginal in u64 leaves
-    // the decision to the search.
+    // refuted pair decides either branch before any search.
     let t = Instant::now();
-    let pair = match first_inconsistent_pair_with(bags, exec) {
-        Ok(pair) => pair,
-        Err(CoreError::Aborted(reason)) => {
-            push_stage(&mut stages, "pairwise", t);
-            return Ok(aborted_outcome(branch, reason, stages));
-        }
-        Err(CoreError::MultiplicityOverflow) if !acyclic => None,
+    let pair = first_inconsistent_pair_with(bags, exec);
+    push_stage(&mut stages, "pairwise", t);
+    let out = match pair {
+        Ok(None) => return settle(bags, branch, solver, stages),
+        Ok(pair) => CheckOutcome {
+            inconsistent_pair: pair,
+            ..outcome(Decision::Inconsistent, branch, stages)
+        },
+        Err(CoreError::Aborted(reason)) => CheckOutcome {
+            abort_reason: Some(reason),
+            ..outcome(Decision::Unknown, branch, stages)
+        },
         Err(e) => return Err(e),
     };
-    push_stage(&mut stages, "pairwise", t);
-    if pair.is_some() {
-        return Ok(CheckOutcome {
-            decision: Decision::Inconsistent,
-            branch,
-            search_nodes: 0,
-            witness: None,
-            inconsistent_pair: pair,
-            abort_reason: None,
-            stages,
-        });
+    Ok((out, None))
+}
+
+/// The step after a clean pairwise screen, shared by [`check_impl`] and
+/// the stream: on an acyclic schema pairwise consistency is the decision
+/// (Theorem 2); on a cyclic one the exact search decides, and its `Sat`
+/// solution comes back as the second value.
+pub(crate) fn settle(
+    bags: &[&Bag],
+    branch: Branch,
+    solver: &SolverConfig,
+    mut stages: Vec<StageTiming>,
+) -> bagcons_core::Result<(CheckOutcome, Option<Bag>)> {
+    if branch.is_acyclic() {
+        return Ok((outcome(Decision::Consistent, branch, stages), None));
     }
-    if acyclic {
-        let t = Instant::now();
-        let witness = match witness_chain(bags, exec) {
-            Ok(w) => w,
-            Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
-                push_stage(&mut stages, "witness", t);
-                return Ok(aborted_outcome(Branch::Acyclic, reason, stages));
-            }
-            Err(AcyclicError::Core(e)) => return Err(e),
-            Err(AcyclicError::NotAcyclic(h)) => {
-                unreachable!("hypergraph {h} tested acyclic above")
-            }
-            Err(e @ AcyclicError::InconsistentPair(..)) => {
-                unreachable!("pairwise consistency established above: {e}")
-            }
-        };
-        push_stage(&mut stages, "witness", t);
-        Ok(CheckOutcome {
-            decision: Decision::Consistent,
-            branch: Branch::Acyclic,
-            search_nodes: 0,
-            witness: Some(witness),
-            inconsistent_pair: None,
-            abort_reason: None,
-            stages,
-        })
-    } else {
-        // The search stage includes reading the witness bag off a `Sat`
-        // solution vector; there is no separate witness stage here.
-        let t = Instant::now();
-        let decision = globally_consistent_via_ilp(bags, solver)?;
-        push_stage(&mut stages, "search", t);
-        let mut abort_reason = None;
-        let outcome = match decision.outcome {
-            IlpOutcome::Sat(_) => Decision::Consistent,
-            IlpOutcome::Unsat => Decision::Inconsistent,
-            IlpOutcome::Aborted(reason) => {
-                abort_reason = Some(reason);
-                Decision::Unknown
-            }
-        };
-        Ok(CheckOutcome {
-            decision: outcome,
-            branch: Branch::CyclicSearch,
-            search_nodes: decision.stats.nodes,
-            witness: decision.witness,
-            inconsistent_pair: None,
-            abort_reason,
-            stages,
-        })
+    // The search stage includes reading the witness bag off a `Sat`
+    // solution vector.
+    let t = Instant::now();
+    let search = globally_consistent_via_ilp(bags, solver)?;
+    push_stage(&mut stages, "search", t);
+    let (decision, abort_reason) = match search.outcome {
+        IlpOutcome::Sat(_) => (Decision::Consistent, None),
+        IlpOutcome::Unsat => (Decision::Inconsistent, None),
+        IlpOutcome::Aborted(reason) => (Decision::Unknown, Some(reason)),
+    };
+    let out = CheckOutcome {
+        search_nodes: search.stats.nodes,
+        abort_reason,
+        ..outcome(decision, branch, stages)
+    };
+    Ok((out, search.witness))
+}
+
+/// Adds the witness to a consistent outcome: on the acyclic branch
+/// Theorem 6's chain of group fills, timed as a `witness` stage (an abort
+/// degrades the outcome to [`Decision::Unknown`]); on the cyclic branch
+/// the search's `solution`.
+pub(crate) fn build_witness(
+    bags: &[&Bag],
+    out: &mut CheckOutcome,
+    solution: Option<Bag>,
+    exec: &ExecConfig,
+) -> bagcons_core::Result<()> {
+    if out.decision != Decision::Consistent || !out.branch.is_acyclic() {
+        out.witness = solution;
+        return Ok(());
     }
+    let t = Instant::now();
+    let built = witness_chain(bags, exec);
+    push_stage(&mut out.stages, "witness", t);
+    match built {
+        Ok(w) => out.witness = Some(w),
+        Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
+            out.decision = Decision::Unknown;
+            out.abort_reason = Some(reason);
+        }
+        Err(AcyclicError::Core(e)) => return Err(e),
+        Err(e) => unreachable!("pairwise consistent acyclic bags always chain: {e}"),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1426,7 +1431,11 @@ mod tests {
     fn check_acyclic_consistent_times_three_stages() {
         let (r, s) = path_pair();
         let session = Session::default();
-        let out = session.check(&[&r, &s]).unwrap();
+        let decided = session.check(&[&r, &s]).unwrap();
+        let names: Vec<&str> = decided.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(names, ["schema", "pairwise"], "check builds no witness");
+        assert!(decided.witness.is_none());
+        let out = session.witness(&[&r, &s]).unwrap().check;
         assert_eq!(out.decision, Decision::Consistent);
         assert_eq!(out.branch, Branch::Acyclic);
         assert_eq!(out.search_nodes, 0);
@@ -1434,6 +1443,41 @@ mod tests {
         assert_eq!(names, ["schema", "pairwise", "witness"]);
         let w = out.witness.as_ref().unwrap();
         assert!(session.is_global_witness(w, &[&r, &s]).unwrap());
+    }
+
+    /// Legal bags whose shared key carries mass 2^64 on both sides: a u64
+    /// marginal would overflow, the keyed difference decides on every
+    /// path.
+    #[test]
+    fn shared_key_mass_of_two_pow_64_decides_on_every_path() {
+        let half = 1u64 << 63;
+        let r = Bag::from_u64s(
+            schema(&[0, 1]),
+            [(&[0u64, 7][..], half), (&[1, 7][..], half)],
+        )
+        .unwrap();
+        let s = Bag::from_u64s(
+            schema(&[1, 2]),
+            [(&[7u64, 0][..], half), (&[7, 1][..], half)],
+        )
+        .unwrap();
+        let session = Session::default();
+        let refs = [&r, &s];
+        let out = session.check(&refs).unwrap();
+        assert_eq!(out.decision, Decision::Consistent);
+        assert!(out.witness.is_none());
+        assert!(session.bags_consistent(&r, &s).unwrap());
+        let w = session.witness(&refs).unwrap().check.witness;
+        let w = w.expect("consistent");
+        assert!(session.is_global_witness(&w, &refs).unwrap());
+        assert!(session
+            .diagnose(&refs)
+            .unwrap()
+            .diagnosis
+            .is_pairwise_consistent());
+        let mut stream = session.open_stream(vec![r.clone(), s.clone()]).unwrap();
+        assert_eq!(stream.decision(), Decision::Consistent);
+        assert_eq!(stream.witness().unwrap(), Some(&w));
     }
 
     #[test]
@@ -1538,7 +1582,8 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 3][..], 2)]).unwrap();
         let session = Session::default();
-        let out = session.check(&[&r, &s]).unwrap();
+        assert!(session.check(&[&r, &s]).unwrap().witness.is_none());
+        let out = session.witness(&[&r, &s]).unwrap().check;
         assert!(out.branch.is_acyclic());
         assert_eq!(out.search_nodes, 0);
         assert_eq!(out.decision, Decision::Consistent);

@@ -6,10 +6,11 @@
 //! cost proportional to the **delta**, not the database.
 //!
 //! The stream decides pairs by Lemma 2: `R(X)` and `S(Y)` are consistent
-//! iff `R[Z] = S[Z]` on `Z = X ∩ Y`. Per bag pair it keeps the keyed
-//! marginal difference `D(k) = R[Z](k) − S[Z](k)` as an `i128` per
-//! shared-attribute key, plus the number of keys where `D` is nonzero;
-//! the pair is consistent iff that count is 0. Disjoint schemas are the
+//! iff `R[Z] = S[Z]` on `Z = X ∩ Y`. Per bag pair it keeps the crate's
+//! one pair test (`pairwise::PairState`: the keyed marginal difference
+//! `D(k) = R[Z](k) − S[Z](k)` as an `i128` per shared-attribute key, and
+//! the number of keys where `D` is nonzero) alive across updates; the
+//! pair is consistent iff that count is 0. Disjoint schemas are the
 //! `Z = ∅` case: one arity-0 key whose difference is `‖R‖u − ‖S‖u`.
 //! Opening a stream accumulates each side's rows straight into the
 //! differences, and an update:
@@ -22,8 +23,9 @@
 //!   take the same path, and this step cannot fail;
 //! * leaves every pair not sharing the edited bag untouched.
 //!
-//! No flow network is built: a witness is only constructed on demand by
-//! [`ConsistencyStream::witness`].
+//! Past the pairs the stream decides as [`Session::check`] does, and
+//! [`ConsistencyStream::witness`] builds on demand as [`Session::witness`]
+//! does.
 //!
 //! # Shared generations (copy-on-write)
 //!
@@ -76,119 +78,20 @@
 //! mid-search reports [`bagcons_core::AbortReason::NodeBudget`] through
 //! the outcome's text and JSON.
 
-use crate::global::{globally_consistent_via_ilp, schema_hypergraph};
+use crate::global::schema_hypergraph;
+use crate::pairwise::{project, PairState};
 use crate::report::{Json, Render};
 use crate::session::{
-    arm_configs, check_impl, json_stages, push_stage, Branch, Decision, Session, SessionError,
-    StageTiming,
+    arm_configs, build_witness, json_stages, push_stage, settle, Branch, Decision, Session,
+    SessionError, StageTiming,
 };
 use bagcons_core::{
-    AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig, RowStore,
-    Value,
+    AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig,
 };
 use bagcons_hypergraph::is_acyclic;
 use bagcons_lp::ilp::SolverConfig;
-use bagcons_lp::IlpOutcome;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A keyed marginal difference `D(k)` over the shared attributes of one
-/// bag pair, with the count of keys where it is nonzero.
-struct KeyedDiff {
-    /// Every shared-attribute key either side has held since the pair
-    /// was last (re)built.
-    keys: RowStore,
-    /// `D(k)`, parallel to `keys`.
-    diff: Vec<i128>,
-    nonzero: usize,
-}
-
-impl KeyedDiff {
-    fn new(arity: usize) -> Self {
-        KeyedDiff {
-            keys: RowStore::new(arity),
-            diff: Vec::new(),
-            nonzero: 0,
-        }
-    }
-
-    /// `D(key) += delta`, keeping the nonzero count in step.
-    fn add(&mut self, key: &[Value], delta: i128) {
-        if delta == 0 {
-            return;
-        }
-        let (id, fresh) = self.keys.intern(key);
-        if fresh {
-            self.diff.push(0);
-        }
-        let d = &mut self.diff[id.index()];
-        let was_zero = *d == 0;
-        *d += delta;
-        match (was_zero, *d == 0) {
-            (true, false) => self.nonzero += 1,
-            (false, true) => self.nonzero -= 1,
-            _ => {}
-        }
-    }
-
-    /// Adds `sign × R[Z]` for every row of `bag`, projecting rows onto
-    /// `Z` through `z_cols`.
-    fn accumulate(&mut self, bag: &Bag, z_cols: &[usize], sign: i128) {
-        let mut key = Vec::with_capacity(z_cols.len());
-        for (row, m) in bag.iter() {
-            project(row, z_cols, &mut key);
-            self.add(&key, sign * i128::from(m));
-        }
-    }
-}
-
-/// Writes `row[z_cols]` into `key`.
-fn project(row: &[Value], z_cols: &[usize], key: &mut Vec<Value>) {
-    key.clear();
-    key.extend(z_cols.iter().map(|&c| row[c]));
-}
-
-/// Lemma 2 state of one bag pair `i < j`: `D = R_i[Z] − R_j[Z]` on
-/// their shared attributes `Z`. The pair is consistent iff `D = 0`.
-struct PairState {
-    i: usize,
-    j: usize,
-    /// Positions of `Z` in bag `i`'s schema.
-    z_of_i: Vec<usize>,
-    /// Positions of `Z` in bag `j`'s schema.
-    z_of_j: Vec<usize>,
-    diff: KeyedDiff,
-}
-
-impl PairState {
-    fn open(i: usize, j: usize, bags: &[Arc<Bag>]) -> Result<Self, CoreError> {
-        let z = bags[i].schema().intersection(bags[j].schema());
-        let mut pair = PairState {
-            i,
-            j,
-            z_of_i: bags[i].schema().projection_indices(&z)?,
-            z_of_j: bags[j].schema().projection_indices(&z)?,
-            diff: KeyedDiff::new(z.arity()),
-        };
-        pair.accumulate(bags);
-        Ok(pair)
-    }
-
-    fn accumulate(&mut self, bags: &[Arc<Bag>]) {
-        self.diff.accumulate(&bags[self.i], &self.z_of_i, 1);
-        self.diff.accumulate(&bags[self.j], &self.z_of_j, -1);
-    }
-
-    /// Recomputes `D` from the bags, discarding the incremental state.
-    fn rebuild(&mut self, bags: &[Arc<Bag>]) {
-        self.diff = KeyedDiff::new(self.z_of_i.len());
-        self.accumulate(bags);
-    }
-
-    fn consistent(&self) -> bool {
-        self.diff.nonzero == 0
-    }
-}
 
 /// A stateful incremental checker over a fixed collection of bags; see
 /// the [module docs](self) and [`Session::open_stream`].
@@ -582,6 +485,7 @@ impl ConsistencyStream {
     /// whether the exact search ran (cyclic branch, pairwise clean).
     fn decide(&mut self, solver: &SolverConfig) -> Result<bool, SessionError> {
         self.abort_reason = None;
+        self.search_nodes = 0;
         self.inconsistent_pair = self
             .pairs
             .iter()
@@ -591,30 +495,18 @@ impl ConsistencyStream {
             // Pairwise inconsistency refutes global consistency on both
             // branches — no further work.
             self.decision = Decision::Inconsistent;
-            self.search_nodes = 0;
             return Ok(false);
         }
-        if self.acyclic {
-            // Theorem 2: acyclic + pairwise consistent ⇒ consistent.
-            self.decision = Decision::Consistent;
-            self.search_nodes = 0;
-            return Ok(false);
-        }
-        // Cyclic schema: pairwise consistency does not decide — fall
-        // back to the exact integer search (the documented limit of the
-        // incremental path).
+        // The same post-screen step as `Session::check`: the decision on
+        // an acyclic schema, the exact search (the documented limit of
+        // the incremental path) on a cyclic one.
         let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-        let report = globally_consistent_via_ilp(&refs, solver).map_err(SessionError::Core)?;
-        self.search_nodes = report.stats.nodes;
-        self.decision = match report.outcome {
-            IlpOutcome::Sat(_) => Decision::Consistent,
-            IlpOutcome::Unsat => Decision::Inconsistent,
-            IlpOutcome::Aborted(reason) => {
-                self.abort_reason = Some(reason);
-                Decision::Unknown
-            }
-        };
-        Ok(true)
+        let (out, solution) = settle(&refs, self.branch(), solver, Vec::new())?;
+        self.decision = out.decision;
+        self.search_nodes = out.search_nodes;
+        self.abort_reason = out.abort_reason;
+        self.witness = solution.or(self.witness.take());
+        Ok(!self.acyclic)
     }
 
     /// The current global decision.
@@ -661,8 +553,9 @@ impl ConsistencyStream {
         self.bags.clone()
     }
 
-    /// A global witness for the current state, computed on demand and
-    /// cached until the next update; `None` unless currently consistent.
+    /// A global witness for the current state, built as by
+    /// [`Session::witness`] and cached until the next update; `None`
+    /// unless currently consistent (or when the deadline aborts it).
     pub fn witness(&mut self) -> Result<Option<&Bag>, SessionError> {
         if self.decision != Decision::Consistent {
             return Ok(None);
@@ -670,11 +563,8 @@ impl ConsistencyStream {
         if self.witness.is_none() {
             let (exec, solver) = self.arm();
             let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-            let out = check_impl(&refs, &solver, &exec)?;
-            debug_assert!(
-                out.decision == Decision::Consistent || out.abort_reason.is_some(),
-                "a consistent stream state must re-verify (or abort)"
-            );
+            let (mut out, solution) = settle(&refs, self.branch(), &solver, Vec::new())?;
+            build_witness(&refs, &mut out, solution, &exec)?;
             self.witness = out.witness;
         }
         Ok(self.witness.as_ref())

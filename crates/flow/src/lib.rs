@@ -18,7 +18,7 @@
 //!   witness extraction, including the middle-edge exclusion hook used by
 //!   the minimal-witness self-reduction of Section 5.3. This is the
 //!   paper's Corollary 1 construction. Neither deciding consistency nor
-//!   building the witnesses `check` returns needs it: Lemma 2 compares
+//!   building the witnesses `witness` returns needs it: Lemma 2 compares
 //!   marginals, and every middle edge is uncapacitated, so
 //!   `bagcons::pairwise` fills each shared-key group in one pass.
 

@@ -14,7 +14,7 @@
 //! Lemma 2's `saturated_flow` characterization
 //! (`bagcons::report::Lemma2Report`), Corollary 4's minimal-witness
 //! self-reduction (`bagcons::minimal`), and as a test oracle. Witnesses
-//! for `check`/`witness` come from the one-pass group fill in
+//! from `witness` come from the one-pass group fill in
 //! `bagcons::pairwise`, which needs no search because every middle edge
 //! is uncapacitated.
 //!

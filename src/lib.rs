@@ -44,8 +44,10 @@
 //! assert_eq!(outcome.decision, Decision::Consistent);
 //! assert!(outcome.branch.is_acyclic());
 //!
-//! // Corollary 1: the witness marginalizes back onto both inputs.
-//! let t = outcome.witness.as_ref().expect("consistent");
+//! // `check` only decides; `witness` builds. Corollary 1: the witness
+//! // marginalizes back onto both inputs.
+//! let built = session.witness(&[&r, &s])?;
+//! let t = built.witness().expect("consistent");
 //! assert_eq!(t.marginal(r.schema())?, r);
 //! assert_eq!(t.marginal(s.schema())?, s);
 //!

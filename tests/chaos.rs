@@ -38,9 +38,8 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Fault scenarios: site × action. Panic is limited to sites that fire
 /// inside executor tasks (contained by `catch_unwind`) or before any
-/// state mutation (`stream::update` entry). Streams build no witness, so
-/// the `witness::fill` site is exercised through `Session::check` below
-/// instead.
+/// state mutation (`stream::update` entry). The `witness::fill` site is
+/// exercised through `Session::witness` below instead.
 const SCENARIOS: [(&str, FaultAction); 4] = [
     ("bag::reseal_delta::merge", FaultAction::Panic),
     ("stream::update", FaultAction::Panic),
@@ -233,10 +232,11 @@ proptest! {
 }
 
 /// A worker panic inside the acyclic witness chain's group fill surfaces
-/// as `WorkerPanicked` from `Session::check`, and the same inputs
-/// re-check clean once disarmed.
+/// as `WorkerPanicked` from `Session::witness`, and the same inputs
+/// rebuild clean once disarmed. `Session::check` builds no witness, so
+/// the armed site never fires there.
 #[test]
-fn worker_panic_in_check_is_typed_and_retryable() {
+fn worker_panic_in_witness_is_typed_and_retryable() {
     let _serial = fault::test_lock();
     fault::reset();
     let _quiet = quiet_panics();
@@ -244,47 +244,53 @@ fn worker_panic_in_check_is_typed_and_retryable() {
         let s = session(threads);
         let bags = fixture();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let base = s.check(&refs).unwrap();
+        let base = s.witness(&refs).unwrap().check;
         assert_eq!(base.decision, Decision::Consistent);
 
         fault::arm("witness::fill", FaultAction::Panic, 1);
-        match s.check(&refs) {
+        let checked = s.check(&refs).unwrap();
+        assert_eq!(checked.decision, base.decision, "threads={threads}");
+        assert!(checked.witness.is_none());
+        match s.witness(&refs) {
             Err(SessionError::Core(CoreError::WorkerPanicked { message, .. })) => {
                 assert!(message.contains("witness::fill"), "message = {message:?}");
             }
             other => panic!("threads={threads}: expected WorkerPanicked, got {other:?}"),
         }
         fault::reset();
-        let again = s.check(&refs).unwrap();
+        let again = s.witness(&refs).unwrap().check;
         assert_eq!(again.decision, base.decision, "threads={threads}");
+        assert_eq!(again.witness, base.witness, "threads={threads}");
     }
 }
 
 /// An injected deadline in the group fill of the acyclic chain degrades
-/// `Session::check` to `Decision::Unknown` with the deadline reason, and
-/// the same inputs re-check to the base decision once disarmed.
+/// `Session::witness` to `Decision::Unknown` with the deadline reason,
+/// and the same inputs rebuild to the base witness once disarmed.
 #[test]
-fn injected_deadline_in_witness_fill_degrades_check() {
+fn injected_deadline_in_witness_fill_degrades_witness() {
     let _serial = fault::test_lock();
     fault::reset();
     for threads in THREADS {
         let s = session(threads);
         let bags = fixture();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let base = s.check(&refs).unwrap();
+        let base = s.witness(&refs).unwrap().check;
         assert_eq!(base.decision, Decision::Consistent);
 
         fault::arm("witness::fill", FaultAction::InjectDeadline, 1);
-        let out = s.check(&refs).unwrap();
+        let out = s.witness(&refs).unwrap().check;
         assert_eq!(out.decision, Decision::Unknown, "threads={threads}");
         assert_eq!(
             out.abort_reason,
             Some(AbortReason::DeadlineExceeded),
             "threads={threads}"
         );
+        assert!(out.witness.is_none(), "threads={threads}");
         fault::reset();
-        let again = s.check(&refs).unwrap();
+        let again = s.witness(&refs).unwrap().check;
         assert_eq!(again.decision, base.decision, "threads={threads}");
+        assert_eq!(again.witness, base.witness, "threads={threads}");
     }
 }
 

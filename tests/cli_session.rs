@@ -355,6 +355,52 @@ fn golden_counterexample_triangle() {
     assert_golden(&out, "counterexample_triangle.json");
 }
 
+/// Legal bags whose shared key `B = 7` carries mass 2^64 on both sides
+/// (each row 2^63). Lemma 2's pair test is exact, so every verb decides
+/// consistent instead of reporting a u64 overflow.
+#[test]
+fn shared_key_mass_of_two_pow_64_is_consistent() {
+    use bag_consistency::prelude::Session;
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = tempdir("mass64");
+    let r_text = "A B #\n0 7 : 9223372036854775808\n1 7 : 9223372036854775808\n";
+    let s_text = "B C #\n7 0 : 9223372036854775808\n7 1 : 9223372036854775808\n";
+    let r = write(&dir, "r.bag", r_text);
+    let s = write(&dir, "s.bag", s_text);
+    let (r, s) = (r.to_str().unwrap(), s.to_str().unwrap());
+
+    let out = run(&["check", r, s]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = run(&["check", "--format", "json", r, s]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout(&out).contains("\"witness\":null"));
+    let out = run(&["diagnose", r, s]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    let out = run(&["witness", r, s]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let mut session = Session::default();
+    let rb = session.load_bag(r_text).unwrap();
+    let sb = session.load_bag(s_text).unwrap();
+    let w = session.load_bag(&stdout(&out)).unwrap();
+    assert!(session.is_global_witness(&w, &[&rb, &sb]).unwrap());
+
+    let child = Command::new(env!("CARGO_BIN_EXE_bagcons"))
+        .args(["watch", r, s])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut child = child;
+    child.stdin.take().unwrap().write_all(b"").unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(stdout(&out).starts_with("open: consistent"), "{out:?}");
+    assert_eq!(out.status.code(), Some(0));
+}
+
 // ---------------------------------------------------------------------
 // Exit-code coverage: 0 / 1 / 2 / 3 on both formats
 // ---------------------------------------------------------------------

@@ -217,8 +217,8 @@ fn strip_micros(json: &str) -> String {
 
 /// A hundred checks against one reused `Session` report exactly what a
 /// fresh per-check `Session` reports:
-/// same decision, branch, search effort, witness bag, and JSON report
-/// (timings normalised).
+/// same decision, branch, search effort, witness bag (built by
+/// `Session::witness`), and JSON report (timings normalised).
 #[test]
 fn warm_session_checks_match_fresh_sessions() {
     // A consistent chain, an inconsistent pair, and a cyclic triangle —
@@ -258,10 +258,14 @@ fn warm_session_checks_match_fresh_sessions() {
         let from_warm = warm.check(&refs).unwrap();
         let fresh = Session::builder().threads(2).build().unwrap();
         let from_fresh = fresh.check(&refs).unwrap();
+        assert!(from_warm.witness.is_none() && from_fresh.witness.is_none());
         assert_eq!(from_warm.decision.as_str(), from_fresh.decision.as_str());
         assert_eq!(from_warm.branch, from_fresh.branch);
         assert_eq!(from_warm.search_nodes, from_fresh.search_nodes);
-        assert_eq!(from_warm.witness, from_fresh.witness);
+        assert_eq!(
+            warm.witness(&refs).unwrap().check.witness,
+            fresh.witness(&refs).unwrap().check.witness
+        );
         assert_eq!(
             strip_micros(&from_warm.json(&names)),
             strip_micros(&from_fresh.json(&names)),

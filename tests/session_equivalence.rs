@@ -75,7 +75,8 @@ proptest! {
     }
 
     /// `Session::check` on acyclic planted families (decision, branch,
-    /// witness, node count) matches the one-thread dichotomy decision.
+    /// node count) matches the one-thread dichotomy decision, and
+    /// `Session::witness` builds the same witness at every thread count.
     #[test]
     fn check_matches_dichotomy_acyclic(seed in 0u64..1 << 48, perturb in 0u8..2) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -91,13 +92,16 @@ proptest! {
         let refs: Vec<&Bag> = bags.iter().collect();
         let reference = session(1).check(&refs).unwrap();
         prop_assert!(reference.branch.is_acyclic());
-        prop_assert_eq!(reference.witness.is_some(), reference.decision == Decision::Consistent);
+        prop_assert!(reference.witness.is_none());
+        let witness = session(1).witness(&refs).unwrap().check.witness;
+        prop_assert_eq!(witness.is_some(), reference.decision == Decision::Consistent);
         for threads in THREADS {
             let out = session(threads).check(&refs).unwrap();
+            prop_assert!(out.witness.is_none());
             prop_assert_eq!(out.branch, reference.branch);
             prop_assert_eq!(out.search_nodes, reference.search_nodes);
             prop_assert_eq!(out.decision, reference.decision);
-            prop_assert_eq!(&out.witness, &reference.witness);
+            prop_assert_eq!(&session(threads).witness(&refs).unwrap().check.witness, &witness);
             prop_assert_eq!(out.inconsistent_pair, reference.inconsistent_pair);
         }
     }
@@ -114,11 +118,16 @@ proptest! {
         let refs: Vec<&Bag> = bags.iter().collect();
         let reference = session(1).check(&refs).unwrap();
         prop_assert!(!reference.branch.is_acyclic());
+        prop_assert!(reference.witness.is_none());
+        let witness = session(1).witness(&refs).unwrap().check.witness;
+        prop_assert_eq!(witness.is_some(), reference.decision == Decision::Consistent);
         for threads in THREADS {
             let out = session(threads).check(&refs).unwrap();
+            prop_assert!(out.witness.is_none());
             prop_assert!(!out.branch.is_acyclic());
             prop_assert_eq!(out.search_nodes, reference.search_nodes);
             prop_assert_eq!(out.decision, reference.decision);
+            prop_assert_eq!(&session(threads).witness(&refs).unwrap().check.witness, &witness);
         }
     }
 
