@@ -83,9 +83,15 @@ pub(crate) fn witness_chain(bags: &[&Bag], exec: &ExecConfig) -> Result<Bag, Acy
     let Some(order) = rip_order(&h) else {
         return Err(AcyclicError::NotAcyclic(h));
     };
-    // 3. Inductive chain: T_i witnesses (T_{i-1}, R_{σ(i)}).
-    let mut t: Bag = (*by_schema[&order[0]]).clone();
-    for x in &order[1..] {
+    // 3. Inductive chain: T_i witnesses (T_{i-1}, R_{σ(i)}). With only
+    //    the empty schema there are no edges to order, and its one bag
+    //    is the witness.
+    let Some((first, rest)) = order.split_first() else {
+        let only = by_schema.values().next().expect("checked non-empty above");
+        return Ok((*only).clone());
+    };
+    let mut t: Bag = (*by_schema[first]).clone();
+    for x in rest {
         t = fill_witness_with(&t, by_schema[x], exec)?.expect(
             "Theorem 2 Step 1: T_{i-1} and R_i are consistent under RIP + pairwise consistency",
         );
@@ -190,6 +196,15 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 5)]).unwrap();
         let t = chain(&[&r]).unwrap();
         assert_eq!(t, r);
+    }
+
+    #[test]
+    fn empty_schema_bags_are_their_own_witness() {
+        let r = Bag::from_u64s(Schema::empty(), [(&[][..], 3)]).unwrap();
+        assert_eq!(chain(&[&r]).unwrap(), r);
+        assert_eq!(chain(&[&r, &r.clone()]).unwrap(), r);
+        let none = Bag::new(Schema::empty());
+        assert_eq!(chain(&[&none]).unwrap(), none);
     }
 
     #[test]

@@ -172,8 +172,11 @@ pub(crate) fn bags_consistent(r: &Bag, s: &Bag) -> Result<bool> {
 /// `‖R‖supp + ‖S‖supp − #groups` (Theorem 5), and every `q` is at most
 /// an input multiplicity (Theorem 3), so nothing can overflow.
 ///
-/// Key groups shard by range per `cfg` (shards poll its deadline); the
-/// result is sealed under `cfg` as well.
+/// Key groups shard by range per `cfg`; each shard task polls its
+/// deadline and lists its `(R-row, S-row, q)` cells. The cells' `XY` rows
+/// go into one flat arena, sized once, and [`Bag::from_arena`] sorts and
+/// lays it out under `cfg`. Distinct `(R-row, S-row)` cells assemble
+/// distinct rows, so nothing is interned or hashed on the way.
 pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
     let total = r.unary_size();
     if total != s.unary_size() {
@@ -218,23 +221,20 @@ pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Op
             });
             Ok(cells)
         })?;
-    let mut witness = Bag::new(plan.output_schema().clone());
-    let mut row = Vec::with_capacity(plan.output_schema().arity());
-    let mut filled: u128 = 0;
-    for shard in shards {
-        for (i, j, q) in shard? {
-            plan.combine_into(r_rows[i as usize].0, s_rows[j as usize].0, &mut row);
-            // Distinct (R-row, S-row) cells assemble distinct XY rows.
-            witness.insert_row(&row, q)?;
-            filled += q as u128;
-        }
+    let shards = shards.into_iter().collect::<Result<Vec<_>>>()?;
+    let cells = shards.iter().map(Vec::len).sum::<usize>();
+    let mut data = Vec::with_capacity(cells * plan.output_schema().arity());
+    let mut mults = Vec::with_capacity(cells);
+    for &(i, j, q) in shards.iter().flatten() {
+        plan.append_combined(r_rows[i as usize].0, s_rows[j as usize].0, &mut data);
+        mults.push(q);
     }
+    drop(shards);
     // Saturated iff every key group balanced and no key was unmatched.
-    if filled != total {
+    if mults.iter().map(|&q| u128::from(q)).sum::<u128>() != total {
         return Ok(None);
     }
-    witness.try_seal_with(cfg)?;
-    Ok(Some(witness))
+    Bag::from_arena(plan.output_schema().clone(), data, mults, cfg).map(Some)
 }
 
 /// Returns the first (lexicographic) inconsistent index pair, or `None`

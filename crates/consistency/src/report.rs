@@ -154,7 +154,7 @@ impl Json {
     /// Emits an unsigned integer value.
     pub fn u64(&mut self, v: u64) {
         self.pre_value();
-        self.buf.push_str(&v.to_string());
+        bagcons_core::io::push_decimal(&mut self.buf, v);
     }
 
     /// Emits a boolean value.

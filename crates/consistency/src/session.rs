@@ -1648,6 +1648,26 @@ mod tests {
     }
 
     #[test]
+    fn witness_over_the_empty_schema() {
+        let session = Session::default();
+        let r = Bag::from_u64s(Schema::empty(), [(&[][..], 3)]).unwrap();
+        for bags in [vec![&r], vec![&r, &r]] {
+            let out = session.witness(&bags).unwrap();
+            assert_eq!(out.check.decision, Decision::Consistent);
+            assert_eq!(out.witness(), Some(&r));
+            assert_eq!(out.text(session.names()), "#\n : 3\n");
+            let t = session
+                .acyclic_global_witness(&bags, WitnessStrategy::Saturated)
+                .unwrap();
+            assert_eq!(t, r);
+        }
+        let none = Bag::new(Schema::empty());
+        let out = session.witness(&[&none]).unwrap();
+        assert_eq!(out.witness(), Some(&none));
+        assert_eq!(out.text(session.names()), "#\n");
+    }
+
+    #[test]
     fn load_bag_shares_attributes_across_files() {
         let mut session = Session::default();
         let r = session.load_bag("A B #\n0 0 : 1\n").unwrap();

@@ -1007,4 +1007,17 @@ mod tests {
         assert!(json.contains("\"deltas\":1"));
         assert!(json.contains("\"stages\":[{\"stage\":\"apply\""));
     }
+
+    #[test]
+    fn witness_over_the_empty_schema() {
+        let r = Bag::from_u64s(Schema::empty(), [(&[][..], 3)]).unwrap();
+        let session = Session::default();
+        let mut stream = session.open_stream(vec![r.clone(), r.clone()]).unwrap();
+        assert_eq!(stream.decision(), Decision::Consistent);
+        assert_eq!(stream.witness().unwrap(), Some(&r));
+        let mut stream = session
+            .open_stream(vec![Bag::new(Schema::empty())])
+            .unwrap();
+        assert_eq!(stream.witness().unwrap(), Some(&Bag::new(Schema::empty())));
+    }
 }

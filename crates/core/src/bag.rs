@@ -86,18 +86,27 @@ impl Bag {
     }
 
     /// Builds a bag from `(row, multiplicity)` pairs; multiplicities of
-    /// equal rows accumulate (checked). The result is sealed.
+    /// equal rows accumulate (checked). The result is sealed. A thin
+    /// wrapper over [`Bag::from_arena`] under a sequential configuration.
     pub fn from_rows<I, R>(schema: Schema, rows: I) -> Result<Self>
     where
         I: IntoIterator<Item = (R, u64)>,
         R: AsRef<[Value]>,
     {
-        let mut bag = Bag::new(schema);
+        let arity = schema.arity();
+        let (mut data, mut mults) = (Vec::new(), Vec::new());
         for (row, m) in rows {
-            bag.insert_row(row.as_ref(), m)?;
+            let row = row.as_ref();
+            if row.len() != arity {
+                return Err(CoreError::ArityMismatch {
+                    expected: arity,
+                    got: row.len(),
+                });
+            }
+            data.extend_from_slice(row);
+            mults.push(m);
         }
-        bag.seal();
-        Ok(bag)
+        Bag::from_arena(schema, data, mults, &ExecConfig::sequential())
     }
 
     /// Convenience constructor from plain `u64` rows, used pervasively in
@@ -106,14 +115,100 @@ impl Bag {
     where
         I: IntoIterator<Item = (&'a [u64], u64)>,
     {
-        let mut bag = Bag::new(schema);
-        let mut scratch: Vec<Value> = Vec::new();
-        for (row, m) in rows {
-            scratch.clear();
-            scratch.extend(row.iter().copied().map(Value::new));
-            bag.insert_row(&scratch, m)?;
+        Bag::from_rows(
+            schema,
+            rows.into_iter()
+                .map(|(row, m)| (row.iter().copied().map(Value::new).collect::<Vec<_>>(), m)),
+        )
+    }
+
+    /// Builds a sealed bag from a row-major arena without hashing: `data`
+    /// holds `mults.len()` rows of the schema's arity back to back, and
+    /// rows may repeat. The bulk constructor behind [`Bag::from_rows`] and
+    /// the witness fill.
+    ///
+    /// The row ids sort by the seal's packed compare and the seal's copy
+    /// routine lays the rows out in that order (both in parallel per
+    /// `cfg`); equal neighbours then merge with a checked add and zero
+    /// multiplicities drop out, compacting in place. The strictly ascending
+    /// result is adopted through [`RowStore::from_sorted_rows`], which
+    /// certifies that its rows are distinct; the dedup table stays unbuilt
+    /// until the first content probe, as after a snapshot load. The result
+    /// is byte-identical at every thread count, and equal to inserting
+    /// every row and sealing.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ArityMismatch`] when `data` is not `mults.len()` rows
+    /// of the schema's arity; [`CoreError::MultiplicityOverflow`] when
+    /// the copies of one row sum past `u64`; [`CoreError::Aborted`] when
+    /// `cfg`'s deadline fires, polled as a seal polls it. As in
+    /// [`Bag::try_seal_with`], a panicking copy worker is contained as
+    /// [`CoreError::WorkerPanicked`].
+    pub fn from_arena(
+        schema: Schema,
+        data: Vec<Value>,
+        mults: Vec<u64>,
+        cfg: &ExecConfig,
+    ) -> Result<Bag> {
+        let arity = schema.arity();
+        let rows = mults.len();
+        if Some(data.len()) != rows.checked_mul(arity) {
+            // Report the row width the arena implies, rounded away from
+            // the expected one.
+            let got = match (data.len().cmp(&(rows * arity)), rows) {
+                (_, 0) => data.len(),
+                (std::cmp::Ordering::Greater, _) => data.len().div_ceil(rows),
+                _ => data.len() / rows,
+            };
+            return Err(CoreError::ArityMismatch {
+                expected: arity,
+                got,
+            });
         }
-        bag.seal();
+        assert!(
+            rows < (u32::MAX - 1) as usize,
+            "RowStore capacity (u32 ids) exhausted"
+        );
+        crate::fault::fire("bag::seal");
+        let order = crate::store::sorted_order_with(arity, &data, (0..rows as u32).collect(), cfg);
+        let mut laid_out = crate::store::gather_rows(arity, &data, &order, cfg)?;
+        drop(data);
+        let mut sums: Vec<u64> = order.iter().map(|&i| mults[i as usize]).collect();
+        // Merge runs of equal rows into their first slot and drop zero
+        // sums, compacting in place; `kept` rows are final so far.
+        let row = |p: usize| p * arity..(p + 1) * arity;
+        let mut kept = 0;
+        let mut p = 0;
+        while p < rows {
+            let mut m = sums[p];
+            let mut q = p + 1;
+            while q < rows && laid_out[row(q)] == laid_out[row(p)] {
+                m = m
+                    .checked_add(sums[q])
+                    .ok_or(CoreError::MultiplicityOverflow)?;
+                q += 1;
+            }
+            if m > 0 {
+                laid_out.copy_within(row(p), kept * arity);
+                sums[kept] = m;
+                kept += 1;
+            }
+            p = q;
+        }
+        laid_out.truncate(kept * arity);
+        sums.truncate(kept);
+        let store = RowStore::from_sorted_rows(arity, kept, laid_out)
+            .expect("merged neighbours of a sorted arena ascend strictly");
+        let mut bag = Bag {
+            schema,
+            store,
+            mults: sums,
+            live: kept,
+            sealed: true,
+            packed: OnceLock::new(),
+        };
+        bag.rebuild_packed();
         Ok(bag)
     }
 
@@ -334,10 +429,12 @@ impl Bag {
     /// `cfg` shards the live row set. The id permutation is sorted by
     /// parallel chunk sorts + pairwise run merges
     /// ([`crate::exec::parallel_sort_by`]), and the re-layout copies
-    /// rows (and hashes them) on shard workers before splicing the runs
-    /// back in ascending order. The resulting bag is byte-identical to
-    /// the sequential seal at every thread count — interned rows are
-    /// distinct, so the sorted order is total.
+    /// rows on shard workers straight into their slices of the new
+    /// arena. Nothing is hashed: the sorted arena certifies that its rows
+    /// are distinct, and the dedup table builds on the first content
+    /// probe. The resulting bag is byte-identical to the sequential seal
+    /// at every thread count — interned rows are distinct, so the sorted
+    /// order is total.
     pub fn seal_with(&mut self, cfg: &ExecConfig) {
         // Infallible entry point: runs ungoverned (no deadline poll) so
         // the only possible failure is a worker panic, which re-raises
@@ -353,8 +450,8 @@ impl Bag {
     /// [`crate::Deadline`] at shard-chunk boundaries and contains worker
     /// panics. On any error the bag is left **exactly** as it was —
     /// unsealed, layout, multiplicities, and packed cache untouched —
-    /// because the seal only commits by whole-value replacement after
-    /// every shard has succeeded.
+    /// because the seal commits only after every copy shard has
+    /// succeeded.
     ///
     /// # Errors
     ///
@@ -365,40 +462,14 @@ impl Bag {
             return Ok(());
         }
         crate::fault::fire("bag::seal");
-        let order: Vec<u32> = (0..self.store.len() as u32)
-            .filter(|&i| self.mults[i as usize] > 0)
-            .collect();
-        let shards = cfg.shards_for(order.len());
-        let order = self.store.sorted_order_with(order, cfg);
-        if shards <= 1 {
-            if let Some(reason) = cfg.deadline().poll() {
-                return Err(CoreError::Aborted(reason));
-            }
-            let mults = order.iter().map(|&i| self.mults[i as usize]).collect();
-            self.store = self.store.reordered(&order);
-            self.mults = mults;
-            self.sealed = true;
-            self.rebuild_packed();
-            return Ok(());
-        }
-        // Parallel re-layout: plain index ranges over the sorted
-        // permutation (rows are independent); each worker copies rows
-        // and multiplicities into a ShardRun, hashing on the worker.
         let arity = self.schema.arity();
-        let ranges = shard_ranges(order.len(), shards, |_| false);
-        let order = &order;
-        let runs = crate::exec::try_run_shards(cfg, ranges, |range| {
-            let mut run = ShardRun::with_capacity(arity, range.len());
-            for &id in &order[range] {
-                run.push(self.store.row(RowId(id)), self.mults[id as usize]);
-            }
-            run
-        })?;
-        *self = Bag::from_shard_runs(
-            self.schema.clone(),
-            ShardedRowStore::from_runs(arity, runs),
-            true,
-        );
+        let live: Vec<u32> = self.live_ids().collect();
+        let order = crate::store::sorted_order_with(arity, self.store.values(), live, cfg);
+        let laid_out = crate::store::gather_rows(arity, self.store.values(), &order, cfg)?;
+        self.mults = order.iter().map(|&i| self.mults[i as usize]).collect();
+        self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
+            .expect("distinct interned rows sort strictly");
+        self.sealed = true;
         self.rebuild_packed();
         Ok(())
     }
@@ -618,7 +689,7 @@ impl Bag {
         let mut tail: Vec<u32> = (old_len as u32..self.store.len() as u32)
             .filter(|&i| self.mults[i as usize] > 0)
             .collect();
-        let ord = RowOrd::new(&self.store, old_len + tail.len());
+        let ord = RowOrd::new(arity, self.store.values(), old_len + tail.len());
         tail.sort_unstable_by(|&a, &b| ord.cmp(a, b));
         let tasks = if old_len == 0 {
             vec![(0..0, 0..tail.len())]
@@ -1126,6 +1197,36 @@ mod tests {
         assert_eq!(b.multiplicity(&[Value(1)]), 5);
         assert_eq!(b.multiplicity(&[Value(2)]), 0);
         assert_eq!(b.support_size(), 1);
+    }
+
+    #[test]
+    fn from_arena_rejects_bad_arenas() {
+        let seq = ExecConfig::sequential();
+        let big = |m: u64| (vec![Value(1), Value(2), Value(1), Value(2)], vec![m, m]);
+        let (data, mults) = big(u64::MAX / 2 + 1);
+        assert_eq!(
+            Bag::from_arena(schema(&[0, 1]), data, mults, &seq),
+            Err(CoreError::MultiplicityOverflow)
+        );
+        let (data, mults) = big(u64::MAX / 2);
+        let bag = Bag::from_arena(schema(&[0, 1]), data, mults, &seq).unwrap();
+        assert_eq!(bag.multiplicity(&[Value(1), Value(2)]), u64::MAX - 1);
+        for (data, rows, got) in [(3, 1, 3), (3, 2, 1), (1, 0, 1)] {
+            assert_eq!(
+                Bag::from_arena(schema(&[0, 1]), vec![Value(0); data], vec![1; rows], &seq),
+                Err(CoreError::ArityMismatch { expected: 2, got }),
+                "{data} values for {rows} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn from_arena_over_the_empty_schema_sums_to_one_row() {
+        let seq = ExecConfig::sequential();
+        let bag = Bag::from_arena(Schema::empty(), vec![], vec![2, 0, 5], &seq).unwrap();
+        assert_eq!(bag, Bag::of_empty_tuple(7));
+        let none = Bag::from_arena(Schema::empty(), vec![], vec![0, 0], &seq).unwrap();
+        assert!(none.is_empty() && none.is_sealed());
     }
 
     #[test]

@@ -25,12 +25,14 @@
 //!   task order regardless of completion order — the splice invariant
 //!   below survives any interleaving.
 //!
-//! Workers assemble their output into [`ShardRun`]s: flat row-major
-//! buffers with **precomputed row hashes** and a parallel `u64` payload
-//! column (multiplicities or edge capacities). The splice back into one
-//! [`RowStore`] ([`ShardedRowStore::into_store`]) then memcpys row data
-//! and inserts dedup-table slots without rehashing — the only sequential
-//! work left on the output side is the flat-table probe.
+//! Join, marginal, and delta-reseal workers assemble their output into
+//! [`ShardRun`]s: flat row-major buffers with **precomputed row hashes**
+//! and a parallel `u64` payload column (multiplicities). The splice back
+//! into one [`RowStore`] ([`ShardedRowStore::into_store`]) then memcpys
+//! row data and inserts dedup-table slots without rehashing — the only
+//! sequential work left on the output side is the flat-table probe. The
+//! seal and [`crate::Bag::from_arena`] need no table at all: their
+//! workers copy rows straight into disjoint slices of one sorted arena.
 
 use crate::cancel::Deadline;
 use crate::store::{hash_row, RowStore};

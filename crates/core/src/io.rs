@@ -314,19 +314,63 @@ pub fn parse_delta_line(
 }
 
 /// Writes a bag in the tabular text format (canonical: sorted rows).
+///
+/// The text goes into one `String` sized up front: a first pass counts
+/// the digits, the second writes them with [`push_decimal`], so no
+/// per-row or per-value string is allocated.
 pub fn write_bag(bag: &Bag, names: &AttrNames) -> String {
-    let mut out = String::new();
-    for a in bag.schema().iter() {
-        out.push_str(&names.name(a));
+    let header: Vec<String> = bag.schema().iter().map(|a| names.name(a)).collect();
+    // Per row: the values, the spaces between them, " : ", m, "\n" —
+    // counted in storage order, which needs no sort.
+    let body: usize = bag
+        .iter()
+        .map(|(row, m)| {
+            row.iter().map(|v| decimal_len(v.get())).sum::<usize>()
+                + row.len().saturating_sub(1)
+                + 4
+                + decimal_len(m)
+        })
+        .sum();
+    let mut out =
+        String::with_capacity(header.iter().map(|h| h.len() + 1).sum::<usize>() + 2 + body);
+    for name in &header {
+        out.push_str(name);
         out.push(' ');
     }
     out.push_str("#\n");
     for (row, m) in bag.iter_sorted() {
-        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-        out.push_str(&cells.join(" "));
-        out.push_str(&format!(" : {m}\n"));
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            push_decimal(&mut out, v.get());
+        }
+        out.push_str(" : ");
+        push_decimal(&mut out, m);
+        out.push('\n');
     }
     out
+}
+
+/// Appends the decimal digits of `v` to `out` without allocating — the
+/// number writer behind the bag text and the JSON reports.
+pub fn push_decimal(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// The number of decimal digits [`push_decimal`] writes for `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Parses a relation (multiplicities, if present, must be 1).

@@ -226,7 +226,13 @@ impl JoinPlan {
     #[inline]
     pub fn combine_into(&self, left: &[Value], right: &[Value], buf: &mut Vec<Value>) {
         buf.clear();
-        buf.extend(self.sources.iter().map(|&(side, i)| match side {
+        self.append_combined(left, right, buf);
+    }
+
+    /// Appends the joined row `xy` to the row-major arena `out`.
+    #[inline]
+    pub fn append_combined(&self, left: &[Value], right: &[Value], out: &mut Vec<Value>) {
+        out.extend(self.sources.iter().map(|&(side, i)| match side {
             Side::Left => left[i],
             Side::Right => right[i],
         }));
@@ -299,34 +305,67 @@ fn build_keyed_pair(l: SideInput<'_>, r: SideInput<'_>, hot: bool) -> (KeyedSide
     };
     let lk = extract(&l);
     let rk = extract(&r);
-    let spec = if hot && k > 0 {
-        let mut maxes = vec![0u64; k];
-        for keys in [&lk, &rk] {
-            for key in keys.chunks_exact(k) {
-                for (m, v) in maxes.iter_mut().zip(key) {
-                    *m = (*m).max(v.get());
-                }
-            }
-        }
-        crate::pack::PackSpec::raw(&maxes).filter(|s| s.total_bits() <= 64)
+    let words = if hot {
+        pack_joint_keys(
+            k,
+            (lk.len() / k.max(1), |p, c| lk[p * k + c]),
+            (rk.len() / k.max(1), |p, c| rk[p * k + c]),
+        )
     } else {
         None
     };
-    let pack = |keys: &[Value]| -> Option<Vec<u64>> {
-        let spec = spec.as_ref()?;
-        Some(
-            keys.chunks_exact(k)
-                .map(|key| {
-                    spec.pack_row(key)
-                        .expect("joint per-column maxes cover both sides")
-                        as u64
-                })
-                .collect(),
-        )
-    };
-    let lp = pack(&lk);
-    let rp = pack(&rk);
+    let (lp, rp) = words.unzip();
     (finish_side(l, lk, lp, hot), finish_side(r, rk, rp, hot))
+}
+
+/// Packs the keys of both sides of a merge under one joint raw
+/// [`crate::pack::PackSpec`], built from the per-column maxes of **both**
+/// sides, so words compare across the sides. Each side is its key count
+/// and `key(p, c)`, column `c` of the key at position `p`. `None` when
+/// the key has no columns or the joint widths pass 64 bits; the words
+/// are injective and order-preserving on the joint key space otherwise.
+fn pack_joint_keys(
+    k: usize,
+    (l_len, l_key): (usize, impl Fn(usize, usize) -> Value),
+    (r_len, r_key): (usize, impl Fn(usize, usize) -> Value),
+) -> Option<(Vec<u64>, Vec<u64>)> {
+    if k == 0 {
+        return None;
+    }
+    let mut maxes = vec![0u64; k];
+    for p in 0..l_len {
+        for (c, m) in maxes.iter_mut().enumerate() {
+            *m = (*m).max(l_key(p, c).get());
+        }
+    }
+    for p in 0..r_len {
+        for (c, m) in maxes.iter_mut().enumerate() {
+            *m = (*m).max(r_key(p, c).get());
+        }
+    }
+    let spec = crate::pack::PackSpec::raw(&maxes).filter(|s| s.total_bits() <= 64)?;
+    Some((
+        pack_keys(&spec, k, l_len, l_key),
+        pack_keys(&spec, k, r_len, r_key),
+    ))
+}
+
+/// One side's words under a spec that covers every key of the side.
+fn pack_keys(
+    spec: &crate::pack::PackSpec,
+    k: usize,
+    len: usize,
+    key: impl Fn(usize, usize) -> Value,
+) -> Vec<u64> {
+    let mut buf = Vec::with_capacity(k);
+    (0..len)
+        .map(|p| {
+            buf.clear();
+            buf.extend((0..k).map(|c| key(p, c)));
+            spec.pack_row(&buf)
+                .expect("joint per-column maxes cover both sides") as u64
+        })
+        .collect()
 }
 
 /// Sorts one side's permutation by `(key, id)` — through the packed
@@ -936,7 +975,7 @@ pub fn merge_matching_pairs(
 ) {
     let keyed = KeyedPairs::sort(left, left_key, right, right_key);
     keyed
-        .sweep(0..keyed.l_order.len(), 0..keyed.r_order.len())
+        .sweep(0..keyed.left.order.len(), 0..keyed.right.order.len())
         .for_each(on_pair);
 }
 
@@ -964,35 +1003,42 @@ pub fn try_merge_matching_pairs_sharded<T: Send>(
     shard: impl Fn(PairSweep<'_, '_>) -> T + Sync,
 ) -> Result<Vec<T>> {
     let keyed = KeyedPairs::sort(left, left_key, right, right_key);
-    let n = keyed.l_order.len();
-    let shards = cfg.shards_for(n.min(keyed.r_order.len()));
+    let (n, m) = (keyed.left.order.len(), keyed.right.order.len());
     // Shard at left key-group boundaries and align right-side ranges to
     // the boundary keys by binary search — the same plan as the merge
     // join's, expressed over the sorted position permutations.
     let tasks = crate::exec::aligned_shard_tasks(
         n,
-        keyed.r_order.len(),
-        shards,
-        |p| {
-            let a = left[keyed.l_order[p - 1] as usize].0;
-            let b = left[keyed.l_order[p] as usize].0;
-            cmp_keys(a, left_key, b, left_key) == Ordering::Equal
-        },
-        |p| keyed.right_lower_bound(left[keyed.l_order[p] as usize].0),
+        m,
+        cfg.shards_for(n.min(m)),
+        |p| keyed.left.same(p - 1, p),
+        |p| crate::exec::lower_bound_by(m, |q| keyed.cmp_at(p, q) == Ordering::Greater),
     );
     let keyed = &keyed;
     crate::exec::try_run_tasks(cfg, tasks, |(lr, rr)| shard(keyed.sweep(lr, rr)))
 }
 
-/// Both sides of [`merge_matching_pairs`] with their key-sorted position
-/// permutations.
+/// Both sides of [`merge_matching_pairs`] in key order.
+///
+/// When the joint key values fit one raw spec of at most 64 bits
+/// ([`pack_joint_keys`]), each side sorts as `(word, position)` pairs —
+/// skipping the sort when the words already ascend, as for a sealed side
+/// keyed on a schema prefix — and every later key compare is one integer
+/// compare. Keys that do not fit keep the slice compares. Either way
+/// ties go by position, so the pair order is the same.
 struct KeyedPairs<'a, 'k> {
-    left: &'a [(&'a [Value], u64)],
-    left_key: &'k [usize],
-    right: &'a [(&'a [Value], u64)],
-    right_key: &'k [usize],
-    l_order: Vec<u32>,
-    r_order: Vec<u32>,
+    left: SortedKeys<'a, 'k>,
+    right: SortedKeys<'a, 'k>,
+}
+
+/// One side of [`KeyedPairs`]: its rows and key columns, the positions
+/// in key order, and the packed key words in that order when the pair
+/// packs (both sides pack, or neither does).
+struct SortedKeys<'a, 'k> {
+    rows: &'a [(&'a [Value], u64)],
+    key: &'k [usize],
+    order: Vec<u32>,
+    words: Option<Vec<u64>>,
 }
 
 impl<'a, 'k> KeyedPairs<'a, 'k> {
@@ -1002,29 +1048,31 @@ impl<'a, 'k> KeyedPairs<'a, 'k> {
         right: &'a [(&'a [Value], u64)],
         right_key: &'k [usize],
     ) -> Self {
-        let proj_cmp = |rows: &[(&[Value], u64)], a: u32, b: u32, idx: &[usize]| {
-            cmp_keys(rows[a as usize].0, idx, rows[b as usize].0, idx).then_with(|| a.cmp(&b))
-        };
-        let mut l_order: Vec<u32> = (0..left.len() as u32).collect();
-        l_order.sort_unstable_by(|&a, &b| proj_cmp(left, a, b, left_key));
-        let mut r_order: Vec<u32> = (0..right.len() as u32).collect();
-        r_order.sort_unstable_by(|&a, &b| proj_cmp(right, a, b, right_key));
+        let (lw, rw) = pack_joint_keys(
+            left_key.len(),
+            (left.len(), |p, c| left[p].0[left_key[c]]),
+            (right.len(), |p, c| right[p].0[right_key[c]]),
+        )
+        .unzip();
         KeyedPairs {
-            left,
-            left_key,
-            right,
-            right_key,
-            l_order,
-            r_order,
+            left: SortedKeys::sort(left, left_key, lw),
+            right: SortedKeys::sort(right, right_key, rw),
         }
     }
 
-    /// First sorted right position whose key is `>=` the key of `lrow`.
-    fn right_lower_bound(&self, lrow: &[Value]) -> usize {
-        crate::exec::lower_bound_by(self.r_order.len(), |p| {
-            let rrow = self.right[self.r_order[p] as usize].0;
-            cmp_keys(rrow, self.right_key, lrow, self.left_key) == Ordering::Less
-        })
+    /// Compares the left key at sorted position `i` with the right key at
+    /// sorted position `j`.
+    #[inline]
+    fn cmp_at(&self, i: usize, j: usize) -> Ordering {
+        match (&self.left.words, &self.right.words) {
+            (Some(lw), Some(rw)) => lw[i].cmp(&rw[j]),
+            _ => cmp_keys(
+                self.left.row(i),
+                self.left.key,
+                self.right.row(j),
+                self.right.key,
+            ),
+        }
     }
 
     /// A replayable sweep over one aligned pair of sorted-position ranges.
@@ -1037,6 +1085,54 @@ impl<'a, 'k> KeyedPairs<'a, 'k> {
             keyed: self,
             l_range,
             r_range,
+        }
+    }
+}
+
+impl<'a, 'k> SortedKeys<'a, 'k> {
+    /// Sorts the positions of `rows` by `(key, position)`: by `words`
+    /// when given (skipping the sort when they already ascend), by slice
+    /// compares otherwise.
+    fn sort(rows: &'a [(&'a [Value], u64)], key: &'k [usize], words: Option<Vec<u64>>) -> Self {
+        let (order, words) = match words {
+            Some(words) if words.windows(2).all(|w| w[0] <= w[1]) => {
+                ((0..words.len() as u32).collect(), Some(words))
+            }
+            Some(words) => {
+                let mut pairs: Vec<(u64, u32)> = words.into_iter().zip(0..).collect();
+                pairs.sort_unstable();
+                let (words, order) = pairs.into_iter().unzip();
+                (order, Some(words))
+            }
+            None => {
+                let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+                order.sort_unstable_by(|&a, &b| {
+                    cmp_keys(rows[a as usize].0, key, rows[b as usize].0, key)
+                        .then_with(|| a.cmp(&b))
+                });
+                (order, None)
+            }
+        };
+        SortedKeys {
+            rows,
+            key,
+            order,
+            words,
+        }
+    }
+
+    /// The row at sorted position `p`.
+    #[inline]
+    fn row(&self, p: usize) -> &[Value] {
+        self.rows[self.order[p] as usize].0
+    }
+
+    /// True iff sorted positions `p` and `q` hold equal keys.
+    #[inline]
+    fn same(&self, p: usize, q: usize) -> bool {
+        match &self.words {
+            Some(w) => w[p] == w[q],
+            None => cmp_keys(self.row(p), self.key, self.row(q), self.key) == Ordering::Equal,
         }
     }
 }
@@ -1067,28 +1163,21 @@ impl PairSweep<'_, '_> {
     /// and right row indices carrying that key, each ascending.
     pub fn for_each_group(&self, mut on_group: impl FnMut(&[u32], &[u32])) {
         let k = self.keyed;
-        let group_end = |rows: &[(&[Value], u64)], order: &[u32], idx: &[usize], start: usize| {
-            let head = rows[order[start] as usize].0;
-            let mut end = start + 1;
-            while end < order.len()
-                && cmp_keys(head, idx, rows[order[end] as usize].0, idx) == Ordering::Equal
-            {
-                end += 1;
-            }
-            end
-        };
         let (mut i, mut j) = (self.l_range.start, self.r_range.start);
         while i < self.l_range.end && j < self.r_range.end {
-            let lrow = k.left[k.l_order[i] as usize].0;
-            let rrow = k.right[k.r_order[j] as usize].0;
-            match cmp_keys(lrow, k.left_key, rrow, k.right_key) {
+            match k.cmp_at(i, j) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
-                    let i_end = group_end(k.left, &k.l_order, k.left_key, i).min(self.l_range.end);
-                    let j_end =
-                        group_end(k.right, &k.r_order, k.right_key, j).min(self.r_range.end);
-                    on_group(&k.l_order[i..i_end], &k.r_order[j..j_end]);
+                    let mut i_end = i + 1;
+                    while i_end < self.l_range.end && k.left.same(i, i_end) {
+                        i_end += 1;
+                    }
+                    let mut j_end = j + 1;
+                    while j_end < self.r_range.end && k.right.same(j, j_end) {
+                        j_end += 1;
+                    }
+                    on_group(&k.left.order[i..i_end], &k.right.order[j..j_end]);
                     i = i_end;
                     j = j_end;
                 }

@@ -81,14 +81,18 @@
 //! * **prefix marginals** ([`Bag::marginal_with`]) — the sealed run
 //!   splits at prefix-group boundaries and each shard runs the group-by
 //!   sweep;
-//! * **seal** ([`Bag::seal_with`] / [`Relation::seal_with`]) — the id
-//!   permutation sorts via parallel chunk sorts plus pairwise sorted-run
-//!   merges ([`exec::parallel_sort_by`]), and the re-layout copies and
-//!   rehashes rows on shard workers;
+//! * **seal** ([`Bag::seal_with`] / [`Relation::seal_with`]) and the
+//!   bulk constructor [`Bag::from_arena`] — the id permutation sorts via
+//!   parallel chunk sorts plus pairwise sorted-run merges
+//!   ([`exec::parallel_sort_by`]), and the re-layout copies rows on
+//!   shard workers straight into their slices of the new arena, hashing
+//!   nothing: the sorted arena certifies distinctness, and the dedup
+//!   table builds on the first content probe;
 //! * **two-bag witness fill** (`bagcons::pairwise`, through
 //!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
 //!   split across shards, each shard fills its groups in one pass, and
-//!   the witness seals through the parallel seal.
+//!   the cells' rows go into one flat arena that becomes the witness
+//!   through [`Bag::from_arena`].
 //!
 //! Shard invariants, relied on everywhere: **a shard boundary never
 //! splits a key group** (boundaries slide forward to the next group
@@ -99,11 +103,13 @@
 //! — reproducing the sequential emission order exactly. Prefix-marginal
 //! outputs are therefore born sealed, and join/witness/seal outputs are
 //! bit-identical to their sequential counterparts at every thread
-//! count. Workers hash their output rows into [`exec::ShardRun`]s, so
-//! the sequential splice ([`RowStore::push_unique_hashed`]) only probes
-//! the flat dedup table. An [`ExecConfig`] with `threads = 1` — the
-//! default of every non-`_with` entry point — takes the unchanged
-//! sequential code path.
+//! count. Joins, marginals, and the delta reseal
+//! ([`Bag::apply_delta_with`]) hash their output rows on the workers
+//! into [`exec::ShardRun`]s, so their sequential splice
+//! ([`RowStore::push_unique_hashed`]) only probes the flat dedup table;
+//! the seal and the witness path hash nothing. An [`ExecConfig`] with
+//! `threads = 1` — the default of every non-`_with` entry point — takes
+//! the unchanged sequential code path.
 //!
 //! # Hot-loop encoding: packed key codes
 //!

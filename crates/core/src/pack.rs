@@ -1,11 +1,11 @@
 //! Packed key codes: order-preserving integer encodings of rows.
 //!
 //! The sort/merge/join hot loops compare rows constantly, and a row
-//! compare is a `&[Value]` slice walk — a loop with a branch per column
-//! ([`crate::store`]'s `cmp_rows`). This module collapses those walks
-//! into **single integer compares**: each column gets a dense code, the
-//! codes concatenate high-to-low into one `u64`/`u128` word per row, and
-//! lexicographic row order becomes plain integer order on the words.
+//! compare is a `&[Value]` slice walk — a loop with a branch per column.
+//! This module collapses those walks into **single integer compares**:
+//! each column gets a dense code, the codes concatenate high-to-low into
+//! one `u64`/`u128` word per row, and lexicographic row order becomes
+//! plain integer order on the words.
 //!
 //! Two encoding tiers, chosen per store by [`PackSpec`]:
 //!
@@ -32,7 +32,7 @@
 //! build **transient raw views** for their sorts, and the merge join
 //! packs its materialized key columns under a shared raw spec.
 
-use crate::store::{RowId, RowStore};
+use crate::store::RowStore;
 use crate::Value;
 use std::cmp::Ordering;
 
@@ -161,7 +161,7 @@ impl PackedView {
     pub fn build(store: &RowStore) -> Option<PackedView> {
         Self::build_raw(store).or_else(|| {
             let spec = PackSpec::dictionary(store)?;
-            Self::from_spec(store, spec)
+            Self::from_spec(store.arity(), store.values(), spec)
         })
     }
 
@@ -169,11 +169,15 @@ impl PackedView {
     /// pass, cheap enough for transient sort-time views. `None` when the
     /// raw widths overflow 128 bits.
     pub fn build_raw(store: &RowStore) -> Option<PackedView> {
-        let arity = store.arity();
+        Self::build_raw_arena(store.arity(), store.values())
+    }
+
+    /// [`PackedView::build_raw`] over a bare row-major arena of
+    /// `arity`-wide rows, which may repeat (equal rows get equal words).
+    pub(crate) fn build_raw_arena(arity: usize, data: &[Value]) -> Option<PackedView> {
         if arity == 0 {
             return None;
         }
-        let data = store.values();
         let mut maxes = vec![0u64; arity];
         for row in data.chunks_exact(arity) {
             for (m, v) in maxes.iter_mut().zip(row) {
@@ -181,23 +185,17 @@ impl PackedView {
             }
         }
         let spec = PackSpec::raw(&maxes)?;
-        Self::from_spec(store, spec)
+        Self::from_spec(arity, data, spec)
     }
 
-    fn from_spec(store: &RowStore, spec: PackSpec) -> Option<PackedView> {
-        let n = store.len();
+    fn from_spec(arity: usize, data: &[Value], spec: PackSpec) -> Option<PackedView> {
+        let rows = data.chunks_exact(arity);
         let words = if spec.total_bits() <= 64 {
-            let mut w = Vec::with_capacity(n);
-            for i in 0..n {
-                w.push(spec.pack_row(store.row(RowId(i as u32)))? as u64);
-            }
-            PackedWords::W64(w)
+            let w: Option<Vec<u64>> = rows.map(|r| spec.pack_row(r).map(|w| w as u64)).collect();
+            PackedWords::W64(w?)
         } else {
-            let mut w = Vec::with_capacity(n);
-            for i in 0..n {
-                w.push(spec.pack_row(store.row(RowId(i as u32)))?);
-            }
-            PackedWords::W128(w)
+            let w: Option<Vec<u128>> = rows.map(|r| spec.pack_row(r)).collect();
+            PackedWords::W128(w?)
         };
         Some(PackedView { spec, words })
     }
@@ -241,26 +239,30 @@ impl PackedView {
     }
 }
 
-/// Row-id ordering over one store, through the packed view when one fits
-/// and the slice compare otherwise. The seal and delta-repair sorts go
-/// through this so their hot loops are integer compares whenever
-/// possible while staying bit-identical to the slice path.
+/// Row-id ordering over one row-major arena, through a packed view when
+/// one fits and the slice compare otherwise. The seal, the delta-repair
+/// and the [`crate::Bag::from_arena`] sorts go through this so their hot
+/// loops are integer compares whenever possible while staying
+/// bit-identical to the slice path.
 pub(crate) struct RowOrd<'a> {
-    store: &'a RowStore,
+    arity: usize,
+    data: &'a [Value],
     view: Option<PackedView>,
 }
 
 impl<'a> RowOrd<'a> {
-    /// Builds a transient raw-tier ordering for `store`. `expected_rows`
-    /// is the number of rows the caller will actually compare — below
-    /// [`PACK_MIN_ROWS`] the view is skipped outright.
-    pub(crate) fn new(store: &'a RowStore, expected_rows: usize) -> Self {
+    /// Builds a transient raw-tier ordering for the `arity`-wide rows of
+    /// `data` (a store's [`RowStore::values`], or a bulk arena whose rows
+    /// may repeat). `expected_rows` is the number of rows the caller
+    /// will actually compare — below [`PACK_MIN_ROWS`] the view is
+    /// skipped outright.
+    pub(crate) fn new(arity: usize, data: &'a [Value], expected_rows: usize) -> Self {
         let view = if expected_rows >= PACK_MIN_ROWS {
-            PackedView::build_raw(store)
+            PackedView::build_raw_arena(arity, data)
         } else {
             None
         };
-        RowOrd { store, view }
+        RowOrd { arity, data, view }
     }
 
     /// Compares rows `a` and `b` lexicographically.
@@ -268,7 +270,10 @@ impl<'a> RowOrd<'a> {
     pub(crate) fn cmp(&self, a: u32, b: u32) -> Ordering {
         match &self.view {
             Some(v) => v.cmp(a, b),
-            None => crate::store::cmp_rows(self.store, a, b),
+            None => {
+                let (a, b, k) = (a as usize, b as usize, self.arity);
+                self.data[a * k..(a + 1) * k].cmp(&self.data[b * k..(b + 1) * k])
+            }
         }
     }
 
@@ -282,6 +287,7 @@ impl<'a> RowOrd<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::RowId;
 
     fn store_of(rows: &[&[u64]]) -> RowStore {
         let mut s = RowStore::new(rows[0].len());

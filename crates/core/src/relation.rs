@@ -184,16 +184,23 @@ impl Relation {
 
     /// [`Relation::seal`] under an explicit execution configuration:
     /// the id permutation sorts by parallel chunk sorts + pairwise run
-    /// merges and the re-layout (row copy + rehash) fans out over shard
-    /// workers when `cfg` shards the row set. Byte-identical to the
+    /// merges and the re-layout (a row copy, with no hashing) fans out
+    /// over shard workers when `cfg` shards the row set — the same two
+    /// routines as [`crate::Bag::seal_with`]. Byte-identical to the
     /// sequential seal at every thread count.
     pub fn seal_with(&mut self, cfg: &crate::ExecConfig) {
         if self.sealed {
             return;
         }
-        let order: Vec<u32> = (0..self.store.len() as u32).collect();
-        let order = self.store.sorted_order_with(order, cfg);
-        self.store = self.store.reordered_with(&order, cfg);
+        // Ungoverned, like `Bag::seal_with`: a worker panic re-raises.
+        let cfg = cfg.clone().with_deadline(crate::Deadline::NONE);
+        let arity = self.store.arity();
+        let order = (0..self.store.len() as u32).collect();
+        let order = crate::store::sorted_order_with(arity, self.store.values(), order, &cfg);
+        let laid_out = crate::store::gather_rows(arity, self.store.values(), &order, &cfg)
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
+            .expect("distinct interned rows sort strictly");
         self.sealed = true;
         self.rebuild_packed();
     }

@@ -12,9 +12,10 @@
 //! probing) whose entries point back into the arena, so the whole store
 //! is at most three flat allocations regardless of row count: no per-row
 //! boxes, no per-bucket vectors. The table is **lazy**: a store adopted
-//! wholesale from a snapshot ([`RowStore::from_sorted_rows`]) carries
-//! its distinctness certificate in the sorted order and only pays for
-//! the hash table on the first content probe (lookup, intern, delta).
+//! wholesale in sorted order ([`RowStore::from_sorted_rows`] — every
+//! seal, [`crate::Bag::from_arena`], and snapshot loading) carries its
+//! distinctness certificate in the sorted order and only pays for the
+//! hash table on the first content probe (lookup, intern, delta).
 //!
 //! Invariants:
 //!
@@ -51,10 +52,10 @@ const EMPTY: u32 = u32::MAX;
 
 /// The open-addressing dedup table: row ids probed by row-content hash.
 /// Split out of [`RowStore`] so the whole table can sit behind a
-/// `OnceLock` and build lazily — a snapshot-adopted store whose rows are
-/// certified distinct by their sorted order defers the build until the
-/// first content probe actually needs it (the same contract as the lazy
-/// packed view).
+/// `OnceLock` and build lazily — a sealed or snapshot-adopted store whose
+/// rows are certified distinct by their sorted order defers the build
+/// until the first content probe actually needs it (the same contract
+/// as the lazy packed view).
 #[derive(Clone, Debug)]
 struct SlotTable {
     /// Open-addressing table of row ids (EMPTY = vacant), linear probing.
@@ -136,14 +137,16 @@ impl RowStore {
     }
 
     /// Adopts a pre-sorted, pre-deduplicated columnar arena wholesale —
-    /// the bulk-move half of snapshot loading. `data` must hold exactly
-    /// `rows * arity` values laid out row-major in **strictly increasing**
-    /// lexicographic row order; strictness doubles as the distinctness
-    /// certificate, so no content comparisons are needed beyond one
-    /// adjacent-pair pass. The dedup table is left **unbuilt**: sorted
-    /// strict order already certifies distinctness, so hashing every row
-    /// up front would be pure overhead on the snapshot-open path — the
-    /// table materializes on the first content probe instead.
+    /// the bulk-move half of every seal, of [`crate::Bag::from_arena`],
+    /// and of snapshot loading. `data` must hold exactly `rows * arity`
+    /// values laid out row-major in **strictly increasing** lexicographic
+    /// row order; strictness doubles as the distinctness certificate, so
+    /// no content comparisons are needed beyond one adjacent-pair pass.
+    /// The dedup table is left **unbuilt**: sorted strict order already
+    /// certifies distinctness, so hashing every row up front would be
+    /// pure overhead for the many sealed values nobody probes (witnesses,
+    /// marginal inputs, opened snapshots) — the table materializes on the
+    /// first content probe instead.
     /// Returns `None` if the shape or the ordering certificate fails —
     /// never adopts a half-checked arena.
     pub fn from_sorted_rows(arity: usize, rows: usize, data: Vec<Value>) -> Option<RowStore> {
@@ -334,67 +337,6 @@ impl RowStore {
         self.index = OnceLock::new();
     }
 
-    /// Rebuilds the store with rows in `order`, dropping rows not listed.
-    ///
-    /// `order` must contain distinct, in-bounds ids. Used by
-    /// [`crate::Bag::seal`] to lay rows out in lexicographic order (the
-    /// "sorted run" invariant) and to compact away tombstoned rows.
-    pub(crate) fn reordered(&self, order: &[u32]) -> RowStore {
-        let mut out = RowStore::with_capacity(self.arity, order.len());
-        for &old in order {
-            let row = self.row(RowId(old));
-            // Rows come from an interned store and `order` has no
-            // duplicates, so each pushed row is unique.
-            out.push_unique_unchecked(row);
-        }
-        out
-    }
-
-    /// [`RowStore::reordered`] with the copy-and-rehash fanned out over
-    /// the shard executor: `order` splits into plain index ranges (rows
-    /// are independent — no key-group constraint), each worker copies
-    /// its rows into a [`crate::exec::ShardRun`] and hashes them there,
-    /// and the runs splice back in range order. The resulting layout is
-    /// byte-identical to `reordered(order)`; only the hashing moved off
-    /// the calling thread. Falls back to [`RowStore::reordered`] when
-    /// `cfg` does not shard `order`.
-    pub(crate) fn reordered_with(&self, order: &[u32], cfg: &crate::exec::ExecConfig) -> RowStore {
-        use crate::exec::{run_shards, shard_ranges, ShardRun, ShardedRowStore};
-        let shards = cfg.shards_for(order.len());
-        if shards <= 1 {
-            return self.reordered(order);
-        }
-        let ranges = shard_ranges(order.len(), shards, |_| false);
-        let runs = run_shards(cfg.threads(), ranges, |range| {
-            let mut run = ShardRun::with_capacity(self.arity, range.len());
-            for &old in &order[range] {
-                run.push(self.row(RowId(old)), 0);
-            }
-            run
-        });
-        ShardedRowStore::from_runs(self.arity, runs).into_store()
-    }
-
-    /// The ids of `order` sorted by their rows' lexicographic order —
-    /// the sort half of the parallel seal, fanned out per `cfg` through
-    /// [`crate::exec::parallel_sort_by`]. Interned rows are distinct, so
-    /// the order is total and independent of the chunking.
-    ///
-    /// When a transient packed view fits ([`crate::pack::PackedView`]),
-    /// every comparison in the sort is one integer compare on the packed
-    /// word column instead of a `&[Value]` slice walk; the encoding is
-    /// injective and order-preserving, so the resulting order is
-    /// bit-identical to the slice-compare path.
-    pub(crate) fn sorted_order_with(
-        &self,
-        order: Vec<u32>,
-        cfg: &crate::exec::ExecConfig,
-    ) -> Vec<u32> {
-        let shards = cfg.shards_for(order.len());
-        let ord = crate::pack::RowOrd::new(self, order.len());
-        crate::exec::parallel_sort_by(order, cfg.threads(), shards, |&a, &b| ord.cmp(a, b))
-    }
-
     /// The dedup table, built on first use.
     #[inline]
     fn table(&self) -> &SlotTable {
@@ -490,10 +432,76 @@ fn slot_count_for(rows: usize) -> usize {
     needed.next_power_of_two()
 }
 
-/// Compares two rows lexicographically through a store.
-#[inline]
-pub(crate) fn cmp_rows(store: &RowStore, a: u32, b: u32) -> std::cmp::Ordering {
-    store.row(RowId(a)).cmp(store.row(RowId(b)))
+/// The ids of `order` sorted by the lexicographic order of their rows in
+/// the row-major arena `data` — the sort half of every seal and of
+/// [`crate::Bag::from_arena`], fanned out per `cfg` through
+/// [`crate::exec::parallel_sort_by`].
+///
+/// Every comparison goes through a transient [`crate::pack::RowOrd`]:
+/// one integer compare on a packed word column when a raw encoding fits,
+/// a `&[Value]` slice walk otherwise. The encoding is injective and
+/// order-preserving, so the order is bit-identical to the slice path.
+/// On distinct rows (an interned store) the order is total and
+/// independent of the chunking; equal rows of a bulk arena come out
+/// adjacent, in an unspecified order among themselves.
+pub(crate) fn sorted_order_with(
+    arity: usize,
+    data: &[Value],
+    order: Vec<u32>,
+    cfg: &crate::exec::ExecConfig,
+) -> Vec<u32> {
+    let shards = cfg.shards_for(order.len());
+    let ord = crate::pack::RowOrd::new(arity, data, order.len());
+    crate::exec::parallel_sort_by(order, cfg.threads(), shards, |&a, &b| ord.cmp(a, b))
+}
+
+/// Copies the `arity`-wide rows of the row-major arena `data` listed in
+/// `order` into a fresh arena, in that order — the re-layout half of
+/// every seal and of [`crate::Bag::from_arena`].
+///
+/// Rows are independent, so when `cfg` shards `order` each worker copies
+/// one index range straight into its own disjoint slice of the output;
+/// the bytes are the same at every thread count. Nothing is hashed:
+/// callers adopt the result through [`RowStore::from_sorted_rows`],
+/// whose dedup table builds on the first content probe.
+///
+/// # Errors
+///
+/// Polls `cfg`'s [`crate::Deadline`] (once on the sequential path, per
+/// chunk when sharded): [`crate::CoreError::Aborted`] when it fires,
+/// [`crate::CoreError::WorkerPanicked`] when a copy worker panics.
+pub(crate) fn gather_rows(
+    arity: usize,
+    data: &[Value],
+    order: &[u32],
+    cfg: &crate::exec::ExecConfig,
+) -> crate::Result<Vec<Value>> {
+    let row = |id: u32| &data[id as usize * arity..(id as usize + 1) * arity];
+    let shards = cfg.shards_for(order.len());
+    if shards <= 1 || arity == 0 {
+        if let Some(reason) = cfg.deadline().poll() {
+            return Err(crate::CoreError::Aborted(reason));
+        }
+        let mut out = Vec::with_capacity(order.len() * arity);
+        for &id in order {
+            out.extend_from_slice(row(id));
+        }
+        return Ok(out);
+    }
+    let mut out = vec![Value::new(0); order.len() * arity];
+    let mut tasks = Vec::with_capacity(shards);
+    let mut rest: &mut [Value] = &mut out;
+    for range in crate::exec::shard_ranges(order.len(), shards, |_| false) {
+        let (head, tail) = rest.split_at_mut(range.len() * arity);
+        tasks.push((range, head));
+        rest = tail;
+    }
+    crate::exec::try_run_tasks(cfg, tasks, |(range, dst)| {
+        for (slot, &id) in dst.chunks_exact_mut(arity).zip(&order[range]) {
+            slot.copy_from_slice(row(id));
+        }
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -562,16 +570,22 @@ mod tests {
     }
 
     #[test]
-    fn reordered_keeps_content_and_drops_unlisted() {
-        let mut s = RowStore::new(1);
-        for i in 0..5 {
-            s.intern(&v(&[i]));
+    fn gather_rows_keeps_content_and_drops_unlisted() {
+        let data = v(&[10, 11, 20, 21, 30, 31, 40, 41, 50, 51]);
+        let seq = crate::ExecConfig::sequential();
+        let par = crate::ExecConfig::builder()
+            .threads(4)
+            .min_parallel_support(1)
+            .build()
+            .unwrap();
+        for cfg in [&seq, &par] {
+            let out = gather_rows(2, &data, &[4, 0, 2], cfg).unwrap();
+            assert_eq!(out, v(&[50, 51, 10, 11, 30, 31]));
         }
-        let r = s.reordered(&[4, 0, 2]);
-        let rows: Vec<u64> = r.iter().map(|row| row[0].get()).collect();
-        assert_eq!(rows, vec![4, 0, 2]);
-        assert_eq!(r.lookup(&v(&[1])), None);
-        assert_eq!(r.lookup(&v(&[2])), Some(RowId(2)));
+        let r = RowStore::from_sorted_rows(2, 3, gather_rows(2, &data, &[0, 2, 4], &par).unwrap())
+            .unwrap();
+        assert_eq!(r.lookup(&v(&[20, 21])), None);
+        assert_eq!(r.lookup(&v(&[30, 31])), Some(RowId(1)));
     }
 
     #[test]

@@ -401,6 +401,24 @@ fn shared_key_mass_of_two_pow_64_is_consistent() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+#[test]
+fn witness_over_the_empty_schema() {
+    let dir = tempdir("empty-schema");
+    let e = write(&dir, "e.bag", "#\n : 3\n");
+    let none = write(&dir, "none.bag", "#\n");
+    let (e, none) = (e.to_str().unwrap(), none.to_str().unwrap());
+    for args in [vec!["witness", e], vec!["witness", e, e]] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert_eq!(stdout(&out), "#\n : 3\n");
+    }
+    let out = run(&["witness", none]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(stdout(&out), "#\n");
+    let out = run(&["witness", e, none]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+}
+
 // ---------------------------------------------------------------------
 // Exit-code coverage: 0 / 1 / 2 / 3 on both formats
 // ---------------------------------------------------------------------

@@ -8,11 +8,17 @@
 //! count, delta repair (which gallops its fresh-tail merge) lands on
 //! the same bag a from-scratch rebuild does, and a `Session` reused
 //! across a hundred checks reports exactly what a fresh `Session`
-//! reports.
+//! reports. The hash-free witness path is pinned the same way: the
+//! packed key sort of `merge_matching_pairs` against a nested-loop
+//! reference, `Bag::from_arena` against a `BTreeMap`, and a lazily
+//! indexed sealed bag against an insert-built one.
 
 use bag_consistency::prelude::*;
 use bagcons_core::exec::merge_sorted_runs_for_bench;
-use bagcons_core::join::{bag_join_merge_baseline_with, bag_join_merge_with};
+use bagcons_core::join::{
+    bag_join_merge_baseline_with, bag_join_merge_with, merge_matching_pairs,
+    try_merge_matching_pairs_sharded,
+};
 use bagcons_core::{DeltaSet, RowId};
 use proptest::prelude::*;
 
@@ -174,6 +180,179 @@ proptest! {
             prop_assert!(repaired.is_sealed());
             prop_assert_eq!(&repaired, &expected);
             prop_assert_eq!(repaired.sorted_rows(), expected.sorted_rows());
+        }
+    }
+}
+
+/// Every `(i, j)` whose keys agree, ordered by key, then `i`, then `j` —
+/// the nested-loop reference for [`merge_matching_pairs`].
+fn nested_loop_pairs(
+    left: &[(&[Value], u64)],
+    left_key: &[usize],
+    right: &[(&[Value], u64)],
+    right_key: &[usize],
+) -> Vec<(usize, usize)> {
+    let key =
+        |row: &[Value], cols: &[usize]| -> Vec<Value> { cols.iter().map(|&c| row[c]).collect() };
+    let mut pairs = Vec::new();
+    for (i, (l, _)) in left.iter().enumerate() {
+        for (j, (r, _)) in right.iter().enumerate() {
+            if key(l, left_key) == key(r, right_key) {
+                pairs.push((key(l, left_key), i, j));
+            }
+        }
+    }
+    pairs.sort();
+    pairs.into_iter().map(|(_, i, j)| (i, j)).collect()
+}
+
+/// Strategy: unsorted rows of width 3 (values in `0..4`, duplicates
+/// allowed) with multiplicities.
+fn arb_rows(max_rows: usize) -> impl Strategy<Value = Vec<(Vec<u64>, u64)>> {
+    proptest::collection::vec(
+        (proptest::collection::vec(0..4u64, 3), 1..=3u64),
+        0..=max_rows,
+    )
+}
+
+/// Rows in `(values, multiplicity)` form with the columns in `wide`
+/// moved next to `u64::MAX`, where two of them no longer pack into 64
+/// bits.
+fn widen(rows: &[(Vec<u64>, u64)], wide: &[usize]) -> Vec<(Vec<Value>, u64)> {
+    rows.iter()
+        .map(|(row, m)| {
+            let vals = row
+                .iter()
+                .enumerate()
+                .map(|(c, &v)| Value::new(if wide.contains(&c) { u64::MAX - v } else { v }))
+                .collect();
+            (vals, *m)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The packed key sort and the slice fallback both emit exactly the
+    /// nested-loop pair sequence, sequentially and concatenated over
+    /// shards. Key width 1 or 2; `mode` 0 keeps keys small (packs),
+    /// 1 widens the first key column (packs at 64 bits when it is the
+    /// only one), 2 widens every key column (two columns need 128 bits,
+    /// so the slice fallback runs).
+    #[test]
+    fn merge_matching_pairs_matches_nested_loop_reference(
+        k in 1..=2usize,
+        mode in 0..3u8,
+        l in arb_rows(24),
+        r in arb_rows(24),
+    ) {
+        let (left_key, right_key) = (&[2usize, 0][..k], &[1usize, 2][..k]);
+        let (l_wide, r_wide): (&[usize], &[usize]) = match mode {
+            0 => (&[], &[]),
+            1 => (&left_key[..1], &right_key[..1]),
+            _ => (left_key, right_key),
+        };
+        let (l_rows, r_rows) = (widen(&l, l_wide), widen(&r, r_wide));
+        let left: Vec<(&[Value], u64)> = l_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let right: Vec<(&[Value], u64)> = r_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let expected = nested_loop_pairs(&left, left_key, &right, right_key);
+        let mut seq = Vec::new();
+        merge_matching_pairs(&left, left_key, &right, right_key, |i, j| seq.push((i, j)));
+        prop_assert_eq!(&seq, &expected);
+        for threads in THREADS {
+            let shards = try_merge_matching_pairs_sharded(
+                &left, left_key, &right, right_key, &cfg(threads),
+                |sweep| {
+                    let mut pairs = Vec::new();
+                    sweep.for_each(|i, j| pairs.push((i, j)));
+                    pairs
+                },
+            )
+            .unwrap();
+            let flat: Vec<(usize, usize)> = shards.into_iter().flatten().collect();
+            prop_assert_eq!(&flat, &expected);
+        }
+    }
+
+    /// `Bag::from_arena` sums duplicate rows, drops rows whose copies sum
+    /// to zero, matches a `BTreeMap` reference and an insert-built bag,
+    /// and lays the arena out bit-identically at every thread count.
+    #[test]
+    fn from_arena_matches_btreemap_reference(
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(0..4u64, 2), 0..=3u64),
+            0..=64,
+        ),
+    ) {
+        let schema = Schema::range(0, 2);
+        let mut reference: std::collections::BTreeMap<Vec<u64>, u64> = Default::default();
+        let mut inserted = Bag::new(schema.clone());
+        for (row, m) in &rows {
+            *reference.entry(row.clone()).or_default() += m;
+            let vals: Vec<Value> = row.iter().copied().map(Value::new).collect();
+            inserted.insert(vals, *m).unwrap();
+        }
+        reference.retain(|_, m| *m > 0);
+        let data: Vec<Value> = rows.iter().flat_map(|(row, _)| row.iter().copied().map(Value::new)).collect();
+        let mults: Vec<u64> = rows.iter().map(|(_, m)| *m).collect();
+        let one = Bag::from_arena(schema.clone(), data.clone(), mults.clone(), &cfg(1)).unwrap();
+        prop_assert!(one.is_sealed());
+        let got: Vec<(Vec<u64>, u64)> = one
+            .iter_sorted()
+            .map(|(row, m)| (row.iter().map(|v| v.get()).collect(), m))
+            .collect();
+        let want: Vec<(Vec<u64>, u64)> = reference.into_iter().collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(&one, &inserted);
+        for threads in THREADS {
+            let t = Bag::from_arena(schema.clone(), data.clone(), mults.clone(), &cfg(threads)).unwrap();
+            prop_assert_eq!(t.store().values(), one.store().values());
+            prop_assert_eq!(t.live_ids().map(|i| t.mult_of(i)).collect::<Vec<_>>(),
+                one.live_ids().map(|i| one.mult_of(i)).collect::<Vec<_>>());
+        }
+    }
+
+    /// A sealed bag whose dedup index is still unbuilt (the seal and
+    /// `from_arena` leave it lazy) answers point probes and mutations
+    /// exactly as a bag built by inserts does.
+    #[test]
+    fn lazily_indexed_bag_matches_insert_built_bag(
+        rows in arb_rows(32),
+        edits in proptest::collection::vec(
+            (proptest::collection::vec(0..5u64, 3), 0..=3u64, 0..3u8),
+            0..=12,
+        ),
+    ) {
+        let schema = Schema::range(0, 3);
+        let mut lazy = Bag::from_u64s(schema.clone(), rows.iter().map(|(r, m)| (&r[..], *m))).unwrap();
+        let mut eager = Bag::new(schema.clone());
+        for (row, m) in &rows {
+            eager.insert(row.iter().copied().map(Value::new).collect::<Vec<_>>(), *m).unwrap();
+        }
+        for (row, m, op) in edits {
+            let vals: Vec<Value> = row.iter().copied().map(Value::new).collect();
+            prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
+            match op {
+                0 => {
+                    lazy.set(&vals, m).unwrap();
+                    eager.set(&vals, m).unwrap();
+                }
+                1 => {
+                    lazy.insert(&vals, m).unwrap();
+                    eager.insert(&vals, m).unwrap();
+                }
+                _ => {
+                    let mut delta = DeltaSet::new(schema.clone());
+                    let cur = lazy.multiplicity(&vals) as i64;
+                    delta.bump_u64s(&row, m as i64 - cur).unwrap();
+                    let a = lazy.apply_delta(&delta).map(|d| d.support_changed());
+                    let b = eager.apply_delta(&delta).map(|d| d.support_changed());
+                    prop_assert_eq!(a, b);
+                }
+            }
+            prop_assert_eq!(&lazy, &eager);
+            prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
         }
     }
 }
