@@ -675,7 +675,7 @@ fn seed_boxed_hash_join(r: &Bag, s: &Bag) -> usize {
 
 /// E13 — the execution layer: shard-parallel merge join, prefix marginal
 /// sweep, and the two-bag witness fill across a threads × support grid.
-/// `threads = 1` is the unchanged sequential path (the PR 1 baseline);
+/// `threads = 1` runs each operator as one inline task, the baseline;
 /// writes the grid to `BENCH_e13.json` in the current directory.
 fn e13() {
     use bagcons_core::join::bag_join_merge_with;

@@ -16,7 +16,7 @@
 //! multiplicities) and the tests exhibit the paper's obstacle concretely:
 //! after naive full reduction the bag join still over-counts.
 
-use bagcons_core::exec::{run_shards, shard_ranges};
+use bagcons_core::exec::{run_tasks, shard_ranges};
 use bagcons_core::join::multi_relation_join;
 use bagcons_core::{Bag, ExecConfig, Relation, Result, RowStore, Value};
 use bagcons_hypergraph::{Hypergraph, JoinTree};
@@ -49,7 +49,7 @@ fn probe_ids(
     cfg: &ExecConfig,
 ) -> Vec<u32> {
     let ranges = shard_ranges(len, cfg.shards_for(len), |_| false);
-    let kept: Vec<Vec<u32>> = run_shards(cfg.threads(), ranges, |range| {
+    let kept: Vec<Vec<u32>> = run_tasks(cfg.threads(), ranges, |range| {
         let mut scratch = Vec::with_capacity(idx.len());
         let mut ids = Vec::new();
         for id in range {
@@ -72,7 +72,7 @@ fn probe_ids(
 /// The semijoin `R ⋉ S`: tuples of `R` that join with at least one tuple
 /// of `S` (set semantics). The probe sweep over `R`'s rows is
 /// row-independent, so it shards by plain index ranges (no key-group
-/// constraint); per-shard survivor lists splice back in row order, so the
+/// constraint); per-shard survivor lists join back in row order, so the
 /// result matches the sequential scan exactly. The public entry is
 /// [`crate::session::Session::semijoin`].
 pub(crate) fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Result<Relation> {

@@ -30,7 +30,7 @@
 //! * `R'[Z] = R[Z]'` (support of marginal = projection of support), and
 //! * `R[Z][W] = R[W]` for `W ⊆ Z ⊆ X` (marginals commute with nesting).
 
-use crate::exec::{shard_ranges, ExecConfig, ShardRun, ShardedRowStore};
+use crate::exec::ExecConfig;
 use crate::pack::{PackedView, RowOrd, PACK_MIN_ROWS};
 use crate::store::{RowId, RowStore};
 use crate::{CoreError, Relation, Result, Schema, Tuple, Value};
@@ -668,9 +668,10 @@ impl Bag {
     /// fresh rows. The tail sorts on its own (`k log k`), and the two
     /// runs merge — sharded into plain position ranges over the prefix
     /// (interned rows are distinct, so every position is its own key
-    /// group) with the tail aligned by binary search. Per-shard runs
-    /// splice in ascending order, so the layout is identical to the
-    /// sequential merge at every thread count.
+    /// group) with the tail aligned by binary search. Each shard returns
+    /// its merged id order; the orders join end to end, the seal's copy
+    /// routine lays the rows out, and the store is adopted — so the
+    /// layout is identical to the sequential merge at every thread count.
     ///
     /// Hot-loop details: compares go through a transient [`RowOrd`]
     /// (single integer compares when a packed encoding fits — the cached
@@ -710,14 +711,16 @@ impl Bag {
                 .start = 0;
             tasks
         };
-        let tail = &tail;
-        let ord = &ord;
-        let runs = crate::exec::try_run_tasks(cfg, tasks, |(pr, tr)| {
+        let (tail, ord, mults) = (&tail, &ord, &self.mults);
+        let live = |range: std::ops::Range<usize>| {
+            (range.start as u32..range.end as u32).filter(|&q| mults[q as usize] > 0)
+        };
+        let orders = crate::exec::try_run_tasks(cfg, tasks, |(pr, tr)| {
             crate::fault::fire("bag::reseal_delta::merge");
-            let mut run = ShardRun::with_capacity(arity, pr.len() + tr.len());
+            let mut order = Vec::with_capacity(pr.len() + tr.len());
             let use_gallop = pr.len() >= crate::exec::GALLOP_RATIO * tr.len().max(1);
             let mut p = pr.start;
-            for &tid in &tail[tr.clone()] {
+            for &tid in &tail[tr] {
                 // End of the prefix stretch that sorts before this tail
                 // row: galloped under skew, scanned otherwise.
                 let bound = if use_gallop {
@@ -729,42 +732,36 @@ impl Bag {
                     }
                     q
                 };
-                for q in p..bound {
-                    let m = self.mults[q];
-                    if m > 0 {
-                        run.push(self.store.row(RowId(q as u32)), m);
-                    }
-                }
+                order.extend(live(p..bound));
+                order.push(tid);
                 p = bound;
-                run.push(self.store.row(RowId(tid)), self.mults[tid as usize]);
             }
-            for q in p..pr.end {
-                let m = self.mults[q];
-                if m > 0 {
-                    run.push(self.store.row(RowId(q as u32)), m);
-                }
-            }
-            run
+            order.extend(live(p..pr.end));
+            order
         })?;
-        *self = Bag::from_shard_runs(
-            self.schema.clone(),
-            ShardedRowStore::from_runs(arity, runs),
-            true,
-        );
+        let order = orders.concat();
+        let data = crate::store::gather_rows(arity, self.store.values(), &order, cfg)?;
+        let mults = order.iter().map(|&i| self.mults[i as usize]).collect();
+        let store = RowStore::from_sorted_rows(arity, order.len(), data)
+            .expect("the merged run ascends strictly");
+        // Unlike other bulk outputs, build the index now: the next delta
+        // probes this bag at once, and a build deferred onto that probe
+        // measured slower in the serving benchmark.
+        store.build_index();
+        *self = Bag::adopt(self.schema.clone(), store, mults, true);
         Ok(())
     }
 
     /// The support `Supp(R)` as a relation over the same schema.
     pub fn support(&self) -> Relation {
-        let mut rel = Relation::with_capacity(self.schema.clone(), self.live);
-        for (row, _) in self.iter() {
-            // Support rows of an interned bag are distinct.
-            rel.push_unique_row(row);
-        }
-        if self.sealed {
-            rel.mark_sealed();
-        }
-        rel
+        let arity = self.schema.arity();
+        let ids: Vec<u32> = self.live_ids().collect();
+        let data =
+            crate::store::gather_rows(arity, self.store.values(), &ids, &ExecConfig::sequential())
+                .unwrap_or_else(|e| panic!("{e}"));
+        // Support rows of an interned bag are distinct.
+        let store = RowStore::from_distinct_rows(arity, ids.len(), data);
+        Relation::from_store(self.schema.clone(), store, self.sealed || ids.is_empty())
     }
 
     /// The marginal `R[Z]` of Equation (2) of the paper.
@@ -781,22 +778,20 @@ impl Bag {
 
     /// [`Bag::marginal`] under an explicit execution configuration.
     ///
-    /// When `Z` is a prefix of a sealed bag's schema and `cfg` permits,
-    /// the group-by sweep is sharded at key-group boundaries
-    /// ([`crate::exec`]) and swept in parallel; per-shard runs splice
-    /// back in shard order, so the result is byte-identical to the
-    /// sequential sweep and still sealed. All other cases (unsealed or
+    /// When `Z` is a prefix of a sealed bag's schema, the group-by sweep
+    /// (`store::prefix_groups`) shards at key-group boundaries
+    /// per `cfg`; its groups ascend, so the result is sealed and
+    /// byte-identical at every thread count. All other cases (unsealed or
     /// non-prefix `Z`) take the sequential scan: their rows are
     /// unordered, so shards would collide on output groups.
     pub fn marginal_with(&self, sub: &Schema, cfg: &ExecConfig) -> Result<Bag> {
         let idx = self.schema.projection_indices(sub)?;
         if self.sealed && crate::tuple::is_prefix_projection(&idx) {
-            let k = idx.len();
-            let shards = cfg.shards_for(self.store.len());
-            if shards > 1 {
-                return self.marginal_prefix_parallel(sub, k, shards, cfg);
-            }
-            return self.marginal_sorted_prefix(sub, k);
+            let (data, sums) =
+                crate::store::prefix_groups(&self.store, Some(&self.mults), idx.len(), cfg)?;
+            let store = RowStore::from_sorted_rows(idx.len(), sums.len(), data)
+                .expect("the groups of a sorted run ascend strictly");
+            return Ok(Bag::adopt(sub.clone(), store, sums, true));
         }
         let mut out = Bag::with_capacity(sub.clone(), self.live.min(1 << 20));
         let mut scratch: Vec<Value> = Vec::with_capacity(idx.len());
@@ -806,142 +801,6 @@ impl Bag {
             out.insert_row(&scratch, m)?;
         }
         Ok(out)
-    }
-
-    /// Shard-parallel prefix marginal: the sealed run splits at prefix
-    /// group boundaries, each shard runs the group-by sweep of
-    /// [`Bag::marginal_sorted_prefix`] into a [`ShardRun`], and the runs
-    /// splice into one sealed bag.
-    fn marginal_prefix_parallel(
-        &self,
-        sub: &Schema,
-        k: usize,
-        shards: usize,
-        cfg: &ExecConfig,
-    ) -> Result<Bag> {
-        let arity = self.schema.arity();
-        let data = self.store.values();
-        let ranges = shard_ranges(self.store.len(), shards, |p| {
-            data[(p - 1) * arity..(p - 1) * arity + k] == data[p * arity..p * arity + k]
-        });
-        let runs =
-            crate::exec::try_run_shards(cfg, ranges, |range| self.marginal_prefix_run(k, range))?;
-        let runs: Result<Vec<ShardRun>> = runs.into_iter().collect();
-        Ok(Bag::from_shard_runs(
-            sub.clone(),
-            ShardedRowStore::from_runs(k, runs?),
-            true,
-        ))
-    }
-
-    /// One shard's group-by sweep over `range` of the sealed run,
-    /// emitting `(prefix, summed multiplicity)` into a [`ShardRun`].
-    fn marginal_prefix_run(&self, k: usize, range: std::ops::Range<usize>) -> Result<ShardRun> {
-        let arity = self.schema.arity();
-        let data = self.store.values();
-        // One group per input row is the upper bound (capped like the
-        // sequential path's pre-sizing).
-        let mut run = ShardRun::with_capacity(k, range.len().min(1 << 20));
-        let mut current: Option<(usize, u64)> = None; // (row offset, acc)
-        for id in range {
-            let off = id * arity;
-            let m = self.mults[id];
-            debug_assert!(m > 0, "sealed bags have no tombstones");
-            match current {
-                Some((prev, acc)) if data[prev..prev + k] == data[off..off + k] => {
-                    let acc = acc.checked_add(m).ok_or(CoreError::MultiplicityOverflow)?;
-                    current = Some((prev, acc));
-                }
-                Some((prev, acc)) => {
-                    run.push(&data[prev..prev + k], acc);
-                    current = Some((off, m));
-                }
-                None => current = Some((off, m)),
-            }
-        }
-        if let Some((prev, acc)) = current {
-            run.push(&data[prev..prev + k], acc);
-        }
-        Ok(run)
-    }
-
-    /// Group-by sweep for `Z` = first `k` columns of a sealed bag: equal
-    /// prefixes are adjacent, so marginalizing is a linear merge of
-    /// neighbouring groups and the output inherits the sorted order.
-    fn marginal_sorted_prefix(&self, sub: &Schema, k: usize) -> Result<Bag> {
-        let mut out = Bag::with_capacity(sub.clone(), self.live.min(1 << 20));
-        let arity = self.schema.arity();
-        let data = self.store.values();
-        let mut current: Option<(usize, u64)> = None; // (row offset, acc)
-        for id in 0..self.store.len() {
-            let off = id * arity;
-            let m = self.mults[id];
-            debug_assert!(m > 0, "sealed bags have no tombstones");
-            match current {
-                Some((prev, acc)) if data[prev..prev + k] == data[off..off + k] => {
-                    let acc = acc.checked_add(m).ok_or(CoreError::MultiplicityOverflow)?;
-                    current = Some((prev, acc));
-                }
-                Some((prev, acc)) => {
-                    out.push_sorted_row(&data[prev..prev + k], acc);
-                    current = Some((off, m));
-                }
-                None => current = Some((off, m)),
-            }
-        }
-        if let Some((prev, acc)) = current {
-            out.push_sorted_row(&data[prev..prev + k], acc);
-        }
-        Ok(out)
-    }
-
-    /// Appends a row known to be strictly greater than every stored row
-    /// (bulk builds emitting in lexicographic order). Keeps the bag
-    /// sealed.
-    pub(crate) fn push_sorted_row(&mut self, row: &[Value], mult: u64) {
-        debug_assert!(self.sealed);
-        debug_assert!(mult > 0);
-        debug_assert_eq!(row.len(), self.schema.arity());
-        self.packed = OnceLock::new();
-        self.store.push_unique_unchecked(row);
-        self.mults.push(mult);
-        self.live += 1;
-    }
-
-    /// Assembles a bag from per-shard output runs ([`crate::exec`]): row
-    /// data memcpys into one arena with worker-precomputed hashes, run
-    /// payloads become the multiplicity column. Producers guarantee rows
-    /// are globally distinct across runs (shards cover disjoint key
-    /// ranges); `sealed` additionally asserts the concatenation is in
-    /// strictly increasing lexicographic order (prefix-marginal outputs).
-    pub(crate) fn from_shard_runs(schema: Schema, sharded: ShardedRowStore, sealed: bool) -> Bag {
-        debug_assert_eq!(
-            sharded.runs().first().map_or(schema.arity(), |r| r.arity()),
-            schema.arity()
-        );
-        let mut mults = Vec::with_capacity(sharded.total_rows());
-        for run in sharded.runs() {
-            for i in 0..run.len() {
-                debug_assert!(run.payload(i) > 0);
-                mults.push(run.payload(i));
-            }
-        }
-        let store = sharded.into_store();
-        debug_assert!(
-            !sealed || store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
-            "sealed splice requires globally ascending rows"
-        );
-        let live = store.len();
-        Bag {
-            schema,
-            store,
-            mults,
-            live,
-            // An empty splice is trivially a sorted run — matching the
-            // sequential paths, whose empty outputs are born sealed.
-            sealed: sealed || live == 0,
-            packed: OnceLock::new(),
-        }
     }
 
     /// Reassembles a sealed bag from its persisted parts — the snapshot
@@ -959,30 +818,35 @@ impl Bag {
         if mults.contains(&0) {
             return None;
         }
+        Some(Bag::adopt(schema, store, mults, true))
+    }
+
+    /// Adopts a store of distinct rows and its multiplicity column, free
+    /// of zeros — how every bulk operator finishes. `sealed` asserts that
+    /// the rows ascend strictly (debug-checked); the packed view stays
+    /// lazy, and so does the store's dedup table unless already built.
+    pub(crate) fn adopt(schema: Schema, store: RowStore, mults: Vec<u64>, sealed: bool) -> Bag {
+        debug_assert_eq!(store.arity(), schema.arity());
+        debug_assert_eq!(mults.len(), store.len());
+        debug_assert!(!mults.contains(&0), "adopted rows must be live");
         debug_assert!(
-            store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
-            "from_sealed_parts requires a strictly ascending arena"
+            !sealed || store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
+            "a sealed bag requires a strictly ascending arena"
         );
         let live = store.len();
-        Some(Bag {
+        Bag {
             schema,
             store,
             mults,
             live,
-            sealed: true,
+            sealed,
             packed: OnceLock::new(),
-        })
+        }
     }
 
-    /// Appends a distinct row without the sorted guarantee (join outputs,
-    /// which are unique by construction but emitted in key-group order).
-    pub(crate) fn push_unique_row(&mut self, row: &[Value], mult: u64) {
-        debug_assert!(mult > 0);
-        self.packed = OnceLock::new();
-        self.store.push_unique_unchecked(row);
-        self.mults.push(mult);
-        self.live += 1;
-        self.sealed = false;
+    /// The multiplicity column by dense row id (`0` marks a tombstone).
+    pub(crate) fn mults(&self) -> &[u64] {
+        &self.mults
     }
 
     /// The backing columnar arena. Join and flow-network hot paths index
@@ -1037,16 +901,15 @@ impl Bag {
     /// Multiplies every multiplicity by `k` (checked). `k = 0` empties
     /// the bag.
     pub fn scale(&self, k: u64) -> Result<Bag> {
-        let mut out = Bag::with_capacity(self.schema.clone(), self.live);
         if k == 0 {
-            return Ok(out);
+            return Ok(Bag::new(self.schema.clone()));
         }
-        for (row, m) in self.iter() {
-            let mk = m.checked_mul(k).ok_or(CoreError::MultiplicityOverflow)?;
-            // Scaling preserves distinctness and row order.
-            out.push_unique_row(row, mk);
+        // Scaling keeps the rows, their order, and the tombstones.
+        let mut out = self.clone();
+        for m in &mut out.mults {
+            *m = m.checked_mul(k).ok_or(CoreError::MultiplicityOverflow)?;
         }
-        out.sealed = self.sealed;
+        out.packed = OnceLock::new();
         Ok(out)
     }
 
@@ -1069,24 +932,20 @@ impl Bag {
                     .unwrap_or(crate::Attr::new(0)),
             ));
         }
-        // position i of the old schema maps to position of f(old[i]) in new.
-        let mut out = Bag::with_capacity(new_schema.clone(), self.live);
-        let old_attrs = self.schema.attrs();
-        let mut perm = vec![0usize; old_attrs.len()];
-        for (i, &a) in old_attrs.iter().enumerate() {
-            perm[i] = new_schema
-                .position(f(a))
-                .expect("renamed attr in new schema");
+        // Position j of the new schema takes position src[j] of the old.
+        let mut src = vec![0usize; new_attrs.len()];
+        for (i, &a) in new_attrs.iter().enumerate() {
+            src[new_schema.position(a).expect("renamed attr in new schema")] = i;
         }
-        let mut scratch = vec![Value::new(0); self.schema.arity()];
+        let (mut data, mut mults) = (Vec::with_capacity(self.live * src.len()), Vec::new());
         for (row, m) in self.iter() {
-            for (i, &v) in row.iter().enumerate() {
-                scratch[perm[i]] = v;
-            }
-            // A permutation of distinct rows stays distinct.
-            out.push_unique_row(&scratch, m);
+            data.extend(src.iter().map(|&i| row[i]));
+            mults.push(m);
         }
-        Ok(out)
+        // A permutation of distinct rows stays distinct.
+        let store = RowStore::from_distinct_rows(src.len(), mults.len(), data);
+        let sealed = mults.is_empty();
+        Ok(Bag::adopt(new_schema, store, mults, sealed))
     }
 }
 

@@ -5,37 +5,36 @@
 //! value's lexicographic run partitions into contiguous shards whose
 //! boundaries fall on join-key-group edges, so no group straddles a shard
 //! and per-shard outputs concatenate into exactly the sequential result.
-//! This module provides the three pieces every parallel hot path shares:
+//! This module provides the pieces every bulk operator shares:
 //!
 //! * [`ExecConfig`] — thread count and the sequential-fallback threshold.
 //!   `threads = 1` (or a support below [`ExecConfig::min_parallel_support`])
-//!   routes callers through their unchanged sequential code path, so the
-//!   parallel layer costs nothing when it cannot help.
+//!   plans one shard, which the executor runs inline on the caller.
 //! * [`shard_ranges`] — the shard plan: split `0..n` into contiguous
 //!   ranges, moving every boundary forward to the next key-group edge.
 //!   Plans are **oversubscribed** ([`ExecConfig::shards_for`] asks for
 //!   [`ExecConfig::CHUNKS_PER_WORKER`] chunks per worker), so a skewed
 //!   plan leaves chunks for idle workers to steal.
-//! * [`run_shards`] / [`run_tasks`] — a dependency-free **work-stealing
-//!   executor** on [`std::thread::scope`] (the build environment is
-//!   offline; no rayon): an atomic cursor walks the shard descriptors
-//!   and each worker claims the next unclaimed chunk whenever it
-//!   finishes one, so one expensive shard no longer idles every other
+//! * [`try_run_tasks`] / [`run_tasks`] — a dependency-free
+//!   **work-stealing executor** on [`std::thread::scope`] (the build
+//!   environment is offline; no rayon): an atomic cursor walks the shard
+//!   descriptors and each worker claims the next unclaimed chunk whenever
+//!   it finishes one, so one expensive shard no longer idles every other
 //!   worker. Results are tagged with their task index and returned in
-//!   task order regardless of completion order — the splice invariant
-//!   below survives any interleaving.
+//!   task order regardless of completion order. One task runs inline on
+//!   the calling thread, under the same deadline poll and panic
+//!   containment — that is the sequential case of every bulk operator.
 //!
-//! Join, marginal, and delta-reseal workers assemble their output into
-//! [`ShardRun`]s: flat row-major buffers with **precomputed row hashes**
-//! and a parallel `u64` payload column (multiplicities). The splice back
-//! into one [`RowStore`] ([`ShardedRowStore::into_store`]) then memcpys
-//! row data and inserts dedup-table slots without rehashing — the only
-//! sequential work left on the output side is the flat-table probe. The
-//! seal and [`crate::Bag::from_arena`] need no table at all: their
-//! workers copy rows straight into disjoint slices of one sorted arena.
+//! Every bulk operator (joins, prefix marginals and projections, the
+//! seal, the delta reseal, [`crate::Bag::from_arena`]) has one body that
+//! runs per shard. A shard returns a plain row-major arena with its
+//! multiplicity column (the seal and the reseal return an id order for
+//! the shared copy routine instead); the caller joins the outputs end to
+//! end and adopts them into a [`crate::RowStore`] with the dedup table
+//! unbuilt (only a bag a delta just resealed builds it at once, since
+//! the next delta probes it).
 
 use crate::cancel::Deadline;
-use crate::store::{hash_row, RowStore};
 use crate::{CoreError, Value};
 use std::fmt;
 use std::ops::Range;
@@ -58,7 +57,7 @@ pub struct ExecConfig {
     /// `1` disables parallelism entirely. Invariant: `>= 1`.
     pub(crate) threads: usize,
     /// Inputs with fewer items than this run sequentially even when
-    /// `threads > 1`: below it, thread spawn + splice overhead outweighs
+    /// `threads > 1`: below it, thread spawn + output-join overhead outweighs
     /// the per-shard work. Invariant: `>= 1`.
     pub(crate) min_parallel_support: usize,
     /// Cooperative abort condition, polled by [`try_run_tasks`] at every
@@ -76,7 +75,7 @@ impl ExecConfig {
     /// Shard-plan oversubscription: how many chunks each worker's share
     /// of the input is split into. More chunks give the work-stealing
     /// executor room to rebalance a skewed plan (one giant key group
-    /// next to many tiny ones) at the cost of slightly more splice
+    /// next to many tiny ones) at the cost of slightly more output
     /// bookkeeping; 4 keeps the per-chunk work large enough that the
     /// atomic-cursor claim is noise.
     pub const CHUNKS_PER_WORKER: usize = 4;
@@ -113,7 +112,7 @@ impl ExecConfig {
     }
 
     /// A strictly sequential configuration: every `*_with` entry point
-    /// takes its unchanged single-threaded code path.
+    /// runs its bulk work as one inline task on the calling thread.
     pub const fn sequential() -> Self {
         ExecConfig {
             threads: 1,
@@ -329,27 +328,6 @@ pub fn lower_bound_by(n: usize, is_less: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// Runs `work` over each range on at most `threads` scoped worker
-/// threads through the work-stealing queue of [`run_tasks`], returning
-/// outputs in shard order. Specialization of [`run_tasks`] for the
-/// common range-per-shard case.
-pub fn run_shards<T: Send>(
-    threads: usize,
-    ranges: Vec<Range<usize>>,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    run_tasks(threads, ranges, work)
-}
-
-/// [`try_run_tasks`] for the common range-per-shard case.
-pub fn try_run_shards<T: Send>(
-    cfg: &ExecConfig,
-    ranges: Vec<Range<usize>>,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Result<Vec<T>, CoreError> {
-    try_run_tasks(cfg, ranges, work)
-}
-
 /// Extracts a human-readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -397,11 +375,12 @@ pub fn run_tasks<I: Send, T: Send>(
 /// rest) keeps every worker busy until the queue drains. Each output is
 /// written into the slot of its task index, so the returned vector is
 /// in task order regardless of which worker finished which task when;
-/// splice-order invariants downstream are unaffected by scheduling.
+/// output-order invariants downstream are unaffected by scheduling.
 ///
 /// With one task (or `threads <= 1`) the work runs inline on the
 /// calling thread — the sequential fallback spawns nothing, but is
-/// governed all the same (deadline poll between tasks, panic caught).
+/// governed all the same (deadline poll around every task, panic
+/// caught).
 ///
 /// # Errors
 ///
@@ -409,7 +388,7 @@ pub fn run_tasks<I: Send, T: Send>(
 ///   remaining chunks were abandoned (in-flight chunks finish first).
 /// * [`CoreError::WorkerPanicked`] — a task body panicked; the panic was
 ///   caught on the worker, sibling chunks were cancelled, and the error
-///   names the failing task. Callers own their state: nothing is spliced
+///   names the failing task. Callers own their state: nothing is adopted
 ///   on the error path, so operands stay untouched.
 pub fn try_run_tasks<I: Send, T: Send>(
     cfg: &ExecConfig,
@@ -440,6 +419,11 @@ fn run_tasks_impl<I: Send, T: Send>(
                     })
                 }
             }
+        }
+        // A worker polls once more before it finds the queue empty, so a
+        // deadline that fires during the last task aborts either way.
+        if let Some(reason) = deadline.poll() {
+            return Err(CoreError::Aborted(reason));
         }
         return Ok(out);
     }
@@ -682,132 +666,27 @@ pub fn merge_sorted_runs_for_bench<T: Copy>(
     merge_sorted_runs_impl(a, b, cmp, gallop)
 }
 
-/// One shard's output: freshly assembled rows (flat, row-major) with
-/// precomputed content hashes and a parallel `u64` payload column
-/// (multiplicities).
-#[derive(Clone, Debug)]
-pub struct ShardRun {
-    arity: usize,
-    rows: Vec<Value>,
-    hashes: Vec<u64>,
-    payload: Vec<u64>,
-}
-
-impl ShardRun {
-    /// An empty run of `arity`-wide rows.
-    pub fn new(arity: usize) -> Self {
-        ShardRun {
-            arity,
-            rows: Vec::new(),
-            hashes: Vec::new(),
-            payload: Vec::new(),
-        }
+/// Joins per-shard outputs — row-major rows with their multiplicity
+/// column — end to end in shard order. A single shard's output is
+/// returned as it is, without a copy.
+pub(crate) fn concat_runs(mut runs: Vec<(Vec<Value>, Vec<u64>)>) -> (Vec<Value>, Vec<u64>) {
+    if runs.len() == 1 {
+        return runs.pop().expect("one run");
     }
-
-    /// An empty run with room for `rows` rows.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        ShardRun {
-            arity,
-            rows: Vec::with_capacity(arity * rows),
-            hashes: Vec::with_capacity(rows),
-            payload: Vec::with_capacity(rows),
-        }
+    let values = runs.iter().map(|(rows, _)| rows.len()).sum();
+    let rows = runs.iter().map(|(_, mults)| mults.len()).sum();
+    let (mut data, mut mults) = (Vec::with_capacity(values), Vec::with_capacity(rows));
+    for (d, m) in runs {
+        data.extend_from_slice(&d);
+        mults.extend_from_slice(&m);
     }
-
-    /// Appends a row with its payload, hashing it on the worker thread.
-    #[inline]
-    pub fn push(&mut self, row: &[Value], payload: u64) {
-        debug_assert_eq!(row.len(), self.arity);
-        self.rows.extend_from_slice(row);
-        self.hashes.push(hash_row(row));
-        self.payload.push(payload);
-    }
-
-    /// Row width of the run.
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Number of rows in the run.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// True iff the run holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// The `i`-th row of the run.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[Value] {
-        &self.rows[i * self.arity..(i + 1) * self.arity]
-    }
-
-    /// The `i`-th row's precomputed content hash.
-    #[inline]
-    pub fn hash(&self, i: usize) -> u64 {
-        self.hashes[i]
-    }
-
-    /// The `i`-th row's payload (multiplicity / capacity).
-    #[inline]
-    pub fn payload(&self, i: usize) -> u64 {
-        self.payload[i]
-    }
-}
-
-/// An ordered collection of per-shard output runs over one schema — the
-/// intermediate form between parallel shard workers and the single
-/// [`RowStore`] arena the rest of the system consumes.
-///
-/// Invariants the producers guarantee (and splicing relies on):
-/// rows are **globally distinct** across runs (shards cover disjoint key
-/// ranges, and keys are part of every output row), and runs are in
-/// ascending key order, so concatenation reproduces the sequential
-/// emission order exactly.
-#[derive(Clone, Debug)]
-pub struct ShardedRowStore {
-    arity: usize,
-    runs: Vec<ShardRun>,
-}
-
-impl ShardedRowStore {
-    /// Wraps per-shard runs (all of width `arity`, in shard order).
-    pub fn from_runs(arity: usize, runs: Vec<ShardRun>) -> Self {
-        debug_assert!(runs.iter().all(|r| r.arity == arity));
-        ShardedRowStore { arity, runs }
-    }
-
-    /// Total rows across all runs.
-    pub fn total_rows(&self) -> usize {
-        self.runs.iter().map(ShardRun::len).sum()
-    }
-
-    /// The per-shard runs, in shard (= ascending key) order.
-    pub fn runs(&self) -> &[ShardRun] {
-        &self.runs
-    }
-
-    /// Splices every run into one interned [`RowStore`], reusing the
-    /// worker-computed hashes (no rehash on the splice thread).
-    pub fn into_store(self) -> RowStore {
-        let mut store = RowStore::with_capacity(self.arity, self.total_rows());
-        for run in &self.runs {
-            for i in 0..run.len() {
-                store.push_unique_hashed(run.row(i), run.hash(i));
-            }
-        }
-        store
-    }
+    (data, mults)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RowStore;
 
     fn v(xs: &[u64]) -> Vec<Value> {
         xs.iter().copied().map(Value::new).collect()
@@ -1003,27 +882,27 @@ mod tests {
     }
 
     #[test]
-    fn run_shards_preserves_order() {
+    fn run_tasks_preserves_order() {
         let ranges = shard_ranges(16, 4, |_| false);
-        let sums = run_shards(4, ranges.clone(), |r| r.sum::<usize>());
+        let sums = run_tasks(4, ranges.clone(), |r| r.sum::<usize>());
         let expected: Vec<usize> = ranges.into_iter().map(|r| r.sum()).collect();
         assert_eq!(sums, expected);
     }
 
     #[test]
-    fn run_shards_caps_workers_and_keeps_order() {
+    fn run_tasks_caps_workers_and_keeps_order() {
         // 16 single-item ranges over 2 threads: outputs must still come
         // back in range order despite chunked distribution.
         let ranges: Vec<std::ops::Range<usize>> = (0..16).map(|i| i..i + 1).collect();
-        let out = run_shards(2, ranges, |r| r.start);
+        let out = run_tasks(2, ranges, |r| r.start);
         assert_eq!(out, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_shards_sequential_fallback_matches() {
+    fn run_tasks_sequential_fallback_matches() {
         let ranges = shard_ranges(16, 4, |_| false);
-        let par = run_shards(4, ranges.clone(), |r| r.len());
-        let seq = run_shards(1, ranges, |r| r.len());
+        let par = run_tasks(4, ranges.clone(), |r| r.len());
+        let seq = run_tasks(1, ranges, |r| r.len());
         assert_eq!(par, seq);
     }
 
@@ -1150,18 +1029,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_splices_with_precomputed_hashes() {
-        let mut a = ShardRun::new(2);
-        a.push(&v(&[1, 1]), 2);
-        a.push(&v(&[1, 2]), 3);
-        let mut b = ShardRun::new(2);
-        b.push(&v(&[2, 1]), 5);
-        let sharded = ShardedRowStore::from_runs(2, vec![a, b]);
-        assert_eq!(sharded.total_rows(), 3);
-        let store = sharded.into_store();
-        assert_eq!(store.len(), 3);
+    fn joined_shard_outputs_adopt_in_shard_order() {
+        let runs = vec![
+            (v(&[1, 1, 1, 2]), vec![2, 3]),
+            (vec![], vec![]),
+            (v(&[2, 1]), vec![5]),
+        ];
+        let (data, mults) = concat_runs(runs);
+        assert_eq!(mults, vec![2, 3, 5]);
+        let store = RowStore::from_sorted_rows(2, mults.len(), data).unwrap();
         // rows land in shard order and stay individually addressable
         assert_eq!(store.lookup(&v(&[1, 2])).map(|id| id.index()), Some(1));
         assert_eq!(store.lookup(&v(&[2, 1])).map(|id| id.index()), Some(2));
+        // a lone shard's output is adopted as it is
+        let (data, _) = concat_runs(vec![(v(&[7]), vec![1])]);
+        assert_eq!(data, v(&[7]));
     }
 }

@@ -21,8 +21,8 @@
 //! |---|---|
 //! | `bag::seal` | [`crate::Bag::try_seal_with`] re-layout shard task |
 //! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
-//! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]) |
-//! | `join::hash::shard` | hash-join probe shard task |
+//! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]), at every thread count |
+//! | `join::hash::shard` | hash-join probe shard task ([`crate::join::bag_join_hash_with`]), at every thread count |
 //! | `witness::fill` | two-bag witness group-fill shard task (`bagcons::pairwise`) |
 //! | `stream::update` | consistency-stream update entry |
 //!

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! * The header names the attributes; `#` marks the multiplicity column.
-//!   Attribute names of the form `A<digits>` map to [`Attr`] ids directly;
+//!   A name that is `A` followed by the plain decimal of an id below
+//!   `2³⁰` (no sign, no leading zero) maps to that [`Attr`] id directly;
 //!   any other name is interned in order of first appearance.
 //! * Each data row lists one value per attribute and, after a `:`, the
 //!   multiplicity. Omitting `: m` means multiplicity 1, so the same file
@@ -99,9 +100,10 @@ impl From<CoreError> for ParseError {
 }
 
 /// Interns attribute names to [`Attr`] ids **consistently across files**:
-/// the same name always maps to the same attribute. Canonical names
-/// `A<digits>` keep their numeric id; symbolic names are allocated from a
-/// high id range (`2³⁰+`) so the two kinds never collide in practice.
+/// the same name always maps to the same attribute. A canonical name —
+/// `A` and the plain decimal of an id below `2³⁰` (`A0`, `A17`, not
+/// `A05` or `A+5`) — keeps its numeric id; every other name is symbolic
+/// and gets an id from `2³⁰` up, so no two names share an attribute.
 #[derive(Default, Debug)]
 pub struct NameInterner {
     by_name: crate::FxHashMap<String, Attr>,
@@ -124,7 +126,7 @@ impl NameInterner {
         if let Some(&a) = self.by_name.get(token) {
             return a;
         }
-        let attr = match token.strip_prefix('A').and_then(|d| d.parse::<u32>().ok()) {
+        let attr = match canonical_id(token) {
             Some(id) => Attr::new(id),
             None => {
                 let a = Attr::new(self.next_symbolic);
@@ -169,6 +171,20 @@ impl NameInterner {
             self.next_symbolic = self.next_symbolic.max(attr.id() + 1);
         }
     }
+}
+
+/// The id a canonical name `A<id>` denotes: the digits are the plain
+/// decimal of an id below `2³⁰` (where symbolic ids start), with no sign
+/// and no leading zero, so each id has exactly one canonical name.
+fn canonical_id(token: &str) -> Option<u32> {
+    let digits = token.strip_prefix('A')?;
+    let plain = !digits.is_empty()
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    plain
+        .then(|| digits.parse::<u32>().ok())
+        .flatten()
+        .filter(|&id| id < 1 << 30)
 }
 
 /// Parses a bag from the tabular text format. Returns the bag plus the
@@ -412,6 +428,25 @@ mod tests {
         // header order A5 A2, but schema sorts: value 2 belongs to A2
         assert_eq!(bag.schema().attrs(), &[Attr::new(2), Attr::new(5)]);
         assert_eq!(bag.multiplicity(&[Value(2), Value(1)]), 1);
+    }
+
+    #[test]
+    fn only_plain_canonical_names_keep_their_id() {
+        let mut interner = NameInterner::new();
+        assert_eq!(interner.attr("A5"), Attr::new(5));
+        assert_eq!(interner.attr("A0"), Attr::new(0));
+        assert_eq!(interner.attr("A1073741823"), Attr::new((1 << 30) - 1));
+        // Aliases of A5, a name past the canonical range, and the first
+        // symbolic name must all be distinct attributes.
+        let others = ["A05", "A+5", "A00", "A", "A1073741824", "Z"];
+        let ids: Vec<Attr> = others.iter().map(|name| interner.attr(name)).collect();
+        for (i, a) in ids.iter().enumerate() {
+            assert!(a.id() >= 1 << 30, "{} must be symbolic", others[i]);
+            assert!(!ids[..i].contains(a), "{} aliases another name", others[i]);
+        }
+        let (bag, names) = parse_bag("A1073741824 Z #\n5 6 : 1\n").unwrap();
+        assert_eq!(bag.schema().arity(), 2);
+        assert_eq!(names.name(bag.schema().attrs()[0]), "A1073741824");
     }
 
     #[test]

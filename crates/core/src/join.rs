@@ -25,14 +25,20 @@
 //! enough that `O(small)` build + `O(large)` probe beats sorting the
 //! large side. The crossover `MERGE_MIN` is coarse by design.
 //!
-//! Joined rows are assembled in a reused scratch buffer and appended to
-//! the output arena: the whole path performs **zero per-tuple
-//! `Box<[Value]>` allocations**. A [`JoinPlan`] precomputes the index
-//! arithmetic (key extraction and output-row assembly) so multiway joins
-//! and repeated joins don't redo it.
+//! Each strategy has one body, which runs per shard through
+//! [`crate::exec::try_run_tasks`] (one inline task when the
+//! configuration does not shard). A shard appends its joined rows
+//! straight to its own row-major arena with a multiplicity column; the
+//! shard outputs join end to end, and the output store adopts them with
+//! its dedup table unbuilt — joined rows are distinct by construction,
+//! so nothing is hashed and no per-tuple `Box<[Value]>` is allocated. A
+//! relation joins as the bag whose multiplicities are all 1, through the
+//! same bodies. A [`JoinPlan`] precomputes the index arithmetic (key
+//! extraction and output-row assembly) so multiway joins and repeated
+//! joins don't redo it.
 
-use crate::exec::{ExecConfig, ShardRun, ShardedRowStore};
-use crate::store::RowStore;
+use crate::exec::ExecConfig;
+use crate::store::{RowId, RowStore};
 use crate::{Bag, CoreError, Relation, Result, Schema, Value};
 use std::cmp::Ordering;
 
@@ -89,19 +95,82 @@ impl JoinSide {
 
     /// Statistics of a bag operand whose key columns are `key`.
     pub fn of_bag(bag: &Bag, key: &[usize]) -> Self {
-        JoinSide {
-            support: bag.support_size(),
-            sorted: bag.is_sealed() && crate::tuple::is_prefix_projection(key),
-            packed: bag.packed_ready(),
-        }
+        Operand::bag(bag).side(key)
     }
 
     /// Statistics of a relation operand whose key columns are `key`.
     pub fn of_relation(rel: &Relation, key: &[usize]) -> Self {
-        JoinSide {
-            support: rel.len(),
-            sorted: rel.is_sealed() && crate::tuple::is_prefix_projection(key),
+        Operand::relation(rel).side(key)
+    }
+}
+
+/// A join operand as the join bodies read it: a bag, or a relation read
+/// as the bag whose multiplicities are all 1 (Section 2).
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    schema: &'a Schema,
+    store: &'a RowStore,
+    /// The multiplicity column by row id; `None` for a relation.
+    mults: Option<&'a [u64]>,
+    sealed: bool,
+    packed: bool,
+    support: usize,
+}
+
+impl<'a> Operand<'a> {
+    fn bag(bag: &'a Bag) -> Self {
+        Operand {
+            schema: bag.schema(),
+            store: bag.store(),
+            mults: Some(bag.mults()),
+            sealed: bag.is_sealed(),
+            packed: bag.packed_ready(),
+            support: bag.support_size(),
+        }
+    }
+
+    fn relation(rel: &'a Relation) -> Self {
+        Operand {
+            schema: rel.schema(),
+            store: rel.store(),
+            mults: None,
+            sealed: rel.is_sealed(),
             packed: rel.packed_ready(),
+            support: rel.len(),
+        }
+    }
+
+    #[inline]
+    fn mult(self, id: u32) -> u64 {
+        self.mults.map_or(1, |m| m[id as usize])
+    }
+
+    #[inline]
+    fn row(self, id: u32) -> &'a [Value] {
+        self.store.row(RowId(id))
+    }
+
+    /// Ids of the support rows, in storage order.
+    fn live_ids(self) -> impl Iterator<Item = u32> + 'a {
+        (0..self.store.len() as u32).filter(move |&i| self.mult(i) > 0)
+    }
+
+    /// The input statistics of [`JoinStrategy::select`].
+    fn side(self, key: &[usize]) -> JoinSide {
+        JoinSide {
+            support: self.support,
+            sorted: self.sealed && crate::tuple::is_prefix_projection(key),
+            packed: self.packed,
+        }
+    }
+
+    /// One side of a merge join, keyed on the columns `key`.
+    fn merge_input(self, key: &'a [usize]) -> SideInput<'a> {
+        SideInput {
+            store: self.store,
+            ids: self.live_ids().collect(),
+            key,
+            sealed: self.sealed,
         }
     }
 }
@@ -298,7 +367,7 @@ fn build_keyed_pair(l: SideInput<'_>, r: SideInput<'_>, hot: bool) -> (KeyedSide
     let extract = |input: &SideInput<'_>| -> Vec<Value> {
         let mut keys: Vec<Value> = Vec::with_capacity(input.ids.len() * k);
         for &a in &input.ids {
-            let row = input.store.row(crate::store::RowId(a));
+            let row = input.store.row(RowId(a));
             keys.extend(input.key.iter().map(|&c| row[c]));
         }
         keys
@@ -492,22 +561,10 @@ pub fn bag_join(r: &Bag, s: &Bag) -> Result<Bag> {
 
 /// [`bag_join`] under an explicit execution configuration: the strategy
 /// choice becomes sharding-aware ([`JoinStrategy::select_with`]) and the
-/// merge path runs one sweep per key-range shard ([`crate::exec`]).
+/// chosen body runs one sweep per shard ([`crate::exec`]).
 pub fn bag_join_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
-    let plan = JoinPlan::new(r.schema(), s.schema());
-    let left = JoinSide::of_bag(r, &plan.left_key);
-    let right = JoinSide::of_bag(s, &plan.right_key);
-    match JoinStrategy::select_with(left, right, cfg) {
-        JoinStrategy::SortMerge => bag_join_merge_planned(r, s, &plan, cfg),
-        // The join is symmetric (output schema is the union, multiplicities
-        // multiply), so build the key index on the smaller operand and
-        // probe with the larger — which is also the side worth sharding
-        // (the swapped orientation needs its own plan).
-        JoinStrategy::Hash if r.support_size() < s.support_size() => {
-            bag_join_hash_planned(s, r, &JoinPlan::new(s.schema(), r.schema()), cfg)
-        }
-        JoinStrategy::Hash => bag_join_hash_planned(r, s, &plan, cfg),
-    }
+    let (schema, out) = join_with(Operand::bag(r), Operand::bag(s), cfg)?;
+    Ok(into_bag(schema, out))
 }
 
 /// The sort-merge bag join: both sides' live ids are key-sorted, then
@@ -516,21 +573,15 @@ pub fn bag_join_merge(r: &Bag, s: &Bag) -> Result<Bag> {
     bag_join_merge_with(r, s, &ExecConfig::sequential())
 }
 
-/// [`bag_join_merge`] under an explicit execution configuration: when
-/// `cfg` shards the input, the left side's key-sorted run splits at join
-/// key-group boundaries (the right side's matching ranges are found by
-/// binary search), each shard multiplies its groups out into a
-/// [`ShardRun`], and the runs splice into the output arena in ascending
-/// key order — exactly the sequential emission order.
+/// [`bag_join_merge`] under an explicit execution configuration: the
+/// left side's key-sorted run splits at join key-group boundaries (the
+/// right side's matching ranges are found by binary search), each shard
+/// multiplies its groups out, and the shard outputs join in ascending
+/// key order — the same rows in the same order at every thread count.
 pub fn bag_join_merge_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
     let plan = JoinPlan::new(r.schema(), s.schema());
-    bag_join_merge_planned(r, s, &plan, cfg)
-}
-
-/// Merge-join body shared by the dispatcher (which already built the
-/// plan) and the public entry points.
-fn bag_join_merge_planned(r: &Bag, s: &Bag, plan: &JoinPlan, cfg: &ExecConfig) -> Result<Bag> {
-    bag_join_merge_impl(r, s, plan, cfg, true)
+    let out = join_merge(Operand::bag(r), Operand::bag(s), &plan, cfg, true)?;
+    Ok(into_bag(plan.out, out))
 }
 
 #[doc(hidden)]
@@ -539,81 +590,131 @@ pub fn bag_join_merge_baseline_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Resul
     // reference the E16 bench and CI speedup gate measure against, and
     // the oracle the equivalence property tests compare to.
     let plan = JoinPlan::new(r.schema(), s.schema());
-    bag_join_merge_impl(r, s, &plan, cfg, false)
+    let out = join_merge(Operand::bag(r), Operand::bag(s), &plan, cfg, false)?;
+    Ok(into_bag(plan.out, out))
 }
 
-fn bag_join_merge_impl(
-    r: &Bag,
-    s: &Bag,
+/// The hash bag join: right side's keys interned into a flat chained
+/// index, left side probes. The small-side fallback of the heuristic.
+pub fn bag_join_hash(r: &Bag, s: &Bag) -> Result<Bag> {
+    bag_join_hash_with(r, s, &ExecConfig::sequential())
+}
+
+/// [`bag_join_hash`] under an explicit execution configuration: the key
+/// index builds once on the calling thread and is **broadcast** (shared
+/// read-only) to the workers, while the probe side's live ids shard
+/// into plain index ranges — probes are row-independent, so no
+/// key-group constraint applies. The shard outputs join in range order,
+/// so the rows come out in probe order at every thread count.
+pub fn bag_join_hash_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
+    let plan = JoinPlan::new(r.schema(), s.schema());
+    let out = join_hash(Operand::bag(r), Operand::bag(s), &plan, cfg)?;
+    Ok(into_bag(plan.out, out))
+}
+
+/// The relational join `R ⋈ S` of Section 2, strategy chosen by
+/// [`JoinStrategy::select`].
+pub fn relation_join(r: &Relation, s: &Relation) -> Relation {
+    let seq = ExecConfig::sequential();
+    into_relation(join_with(Operand::relation(r), Operand::relation(s), &seq))
+}
+
+/// The sort-merge relational join.
+pub fn relation_join_merge(r: &Relation, s: &Relation) -> Relation {
+    let plan = JoinPlan::new(r.schema(), s.schema());
+    let (r, s) = (Operand::relation(r), Operand::relation(s));
+    let out = join_merge(r, s, &plan, &ExecConfig::sequential(), true);
+    into_relation(out.map(|out| (plan.out, out)))
+}
+
+/// The hash relational join.
+pub fn relation_join_hash(r: &Relation, s: &Relation) -> Relation {
+    let plan = JoinPlan::new(r.schema(), s.schema());
+    let (r, s) = (Operand::relation(r), Operand::relation(s));
+    let out = join_hash(r, s, &plan, &ExecConfig::sequential());
+    into_relation(out.map(|out| (plan.out, out)))
+}
+
+/// A join's output: the store of joined rows and their multiplicities.
+type Joined = (RowStore, Vec<u64>);
+
+/// The joined rows as a bag. They come in key-group or probe order, so
+/// only an empty join is sealed.
+fn into_bag(schema: Schema, (store, mults): Joined) -> Bag {
+    let sealed = mults.is_empty();
+    Bag::adopt(schema, store, mults, sealed)
+}
+
+/// The joined rows as a relation; their multiplicities are all 1. A
+/// relational join runs with no deadline, so it fails only by a panic in
+/// its body, which is raised again here.
+fn into_relation(out: Result<(Schema, Joined)>) -> Relation {
+    let (schema, (store, _)) = out.unwrap_or_else(|e| panic!("{e}"));
+    let sealed = store.is_empty();
+    Relation::from_store(schema, store, sealed)
+}
+
+/// Picks the physical strategy by [`JoinStrategy::select_with`] and runs
+/// its body, returning the output schema `X ∪ Y` with the joined rows.
+fn join_with(r: Operand<'_>, s: Operand<'_>, cfg: &ExecConfig) -> Result<(Schema, Joined)> {
+    let plan = JoinPlan::new(r.schema, s.schema);
+    let out = match JoinStrategy::select_with(r.side(&plan.left_key), s.side(&plan.right_key), cfg)
+    {
+        JoinStrategy::SortMerge => join_merge(r, s, &plan, cfg, true)?,
+        // The join is symmetric (output schema is the union, multiplicities
+        // multiply), so build the key index on the smaller operand and
+        // probe with the larger — which is also the side worth sharding
+        // (the swapped orientation needs its own plan).
+        JoinStrategy::Hash if r.support < s.support => {
+            join_hash(s, r, &JoinPlan::new(s.schema, r.schema), cfg)?
+        }
+        JoinStrategy::Hash => join_hash(r, s, &plan, cfg)?,
+    };
+    Ok((plan.out, out))
+}
+
+/// Joins the shard outputs of a join end to end and adopts them: the
+/// rows are distinct by construction, so the store takes them unhashed.
+fn adopt_runs(plan: &JoinPlan, runs: Vec<Result<(Vec<Value>, Vec<u64>)>>) -> Result<Joined> {
+    let (data, mults) = crate::exec::concat_runs(runs.into_iter().collect::<Result<_>>()?);
+    let store = RowStore::from_distinct_rows(plan.out.arity(), mults.len(), data);
+    Ok((store, mults))
+}
+
+/// The merge-join body. `hot = false` pins the pre-packing behavior
+/// (slice compares, linear advancement) for the baseline.
+fn join_merge(
+    r: Operand<'_>,
+    s: Operand<'_>,
     plan: &JoinPlan,
     cfg: &ExecConfig,
     hot: bool,
-) -> Result<Bag> {
+) -> Result<Joined> {
     let (left, right) = build_keyed_pair(
-        SideInput {
-            store: r.store(),
-            ids: r.live_ids().collect(),
-            key: &plan.left_key,
-            sealed: r.is_sealed(),
-        },
-        SideInput {
-            store: s.store(),
-            ids: s.live_ids().collect(),
-            key: &plan.right_key,
-            sealed: s.is_sealed(),
-        },
+        r.merge_input(&plan.left_key),
+        s.merge_input(&plan.right_key),
         hot,
     );
-
-    let shards = cfg.shards_for(left.ids.len().min(right.ids.len()));
-    if shards <= 1 {
-        let mut out = Bag::with_capacity(plan.out.clone(), left.ids.len().max(right.ids.len()));
-        let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
-        merge_range(
-            r,
-            s,
-            plan,
-            &left,
-            &right,
-            0..left.ids.len(),
-            0..right.ids.len(),
-            &mut scratch,
-            |row, m| out.push_unique_row(row, m),
-        )?;
-        return Ok(out);
-    }
-
     // Shard the left side at key-group boundaries; align each right-side
     // range to the shard's first key (and the next shard's first key) by
     // binary search, so every matching pair lands in exactly one shard.
     let tasks = crate::exec::aligned_shard_tasks(
         left.ids.len(),
         right.ids.len(),
-        shards,
+        cfg.shards_for(left.ids.len().min(right.ids.len())),
         |p| left.same_key(p - 1, p),
         |p| right.lower_bound_at(&left, p),
     );
     let runs = crate::exec::try_run_tasks(cfg, tasks, |(lr, rr)| {
         crate::fault::fire("join::merge::shard");
-        // Initial guess mirroring the sequential pre-sizing: at least one
-        // output row per larger-side input row is the common case.
-        let mut run = ShardRun::with_capacity(plan.out.arity(), lr.len().max(rr.len()));
-        let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
-        merge_range(r, s, plan, &left, &right, lr, rr, &mut scratch, |row, m| {
-            run.push(row, m)
-        })?;
-        Ok(run)
+        merge_range(r, s, plan, &left, &right, lr, rr)
     })?;
-    let runs: Result<Vec<ShardRun>> = runs.into_iter().collect();
-    Ok(Bag::from_shard_runs(
-        plan.out.clone(),
-        ShardedRowStore::from_runs(plan.out.arity(), runs?),
-        false,
-    ))
+    adopt_runs(plan, runs)
 }
 
 /// The group-by-group multiply-out of the merge join over one aligned
-/// pair of key ranges, emitting `(combined row, multiplicity)`.
+/// pair of key ranges: the joined rows, row-major, with their
+/// multiplicities.
 ///
 /// Key compares go through [`KeyedSide::cmp_at`] (single integer
 /// compares when the pair is packed). On skewed ranges (length ratio ≥
@@ -622,18 +723,19 @@ fn bag_join_merge_impl(
 /// exponential search instead of stepping once. Nothing is emitted
 /// during advancement, so the output is bit-identical to the linear
 /// sweep.
-#[allow(clippy::too_many_arguments)] // internal: bundling would just rename the args
 fn merge_range(
-    r: &Bag,
-    s: &Bag,
+    r: Operand<'_>,
+    s: Operand<'_>,
     plan: &JoinPlan,
     left: &KeyedSide,
     right: &KeyedSide,
     l_range: std::ops::Range<usize>,
     r_range: std::ops::Range<usize>,
-    scratch: &mut Vec<Value>,
-    mut emit: impl FnMut(&[Value], u64),
-) -> Result<()> {
+) -> Result<(Vec<Value>, Vec<u64>)> {
+    // At least one output row per larger-side input row is the common case.
+    let rows = l_range.len().max(r_range.len());
+    let mut data = Vec::with_capacity(rows * plan.out.arity());
+    let mut mults = Vec::with_capacity(rows);
     let gallop = left.hot
         && (l_range.len() >= crate::exec::GALLOP_RATIO * r_range.len().max(1)
             || r_range.len() >= crate::exec::GALLOP_RATIO * l_range.len().max(1));
@@ -662,16 +764,14 @@ fn merge_range(
                 let i_end = left.run_end(i).min(l_range.end);
                 let j_end = right.run_end(j).min(r_range.end);
                 for &a in &left.ids[i..i_end] {
-                    let arow = r.store().row(crate::store::RowId(a));
-                    let am = r.mult_of(a);
+                    let am = r.mult(a);
                     for &b in &right.ids[j..j_end] {
-                        let brow = s.store().row(crate::store::RowId(b));
                         let m = am
-                            .checked_mul(s.mult_of(b))
+                            .checked_mul(s.mult(b))
                             .ok_or(CoreError::MultiplicityOverflow)?;
-                        plan.combine_into(arow, brow, scratch);
                         // Distinct (a, b) pairs assemble distinct XY rows.
-                        emit(scratch, m);
+                        plan.append_combined(r.row(a), s.row(b), &mut data);
+                        mults.push(m);
                     }
                 }
                 i = i_end;
@@ -679,7 +779,7 @@ fn merge_range(
             }
         }
     }
-    Ok(())
+    Ok((data, mults))
 }
 
 /// Flat chained index over the right side's key projections: keys are
@@ -710,7 +810,7 @@ impl KeyIndex {
             rows: Vec::new(),
         };
         for id in ids {
-            let row = store.row(crate::store::RowId(id));
+            let row = store.row(RowId(id));
             scratch.clear();
             scratch.extend(key.iter().map(|&i| row[i]));
             let (kid, fresh) = idx.keys.intern(scratch);
@@ -762,198 +862,37 @@ impl Iterator for ProbeIter<'_> {
     }
 }
 
-/// The hash bag join: right side's keys interned into a flat chained
-/// index, left side probes. The small-side fallback of the heuristic.
-pub fn bag_join_hash(r: &Bag, s: &Bag) -> Result<Bag> {
-    bag_join_hash_with(r, s, &ExecConfig::sequential())
-}
-
-/// [`bag_join_hash`] under an explicit execution configuration: the key
-/// index builds once on the calling thread and is **broadcast** (shared
-/// read-only) to the workers, while the probe side's live ids shard
-/// into plain index ranges — probes are row-independent, so no
-/// key-group constraint applies. Each shard emits its matches into a
-/// [`ShardRun`] (hashing output rows on the worker) and the runs splice
-/// back in range order, reproducing the sequential emission order
-/// exactly.
-pub fn bag_join_hash_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Bag> {
-    bag_join_hash_planned(r, s, &JoinPlan::new(r.schema(), s.schema()), cfg)
-}
-
-/// Hash-join body shared by the dispatcher (which already built the
-/// plan) and the public entry points. `plan` must be oriented as
-/// `JoinPlan::new(r.schema(), s.schema())`.
-fn bag_join_hash_planned(r: &Bag, s: &Bag, plan: &JoinPlan, cfg: &ExecConfig) -> Result<Bag> {
+/// The hash-join body: `s`'s key index builds once on the calling
+/// thread and is shared read-only, while `r`'s live ids shard into plain
+/// ranges. `plan` must be oriented as `JoinPlan::new(r.schema, s.schema)`.
+fn join_hash(r: Operand<'_>, s: Operand<'_>, plan: &JoinPlan, cfg: &ExecConfig) -> Result<Joined> {
     let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.common.arity());
-    let index = KeyIndex::build(s.store(), s.live_ids(), &plan.right_key, &mut key_scratch);
-
-    let shards = cfg.shards_for(r.support_size());
-    if shards <= 1 {
-        let mut out = Bag::with_capacity(plan.out.clone(), r.support_size());
-        let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
-        for a in r.live_ids() {
-            let lrow = r.store().row(crate::store::RowId(a));
-            let lm = r.mult_of(a);
-            for b in index.probe(lrow, &plan.left_key, &mut key_scratch) {
-                let rrow = s.store().row(crate::store::RowId(b));
-                let m = lm
-                    .checked_mul(s.mult_of(b))
-                    .ok_or(CoreError::MultiplicityOverflow)?;
-                plan.combine_into(lrow, rrow, &mut scratch);
-                out.push_unique_row(&scratch, m);
-            }
-        }
-        return Ok(out);
-    }
-
-    // Sharded probe: contiguous ranges of the live-id list keep the
-    // concatenated emission order equal to the sequential loop above;
-    // the oversubscribed plan + work stealing absorb skewed chains
-    // (probe rows whose key matches a giant build-side group).
+    let index = KeyIndex::build(s.store, s.live_ids(), &plan.right_key, &mut key_scratch);
+    // Contiguous ranges of the live-id list keep the joined output in
+    // probe order; the oversubscribed plan + work stealing absorb skewed
+    // chains (probe rows whose key matches a giant build-side group).
     let probe_ids: Vec<u32> = r.live_ids().collect();
-    let ranges = crate::exec::shard_ranges(probe_ids.len(), shards, |_| false);
+    let ranges = crate::exec::shard_ranges(probe_ids.len(), cfg.shards_for(r.support), |_| false);
     let (probe_ids, index) = (&probe_ids, &index);
     let runs = crate::exec::try_run_tasks(cfg, ranges, |range| {
         crate::fault::fire("join::hash::shard");
-        let mut run = ShardRun::with_capacity(plan.out.arity(), range.len());
+        let mut data = Vec::with_capacity(range.len() * plan.out.arity());
+        let mut mults = Vec::with_capacity(range.len());
         let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.common.arity());
-        let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
         for &a in &probe_ids[range] {
-            let lrow = r.store().row(crate::store::RowId(a));
-            let lm = r.mult_of(a);
+            let (lrow, lm) = (r.row(a), r.mult(a));
             for b in index.probe(lrow, &plan.left_key, &mut key_scratch) {
-                let rrow = s.store().row(crate::store::RowId(b));
                 let m = lm
-                    .checked_mul(s.mult_of(b))
+                    .checked_mul(s.mult(b))
                     .ok_or(CoreError::MultiplicityOverflow)?;
-                plan.combine_into(lrow, rrow, &mut scratch);
                 // Distinct (a, b) pairs assemble distinct XY rows.
-                run.push(&scratch, m);
+                plan.append_combined(lrow, s.row(b), &mut data);
+                mults.push(m);
             }
         }
-        Ok(run)
+        Ok((data, mults))
     })?;
-    let runs: Result<Vec<ShardRun>> = runs.into_iter().collect();
-    Ok(Bag::from_shard_runs(
-        plan.out.clone(),
-        ShardedRowStore::from_runs(plan.out.arity(), runs?),
-        false,
-    ))
-}
-
-/// The relational join `R ⋈ S` of Section 2, strategy chosen by
-/// [`JoinStrategy::select`].
-pub fn relation_join(r: &Relation, s: &Relation) -> Relation {
-    let plan = JoinPlan::new(r.schema(), s.schema());
-    let left = JoinSide::of_relation(r, &plan.left_key);
-    let right = JoinSide::of_relation(s, &plan.right_key);
-    match JoinStrategy::select(left, right) {
-        JoinStrategy::SortMerge => relation_join_merge_planned(r, s, &plan),
-        // Symmetric join: index the smaller operand, probe with the
-        // larger (the swapped orientation needs its own plan).
-        JoinStrategy::Hash if r.len() < s.len() => relation_join_hash(s, r),
-        JoinStrategy::Hash => relation_join_hash_planned(r, s, &plan),
-    }
-}
-
-/// The sort-merge relational join.
-pub fn relation_join_merge(r: &Relation, s: &Relation) -> Relation {
-    relation_join_merge_planned(r, s, &JoinPlan::new(r.schema(), s.schema()))
-}
-
-/// Merge-join body shared by the dispatcher (which already built the
-/// plan) and the public entry point.
-fn relation_join_merge_planned(r: &Relation, s: &Relation, plan: &JoinPlan) -> Relation {
-    let (left, right) = build_keyed_pair(
-        SideInput {
-            store: r.store(),
-            ids: (0..r.len() as u32).collect(),
-            key: &plan.left_key,
-            sealed: r.is_sealed(),
-        },
-        SideInput {
-            store: s.store(),
-            ids: (0..s.len() as u32).collect(),
-            key: &plan.right_key,
-            sealed: s.is_sealed(),
-        },
-        true,
-    );
-
-    let mut out = Relation::with_capacity(plan.out.clone(), left.ids.len().max(right.ids.len()));
-    let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
-    // Same hot-loop shape as the bag-side `merge_range`: packed key
-    // compares plus galloped advancement under skew, bit-identical to
-    // the linear slice-compare sweep.
-    let gallop = left.ids.len() >= crate::exec::GALLOP_RATIO * right.ids.len().max(1)
-        || right.ids.len() >= crate::exec::GALLOP_RATIO * left.ids.len().max(1);
-    let (mut i, mut j) = (0, 0);
-    while i < left.ids.len() && j < right.ids.len() {
-        match left.cmp_at(&right, i, j) {
-            Ordering::Less => {
-                i = if gallop {
-                    crate::exec::gallop_bound(i, left.ids.len(), |p| {
-                        left.cmp_at(&right, p, j) == Ordering::Less
-                    })
-                } else {
-                    i + 1
-                };
-            }
-            Ordering::Greater => {
-                j = if gallop {
-                    crate::exec::gallop_bound(j, right.ids.len(), |p| {
-                        left.cmp_at(&right, i, p) == Ordering::Greater
-                    })
-                } else {
-                    j + 1
-                };
-            }
-            Ordering::Equal => {
-                let i_end = left.run_end(i);
-                let j_end = right.run_end(j);
-                for &a in &left.ids[i..i_end] {
-                    let arow = r.store().row(crate::store::RowId(a));
-                    for &b in &right.ids[j..j_end] {
-                        let brow = s.store().row(crate::store::RowId(b));
-                        plan.combine_into(arow, brow, &mut scratch);
-                        out.push_unique_row(&scratch);
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    out
-}
-
-/// The hash relational join.
-pub fn relation_join_hash(r: &Relation, s: &Relation) -> Relation {
-    relation_join_hash_planned(r, s, &JoinPlan::new(r.schema(), s.schema()))
-}
-
-/// Hash-join body shared by the dispatcher (which already built the
-/// plan) and the public entry point. `plan` must be oriented as
-/// `JoinPlan::new(r.schema(), s.schema())`.
-fn relation_join_hash_planned(r: &Relation, s: &Relation, plan: &JoinPlan) -> Relation {
-    let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.common.arity());
-    let index = KeyIndex::build(
-        s.store(),
-        0..s.len() as u32,
-        &plan.right_key,
-        &mut key_scratch,
-    );
-    let mut out = Relation::with_capacity(plan.out.clone(), r.len());
-    let mut scratch: Vec<Value> = Vec::with_capacity(plan.out.arity());
-    for a in 0..r.len() as u32 {
-        let lrow = r.store().row(crate::store::RowId(a));
-        for b in index.probe(lrow, &plan.left_key, &mut key_scratch) {
-            let rrow = s.store().row(crate::store::RowId(b));
-            plan.combine_into(lrow, rrow, &mut scratch);
-            out.push_unique_row(&scratch);
-        }
-    }
-    out
+    adopt_runs(plan, runs)
 }
 
 /// Sort-merge driver for callers that pair off two row lists on a shared
@@ -1198,15 +1137,6 @@ pub fn multi_relation_join(rels: &[&Relation]) -> Relation {
         acc = relation_join(&acc, r);
     }
     acc
-}
-
-/// The multiway bag join `R₁ ⋈ᵇ ⋯ ⋈ᵇ R_m` (left fold; empty = unit bag).
-pub fn multi_bag_join(bags: &[&Bag]) -> Result<Bag> {
-    let mut acc = Relation::unit().to_bag();
-    for b in bags {
-        acc = bag_join(&acc, b)?;
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -1477,7 +1407,7 @@ mod tests {
             };
             let par = bag_join_merge_with(&r, &s, &cfg).unwrap();
             assert_eq!(par, seq, "threads = {threads}");
-            // the splice preserves the sequential emission order exactly
+            // the joined shard outputs keep the one-shard row order exactly
             let seq_rows: Vec<&[Value]> = seq.iter().map(|(row, _)| row).collect();
             let par_rows: Vec<&[Value]> = par.iter().map(|(row, _)| row).collect();
             assert_eq!(par_rows, seq_rows);
@@ -1507,7 +1437,7 @@ mod tests {
             };
             let par = bag_join_hash_with(&r, &s, &cfg).unwrap();
             assert_eq!(par, seq, "threads = {threads}");
-            // splice preserves the sequential emission order exactly
+            // the joined shard outputs keep the one-shard row order exactly
             let seq_rows: Vec<&[Value]> = seq.iter().map(|(row, _)| row).collect();
             let par_rows: Vec<&[Value]> = par.iter().map(|(row, _)| row).collect();
             assert_eq!(par_rows, seq_rows, "emission order, threads = {threads}");
@@ -1547,6 +1477,63 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    /// Both join failpoints sit in the one shard body, so they fire at
+    /// every thread count; a contained failure leaves nothing behind.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn join_failpoints_fire_at_every_thread_count() {
+        use crate::fault::{self, FaultAction};
+        let _guard = fault::test_lock();
+        // Worker-thread panics are not captured by the test harness;
+        // silence the hook so intentional failpoint panics stay quiet.
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut r = Bag::new(schema(&[0, 1]));
+        let mut s = Bag::new(schema(&[1, 2]));
+        for i in 0..200u64 {
+            r.insert(vec![Value(i % 17), Value(i % 5)], i % 3 + 1)
+                .unwrap();
+            s.insert(vec![Value(i % 5), Value(i % 13)], i % 4 + 1)
+                .unwrap();
+        }
+        r.seal();
+        s.seal();
+        type Join = fn(&Bag, &Bag, &ExecConfig) -> Result<Bag>;
+        let joins: [(&str, Join); 2] = [
+            ("join::merge::shard", bag_join_merge_with),
+            ("join::hash::shard", bag_join_hash_with),
+        ];
+        let rows = |b: &Bag| {
+            b.iter()
+                .map(|(row, m)| (row.to_vec(), m))
+                .collect::<Vec<_>>()
+        };
+        for (site, join) in joins {
+            for threads in [1usize, 2, 4] {
+                let cfg = ExecConfig::builder()
+                    .threads(threads)
+                    .min_parallel_support(1)
+                    .deadline(Deadline::after(std::time::Duration::from_secs(3600)))
+                    .build()
+                    .unwrap();
+                let undisturbed = join(&r, &s, &cfg).unwrap();
+                for action in [FaultAction::Panic, FaultAction::InjectDeadline] {
+                    fault::arm(site, action, 1);
+                    let err = join(&r, &s, &cfg).unwrap_err();
+                    fault::reset();
+                    let expected = match action {
+                        FaultAction::Panic => matches!(err, CoreError::WorkerPanicked { .. }),
+                        FaultAction::InjectDeadline => matches!(err, CoreError::Aborted(_)),
+                    };
+                    assert!(expected, "{site} {action:?} threads={threads}: {err}");
+                    let retry = join(&r, &s, &cfg).unwrap();
+                    assert_eq!(rows(&retry), rows(&undisturbed), "{site} threads={threads}");
+                }
+            }
+        }
+        std::panic::set_hook(prev_hook);
     }
 
     #[test]
@@ -1628,14 +1615,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_bag_join_associates_with_pairwise() {
+    fn bag_join_associates() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3)]).unwrap();
         let t = Bag::from_u64s(schema(&[2, 3]), [(&[1u64, 1][..], 5)]).unwrap();
-        let j1 = multi_bag_join(&[&r, &s, &t]).unwrap();
-        let j2 = bag_join(&bag_join(&r, &s).unwrap(), &t).unwrap();
-        assert_eq!(j1, j2);
-        assert_eq!(j1.multiplicity(&[Value(1); 4]), 30);
+        let left = bag_join(&bag_join(&r, &s).unwrap(), &t).unwrap();
+        let right = bag_join(&r, &bag_join(&s, &t).unwrap()).unwrap();
+        assert_eq!(left, right);
+        assert_eq!(left.multiplicity(&[Value(1); 4]), 30);
     }
 
     #[test]

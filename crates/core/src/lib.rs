@@ -67,49 +67,53 @@
 //! cursor walks the chunk queue, and each worker claims the next chunk
 //! whenever it finishes one — so a skewed plan (one giant key group
 //! next to many tiny ones) no longer pins its cost to a single worker.
-//! The parallelized bulk paths:
+//! Each bulk operator has **one body**, run per shard through
+//! [`exec::try_run_tasks`]:
 //!
 //! * **merge joins** ([`join::bag_join_merge_with`]) — the left side's
 //!   key-sorted run splits at join-key-group boundaries, right-side
-//!   ranges align by binary search, each shard multiplies its groups out
-//!   into a [`exec::ShardRun`];
+//!   ranges align by binary search, each shard multiplies its groups
+//!   out;
 //! * **hash joins** ([`join::bag_join_hash_with`]) — the small side's
 //!   key index builds once and is broadcast read-only; the probe side's
 //!   live ids shard into plain index ranges (probes are
-//!   row-independent), each chunk emitting matches into a
-//!   [`exec::ShardRun`];
-//! * **prefix marginals** ([`Bag::marginal_with`]) — the sealed run
-//!   splits at prefix-group boundaries and each shard runs the group-by
-//!   sweep;
+//!   row-independent);
+//! * **prefix marginals and projections** ([`Bag::marginal_with`],
+//!   [`Relation::project`]) — the sealed run splits at prefix-group
+//!   boundaries and each shard runs the group-by sweep;
+//! * **support** ([`Bag::support`]) and the **delta reseal**
+//!   ([`Bag::apply_delta_with`]) — row copies and a sorted-run merge;
 //! * **seal** ([`Bag::seal_with`] / [`Relation::seal_with`]) and the
 //!   bulk constructor [`Bag::from_arena`] — the id permutation sorts via
 //!   parallel chunk sorts plus pairwise sorted-run merges
 //!   ([`exec::parallel_sort_by`]), and the re-layout copies rows on
-//!   shard workers straight into their slices of the new arena, hashing
-//!   nothing: the sorted arena certifies distinctness, and the dedup
-//!   table builds on the first content probe;
+//!   shard workers straight into their slices of the new arena;
 //! * **two-bag witness fill** (`bagcons::pairwise`, through
 //!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
 //!   split across shards, each shard fills its groups in one pass, and
 //!   the cells' rows go into one flat arena that becomes the witness
 //!   through [`Bag::from_arena`].
 //!
+//! The relational join and projection run the bag bodies with every
+//! multiplicity 1. An [`ExecConfig`] with `threads = 1` — the default of
+//! every non-`_with` entry point — plans one shard, and the executor
+//! runs it inline on the calling thread under the same deadline poll
+//! and panic containment; there is no separate sequential code path.
+//!
 //! Shard invariants, relied on everywhere: **a shard boundary never
 //! splits a key group** (boundaries slide forward to the next group
 //! edge; a single giant group collapses its shards; empty shards are
 //! dropped by the planner, never handed to workers), and per-shard
-//! outputs are **tagged with their shard index and splice back in
-//! ascending shard order** — whichever worker finished which chunk when
-//! — reproducing the sequential emission order exactly. Prefix-marginal
-//! outputs are therefore born sealed, and join/witness/seal outputs are
-//! bit-identical to their sequential counterparts at every thread
-//! count. Joins, marginals, and the delta reseal
-//! ([`Bag::apply_delta_with`]) hash their output rows on the workers
-//! into [`exec::ShardRun`]s, so their sequential splice
-//! ([`RowStore::push_unique_hashed`]) only probes the flat dedup table;
-//! the seal and the witness path hash nothing. An [`ExecConfig`] with
-//! `threads = 1` — the default of every non-`_with` entry point — takes
-//! the unchanged sequential code path.
+//! outputs come back **in ascending shard order** — whichever worker
+//! finished which chunk when — and join end to end. Prefix-marginal
+//! outputs are therefore born sealed, and every output is bit-identical
+//! at every thread count. One rule covers the output side: a shard
+//! returns a plain row arena with its multiplicity column, and the
+//! result store **adopts it with the dedup table unbuilt**
+//! ([`RowStore::from_sorted_rows`] for sorted outputs; join rows are
+//! distinct by construction) — the table builds on the first content
+//! probe. The one exception is a bag that a delta just edited: it builds
+//! its index at once, since the next delta probes it.
 //!
 //! # Hot-loop encoding: packed key codes
 //!

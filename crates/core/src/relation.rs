@@ -91,16 +91,24 @@ impl Relation {
         if store.arity() != schema.arity() {
             return None;
         }
+        Some(Relation::from_store(schema, store, true))
+    }
+
+    /// Adopts a store as a relation — how bulk operators finish. `sealed`
+    /// asserts that the rows ascend strictly (debug-checked); the packed
+    /// view stays lazy.
+    pub(crate) fn from_store(schema: Schema, store: RowStore, sealed: bool) -> Relation {
+        debug_assert_eq!(store.arity(), schema.arity());
         debug_assert!(
-            store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
-            "from_sealed_store requires a strictly ascending arena"
+            !sealed || store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
+            "a sealed relation requires a strictly ascending arena"
         );
-        Some(Relation {
+        Relation {
             schema,
             store,
-            sealed: true,
+            sealed,
             packed: OnceLock::new(),
-        })
+        }
     }
 
     /// The relation over `∅` holding the empty tuple — the identity of the
@@ -143,30 +151,6 @@ impl Relation {
             }
         }
         Ok(())
-    }
-
-    /// Internal: appends a row the caller guarantees is distinct from all
-    /// stored rows (bag supports, join outputs). Leaves the relation
-    /// unsealed; callers emitting in sorted order follow up with
-    /// [`Relation::mark_sealed`].
-    pub(crate) fn push_unique_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.schema.arity());
-        self.packed = OnceLock::new();
-        self.store.push_unique_unchecked(row);
-        self.sealed = false;
-    }
-
-    /// Internal: asserts that rows were appended in strictly increasing
-    /// lexicographic order (debug-checked).
-    pub(crate) fn mark_sealed(&mut self) {
-        debug_assert!(
-            self.store
-                .iter()
-                .zip(self.store.iter().skip(1))
-                .all(|(a, b)| a < b),
-            "mark_sealed on out-of-order rows"
-        );
-        self.sealed = true;
     }
 
     /// True iff rows are physically laid out as one sorted columnar run.
@@ -277,25 +261,22 @@ impl Relation {
     /// Projection `R[Z]` under set semantics (duplicates collapse).
     ///
     /// A single columnar scan through a reused scratch buffer; when `Z`
-    /// is a prefix of a sealed relation's schema, deduplication is a
-    /// group-by sweep over adjacent rows and the result stays sealed.
+    /// is a prefix of a sealed relation's schema, deduplication is the
+    /// prefix marginal's group-by sweep (`store::prefix_groups`)
+    /// with every row counting 1, and the result stays sealed.
     pub fn project(&self, sub: &Schema) -> Result<Relation> {
         let idx = self.schema.projection_indices(sub)?;
         let k = idx.len();
         if self.sealed && crate::tuple::is_prefix_projection(&idx) {
-            let mut out = Relation::with_capacity(sub.clone(), self.len().min(1 << 20));
-            let arity = self.schema.arity();
-            let data = self.store.values();
-            let mut prev: Option<usize> = None;
-            for id in 0..self.store.len() {
-                let off = id * arity;
-                if prev.is_none_or(|p| data[p..p + k] != data[off..off + k]) {
-                    out.store.push_unique_unchecked(&data[off..off + k]);
-                    prev = Some(off);
-                }
-            }
-            out.sealed = true;
-            return Ok(out);
+            let (data, groups) = crate::store::prefix_groups(
+                &self.store,
+                None,
+                k,
+                &crate::ExecConfig::sequential(),
+            )?;
+            let store = RowStore::from_sorted_rows(k, groups.len(), data)
+                .expect("the groups of a sorted run ascend strictly");
+            return Ok(Relation::from_store(sub.clone(), store, true));
         }
         let mut out = Relation::with_capacity(sub.clone(), self.len().min(1 << 20));
         let mut scratch: Vec<Value> = Vec::with_capacity(k);
@@ -314,16 +295,13 @@ impl Relation {
 
     /// Views this relation as a bag with all multiplicities 1.
     pub fn to_bag(&self) -> Bag {
-        let mut bag = Bag::with_capacity(self.schema.clone(), self.len());
-        for row in self.iter() {
-            if self.sealed {
-                bag.push_sorted_row(row, 1);
-            } else {
-                bag.insert_row(row, 1)
-                    .expect("arity matches by construction");
-            }
-        }
-        bag
+        let sealed = self.sealed || self.iter().zip(self.iter().skip(1)).all(|(a, b)| a < b);
+        Bag::adopt(
+            self.schema.clone(),
+            self.store.clone(),
+            vec![1; self.len()],
+            sealed,
+        )
     }
 }
 

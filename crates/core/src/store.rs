@@ -11,19 +11,21 @@
 //! Deduplication uses an open-addressing hash table (`u32` slots, linear
 //! probing) whose entries point back into the arena, so the whole store
 //! is at most three flat allocations regardless of row count: no per-row
-//! boxes, no per-bucket vectors. The table is **lazy**: a store adopted
-//! wholesale in sorted order ([`RowStore::from_sorted_rows`] — every
-//! seal, [`crate::Bag::from_arena`], and snapshot loading) carries its
-//! distinctness certificate in the sorted order and only pays for the
-//! hash table on the first content probe (lookup, intern, delta).
+//! boxes, no per-bucket vectors. The table is **lazy**: every bulk
+//! output is adopted wholesale — in sorted order through
+//! [`RowStore::from_sorted_rows`] (seals, [`crate::Bag::from_arena`],
+//! prefix marginals, snapshot loading), whose order is its distinctness
+//! certificate, or as join rows distinct by construction — and only
+//! pays for the hash table on the first content probe (lookup, intern,
+//! delta).
 //!
 //! Invariants:
 //!
 //! * every stored row has length [`RowStore::arity`];
 //! * `row(a) == row(b)` implies `a == b` (interning is injective on
 //!   content) unless rows were pushed through
-//!   [`RowStore::push_unique_unchecked`], whose caller guarantees
-//!   freshness;
+//!   [`RowStore::push_unique_unchecked`] or adopted as distinct rows,
+//!   whose callers guarantee freshness;
 //! * ids are dense: `0..len()` in insertion order, which lets callers
 //!   keep parallel columns (multiplicities, flow capacities) as plain
 //!   vectors indexed by `RowId`.
@@ -174,6 +176,43 @@ impl RowStore {
         })
     }
 
+    /// Adopts a row-major arena of `rows` rows that the caller guarantees
+    /// are distinct, in any order — join outputs, which are distinct by
+    /// construction. Like [`RowStore::from_sorted_rows`] it leaves the
+    /// dedup table unbuilt; debug builds check the guarantee.
+    ///
+    /// # Panics
+    /// Panics if `data` is not `rows` rows of width `arity`, or if the
+    /// rows exhaust the `u32` id space.
+    pub(crate) fn from_distinct_rows(arity: usize, rows: usize, data: Vec<Value>) -> RowStore {
+        assert_eq!(Some(data.len()), rows.checked_mul(arity), "arena shape");
+        assert!(
+            rows <= (u32::MAX - 1) as usize,
+            "RowStore capacity (u32 ids) exhausted"
+        );
+        debug_assert!(
+            if arity == 0 {
+                rows <= 1
+            } else {
+                let mut seen = crate::FxHashSet::default();
+                data.chunks_exact(arity).all(|row| seen.insert(row))
+            },
+            "from_distinct_rows on duplicate rows"
+        );
+        RowStore {
+            arity,
+            data,
+            len: rows as u32,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// Builds the dedup table now rather than at the first probe, for a
+    /// store whose next use is known to probe it.
+    pub(crate) fn build_index(&self) {
+        self.table();
+    }
+
     /// Row length this store accepts.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -275,33 +314,16 @@ impl RowStore {
         }
     }
 
-    /// Appends a row the caller guarantees is not yet present (e.g. join
-    /// outputs, which are distinct by construction). Still registered in
-    /// the dedup table so later [`RowStore::lookup`]/[`RowStore::intern`]
-    /// calls see it; only the content comparison is skipped.
+    /// Appends a row the caller guarantees is not yet present. Still
+    /// registered in the dedup table so later
+    /// [`RowStore::lookup`]/[`RowStore::intern`] calls see it; only the
+    /// content comparison is skipped.
     ///
     /// # Panics
     /// Panics if `row.len() != self.arity()`. Violating the uniqueness
     /// contract leaves lookups returning an arbitrary duplicate.
     pub fn push_unique_unchecked(&mut self, row: &[Value]) -> RowId {
-        self.push_unique_hashed(row, hash_row(row))
-    }
-
-    /// [`RowStore::push_unique_unchecked`] with a caller-precomputed
-    /// content hash (`hash_row(row)`).
-    ///
-    /// This is the splice half of the shard-parallel builders
-    /// ([`crate::exec`]): worker threads hash rows into
-    /// [`crate::exec::ShardRun`]s, and the sequential splice only probes
-    /// the flat table — no rehashing on the spliced thread.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != self.arity()`. The uniqueness contract of
-    /// [`RowStore::push_unique_unchecked`] applies; a wrong hash
-    /// additionally breaks future lookups of this row (debug-checked).
-    pub fn push_unique_hashed(&mut self, row: &[Value], hash: u64) -> RowId {
         assert_eq!(row.len(), self.arity, "row arity mismatch");
-        debug_assert_eq!(hash, hash_row(row), "mismatched precomputed hash");
         debug_assert!(
             self.lookup(row).is_none(),
             "push_unique_unchecked on duplicate row"
@@ -309,7 +331,7 @@ impl RowStore {
         self.grow_if_needed();
         let vacant = {
             let table = self.index.get().expect("grow_if_needed builds the table");
-            let mut i = hash as usize & table.mask;
+            let mut i = hash_row(row) as usize & table.mask;
             while table.slots[i] != EMPTY {
                 i = (i + 1) & table.mask;
             }
@@ -457,7 +479,8 @@ pub(crate) fn sorted_order_with(
 
 /// Copies the `arity`-wide rows of the row-major arena `data` listed in
 /// `order` into a fresh arena, in that order — the re-layout half of
-/// every seal and of [`crate::Bag::from_arena`].
+/// every seal, of [`crate::Bag::from_arena`] and of the delta reseal,
+/// and the copy behind [`crate::Bag::support`].
 ///
 /// Rows are independent, so when `cfg` shards `order` each worker copies
 /// one index range straight into its own disjoint slice of the output;
@@ -502,6 +525,58 @@ pub(crate) fn gather_rows(
         }
     })?;
     Ok(out)
+}
+
+/// The group-by sweep over the first `k` columns of a store whose rows
+/// are sorted, so that equal prefixes are adjacent: one `(prefix, summed
+/// multiplicity)` row per group, in ascending order. `mults` is the
+/// multiplicity column, `None` for a relation (every row counts 1). This
+/// is the one body behind prefix marginals and prefix projections.
+///
+/// The run shards at group boundaries through
+/// [`crate::exec::try_run_tasks`] (one inline task when `cfg` does not
+/// shard), and the shard outputs join end to end, so the result is the
+/// same at every thread count. Callers adopt it through
+/// [`RowStore::from_sorted_rows`].
+///
+/// # Errors
+///
+/// [`crate::CoreError::MultiplicityOverflow`] when a group's sum passes
+/// `u64`; [`crate::CoreError::Aborted`] /
+/// [`crate::CoreError::WorkerPanicked`] from the executor.
+pub(crate) fn prefix_groups(
+    store: &RowStore,
+    mults: Option<&[u64]>,
+    k: usize,
+    cfg: &crate::exec::ExecConfig,
+) -> crate::Result<(Vec<Value>, Vec<u64>)> {
+    let (arity, data) = (store.arity, &store.data);
+    let key = |p: usize| &data[p * arity..p * arity + k];
+    let mult = |p: usize| mults.map_or(1, |m| m[p]);
+    let n = store.len();
+    let ranges = crate::exec::shard_ranges(n, cfg.shards_for(n), |p| key(p - 1) == key(p));
+    let runs = crate::exec::try_run_tasks(cfg, ranges, |range| {
+        let groups = range.len().min(1 << 20);
+        let (mut keys, mut sums) = (Vec::with_capacity(groups * k), Vec::with_capacity(groups));
+        let mut p = range.start;
+        while p < range.end {
+            let mut sum = mult(p);
+            let mut q = p + 1;
+            while q < range.end && key(q) == key(p) {
+                sum = sum
+                    .checked_add(mult(q))
+                    .ok_or(crate::CoreError::MultiplicityOverflow)?;
+                q += 1;
+            }
+            keys.extend_from_slice(key(p));
+            sums.push(sum);
+            p = q;
+        }
+        Ok((keys, sums))
+    })?;
+    Ok(crate::exec::concat_runs(
+        runs.into_iter().collect::<crate::Result<_>>()?,
+    ))
 }
 
 #[cfg(test)]

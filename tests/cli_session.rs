@@ -419,6 +419,25 @@ fn witness_over_the_empty_schema() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
+/// A header name that only looks like an attribute id (`A1073741824` is
+/// past the canonical range, `A05` is not the plain decimal of 5) must
+/// not alias another file's attribute: bags over disjoint schemas with
+/// equal totals are consistent.
+#[test]
+fn lookalike_attribute_names_do_not_alias() {
+    let dir = tempdir("alias");
+    for (x, y) in [
+        ("X Y #\n1 2 : 1\n", "A1073741824 Z #\n5 6 : 1\n"),
+        ("A5 #\n1 : 1\n", "A05 #\n2 : 1\n"),
+    ] {
+        let x = write(&dir, "x.bag", x);
+        let y = write(&dir, "y.bag", y);
+        let out = run(&["check", x.to_str().unwrap(), y.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert!(!stdout(&out).contains("NOT"), "{out:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Exit-code coverage: 0 / 1 / 2 / 3 on both formats
 // ---------------------------------------------------------------------

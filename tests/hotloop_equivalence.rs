@@ -10,13 +10,13 @@
 //! across a hundred checks reports exactly what a fresh `Session`
 //! reports. The hash-free witness path is pinned the same way: the
 //! packed key sort of `merge_matching_pairs` against a nested-loop
-//! reference, `Bag::from_arena` against a `BTreeMap`, and a lazily
-//! indexed sealed bag against an insert-built one.
+//! reference, `Bag::from_arena` against a `BTreeMap`, and the lazily
+//! indexed output of every bulk operator against an insert-built bag.
 
 use bag_consistency::prelude::*;
 use bagcons_core::exec::merge_sorted_runs_for_bench;
 use bagcons_core::join::{
-    bag_join_merge_baseline_with, bag_join_merge_with, merge_matching_pairs,
+    bag_join_hash_with, bag_join_merge_baseline_with, bag_join_merge_with, merge_matching_pairs,
     try_merge_matching_pairs_sharded,
 };
 use bagcons_core::{DeltaSet, RowId};
@@ -313,46 +313,71 @@ proptest! {
         }
     }
 
-    /// A sealed bag whose dedup index is still unbuilt (the seal and
-    /// `from_arena` leave it lazy) answers point probes and mutations
-    /// exactly as a bag built by inserts does.
+    /// A bag whose dedup index is still unbuilt answers point probes and
+    /// mutations exactly as a bag built by inserts does. The lazy bags
+    /// come from every bulk operator that adopts its output unindexed —
+    /// the seal and `from_arena`, merge and hash joins at threads 1/2/4,
+    /// prefix marginals, a support and a prefix projection turned into
+    /// bags — plus a bag the delta reseal produced.
     #[test]
     fn lazily_indexed_bag_matches_insert_built_bag(
         rows in arb_rows(32),
+        partner in arb_rows(32),
         edits in proptest::collection::vec(
-            (proptest::collection::vec(0..5u64, 3), 0..=3u64, 0..3u8),
+            (proptest::collection::vec(0..5u64, 4), 0..=3u64, 0..3u8),
             0..=12,
         ),
     ) {
-        let schema = Schema::range(0, 3);
-        let mut lazy = Bag::from_u64s(schema.clone(), rows.iter().map(|(r, m)| (&r[..], *m))).unwrap();
-        let mut eager = Bag::new(schema.clone());
-        for (row, m) in &rows {
-            eager.insert(row.iter().copied().map(Value::new).collect::<Vec<_>>(), *m).unwrap();
+        let bag = Bag::from_u64s(Schema::range(0, 3), rows.iter().map(|(r, m)| (&r[..], *m))).unwrap();
+        let right = Bag::from_u64s(Schema::range(1, 4), partner.iter().map(|(r, m)| (&r[..], *m))).unwrap();
+        let mut lazies = vec![bag.clone()];
+        for threads in THREADS {
+            lazies.push(bag_join_merge_with(&bag, &right, &cfg(threads)).unwrap());
+            lazies.push(bag_join_hash_with(&bag, &right, &cfg(threads)).unwrap());
+            lazies.push(bag.marginal_with(&Schema::range(0, 2), &cfg(threads)).unwrap());
         }
-        for (row, m, op) in edits {
-            let vals: Vec<Value> = row.iter().copied().map(Value::new).collect();
-            prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
-            match op {
-                0 => {
-                    lazy.set(&vals, m).unwrap();
-                    eager.set(&vals, m).unwrap();
-                }
-                1 => {
-                    lazy.insert(&vals, m).unwrap();
-                    eager.insert(&vals, m).unwrap();
-                }
-                _ => {
-                    let mut delta = DeltaSet::new(schema.clone());
-                    let cur = lazy.multiplicity(&vals) as i64;
-                    delta.bump_u64s(&row, m as i64 - cur).unwrap();
-                    let a = lazy.apply_delta(&delta).map(|d| d.support_changed());
-                    let b = eager.apply_delta(&delta).map(|d| d.support_changed());
-                    prop_assert_eq!(a, b);
-                }
+        lazies.push(bag.marginal(&Schema::range(0, 1)).unwrap());
+        lazies.push(bag.support().to_bag());
+        lazies.push(bag.support().project(&Schema::range(0, 2)).unwrap().to_bag());
+        let mut resealed = bag.clone();
+        let mut fresh = DeltaSet::new(bag.schema().clone());
+        // The second row sorts before the first, so its append breaks
+        // the sorted run and the delta reseals.
+        fresh.bump_u64s(&[4, 4, 4], 2).unwrap();
+        fresh.bump_u64s(&[0, 4, 4], 1).unwrap();
+        prop_assert!(resealed.apply_delta(&fresh).unwrap().resealed);
+        lazies.push(resealed);
+        for mut lazy in lazies {
+            let schema = lazy.schema().clone();
+            let mut eager = Bag::new(schema.clone());
+            for (row, m) in lazy.iter() {
+                eager.insert(row, m).unwrap();
             }
-            prop_assert_eq!(&lazy, &eager);
-            prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
+            for (row, m, op) in &edits {
+                let row = &row[..schema.arity()];
+                let vals: Vec<Value> = row.iter().copied().map(Value::new).collect();
+                prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
+                match op {
+                    0 => {
+                        lazy.set(&vals, *m).unwrap();
+                        eager.set(&vals, *m).unwrap();
+                    }
+                    1 => {
+                        lazy.insert(&vals, *m).unwrap();
+                        eager.insert(&vals, *m).unwrap();
+                    }
+                    _ => {
+                        let mut delta = DeltaSet::new(schema.clone());
+                        let cur = lazy.multiplicity(&vals) as i64;
+                        delta.bump_u64s(row, *m as i64 - cur).unwrap();
+                        let a = lazy.apply_delta(&delta).map(|d| d.support_changed());
+                        let b = eager.apply_delta(&delta).map(|d| d.support_changed());
+                        prop_assert_eq!(a, b);
+                    }
+                }
+                prop_assert_eq!(&lazy, &eager);
+                prop_assert_eq!(lazy.multiplicity(&vals), eager.multiplicity(&vals));
+            }
         }
     }
 }
