@@ -1508,8 +1508,9 @@ fn e18() {
         "{{\n  \"experiment\": \"e18_snapshot\",\n  \"workload\": \
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE18, written \
          as scrambled text bag files and as one snapshot; parse_seal = \
-         Session::load_path on the two text files (tokenize + intern + \
-         sort + seal), snap_open = Session::load_path on the snapshot \
+         Session::load_path on the two text files (byte scan into one \
+         arena + one sort/merge into a sealed bag), snap_open = \
+         Session::load_path on the snapshot \
          (verify hashes + adopt sealed arenas); cold_stream = \
          open_stream_shared on the loaded pair (keyed marginal difference \
          accumulated from both sides)\",\n  \
@@ -1517,8 +1518,8 @@ fn e18() {
          \"host_parallelism\": {host},\n  \
          \"note\": \"snap_open must beat parse_seal by >= 10x on the \
          largest row: the snapshot adopts the sealed sorted-run arena \
-         after hash verification instead of re-tokenizing, re-interning, \
-         and re-sorting\",\n  \
+         after hash verification instead of re-scanning the text and \
+         re-sorting\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -101,7 +101,12 @@ impl std::error::Error for SessionError {
 
 impl From<ParseError> for SessionError {
     fn from(e: ParseError) -> Self {
-        SessionError::Parse(e)
+        match e {
+            // A deadline or a worker panic in the parser's arena sort is
+            // a core failure, reported as any other bulk operator's.
+            ParseError::Core(e) => SessionError::Core(e),
+            e => SessionError::Parse(e),
+        }
     }
 }
 
@@ -947,9 +952,11 @@ impl Session {
 
     /// Parses a bag from the tabular text format, resolving attribute
     /// names through the session's interner so attributes are shared
-    /// across all bags loaded by this session.
+    /// across all bags loaded by this session. The bag arrives sealed:
+    /// the parser fills one arena that is sorted once under the
+    /// session's exec config, with no separate seal.
     pub fn load_bag(&mut self, text: &str) -> Result<Bag, SessionError> {
-        Ok(parse_bag_with(text, &mut self.interner)?)
+        Ok(parse_bag_with(text, &mut self.interner, &self.exec)?)
     }
 
     /// [`Session::load_bag`] from a file on disk.
@@ -989,17 +996,12 @@ impl Session {
     }
 
     /// Loads a dataset source, returning sealed bags either way: text
-    /// sources parse through the session interner and seal under the
-    /// session's exec config, snapshot sources decode directly. This is
-    /// the one loading path the CLI, the daemon, and embedders share.
+    /// sources parse through the session interner
+    /// ([`Session::load_bag`]), snapshot sources decode directly. This
+    /// is the one loading path the CLI, the daemon, and embedders share.
     pub fn load_source(&mut self, source: &DatasetSource) -> Result<Vec<Bag>, SessionError> {
         match source {
-            DatasetSource::Text(path) => {
-                let text = std::fs::read_to_string(path)?;
-                let mut bag = self.load_bag(&text)?;
-                bag.try_seal_with(&self.exec)?;
-                Ok(vec![bag])
-            }
+            DatasetSource::Text(path) => Ok(vec![self.load_bag_file(path)?]),
             DatasetSource::Snapshot(path) => self.load_snapshot(path),
         }
     }

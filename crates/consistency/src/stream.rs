@@ -418,9 +418,11 @@ impl ConsistencyStream {
                             .is_err();
                     }
                     if rollback_failed {
-                        // The pre-batch state could not be restored
-                        // (should be impossible: reverting a just-applied
-                        // delta cannot overflow). Nothing incremental can
+                        // The pre-batch state could not be restored. The
+                        // negated deltas revisit only counts the batch
+                        // itself held, so they cannot overflow or
+                        // underflow; a worker panicking in the rollback's
+                        // reseal can still fail it. Nothing incremental can
                         // be trusted until the pairs are recomputed.
                         self.poisoned = true;
                         self.degrade(None);
@@ -571,12 +573,21 @@ impl ConsistencyStream {
     }
 }
 
-/// The sign-flipped copy of a delta set (used to roll back a batch).
+/// The delta set that undoes an applied `delta` (used to roll back a
+/// batch): its edits in reverse order with their signs flipped, so each
+/// row steps back through the counts the forward edits produced and
+/// never leaves `u64`. `-i64::MIN` does not fit an `i64`, so that edit
+/// becomes the two edits `i64::MAX` and `1`.
 fn negated(delta: &DeltaSet) -> DeltaSet {
     let mut neg = DeltaSet::new(delta.schema().clone());
-    for e in delta.edits() {
-        neg.bump(e.row(), -e.delta())
-            .expect("negation preserves arity");
+    for e in delta.edits().iter().rev() {
+        match e.delta().checked_neg() {
+            Some(d) => neg.bump(e.row(), d),
+            None => neg
+                .bump(e.row(), i64::MAX)
+                .and_then(|()| neg.bump(e.row(), 1)),
+        }
+        .expect("negation preserves arity");
     }
     neg
 }
@@ -961,6 +972,31 @@ mod tests {
                 fresh.inconsistent_pair(),
                 "step {step}"
             );
+        }
+    }
+
+    /// A batch that fails after an edit of `i64::MIN`, or after a delta
+    /// whose edits of one row go up and then down, rolls back to the
+    /// exact pre-batch bags without poisoning the stream.
+    #[test]
+    fn failed_batch_rolls_back_extreme_and_repeated_edits() {
+        let big = 1u64 << 63;
+        let r = Bag::from_u64s(schema(&[0]), [(&[1u64][..], big), (&[2][..], 1)]).unwrap();
+        let session = Session::default();
+        let mut stream = session.open_stream(vec![r.clone()]).unwrap();
+        let mut drop_one = DeltaSet::new(schema(&[0]));
+        drop_one.bump_u64s(&[1], i64::MIN).unwrap();
+        let mut up_down = DeltaSet::new(schema(&[0]));
+        up_down.bump_u64s(&[3], 5).unwrap();
+        up_down.bump_u64s(&[3], -3).unwrap();
+        let mut underflow = DeltaSet::new(schema(&[0]));
+        underflow.bump_u64s(&[2], -5).unwrap();
+        for first in [drop_one, up_down] {
+            let batch = [(0, first), (0, underflow.clone())];
+            assert!(stream.update_batch(&batch).is_err());
+            assert_eq!(*stream.bags()[0], r);
+            assert!(!stream.poisoned);
+            assert_eq!(stream.decision(), Decision::Consistent);
         }
     }
 

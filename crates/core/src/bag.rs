@@ -124,8 +124,8 @@ impl Bag {
 
     /// Builds a sealed bag from a row-major arena without hashing: `data`
     /// holds `mults.len()` rows of the schema's arity back to back, and
-    /// rows may repeat. The bulk constructor behind [`Bag::from_rows`] and
-    /// the witness fill.
+    /// rows may repeat. The bulk constructor behind [`Bag::from_rows`],
+    /// the witness fill and the text parser ([`crate::io::parse_bag_with`]).
     ///
     /// The row ids sort by the seal's packed compare and the seal's copy
     /// routine lays the rows out in that order (both in parallel per

@@ -15,13 +15,34 @@
 //!   any other name is interned in order of first appearance.
 //! * Each data row lists one value per attribute and, after a `:`, the
 //!   multiplicity. Omitting `: m` means multiplicity 1, so the same file
-//!   format reads relations.
+//!   format reads relations. Repeated rows add up.
 //! * Values must be unsigned integers (intern symbolic values upstream).
 //! * Blank lines and `%`-comments are ignored.
 //!
-//! Round-tripping is exact; ordering is canonical (sorted rows) on write.
+//! The exact grammar, line by line. Lines end at `\n` and are numbered
+//! from 1, blank and comment lines included.
+//!
+//! * A `%` starts a comment that runs to the end of the line. The text
+//!   before it is trimmed of Unicode whitespace (`char::is_whitespace`,
+//!   so `\r`, VT, NBSP and U+2003 too); a line with nothing left is
+//!   blank. The first non-blank line is the header: names split on
+//!   whitespace, up to a `#` token.
+//! * In a data row, the first `:` splits the values from the
+//!   multiplicity; a later `:` belongs to the multiplicity token. The
+//!   values split on Unicode whitespace, and there must be exactly one
+//!   per attribute. Each value, and the trimmed multiplicity, is read as
+//!   `u64::from_str` reads it: decimal digits with an optional leading
+//!   `+`, below `2⁶⁴`.
+//! * The first failing line is reported. Within a line a wrong value
+//!   count ([`ParseError::WrongArity`]) comes before a bad token
+//!   ([`ParseError::BadNumber`]). A row whose repeated copies sum past
+//!   `u64::MAX` fails at the line that tips it over
+//!   ([`ParseError::MultiplicityOverflow`]).
+//!
+//! Parsed bags arrive sealed ([`parse_bag_with`]). Round-tripping is
+//! exact; ordering is canonical (sorted rows) on write.
 
-use crate::{Attr, AttrNames, Bag, CoreError, Relation, Schema, Value};
+use crate::{Attr, AttrNames, Bag, CoreError, ExecConfig, Relation, Schema, Value};
 use std::fmt;
 
 /// Parse errors with 1-based line numbers.
@@ -192,19 +213,34 @@ fn canonical_id(token: &str) -> Option<u32> {
 /// that must share attribute identities, use [`parse_bag_with`].
 pub fn parse_bag(text: &str) -> Result<(Bag, AttrNames), ParseError> {
     let mut interner = NameInterner::new();
-    let bag = parse_bag_with(text, &mut interner)?;
+    let bag = parse_bag_with(text, &mut interner, &ExecConfig::sequential())?;
     Ok((bag, interner.names))
 }
 
 /// Parses a bag, resolving attribute names through a shared interner.
-pub fn parse_bag_with(text: &str, interner: &mut NameInterner) -> Result<Bag, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.split('%').next().unwrap_or("").trim()))
-        .filter(|(_, l)| !l.is_empty());
-
-    let (_, header) = lines.next().ok_or(ParseError::MissingHeader)?;
+///
+/// The rows go into one row-major arena, already in schema order, with
+/// a multiplicity column beside it. [`Bag::from_arena`] sorts that arena
+/// once under `cfg`, merges duplicate rows and adopts the result, so the
+/// bag arrives sealed. No row is hashed on the way: any row whose copies
+/// overflow `u64` also overflows the checked running total of all
+/// multiplicities, and only then are the rows re-scanned to find the
+/// line at which the overflow happened.
+pub fn parse_bag_with(
+    text: &str,
+    interner: &mut NameInterner,
+    cfg: &ExecConfig,
+) -> Result<Bag, ParseError> {
+    let mut lines = Lines {
+        text,
+        pos: 0,
+        no: 0,
+    };
+    let header = lines
+        .by_ref()
+        .map(|(_, line)| content(line))
+        .find(|line| !line.is_empty())
+        .ok_or(ParseError::MissingHeader)?;
     let mut attrs: Vec<Attr> = Vec::new();
     let mut seen: Vec<String> = Vec::new();
     for token in header.split_whitespace() {
@@ -230,49 +266,221 @@ pub fn parse_bag_with(text: &str, interner: &mut NameInterner) -> Result<Bag, Pa
         .map(|a| schema.position(*a).expect("attr in schema"))
         .collect();
 
-    let mut bag = Bag::new(schema.clone());
-    for (line_no, line) in lines {
-        let (vals_part, mult_part) = match line.split_once(':') {
-            Some((v, m)) => (v, Some(m)),
-            None => (line, None),
-        };
-        let tokens: Vec<&str> = vals_part.split_whitespace().collect();
-        if tokens.len() != attrs.len() {
-            return Err(ParseError::WrongArity {
-                line: line_no,
-                expected: attrs.len(),
-                got: tokens.len(),
-            });
-        }
-        let mut row = vec![Value(0); attrs.len()];
-        for (col, token) in tokens.iter().enumerate() {
-            let v: u64 = token.parse().map_err(|_| ParseError::BadNumber {
-                line: line_no,
-                token: token.to_string(),
-            })?;
-            row[positions[col]] = Value(v);
-        }
-        let mult: u64 = match mult_part {
-            Some(m) => {
-                let m = m.trim();
-                m.parse().map_err(|_| ParseError::BadNumber {
-                    line: line_no,
-                    token: m.to_string(),
-                })?
+    let body = lines;
+    let mut data: Vec<Value> = Vec::new();
+    let mut mults: Vec<u64> = Vec::new();
+    let mut total = 0u64;
+    let mut overflowed = false;
+    let mut failed = None;
+    while lines.pos < text.len() {
+        let mult = match scan_row(text.as_bytes(), lines.pos, &positions, &mut data) {
+            Some((next, mult)) => {
+                lines.pos = next;
+                lines.no += 1;
+                mult
             }
-            None => 1,
-        };
-        // Duplicate rows accumulate; surface an overflowing accumulate
-        // with the line that tipped it over instead of a bare core error.
-        match bag.insert(row, mult) {
-            Ok(()) => {}
-            Err(CoreError::MultiplicityOverflow) => {
-                return Err(ParseError::MultiplicityOverflow { line: line_no })
+            None => {
+                let (line_no, line) = lines.next().expect("unread text holds a line");
+                let line = content(line);
+                if line.is_empty() {
+                    continue;
+                }
+                match parse_row(line, line_no, &positions, &mut data) {
+                    Ok(m) => Some(m),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
             }
-            Err(e) => return Err(ParseError::Core(e)),
+        };
+        if let Some(m) = mult {
+            mults.push(m);
+            let (sum, carry) = total.overflowing_add(m);
+            total = sum;
+            overflowed |= carry;
         }
     }
-    Ok(bag)
+    // An overflow on a line before the failing one, if any, comes first.
+    if overflowed {
+        if let Some(line) = overflow_line(body, positions.len(), &data, &mults) {
+            return Err(ParseError::MultiplicityOverflow { line });
+        }
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(Bag::from_arena(schema, data, mults, cfg)?),
+    }
+}
+
+/// The physical lines of a text from byte offset `pos` on, numbered as
+/// `str::lines` numbers them; `no` is the number of the line before
+/// `pos`.
+#[derive(Clone, Copy)]
+struct Lines<'t> {
+    text: &'t str,
+    pos: usize,
+    no: usize,
+}
+
+impl<'t> Iterator for Lines<'t> {
+    type Item = (usize, &'t str);
+
+    fn next(&mut self) -> Option<(usize, &'t str)> {
+        let rest = self.text.get(self.pos..).filter(|r| !r.is_empty())?;
+        let len = rest.find('\n').unwrap_or(rest.len());
+        self.pos += len + 1;
+        self.no += 1;
+        Some((self.no, &rest[..len]))
+    }
+}
+
+/// A line's content: the text before its first `%`, trimmed. A line
+/// with no content is blank.
+fn content(line: &str) -> &str {
+    line.split('%').next().unwrap_or("").trim()
+}
+
+/// Scans the line that starts at byte `i` when, up to its first `%`, it
+/// holds only ASCII digits, `+`, `:` and the whitespace bytes other than
+/// `\n` (`\t`, VT, FF, `\r`, space), and is blank or a well-formed row.
+/// The row's values go to `data` at their schema positions. Returns the
+/// position after the line and the row's multiplicity, `None` for a
+/// blank line. Any other line returns `None` with `data` as it was;
+/// [`parse_row`] then reads it by the `str` rules, errors included.
+fn scan_row(
+    bytes: &[u8],
+    mut i: usize,
+    positions: &[usize],
+    data: &mut Vec<Value>,
+) -> Option<(usize, Option<u64>)> {
+    let arity = positions.len();
+    let base = data.len();
+    data.resize(base + arity, Value(0));
+    let mut col = 0;
+    let mut mult = None;
+    let scanned = loop {
+        while bytes.get(i).is_some_and(|&b| is_space(b)) {
+            i += 1;
+        }
+        match bytes.get(i) {
+            None | Some(b'\n' | b'%') => break true,
+            Some(b':') if col == arity && mult.is_none() => {
+                i += 1;
+                while bytes.get(i).is_some_and(|&b| is_space(b)) {
+                    i += 1;
+                }
+                mult = scan_u64(bytes, &mut i);
+                if mult.is_none() {
+                    break false;
+                }
+            }
+            Some(_) if col < arity && mult.is_none() => match scan_u64(bytes, &mut i) {
+                Some(v) => {
+                    data[base + positions[col]] = Value(v);
+                    col += 1;
+                }
+                None => break false,
+            },
+            Some(_) => break false,
+        }
+    };
+    let row = match (scanned, col, mult) {
+        (true, 0, None) => Some(None),
+        (true, c, m) if c == arity => Some(Some(m.unwrap_or(1))),
+        _ => None,
+    };
+    if !matches!(row, Some(Some(_))) {
+        data.truncate(base);
+    }
+    let next = bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |n| i + n + 1);
+    Some((next, row?))
+}
+
+/// The whitespace bytes `char::is_whitespace` accepts, except `\n`.
+/// Unlike `u8::is_ascii_whitespace`, this includes VT (`0x0B`).
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// Reads a token of an optional `+` and decimal digits at byte `i`,
+/// as `u64::from_str` does, and moves `i` past it. `None` when the token
+/// is not such a number, overflows, or does not end at whitespace, `:`,
+/// `%` or the end of the line.
+fn scan_u64(bytes: &[u8], i: &mut usize) -> Option<u64> {
+    if bytes.get(*i) == Some(&b'+') {
+        *i += 1;
+    }
+    let start = *i;
+    let mut v = 0u64;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(*i) {
+        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        *i += 1;
+    }
+    let ends = match bytes.get(*i) {
+        None => true,
+        Some(&b) => b == b'\n' || b == b':' || b == b'%' || is_space(b),
+    };
+    (*i > start && ends).then_some(v)
+}
+
+/// Reads one non-blank line's content by the `str` rules: the first `:`
+/// splits the values from the multiplicity, the values split on Unicode
+/// whitespace, and each token parses with `u64::from_str`. The values go
+/// to `data` at their schema positions; returns the multiplicity. A
+/// wrong value count is reported before any bad number.
+fn parse_row(
+    line: &str,
+    line_no: usize,
+    positions: &[usize],
+    data: &mut Vec<Value>,
+) -> Result<u64, ParseError> {
+    let (vals_part, mult_part) = match line.split_once(':') {
+        Some((v, m)) => (v, Some(m)),
+        None => (line, None),
+    };
+    let got = vals_part.split_whitespace().count();
+    if got != positions.len() {
+        return Err(ParseError::WrongArity {
+            line: line_no,
+            expected: positions.len(),
+            got,
+        });
+    }
+    let base = data.len();
+    data.resize(base + positions.len(), Value(0));
+    for (token, &p) in vals_part.split_whitespace().zip(positions) {
+        data[base + p] = Value(number(token, line_no)?);
+    }
+    mult_part.map_or(Ok(1), |m| number(m.trim(), line_no))
+}
+
+/// `token` as a `u64`, or [`ParseError::BadNumber`] naming it.
+fn number(token: &str, line: usize) -> Result<u64, ParseError> {
+    token.parse().map_err(|_| ParseError::BadNumber {
+        line,
+        token: token.to_string(),
+    })
+}
+
+/// The line of the first row whose accumulated multiplicity overflows
+/// `u64`, reading the rows of `data`/`mults` in line order, as inserting
+/// them one by one would meet it. `body` is positioned after the header;
+/// row `k` came from its `k`-th non-blank line. Runs only once the
+/// running total has overflowed, so it is the one place that hashes
+/// rows.
+fn overflow_line(body: Lines<'_>, arity: usize, data: &[Value], mults: &[u64]) -> Option<usize> {
+    let mut sums: std::collections::HashMap<&[Value], u64> = Default::default();
+    let row = (0..mults.len()).position(|r| {
+        let sum = sums.entry(&data[r * arity..(r + 1) * arity]).or_insert(0);
+        sum.checked_add(mults[r]).map(|s| *sum = s).is_none()
+    })?;
+    body.filter(|(_, line)| !content(line).is_empty())
+        .nth(row)
+        .map(|(no, _)| no)
 }
 
 /// Parses one line of the `watch` delta format:
@@ -401,6 +609,286 @@ pub fn parse_relation(text: &str) -> Result<(Relation, AttrNames), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row-at-a-time parser the arena scan replaced, kept verbatim
+    /// as the oracle: it interns every row through [`Bag::insert`] and
+    /// reports an overflow at the insert that meets it.
+    fn parse_rowwise(text: &str, interner: &mut NameInterner) -> Result<Bag, ParseError> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| (i + 1, l.split('%').next().unwrap_or("").trim()))
+            .filter(|(_, l)| !l.is_empty());
+
+        let (_, header) = lines.next().ok_or(ParseError::MissingHeader)?;
+        let mut attrs: Vec<Attr> = Vec::new();
+        let mut seen: Vec<String> = Vec::new();
+        for token in header.split_whitespace() {
+            if token == "#" {
+                break;
+            }
+            if seen.iter().any(|s| s == token) {
+                return Err(ParseError::DuplicateAttribute(token.to_string()));
+            }
+            seen.push(token.to_string());
+            attrs.push(interner.attr(token));
+        }
+        let schema = Schema::from_attrs(attrs.iter().copied());
+        if schema.arity() != attrs.len() {
+            return Err(ParseError::DuplicateAttribute(header.to_string()));
+        }
+        let positions: Vec<usize> = attrs
+            .iter()
+            .map(|a| schema.position(*a).expect("attr in schema"))
+            .collect();
+
+        let mut bag = Bag::new(schema.clone());
+        for (line_no, line) in lines {
+            let (vals_part, mult_part) = match line.split_once(':') {
+                Some((v, m)) => (v, Some(m)),
+                None => (line, None),
+            };
+            let tokens: Vec<&str> = vals_part.split_whitespace().collect();
+            if tokens.len() != attrs.len() {
+                return Err(ParseError::WrongArity {
+                    line: line_no,
+                    expected: attrs.len(),
+                    got: tokens.len(),
+                });
+            }
+            let mut row = vec![Value(0); attrs.len()];
+            for (col, token) in tokens.iter().enumerate() {
+                let v: u64 = token.parse().map_err(|_| ParseError::BadNumber {
+                    line: line_no,
+                    token: token.to_string(),
+                })?;
+                row[positions[col]] = Value(v);
+            }
+            let mult: u64 = match mult_part {
+                Some(m) => {
+                    let m = m.trim();
+                    m.parse().map_err(|_| ParseError::BadNumber {
+                        line: line_no,
+                        token: m.to_string(),
+                    })?
+                }
+                None => 1,
+            };
+            match bag.insert(row, mult) {
+                Ok(()) => {}
+                Err(CoreError::MultiplicityOverflow) => {
+                    return Err(ParseError::MultiplicityOverflow { line: line_no })
+                }
+                Err(e) => return Err(ParseError::Core(e)),
+            }
+        }
+        Ok(bag)
+    }
+
+    /// Asserts that the arena parser, sequential and sharded, returns
+    /// what the oracle returns and then seals to: the same error, or a
+    /// sealed bag with the same rows in the same layout.
+    fn assert_matches_oracle(text: &str) {
+        let want = parse_rowwise(text, &mut NameInterner::new()).map(|mut bag| {
+            bag.seal();
+            bag
+        });
+        let par = ExecConfig::builder()
+            .threads(2)
+            .min_parallel_support(1)
+            .build()
+            .unwrap();
+        for cfg in [ExecConfig::sequential(), par] {
+            let got = parse_bag_with(text, &mut NameInterner::new(), &cfg);
+            assert_eq!(got, want, "{text:?}");
+            if let (Ok(got), Ok(want)) = (&got, &want) {
+                assert!(got.is_sealed());
+                assert_eq!(got.store().values(), want.store().values(), "{text:?}");
+                assert!(got.iter().eq(want.iter()), "{text:?}");
+            }
+        }
+    }
+
+    const HEADERS: [&str; 5] = ["#", "A #", "B A #", "Z X Y #", "A2 A0 A1"];
+    const SPACES: [&str; 8] = [
+        "\t", "\u{0B}", "\u{0C}", " \r ", "\u{A0}", "\u{2003}", "\u{85}", "  ",
+    ];
+    const JUNK: [&str; 14] = [
+        "+",
+        "++",
+        "++1",
+        "+7",
+        "1:2",
+        "5%",
+        "1+2",
+        "-1",
+        "x",
+        "",
+        "18446744073709551616",
+        "000018446744073709551615",
+        "99999999999999999999999",
+        "\u{663}",
+    ];
+
+    /// One line of generated text: a row over `arity` values (small, so
+    /// rows repeat) with a multiplicity that is small, zero or near
+    /// `u64::MAX`, written with assorted separators; or a blank or
+    /// comment line; or, for `kind` 7 and up, a row with a junk value,
+    /// a junk multiplicity, the wrong number of values, values joined by
+    /// a non-space byte, or a stray `:`.
+    fn text_line(arity: usize, (kind, a, b, c): (u8, u64, u64, u64)) -> String {
+        let sep = if b % 3 == 0 {
+            SPACES[(b / 3 % 8) as usize]
+        } else {
+            " "
+        };
+        let mut vals: Vec<String> = (0..arity).map(|k| (a >> (2 * k) & 3).to_string()).collect();
+        let mult = match c % 4 {
+            0 => u64::MAX - c / 4 % 3,
+            1 => c / 4 % 3,
+            _ => c,
+        };
+        let junk = JUNK[(c % 14) as usize];
+        let colon = [" : ", ":", " :", ": ", "\t:\u{A0}"][(a % 5) as usize];
+        let mut line = match kind {
+            0..=3 => format!("{}{colon}{mult}", vals.join(sep)),
+            4 => vals.join(sep),
+            5 => ["", "   ", "% only a comment", "  % ü : 1", "\t\u{A0}"][(c % 5) as usize].into(),
+            6 => format!("{}{colon}+{mult} % note: 1 ü", vals.join(sep)),
+            7 if arity > 0 => {
+                vals[(b % arity as u64) as usize] = junk.into();
+                format!("{}{colon}{mult}", vals.join(sep))
+            }
+            7 | 8 => format!("{}{colon}{junk}", vals.join(sep)),
+            9 if b % 2 == 0 => {
+                vals.push("1".into());
+                vals[(b % (arity as u64 + 1)) as usize..].join(sep)
+            }
+            9 => vals.join(["+", "\u{1C}", "\u{1F}", "-"][(c % 4) as usize]),
+            _ => format!("{}{colon}{mult}{colon}1", vals.join(sep)),
+        };
+        line.push_str(if a % 7 == 0 { "\r\n" } else { "\n" });
+        line
+    }
+
+    fn text_of(header: usize, lines: Vec<(u8, u64, u64, u64)>) -> String {
+        let header = HEADERS[header];
+        let arity = header.split_whitespace().filter(|t| *t != "#").count();
+        let mut text = format!("% generated\n{header}\n");
+        for line in lines {
+            text.push_str(&text_line(arity, line));
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arena_parser_matches_rowwise_oracle_on_bags(
+            header in 0..5usize,
+            lines in collection::vec((0..7u8, 0..64u64, 0..64u64, 0..200u64), 0..24),
+        ) {
+            assert_matches_oracle(&text_of(header, lines));
+        }
+
+        #[test]
+        fn arena_parser_matches_rowwise_oracle_on_hostile_text(
+            header in 0..5usize,
+            lines in collection::vec((0..11u8, 0..64u64, 0..64u64, 0..200u64), 0..24),
+        ) {
+            assert_matches_oracle(&text_of(header, lines));
+        }
+    }
+
+    #[test]
+    fn leading_plus_parses_as_u64_from_str_does() {
+        let (bag, _) = parse_bag("A B #\n+1 2 : +3\n+01\t+2\n").unwrap();
+        assert_eq!(bag.multiplicity(&[Value(1), Value(2)]), 4);
+        // `+` inside a token does not split it
+        assert_eq!(
+            parse_bag("A B #\n1+2 : 1\n"),
+            Err(ParseError::WrongArity {
+                line: 2,
+                expected: 2,
+                got: 1
+            })
+        );
+        for (text, token) in [
+            ("A #\n+ : 1\n", "+"),
+            ("A #\n++1 : 1\n", "++1"),
+            ("A #\n1+2 : 1\n", "1+2"),
+            ("A #\n1 : +\n", "+"),
+            ("A #\n1 : 2+\n", "2+"),
+        ] {
+            assert_eq!(
+                parse_bag(text),
+                Err(ParseError::BadNumber {
+                    line: 2,
+                    token: token.into()
+                }),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_values() {
+        // NBSP, EM SPACE, NEL, VT and FF all split values, as
+        // `split_whitespace` splits them; CRLF line ends are trimmed.
+        let text = "A B #\r\n1\u{A0}2 : 3\r\n1\u{2003}2\u{85}:\u{0C}4\n5\u{0B}6\n";
+        let (bag, _) = parse_bag(text).unwrap();
+        assert_eq!(bag.multiplicity(&[Value(1), Value(2)]), 7);
+        assert_eq!(bag.multiplicity(&[Value(5), Value(6)]), 1);
+        // a non-ASCII digit is a bad token, reported whole
+        assert_eq!(
+            parse_bag("A #\n\u{663} : 1\n"),
+            Err(ParseError::BadNumber {
+                line: 2,
+                token: "\u{663}".into()
+            })
+        );
+    }
+
+    #[test]
+    fn first_failing_line_wins_overflow_or_syntax() {
+        let max = u64::MAX;
+        // the overflowing accumulate (line 3) precedes a bad number
+        assert_eq!(
+            parse_bag(&format!("A #\n1 : {max}\n1 : 1\nx\n")),
+            Err(ParseError::MultiplicityOverflow { line: 3 })
+        );
+        // a bad number (line 3) precedes the overflowing accumulate
+        assert_eq!(
+            parse_bag(&format!("A #\n1 : {max}\nx\n1 : 1\n")),
+            Err(ParseError::BadNumber {
+                line: 3,
+                token: "x".into()
+            })
+        );
+        // the running total overflows but no row does: the syntax error
+        // stands, and without one the bag parses
+        assert_eq!(
+            parse_bag(&format!("A #\n1 : {max}\n2 : 1\n1 2\n")),
+            Err(ParseError::WrongArity {
+                line: 4,
+                expected: 1,
+                got: 2
+            })
+        );
+        let (bag, _) = parse_bag(&format!("A #\n1 : {max}\n2 : 1\n")).unwrap();
+        assert_eq!(bag.multiplicity(&[Value(1)]), max);
+        // within a line, a wrong value count comes before a bad number
+        assert_eq!(
+            parse_bag("A B #\nx : y\n"),
+            Err(ParseError::WrongArity {
+                line: 2,
+                expected: 2,
+                got: 1
+            })
+        );
+    }
 
     #[test]
     fn parses_the_paper_example() {
@@ -553,14 +1041,15 @@ mod tests {
     #[test]
     fn shared_interner_keeps_names_consistent_across_files() {
         let mut interner = NameInterner::new();
-        let r = parse_bag_with("A B #\n0 0 : 1\n", &mut interner).unwrap();
-        let s = parse_bag_with("B C #\n0 0 : 1\n", &mut interner).unwrap();
+        let seq = ExecConfig::sequential();
+        let r = parse_bag_with("A B #\n0 0 : 1\n", &mut interner, &seq).unwrap();
+        let s = parse_bag_with("B C #\n0 0 : 1\n", &mut interner, &seq).unwrap();
         // "B" must denote the same attribute in both bags
         let shared = r.schema().intersection(s.schema());
         assert_eq!(shared.arity(), 1);
         assert_eq!(interner.names().name(shared.attrs()[0]), "B");
         // canonical and symbolic ids do not collide
-        let t = parse_bag_with("A0 D #\n1 2 : 1\n", &mut interner).unwrap();
+        let t = parse_bag_with("A0 D #\n1 2 : 1\n", &mut interner, &seq).unwrap();
         assert_eq!(t.schema().arity(), 2);
     }
 

@@ -159,14 +159,16 @@ impl RowStore {
             // Arity-0 rows are all equal; at most one can be distinct.
             return None;
         }
-        if arity > 0 {
-            let mut prev: &[Value] = &[];
-            for (id, row) in data.chunks_exact(arity).enumerate() {
-                if id > 0 && prev >= row {
-                    return None;
-                }
-                prev = row;
-            }
+        // The common narrow widths get their own constant-width copy of
+        // the fold, which the compiler unrolls.
+        let ascending = match arity {
+            1 => strictly_ascending(1, &data),
+            2 => strictly_ascending(2, &data),
+            3 => strictly_ascending(3, &data),
+            k => strictly_ascending(k, &data),
+        };
+        if !ascending {
+            return None;
         }
         Some(RowStore {
             arity,
@@ -477,6 +479,26 @@ pub(crate) fn sorted_order_with(
     crate::exec::parallel_sort_by(order, cfg.threads(), shards, |&a, &b| ord.cmp(a, b))
 }
 
+/// Whether the `arity`-wide rows of `data` ascend strictly (vacuously
+/// true at arity 0). Each adjacent pair folds its columns, last to
+/// first, into `prev < row` with no branch on the values, and every pair
+/// is folded: an early exit or a slice compare mispredicts on the ties in
+/// leading columns that sorted rows are full of.
+#[inline(always)]
+fn strictly_ascending(arity: usize, data: &[Value]) -> bool {
+    let mut ascending = true;
+    if let Some(next) = data.get(arity..).filter(|_| arity > 0) {
+        for (prev, row) in data.chunks_exact(arity).zip(next.chunks_exact(arity)) {
+            let mut less = false;
+            for (a, b) in prev.iter().zip(row).rev() {
+                less = (a < b) | ((a == b) & less);
+            }
+            ascending &= less;
+        }
+    }
+    ascending
+}
+
 /// Copies the `arity`-wide rows of the row-major arena `data` listed in
 /// `order` into a fresh arena, in that order — the re-layout half of
 /// every seal, of [`crate::Bag::from_arena`] and of the delta reseal,
@@ -582,9 +604,39 @@ pub(crate) fn prefix_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(xs: &[u64]) -> Vec<Value> {
         xs.iter().copied().map(Value::new).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The strictness fold accepts exactly the arenas whose adjacent
+        /// rows ascend as slices, on raw, sorted and sorted-distinct rows
+        /// over a tiny value range (so equal rows and ties in the leading
+        /// columns are common).
+        #[test]
+        fn from_sorted_rows_accepts_exactly_strictly_ascending_arenas(
+            arity in 0..=4usize,
+            cells in collection::vec(0..3u64, 0..40),
+            mode in 0..3u8,
+        ) {
+            let mut rows: Vec<Vec<Value>> = match arity {
+                0 => vec![Vec::new(); cells.len() % 3],
+                _ => cells.chunks_exact(arity).map(v).collect(),
+            };
+            if mode > 0 {
+                rows.sort();
+            }
+            if mode > 1 {
+                rows.dedup();
+            }
+            let want = rows.windows(2).all(|w| w[0] < w[1]);
+            let got = RowStore::from_sorted_rows(arity, rows.len(), rows.concat());
+            prop_assert_eq!(got.is_some(), want, "{:?}", rows);
+        }
     }
 
     #[test]

@@ -829,6 +829,33 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_arena_with_valid_hashes_is_rejected() {
+        let mut bytes = sample_bytes();
+        let info = inspect(&bytes).unwrap();
+        let k = info
+            .sections
+            .iter()
+            .position(|s| s.kind == kind::ARENA)
+            .unwrap();
+        // Swap rows (0, 0) and (0, 7), which tie in the leading column,
+        // then re-hash the section and the table so only the row order
+        // is wrong.
+        let start = info.sections[k].offset as usize;
+        let len = info.sections[k].len as usize;
+        bytes[start..start + 32].rotate_left(16);
+        let hash = content_hash(&bytes[start..start + len]);
+        let entry = HEADER_LEN + k * ENTRY_LEN;
+        bytes[entry + 24..entry + 32].copy_from_slice(&hash.to_le_bytes());
+        let table_len = info.sections.len() * ENTRY_LEN;
+        let table_hash = content_hash(&bytes[HEADER_LEN..HEADER_LEN + table_len]);
+        bytes[24..32].copy_from_slice(&table_hash.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(SnapError::Malformed("arena rows not strictly ascending"))
+        ));
+    }
+
+    #[test]
     fn inspect_and_verify() {
         let bytes = sample_bytes();
         let info = verify(&bytes).unwrap();

@@ -28,6 +28,19 @@ the metric's `better` direction from BENCHMARK.json; ties count for
 neither side) and the failed-operation counts. `--raw FILE` also writes
 every run's result line as JSON lines.
 
+Each end-to-end metric also gets a verdict, by the acceptance rule for
+a claimed gain and for no regression:
+
+    gain        the change wins at least 9 in 10 pairs, and its median
+                beats the base median by more than the base's quartile
+                distance (q3 - q1)
+    worse       the change's median is worse than the base median by
+                more than the metric's `bound` in BENCHMARK.json (a
+                fraction of the base median)
+    unresolved  the base's own spread, (q3 - q1) / median, exceeds the
+                bound, and not every change run beats every base run
+    flat        otherwise
+
 `--trace 1` compares the per-layer metrics of the traced runs instead.
 Those come from bagbench's in-process replay, that is from the library
 linked into the bench binary, so pass the parent's own bagbench build as
@@ -96,14 +109,36 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def verdict(base, change, wins, better, bound):
+    """The acceptance verdict for one end-to-end metric (module docs)."""
+    # Orient every value so that larger is better.
+    sign = -1 if better == "lower" else 1
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    q1, q3 = quartiles(base)
+    gain = sign * (c_med - b_med)
+    if wins * 10 >= 9 * len(base) and gain > q3 - q1:
+        return "gain"
+    scale = abs(b_med)
+    if -gain > bound * scale:
+        return "worse"
+    spread_exceeds = q3 - q1 > bound * scale
+    beats_all = min(sign * c for c in change) > max(sign * b for b in base)
+    if spread_exceeds and not beats_all:
+        return "unresolved"
+    return "flat"
+
+
 def report(workload, defs, runs, n_pairs):
     print(f"\n== {workload} ({n_pairs} pairs)")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         print(f"{side}: failed {failed} of {attempted} operations")
-    print(f"{'metric':40} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} {'wins':>6}")
-    for name, better in defs:
+    print(
+        f"{'metric':40} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+        f"{'wins':>6} {'verdict':>10}"
+    )
+    for name, better, bound in defs:
         vals = {
             side: [r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]]
             for side in ("base", "change")
@@ -118,7 +153,10 @@ def report(workload, defs, runs, n_pairs):
         for side in ("base", "change"):
             q1, q3 = quartiles(vals[side])
             cols.append(f"{statistics.median(vals[side]):.4g} [{q1:.4g}, {q3:.4g}]")
-        print(f"{name:40} {cols[0]:>30} {cols[1]:>30} {wins:>3}/{len(vals['base'])}")
+        line = f"{name:40} {cols[0]:>30} {cols[1]:>30} {wins:>3}/{len(vals['base'])}"
+        if bound is not None:
+            line += f" {verdict(vals['base'], vals['change'], wins, better, bound):>10}"
+        print(line)
 
 
 def main():
@@ -126,7 +164,8 @@ def main():
     with open(args.benchmark) as f:
         bench = json.load(f)
     key = "per_layer" if args.trace else "end_to_end"
-    defs = [(m["name"], m["better"]) for m in bench[key]]
+    # Per-layer metrics carry no bound, so they get no verdict.
+    defs = [(m["name"], m["better"], m.get("bound")) for m in bench[key]]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     raw = open(args.raw, "w") if args.raw else None
     for workload in workloads:

@@ -111,10 +111,11 @@ fn counterexample_roundtrips_through_check() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     // split the emitted family back into bags and verify the claim
     let mut interner = bagcons_core::io::NameInterner::new();
+    let cfg = bagcons_core::ExecConfig::sequential();
     let bags: Vec<bagcons_core::Bag> = stdout
         .split("%% ---")
         .skip(1)
-        .map(|chunk| bagcons_core::io::parse_bag_with(chunk, &mut interner).unwrap())
+        .map(|chunk| bagcons_core::io::parse_bag_with(chunk, &mut interner, &cfg).unwrap())
         .collect();
     assert_eq!(bags.len(), 3);
     let refs: Vec<&bagcons_core::Bag> = bags.iter().collect();
