@@ -58,7 +58,7 @@
 //! | Theorem 3 / Corollary 3 (NP membership, witness bounds) | re-exported from [`bagcons_lp::bounds`] |
 //! | Theorem 4 (dichotomy: acyclic ⇒ P, cyclic ⇒ NP-complete) | [`session::Session::check`] (decides); [`session::Session::witness`] (builds) |
 //! | Lemmas 6, 7 (hardness chain reductions) | [`reductions`] |
-//! | Theorem 5 / Corollary 4 (minimal two-bag witness, one max-flow per join tuple) | [`minimal`] |
+//! | Theorem 5 / Corollary 4 (minimal two-bag witness) | the [`pairwise`] group fill, a vertex of `P(R,S)`, via [`session::Session::consistency_witness`] |
 //! | Theorem 6 (acyclic witness construction) | [`acyclic`] chaining the [`pairwise`] group fill, via [`session::Session::acyclic_global_witness`] |
 //! | Section 5.1 (set-semantics baseline) | [`sets`] |
 //! | Section 6 (full reducers: set case + the bag obstacle) | [`reducer`] |
@@ -84,7 +84,6 @@ pub mod diagnose;
 pub mod global;
 pub mod kwise;
 pub mod lifting;
-pub mod minimal;
 pub mod optimal;
 pub mod pairwise;
 pub mod protocol;
@@ -99,7 +98,6 @@ pub mod tseitin;
 pub use acyclic::AcyclicError;
 pub use global::{globally_consistent_via_ilp, schema_hypergraph};
 pub use kwise::k_wise_consistent;
-pub use minimal::minimal_two_bag_witness;
 pub use report::{Lemma2Report, Render, ReportFormat};
 pub use session::{DatasetSource, Session, SessionBuilder, SessionError};
 pub use stream::{ConsistencyStream, UpdateOutcome};

@@ -14,6 +14,12 @@
 //! northwest-corner pass instead of running max-flow. Both Corollary 1's
 //! witness and every step of Theorem 6's chain ([`crate::acyclic`]) are
 //! this fill.
+//!
+//! The fill is also Theorem 5 / Corollary 4's minimal witness: within a
+//! group its staircase is a forest, so it is a vertex of `P(R,S)`, and a
+//! vertex has inclusion-minimal support. The paper's loop of
+//! `|R' ⋈ S'| + 1` max-flows is kept as the test oracle for this
+//! (`corollary4_flow_loop` in `tests/proptest_invariants.rs`).
 
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
 use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Value};
@@ -387,5 +393,93 @@ mod tests {
         let (r, _) = section3_pair();
         assert!(Session::default().pairwise_consistent(&[&r]).unwrap());
         assert!(Session::default().pairwise_consistent(&[]).unwrap());
+    }
+
+    // Theorem 5 / Corollary 4: the fill is a vertex of `P(R,S)`, so it is
+    // an inclusion-minimal witness.
+
+    #[test]
+    fn minimal_witness_is_a_witness() {
+        let r = Bag::from_u64s(
+            schema(&[0, 1]),
+            [(&[1u64, 1][..], 2), (&[2, 1][..], 3), (&[3, 1][..], 1)],
+        )
+        .unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 4), (&[1, 2][..], 2)]).unwrap();
+        let w = Session::default()
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .expect("consistent");
+        assert!(is_two_bag_witness(&w, &r, &s).unwrap());
+        assert!(w.support_size() <= r.support_size() + s.support_size());
+    }
+
+    #[test]
+    fn minimality_every_support_tuple_is_needed() {
+        let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2), (&[2, 1][..], 2)]).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 2), (&[1, 2][..], 2)]).unwrap();
+        let w = Session::default()
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .unwrap();
+        // removing any support row of w from the allowed middle edges must
+        // make saturation impossible given the other exclusions
+        let support: Vec<Vec<Value>> = w.iter_sorted().map(|(row, _)| row.to_vec()).collect();
+        for banned in &support {
+            let allowed: Vec<&[Value]> = support
+                .iter()
+                .filter(|r| r != &banned)
+                .map(|r| r.as_slice())
+                .collect();
+            let net = bagcons_flow::ConsistencyNetwork::build_excluding(&r, &s, |row| {
+                !allowed.contains(&row)
+            })
+            .unwrap();
+            assert!(
+                net.solve().is_none(),
+                "support of minimal witness is not minimal"
+            );
+        }
+    }
+
+    #[test]
+    fn theorem5_bound_on_wide_instance() {
+        // R has 6 support tuples all sharing one B-value; S has 2. The
+        // naive flow witness could use up to 12 join tuples; the minimal
+        // one must use ≤ 8.
+        let mut r = Bag::new(schema(&[0, 1]));
+        for i in 1..=6u64 {
+            r.insert(vec![Value(i), Value(1)], 2).unwrap();
+        }
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 6), (&[1, 2][..], 6)]).unwrap();
+        let w = Session::default()
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .unwrap();
+        assert!(w.support_size() <= 8);
+        assert!(is_two_bag_witness(&w, &r, &s).unwrap());
+    }
+
+    #[test]
+    fn inconsistent_returns_none() {
+        let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2)]).unwrap();
+        let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3)]).unwrap();
+        assert!(Session::default()
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn unique_witness_pair_keeps_its_witness() {
+        // Section 3's R1, S1: exactly two witnesses, each of support 2 =
+        // minimal. The fill must return one of them.
+        let (r, s) = section3_pair();
+        let w = Session::default()
+            .consistency_witness(&r, &s)
+            .unwrap()
+            .unwrap();
+        assert_eq!(w.support_size(), 2);
+        assert!(is_two_bag_witness(&w, &r, &s).unwrap());
     }
 }

@@ -233,16 +233,9 @@ pub struct Lemma2Report {
 }
 
 impl Lemma2Report {
-    /// Evaluates all five characterizations independently (sequential,
-    /// unlimited search — [`crate::session::Session::pairwise_report`]
-    /// runs them under the session's configuration).
-    pub fn compute(r: &Bag, s: &Bag) -> Result<Lemma2Report> {
-        Self::compute_with(r, s, &SolverConfig::default(), &ExecConfig::sequential())
-    }
-
-    /// [`Lemma2Report::compute`] under explicit solver and execution
-    /// configurations (the implementation behind
-    /// [`crate::session::Session::pairwise_report`]): the witness seal
+    /// Evaluates all five characterizations independently under explicit
+    /// solver and execution configurations. The public entry is
+    /// [`crate::session::Session::pairwise_report`]. The witness seal
     /// shards across threads when `exec` permits, the max-flow of
     /// `N(R,S)` honours `exec`'s deadline, and the exact integer search
     /// honors `solver`'s node budget (a budget abort counts as "not
@@ -293,6 +286,7 @@ impl Lemma2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use bagcons_core::{Attr, Schema};
 
     fn schema(ids: &[u32]) -> Schema {
@@ -303,7 +297,7 @@ mod tests {
     fn agree_on_consistent_pair() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 1), (&[2, 2][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[2u64, 1][..], 1), (&[2, 2][..], 1)]).unwrap();
-        let rep = Lemma2Report::compute(&r, &s).unwrap();
+        let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
         assert!(rep.all_agree());
         assert!(rep.consistent());
         let w = rep.witness.unwrap();
@@ -314,7 +308,7 @@ mod tests {
     fn agree_on_inconsistent_pair() {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[2u64, 1][..], 1)]).unwrap();
-        let rep = Lemma2Report::compute(&r, &s).unwrap();
+        let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
         assert!(rep.all_agree());
         assert!(!rep.consistent());
         assert!(rep.witness.is_none());
@@ -327,7 +321,7 @@ mod tests {
         // action.
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 1), (&[2, 1][..], 1)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 5][..], 1), (&[1, 6][..], 1)]).unwrap();
-        let rep = Lemma2Report::compute(&r, &s).unwrap();
+        let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
         assert!(rep.all_agree());
         assert!(rep.consistent());
     }
@@ -336,7 +330,7 @@ mod tests {
     fn agree_on_empty_bags() {
         let r = Bag::new(schema(&[0, 1]));
         let s = Bag::new(schema(&[1, 2]));
-        let rep = Lemma2Report::compute(&r, &s).unwrap();
+        let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
         assert!(rep.all_agree());
         assert!(rep.consistent());
     }

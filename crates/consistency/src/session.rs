@@ -1151,8 +1151,16 @@ impl Session {
     /// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`,
     /// or `None` when the bags are inconsistent. The witness is the
     /// one-pass fill of each shared-key group (a saturated flow of
-    /// `N(R,S)` found without a flow search); its support is
-    /// inclusion-minimal and at most `‖R‖supp + ‖S‖supp − |supp R[Z]|`.
+    /// `N(R,S)` found without a flow search).
+    ///
+    /// This is also the entry for Theorem 5 / Corollary 4's minimal
+    /// witness. Within a group the fill's northwest-corner staircase is a
+    /// forest in the group's bipartite support graph, so `T` is a vertex
+    /// of the transportation polytope `P(R,S)`, and a vertex has
+    /// inclusion-minimal support: with any one support row banned, no
+    /// saturated flow of `N(R,S)` remains. A forest on each group's
+    /// support rows gives Theorem 5's bound with the group count taken
+    /// off: `‖T‖supp ≤ ‖R‖supp + ‖S‖supp − |supp R[Z]|`.
     ///
     /// ```
     /// use bagcons::session::Session;
@@ -1733,6 +1741,27 @@ mod tests {
         assert!(out.report.consistent());
         let json = out.json(&AttrNames::new());
         assert!(json.contains("\"all_agree\":true"));
+    }
+
+    #[test]
+    fn pairwise_report_agrees_past_u64_group_sums() {
+        // Legal bags whose shared-key group sums pass `u64::MAX`: 2^64,
+        // then 2·(2^64 − 1) + 1 with rational terms near 2^63 / 2^65.
+        for (m, extra) in [(1u64 << 63, 0), (u64::MAX, 1)] {
+            let r = Bag::from_u64s(
+                schema(&[0, 1]),
+                [(&[1u64, 1][..], m), (&[2, 1][..], m), (&[3, 1][..], extra)],
+            )
+            .unwrap();
+            let s = Bag::from_u64s(
+                schema(&[1, 2]),
+                [(&[1u64, 1][..], m), (&[1, 2][..], m), (&[1, 3][..], extra)],
+            )
+            .unwrap();
+            let out = Session::default().pairwise_report(&r, &s).unwrap();
+            assert!(out.report.all_agree(), "{:?}", out.report);
+            assert!(out.report.consistent());
+        }
     }
 
     #[test]

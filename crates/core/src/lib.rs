@@ -176,7 +176,6 @@ pub mod names;
 pub mod pack;
 pub mod relation;
 pub mod schema;
-pub mod semiring;
 pub mod store;
 pub mod tuple;
 
@@ -191,7 +190,6 @@ pub use names::AttrNames;
 pub use pack::{PackSpec, PackedView};
 pub use relation::Relation;
 pub use schema::Schema;
-pub use semiring::{KRelation, Semiring};
 pub use store::{RowId, RowStore};
 pub use tuple::{Row, Tuple};
 

@@ -15,9 +15,10 @@
 //!   strongly-polynomial integral max-flow preserves every claim, since
 //!   the proofs use only integrality and polynomial running time).
 //! * [`network`] — construction of `N(R,S)`, saturation testing, and
-//!   witness extraction, including the middle-edge exclusion hook used by
-//!   the minimal-witness self-reduction of Section 5.3. This is the
-//!   paper's Corollary 1 construction. Neither deciding consistency nor
+//!   witness extraction. This is the paper's Corollary 1 construction.
+//!   Its middle-edge exclusion hook (the minimal-witness self-reduction
+//!   of Section 5.3) now serves only the test oracle that checks the
+//!   group fill is inclusion-minimal. Neither deciding consistency nor
 //!   building the witnesses `witness` returns needs it: Lemma 2 compares
 //!   marginals, and every middle edge is uncapacitated, so
 //!   `bagcons::pairwise` fills each shared-key group in one pass.

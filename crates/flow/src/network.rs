@@ -12,11 +12,10 @@
 //!
 //! This is the paper's construction, kept where the paper needs a flow:
 //! Lemma 2's `saturated_flow` characterization
-//! (`bagcons::report::Lemma2Report`), Corollary 4's minimal-witness
-//! self-reduction (`bagcons::minimal`), and as a test oracle. Witnesses
-//! from `witness` come from the one-pass group fill in
-//! `bagcons::pairwise`, which needs no search because every middle edge
-//! is uncapacitated.
+//! (`bagcons::report::Lemma2Report`), and as a test oracle. Witnesses
+//! from `witness`, minimal ones included, come from the one-pass group
+//! fill in `bagcons::pairwise`, which needs no search because every
+//! middle edge is uncapacitated.
 //!
 //! Implementation notes:
 //!
@@ -24,9 +23,11 @@
 //!   flow through the arc can never exceed either endpoint's bottleneck,
 //!   so this preserves all flows while keeping arithmetic in `u64`.
 //! * [`ConsistencyNetwork::build_excluding`] can omit selected middle
-//!   edges; the minimal-witness algorithm of Section 5.3 needs exactly
-//!   this ("temporarily remove it, compute a maximum flow of the resulting
-//!   network, and check whether it is saturated").
+//!   edges, as the minimal-witness algorithm of Section 5.3 needs
+//!   ("temporarily remove it, compute a maximum flow of the resulting
+//!   network, and check whether it is saturated"). Only the test oracle
+//!   for the group fill's minimality uses it: that loop, and the check
+//!   that each support row of a minimal witness is needed.
 //! * Middle edges are keyed by [`RowId`] into a network-local columnar
 //!   [`RowStore`] of candidate `XY`-rows instead of owning a boxed row
 //!   per edge, and matching `R`-rows with `S`-rows on the shared schema

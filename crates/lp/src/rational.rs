@@ -13,7 +13,7 @@
 //! paper's observation that no LP solver is needed for `m = 2`.
 
 use crate::ConsistencyProgram;
-use bagcons_core::{Bag, Result, Schema};
+use bagcons_core::{Bag, FxHashMap, Result, Row, Schema};
 
 /// A non-negative exact rational, always in lowest terms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,17 +91,31 @@ impl std::fmt::Display for Rational {
     }
 }
 
+/// `bag[Z]` with `u128` counts, keyed by the `Z`-projection at `z_idx`.
+/// A key group of a legal bag can sum past `u64::MAX` (a bag has under
+/// 2^32 rows of multiplicity under 2^64), so the `u64`
+/// [`Bag::marginal`] cannot serve here.
+fn wide_marginal(bag: &Bag, z_idx: &[usize]) -> FxHashMap<Row, u128> {
+    let mut out: FxHashMap<Row, u128> = FxHashMap::default();
+    for (row, m) in bag.iter() {
+        let key: Row = z_idx.iter().map(|&i| row[i]).collect();
+        *out.entry(key).or_insert(0) += m as u128;
+    }
+    out
+}
+
 /// The Lemma 2 closed-form rational solution of `P(R,S)`, or `None` when
 /// `R[X∩Y] ≠ S[X∩Y]` (in which case the program is infeasible).
 ///
 /// The returned vector is indexed by the variables of
 /// [`ConsistencyProgram::build`]`(&[r, s])` in their sorted order, and is
 /// verified to satisfy every constraint exactly before being returned.
+/// Every legal pair gets an answer: the marginals are summed in `u128`,
+/// and each numerator `R(t[X]) · S(t[Y])` is a product of two `u64`s.
 pub fn rational_solution(r: &Bag, s: &Bag) -> Result<Option<(ConsistencyProgram, Vec<Rational>)>> {
     let z: Schema = r.schema().intersection(s.schema());
-    let rz = r.marginal(&z)?;
-    let sz = s.marginal(&z)?;
-    if rz != sz {
+    let rz = wide_marginal(r, &r.schema().projection_indices(&z)?);
+    if rz != wide_marginal(s, &s.schema().projection_indices(&z)?) {
         return Ok(None);
     }
     let prog = ConsistencyProgram::build(&[r, s])?;
@@ -117,8 +131,7 @@ pub fn rational_solution(r: &Bag, s: &Bag) -> Result<Option<(ConsistencyProgram,
         let ty: Vec<_> = y_idx.iter().map(|&i| t[i]).collect();
         let tz: Vec<_> = z_idx.iter().map(|&i| t[i]).collect();
         let num = (r.multiplicity(&tx) as u128) * (s.multiplicity(&ty) as u128);
-        let den = rz.multiplicity(&tz) as u128;
-        debug_assert!(den > 0, "t[Z] is in R[Z]' for join tuples");
+        let den = rz[tz.as_slice()];
         xs.push(Rational::new(num, den));
     }
 
@@ -129,12 +142,58 @@ pub fn rational_solution(r: &Bag, s: &Bag) -> Result<Option<(ConsistencyProgram,
     Ok(Some((prog, xs)))
 }
 
-/// Verifies `Ax = b` exactly for a rational point.
+/// A running row sum `whole + frac` with `0 ≤ frac < 1`.
+///
+/// A row's sum can reach `2^64` over a denominator near `2^65`, past what
+/// one `u128` numerator holds, so the integer part is carried apart. The
+/// fraction then only needs the lowest common denominator of the terms
+/// seen so far. For [`rational_solution`]'s points every term of a row
+/// has a denominator dividing the same `R[Z](k)`, so that always fits.
+#[derive(Clone, Copy)]
+struct MixedSum {
+    whole: u128,
+    frac: Rational,
+}
+
+impl MixedSum {
+    const ZERO: MixedSum = MixedSum {
+        whole: 0,
+        frac: Rational::ZERO,
+    };
+
+    /// Adds `x`; `None` if the whole part or the common denominator
+    /// overflows.
+    fn checked_add(self, x: Rational) -> Option<MixedSum> {
+        let mut whole = self.whole.checked_add(x.num / x.den)?;
+        let (a, b) = (self.frac, x.num % x.den);
+        let lcm = (a.den / gcd(a.den, x.den)).checked_mul(x.den)?;
+        // Both scaled numerators are below `lcm`, so neither product
+        // overflows; their sum might, so test it against `lcm` by
+        // subtraction and carry one into the whole part.
+        let p = a.num * (lcm / a.den);
+        let q = b * (lcm / x.den);
+        let num = if p >= lcm - q {
+            whole = whole.checked_add(1)?;
+            p - (lcm - q)
+        } else {
+            p + q
+        };
+        Some(MixedSum {
+            whole,
+            frac: Rational::new(num, lcm),
+        })
+    }
+}
+
+/// Verifies `Ax = b` exactly for a rational point. Each row is summed as
+/// an integer part plus a proper fraction, so every point
+/// [`rational_solution`] returns verifies without overflow; a point whose
+/// row sums overflow anyway is rejected.
 pub fn verify_rational_point(prog: &ConsistencyProgram, x: &[Rational]) -> bool {
     if x.len() != prog.num_variables() {
         return false;
     }
-    let mut sums = vec![Rational::ZERO; prog.num_constraints()];
+    let mut sums = vec![MixedSum::ZERO; prog.num_constraints()];
     for (v, &xv) in x.iter().enumerate() {
         for &row in prog.rows_of(v) {
             match sums[row as usize].checked_add(xv) {
@@ -145,7 +204,7 @@ pub fn verify_rational_point(prog: &ConsistencyProgram, x: &[Rational]) -> bool 
     }
     sums.iter()
         .zip(prog.rhs())
-        .all(|(s, b)| *s == Rational::from_int(b as u128))
+        .all(|(s, b)| s.frac == Rational::ZERO && s.whole == b as u128)
 }
 
 #[cfg(test)]
@@ -222,6 +281,31 @@ mod tests {
         let (prog, xs) = rational_solution(&r, &s).unwrap().expect("totals match");
         assert!(verify_rational_point(&prog, &xs));
         assert!(xs.iter().all(|x| *x == Rational::from_int(2)));
+    }
+
+    #[test]
+    fn closed_form_is_exact_past_u64_group_sums() {
+        // R[B](1) = 2^64 and 2·(2^64 − 1) + 1: both past `u64::MAX`. In
+        // the second pair the terms are about 2^63 over a denominator
+        // near 2^65, so a row sum's numerator passes `u128::MAX`.
+        for (m, extra) in [(1u64 << 63, 0), (u64::MAX, 1)] {
+            let r = Bag::from_u64s(
+                schema(&[0, 1]),
+                [(&[1u64, 1][..], m), (&[2, 1][..], m), (&[3, 1][..], extra)],
+            )
+            .unwrap();
+            let s = Bag::from_u64s(
+                schema(&[1, 2]),
+                [(&[1u64, 1][..], m), (&[1, 2][..], m), (&[1, 3][..], extra)],
+            )
+            .unwrap();
+            let (prog, xs) = rational_solution(&r, &s).unwrap().expect("consistent");
+            assert!(verify_rational_point(&prog, &xs));
+            // one term off by the smallest step no longer verifies
+            let mut off = xs.clone();
+            off[0] = Rational::new(off[0].numer() + 1, off[0].denom());
+            assert!(!verify_rational_point(&prog, &off));
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! dichotomy (Theorem 4) — plus the machine-readable JSON reports.
 
 use bag_consistency::prelude::*;
-use bagcons::minimal::minimal_two_bag_witness;
 use bagcons::tseitin::tseitin_bags;
 
 fn main() {
@@ -91,7 +90,11 @@ fn main() {
     );
 
     // On an acyclic schema the same question needs no search at all:
-    let t = minimal_two_bag_witness(&sold, &handled).unwrap().unwrap();
+    // Corollary 4: the group fill is a minimal witness.
+    let t = session
+        .consistency_witness(&sold, &handled)
+        .unwrap()
+        .unwrap();
     println!(
         "minimal witness support: {} (bound {} = ‖R‖supp + ‖S‖supp)",
         t.support_size(),

@@ -77,10 +77,7 @@ pub mod prelude {
         PairwiseOutcome, SchemaOutcome, Session, SessionBuilder, SessionError, StageTiming,
         WitnessOutcome,
     };
-    pub use bagcons::{
-        global::globally_consistent_via_ilp, minimal::minimal_two_bag_witness,
-        tseitin::tseitin_bags,
-    };
+    pub use bagcons::{global::globally_consistent_via_ilp, tseitin::tseitin_bags};
     pub use bagcons_core::{
         Attr, AttrNames, Bag, CoreError, ExecConfig, Relation, Schema, Tuple, Value,
     };

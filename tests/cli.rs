@@ -57,6 +57,34 @@ fn witness_marginalizes_back() {
 }
 
 #[test]
+fn pairwise_decides_past_u64_group_sums() {
+    // Legal bags whose shared-key group sums pass `u64::MAX`: `check`,
+    // `witness` and `diagnose` decide them, and so must `pairwise`.
+    let dir = tempdir("pairwide");
+    let pairs = [
+        (
+            "A B #\n1 1 : 9223372036854775808\n2 1 : 9223372036854775808\n",
+            "B C #\n1 1 : 9223372036854775808\n1 2 : 9223372036854775808\n",
+        ),
+        (
+            "A B #\n1 1 : 18446744073709551615\n2 1 : 18446744073709551615\n3 1 : 1\n",
+            "B C #\n1 1 : 18446744073709551615\n1 2 : 18446744073709551615\n1 3 : 1\n",
+        ),
+    ];
+    for (i, (r, s)) in pairs.iter().enumerate() {
+        let r = write(&dir, &format!("r{i}.bag"), r);
+        let s = write(&dir, &format!("s{i}.bag"), s);
+        let out = run(&["pairwise", r.to_str().unwrap(), s.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("consistent: true (all five characterizations agree"),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
 fn check_parity_triangle_is_inconsistent() {
     let dir = tempdir("tri");
     let a = write(&dir, "a.bag", "A B #\n0 0 : 1\n1 1 : 1\n");

@@ -19,8 +19,6 @@ fn prelude_covers_the_whole_headline_api() {
     assert!(session.bags_consistent(&r, &s).unwrap());
     let t = session.consistency_witness(&r, &s).unwrap().unwrap();
     assert!(session.is_global_witness(&t, &[&r, &s]).unwrap());
-    let tm = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
-    assert!(tm.support_size() <= t.support_size());
     assert!(session.pairwise_consistent(&[&r, &s]).unwrap());
     let w = session
         .acyclic_global_witness(&[&r, &s], WitnessStrategy::Saturated)

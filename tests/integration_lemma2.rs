@@ -1,7 +1,7 @@
 //! Integration: Lemma 2's five-way equivalence on generated workloads
 //! (experiment E2 at test scale).
 
-use bagcons::report::Lemma2Report;
+use bagcons::session::Session;
 use bagcons_core::{Bag, Schema};
 use bagcons_gen::consistent::planted_pair;
 use bagcons_gen::perturb::bump_one_tuple;
@@ -20,7 +20,7 @@ fn five_way_equivalence_on_planted_consistent_pairs() {
     for support in [1usize, 4, 10] {
         for _ in 0..8 {
             let (r, s) = planted_pair(&x, &y, 4, support, 8, &mut rng).unwrap();
-            let rep = Lemma2Report::compute(&r, &s).unwrap();
+            let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
             assert!(rep.all_agree(), "disagreement on planted pair: {rep:?}");
             assert!(
                 rep.consistent(),
@@ -39,7 +39,10 @@ fn five_way_equivalence_on_perturbed_pairs() {
         let (r, s) = planted_pair(&x, &y, 3, 12, 16, &mut rng).unwrap();
         let mut bags = vec![r, s];
         bump_one_tuple(&mut bags, &mut rng).unwrap();
-        let rep = Lemma2Report::compute(&bags[0], &bags[1]).unwrap();
+        let rep = Session::default()
+            .pairwise_report(&bags[0], &bags[1])
+            .unwrap()
+            .report;
         assert!(rep.all_agree(), "disagreement on perturbed pair: {rep:?}");
         assert!(!rep.consistent(), "a bumped tuple must break consistency");
     }
@@ -57,7 +60,7 @@ fn five_way_equivalence_on_unrelated_random_bags() {
     for _ in 0..60 {
         let r = random_bag(&x, 2, 4, 3, &mut rng);
         let s = random_bag(&y, 2, 4, 3, &mut rng);
-        let rep = Lemma2Report::compute(&r, &s).unwrap();
+        let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
         assert!(rep.all_agree(), "disagreement: {rep:?}");
         if rep.consistent() {
             seen_consistent += 1;
@@ -81,11 +84,14 @@ fn disjoint_and_identical_schema_edge_cases() {
     let mut s = Bag::new(b.clone());
     s.insert(vec![bagcons_core::Value(0), bagcons_core::Value(0)], total)
         .unwrap();
-    let rep = Lemma2Report::compute(&r, &s).unwrap();
+    let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
     assert!(rep.all_agree());
     assert!(rep.consistent());
     // identical schemas: consistent iff equal
-    let rep = Lemma2Report::compute(&r, &r.clone()).unwrap();
+    let rep = Session::default()
+        .pairwise_report(&r, &r.clone())
+        .unwrap()
+        .report;
     assert!(rep.all_agree());
     assert!(rep.consistent());
 }
@@ -99,7 +105,7 @@ fn large_binary_multiplicities() {
     let big = 1u64 << 40;
     let r = Bag::from_u64s(x, [(&[0u64, 0][..], big), (&[1, 0][..], big * 3)]).unwrap();
     let s = Bag::from_u64s(y, [(&[0u64, 0][..], big * 2), (&[0, 1][..], big * 2)]).unwrap();
-    let rep = Lemma2Report::compute(&r, &s).unwrap();
+    let rep = Session::default().pairwise_report(&r, &s).unwrap().report;
     assert!(rep.all_agree());
     assert!(rep.consistent());
     let w = rep.witness.unwrap();

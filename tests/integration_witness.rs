@@ -2,7 +2,6 @@
 //! Example 1 (experiments E5, E9, E10 at test scale).
 
 use bagcons::acyclic::WitnessStrategy;
-use bagcons::minimal::minimal_two_bag_witness;
 use bagcons::session::Session;
 use bagcons_core::{Bag, Schema};
 use bagcons_gen::consistent::{planted_family, planted_pair};
@@ -93,9 +92,10 @@ fn theorem5_bound_is_tight_enough_on_random_pairs() {
     let mut rng = StdRng::seed_from_u64(99);
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
+    let session = Session::default();
     for _ in 0..15 {
         let (r, s) = planted_pair(&x, &y, 5, 40, 50, &mut rng).unwrap();
-        let w = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
+        let w = session.consistency_witness(&r, &s).unwrap().unwrap();
         assert!(w.support_size() <= two_bag_support_bound(&r, &s));
         // and the generic Theorem 3 bounds hold as well
         let b = theorem3_bounds(&[&r, &s]);
@@ -125,9 +125,9 @@ fn theorem6_chain_bound_on_larger_acyclic_families() {
 #[test]
 fn saturated_vs_minimal_strategy_support_comparison() {
     // Along a planted path family, the group fill (the saturated flow
-    // every `check` and chain step uses) and Corollary 4's minimal
-    // witness both witness each adjacent pair, and both are vertices of
-    // P(R,S): support ≤ ‖R‖supp + ‖S‖supp − #groups.
+    // every `check` and chain step uses, and Corollary 4's minimal
+    // witness) witnesses each adjacent pair and is a vertex of P(R,S):
+    // support ≤ ‖R‖supp + ‖S‖supp − #groups.
     let mut rng = StdRng::seed_from_u64(321);
     let (bags, _) = planted_family(&path(5), 4, 40, 9, &mut rng).unwrap();
     let session = Session::default();
@@ -136,11 +136,8 @@ fn saturated_vs_minimal_strategy_support_comparison() {
         let z = r.schema().intersection(s.schema());
         let bound = r.support_size() + s.support_size() - r.marginal(&z).unwrap().support_size();
         let fill = session.consistency_witness(r, s).unwrap().unwrap();
-        let min = minimal_two_bag_witness(r, s).unwrap().unwrap();
-        for w in [&fill, &min] {
-            assert!(session.is_global_witness(w, &[r, s]).unwrap());
-            assert!(w.support_size() <= bound);
-        }
+        assert!(session.is_global_witness(&fill, &[r, s]).unwrap());
+        assert!(fill.support_size() <= bound);
     }
     let refs: Vec<&Bag> = bags.iter().collect();
     let chain = session

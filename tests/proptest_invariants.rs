@@ -5,8 +5,47 @@
 
 use bag_consistency::prelude::*;
 use bagcons_core::join::{bag_join, bag_join_hash, bag_join_merge, relation_join};
-use bagcons_core::{FxHashMap, RowStore};
+use bagcons_core::{FxHashMap, FxHashSet, RowStore};
+use bagcons_flow::ConsistencyNetwork;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Corollary 4 as the paper states it (Section 5.3), kept as the oracle
+/// for the group fill: loop over the middle edges of `N(R,S)`; for each
+/// one, remove it and keep the removal if the reduced network still has
+/// a saturated max-flow. After one pass the surviving saturated flow uses
+/// an inclusion-minimal set of middle edges. Runs `|R' ⋈ S'| + 1`
+/// max-flows; `None` when the bags are inconsistent.
+fn corollary4_flow_loop(r: &Bag, s: &Bag) -> bagcons_core::Result<Option<Bag>> {
+    let Some(mut witness) = ConsistencyNetwork::build(r, s)?.solve() else {
+        return Ok(None);
+    };
+    // Deterministic middle-edge order: sorted join support.
+    let join_support = relation_join(&r.support(), &s.support());
+    let mut excluded: FxHashSet<bagcons_core::Row> = FxHashSet::default();
+    for row in join_support.iter_sorted() {
+        if witness.multiplicity(row) == 0 {
+            // Not used by the current witness; excluding it permanently
+            // can only shrink later feasible sets, and keeps the
+            // minimality argument intact.
+            excluded.insert(row.to_vec().into_boxed_slice());
+            continue;
+        }
+        excluded.insert(row.to_vec().into_boxed_slice());
+        let trial = ConsistencyNetwork::build_excluding(r, s, |t| excluded.contains(t))?.solve();
+        match trial {
+            Some(w) => witness = w,
+            None => {
+                excluded.remove(row);
+            }
+        }
+    }
+    debug_assert!(
+        witness.support_size() <= r.support_size() + s.support_size(),
+        "Theorem 5: minimal witness support must be ≤ ‖R‖supp + ‖S‖supp"
+    );
+    Ok(Some(witness))
+}
 
 /// Strategy: a random bag over `{A0..A_arity}` with small domain.
 fn arb_bag(
@@ -113,7 +152,7 @@ proptest! {
     #[test]
     fn lemma2_flow_agrees_with_marginals((r, s) in arb_pair()) {
         let by_marginals = Session::default().bags_consistent(&r, &s).unwrap();
-        let by_flow = bagcons_flow::ConsistencyNetwork::build(&r, &s)
+        let by_flow = ConsistencyNetwork::build(&r, &s)
             .unwrap()
             .solve()
             .is_some();
@@ -141,8 +180,9 @@ proptest! {
     }
 
     /// Theorem 5: minimal witnesses obey the Carathéodory support bound.
-    /// Corollary 4's witness and the group fill behind
-    /// `consistency_witness` are both vertices of `P(R,S)`: each
+    /// The paper's Corollary 4 loop ([`corollary4_flow_loop`]) and the
+    /// group fill behind `consistency_witness` both give vertices of
+    /// `P(R,S)`: each
     /// marginalizes to both inputs, has support at most
     /// `|supp R| + |supp S| − |supp R[Z]|` and multiplicities at most the
     /// inputs' maximum, and is inclusion-minimal — with any one support
@@ -154,7 +194,7 @@ proptest! {
             let bound = r.support_size() + s.support_size() - r.marginal(&z).unwrap().support_size();
             let mu = r.multiplicity_bound().max(s.multiplicity_bound());
             let witnesses = [
-                minimal_two_bag_witness(&r, &s).unwrap(),
+                corollary4_flow_loop(&r, &s).unwrap(),
                 Session::default().consistency_witness(&r, &s).unwrap(),
             ];
             for t in witnesses.into_iter().flatten() {
@@ -164,7 +204,7 @@ proptest! {
                 prop_assert!(t.multiplicity_bound() <= mu);
                 let support: Vec<&[Value]> = t.iter().map(|(row, _)| row).collect();
                 for banned in &support {
-                    let net = bagcons_flow::ConsistencyNetwork::build_excluding(&r, &s, |row| {
+                    let net = ConsistencyNetwork::build_excluding(&r, &s, |row| {
                         row == *banned || !support.contains(&row)
                     })
                     .unwrap();
@@ -377,5 +417,149 @@ proptest! {
         // absent rows are not found
         let absent = to_vals(&[9, 9, 9]);
         prop_assert_eq!(store.lookup(&absent), None);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Untrusted delta lines: `watch` and `serve` feed client bytes straight
+// into `protocol::parse_delta_edit`. Whatever arrives, it must return a
+// typed answer — never panic — and an edit it accepts must fit its bag.
+// ---------------------------------------------------------------------
+
+/// The bags delta lines are parsed against: arities 1, 2 and 3.
+fn delta_bags() -> Vec<Arc<Bag>> {
+    (1..=3)
+        .map(|arity| Arc::new(Bag::new(Schema::range(0, arity))))
+        .collect()
+}
+
+/// Strategy: a well-formed delta line for one of [`delta_bags`], with the
+/// edit it encodes. `form` picks `: +d`, `: -d`, `: d` or no delta.
+fn arb_delta_line() -> impl Strategy<Value = (String, usize, Vec<u64>, i64)> {
+    (
+        0..3usize,
+        proptest::collection::vec(0..20u64, 3),
+        0..1_000u64,
+        0..4u8,
+    )
+        .prop_map(|(index, values, d, form)| {
+            let row = values[..=index].to_vec();
+            let mut line = index.to_string();
+            for v in &row {
+                line.push(' ');
+                line.push_str(&v.to_string());
+            }
+            let delta = match form {
+                0 => {
+                    line.push_str(&format!(" : +{d}"));
+                    d as i64
+                }
+                1 => {
+                    line.push_str(&format!(" : -{d}"));
+                    -(d as i64)
+                }
+                2 => {
+                    line.push_str(&format!(" : {d}"));
+                    d as i64
+                }
+                _ => 1,
+            };
+            (line, index, row, delta)
+        })
+}
+
+/// Strategy: arbitrary text over the delta grammar's own bytes plus
+/// hostile ones (signs, extreme numbers, Unicode spaces, control bytes).
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 24] = [
+        "0",
+        "1",
+        "7",
+        "2",
+        " ",
+        "\t",
+        ":",
+        "%",
+        "+",
+        "-",
+        "\r",
+        "\n",
+        "\u{0}",
+        "\u{a0}",
+        "\u{2003}",
+        "é",
+        "x",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "9223372036854775808",
+        "99999999999999999999999",
+        "::",
+    ];
+    proptest::collection::vec(0..PIECES.len(), 0..=16)
+        .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+}
+
+/// Applies `parse_delta_edit`'s contract to one line: `Ok` edits name an
+/// existing bag and carry rows of its arity; `Err` is a non-empty message
+/// on one line.
+fn check_delta_contract(line: &str, bags: &[Arc<Bag>]) {
+    match bagcons::protocol::parse_delta_edit(line, 1, bags) {
+        Ok(None) => {}
+        Ok(Some((index, set))) => {
+            prop_assert!(index < bags.len(), "index {} for {:?}", index, line);
+            let arity = bags[index].schema().arity();
+            prop_assert_eq!(set.schema(), bags[index].schema());
+            prop_assert!(!set.is_empty());
+            for edit in set.edits() {
+                prop_assert_eq!(edit.row().len(), arity);
+            }
+        }
+        Err(msg) => {
+            prop_assert!(!msg.is_empty(), "empty error for {:?}", line);
+            prop_assert!(
+                !msg.contains(['\n', '\r']),
+                "multi-line error {:?} for {:?}",
+                msg,
+                line
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A valid line parses to exactly the edit it encodes; the same line
+    /// with one bit flipped or cut short still gets a typed answer that
+    /// keeps the contract.
+    #[test]
+    fn delta_lines_survive_flips_and_truncation(
+        (line, index, row, delta) in arb_delta_line(),
+        pos in 0..64usize,
+        bit in 0..8u8,
+    ) {
+        let bags = delta_bags();
+        let (got_index, set) = bagcons::protocol::parse_delta_edit(&line, 1, &bags)
+            .unwrap()
+            .expect("a valid line carries an edit");
+        prop_assert_eq!(got_index, index);
+        prop_assert_eq!(set.edits().len(), 1);
+        prop_assert_eq!(set.edits()[0].row(), &to_vals(&row)[..]);
+        prop_assert_eq!(set.edits()[0].delta(), delta);
+
+        let pos = pos % line.len();
+        let mut flipped = line.clone().into_bytes();
+        flipped[pos] ^= 1 << bit;
+        check_delta_contract(&String::from_utf8_lossy(&flipped), &bags);
+        check_delta_contract(&line[..pos], &bags);
+    }
+
+    /// Arbitrary text never panics the delta parser and keeps the
+    /// contract.
+    #[test]
+    fn hostile_delta_text_keeps_the_contract(text in arb_hostile_text()) {
+        check_delta_contract(&text, &delta_bags());
     }
 }
