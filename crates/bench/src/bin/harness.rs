@@ -577,6 +577,8 @@ fn e12() {
         "E12",
         "columnar storage: sort-merge vs hash join (e02 workload)",
     );
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("host parallelism: {host}");
     println!(
         "{:>9} {:>12} {:>12} {:>12} {:>12} {:>14}",
         "support", "seed(ms)", "merge(ms)", "hash(ms)", "speedup", "net build(ms)"
@@ -624,7 +626,8 @@ fn e12() {
     let json = format!(
         "{{\n  \"experiment\": \"e12_storage\",\n  \"workload\": \
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE2 (e02)\",\n  \
-         \"unit\": \"milliseconds, median of 7\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"unit\": \"milliseconds, median of 7\",\n  \
+         \"host_parallelism\": {host},\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_e12.json", &json).expect("write BENCH_e12.json");

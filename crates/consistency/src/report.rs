@@ -181,6 +181,14 @@ impl Json {
         self.u64(v);
     }
 
+    /// `"k": v` for an unsigned integer that may pass `u64::MAX`, such as
+    /// a bag's unary size.
+    pub(crate) fn field_u128(&mut self, k: &str, v: u128) {
+        self.key(k);
+        self.pre_value();
+        bagcons_core::io::push_decimal(&mut self.buf, v);
+    }
+
     /// `"k": v` shorthand for booleans.
     pub fn field_bool(&mut self, k: &str, v: bool) {
         self.key(k);

@@ -301,7 +301,7 @@ fn json_bag_summary(j: &mut Json, bag: &Bag, names: &AttrNames) {
     j.key("schema");
     json_schema(j, bag.schema(), names);
     j.field_u64("support", bag.support_size() as u64);
-    j.field_u64("total", u64::try_from(bag.unary_size()).unwrap_or(u64::MAX));
+    j.field_u128("total", bag.unary_size());
     j.end_object();
 }
 

@@ -31,11 +31,10 @@
 //! * `R[Z][W] = R[W]` for `W ⊆ Z ⊆ X` (marginals commute with nesting).
 
 use crate::exec::ExecConfig;
-use crate::pack::{PackedView, RowOrd, PACK_MIN_ROWS};
+use crate::pack::RowOrd;
 use crate::store::{RowId, RowStore};
 use crate::{CoreError, Relation, Result, Schema, Tuple, Value};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A finite bag (multiset) of tuples over a fixed schema.
 #[derive(Clone)]
@@ -48,14 +47,6 @@ pub struct Bag {
     live: usize,
     /// True iff rows are in strictly increasing lex order, tombstone-free.
     sealed: bool,
-    /// Packed-word view of the rows ([`crate::pack`]), cached while the
-    /// row arena is unchanged. Reset (to an unset `OnceLock`) by every
-    /// path that appends to the store; rebuilt eagerly by the seal and
-    /// lazily by [`Bag::packed_view`]. `Some(None)` records that no
-    /// encoding fits. Deliberately ignored by `PartialEq` (content
-    /// equality) — both impls below are field-explicit. Boxed so the
-    /// cache costs one pointer on every (frequently moved) `Bag`.
-    packed: OnceLock<Option<Box<PackedView>>>,
 }
 
 impl Bag {
@@ -68,7 +59,6 @@ impl Bag {
             mults: Vec::new(),
             live: 0,
             sealed: true,
-            packed: OnceLock::new(),
         }
     }
 
@@ -81,7 +71,6 @@ impl Bag {
             mults: Vec::with_capacity(n),
             live: 0,
             sealed: true,
-            packed: OnceLock::new(),
         }
     }
 
@@ -200,16 +189,13 @@ impl Bag {
         sums.truncate(kept);
         let store = RowStore::from_sorted_rows(arity, kept, laid_out)
             .expect("merged neighbours of a sorted arena ascend strictly");
-        let mut bag = Bag {
+        Ok(Bag {
             schema,
             store,
             mults: sums,
             live: kept,
             sealed: true,
-            packed: OnceLock::new(),
-        };
-        bag.rebuild_packed();
-        Ok(bag)
+        })
     }
 
     /// The bag holding only the empty tuple with multiplicity `m`
@@ -276,9 +262,6 @@ impl Bag {
         if !fresh {
             return Some(id);
         }
-        // The arena changed; any cached packed view is stale (even when
-        // the append keeps the bag sealed).
-        self.packed = OnceLock::new();
         self.mults.push(mult);
         self.live += 1;
         if self.sealed && last > 0 && self.store.row(RowId(id.0 - 1)) >= row {
@@ -449,7 +432,7 @@ impl Bag {
     /// [`Bag::seal_with`] under governance: polls `cfg`'s
     /// [`crate::Deadline`] at shard-chunk boundaries and contains worker
     /// panics. On any error the bag is left **exactly** as it was —
-    /// unsealed, layout, multiplicities, and packed cache untouched —
+    /// unsealed, layout and multiplicities untouched —
     /// because the seal commits only after every copy shard has
     /// succeeded.
     ///
@@ -470,43 +453,7 @@ impl Bag {
         self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
             .expect("distinct interned rows sort strictly");
         self.sealed = true;
-        self.rebuild_packed();
         Ok(())
-    }
-
-    /// The cached packed-word view of the rows ([`crate::pack`]): one
-    /// order-preserving integer per row, making row compares single
-    /// integer compares. `None` while the bag is unsealed (the view
-    /// tracks the at-rest layout) or when no encoding fits the row
-    /// values. Built on first demand and cached until the row arena next
-    /// changes.
-    pub fn packed_view(&self) -> Option<&PackedView> {
-        if !self.sealed {
-            return None;
-        }
-        self.packed
-            .get_or_init(|| PackedView::build(&self.store).map(Box::new))
-            .as_deref()
-    }
-
-    /// True iff a packed view is already materialized (without building
-    /// one): the bag is sealed and the last seal produced a view. Join
-    /// planning treats such a side as cheaper to merge.
-    pub fn packed_ready(&self) -> bool {
-        self.sealed && self.packed.get().is_some_and(|v| v.is_some())
-    }
-
-    /// Eagerly (re)builds the packed cache after a seal laid the rows
-    /// out. Skipped below [`PACK_MIN_ROWS`] — tiny bags take the hash
-    /// join anyway, and the lazy [`Bag::packed_view`] path still covers
-    /// direct requests.
-    fn rebuild_packed(&mut self) {
-        self.packed = OnceLock::new();
-        if self.store.len() >= PACK_MIN_ROWS {
-            let _ = self
-                .packed
-                .set(PackedView::build(&self.store).map(Box::new));
-        }
     }
 
     /// Applies a batch of signed multiplicity edits atomically; see
@@ -641,7 +588,7 @@ impl Bag {
             if let Err(e) = resealed {
                 // Roll back the apply pass: drop the batch's fresh rows,
                 // restore every journaled count, and re-establish the
-                // pre-call seal state and packed cache.
+                // pre-call seal state.
                 self.store.truncate(old_len);
                 self.mults.truncate(old_len);
                 for &(id, m) in &journal {
@@ -650,11 +597,6 @@ impl Bag {
                 }
                 self.live = old_live;
                 self.sealed = was_sealed;
-                if was_sealed {
-                    self.rebuild_packed();
-                } else {
-                    self.packed = OnceLock::new();
-                }
                 return Err(e);
             }
             out.resealed = true;
@@ -674,8 +616,7 @@ impl Bag {
     /// layout is identical to the sequential merge at every thread count.
     ///
     /// Hot-loop details: compares go through a transient [`RowOrd`]
-    /// (single integer compares when a packed encoding fits — the cached
-    /// view died when the delta interned fresh rows), and the merge
+    /// (single integer compares when a packed encoding fits), and the merge
     /// walks the **tail**, bulk-emitting each prefix stretch; with the
     /// prefix ≥ [`crate::exec::GALLOP_RATIO`]× the tail (the motivating
     /// tiny-delta-against-huge-run skew), stretch ends are found by
@@ -807,8 +748,7 @@ impl Bag {
     /// loading seam. `store` must already satisfy the sealed sorted-run
     /// invariant (certified by [`RowStore::from_sorted_rows`], not
     /// recomputed here), `mults` is the dense multiplicity column with no
-    /// tombstones. No re-interning, no re-sorting; the packed view stays
-    /// lazy exactly as after a seal. Returns `None` on any shape
+    /// tombstones. No re-interning, no re-sorting. Returns `None` on any shape
     /// violation: arity mismatch, column-length mismatch, or a zero
     /// multiplicity (tombstones never survive a seal).
     pub fn from_sealed_parts(schema: Schema, store: RowStore, mults: Vec<u64>) -> Option<Bag> {
@@ -823,8 +763,8 @@ impl Bag {
 
     /// Adopts a store of distinct rows and its multiplicity column, free
     /// of zeros — how every bulk operator finishes. `sealed` asserts that
-    /// the rows ascend strictly (debug-checked); the packed view stays
-    /// lazy, and so does the store's dedup table unless already built.
+    /// the rows ascend strictly (debug-checked); the store's dedup table
+    /// stays unbuilt unless already built.
     pub(crate) fn adopt(schema: Schema, store: RowStore, mults: Vec<u64>, sealed: bool) -> Bag {
         debug_assert_eq!(store.arity(), schema.arity());
         debug_assert_eq!(mults.len(), store.len());
@@ -840,7 +780,6 @@ impl Bag {
             mults,
             live,
             sealed,
-            packed: OnceLock::new(),
         }
     }
 
@@ -909,7 +848,6 @@ impl Bag {
         for m in &mut out.mults {
             *m = m.checked_mul(k).ok_or(CoreError::MultiplicityOverflow)?;
         }
-        out.packed = OnceLock::new();
         Ok(out)
     }
 
@@ -1392,42 +1330,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_cache_tracks_arena_changes() {
-        // Large enough that the seal materializes the cache eagerly.
-        let mut b = Bag::new(schema(&[0, 1]));
-        for v in (0..64u64).rev() {
-            b.insert(vec![Value(v), Value(v % 7)], 1).unwrap();
-        }
-        assert!(!b.is_sealed() && !b.packed_ready());
-        assert!(b.packed_view().is_none(), "unsealed bags expose no view");
-        b.seal();
-        assert!(b.packed_ready(), "seal materializes the view");
-        let view = b.packed_view().expect("small values fit the raw tier");
-        assert_eq!(view.len(), 64);
-        // Packed compares must equal slice compares across the store.
-        for a in 0..64u32 {
-            for c in 0..64u32 {
-                assert_eq!(
-                    view.cmp(a, c),
-                    b.store().row(RowId(a)).cmp(b.store().row(RowId(c)))
-                );
-            }
-        }
-        // An ascending append keeps the bag sealed but grows the arena:
-        // the cache must drop (and lazily rebuild to cover the new row).
-        b.insert(vec![Value(100), Value(0)], 1).unwrap();
-        assert!(b.is_sealed());
-        assert!(!b.packed_ready(), "arena growth invalidates the cache");
-        assert_eq!(b.packed_view().map(|v| v.len()), Some(65));
-        // Mult-only changes leave the arena (and so the view) intact.
-        b.insert(vec![Value(100), Value(0)], 5).unwrap();
-        assert!(b.packed_ready());
-        // A clone carries the cache state independently.
-        let c = b.clone();
-        assert!(c.packed_ready());
-    }
-
-    #[test]
     fn apply_delta_in_place_keeps_seal() {
         let mut b = section2_bag();
         assert!(b.is_sealed());
@@ -1567,14 +1469,13 @@ mod tests {
 
     /// A bag fingerprint for atomicity assertions: physical layout
     /// (row-major values in id order), multiplicity column, live count,
-    /// seal flag, and whether a packed view is materialized.
-    fn fingerprint(b: &Bag) -> (Vec<Value>, Vec<u64>, usize, bool, bool) {
+    /// and seal flag.
+    fn fingerprint(b: &Bag) -> (Vec<Value>, Vec<u64>, usize, bool) {
         (
             b.store().values().to_vec(),
             (0..b.store().len() as u32).map(|i| b.mult_of(i)).collect(),
             b.support_size(),
             b.is_sealed(),
-            b.packed_ready(),
         )
     }
 
@@ -1587,7 +1488,6 @@ mod tests {
                 .unwrap();
         }
         base.seal();
-        let _ = base.packed_view(); // materialize the cache
         let mut d = crate::DeltaSet::new(base.schema().clone());
         for i in 0..30u64 {
             d.bump([Value(200 + i), Value(i)], (i % 4 + 1) as i64)
@@ -1619,8 +1519,8 @@ mod tests {
             assert_eq!(
                 fingerprint(&b),
                 before,
-                "threads={threads}: layout, mults, live count, seal flag, \
-                 and packed cache must be untouched after an aborted apply"
+                "threads={threads}: layout, mults, live count and seal flag \
+                 must be untouched after an aborted apply"
             );
             // The rolled-back bag is fully usable: the same delta applies
             // cleanly once the governance pressure is lifted.

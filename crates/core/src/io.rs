@@ -577,10 +577,20 @@ pub fn write_bag(bag: &Bag, names: &AttrNames) -> String {
 }
 
 /// Appends the decimal digits of `v` to `out` without allocating — the
-/// number writer behind the bag text and the JSON reports.
-pub fn push_decimal(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
+/// number writer behind the bag text and the JSON reports. Takes any
+/// unsigned width up to `u128` (a bag's unary size can pass `u64::MAX`).
+pub fn push_decimal(out: &mut String, v: impl Into<u128>) {
+    let mut buf = [0u8; 39];
     let mut i = buf.len();
+    // Digits above the u64 range take u128 divisions; the rest stay on
+    // the cheaper u64 path.
+    let mut wide = v.into();
+    while wide > u64::MAX as u128 {
+        i -= 1;
+        buf[i] = b'0' + (wide % 10) as u8;
+        wide /= 10;
+    }
+    let mut v = wide as u64;
     loop {
         i -= 1;
         buf[i] = b'0' + (v % 10) as u8;
@@ -800,6 +810,18 @@ mod tests {
         ) {
             assert_matches_oracle(&text_of(header, lines));
         }
+    }
+
+    #[test]
+    fn push_decimal_writes_every_width_exactly() {
+        for v in [0u128, 7, 10, u64::MAX as u128, 1 << 64, u128::MAX] {
+            let mut out = String::new();
+            push_decimal(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        let mut out = String::from("x");
+        push_decimal(&mut out, 42u64);
+        assert_eq!(out, "x42");
     }
 
     #[test]

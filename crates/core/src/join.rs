@@ -11,11 +11,11 @@
 //! of two physical strategies selected by a size heuristic
 //! ([`JoinStrategy::select`]):
 //!
-//! * **sort-merge** — both sides' row ids are sorted by their projection
-//!   onto the common schema `Z` (a `u32` permutation sort; no row data
-//!   moves), then equal-key *runs* are matched group against group. A
-//!   sealed operand whose `Z`-columns form a schema prefix skips its
-//!   sort entirely — its sorted run is already grouped by key.
+//! * **sort-merge** — both sides' support rows are sorted by their
+//!   projection onto the common schema `Z` (a `u32` position sort; no
+//!   row data moves), then equal-key *runs* are matched group against
+//!   group. A side whose keys already ascend — a sealed operand whose
+//!   `Z`-columns form a schema prefix — skips its sort.
 //! * **hash** — the smaller side's keys are interned into a scratch
 //!   key arena with intrusive chains (flat vectors, no per-key boxes),
 //!   and the larger side probes.
@@ -36,6 +36,14 @@
 //! same bodies. A [`JoinPlan`] precomputes the index arithmetic (key
 //! extraction and output-row assembly) so multiway joins and repeated
 //! joins don't redo it.
+//!
+//! The keyed sort-and-sweep is written once (`KeyedPairs`): the merge
+//! join, the flow network `N(R,S)` ([`merge_matching_pairs`]) and the
+//! two-bag witness fill ([`try_merge_matching_pairs_sharded`]) all match
+//! group by group through it. It packs each pair's join keys into one
+//! integer word per row when the joint widths fit 64 bits, for the
+//! length of that one match, and gallops past unmatched keys on skewed
+//! ranges; neither changes the groups or their order.
 
 use crate::exec::ExecConfig;
 use crate::store::{RowId, RowStore};
@@ -70,27 +78,12 @@ pub struct JoinSide {
     /// its schema — its sorted run doubles as the key order, so the merge
     /// path gets this side's sort for free.
     pub sorted: bool,
-    /// True iff the operand already holds a materialized packed-word
-    /// view ([`crate::pack::PackedView`]): its merge-side compares are
-    /// single integer compares, shifting the merge-vs-hash crossover.
-    pub packed: bool,
 }
 
 impl JoinSide {
-    /// Builds the statistics from explicit values (`packed` defaults to
-    /// false; see [`JoinSide::with_packed`]).
+    /// Builds the statistics from explicit values.
     pub fn new(support: usize, sorted: bool) -> Self {
-        JoinSide {
-            support,
-            sorted,
-            packed: false,
-        }
-    }
-
-    /// Overrides the packed-view availability flag.
-    pub fn with_packed(mut self, packed: bool) -> Self {
-        self.packed = packed;
-        self
+        JoinSide { support, sorted }
     }
 
     /// Statistics of a bag operand whose key columns are `key`.
@@ -113,7 +106,6 @@ struct Operand<'a> {
     /// The multiplicity column by row id; `None` for a relation.
     mults: Option<&'a [u64]>,
     sealed: bool,
-    packed: bool,
     support: usize,
 }
 
@@ -124,7 +116,6 @@ impl<'a> Operand<'a> {
             store: bag.store(),
             mults: Some(bag.mults()),
             sealed: bag.is_sealed(),
-            packed: bag.packed_ready(),
             support: bag.support_size(),
         }
     }
@@ -135,7 +126,6 @@ impl<'a> Operand<'a> {
             store: rel.store(),
             mults: None,
             sealed: rel.is_sealed(),
-            packed: rel.packed_ready(),
             support: rel.len(),
         }
     }
@@ -160,18 +150,15 @@ impl<'a> Operand<'a> {
         JoinSide {
             support: self.support,
             sorted: self.sealed && crate::tuple::is_prefix_projection(key),
-            packed: self.packed,
         }
     }
 
-    /// One side of a merge join, keyed on the columns `key`.
-    fn merge_input(self, key: &'a [usize]) -> SideInput<'a> {
-        SideInput {
-            store: self.store,
-            ids: self.live_ids().collect(),
-            key,
-            sealed: self.sealed,
-        }
+    /// The support rows with their multiplicities, in storage order: one
+    /// side of a merge join.
+    fn live_rows(self) -> Vec<(&'a [Value], u64)> {
+        self.live_ids()
+            .map(|i| (self.row(i), self.mult(i)))
+            .collect()
     }
 }
 
@@ -195,10 +182,10 @@ impl JoinStrategy {
     /// * size ratio ≥ `HASH_RATIO` → **hash**: probing the large side
     ///   beats putting it through a sort;
     /// * otherwise → **hash**: when at least one side must be sorted,
-    ///   BENCH_e12 has hash edging out merge at every measured support
-    ///   (0.51 ms vs 0.61 ms at 4096). [`JoinStrategy::select_with`]
-    ///   flips this case to merge when sharding can spread the sweep
-    ///   across threads.
+    ///   the committed `BENCH_e12.json` has hash ahead of merge from
+    ///   support 1024 up (`hash_ms` 0.4946 vs `merge_ms` 0.9144 at
+    ///   4096). [`JoinStrategy::select_with`] flips this case to merge
+    ///   when sharding can spread the sweep across threads.
     pub fn select(left: JoinSide, right: JoinSide) -> Self {
         Self::select_with(left, right, &ExecConfig::sequential())
     }
@@ -223,12 +210,6 @@ impl JoinStrategy {
             JoinStrategy::SortMerge
         } else if large >= HASH_RATIO * small {
             JoinStrategy::Hash
-        } else if (left.sorted && left.packed) || (right.sorted && right.packed) {
-            // A sort-free side with a live packed view makes the merge
-            // sweep single integer compares — cheaper than the
-            // sequential-residue model above assumes, so take the merge
-            // even without sharding.
-            JoinStrategy::SortMerge
         } else if (left.sorted || right.sorted) && cfg.shards_for(small) > 1 {
             // `small` mirrors what the merge body actually shards on: if
             // it would fall back to one shard, claim no parallel win.
@@ -322,71 +303,6 @@ fn cmp_keys(a: &[Value], a_idx: &[usize], b: &[Value], b_idx: &[usize]) -> Order
     Ordering::Equal
 }
 
-/// One side of a merge join: row ids sorted by key projection, with the
-/// projected keys **materialized** into one flat columnar buffer aligned
-/// with the sorted order. The sort and merge sweep then touch only this
-/// contiguous buffer — no per-comparison trips back into the row arena.
-///
-/// When the pair's joint key values fit a raw packed encoding
-/// ([`crate::pack::PackSpec::raw`] over the per-column maxes of **both**
-/// sides, ≤ 64 bits total), each side additionally carries a `u64` word
-/// per key packed under that shared spec — so the sort, the merge-sweep
-/// compares, the run-end scans, and the shard alignment all become
-/// single integer compares that are valid *across* the two sides. The
-/// encoding is injective and order-preserving on the joint key space,
-/// so every result is bit-identical to the slice-compare path. Both
-/// sides of a pair are packed, or neither is.
-struct KeyedSide {
-    /// Row ids in key order.
-    ids: Vec<u32>,
-    /// `ids.len() * k` values: the key of `ids[p]` is `keys[p*k..(p+1)*k]`.
-    keys: Vec<Value>,
-    /// Key width.
-    k: usize,
-    /// Packed key words aligned with `ids`, under the pair's shared spec.
-    packed: Option<Vec<u64>>,
-    /// False pins the pre-packing behavior (slice compares, linear
-    /// advancement) — the bench/CI baseline path.
-    hot: bool,
-}
-
-/// The raw inputs of one [`KeyedSide`] before projection and sorting.
-struct SideInput<'a> {
-    store: &'a RowStore,
-    ids: Vec<u32>,
-    key: &'a [usize],
-    sealed: bool,
-}
-
-/// Builds both sides of a merge join together, so their packed key words
-/// share one spec (see [`KeyedSide`]). `hot = false` disables packing
-/// *and* gallop advancement — the pre-change baseline for benchmarks.
-fn build_keyed_pair(l: SideInput<'_>, r: SideInput<'_>, hot: bool) -> (KeyedSide, KeyedSide) {
-    let k = l.key.len();
-    debug_assert_eq!(k, r.key.len());
-    let extract = |input: &SideInput<'_>| -> Vec<Value> {
-        let mut keys: Vec<Value> = Vec::with_capacity(input.ids.len() * k);
-        for &a in &input.ids {
-            let row = input.store.row(RowId(a));
-            keys.extend(input.key.iter().map(|&c| row[c]));
-        }
-        keys
-    };
-    let lk = extract(&l);
-    let rk = extract(&r);
-    let words = if hot {
-        pack_joint_keys(
-            k,
-            (lk.len() / k.max(1), |p, c| lk[p * k + c]),
-            (rk.len() / k.max(1), |p, c| rk[p * k + c]),
-        )
-    } else {
-        None
-    };
-    let (lp, rp) = words.unzip();
-    (finish_side(l, lk, lp, hot), finish_side(r, rk, rp, hot))
-}
-
 /// Packs the keys of both sides of a merge under one joint raw
 /// [`crate::pack::PackSpec`], built from the per-column maxes of **both**
 /// sides, so words compare across the sides. Each side is its key count
@@ -435,117 +351,6 @@ fn pack_keys(
                 .expect("joint per-column maxes cover both sides") as u64
         })
         .collect()
-}
-
-/// Sorts one side's permutation by `(key, id)` — through the packed
-/// words when available (identical order: the shared raw spec is
-/// injective and order-preserving on keys) — and lays ids/keys/words out
-/// in that order. A sealed operand whose key is a schema prefix skips
-/// the sort: its storage order is already grouped by key.
-fn finish_side(
-    input: SideInput<'_>,
-    keys: Vec<Value>,
-    packed: Option<Vec<u64>>,
-    hot: bool,
-) -> KeyedSide {
-    let k = input.key.len();
-    let ids = input.ids;
-    if input.sealed && crate::tuple::is_prefix_projection(input.key) {
-        // lex-sorted rows are sorted (and grouped) by any prefix
-        return KeyedSide {
-            ids,
-            keys,
-            k,
-            packed,
-            hot,
-        };
-    }
-    let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-    match &packed {
-        Some(words) => order.sort_unstable_by(|&p, &q| {
-            let (p, q) = (p as usize, q as usize);
-            words[p].cmp(&words[q]).then_with(|| ids[p].cmp(&ids[q]))
-        }),
-        None => order.sort_unstable_by(|&p, &q| {
-            let (p, q) = (p as usize, q as usize);
-            keys[p * k..(p + 1) * k]
-                .cmp(&keys[q * k..(q + 1) * k])
-                .then_with(|| ids[p].cmp(&ids[q]))
-        }),
-    }
-    let sorted_ids: Vec<u32> = order.iter().map(|&p| ids[p as usize]).collect();
-    let mut sorted_keys: Vec<Value> = Vec::with_capacity(keys.len());
-    for &p in &order {
-        let p = p as usize;
-        sorted_keys.extend_from_slice(&keys[p * k..(p + 1) * k]);
-    }
-    let sorted_packed = packed.map(|words| {
-        order
-            .iter()
-            .map(|&p| words[p as usize])
-            .collect::<Vec<u64>>()
-    });
-    KeyedSide {
-        ids: sorted_ids,
-        keys: sorted_keys,
-        k,
-        packed: sorted_packed,
-        hot,
-    }
-}
-
-impl KeyedSide {
-    /// The key at sorted position `p`.
-    #[inline]
-    fn key(&self, p: usize) -> &[Value] {
-        &self.keys[p * self.k..(p + 1) * self.k]
-    }
-
-    /// Compares this side's key at `i` with `other`'s key at `j`: one
-    /// integer compare when the pair is packed (the words share a spec),
-    /// a slice compare otherwise.
-    #[inline]
-    fn cmp_at(&self, other: &KeyedSide, i: usize, j: usize) -> Ordering {
-        match (&self.packed, &other.packed) {
-            (Some(a), Some(b)) => a[i].cmp(&b[j]),
-            _ => self.key(i).cmp(other.key(j)),
-        }
-    }
-
-    /// True iff positions `p` and `q` of this side hold equal keys.
-    #[inline]
-    fn same_key(&self, p: usize, q: usize) -> bool {
-        match &self.packed {
-            Some(w) => w[p] == w[q],
-            None => self.key(p) == self.key(q),
-        }
-    }
-
-    /// End of the equal-key run starting at `start`.
-    #[inline]
-    fn run_end(&self, start: usize) -> usize {
-        let mut end = start + 1;
-        while end < self.ids.len() && self.same_key(start, end) {
-            end += 1;
-        }
-        end
-    }
-
-    /// First sorted position whose key is `>=` the key at `other`'s
-    /// position `p` (binary search; the shard planner aligns right-side
-    /// ranges to left-side boundaries with this).
-    fn lower_bound_at(&self, other: &KeyedSide, p: usize) -> usize {
-        match (&self.packed, &other.packed) {
-            (Some(a), Some(b)) => {
-                let target = b[p];
-                crate::exec::lower_bound_by(self.ids.len(), |q| a[q] < target)
-            }
-            _ => {
-                let key = other.key(p);
-                crate::exec::lower_bound_by(self.ids.len(), |q| self.key(q) < key)
-            }
-        }
-    }
 }
 
 /// The bag join `R ⋈ᵇ S` of Section 2, strategy chosen by
@@ -681,8 +486,11 @@ fn adopt_runs(plan: &JoinPlan, runs: Vec<Result<(Vec<Value>, Vec<u64>)>>) -> Res
     Ok((store, mults))
 }
 
-/// The merge-join body. `hot = false` pins the pre-packing behavior
-/// (slice compares, linear advancement) for the baseline.
+/// The merge-join body: both sides' support rows go through the keyed
+/// sort-and-sweep of [`KeyedPairs`], and each shard multiplies its key
+/// groups out, so the joined rows come key ascending, then by left row
+/// id, then by right row id. `hot = false` pins the slice reference (no
+/// packed words, no galloping) for the baseline.
 fn join_merge(
     r: Operand<'_>,
     s: Operand<'_>,
@@ -690,96 +498,40 @@ fn join_merge(
     cfg: &ExecConfig,
     hot: bool,
 ) -> Result<Joined> {
-    let (left, right) = build_keyed_pair(
-        r.merge_input(&plan.left_key),
-        s.merge_input(&plan.right_key),
-        hot,
-    );
-    // Shard the left side at key-group boundaries; align each right-side
-    // range to the shard's first key (and the next shard's first key) by
-    // binary search, so every matching pair lands in exactly one shard.
-    let tasks = crate::exec::aligned_shard_tasks(
-        left.ids.len(),
-        right.ids.len(),
-        cfg.shards_for(left.ids.len().min(right.ids.len())),
-        |p| left.same_key(p - 1, p),
-        |p| right.lower_bound_at(&left, p),
-    );
-    let runs = crate::exec::try_run_tasks(cfg, tasks, |(lr, rr)| {
+    let (left, right) = (r.live_rows(), s.live_rows());
+    let keyed = KeyedPairs::sort(&left, &plan.left_key, &right, &plan.right_key, hot);
+    let runs = keyed.shards(cfg, |sweep| {
         crate::fault::fire("join::merge::shard");
-        merge_range(r, s, plan, &left, &right, lr, rr)
+        // At least one output row per larger-side input row is the common case.
+        let rows = sweep.l_range.len().max(sweep.r_range.len());
+        let mut data = Vec::with_capacity(rows * plan.out.arity());
+        let mut mults = Vec::with_capacity(rows);
+        let mut overflow = false;
+        sweep.for_each_group(|ls, rs| {
+            if overflow {
+                return;
+            }
+            for &a in ls {
+                let (lrow, lm) = left[a as usize];
+                for &b in rs {
+                    let (rrow, rm) = right[b as usize];
+                    let Some(m) = lm.checked_mul(rm) else {
+                        overflow = true;
+                        return;
+                    };
+                    // Distinct (a, b) pairs assemble distinct XY rows.
+                    plan.append_combined(lrow, rrow, &mut data);
+                    mults.push(m);
+                }
+            }
+        });
+        if overflow {
+            Err(CoreError::MultiplicityOverflow)
+        } else {
+            Ok((data, mults))
+        }
     })?;
     adopt_runs(plan, runs)
-}
-
-/// The group-by-group multiply-out of the merge join over one aligned
-/// pair of key ranges: the joined rows, row-major, with their
-/// multiplicities.
-///
-/// Key compares go through [`KeyedSide::cmp_at`] (single integer
-/// compares when the pair is packed). On skewed ranges (length ratio ≥
-/// [`crate::exec::GALLOP_RATIO`]) the non-matching advancement gallops:
-/// the Less/Greater arms bulk-skip to the next candidate position by
-/// exponential search instead of stepping once. Nothing is emitted
-/// during advancement, so the output is bit-identical to the linear
-/// sweep.
-fn merge_range(
-    r: Operand<'_>,
-    s: Operand<'_>,
-    plan: &JoinPlan,
-    left: &KeyedSide,
-    right: &KeyedSide,
-    l_range: std::ops::Range<usize>,
-    r_range: std::ops::Range<usize>,
-) -> Result<(Vec<Value>, Vec<u64>)> {
-    // At least one output row per larger-side input row is the common case.
-    let rows = l_range.len().max(r_range.len());
-    let mut data = Vec::with_capacity(rows * plan.out.arity());
-    let mut mults = Vec::with_capacity(rows);
-    let gallop = left.hot
-        && (l_range.len() >= crate::exec::GALLOP_RATIO * r_range.len().max(1)
-            || r_range.len() >= crate::exec::GALLOP_RATIO * l_range.len().max(1));
-    let (mut i, mut j) = (l_range.start, r_range.start);
-    while i < l_range.end && j < r_range.end {
-        match left.cmp_at(right, i, j) {
-            Ordering::Less => {
-                i = if gallop {
-                    crate::exec::gallop_bound(i, l_range.end, |p| {
-                        left.cmp_at(right, p, j) == Ordering::Less
-                    })
-                } else {
-                    i + 1
-                };
-            }
-            Ordering::Greater => {
-                j = if gallop {
-                    crate::exec::gallop_bound(j, r_range.end, |p| {
-                        left.cmp_at(right, i, p) == Ordering::Greater
-                    })
-                } else {
-                    j + 1
-                };
-            }
-            Ordering::Equal => {
-                let i_end = left.run_end(i).min(l_range.end);
-                let j_end = right.run_end(j).min(r_range.end);
-                for &a in &left.ids[i..i_end] {
-                    let am = r.mult(a);
-                    for &b in &right.ids[j..j_end] {
-                        let m = am
-                            .checked_mul(s.mult(b))
-                            .ok_or(CoreError::MultiplicityOverflow)?;
-                        // Distinct (a, b) pairs assemble distinct XY rows.
-                        plan.append_combined(r.row(a), s.row(b), &mut data);
-                        mults.push(m);
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok((data, mults))
 }
 
 /// Flat chained index over the right side's key projections: keys are
@@ -912,10 +664,8 @@ pub fn merge_matching_pairs(
     right_key: &[usize],
     on_pair: impl FnMut(usize, usize),
 ) {
-    let keyed = KeyedPairs::sort(left, left_key, right, right_key);
-    keyed
-        .sweep(0..keyed.left.order.len(), 0..keyed.right.order.len())
-        .for_each(on_pair);
+    let keyed = KeyedPairs::sort(left, left_key, right, right_key, true);
+    keyed.sweep(0..left.len(), 0..right.len()).for_each(on_pair);
 }
 
 /// Sharded [`merge_matching_pairs`]: the matched key space partitions
@@ -941,33 +691,25 @@ pub fn try_merge_matching_pairs_sharded<T: Send>(
     cfg: &ExecConfig,
     shard: impl Fn(PairSweep<'_, '_>) -> T + Sync,
 ) -> Result<Vec<T>> {
-    let keyed = KeyedPairs::sort(left, left_key, right, right_key);
-    let (n, m) = (keyed.left.order.len(), keyed.right.order.len());
-    // Shard at left key-group boundaries and align right-side ranges to
-    // the boundary keys by binary search — the same plan as the merge
-    // join's, expressed over the sorted position permutations.
-    let tasks = crate::exec::aligned_shard_tasks(
-        n,
-        m,
-        cfg.shards_for(n.min(m)),
-        |p| keyed.left.same(p - 1, p),
-        |p| crate::exec::lower_bound_by(m, |q| keyed.cmp_at(p, q) == Ordering::Greater),
-    );
-    let keyed = &keyed;
-    crate::exec::try_run_tasks(cfg, tasks, |(lr, rr)| shard(keyed.sweep(lr, rr)))
+    KeyedPairs::sort(left, left_key, right, right_key, true).shards(cfg, shard)
 }
 
-/// Both sides of [`merge_matching_pairs`] in key order.
+/// Both sides of a keyed match in key order: the one keyed
+/// sort-and-sweep behind the merge join, [`merge_matching_pairs`] and
+/// its sharded form.
 ///
-/// When the joint key values fit one raw spec of at most 64 bits
-/// ([`pack_joint_keys`]), each side sorts as `(word, position)` pairs —
-/// skipping the sort when the words already ascend, as for a sealed side
-/// keyed on a schema prefix — and every later key compare is one integer
-/// compare. Keys that do not fit keep the slice compares. Either way
-/// ties go by position, so the pair order is the same.
+/// When `hot` and the joint key values fit one raw spec of at most 64
+/// bits ([`pack_joint_keys`]), each side sorts as `(word, position)`
+/// pairs and every later key compare is one integer compare; otherwise
+/// the keys compare as slices. Either way a side whose keys already
+/// ascend — a sealed side keyed on a schema prefix — skips its sort, and
+/// ties go by position, so the pair order is the same. `hot = false` is
+/// the slice reference of the merge-join baseline: no words and no
+/// galloping.
 struct KeyedPairs<'a, 'k> {
     left: SortedKeys<'a, 'k>,
     right: SortedKeys<'a, 'k>,
+    hot: bool,
 }
 
 /// One side of [`KeyedPairs`]: its rows and key columns, the positions
@@ -986,16 +728,22 @@ impl<'a, 'k> KeyedPairs<'a, 'k> {
         left_key: &'k [usize],
         right: &'a [(&'a [Value], u64)],
         right_key: &'k [usize],
+        hot: bool,
     ) -> Self {
-        let (lw, rw) = pack_joint_keys(
-            left_key.len(),
-            (left.len(), |p, c| left[p].0[left_key[c]]),
-            (right.len(), |p, c| right[p].0[right_key[c]]),
-        )
-        .unzip();
+        let words = if hot {
+            pack_joint_keys(
+                left_key.len(),
+                (left.len(), |p, c| left[p].0[left_key[c]]),
+                (right.len(), |p, c| right[p].0[right_key[c]]),
+            )
+        } else {
+            None
+        };
+        let (lw, rw) = words.unzip();
         KeyedPairs {
             left: SortedKeys::sort(left, left_key, lw),
             right: SortedKeys::sort(right, right_key, rw),
+            hot,
         }
     }
 
@@ -1026,17 +774,36 @@ impl<'a, 'k> KeyedPairs<'a, 'k> {
             r_range,
         }
     }
+
+    /// Runs `shard` once per key-range shard under `cfg`. The left side
+    /// splits at key-group boundaries and each right range aligns to the
+    /// boundary keys by binary search, so every matching pair lands in
+    /// exactly one shard; outputs return in ascending key order.
+    fn shards<T: Send>(
+        &self,
+        cfg: &ExecConfig,
+        shard: impl Fn(PairSweep<'_, '_>) -> T + Sync,
+    ) -> Result<Vec<T>> {
+        let (n, m) = (self.left.order.len(), self.right.order.len());
+        let tasks = crate::exec::aligned_shard_tasks(
+            n,
+            m,
+            cfg.shards_for(n.min(m)),
+            |p| self.left.same(p - 1, p),
+            |p| crate::exec::lower_bound_by(m, |q| self.cmp_at(p, q) == Ordering::Greater),
+        );
+        crate::exec::try_run_tasks(cfg, tasks, |(lr, rr)| shard(self.sweep(lr, rr)))
+    }
 }
 
 impl<'a, 'k> SortedKeys<'a, 'k> {
     /// Sorts the positions of `rows` by `(key, position)`: by `words`
-    /// when given (skipping the sort when they already ascend), by slice
-    /// compares otherwise.
+    /// when given, by slice compares otherwise, skipping the sort when
+    /// the keys already ascend.
     fn sort(rows: &'a [(&'a [Value], u64)], key: &'k [usize], words: Option<Vec<u64>>) -> Self {
+        let identity = || (0..rows.len() as u32).collect();
         let (order, words) = match words {
-            Some(words) if words.windows(2).all(|w| w[0] <= w[1]) => {
-                ((0..words.len() as u32).collect(), Some(words))
-            }
+            Some(words) if words.windows(2).all(|w| w[0] <= w[1]) => (identity(), Some(words)),
             Some(words) => {
                 let mut pairs: Vec<(u64, u32)> = words.into_iter().zip(0..).collect();
                 pairs.sort_unstable();
@@ -1044,11 +811,16 @@ impl<'a, 'k> SortedKeys<'a, 'k> {
                 (order, Some(words))
             }
             None => {
-                let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    cmp_keys(rows[a as usize].0, key, rows[b as usize].0, key)
-                        .then_with(|| a.cmp(&b))
-                });
+                let cmp = |a: &[Value], b: &[Value]| cmp_keys(a, key, b, key);
+                let mut order: Vec<u32> = identity();
+                if rows
+                    .windows(2)
+                    .any(|w| cmp(w[0].0, w[1].0) == Ordering::Greater)
+                {
+                    order.sort_unstable_by(|&a, &b| {
+                        cmp(rows[a as usize].0, rows[b as usize].0).then_with(|| a.cmp(&b))
+                    });
+                }
                 (order, None)
             }
         };
@@ -1100,20 +872,38 @@ impl PairSweep<'_, '_> {
     /// Invokes `on_group(ls, rs)` once per key present on both sides of
     /// this shard, in ascending key order: `ls` and `rs` are the left
     /// and right row indices carrying that key, each ascending.
+    ///
+    /// On skewed ranges (length ratio ≥ [`crate::exec::GALLOP_RATIO`])
+    /// the advancement past unmatched keys gallops: it skips to the next
+    /// candidate position by exponential search instead of stepping once.
+    /// Nothing is emitted during advancement, so the groups are the same
+    /// either way.
     pub fn for_each_group(&self, mut on_group: impl FnMut(&[u32], &[u32])) {
         let k = self.keyed;
-        let (mut i, mut j) = (self.l_range.start, self.r_range.start);
-        while i < self.l_range.end && j < self.r_range.end {
+        let (l, r) = (&self.l_range, &self.r_range);
+        let ratio = crate::exec::GALLOP_RATIO;
+        let gallop =
+            k.hot && (l.len() >= ratio * r.len().max(1) || r.len() >= ratio * l.len().max(1));
+        let (mut i, mut j) = (l.start, r.start);
+        while i < l.end && j < r.end {
             match k.cmp_at(i, j) {
+                Ordering::Less if gallop => {
+                    i = crate::exec::gallop_bound(i, l.end, |p| k.cmp_at(p, j) == Ordering::Less);
+                }
                 Ordering::Less => i += 1,
+                Ordering::Greater if gallop => {
+                    j = crate::exec::gallop_bound(j, r.end, |q| {
+                        k.cmp_at(i, q) == Ordering::Greater
+                    });
+                }
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
                     let mut i_end = i + 1;
-                    while i_end < self.l_range.end && k.left.same(i, i_end) {
+                    while i_end < l.end && k.left.same(i, i_end) {
                         i_end += 1;
                     }
                     let mut j_end = j + 1;
-                    while j_end < self.r_range.end && k.right.same(j, j_end) {
+                    while j_end < r.end && k.right.same(j, j_end) {
                         j_end += 1;
                     }
                     on_group(&k.left.order[i..i_end], &k.right.order[j..j_end]);
@@ -1264,30 +1054,14 @@ mod tests {
         );
         // lopsided sizes: build the small side, probe the large
         assert_eq!(JoinStrategy::select(so(64), un(512)), JoinStrategy::Hash);
-        // comparable sizes but sorts required: hash (BENCH_e12, 4096:
-        // 0.51 ms hash vs 0.61 ms merge)
+        // comparable sizes but a sort required, on either side: hash
+        // (committed BENCH_e12.json, support 4096: hash_ms 0.4946 vs
+        // merge_ms 0.9144)
         assert_eq!(JoinStrategy::select(un(4096), un(4096)), JoinStrategy::Hash);
         assert_eq!(JoinStrategy::select(so(4096), un(4096)), JoinStrategy::Hash);
-        // ... but a sort-free side with a live packed view flips the
-        // sequential case to merge (integer-compare sweep), on either
-        // side; packed without sort-free does not
-        let sop = |n: usize| JoinSide::new(n, true).with_packed(true);
-        let unp = |n: usize| JoinSide::new(n, false).with_packed(true);
-        assert_eq!(
-            JoinStrategy::select(sop(4096), un(4096)),
-            JoinStrategy::SortMerge
-        );
-        assert_eq!(
-            JoinStrategy::select(un(4096), sop(4096)),
-            JoinStrategy::SortMerge
-        );
-        assert_eq!(
-            JoinStrategy::select(unp(4096), un(4096)),
-            JoinStrategy::Hash
-        );
-        // the small-side and ratio rules still come first
-        assert_eq!(JoinStrategy::select(sop(63), sop(63)), JoinStrategy::Hash);
-        assert_eq!(JoinStrategy::select(sop(64), un(512)), JoinStrategy::Hash);
+        assert_eq!(JoinStrategy::select(un(4096), so(4096)), JoinStrategy::Hash);
+        // the small-side rule comes before the sort-free one
+        assert_eq!(JoinStrategy::select(so(63), so(63)), JoinStrategy::Hash);
         // ... unless sharding spreads the sweep across threads
         let cfg = ExecConfig {
             threads: 4,

@@ -120,19 +120,17 @@
 //! Below the thread level, the sort/merge/join inner loops are
 //! compare-bound, and a row compare is a `&[Value]` slice walk. The
 //! [`pack`] module collapses those walks into **single integer
-//! compares**: each column gets a dense code (the value itself under
-//! the *raw* tier, its rank in a sorted-unique per-column dictionary
-//! under the *dictionary* tier), and the codes concatenate high-to-low
-//! into one `u64`/`u128` word per row — an injective,
-//! lexicographic-order-preserving encoding, so every packed compare
-//! returns exactly what the slice compare would.
+//! compares**: each column's value, truncated to the column's observed
+//! bit width, concatenates high-to-low into one `u64`/`u128` word per
+//! row — an injective, lexicographic-order-preserving encoding, so every
+//! packed compare returns exactly what the slice compare would.
 //!
-//! Sealed [`Bag`]s/[`Relation`]s cache a [`pack::PackedView`] (rebuilt
-//! by the seal, invalidated whenever the row arena grows — see
-//! [`Bag::packed_view`] for the lifecycle), the seal and delta-repair
-//! sorts build transient raw views, and the merge join packs both
-//! sides' key columns under one shared raw spec so cross-side key
-//! compares are single integer compares too. Skewed merges additionally
+//! Keys are packed only inside the sort or sweep that compares them: the
+//! seal, [`Bag::from_arena`] and delta-repair sorts pack their rows for
+//! the length of the sort, and the keyed sort-and-sweep behind the merge
+//! join and the witness fill packs both sides' key columns under one
+//! joint spec so cross-side key compares are single integer compares
+//! too. No bag or relation caches words. Skewed merges additionally
 //! **gallop** ([`exec::gallop_bound`]): when one side is ≥
 //! [`exec::GALLOP_RATIO`]× the other, run merges and key advancement
 //! step by exponential search instead of linearly — same emission
@@ -187,7 +185,7 @@ pub use error::CoreError;
 pub use exec::{ExecConfig, ExecConfigBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use names::AttrNames;
-pub use pack::{PackSpec, PackedView};
+pub use pack::PackSpec;
 pub use relation::Relation;
 pub use schema::Schema;
 pub use store::{RowId, RowStore};

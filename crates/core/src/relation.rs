@@ -9,11 +9,9 @@
 //! columnar [`RowStore`] arena whose interning provides set semantics for
 //! free, with the same sealed sorted-run invariant.
 
-use crate::pack::{PackedView, PACK_MIN_ROWS};
 use crate::store::RowStore;
 use crate::{Bag, CoreError, Result, Schema, Value};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A finite relation over a fixed schema.
 #[derive(Clone)]
@@ -22,10 +20,6 @@ pub struct Relation {
     store: RowStore,
     /// True iff rows are laid out in strictly increasing lex order.
     sealed: bool,
-    /// Cached packed-word view ([`crate::pack`]); same lifecycle as the
-    /// cache on [`crate::Bag`]: reset whenever the arena grows, rebuilt
-    /// by the seal, ignored by the content-based `PartialEq`.
-    packed: OnceLock<Option<Box<PackedView>>>,
 }
 
 impl Relation {
@@ -36,7 +30,6 @@ impl Relation {
             schema,
             store: RowStore::new(arity),
             sealed: true,
-            packed: OnceLock::new(),
         }
     }
 
@@ -47,7 +40,6 @@ impl Relation {
             schema,
             store: RowStore::with_capacity(arity, n),
             sealed: true,
-            packed: OnceLock::new(),
         }
     }
 
@@ -95,8 +87,7 @@ impl Relation {
     }
 
     /// Adopts a store as a relation — how bulk operators finish. `sealed`
-    /// asserts that the rows ascend strictly (debug-checked); the packed
-    /// view stays lazy.
+    /// asserts that the rows ascend strictly (debug-checked).
     pub(crate) fn from_store(schema: Schema, store: RowStore, sealed: bool) -> Relation {
         debug_assert_eq!(store.arity(), schema.arity());
         debug_assert!(
@@ -107,7 +98,6 @@ impl Relation {
             schema,
             store,
             sealed,
-            packed: OnceLock::new(),
         }
     }
 
@@ -140,10 +130,6 @@ impl Relation {
         }
         let last = self.store.len();
         let (id, fresh) = self.store.intern(row);
-        if fresh {
-            // The arena changed; any cached packed view is stale.
-            self.packed = OnceLock::new();
-        }
         if fresh && self.sealed && last > 0 {
             let prev = crate::store::RowId(id.0 - 1);
             if self.store.row(prev) >= row {
@@ -186,35 +172,6 @@ impl Relation {
         self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
             .expect("distinct interned rows sort strictly");
         self.sealed = true;
-        self.rebuild_packed();
-    }
-
-    /// The cached packed-word view of the rows ([`crate::pack`]); same
-    /// contract as [`crate::Bag::packed_view`].
-    pub fn packed_view(&self) -> Option<&PackedView> {
-        if !self.sealed {
-            return None;
-        }
-        self.packed
-            .get_or_init(|| PackedView::build(&self.store).map(Box::new))
-            .as_deref()
-    }
-
-    /// True iff a packed view is already materialized; same contract as
-    /// [`crate::Bag::packed_ready`].
-    pub fn packed_ready(&self) -> bool {
-        self.sealed && self.packed.get().is_some_and(|v| v.is_some())
-    }
-
-    /// Eagerly (re)builds the packed cache after a seal; skipped below
-    /// [`PACK_MIN_ROWS`], mirroring the bag-side policy.
-    fn rebuild_packed(&mut self) {
-        self.packed = OnceLock::new();
-        if self.store.len() >= PACK_MIN_ROWS {
-            let _ = self
-                .packed
-                .set(PackedView::build(&self.store).map(Box::new));
-        }
     }
 
     /// The backing columnar arena, for single-pass scans. Ids are dense

@@ -56,8 +56,7 @@ const EMPTY: u32 = u32::MAX;
 /// Split out of [`RowStore`] so the whole table can sit behind a
 /// `OnceLock` and build lazily — a sealed or snapshot-adopted store whose
 /// rows are certified distinct by their sorted order defers the build
-/// until the first content probe actually needs it (the same contract
-/// as the lazy packed view).
+/// until the first content probe actually needs it.
 #[derive(Clone, Debug)]
 struct SlotTable {
     /// Open-addressing table of row ids (EMPTY = vacant), linear probing.

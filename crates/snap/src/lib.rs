@@ -10,8 +10,7 @@
 //! [`Bag`]s by **bulk-moving** the arena bytes through
 //! [`RowStore::from_sorted_rows`]: no re-interning, no re-sorting. The
 //! sealed sorted-run invariant is *checked* (one adjacent-pair pass
-//! doubles as the distinctness certificate), never recomputed, and the
-//! packed view rebuilds lazily exactly as after a live seal.
+//! doubles as the distinctness certificate), never recomputed.
 //!
 //! Hand-rolled like `report::Json` — the build environment is offline,
 //! so no serde.

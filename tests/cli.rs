@@ -85,6 +85,37 @@ fn pairwise_decides_past_u64_group_sums() {
 }
 
 #[test]
+fn json_witness_total_is_exact_past_u64() {
+    // The witness of this pair has unary size 2^64, one past `u64::MAX`:
+    // the JSON summary must print it exactly, not saturate.
+    let dir = tempdir("jsontotal");
+    let r = write(
+        &dir,
+        "r.bag",
+        "A B #\n1 1 : 9223372036854775808\n2 1 : 9223372036854775808\n",
+    );
+    let s = write(
+        &dir,
+        "s.bag",
+        "B C #\n1 1 : 9223372036854775808\n1 2 : 9223372036854775808\n",
+    );
+    let out = run(&[
+        "pairwise",
+        "--format",
+        "json",
+        r.to_str().unwrap(),
+        s.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"total\":18446744073709551616"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("18446744073709551615"), "{stdout}");
+}
+
+#[test]
 fn check_parity_triangle_is_inconsistent() {
     let dir = tempdir("tri");
     let a = write(&dir, "a.bag", "A B #\n0 0 : 1\n1 1 : 1\n");

@@ -1,11 +1,10 @@
 //! Property tests: the hot-loop layer (packed key codes, galloping
 //! merges) is a pure re-encoding.
 //!
-//! Each optimisation must be observationally invisible: the packed
-//! per-row words order exactly as lexicographic row compares, the
-//! galloping advancement emits the bit-identical merge, the packed
-//! merge join reproduces the slice-compare baseline at every thread
-//! count, delta repair (which gallops its fresh-tail merge) lands on
+//! Each optimisation must be observationally invisible: the galloping
+//! advancement emits the bit-identical merge, the packed merge join
+//! reproduces the slice-compare baseline at every thread count (in
+//! storage order on wide, skewed keys), delta repair (which gallops its fresh-tail merge) lands on
 //! the same bag a from-scratch rebuild does, and a `Session` reused
 //! across a hundred checks reports exactly what a fresh `Session`
 //! reports. The hash-free witness path is pinned the same way: the
@@ -17,9 +16,9 @@ use bag_consistency::prelude::*;
 use bagcons_core::exec::merge_sorted_runs_for_bench;
 use bagcons_core::join::{
     bag_join_hash_with, bag_join_merge_baseline_with, bag_join_merge_with, merge_matching_pairs,
-    try_merge_matching_pairs_sharded,
+    relation_join_hash, relation_join_merge, try_merge_matching_pairs_sharded,
 };
-use bagcons_core::{DeltaSet, RowId};
+use bagcons_core::DeltaSet;
 use proptest::prelude::*;
 
 /// Thread counts under test (the packed/gallop paths shard above 1).
@@ -57,30 +56,6 @@ fn arb_bag(first: u32, arity: u32, domain: u64, max_support: usize) -> impl Stra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The sealed packed view orders row ids exactly as lexicographic
-    /// compares over the arena rows do — on every pair of ids.
-    #[test]
-    fn packed_view_cmp_matches_lexicographic_row_cmp(
-        bag in arb_bag(0, 3, 6, 48),
-    ) {
-        let mut bag = bag;
-        bag.seal();
-        if let Some(view) = bag.packed_view() {
-            let store = bag.store();
-            let n = store.len() as u32;
-            prop_assert_eq!(view.len(), store.len());
-            for a in 0..n {
-                for b in 0..n {
-                    prop_assert_eq!(
-                        view.cmp(a, b),
-                        store.row(RowId(a)).cmp(store.row(RowId(b))),
-                        "packed cmp({}, {}) disagrees with row cmp", a, b
-                    );
-                }
-            }
-        }
-    }
-
     /// The packed + galloping merge join is bit-identical to the
     /// slice-compare, linear-advance baseline at threads 1/2/4 — on a
     /// 3-attribute join key, where the packed word covers a real prefix.
@@ -97,7 +72,7 @@ proptest! {
         for threads in THREADS {
             let hot = bag_join_merge_with(&r, &s, &cfg(threads)).unwrap();
             prop_assert_eq!(hot.sorted_rows(), baseline.sorted_rows());
-            // Sealed operands route through the cached packed views.
+            // Sealed operands with a prefix key skip their sort.
             let hot_sealed = bag_join_merge_with(&rs, &ss, &cfg(threads)).unwrap();
             prop_assert_eq!(hot_sealed.sorted_rows(), baseline.sorted_rows());
         }
@@ -275,6 +250,69 @@ proptest! {
         }
     }
 
+    /// The merge join on skewed sides and wide keys: one side is at
+    /// least 8x longer than the other (the gallop ratio), and in the wide
+    /// case both join-key columns sit next to `u64::MAX`, so the joint
+    /// key needs 128 bits and the slice compares run. The folded merge
+    /// join lays out the slice baseline's rows and multiplicities in the
+    /// same storage order at threads 1/2/4, the relational merge join
+    /// equals the hash join, and `merge_matching_pairs` on the same rows
+    /// emits the nested-loop pair sequence.
+    #[test]
+    fn folded_merge_join_matches_baseline_on_wide_skewed_keys(
+        long in proptest::collection::vec(
+            (proptest::collection::vec(0..4u64, 3), 1..=3u64), 48..=96),
+        short in proptest::collection::vec(
+            (proptest::collection::vec(0..4u64, 3), 1..=3u64), 1..=6),
+        long_left in 0..2u8,
+        wide in 0..2u8,
+    ) {
+        // The long side's payload column is its row index, so its rows
+        // stay distinct and its support stays 8x the short side's.
+        let distinct = |payload: usize| -> Vec<(Vec<u64>, u64)> {
+            long.iter()
+                .enumerate()
+                .map(|(i, (row, m))| {
+                    let mut row = row.clone();
+                    row[payload] = i as u64;
+                    (row, *m)
+                })
+                .collect()
+        };
+        let (l, r) = match long_left {
+            0 => (short.clone(), distinct(2)),
+            _ => (distinct(0), short.clone()),
+        };
+        // R(A0,A1,A2) joins S(A1,A2,A3) on {A1,A2}.
+        let (left_key, right_key) = (&[1usize, 2][..], &[0usize, 1][..]);
+        let (l_wide, r_wide) = match wide {
+            0 => (&[][..], &[][..]),
+            _ => (left_key, right_key),
+        };
+        let (l_rows, r_rows) = (widen(&l, l_wide), widen(&r, r_wide));
+        let rb = Bag::from_rows(Schema::range(0, 3), l_rows.iter().map(|(v, m)| (v, *m))).unwrap();
+        let sb = Bag::from_rows(Schema::range(1, 4), r_rows.iter().map(|(v, m)| (v, *m))).unwrap();
+        let storage = |b: &Bag| {
+            (b.store().values().to_vec(), b.live_ids().map(|i| b.mult_of(i)).collect::<Vec<_>>())
+        };
+        let baseline = bag_join_merge_baseline_with(&rb, &sb, &ExecConfig::sequential()).unwrap();
+        for threads in THREADS {
+            let hot = bag_join_merge_with(&rb, &sb, &cfg(threads)).unwrap();
+            prop_assert_eq!(storage(&hot), storage(&baseline), "threads = {}", threads);
+            let base = bag_join_merge_baseline_with(&rb, &sb, &cfg(threads)).unwrap();
+            prop_assert_eq!(storage(&base), storage(&baseline), "threads = {}", threads);
+        }
+        prop_assert_eq!(
+            relation_join_merge(&rb.support(), &sb.support()),
+            relation_join_hash(&rb.support(), &sb.support())
+        );
+        let left: Vec<(&[Value], u64)> = l_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let right: Vec<(&[Value], u64)> = r_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let mut pairs = Vec::new();
+        merge_matching_pairs(&left, left_key, &right, right_key, |i, j| pairs.push((i, j)));
+        prop_assert_eq!(pairs, nested_loop_pairs(&left, left_key, &right, right_key));
+    }
+
     /// `Bag::from_arena` sums duplicate rows, drops rows whose copies sum
     /// to zero, matches a `BTreeMap` reference and an insert-built bag,
     /// and lays the arena out bit-identically at every thread count.
@@ -380,27 +418,6 @@ proptest! {
             }
         }
     }
-}
-
-/// A sealed bag big enough to pack must actually carry a packed view —
-/// pins the property test above against going vacuously green.
-#[test]
-fn sealed_bag_above_floor_has_packed_view() {
-    let mut bag = Bag::new(Schema::range(0, 3));
-    for i in 0..64u64 {
-        bag.insert(vec![Value(i % 8), Value(i / 8), Value(i % 3)], i % 4 + 1)
-            .unwrap();
-    }
-    bag.seal();
-    let view = bag.packed_view().expect("64 sealed rows pack");
-    assert_eq!(view.len(), bag.store().len());
-    // Mutating the arena invalidates the cached view; the rebuilt view
-    // covers the new row.
-    let before = bag.store().len();
-    bag.insert(vec![Value(9), Value(9), Value(9)], 1).unwrap();
-    bag.seal();
-    let view = bag.packed_view().expect("repacks after mutation");
-    assert_eq!(view.len(), before + 1);
 }
 
 /// Strips the volatile `"micros": <n>` timings out of a JSON report so

@@ -72,8 +72,8 @@ proptest! {
     /// Write → load → write is bit-identical, and the loaded bags are
     /// observationally equal to the originals: same bags, same sorted
     /// runs, and the same join results through both the packed-key merge
-    /// path and the hash path (the packed view of a snapshot-loaded bag
-    /// is built lazily — these joins force it).
+    /// path and the hash path (the merge join packs a loaded bag's keys
+    /// for that join only, as for any other bag).
     #[test]
     fn round_trip_is_bit_identical((r, s) in arb_sealed_pair()) {
         let bytes = snap_bytes(&[&r, &s]);
