@@ -763,12 +763,12 @@ fn e13() {
 
 /// E14 — the adaptive scheduler under skew: a workload with one giant
 /// key group next to many tiny ones, across a threads × support grid.
-/// Exercises the three paths this layer parallelizes *adaptively*: the
-/// parallel seal (chunk sorts + run merges), the sharded hash probe
-/// (giant probe chains in a few chunks), and the skew-sharded merge
-/// join (the giant group collapses shards; work stealing rebalances the
-/// rest). `threads = 1` is the sequential baseline; writes the grid to
-/// `BENCH_e14.json` in the current directory.
+/// Times the seal (one sort and one row copy on the calling thread, so
+/// its column should not move with the thread count), the sharded hash
+/// probe (giant probe chains in a few chunks), and the skew-sharded
+/// merge join (the giant group collapses shards; work stealing
+/// rebalances the rest). `threads = 1` is the sequential baseline;
+/// writes the grid to `BENCH_e14.json` in the current directory.
 fn e14() {
     use bagcons_core::join::{bag_join_hash_with, bag_join_merge_with};
     use bagcons_core::{Bag, ExecConfig, Value};
@@ -832,14 +832,14 @@ fn e14() {
             // outside the timed region.
             let seal_ms = {
                 let mut warm = probe.clone();
-                warm.seal_with(&cfg);
+                warm.try_seal_with(&cfg).unwrap();
                 assert!(warm.is_sealed() && warm.support_size() > 0);
                 median(
                     (0..reps)
                         .map(|_| {
                             let mut b = probe.clone();
                             let t0 = Instant::now();
-                            b.seal_with(&cfg);
+                            b.try_seal_with(&cfg).unwrap();
                             let dt = ms(t0);
                             std::hint::black_box(b.support_size());
                             dt
@@ -884,9 +884,10 @@ fn e14() {
          an unsealed reverse-inserted bag\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
-         \"note\": \"threads = 1 is the sequential path; parallel speedup \
-         requires host_parallelism >= threads (a 1-core container records \
-         work-stealing overhead instead)\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"note\": \"threads = 1 is the sequential path; the seal runs \
+         on the calling thread at every thread count; parallel join \
+         speedup requires host_parallelism >= threads (a 1-core container \
+         records work-stealing overhead instead)\",\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_e14.json", &json).expect("write BENCH_e14.json");
@@ -1037,24 +1038,20 @@ fn e15() {
     println!("wrote BENCH_e15.json");
 }
 
-/// E16 — the hot-loop layer: packed key codes and galloping merges,
-/// each measured against its pre-change baseline *in the same run* so
-/// the regression tracker sees both columns of one row. Two sub-grids:
-///
-/// 1. merge join over a 3-attribute join key (`x = {A0..A3}`,
-///    `y = {A1..A4}`): packed u64 key compares vs the slice-compare +
-///    linear-advance baseline, single-threaded (the CI speedup gate
-///    reads the largest-support row);
-/// 2. sorted-run merges at length skew 1x / 16x / 256x: galloping
-///    (exponential-search) advancement vs the always-linear merge.
+/// E16 — the hot-loop layer: packed key codes, measured against the
+/// slice-compare baseline *in the same run* so the regression tracker
+/// sees both columns of one row. One grid: a merge join over a
+/// 3-attribute join key (`x = {A0..A3}`, `y = {A1..A4}`), packed u64 key
+/// compares with galloping advancement vs the slice-compare +
+/// linear-advance baseline, single-threaded (the CI speedup gate reads
+/// the largest-support row).
 ///
 /// Writes the grid to `BENCH_e16.json` in the current directory.
 fn e16() {
-    use bagcons_core::exec::merge_sorted_runs_for_bench;
     use bagcons_core::join::{bag_join_merge_baseline_with, bag_join_merge_with};
     use bagcons_core::{Bag, ExecConfig, Value};
 
-    header("E16", "hot loops: packed key codes / galloping merges");
+    header("E16", "hot loops: packed key codes");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host}");
     let reps = 7;
@@ -1064,7 +1061,7 @@ fn e16() {
     };
     let mut rows = Vec::new();
 
-    // --- 1. packed vs slice merge join, 3-column join key ---------------
+    // Packed vs slice merge join, 3-column join key.
     println!(
         "{:>9} {:>8} {:>12} {:>12} {:>9}",
         "support", "threads", "packed(ms)", "slice(ms)", "speedup"
@@ -1146,64 +1143,12 @@ fn e16() {
         ));
     }
 
-    // --- 2. galloping vs linear sorted-run merge at skew ----------------
-    println!(
-        "{:>9} {:>8} {:>12} {:>12} {:>9}",
-        "long_len", "skew", "gallop(ms)", "linear(ms)", "speedup"
-    );
-    let long_len = 1usize << 17;
-    for skew in [1usize, 16, 256] {
-        let short_len = long_len / skew;
-        // Long run: even numbers. Short run: odd numbers spread evenly
-        // across the long run's range, so every short element forces a
-        // fresh landing site (the gallop's favourable case at high skew,
-        // its worst overhead case at skew 1).
-        let long: Vec<u64> = (0..long_len as u64).map(|i| i * 2).collect();
-        let stride = (long_len / short_len) as u64;
-        let short: Vec<u64> = (0..short_len as u64).map(|i| i * 2 * stride + 1).collect();
-        let galloped =
-            merge_sorted_runs_for_bench(long.clone(), short.clone(), |a, b| a.cmp(b), true);
-        let linear =
-            merge_sorted_runs_for_bench(long.clone(), short.clone(), |a, b| a.cmp(b), false);
-        assert_eq!(
-            galloped, linear,
-            "galloping merge must be bit-identical to the linear merge"
-        );
-        let time_merge = |gallop: bool| -> f64 {
-            median(
-                (0..reps)
-                    .map(|_| {
-                        let a = long.clone();
-                        let b = short.clone();
-                        let t0 = Instant::now();
-                        let out = merge_sorted_runs_for_bench(a, b, |x, y| x.cmp(y), gallop);
-                        let dt = ms(t0);
-                        std::hint::black_box(out.len());
-                        dt
-                    })
-                    .collect(),
-            )
-        };
-        let gallop_ms = time_merge(true);
-        let linear_ms = time_merge(false);
-        println!(
-            "{long_len:>9} {skew:>7}x {gallop_ms:>12.3} {linear_ms:>12.3} {:>8.2}x",
-            linear_ms / gallop_ms
-        );
-        rows.push(format!(
-            "    {{\"kind\": \"gallop_merge\", \"long_len\": {long_len}, \"skew\": {skew}, \
-             \"threads\": 1, \"gallop_ms\": {gallop_ms:.4}, \"linear_ms\": {linear_ms:.4}}}"
-        ));
-    }
-
     let json = format!(
         "{{\n  \"experiment\": \"e16_hotloop\",\n  \"workload\": \
          \"merge_join: x={{A0..A3}} y={{A1..A4}}, 3-attr join keys are \
          base-64 digits of even (R) / mostly-odd (S) counters — deep \
          shared prefixes, 1/16 match rate — packed u64 key codes vs \
-         slice-compare baseline measured in the same run; gallop_merge: \
-         sorted u64 runs at length skew 1x/16x/256x, galloping vs linear \
-         advancement\",\n  \
+         slice-compare baseline measured in the same run\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"all rows are threads = 1: this experiment isolates \

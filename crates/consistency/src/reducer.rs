@@ -16,7 +16,7 @@
 //! multiplicities) and the tests exhibit the paper's obstacle concretely:
 //! after naive full reduction the bag join still over-counts.
 
-use bagcons_core::exec::{run_tasks, shard_ranges};
+use bagcons_core::exec::{shard_ranges, try_run_tasks};
 use bagcons_core::join::multi_relation_join;
 use bagcons_core::{Bag, ExecConfig, Relation, Result, RowStore, Value};
 use bagcons_hypergraph::{Hypergraph, JoinTree};
@@ -39,7 +39,8 @@ fn key_set<'a>(rows: impl Iterator<Item = &'a [Value]>, idx: &[usize]) -> RowSto
 /// `idx`-projection is interned in `s_keys`. Rows are independent, so
 /// the scan shards by plain index ranges per `cfg` (a single range at
 /// `threads = 1` runs inline); per-shard survivor lists concatenate back
-/// in row order.
+/// in row order. The executor polls `cfg`'s deadline and contains a
+/// worker panic, so both come back as typed errors.
 fn probe_ids(
     store: &RowStore,
     live: &(impl Fn(u32) -> bool + Sync),
@@ -47,9 +48,9 @@ fn probe_ids(
     idx: &[usize],
     s_keys: &RowStore,
     cfg: &ExecConfig,
-) -> Vec<u32> {
+) -> Result<Vec<u32>> {
     let ranges = shard_ranges(len, cfg.shards_for(len), |_| false);
-    let kept: Vec<Vec<u32>> = run_tasks(cfg.threads(), ranges, |range| {
+    let kept: Vec<Vec<u32>> = try_run_tasks(cfg, ranges, |range| {
         let mut scratch = Vec::with_capacity(idx.len());
         let mut ids = Vec::new();
         for id in range {
@@ -65,8 +66,8 @@ fn probe_ids(
             }
         }
         ids
-    });
-    kept.into_iter().flatten().collect()
+    })?;
+    Ok(kept.into_iter().flatten().collect())
 }
 
 /// The semijoin `R ⋉ S`: tuples of `R` that join with at least one tuple
@@ -80,7 +81,7 @@ pub(crate) fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Res
     let s_keys = key_set(s.iter(), &s.schema().projection_indices(&z)?);
     let idx = r.schema().projection_indices(&z)?;
     let store = r.store();
-    let kept = probe_ids(store, &|_| true, r.len(), &idx, &s_keys, cfg);
+    let kept = probe_ids(store, &|_| true, r.len(), &idx, &s_keys, cfg)?;
     let mut out = Relation::with_capacity(r.schema().clone(), kept.len());
     for id in kept {
         out.insert_row(store.row(bagcons_core::RowId(id)))?;
@@ -146,8 +147,10 @@ impl FullReducer {
     }
 
     /// [`FullReducer::apply`] under an explicit execution configuration
-    /// (each semijoin step's probe sweep shards across threads).
-    pub fn apply_with(&self, rels: &[Relation], cfg: &ExecConfig) -> Result<Vec<Relation>> {
+    /// (each semijoin step's probe sweep shards across threads). The
+    /// public entries are [`FullReducer::apply`] and
+    /// [`crate::session::Session::acyclic_join`].
+    pub(crate) fn apply_with(&self, rels: &[Relation], cfg: &ExecConfig) -> Result<Vec<Relation>> {
         let mut rels: Vec<Relation> = rels.to_vec();
         for step in &self.steps {
             rels[step.target] = semijoin_with(&rels[step.target], &rels[step.source], cfg)?;
@@ -223,7 +226,7 @@ pub(crate) fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Res
         &idx,
         &s_keys,
         cfg,
-    );
+    )?;
     let mut out = Bag::with_capacity(r.schema().clone(), kept.len());
     for id in kept {
         out.insert_row(store.row(bagcons_core::RowId(id)), r.mult_of(id))?;

@@ -802,8 +802,8 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Worker-thread cap for every parallel stage. Validated (`>= 1`) at
-    /// [`SessionBuilder::build`]. Overrides the thread count of a config
+    /// Worker-thread cap for every parallel stage. Validated
+    /// (`1..=ExecConfig::MAX_THREADS`) at [`SessionBuilder::build`]. Overrides the thread count of a config
     /// passed to [`SessionBuilder::exec`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -1565,6 +1565,27 @@ mod tests {
         let out = session.check(&[&r, &s]).unwrap();
         assert_eq!(out.decision, Decision::Unknown);
         assert_eq!(out.abort_reason, Some(AbortReason::Cancelled));
+    }
+
+    #[test]
+    fn cancelled_exec_deadline_aborts_semijoin() {
+        let token = bagcons_core::CancelToken::new();
+        token.cancel();
+        let exec = ExecConfig::builder()
+            .deadline(Deadline::cancelled_by(token))
+            .build()
+            .unwrap();
+        let session = Session::builder().exec(exec).build().unwrap();
+        let (r, s) = path_pair();
+        assert_eq!(
+            session.semijoin(&r.support(), &s.support()),
+            Err(CoreError::Aborted(AbortReason::Cancelled))
+        );
+        let rels = [r.support(), s.support()];
+        assert_eq!(
+            session.acyclic_join(&rels),
+            Err(CoreError::Aborted(AbortReason::Cancelled))
+        );
     }
 
     #[test]

@@ -117,23 +117,21 @@ impl Bag {
     /// the witness fill and the text parser ([`crate::io::parse_bag_with`]).
     ///
     /// The row ids sort by the seal's packed compare and the seal's copy
-    /// routine lays the rows out in that order (both in parallel per
-    /// `cfg`); equal neighbours then merge with a checked add and zero
+    /// routine lays the rows out in that order, both on the calling
+    /// thread; equal neighbours then merge with a checked add and zero
     /// multiplicities drop out, compacting in place. The strictly ascending
     /// result is adopted through [`RowStore::from_sorted_rows`], which
     /// certifies that its rows are distinct; the dedup table stays unbuilt
     /// until the first content probe, as after a snapshot load. The result
-    /// is byte-identical at every thread count, and equal to inserting
-    /// every row and sealing.
+    /// equals inserting every row and sealing; `cfg` contributes only its
+    /// deadline.
     ///
     /// # Errors
     ///
     /// [`CoreError::ArityMismatch`] when `data` is not `mults.len()` rows
     /// of the schema's arity; [`CoreError::MultiplicityOverflow`] when
     /// the copies of one row sum past `u64`; [`CoreError::Aborted`] when
-    /// `cfg`'s deadline fires, polled as a seal polls it. As in
-    /// [`Bag::try_seal_with`], a panicking copy worker is contained as
-    /// [`CoreError::WorkerPanicked`].
+    /// `cfg`'s deadline has fired, polled once as a seal polls it.
     pub fn from_arena(
         schema: Schema,
         data: Vec<Value>,
@@ -160,8 +158,8 @@ impl Bag {
             "RowStore capacity (u32 ids) exhausted"
         );
         crate::fault::fire("bag::seal");
-        let order = crate::store::sorted_order_with(arity, &data, (0..rows as u32).collect(), cfg);
-        let mut laid_out = crate::store::gather_rows(arity, &data, &order, cfg)?;
+        let order = crate::store::sorted_order(arity, &data, (0..rows as u32).collect());
+        let mut laid_out = crate::store::gather_rows(arity, &data, &order, cfg.deadline())?;
         drop(data);
         let mut sums: Vec<u64> = order.iter().map(|&i| mults[i as usize]).collect();
         // Merge runs of equal rows into their first slot and drop zero
@@ -401,45 +399,25 @@ impl Bag {
     /// `O(n log n)` when unsorted; a no-op on sealed bags. Sealing makes
     /// [`Bag::iter_sorted`] allocation-free, lets prefix marginals and
     /// merge joins skip their sort step, and enables key-range sharding
-    /// ([`crate::exec`]). Equivalent to [`Bag::seal_with`] under a
-    /// sequential configuration.
+    /// ([`crate::exec`]). Equivalent to [`Bag::try_seal_with`] without a
+    /// deadline.
     pub fn seal(&mut self) {
-        self.seal_with(&ExecConfig::sequential());
+        self.try_seal_with(&ExecConfig::sequential())
+            .expect("a seal without a deadline cannot abort");
     }
 
-    /// [`Bag::seal`] under an explicit execution configuration: both
-    /// halves of the seal fan out over the work-stealing executor when
-    /// `cfg` shards the live row set. The id permutation is sorted by
-    /// parallel chunk sorts + pairwise run merges
-    /// ([`crate::exec::parallel_sort_by`]), and the re-layout copies
-    /// rows on shard workers straight into their slices of the new
-    /// arena. Nothing is hashed: the sorted arena certifies that its rows
-    /// are distinct, and the dedup table builds on the first content
-    /// probe. The resulting bag is byte-identical to the sequential seal
-    /// at every thread count — interned rows are distinct, so the sorted
-    /// order is total.
-    pub fn seal_with(&mut self, cfg: &ExecConfig) {
-        // Infallible entry point: runs ungoverned (no deadline poll) so
-        // the only possible failure is a worker panic, which re-raises
-        // with its task index attached. Deadline-governed callers use
-        // [`Bag::try_seal_with`].
-        let ungoverned = cfg.clone().with_deadline(crate::Deadline::NONE);
-        if let Err(e) = self.try_seal_with(&ungoverned) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`Bag::seal_with`] under governance: polls `cfg`'s
-    /// [`crate::Deadline`] at shard-chunk boundaries and contains worker
-    /// panics. On any error the bag is left **exactly** as it was —
-    /// unsealed, layout and multiplicities untouched —
-    /// because the seal commits only after every copy shard has
-    /// succeeded.
+    /// [`Bag::seal`] under `cfg`'s [`crate::Deadline`], polled once
+    /// before the re-layout. Both halves of the seal run on the calling
+    /// thread: the live ids sort by a packed compare, and the rows are
+    /// copied in that order into a fresh arena. Nothing is hashed: the
+    /// sorted arena certifies that its rows are distinct, and the dedup
+    /// table builds on the first content probe. On an abort the bag is
+    /// left **exactly** as it was — unsealed, layout and multiplicities
+    /// untouched — because the seal commits only after the copy.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Aborted`] when the deadline fires mid-seal;
-    /// [`CoreError::WorkerPanicked`] when a re-layout worker panics.
+    /// [`CoreError::Aborted`] when the deadline has fired.
     pub fn try_seal_with(&mut self, cfg: &ExecConfig) -> Result<()> {
         if self.sealed {
             return Ok(());
@@ -447,8 +425,9 @@ impl Bag {
         crate::fault::fire("bag::seal");
         let arity = self.schema.arity();
         let live: Vec<u32> = self.live_ids().collect();
-        let order = crate::store::sorted_order_with(arity, self.store.values(), live, cfg);
-        let laid_out = crate::store::gather_rows(arity, self.store.values(), &order, cfg)?;
+        let order = crate::store::sorted_order(arity, self.store.values(), live);
+        let laid_out =
+            crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
         self.mults = order.iter().map(|&i| self.mults[i as usize]).collect();
         self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
             .expect("distinct interned rows sort strictly");
@@ -681,7 +660,7 @@ impl Bag {
             order
         })?;
         let order = orders.concat();
-        let data = crate::store::gather_rows(arity, self.store.values(), &order, cfg)?;
+        let data = crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
         let mults = order.iter().map(|&i| self.mults[i as usize]).collect();
         let store = RowStore::from_sorted_rows(arity, order.len(), data)
             .expect("the merged run ascends strictly");
@@ -698,8 +677,8 @@ impl Bag {
         let arity = self.schema.arity();
         let ids: Vec<u32> = self.live_ids().collect();
         let data =
-            crate::store::gather_rows(arity, self.store.values(), &ids, &ExecConfig::sequential())
-                .unwrap_or_else(|e| panic!("{e}"));
+            crate::store::gather_rows(arity, self.store.values(), &ids, &crate::Deadline::NONE)
+                .expect("a copy without a deadline cannot abort");
         // Support rows of an interned bag are distinct.
         let store = RowStore::from_distinct_rows(arity, ids.len(), data);
         Relation::from_store(self.schema.clone(), store, self.sealed || ids.is_empty())
@@ -1289,7 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_with_is_bit_identical_to_sequential_seal() {
+    fn try_seal_with_is_bit_identical_to_sequential_seal() {
         // duplicate-heavy rows, reverse insertion order, and a tombstone:
         // everything the seal has to repair.
         let mut bag = Bag::new(schema(&[0, 1]));
@@ -1303,11 +1282,12 @@ mod tests {
         seq.seal();
         for threads in [1usize, 2, 4, 8] {
             let mut par = bag.clone();
-            par.seal_with(&ExecConfig {
+            par.try_seal_with(&ExecConfig {
                 threads,
                 min_parallel_support: 1,
                 deadline: Deadline::NONE,
-            });
+            })
+            .unwrap();
             assert!(par.is_sealed());
             // identical storage layout, not just equal multisets
             let seq_rows: Vec<(&[Value], u64)> = seq.iter().collect();

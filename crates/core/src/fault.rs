@@ -1,7 +1,7 @@
 //! Std-only failpoints for chaos testing (the `fault-injection` feature).
 //!
 //! A **failpoint site** is a named call to [`fire`] placed on an
-//! interesting code path — inside a seal's shard task, a join's merge
+//! interesting code path — at a seal's entry, inside a join's merge
 //! worker, the witness fill's shard task, the stream update. Without the `fault-injection` feature every site compiles to
 //! an empty inlined function: zero overhead, nothing to configure.
 //!
@@ -19,7 +19,7 @@
 //!
 //! | site | path |
 //! |---|---|
-//! | `bag::seal` | [`crate::Bag::try_seal_with`] re-layout shard task |
+//! | `bag::seal` | [`crate::Bag::try_seal_with`] and [`crate::Bag::from_arena`] entry, on the calling thread |
 //! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]), at every thread count |
 //! | `join::hash::shard` | hash-join probe shard task ([`crate::join::bag_join_hash_with`]), at every thread count |

@@ -81,21 +81,21 @@
 //! * **prefix marginals and projections** ([`Bag::marginal_with`],
 //!   [`Relation::project`]) — the sealed run splits at prefix-group
 //!   boundaries and each shard runs the group-by sweep;
-//! * **support** ([`Bag::support`]) and the **delta reseal**
-//!   ([`Bag::apply_delta_with`]) — row copies and a sorted-run merge;
-//! * **seal** ([`Bag::seal_with`] / [`Relation::seal_with`]) and the
-//!   bulk constructor [`Bag::from_arena`] — the id permutation sorts via
-//!   parallel chunk sorts plus pairwise sorted-run merges
-//!   ([`exec::parallel_sort_by`]), and the re-layout copies rows on
-//!   shard workers straight into their slices of the new arena;
+//! * **delta reseal** ([`Bag::apply_delta_with`]) — the fresh tail's
+//!   merge into the old sorted run shards by position ranges;
 //! * **two-bag witness fill** (`bagcons::pairwise`, through
 //!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
 //!   split across shards, each shard fills its groups in one pass, and
 //!   the cells' rows go into one flat arena that becomes the witness
 //!   through [`Bag::from_arena`].
 //!
-//! The relational join and projection run the bag bodies with every
-//! multiplicity 1. An [`ExecConfig`] with `threads = 1` — the default of
+//! The **seal** ([`Bag::seal`], [`Bag::try_seal_with`],
+//! [`Relation::seal`]) and the bulk constructor [`Bag::from_arena`] do
+//! not shard: both halves — one `sort_unstable_by` over the row ids
+//! under a packed compare, then one row copy into the new arena — run on
+//! the calling thread, which measured faster than chunk sorts plus
+//! run merges at every size on a 2-core host. The relational join and
+//! projection run the bag bodies with every multiplicity 1. An [`ExecConfig`] with `threads = 1` — the default of
 //! every non-`_with` entry point — plans one shard, and the executor
 //! runs it inline on the calling thread under the same deadline poll
 //! and panic containment; there is no separate sequential code path.
@@ -132,9 +132,9 @@
 //! joint spec so cross-side key compares are single integer compares
 //! too. No bag or relation caches words. Skewed merges additionally
 //! **gallop** ([`exec::gallop_bound`]): when one side is ≥
-//! [`exec::GALLOP_RATIO`]× the other, run merges and key advancement
-//! step by exponential search instead of linearly — same emission
-//! order, bit-identical output.
+//! [`exec::GALLOP_RATIO`]× the other, the delta reseal's fresh-tail
+//! merge and the keyed sweep's advancement step by exponential search
+//! instead of linearly — same emission order, bit-identical output.
 //!
 //! # Incremental updates
 //!

@@ -145,30 +145,19 @@ impl Relation {
         self.sealed
     }
 
-    /// Restores the sorted-run layout (no-op when already sealed).
-    /// Equivalent to [`Relation::seal_with`] under a sequential
-    /// configuration.
+    /// Restores the sorted-run layout (no-op when already sealed): the
+    /// same sort and row copy as [`crate::Bag::seal`], on the calling
+    /// thread, with no hashing.
     pub fn seal(&mut self) {
-        self.seal_with(&crate::ExecConfig::sequential());
-    }
-
-    /// [`Relation::seal`] under an explicit execution configuration:
-    /// the id permutation sorts by parallel chunk sorts + pairwise run
-    /// merges and the re-layout (a row copy, with no hashing) fans out
-    /// over shard workers when `cfg` shards the row set — the same two
-    /// routines as [`crate::Bag::seal_with`]. Byte-identical to the
-    /// sequential seal at every thread count.
-    pub fn seal_with(&mut self, cfg: &crate::ExecConfig) {
         if self.sealed {
             return;
         }
-        // Ungoverned, like `Bag::seal_with`: a worker panic re-raises.
-        let cfg = cfg.clone().with_deadline(crate::Deadline::NONE);
         let arity = self.store.arity();
         let order = (0..self.store.len() as u32).collect();
-        let order = crate::store::sorted_order_with(arity, self.store.values(), order, &cfg);
-        let laid_out = crate::store::gather_rows(arity, self.store.values(), &order, &cfg)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let order = crate::store::sorted_order(arity, self.store.values(), order);
+        let laid_out =
+            crate::store::gather_rows(arity, self.store.values(), &order, &crate::Deadline::NONE)
+                .expect("a copy without a deadline cannot abort");
         self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
             .expect("distinct interned rows sort strictly");
         self.sealed = true;
@@ -380,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_with_matches_sequential_seal() {
+    fn try_seal_with_matches_sequential_seal() {
         let mut rel = Relation::new(schema(&[0, 1]));
         for i in (0..300u64).rev() {
             rel.insert(vec![Value(i % 19), Value(i % 11)]).unwrap();
@@ -388,15 +377,19 @@ mod tests {
         assert!(!rel.is_sealed());
         let mut seq = rel.clone();
         seq.seal();
+        // `Relation` has one seal; the governed entry is the bag's, which
+        // must lay the same rows out identically at every thread count.
         for threads in [2usize, 4, 8] {
-            let mut par = rel.clone();
-            par.seal_with(
+            let mut bag = rel.to_bag();
+            bag.try_seal_with(
                 &crate::ExecConfig::builder()
                     .threads(threads)
                     .min_parallel_support(1)
                     .build()
                     .unwrap(),
-            );
+            )
+            .unwrap();
+            let par = bag.support();
             assert!(par.is_sealed());
             let seq_rows: Vec<&[Value]> = seq.iter().collect();
             let par_rows: Vec<&[Value]> = par.iter().collect();

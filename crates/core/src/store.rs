@@ -457,25 +457,20 @@ fn slot_count_for(rows: usize) -> usize {
 
 /// The ids of `order` sorted by the lexicographic order of their rows in
 /// the row-major arena `data` — the sort half of every seal and of
-/// [`crate::Bag::from_arena`], fanned out per `cfg` through
-/// [`crate::exec::parallel_sort_by`].
+/// [`crate::Bag::from_arena`]: one `sort_unstable_by` on the calling
+/// thread.
 ///
 /// Every comparison goes through a transient [`crate::pack::RowOrd`]:
 /// one integer compare on a packed word column when a raw encoding fits,
 /// a `&[Value]` slice walk otherwise. The encoding is injective and
 /// order-preserving, so the order is bit-identical to the slice path.
-/// On distinct rows (an interned store) the order is total and
-/// independent of the chunking; equal rows of a bulk arena come out
-/// adjacent, in an unspecified order among themselves.
-pub(crate) fn sorted_order_with(
-    arity: usize,
-    data: &[Value],
-    order: Vec<u32>,
-    cfg: &crate::exec::ExecConfig,
-) -> Vec<u32> {
-    let shards = cfg.shards_for(order.len());
+/// On distinct rows (an interned store) the order is total; equal rows
+/// of a bulk arena come out adjacent, in an unspecified order among
+/// themselves.
+pub(crate) fn sorted_order(arity: usize, data: &[Value], mut order: Vec<u32>) -> Vec<u32> {
     let ord = crate::pack::RowOrd::new(arity, data, order.len());
-    crate::exec::parallel_sort_by(order, cfg.threads(), shards, |&a, &b| ord.cmp(a, b))
+    order.sort_unstable_by(|&a, &b| ord.cmp(a, b));
+    order
 }
 
 /// Whether the `arity`-wide rows of `data` ascend strictly (vacuously
@@ -501,50 +496,29 @@ fn strictly_ascending(arity: usize, data: &[Value]) -> bool {
 /// Copies the `arity`-wide rows of the row-major arena `data` listed in
 /// `order` into a fresh arena, in that order — the re-layout half of
 /// every seal, of [`crate::Bag::from_arena`] and of the delta reseal,
-/// and the copy behind [`crate::Bag::support`].
-///
-/// Rows are independent, so when `cfg` shards `order` each worker copies
-/// one index range straight into its own disjoint slice of the output;
-/// the bytes are the same at every thread count. Nothing is hashed:
-/// callers adopt the result through [`RowStore::from_sorted_rows`],
-/// whose dedup table builds on the first content probe.
+/// and the copy behind [`crate::Bag::support`]. One pass on the calling
+/// thread; nothing is hashed: callers adopt the result through
+/// [`RowStore::from_sorted_rows`], whose dedup table builds on the first
+/// content probe.
 ///
 /// # Errors
 ///
-/// Polls `cfg`'s [`crate::Deadline`] (once on the sequential path, per
-/// chunk when sharded): [`crate::CoreError::Aborted`] when it fires,
-/// [`crate::CoreError::WorkerPanicked`] when a copy worker panics.
+/// [`crate::CoreError::Aborted`] when `deadline` has fired; it is polled
+/// once, before the copy.
 pub(crate) fn gather_rows(
     arity: usize,
     data: &[Value],
     order: &[u32],
-    cfg: &crate::exec::ExecConfig,
+    deadline: &crate::Deadline,
 ) -> crate::Result<Vec<Value>> {
-    let row = |id: u32| &data[id as usize * arity..(id as usize + 1) * arity];
-    let shards = cfg.shards_for(order.len());
-    if shards <= 1 || arity == 0 {
-        if let Some(reason) = cfg.deadline().poll() {
-            return Err(crate::CoreError::Aborted(reason));
-        }
-        let mut out = Vec::with_capacity(order.len() * arity);
-        for &id in order {
-            out.extend_from_slice(row(id));
-        }
-        return Ok(out);
+    if let Some(reason) = deadline.poll() {
+        return Err(crate::CoreError::Aborted(reason));
     }
-    let mut out = vec![Value::new(0); order.len() * arity];
-    let mut tasks = Vec::with_capacity(shards);
-    let mut rest: &mut [Value] = &mut out;
-    for range in crate::exec::shard_ranges(order.len(), shards, |_| false) {
-        let (head, tail) = rest.split_at_mut(range.len() * arity);
-        tasks.push((range, head));
-        rest = tail;
+    let mut out = Vec::with_capacity(order.len() * arity);
+    for &id in order {
+        let at = id as usize * arity;
+        out.extend_from_slice(&data[at..at + arity]);
     }
-    crate::exec::try_run_tasks(cfg, tasks, |(range, dst)| {
-        for (slot, &id) in dst.chunks_exact_mut(arity).zip(&order[range]) {
-            slot.copy_from_slice(row(id));
-        }
-    })?;
     Ok(out)
 }
 
@@ -698,17 +672,10 @@ mod tests {
     #[test]
     fn gather_rows_keeps_content_and_drops_unlisted() {
         let data = v(&[10, 11, 20, 21, 30, 31, 40, 41, 50, 51]);
-        let seq = crate::ExecConfig::sequential();
-        let par = crate::ExecConfig::builder()
-            .threads(4)
-            .min_parallel_support(1)
-            .build()
-            .unwrap();
-        for cfg in [&seq, &par] {
-            let out = gather_rows(2, &data, &[4, 0, 2], cfg).unwrap();
-            assert_eq!(out, v(&[50, 51, 10, 11, 30, 31]));
-        }
-        let r = RowStore::from_sorted_rows(2, 3, gather_rows(2, &data, &[0, 2, 4], &par).unwrap())
+        let none = crate::Deadline::NONE;
+        let out = gather_rows(2, &data, &[4, 0, 2], &none).unwrap();
+        assert_eq!(out, v(&[50, 51, 10, 11, 30, 31]));
+        let r = RowStore::from_sorted_rows(2, 3, gather_rows(2, &data, &[0, 2, 4], &none).unwrap())
             .unwrap();
         assert_eq!(r.lookup(&v(&[20, 21])), None);
         assert_eq!(r.lookup(&v(&[30, 31])), Some(RowId(1)));

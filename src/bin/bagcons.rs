@@ -23,7 +23,7 @@
 //! bagcons snapshot verify <FILE>          check every section hash and decode
 //!
 //! options:
-//!   --threads N         worker threads (default: one per core, capped at 8)
+//!   --threads N         worker threads, 1..=256 (default: one per core, capped at 8)
 //!   --budget N          node budget for the cyclic exact search
 //!                       (default 50000000)
 //!   --timeout MS        wall-clock budget in milliseconds per operation

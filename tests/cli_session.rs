@@ -497,7 +497,7 @@ fn exit_codes_cover_all_four() {
         }
     }
 
-    // 2: usage, bad flag values, zero threads
+    // 2: usage, bad flag values, zero threads, threads past the cap
     assert_eq!(run(&[]).status.code(), Some(2));
     assert_eq!(
         run(&["check", "--format", "yaml", r.to_str().unwrap()])
@@ -507,6 +507,12 @@ fn exit_codes_cover_all_four() {
     );
     assert_eq!(
         run(&["check", "--threads", "0", r.to_str().unwrap()])
+            .status
+            .code(),
+        Some(2)
+    );
+    assert_eq!(
+        run(&["check", "--threads", "257", r.to_str().unwrap()])
             .status
             .code(),
         Some(2)

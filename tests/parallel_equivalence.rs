@@ -2,7 +2,7 @@
 //! to sequential execution.
 //!
 //! Every `*_with` entry point of the execution layer (merge joins, the
-//! sharded hash probe, prefix marginals, the parallel seal, the witness
+//! sharded hash probe, prefix marginals, the governed seal, the witness
 //! group fill, semijoin sweeps) must produce the same result at
 //! every thread count — the shard plan never splits a key group,
 //! per-shard outputs are tagged with their shard index, and the splice
@@ -144,7 +144,7 @@ proptest! {
         seq.seal();
         for threads in THREADS {
             let mut par = bag.clone();
-            par.seal_with(&cfg(threads));
+            par.try_seal_with(&cfg(threads)).unwrap();
             prop_assert!(par.is_sealed());
             let seq_rows: Vec<(&[Value], u64)> = seq.iter().collect();
             let par_rows: Vec<(&[Value], u64)> = par.iter().collect();
@@ -153,14 +153,17 @@ proptest! {
     }
 
     /// Relation seal: same contract through the set-semantics path.
+    /// `Relation` has one seal, so the governed bag seal of the same rows
+    /// stands in at each thread count.
     #[test]
     fn relation_seal_parallel_matches_sequential(bag in arb_unsealed_bag(0, 2, 4, 64)) {
         let rel = bag.support();
         let mut seq = rel.clone();
         seq.seal();
         for threads in THREADS {
-            let mut par = rel.clone();
-            par.seal_with(&cfg(threads));
+            let mut as_bag = rel.to_bag();
+            as_bag.try_seal_with(&cfg(threads)).unwrap();
+            let par = as_bag.support();
             prop_assert!(par.is_sealed());
             let seq_rows: Vec<&[Value]> = seq.iter().collect();
             let par_rows: Vec<&[Value]> = par.iter().collect();
@@ -351,8 +354,8 @@ mod adversarial {
     /// The work-stealing showcase, pinned for correctness: one giant key
     /// group plus many tiny ones, driven through the sharded hash probe
     /// (where the giant group is one enormous probe chain inside a few
-    /// chunks) and the parallel seal (where the giant group straddles
-    /// chunk boundaries of the sort). Outputs must be bit-identical to
+    /// chunks) and the seal (one sort on the calling thread, whatever
+    /// the thread count). Outputs must be bit-identical to
     /// sequential at every thread count — whichever worker stole which
     /// chunk.
     #[test]
@@ -382,7 +385,7 @@ mod adversarial {
             assert_eq!(par_rows, seq_rows, "emission order, threads = {threads}");
 
             let mut par_sealed = probe.clone();
-            par_sealed.seal_with(&cfg(threads));
+            par_sealed.try_seal_with(&cfg(threads)).unwrap();
             assert!(par_sealed.is_sealed());
             let seq_layout: Vec<(&[Value], u64)> = seq_sealed.iter().collect();
             let par_layout: Vec<(&[Value], u64)> = par_sealed.iter().collect();

@@ -154,7 +154,7 @@ proptest! {
 /// Sealing is deterministic across thread caps: the same text dataset
 /// loaded and sealed at threads 1, 2, and 4 snapshots to identical
 /// bytes (the format persists the sorted-run layout verbatim, so this
-/// pins the parallel seal itself).
+/// pins the seal itself).
 #[test]
 fn snapshot_bytes_identical_across_thread_caps() {
     let dir = temp_dir();
