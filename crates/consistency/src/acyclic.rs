@@ -10,6 +10,16 @@
 //! inclusion-minimal with support at most
 //! `‖T_{i-1}‖supp + ‖R_i‖supp − #groups`, so the chain meets Theorem 6's
 //! bound `‖T‖supp ≤ Σ ‖R_i‖supp` without any max-flow.
+//!
+//! Each step emits `T_i`'s rows already in ascending order when, with
+//! `U = X₁∪⋯∪X_{i-1}`, every attribute of `X_i ∖ U` exceeds every
+//! attribute of `U` (the rows follow `T_{i-1}`'s sealed order), or every
+//! attribute of `U ∖ X_i` exceeds every attribute of `X_i` (they follow
+//! `R_i`'s); see [`crate::pairwise`]. Then [`Bag::from_arena`] adopts the
+//! step's rows without a sort. On a path `A0–A1–⋯` every running
+//! intersection order is of this kind, because each step extends the
+//! covered interval at one end; a step whose attributes interleave with
+//! `U` is sorted once, as before.
 
 use crate::pairwise::fill_witness_with;
 use bagcons_core::{Bag, CoreError, ExecConfig, FxHashMap, Schema};

@@ -15,6 +15,12 @@
 //! witness and every step of Theorem 6's chain ([`crate::acyclic`]) are
 //! this fill.
 //!
+//! The fill emits its rows already in the witness's sorted order when
+//! one input's extra attributes all exceed the other input's attributes
+//! (`fill_witness_with` gives the argument), so [`Bag::from_arena`]
+//! adopts them without a sort. Interleaved attributes leave the order
+//! arbitrary, and `from_arena` sorts.
+//!
 //! The fill is also Theorem 5 / Corollary 4's minimal witness: within a
 //! group its staircase is a forest, so it is a vertex of `P(R,S)`, and a
 //! vertex has inclusion-minimal support. The paper's loop of
@@ -22,7 +28,7 @@
 //! (`corollary4_flow_loop` in `tests/proptest_invariants.rs`).
 
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
-use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Value};
+use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Schema, Value};
 use std::borrow::Borrow;
 
 /// A keyed marginal difference `D(k)` over the shared attributes of one
@@ -179,11 +185,36 @@ pub(crate) fn bags_consistent(r: &Bag, s: &Bag) -> Result<bool> {
 /// an input multiplicity (Theorem 3), so nothing can overflow.
 ///
 /// Key groups shard by range per `cfg`; each shard task polls its
-/// deadline and lists its `(R-row, S-row, q)` cells. The cells' `XY` rows
-/// go into one flat arena, sized once, and [`Bag::from_arena`] sorts and
-/// lays it out under `cfg`. Distinct `(R-row, S-row)` cells assemble
-/// distinct rows, so nothing is interned or hashed on the way.
+/// deadline and lists its `(R-row, S-row, q)` cells. Every `q` is
+/// positive, and distinct `(R-row, S-row)` cells assemble distinct rows,
+/// so nothing is interned or hashed on the way.
+///
+/// **Output order.** The staircase gives each `R`-row, and each
+/// `S`-row, one contiguous run of cells, with the other side's rows
+/// ascending along it. When the schemas are [`Major::R`] (every
+/// attribute of `Y∖X` exceeds every attribute of `X`), an `XY` row is
+/// its `X` part followed by its `Y∖X` part. Then listing the cells by
+/// `R`-row lists the rows in strictly ascending order: `R`'s rows ascend
+/// on `X`, and the `S`-rows of one `R`-row share its key, so they ascend
+/// on `Y∖Z = Y∖X`. [`Major::S`] is the mirror image. The fill puts its
+/// cells in that order with one counting pass ([`by_major_row`]), the
+/// cells' rows go into one flat arena, sized once, and
+/// [`Bag::from_arena`] adopts it without a sort. When the attributes
+/// interleave, the cells stay in key order and `from_arena` sorts.
 pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
+    let Some((schema, data, mults)) = fill_arena(r, s, cfg)? else {
+        return Ok(None);
+    };
+    Bag::from_arena(schema, data, mults, cfg).map(Some)
+}
+
+/// A witness before [`Bag::from_arena`] adopts it: its schema, its
+/// row-major arena and its multiplicity column.
+type Arena = (Schema, Vec<Value>, Vec<u64>);
+
+/// The witness of [`fill_witness_with`] as the arena it hands to
+/// [`Bag::from_arena`].
+fn fill_arena(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Arena>> {
     let total = r.unary_size();
     if total != s.unary_size() {
         return Ok(None);
@@ -200,7 +231,7 @@ pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Op
                 return Err(CoreError::Aborted(reason));
             }
             // (R-row, S-row, q) cells in key order.
-            let mut cells: Vec<(u32, u32, u64)> = Vec::new();
+            let mut cells: Vec<Cell> = Vec::new();
             sweep.for_each_group(|ls, rs| {
                 let (mut a, mut b) = (0, 0);
                 let (mut left, mut right) = (r_rows[ls[0] as usize].1, s_rows[rs[0] as usize].1);
@@ -228,19 +259,77 @@ pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Op
             Ok(cells)
         })?;
     let shards = shards.into_iter().collect::<Result<Vec<_>>>()?;
-    let cells = shards.iter().map(Vec::len).sum::<usize>();
-    let mut data = Vec::with_capacity(cells * plan.output_schema().arity());
-    let mut mults = Vec::with_capacity(cells);
-    for &(i, j, q) in shards.iter().flatten() {
+    // Saturated iff every key group balanced and no key was unmatched.
+    let filled: u128 = shards.iter().flatten().map(|c| u128::from(c.2)).sum();
+    if filled != total {
+        return Ok(None);
+    }
+    let cells = match Major::of(r.schema(), s.schema()) {
+        Some(Major::R) => by_major_row(&shards, r_rows.len(), |c| c.0),
+        Some(Major::S) => by_major_row(&shards, s_rows.len(), |c| c.1),
+        None => shards.concat(),
+    };
+    drop(shards);
+    let mut data = Vec::with_capacity(cells.len() * plan.output_schema().arity());
+    let mut mults = Vec::with_capacity(cells.len());
+    for &(i, j, q) in &cells {
         plan.append_combined(r_rows[i as usize].0, s_rows[j as usize].0, &mut data);
         mults.push(q);
     }
-    drop(shards);
-    // Saturated iff every key group balanced and no key was unmatched.
-    if mults.iter().map(|&q| u128::from(q)).sum::<u128>() != total {
-        return Ok(None);
+    Ok(Some((plan.output_schema().clone(), data, mults)))
+}
+
+/// One cell of the group fill: `(R-row, S-row, q)`, the rows as sorted
+/// positions.
+type Cell = (u32, u32, u64);
+
+/// The input whose sorted row order is the fill's output order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Major {
+    /// Every attribute of `Y∖X` exceeds every attribute of `X`.
+    R,
+    /// Every attribute of `X∖Y` exceeds every attribute of `Y`.
+    S,
+}
+
+impl Major {
+    /// Reads the major side off the two schemas alone, preferring `R`
+    /// when both hold (which needs one schema to contain the other);
+    /// `None` when the attributes interleave.
+    fn of(x: &Schema, y: &Schema) -> Option<Major> {
+        // Every attribute of `b∖a` exceeds every attribute of `a`.
+        let above = |a: &Schema, b: &Schema| match a.attrs().last() {
+            None => true,
+            Some(&top) => b.iter().all(|t| t > top || a.contains(t)),
+        };
+        if above(x, y) {
+            Some(Major::R)
+        } else if above(y, x) {
+            Some(Major::S)
+        } else {
+            None
+        }
     }
-    Bag::from_arena(plan.output_schema().clone(), data, mults, cfg).map(Some)
+}
+
+/// The cells of every shard ordered by `row(cell)`, a sorted position
+/// below `rows`: one counting pass, no comparisons. The order is stable,
+/// so the run of cells of one major row keeps its staircase order.
+fn by_major_row(shards: &[Vec<Cell>], rows: usize, row: impl Fn(&Cell) -> u32) -> Vec<Cell> {
+    let mut next = vec![0usize; rows + 1];
+    for cell in shards.iter().flatten() {
+        next[row(cell) as usize + 1] += 1;
+    }
+    for p in 1..=rows {
+        next[p] += next[p - 1];
+    }
+    let mut out = vec![(0, 0, 0); next[rows]];
+    for cell in shards.iter().flatten() {
+        let at = &mut next[row(cell) as usize];
+        out[*at] = *cell;
+        *at += 1;
+    }
+    out
 }
 
 /// Returns the first (lexicographic) inconsistent index pair, or `None`
@@ -468,6 +557,65 @@ mod tests {
             .consistency_witness(&r, &s)
             .unwrap()
             .is_none());
+    }
+
+    /// The schema pairs of every fill order: `R`-major (with `Z` a
+    /// prefix of `X`, or not, or empty, or `Y ⊆ X`, or `X = Y`),
+    /// `S`-major, and interleaved.
+    const SHAPES: [(&[u32], &[u32], Option<Major>); 10] = [
+        (&[0, 1], &[1, 2], Some(Major::R)),
+        (&[0, 1], &[0, 1], Some(Major::R)),
+        (&[0, 1], &[0, 2], Some(Major::R)),
+        (&[0, 1], &[2, 3], Some(Major::R)),
+        (&[0, 1, 2], &[1], Some(Major::R)),
+        (&[], &[0, 1], Some(Major::R)),
+        (&[1, 2], &[0, 1], Some(Major::S)),
+        (&[0, 2], &[0, 1, 2], Some(Major::S)),
+        (&[0, 2], &[1, 2], None),
+        (&[0, 2], &[1, 3], None),
+    ];
+
+    #[test]
+    fn major_side_is_read_off_the_schemas() {
+        for (x, y, major) in SHAPES {
+            assert_eq!(Major::of(&schema(x), &schema(y)), major, "{x:?} / {y:?}");
+        }
+    }
+
+    /// On every `R`- or `S`-major shape the fill's arena already ascends
+    /// strictly with no zero multiplicity, so `from_arena` adopts it; on
+    /// every shape the witness marginalizes back.
+    #[test]
+    fn major_fill_emits_rows_in_ascending_order() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..20 {
+            let mut t = Bag::new(schema(&[0, 1, 2, 3]));
+            for _ in 0..40 + round * 10 {
+                let row: Vec<Value> = (0..4).map(|_| Value(next(4))).collect();
+                t.insert(row, 1 + next(5)).unwrap();
+            }
+            t.seal();
+            for (x, y, major) in SHAPES {
+                let (r, s) = (
+                    t.marginal(&schema(x)).unwrap(),
+                    t.marginal(&schema(y)).unwrap(),
+                );
+                let cfg = ExecConfig::sequential();
+                let (out, data, mults) = fill_arena(&r, &s, &cfg).unwrap().expect("consistent");
+                let arity = out.arity();
+                assert!(!mults.contains(&0));
+                let adopted = RowStore::from_sorted_rows(arity, mults.len(), data).is_some();
+                assert!(major.is_none() || adopted, "{x:?} / {y:?} round {round}");
+                let w = fill_witness_with(&r, &s, &cfg).unwrap().unwrap();
+                assert!(is_two_bag_witness(&w, &r, &s).unwrap());
+            }
+        }
     }
 
     #[test]

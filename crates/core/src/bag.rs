@@ -116,22 +116,31 @@ impl Bag {
     /// rows may repeat. The bulk constructor behind [`Bag::from_rows`],
     /// the witness fill and the text parser ([`crate::io::parse_bag_with`]).
     ///
-    /// The row ids sort by the seal's packed compare and the seal's copy
-    /// routine lays the rows out in that order, both on the calling
-    /// thread; equal neighbours then merge with a checked add and zero
-    /// multiplicities drop out, compacting in place. The strictly ascending
-    /// result is adopted through [`RowStore::from_sorted_rows`], which
-    /// certifies that its rows are distinct; the dedup table stays unbuilt
-    /// until the first content probe, as after a snapshot load. The result
-    /// equals inserting every row and sealing; `cfg` contributes only its
-    /// deadline.
+    /// An arena that is already a sealed layout — rows strictly ascending,
+    /// no multiplicity zero — is **adopted** as it stands: one pass over
+    /// the multiplicities and one over the rows, which is the
+    /// distinctness certificate of [`RowStore::from_sorted_rows`], and no
+    /// sort, pack or copy. The witness fill emits its rows in order
+    /// whenever the two schemas allow it, and a file
+    /// [`crate::io::write_bag`] wrote parses in order, so both take this
+    /// path. Any other arena is
+    /// **sorted**: the row ids sort by the seal's packed compare and the
+    /// seal's copy routine lays the rows out in that order, both on the
+    /// calling thread; equal neighbours then merge with a checked add and
+    /// zero multiplicities drop out, compacting in place. Either way the
+    /// dedup table stays unbuilt until the first content probe, as after a
+    /// snapshot load, and the result equals inserting every row and
+    /// sealing; `cfg` contributes only its deadline. The `bag::seal`
+    /// failpoint fires on entry, before either path.
     ///
     /// # Errors
     ///
     /// [`CoreError::ArityMismatch`] when `data` is not `mults.len()` rows
     /// of the schema's arity; [`CoreError::MultiplicityOverflow`] when
     /// the copies of one row sum past `u64`; [`CoreError::Aborted`] when
-    /// `cfg`'s deadline has fired, polled once as a seal polls it.
+    /// `cfg`'s deadline has fired. The deadline is polled on entry, so it
+    /// aborts the adopt path too, and once more before the sort path's
+    /// copy, as a seal polls it.
     pub fn from_arena(
         schema: Schema,
         data: Vec<Value>,
@@ -158,6 +167,26 @@ impl Bag {
             "RowStore capacity (u32 ids) exhausted"
         );
         crate::fault::fire("bag::seal");
+        if let Some(reason) = cfg.deadline().poll() {
+            return Err(CoreError::Aborted(reason));
+        }
+        // A zero multiplicity must drop out, which only the sort path does.
+        let data = if mults.contains(&0) {
+            data
+        } else {
+            match RowStore::try_from_sorted_rows(arity, rows, data) {
+                Ok(store) => {
+                    return Ok(Bag {
+                        schema,
+                        store,
+                        mults,
+                        live: rows,
+                        sealed: true,
+                    })
+                }
+                Err(data) => data,
+            }
+        };
         let order = crate::store::sorted_order(arity, &data, (0..rows as u32).collect());
         let mut laid_out = crate::store::gather_rows(arity, &data, &order, cfg.deadline())?;
         drop(data);
@@ -1003,6 +1032,28 @@ mod tests {
         assert_eq!(bag, Bag::of_empty_tuple(7));
         let none = Bag::from_arena(Schema::empty(), vec![], vec![0, 0], &seq).unwrap();
         assert!(none.is_empty() && none.is_sealed());
+    }
+
+    #[test]
+    fn from_arena_adopts_an_ascending_arena_and_polls_the_deadline_first() {
+        let ascending = || (vec![Value(1), Value(2), Value(3), Value(0)], vec![4, 5]);
+        // The adopt path keeps the caller's allocation: no copy was made.
+        let (data, mults) = ascending();
+        let at = data.as_ptr();
+        let bag = Bag::from_arena(schema(&[0, 1]), data, mults, &ExecConfig::sequential()).unwrap();
+        assert_eq!(bag.store().values().as_ptr(), at);
+        assert_eq!(bag.multiplicity(&[Value(3), Value(0)]), 5);
+        let fired = ExecConfig::builder()
+            .deadline(Deadline::at(std::time::Instant::now()))
+            .build()
+            .unwrap();
+        let descending = (vec![Value(3), Value(0), Value(1), Value(2)], vec![5, 4]);
+        for (data, mults) in [ascending(), descending] {
+            assert!(matches!(
+                Bag::from_arena(schema(&[0, 1]), data, mults, &fired),
+                Err(CoreError::Aborted(_))
+            ));
+        }
     }
 
     #[test]

@@ -220,9 +220,12 @@ pub fn parse_bag(text: &str) -> Result<(Bag, AttrNames), ParseError> {
 /// Parses a bag, resolving attribute names through a shared interner.
 ///
 /// The rows go into one row-major arena, already in schema order, with
-/// a multiplicity column beside it. [`Bag::from_arena`] sorts that arena
-/// once under `cfg`, merges duplicate rows and adopts the result, so the
-/// bag arrives sealed. No row is hashed on the way: any row whose copies
+/// a multiplicity column beside it. [`Bag::from_arena`] adopts that
+/// arena as it stands when its rows already ascend strictly (as a file
+/// [`write_bag`] wrote does, read back under the same attribute ids),
+/// and otherwise sorts it once under `cfg`,
+/// merges duplicate rows and adopts the result, so the bag arrives
+/// sealed. No row is hashed on the way: any row whose copies
 /// overflow `u64` also overflows the checked running total of all
 /// multiplicities, and only then are the rows re-scanned to find the
 /// line at which the overflow happened.

@@ -87,14 +87,17 @@
 //!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
 //!   split across shards, each shard fills its groups in one pass, and
 //!   the cells' rows go into one flat arena that becomes the witness
-//!   through [`Bag::from_arena`].
+//!   through [`Bag::from_arena`] — already in sorted order whenever one
+//!   input's extra attributes all exceed the other's.
 //!
 //! The **seal** ([`Bag::seal`], [`Bag::try_seal_with`],
 //! [`Relation::seal`]) and the bulk constructor [`Bag::from_arena`] do
 //! not shard: both halves — one `sort_unstable_by` over the row ids
 //! under a packed compare, then one row copy into the new arena — run on
 //! the calling thread, which measured faster than chunk sorts plus
-//! run merges at every size on a 2-core host. The relational join and
+//! run merges at every size on a 2-core host. An arena whose rows
+//! already ascend strictly, with no multiplicity zero, skips both:
+//! [`Bag::from_arena`] adopts it as it stands. The relational join and
 //! projection run the bag bodies with every multiplicity 1. An [`ExecConfig`] with `threads = 1` — the default of
 //! every non-`_with` entry point — plans one shard, and the executor
 //! runs it inline on the calling thread under the same deadline poll

@@ -151,25 +151,34 @@ impl RowStore {
     /// Returns `None` if the shape or the ordering certificate fails —
     /// never adopts a half-checked arena.
     pub fn from_sorted_rows(arity: usize, rows: usize, data: Vec<Value>) -> Option<RowStore> {
-        if data.len() != rows.checked_mul(arity)? || rows > (u32::MAX - 1) as usize {
-            return None;
-        }
-        if arity == 0 && rows > 1 {
-            // Arity-0 rows are all equal; at most one can be distinct.
-            return None;
-        }
-        // The common narrow widths get their own constant-width copy of
-        // the fold, which the compiler unrolls.
-        let ascending = match arity {
-            1 => strictly_ascending(1, &data),
-            2 => strictly_ascending(2, &data),
-            3 => strictly_ascending(3, &data),
-            k => strictly_ascending(k, &data),
-        };
+        RowStore::try_from_sorted_rows(arity, rows, data).ok()
+    }
+
+    /// [`RowStore::from_sorted_rows`] that hands the arena back when the
+    /// shape or the ordering certificate fails, so a caller can sort it
+    /// instead ([`crate::Bag::from_arena`] adopts an ascending arena and
+    /// sorts any other).
+    pub(crate) fn try_from_sorted_rows(
+        arity: usize,
+        rows: usize,
+        data: Vec<Value>,
+    ) -> Result<RowStore, Vec<Value>> {
+        let shaped = Some(data.len()) == rows.checked_mul(arity) && rows <= (u32::MAX - 1) as usize;
+        // Arity-0 rows are all equal; at most one can be distinct. The
+        // common narrow widths get their own constant-width copy of the
+        // fold, which the compiler unrolls.
+        let ascending = shaped
+            && (arity > 0 || rows <= 1)
+            && match arity {
+                1 => strictly_ascending(1, &data),
+                2 => strictly_ascending(2, &data),
+                3 => strictly_ascending(3, &data),
+                k => strictly_ascending(k, &data),
+            };
         if !ascending {
-            return None;
+            return Err(data);
         }
-        Some(RowStore {
+        Ok(RowStore {
             arity,
             data,
             len: rows as u32,
@@ -475,23 +484,42 @@ pub(crate) fn sorted_order(arity: usize, data: &[Value], mut order: Vec<u32>) ->
 
 /// Whether the `arity`-wide rows of `data` ascend strictly (vacuously
 /// true at arity 0). Each adjacent pair folds its columns, last to
-/// first, into `prev < row` with no branch on the values, and every pair
-/// is folded: an early exit or a slice compare mispredicts on the ties in
-/// leading columns that sorted rows are full of.
+/// first, into `prev < row` with no branch on the values: a per-pair
+/// exit or a slice compare mispredicts on the ties in leading columns
+/// that sorted rows are full of. The pairs fold in blocks of
+/// [`ASCEND_BLOCK`], and a failed block ends the check, so an unsorted
+/// arena is refused after its first block rather than its last pair.
 #[inline(always)]
 fn strictly_ascending(arity: usize, data: &[Value]) -> bool {
-    let mut ascending = true;
-    if let Some(next) = data.get(arity..).filter(|_| arity > 0) {
-        for (prev, row) in data.chunks_exact(arity).zip(next.chunks_exact(arity)) {
+    if arity == 0 {
+        return true;
+    }
+    let rows = data.len() / arity;
+    let mut start = 1;
+    while start < rows {
+        let end = rows.min(start + ASCEND_BLOCK);
+        let block = &data[(start - 1) * arity..end * arity];
+        let mut ascending = true;
+        for (prev, row) in block
+            .chunks_exact(arity)
+            .zip(block[arity..].chunks_exact(arity))
+        {
             let mut less = false;
             for (a, b) in prev.iter().zip(row).rev() {
                 less = (a < b) | ((a == b) & less);
             }
             ascending &= less;
         }
+        if !ascending {
+            return false;
+        }
+        start = end;
     }
-    ascending
+    true
 }
+
+/// Adjacent pairs [`strictly_ascending`] folds between two exits.
+const ASCEND_BLOCK: usize = 64;
 
 /// Copies the `arity`-wide rows of the row-major arena `data` listed in
 /// `order` into a fresh arena, in that order — the re-layout half of
@@ -688,6 +716,37 @@ mod tests {
         assert!(fresh);
         assert_eq!(s.row(id), &[] as &[Value]);
         assert_eq!(s.len(), 1);
+    }
+
+    /// A long ascending arena is accepted across every fold block, and a
+    /// single descent is refused wherever it sits: inside the first
+    /// block, on either side of a block edge, or at the last pair.
+    #[test]
+    fn strictness_fold_checks_every_block() {
+        let rows = 3 * ASCEND_BLOCK + 5;
+        for arity in [1, 2, 5] {
+            let arena = |rows: &[u64]| -> Vec<Value> {
+                rows.iter().flat_map(|&r| vec![Value(r); arity]).collect()
+            };
+            let ascending: Vec<u64> = (0..rows as u64).collect();
+            assert!(RowStore::from_sorted_rows(arity, rows, arena(&ascending)).is_some());
+            for at in [
+                1,
+                ASCEND_BLOCK - 1,
+                ASCEND_BLOCK,
+                ASCEND_BLOCK + 1,
+                rows - 1,
+            ] {
+                let mut broken = ascending.clone();
+                broken.swap(at - 1, at);
+                let data = arena(&broken);
+                assert_eq!(
+                    RowStore::try_from_sorted_rows(arity, rows, data.clone()).err(),
+                    Some(data),
+                    "arity {arity}, descent at {at}"
+                );
+            }
+        }
     }
 
     #[test]

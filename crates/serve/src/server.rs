@@ -61,6 +61,24 @@ pub struct ServeOptions {
     pub data_dir: Option<PathBuf>,
 }
 
+impl ServeOptions {
+    /// A session under these options (thread count and node budget) and
+    /// `timeout`.
+    fn session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
+        let mut b = Session::builder();
+        if let Some(threads) = self.threads {
+            b = b.threads(threads);
+        }
+        if let Some(nodes) = self.budget {
+            b = b.budget(nodes);
+        }
+        if let Some(t) = timeout {
+            b = b.deadline(t);
+        }
+        Ok(b.build()?)
+    }
+}
+
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
@@ -171,17 +189,7 @@ impl Shared {
 
     /// A per-connection session under the daemon's options.
     fn build_session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
-        let mut b = Session::builder();
-        if let Some(threads) = self.opts.threads {
-            b = b.threads(threads);
-        }
-        if let Some(nodes) = self.opts.budget {
-            b = b.budget(nodes);
-        }
-        if let Some(t) = timeout {
-            b = b.deadline(t);
-        }
-        Ok(b.build()?)
+        self.opts.session(timeout)
     }
 
     /// Resolves a client-supplied path against the `--data-dir`
@@ -878,8 +886,15 @@ pub struct Server {
 impl Server {
     /// Binds the configured listeners (at least one of `tcp`/`unix` must
     /// be set) and builds the shared state; serving starts with
-    /// [`Server::run`].
+    /// [`Server::run`]. Options no session accepts (a thread count of 0
+    /// or past [`bagcons_core::ExecConfig::MAX_THREADS`]) are refused
+    /// with [`io::ErrorKind::InvalidInput`] before anything binds.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
+        // The loader is built under the daemon's options, so a setting
+        // every connection's session would refuse stops the daemon here.
+        let loader = opts
+            .session(None)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut listeners = Vec::new();
         let mut tcp_addr = None;
         let mut unix_path = None;
@@ -908,9 +923,6 @@ impl Server {
         let worker_budget = opts
             .worker_budget
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
-        let loader = Session::builder()
-            .build()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         Ok(Server {
             listeners,
             tcp_addr,
@@ -1051,5 +1063,28 @@ mod tests {
             ..ServeOptions::default()
         };
         assert!(Server::bind(opts).is_err());
+    }
+
+    #[test]
+    fn bind_rejects_invalid_thread_counts() {
+        for threads in [0, bagcons_core::ExecConfig::MAX_THREADS + 1] {
+            let opts = ServeOptions {
+                threads: Some(threads),
+                ..ServeOptions::default()
+            };
+            let Err(err) = Server::bind(opts) else {
+                panic!("threads = {threads}: the daemon bound");
+            };
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidInput,
+                "threads = {threads}"
+            );
+        }
+        let opts = ServeOptions {
+            threads: Some(bagcons_core::ExecConfig::MAX_THREADS),
+            ..ServeOptions::default()
+        };
+        assert!(Server::bind(opts).is_ok());
     }
 }

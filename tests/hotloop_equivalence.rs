@@ -299,6 +299,9 @@ proptest! {
     /// `Bag::from_arena` sums duplicate rows, drops rows whose copies sum
     /// to zero, matches a `BTreeMap` reference and an insert-built bag,
     /// and lays the arena out bit-identically at every thread count.
+    /// Presorted arenas take the adopt path when they ascend strictly
+    /// with no zero multiplicity and the sort path otherwise; each gives
+    /// the reference bit for bit.
     #[test]
     fn from_arena_matches_btreemap_reference(
         rows in proptest::collection::vec(
@@ -324,13 +327,42 @@ proptest! {
             .map(|(row, m)| (row.iter().map(|v| v.get()).collect(), m))
             .collect();
         let want: Vec<(Vec<u64>, u64)> = reference.into_iter().collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
         prop_assert_eq!(&one, &inserted);
         for threads in THREADS {
             let t = Bag::from_arena(schema.clone(), data.clone(), mults.clone(), &cfg(threads)).unwrap();
             prop_assert_eq!(t.store().values(), one.store().values());
             prop_assert_eq!(t.live_ids().map(|i| t.mult_of(i)).collect::<Vec<_>>(),
                 one.live_ids().map(|i| one.mult_of(i)).collect::<Vec<_>>());
+        }
+        // The reference's own ascending rows; the same with a last row of
+        // multiplicity zero; the same with one row's multiplicity split
+        // over two adjacent copies.
+        let ascending: Vec<(Vec<u64>, u64)> = want.clone();
+        let mut zeroed = ascending.clone();
+        zeroed.push((vec![9, 9], 0));
+        let mut repeated = ascending.clone();
+        if let Some(p) = repeated.iter().position(|(_, m)| *m > 1) {
+            let half = repeated[p].1 / 2;
+            repeated[p].1 -= half;
+            repeated.insert(p + 1, (repeated[p].0.clone(), half));
+        }
+        let storage = |b: &Bag| {
+            (b.store().values().to_vec(), b.live_ids().map(|i| b.mult_of(i)).collect::<Vec<_>>())
+        };
+        for arena in [ascending, zeroed, repeated] {
+            let data: Vec<Value> = arena.iter().flat_map(|(row, _)| row.iter().copied().map(Value::new)).collect();
+            let mults: Vec<u64> = arena.iter().map(|(_, m)| *m).collect();
+            for threads in THREADS {
+                let t = Bag::from_arena(schema.clone(), data.clone(), mults.clone(), &cfg(threads)).unwrap();
+                prop_assert!(t.is_sealed());
+                let got: Vec<(Vec<u64>, u64)> = t
+                    .iter_sorted()
+                    .map(|(row, m)| (row.iter().map(|v| v.get()).collect(), m))
+                    .collect();
+                prop_assert_eq!(&got, &want, "arena {:?}", arena);
+                prop_assert_eq!(storage(&t), storage(&one), "arena {:?}", arena);
+            }
         }
     }
 

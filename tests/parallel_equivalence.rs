@@ -50,27 +50,67 @@ fn session(threads: usize) -> Session {
 /// keys collide heavily and shard boundaries land inside group clusters.
 fn arb_bag(first: u32, arity: u32, domain: u64, max_support: usize) -> impl Strategy<Value = Bag> {
     let schema = Schema::range(first, first + arity);
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(0..domain, arity as usize),
-            1..=16u64,
-        ),
-        0..=max_support,
-    )
-    .prop_map(move |rows| {
-        let mut bag = Bag::new(schema.clone());
-        for (row, m) in rows {
-            let vals: Vec<Value> = row.into_iter().map(Value::new).collect();
-            bag.insert(vals, m).unwrap();
-        }
-        bag.seal();
-        bag
-    })
+    arb_rows(arity as usize, domain, max_support).prop_map(move |rows| sealed_bag(&schema, &rows))
 }
 
-/// Two sealed bags over {A0,A1} and {A1,A2} (the e02 shape).
+/// Strategy: up to `max_support` rows of `width` values below `domain`,
+/// each with a multiplicity in `1..=16`.
+fn arb_rows(
+    width: usize,
+    domain: u64,
+    max_support: usize,
+) -> impl Strategy<Value = Vec<(Vec<u64>, u64)>> {
+    proptest::collection::vec(
+        (proptest::collection::vec(0..domain, width), 1..=16u64),
+        0..=max_support,
+    )
+}
+
+/// The sealed bag over `schema` holding the first `schema.arity()`
+/// values of each row; equal rows accumulate.
+fn sealed_bag(schema: &Schema, rows: &[(Vec<u64>, u64)]) -> Bag {
+    let mut bag = Bag::new(schema.clone());
+    for (row, m) in rows {
+        let vals: Vec<Value> = row[..schema.arity()]
+            .iter()
+            .copied()
+            .map(Value::new)
+            .collect();
+        bag.insert(vals, *m).unwrap();
+    }
+    bag.seal();
+    bag
+}
+
+/// Schema pairs `(X, Y)` in every orientation of the witness fill:
+/// `Y∖X` above `X` (the e02 shape; the fill lists cells by `R`-row),
+/// `X∖Y` above `Y` (by `S`-row), interleaved (the fill's rows are sorted),
+/// nested both ways, disjoint, and one side empty.
+const PAIR_SHAPES: [(&[u32], &[u32]); 8] = [
+    (&[0, 1], &[1, 2]),
+    (&[1, 2], &[0, 1]),
+    (&[0, 2], &[1, 2]),
+    (&[0, 1, 2], &[1, 2]),
+    (&[0, 2], &[0, 1, 2]),
+    (&[0, 1], &[2, 3]),
+    (&[0, 2], &[1, 3]),
+    (&[], &[0, 1]),
+];
+
+/// Attribute set of one side of a [`PAIR_SHAPES`] entry.
+fn shape_schema(ids: &[u32]) -> Schema {
+    Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
+}
+
+/// Two sealed bags over one of [`PAIR_SHAPES`].
 fn arb_pair() -> impl Strategy<Value = (Bag, Bag)> {
-    (arb_bag(0, 2, 4, 48), arb_bag(1, 2, 4, 48))
+    (0..PAIR_SHAPES.len(), arb_rows(3, 4, 48), arb_rows(3, 4, 48)).prop_map(|(shape, r, s)| {
+        let (x, y) = PAIR_SHAPES[shape];
+        (
+            sealed_bag(&shape_schema(x), &r),
+            sealed_bag(&shape_schema(y), &s),
+        )
+    })
 }
 
 /// An **unsealed** bag: rows inserted in arbitrary order (duplicates
@@ -236,18 +276,25 @@ proptest! {
 
     /// Consistency decisions and witnesses agree across configurations
     /// end-to-end (marginal pre-check + group fill), down to the sealed
-    /// row layout. The second pair is two marginals of one random bag, so
-    /// it is consistent and the fill runs over many shared-key groups
-    /// split across shards.
+    /// row layout, and each witness is canonical: it equals the bag
+    /// `Bag::from_rows` builds from its own rows. The second pair is two
+    /// marginals of one random bag onto the first pair's schemas, so it
+    /// is consistent and the fill runs over many shared-key groups split
+    /// across shards.
     #[test]
-    fn consistency_witness_parallel_matches_sequential((r0, s0) in arb_pair(), t in arb_bag(0, 3, 8, 96)) {
+    fn consistency_witness_parallel_matches_sequential((r0, s0) in arb_pair(), t in arb_bag(0, 4, 8, 96)) {
         let joint = (
-            t.marginal(&Schema::range(0, 2)).unwrap(),
-            t.marginal(&Schema::range(1, 3)).unwrap(),
+            t.marginal(r0.schema()).unwrap(),
+            t.marginal(s0.schema()).unwrap(),
         );
         for (r, s) in [(r0, s0), joint] {
             let seq = session(1).consistency_witness(&r, &s).unwrap();
             prop_assert_eq!(seq.is_some(), Session::default().bags_consistent(&r, &s).unwrap());
+            if let Some(w) = &seq {
+                let rebuilt = Bag::from_rows(w.schema().clone(), w.iter()).unwrap();
+                prop_assert_eq!(rebuilt.store().values(), w.store().values());
+                prop_assert_eq!(rebuilt.iter().collect::<Vec<_>>(), w.iter().collect::<Vec<_>>());
+            }
             let seq_rows: Option<Vec<(&[Value], u64)>> = seq.as_ref().map(|w| w.iter().collect());
             for threads in THREADS {
                 let par = session(threads).consistency_witness(&r, &s).unwrap();
