@@ -63,7 +63,7 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// A session under these options (thread count and node budget) and
-    /// `timeout`.
+    /// `timeout`: the loader's and every connection's.
     fn session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
         let mut b = Session::builder();
         if let Some(threads) = self.threads {
@@ -185,11 +185,6 @@ enum AuthError {
 impl Shared {
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
-    }
-
-    /// A per-connection session under the daemon's options.
-    fn build_session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
-        self.opts.session(timeout)
     }
 
     /// Resolves a client-supplied path against the `--data-dir`
@@ -474,7 +469,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
         }
         Command::Timeout(t) => {
             conn.timeout = t;
-            match shared.build_session(t) {
+            match shared.opts.session(t) {
                 Ok(s) => conn.session = s,
                 Err(e) => return err("internal", &e.to_string()),
             }
@@ -783,7 +778,7 @@ fn serve_connection(shared: Arc<Shared>, stream: ClientStream) {
         return;
     };
     let mut reader = LineReader::new(stream);
-    let mut conn = match shared.build_session(shared.opts.timeout) {
+    let mut conn = match shared.opts.session(shared.opts.timeout) {
         Ok(session) => Conn {
             session,
             format: ReportFormat::Text,
