@@ -359,9 +359,10 @@ fn e7() {
         "{:>6} {:>5} {:>6} {:>10} {:>8}",
         "cycle", "seed", "|J|", "nodes", "answer"
     );
-    let cfg = SolverConfig::builder()
-        .node_limit(CLI_DEFAULT_BUDGET)
-        .build();
+    let cfg = SolverConfig {
+        node_limit: Some(CLI_DEFAULT_BUDGET),
+        ..Default::default()
+    };
     let (mut total, mut unsat, mut worst) = (0u64, 0u32, (0u64, 0u32, 0u64));
     for k in [3u32, 4] {
         let (domain, support) = if k == 3 { (6, 45) } else { (5, 80) };

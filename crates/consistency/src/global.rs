@@ -139,7 +139,10 @@ mod tests {
             .unwrap());
 
         // a 1-node budget cannot finish the search: no witness
-        let cfg = SolverConfig::builder().node_limit(1).build();
+        let cfg = SolverConfig {
+            node_limit: Some(1),
+            ..Default::default()
+        };
         let dec = globally_consistent_via_ilp(&[&r, &s, &t], &cfg).unwrap();
         assert_eq!(dec.outcome, IlpOutcome::Aborted(AbortReason::NodeBudget));
         assert!(dec.witness.is_none());

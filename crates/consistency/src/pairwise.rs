@@ -336,8 +336,8 @@ fn by_major_row(shards: &[Vec<Cell>], rows: usize, row: impl Fn(&Cell) -> u32) -
 /// when the collection is pairwise consistent. The public entry is
 /// [`crate::session::Session::first_inconsistent_pair`].
 ///
-/// Polls `cfg`'s [`bagcons_core::Deadline`] between pairs: an expiry or
-/// cancellation surfaces as [`CoreError::Aborted`], which the session
+/// Polls `cfg`'s [`bagcons_core::Deadline`] between pairs: an expiry
+/// surfaces as [`CoreError::Aborted`], which the session
 /// layer converts into a graceful `Decision::Unknown`.
 pub(crate) fn first_inconsistent_pair_with(
     bags: &[&Bag],

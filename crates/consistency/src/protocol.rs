@@ -76,8 +76,8 @@ pub fn decision_response(
     }
 }
 
-/// Renders the degraded form of a request whose deadline expired (or
-/// whose cancel token fired) **before** any state committed: the stream
+/// Renders the degraded form of a request whose deadline expired
+/// **before** any state committed: the stream
 /// rolled the request back, so there is no outcome to render, but the
 /// client still gets the `status=3` / `abort_reason` contract rather
 /// than an opaque error.

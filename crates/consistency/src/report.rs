@@ -12,9 +12,9 @@
 //! mechanically (experiment E2).
 
 use crate::pairwise::bags_consistent;
-use bagcons_core::{AttrNames, Bag, ExecConfig, Result};
+use bagcons_core::{AttrNames, Bag, CoreError, ExecConfig, Result};
 use bagcons_flow::ConsistencyNetwork;
-use bagcons_lp::ilp::{solve, SolverConfig};
+use bagcons_lp::ilp::{solve, IlpOutcome, SolverConfig};
 use bagcons_lp::{rational_solution, ConsistencyProgram};
 use std::fmt;
 
@@ -246,9 +246,9 @@ impl Lemma2Report {
     /// [`crate::session::Session::pairwise_report`]. The witness seal
     /// shards across threads when `exec` permits, the max-flow of
     /// `N(R,S)` honours `exec`'s deadline, and the exact integer search
-    /// honors `solver`'s node budget (a budget abort counts as "not
-    /// integrally feasible", which can break [`Lemma2Report::all_agree`]
-    /// — pass an adequate budget).
+    /// honors `solver`'s node budget and deadline. A search that aborts
+    /// leaves (4) unknown, so the whole report fails with
+    /// [`CoreError::Aborted`] and its reason.
     pub(crate) fn compute_with(
         r: &Bag,
         s: &Bag,
@@ -260,7 +260,11 @@ impl Lemma2Report {
         let rational_feasible = rational_solution(r, s)?.is_some();
 
         let prog = ConsistencyProgram::build(&[r, s])?;
-        let integral_feasible = solve(&prog, solver).0.is_sat();
+        let integral_feasible = match solve(&prog, solver).0 {
+            IlpOutcome::Sat(_) => true,
+            IlpOutcome::Unsat => false,
+            IlpOutcome::Aborted(reason) => return Err(CoreError::Aborted(reason)),
+        };
 
         let witness = ConsistencyNetwork::build(r, s)?.solve_with(exec)?;
         let saturated_flow = witness.is_some();

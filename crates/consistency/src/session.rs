@@ -366,8 +366,8 @@ pub struct CheckOutcome {
     /// acyclic-branch refusals.
     pub inconsistent_pair: Option<(usize, usize)>,
     /// Why the decision is [`Decision::Unknown`], when it is: the node
-    /// budget ran out, the session deadline expired, or a
-    /// [`bagcons_core::CancelToken`] fired. `None` on decided outcomes.
+    /// budget ran out or the session deadline expired. `None` on decided
+    /// outcomes.
     pub abort_reason: Option<AbortReason>,
     /// Wall-clock timings per pipeline stage, in execution order.
     pub stages: Vec<StageTiming>,
@@ -603,9 +603,7 @@ impl Render for PairwiseOutcome {
                 r.marginals_equal
             )
         } else {
-            "DISAGREEMENT among Lemma 2's characterizations (a bug, or a search budget \
-             abort misreported as infeasible)"
-                .to_string()
+            "DISAGREEMENT among Lemma 2's characterizations (a bug)".to_string()
         };
         format!(
             "Lemma 2 characterizations:\n\
@@ -795,7 +793,6 @@ impl Render for CounterexampleOutcome {
 pub struct SessionBuilder {
     threads: Option<usize>,
     exec: Option<ExecConfig>,
-    solver: SolverConfig,
     budget: Option<u64>,
     deadline: Option<Duration>,
     max_mismatches: Option<usize>,
@@ -810,23 +807,17 @@ impl SessionBuilder {
         self
     }
 
-    /// Uses a fully spelled-out execution configuration (default:
-    /// [`ExecConfig::default`] — one worker per core, capped at 8).
+    /// Takes the thread count and sequential-fallback threshold of
+    /// `exec` (default: [`ExecConfig::default`] — one worker per core,
+    /// capped at 8). Its deadline is ignored: a session's only deadline
+    /// is the per-operation one of [`SessionBuilder::deadline`].
     pub fn exec(mut self, exec: ExecConfig) -> Self {
         self.exec = Some(exec);
         self
     }
 
-    /// Uses a fully spelled-out solver configuration (default:
-    /// [`SolverConfig::default`] — unlimited search).
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Node budget for the cyclic branch's exact search; exceeding it
-    /// yields [`Decision::Unknown`]. Overrides the limit of a config
-    /// passed to [`SessionBuilder::solver`].
+    /// Node budget for the cyclic branch's exact search (default:
+    /// unlimited); exceeding it yields [`Decision::Unknown`].
     pub fn budget(mut self, nodes: u64) -> Self {
         self.budget = Some(nodes);
         self
@@ -840,8 +831,7 @@ impl SessionBuilder {
     /// between bag pairs). On expiry the operation degrades gracefully to
     /// [`Decision::Unknown`] with
     /// [`AbortReason::DeadlineExceeded`] — it never hangs and is never
-    /// killed mid-mutation. Composes with any deadline already on the
-    /// [`SessionBuilder::exec`] config (the earlier one wins).
+    /// killed mid-mutation.
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -856,25 +846,17 @@ impl SessionBuilder {
 
     /// Validates the configuration and builds the session.
     pub fn build(self) -> Result<Session, CoreError> {
-        let exec = match (self.exec, self.threads) {
-            (None, None) => ExecConfig::default(),
-            (Some(exec), None) => exec,
-            (exec, Some(threads)) => {
-                let base = exec.unwrap_or_default();
-                ExecConfig::builder()
-                    .threads(threads)
-                    .min_parallel_support(base.min_parallel_support())
-                    .deadline(base.deadline().clone())
-                    .build()?
-            }
-        };
-        let mut solver = self.solver;
-        if let Some(nodes) = self.budget {
-            solver.node_limit = Some(nodes);
-        }
+        let base = self.exec.unwrap_or_default();
+        let exec = ExecConfig::builder()
+            .threads(self.threads.unwrap_or(base.threads()))
+            .min_parallel_support(base.min_parallel_support())
+            .build()?;
         Ok(Session {
             exec,
-            solver,
+            solver: SolverConfig {
+                node_limit: self.budget,
+                ..Default::default()
+            },
             time_budget: self.deadline,
             interner: NameInterner::new(),
             max_mismatches: self
@@ -933,9 +915,9 @@ impl Session {
         self.time_budget
     }
 
-    /// Arms a fresh per-operation [`Deadline`] (the builder's time budget
-    /// merged with any deadline on the exec config) and returns the
-    /// governed exec + solver configs one top-level call runs under.
+    /// Arms a fresh per-operation [`Deadline`] from the time budget and
+    /// returns the governed exec + solver configs one top-level call runs
+    /// under.
     pub(crate) fn arm(&self) -> (ExecConfig, SolverConfig) {
         arm_configs(&self.exec, &self.solver, self.time_budget)
     }
@@ -1038,8 +1020,7 @@ impl Session {
     /// experiment harness can measure the polynomial-vs-exponential shape
     /// the theorem predicts.
     ///
-    /// Under a [`SessionBuilder::deadline`] (or a cancel token on the
-    /// exec config), expiry mid-pipeline returns
+    /// Under a [`SessionBuilder::deadline`], expiry mid-pipeline returns
     /// [`Decision::Unknown`] with the [`CheckOutcome::abort_reason`]
     /// set — never an error, never a hang.
     pub fn check(&self, bags: &[&Bag]) -> Result<CheckOutcome, SessionError> {
@@ -1250,22 +1231,20 @@ impl Session {
     }
 }
 
-/// Arms a fresh per-operation [`Deadline`] over a copied configuration:
-/// the optional wall-clock budget is merged with any deadline already on
-/// the exec config (earlier wins), and the solver inherits the result.
-/// Shared by [`Session::arm`] and the de-lifetimed
-/// [`crate::stream::ConsistencyStream`].
+/// Copies of the exec and solver configurations that one top-level call
+/// runs under, both governed by a fresh [`Deadline`] `time_budget` from
+/// now ([`Deadline::NONE`] without one). Shared by [`Session::arm`] and
+/// the de-lifetimed [`crate::stream::ConsistencyStream`].
 pub(crate) fn arm_configs(
     exec: &ExecConfig,
     solver: &SolverConfig,
     time_budget: Option<Duration>,
 ) -> (ExecConfig, SolverConfig) {
-    let deadline = match time_budget {
-        Some(budget) => exec.deadline().merged(&Deadline::after(budget)),
-        None => exec.deadline().clone(),
+    let deadline = time_budget.map_or(Deadline::NONE, Deadline::after);
+    let solver = SolverConfig {
+        deadline,
+        ..solver.clone()
     };
-    let mut solver = solver.clone();
-    solver.deadline = solver.deadline.merged(&deadline);
     (exec.clone().with_deadline(deadline), solver)
 }
 
@@ -1286,7 +1265,7 @@ fn outcome(decision: Decision, branch: Branch, stages: Vec<StageTiming>) -> Chec
 /// [`Session::witness`]: the schema, the pairwise screen, then
 /// [`settle`]. It builds no witness.
 ///
-/// Deadline/cancellation aborts ([`CoreError::Aborted`]) from the
+/// Deadline aborts ([`CoreError::Aborted`]) from the
 /// pairwise sweep are converted into an [`Decision::Unknown`] outcome
 /// here, so governed callers never see them as errors.
 pub(crate) fn check_impl(
@@ -1429,11 +1408,8 @@ mod tests {
 
     #[test]
     fn builder_budget_overrides_solver_limit() {
-        let s = Session::builder()
-            .solver(SolverConfig::builder().node_limit(7).build())
-            .budget(99)
-            .build()
-            .unwrap();
+        assert_eq!(Session::default().solver().node_limit, None);
+        let s = Session::builder().budget(7).budget(99).build().unwrap();
         assert_eq!(s.solver().node_limit, Some(99));
     }
 
@@ -1553,38 +1529,40 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_degrades_check_to_unknown() {
-        let token = bagcons_core::CancelToken::new();
-        token.cancel();
+    fn exec_config_deadline_does_not_govern_a_session() {
+        // Only SessionBuilder::deadline arms a session's operations: the
+        // deadline of a config passed to `exec` is dropped, its sizing
+        // knobs kept.
+        let past = std::time::Instant::now() - Duration::from_millis(1);
         let exec = ExecConfig::builder()
-            .deadline(Deadline::cancelled_by(token))
+            .threads(3)
+            .min_parallel_support(7)
             .build()
-            .unwrap();
+            .unwrap()
+            .with_deadline(Deadline::at(past));
         let session = Session::builder().exec(exec).build().unwrap();
+        assert_eq!(session.exec().threads(), 3);
+        assert_eq!(session.exec().min_parallel_support(), 7);
+        assert_eq!(*session.exec().deadline(), Deadline::NONE);
         let (r, s) = path_pair();
         let out = session.check(&[&r, &s]).unwrap();
-        assert_eq!(out.decision, Decision::Unknown);
-        assert_eq!(out.abort_reason, Some(AbortReason::Cancelled));
+        assert_eq!(out.decision, Decision::Consistent);
+        assert_eq!(out.abort_reason, None);
     }
 
     #[test]
     fn cancelled_exec_deadline_aborts_semijoin() {
-        let token = bagcons_core::CancelToken::new();
-        token.cancel();
-        let exec = ExecConfig::builder()
-            .deadline(Deadline::cancelled_by(token))
-            .build()
-            .unwrap();
-        let session = Session::builder().exec(exec).build().unwrap();
+        let past = std::time::Instant::now() - Duration::from_millis(1);
+        let exec = ExecConfig::default().with_deadline(Deadline::at(past));
         let (r, s) = path_pair();
         assert_eq!(
-            session.semijoin(&r.support(), &s.support()),
-            Err(CoreError::Aborted(AbortReason::Cancelled))
+            semijoin_with(&r.support(), &s.support(), &exec),
+            Err(CoreError::Aborted(AbortReason::DeadlineExceeded))
         );
         let rels = [r.support(), s.support()];
         assert_eq!(
-            session.acyclic_join(&rels),
-            Err(CoreError::Aborted(AbortReason::Cancelled))
+            acyclic_join_with(&rels, &exec),
+            Err(CoreError::Aborted(AbortReason::DeadlineExceeded))
         );
     }
 
@@ -1659,10 +1637,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), wide.clone()).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), wide.clone()).unwrap();
         let t = Bag::from_u64s(schema(&[0, 2]), wide).unwrap();
-        let session = Session::builder()
-            .solver(SolverConfig::builder().node_limit(1).build())
-            .build()
-            .unwrap();
+        let session = Session::builder().budget(1).build().unwrap();
         let out = session.check(&[&r, &s, &t]).unwrap();
         assert_eq!(out.decision, Decision::Unknown);
         assert_eq!(out.abort_reason, Some(AbortReason::NodeBudget));

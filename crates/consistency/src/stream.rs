@@ -61,12 +61,12 @@
 //! # Governance and fault containment
 //!
 //! Each update arms a fresh per-operation [`bagcons_core::Deadline`]
-//! from the opening session's configuration
+//! from the opening session's time budget
 //! ([`crate::session::SessionBuilder::deadline`]; adjustable per stream
 //! via [`ConsistencyStream::set_time_budget`]). The apply stage honours
 //! it (an abort there rolls the batch back). Once the delta is applied
 //! the pair differences are updated unconditionally, then the deadline
-//! is polled once: an expiry or cancellation at that point reports
+//! is polled once: an expiry at that point reports
 //! [`Decision::Unknown`] with [`UpdateOutcome::abort_reason`] set, and
 //! the next update re-decides from the (exact) pair state. A worker
 //! panic while applying (surfaced as
@@ -152,8 +152,8 @@ pub struct UpdateOutcome {
     /// Search nodes of that run (0 otherwise).
     pub search_nodes: u64,
     /// Why the decision is [`Decision::Unknown`], when it is: the cyclic
-    /// search's node budget ran out ([`AbortReason::NodeBudget`]), the
-    /// per-update deadline expired, or a cancel token fired.
+    /// search's node budget ran out ([`AbortReason::NodeBudget`]) or the
+    /// per-update deadline expired.
     pub abort_reason: Option<AbortReason>,
     /// Wall-clock timings per update stage (`apply`, `repair`,
     /// `decide`).
@@ -537,7 +537,7 @@ impl ConsistencyStream {
     }
 
     /// Why the current decision is [`Decision::Unknown`], when it is
-    /// (deadline expiry, cancellation, or an exhausted node budget).
+    /// (deadline expiry or an exhausted node budget).
     pub fn abort_reason(&self) -> Option<AbortReason> {
         self.abort_reason
     }
@@ -875,34 +875,48 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_never_corrupts_stream_state() {
-        let token = bagcons_core::CancelToken::new();
-        let exec = ExecConfig::builder()
-            .deadline(bagcons_core::Deadline::cancelled_by(token.clone()))
-            .build()
-            .unwrap();
-        let session = Session::builder().exec(exec).build().unwrap();
+    fn expired_deadline_never_corrupts_stream_state() {
         let (r, s) = path_pair();
+        let session = Session::default();
         let mut stream = session.open_stream(vec![r, s]).unwrap();
         assert_eq!(stream.decision(), Decision::Consistent);
 
-        token.cancel();
+        stream.set_time_budget(Some(Duration::ZERO));
         let mut d = DeltaSet::new(schema(&[0, 1]));
         d.bump_u64s(&[0, 0], 1).unwrap();
         // the abort surfaces either before the delta commits (atomic
         // apply-stage error, state untouched) or after (degraded Unknown
         // outcome) — never as a decision computed from half-repaired pairs
-        match stream.update(0, &d) {
-            Err(SessionError::Core(CoreError::Aborted(AbortReason::Cancelled))) => {
+        let committed = match stream.update(0, &d) {
+            Err(SessionError::Core(CoreError::Aborted(AbortReason::DeadlineExceeded))) => {
                 assert_eq!(stream.decision(), Decision::Consistent);
                 assert_eq!(stream.bags()[0].unary_size(), 5);
+                false
             }
             Ok(out) => {
                 assert_eq!(out.decision, Decision::Unknown);
-                assert_eq!(out.abort_reason, Some(AbortReason::Cancelled));
+                assert_eq!(out.abort_reason, Some(AbortReason::DeadlineExceeded));
+                true
             }
             Err(e) => panic!("unexpected error: {e}"),
-        }
+        };
+
+        // without the budget, the next update decides as a stream freshly
+        // opened over the same bags would
+        stream.set_time_budget(None);
+        let mut e = DeltaSet::new(schema(&[1, 2]));
+        e.bump_u64s(&[0, 7], 1).unwrap();
+        let out = stream.update(1, &e).unwrap();
+        let fresh = session.open_stream_shared(stream.share_bags()).unwrap();
+        assert_eq!(out.decision, fresh.decision());
+        assert_eq!(out.inconsistent_pair, fresh.inconsistent_pair());
+        assert_eq!(out.abort_reason, None);
+        let expect = if committed {
+            Decision::Consistent
+        } else {
+            Decision::Inconsistent
+        };
+        assert_eq!(out.decision, expect);
     }
 
     /// Two legal, consistent bags whose shared-key mass is 2^64: a u64

@@ -33,7 +33,7 @@
 use crate::exec::ExecConfig;
 use crate::pack::RowOrd;
 use crate::store::{RowId, RowStore};
-use crate::{CoreError, Relation, Result, Schema, Tuple, Value};
+use crate::{CoreError, Relation, Result, Schema, Value};
 use std::fmt;
 
 /// A finite bag (multiset) of tuples over a fixed schema.
@@ -295,17 +295,6 @@ impl Bag {
             self.sealed = false;
         }
         None
-    }
-
-    /// Adds `mult` occurrences of a [`Tuple`] (must match the schema).
-    pub fn insert_tuple(&mut self, t: &Tuple, mult: u64) -> Result<()> {
-        if t.schema() != &self.schema {
-            return Err(CoreError::SchemaMismatch {
-                left: t.schema().clone(),
-                right: self.schema.clone(),
-            });
-        }
-        self.insert_row(t.row(), mult)
     }
 
     /// Sets the multiplicity of `row` exactly (0 removes it).
@@ -1043,10 +1032,7 @@ mod tests {
         let bag = Bag::from_arena(schema(&[0, 1]), data, mults, &ExecConfig::sequential()).unwrap();
         assert_eq!(bag.store().values().as_ptr(), at);
         assert_eq!(bag.multiplicity(&[Value(3), Value(0)]), 5);
-        let fired = ExecConfig::builder()
-            .deadline(Deadline::at(std::time::Instant::now()))
-            .build()
-            .unwrap();
+        let fired = ExecConfig::default().with_deadline(Deadline::at(std::time::Instant::now()));
         let descending = (vec![Value(3), Value(0), Value(1), Value(2)], vec![5, 4]);
         for (data, mults) in [ascending(), descending] {
             assert!(matches!(
@@ -1539,9 +1525,9 @@ mod tests {
             let cfg = ExecConfig::builder()
                 .threads(threads)
                 .min_parallel_support(1)
-                .deadline(Deadline::at(std::time::Instant::now()))
                 .build()
-                .unwrap();
+                .unwrap()
+                .with_deadline(Deadline::at(std::time::Instant::now()));
             let err = b.apply_delta_with(&d, &cfg).unwrap_err();
             assert!(
                 matches!(err, CoreError::Aborted(_)),

@@ -1,4 +1,4 @@
-//! Cooperative cancellation and wall-clock deadlines.
+//! Wall-clock deadlines.
 //!
 //! The resource-governance layer threads a [`Deadline`] through
 //! [`crate::ExecConfig`] into every bulk path: the shard executor polls
@@ -10,12 +10,10 @@
 //! `Decision::Unknown` — never a hang, never a hard kill.
 //!
 //! Polling is cheap by construction: an unlimited deadline (the default
-//! everywhere) is two `Option` tests, an armed one is one atomic load
-//! and/or one monotonic clock read. Poll sites sit at *chunk* and
-//! *phase* granularity, off the per-row hot loops.
+//! everywhere) is one `Option` test, an armed one is one monotonic clock
+//! read. Poll sites sit at *chunk* and *phase* granularity, off the
+//! per-row hot loops.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a computation stopped without reaching an answer.
@@ -27,8 +25,6 @@ use std::time::{Duration, Instant};
 pub enum AbortReason {
     /// The wall-clock deadline of the operation expired.
     DeadlineExceeded,
-    /// A [`CancelToken`] was cancelled from outside.
-    Cancelled,
     /// The exact-search node budget was exhausted before the search
     /// concluded (the cyclic branch's anytime answer).
     NodeBudget,
@@ -39,7 +35,6 @@ impl AbortReason {
     pub const fn as_str(&self) -> &'static str {
         match self {
             AbortReason::DeadlineExceeded => "deadline_exceeded",
-            AbortReason::Cancelled => "cancelled",
             AbortReason::NodeBudget => "node_budget",
         }
     }
@@ -48,7 +43,6 @@ impl AbortReason {
     pub const fn describe(&self) -> &'static str {
         match self {
             AbortReason::DeadlineExceeded => "deadline exceeded",
-            AbortReason::Cancelled => "cancelled",
             AbortReason::NodeBudget => "node budget exhausted",
         }
     }
@@ -60,63 +54,23 @@ impl std::fmt::Display for AbortReason {
     }
 }
 
-/// A shared cancellation flag: clone it, hand one copy to the work and
-/// keep the other, then [`CancelToken::cancel`] from any thread.
+/// A poll-based abort condition: an optional wall-clock expiry.
 ///
-/// Checked by every [`Deadline`] that carries it; cancellation is
-/// cooperative (work stops at its next poll site) and sticky (there is
-/// no un-cancel).
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation; every clone of this token observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// True iff `self` and `other` share one underlying flag.
-    pub fn same_as(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
-}
-
-/// A poll-based abort condition: an optional wall-clock expiry plus an
-/// optional [`CancelToken`].
-///
-/// The default ([`Deadline::NONE`]) never fires and costs two `Option`
-/// tests per poll. Deadlines compose ([`Deadline::merged`]): the
-/// earliest expiry and any cancelled token win.
-#[derive(Clone, Debug, Default)]
+/// The default ([`Deadline::NONE`]) never fires and costs one `Option`
+/// test per poll.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Deadline {
     expires: Option<Instant>,
-    token: Option<CancelToken>,
 }
 
 impl Deadline {
     /// The unlimited deadline: [`Deadline::poll`] never fires.
-    pub const NONE: Deadline = Deadline {
-        expires: None,
-        token: None,
-    };
+    pub const NONE: Deadline = Deadline { expires: None };
 
-    /// A deadline `budget` from now, with no cancellation token.
+    /// A deadline `budget` from now.
     pub fn after(budget: Duration) -> Self {
         Deadline {
             expires: Instant::now().checked_add(budget),
-            token: None,
         }
     }
 
@@ -124,87 +78,23 @@ impl Deadline {
     pub fn at(expires: Instant) -> Self {
         Deadline {
             expires: Some(expires),
-            token: None,
         }
     }
 
-    /// A deadline that fires only on cancellation of `token`.
-    pub fn cancelled_by(token: CancelToken) -> Self {
-        Deadline {
-            expires: None,
-            token: Some(token),
-        }
-    }
-
-    /// Attaches (or replaces) the cancellation token.
-    pub fn with_token(mut self, token: CancelToken) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// The earlier-firing combination of two deadlines: minimum expiry,
-    /// and whichever token is present (`self`'s wins when both are).
-    pub fn merged(&self, other: &Deadline) -> Deadline {
-        let expires = match (self.expires, other.expires) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Deadline {
-            expires,
-            token: self.token.clone().or_else(|| other.token.clone()),
-        }
-    }
-
-    /// True iff this deadline can never fire (no expiry, no token).
-    #[inline]
-    pub fn is_unlimited(&self) -> bool {
-        self.expires.is_none() && self.token.is_none()
-    }
-
-    /// The wall-clock expiry, if one is armed.
-    pub fn expires_at(&self) -> Option<Instant> {
-        self.expires
-    }
-
-    /// Checks the abort condition: `Some(reason)` once the token is
-    /// cancelled or the expiry has passed, `None` otherwise.
-    ///
-    /// Cancellation is checked before the clock, so an explicit cancel
-    /// reports [`AbortReason::Cancelled`] even after the expiry.
+    /// Checks the abort condition: `Some(reason)` once the expiry has
+    /// passed, `None` otherwise.
     #[inline]
     pub fn poll(&self) -> Option<AbortReason> {
-        if let Some(token) = &self.token {
-            if token.is_cancelled() {
-                return Some(AbortReason::Cancelled);
-            }
-        }
+        let at = self.expires?;
         // An injected failpoint deadline trips any *armed* deadline
         // (test-only; ungoverned Deadline::NONE paths stay unlimited).
         #[cfg(feature = "fault-injection")]
-        if !self.is_unlimited() && crate::fault::deadline_injected() {
+        if crate::fault::deadline_injected() {
             return Some(AbortReason::DeadlineExceeded);
         }
-        match self.expires {
-            Some(at) if Instant::now() >= at => Some(AbortReason::DeadlineExceeded),
-            _ => None,
-        }
+        (Instant::now() >= at).then_some(AbortReason::DeadlineExceeded)
     }
 }
-
-/// Deadline identity, used by [`crate::ExecConfig`]'s `PartialEq`: equal
-/// expiries and the *same* (pointer-equal) token.
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        self.expires == other.expires
-            && match (&self.token, &other.token) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.same_as(b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for Deadline {}
 
 #[cfg(test)]
 mod tests {
@@ -212,9 +102,8 @@ mod tests {
 
     #[test]
     fn unlimited_never_fires() {
-        let d = Deadline::NONE;
-        assert!(d.is_unlimited());
-        assert_eq!(d.poll(), None);
+        assert_eq!(Deadline::NONE.poll(), None);
+        assert_eq!(Deadline::default(), Deadline::NONE);
         assert_eq!(Deadline::default().poll(), None);
     }
 
@@ -224,40 +113,5 @@ mod tests {
         assert_eq!(d.poll(), Some(AbortReason::DeadlineExceeded));
         let far = Deadline::after(Duration::from_secs(3600));
         assert_eq!(far.poll(), None);
-    }
-
-    #[test]
-    fn cancellation_fires_and_wins_over_expiry() {
-        let token = CancelToken::new();
-        let d = Deadline::at(Instant::now() - Duration::from_millis(1)).with_token(token.clone());
-        assert_eq!(d.poll(), Some(AbortReason::DeadlineExceeded));
-        token.cancel();
-        assert_eq!(d.poll(), Some(AbortReason::Cancelled));
-        assert!(token.is_cancelled());
-        // every clone observes the shared flag
-        assert!(Deadline::cancelled_by(token.clone()).poll() == Some(AbortReason::Cancelled));
-    }
-
-    #[test]
-    fn merged_takes_earliest_expiry_and_any_token() {
-        let soon = Instant::now() + Duration::from_millis(5);
-        let late = soon + Duration::from_secs(60);
-        let merged = Deadline::at(late).merged(&Deadline::at(soon));
-        assert_eq!(merged.expires_at(), Some(soon));
-        let token = CancelToken::new();
-        let merged = Deadline::NONE.merged(&Deadline::cancelled_by(token.clone()));
-        token.cancel();
-        assert_eq!(merged.poll(), Some(AbortReason::Cancelled));
-    }
-
-    #[test]
-    fn equality_is_identity_on_tokens() {
-        let t = CancelToken::new();
-        let a = Deadline::cancelled_by(t.clone());
-        let b = Deadline::cancelled_by(t);
-        let c = Deadline::cancelled_by(CancelToken::new());
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(Deadline::NONE, Deadline::default());
     }
 }

@@ -42,11 +42,10 @@ pub enum CoreError {
     /// A configuration builder rejected its inputs (e.g. zero threads in
     /// [`crate::exec::ExecConfigBuilder::build`]).
     InvalidConfig(&'static str),
-    /// The operation stopped at a cancellation point before completing:
-    /// its [`crate::Deadline`] expired, its [`crate::CancelToken`] was
-    /// cancelled, or a search budget ran out. The operands are left
-    /// exactly as they were — callers can retry with a larger budget or
-    /// surface the reason as an "unknown" answer.
+    /// The operation stopped at a poll site before completing: its
+    /// [`crate::Deadline`] expired or a search budget ran out. The
+    /// operands are left exactly as they were — callers can retry with a
+    /// larger budget or surface the reason as an "unknown" answer.
     Aborted(crate::AbortReason),
     /// A worker thread panicked inside a parallel bulk operation. The
     /// executor contained the panic ([`crate::exec::try_run_tasks`]),

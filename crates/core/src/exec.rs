@@ -67,8 +67,7 @@ pub struct ExecConfig {
     /// Cooperative abort condition, polled by [`try_run_tasks`] at every
     /// chunk claim (and by the phase/node/pair-granular poll sites
     /// downstream). [`Deadline::NONE`] — the default — never fires and
-    /// costs two `Option` tests per poll. `Clone`, not `Copy`: the
-    /// deadline may carry an `Arc`'d [`crate::CancelToken`].
+    /// costs one `Option` test per poll.
     pub(crate) deadline: Deadline,
 }
 
@@ -114,8 +113,9 @@ impl ExecConfig {
     }
 
     /// Returns the configuration with `deadline` as its abort condition
-    /// — how [`Deadline`]s thread into the `*_with` entry points without
-    /// new parameters. The sizing knobs are untouched.
+    /// — the one way a [`Deadline`] reaches the `*_with` entry points (a
+    /// session arms each operation's copy this way). The sizing knobs
+    /// are untouched.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
@@ -202,7 +202,6 @@ impl fmt::Display for ExecConfig {
 pub struct ExecConfigBuilder {
     threads: Option<usize>,
     min_parallel_support: usize,
-    deadline: Deadline,
 }
 
 impl ExecConfigBuilder {
@@ -210,7 +209,6 @@ impl ExecConfigBuilder {
         ExecConfigBuilder {
             threads: None,
             min_parallel_support: ExecConfig::DEFAULT_MIN_PARALLEL_SUPPORT,
-            deadline: Deadline::NONE,
         }
     }
 
@@ -225,12 +223,6 @@ impl ExecConfigBuilder {
     /// ([`ExecConfig::DEFAULT_MIN_PARALLEL_SUPPORT`] when unset).
     pub fn min_parallel_support(mut self, items: usize) -> Self {
         self.min_parallel_support = items;
-        self
-    }
-
-    /// Sets the abort condition ([`Deadline::NONE`] when unset).
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
         self
     }
 
@@ -254,7 +246,7 @@ impl ExecConfigBuilder {
         Ok(ExecConfig {
             threads,
             min_parallel_support: self.min_parallel_support,
-            deadline: self.deadline,
+            deadline: Deadline::NONE,
         })
     }
 }
@@ -648,20 +640,6 @@ mod tests {
             let err = try_run_tasks(&cfg, (0..64).collect::<Vec<usize>>(), |i| i).unwrap_err();
             assert_eq!(err, CoreError::Aborted(AbortReason::DeadlineExceeded));
         }
-    }
-
-    #[test]
-    fn try_run_tasks_aborts_on_cancelled_token() {
-        use crate::cancel::{AbortReason, CancelToken};
-        let token = CancelToken::new();
-        token.cancel();
-        let cfg = ExecConfig {
-            threads: 4,
-            min_parallel_support: 1,
-            deadline: Deadline::cancelled_by(token),
-        };
-        let err = try_run_tasks(&cfg, (0..64).collect::<Vec<usize>>(), |i| i).unwrap_err();
-        assert_eq!(err, CoreError::Aborted(AbortReason::Cancelled));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * `FaultAction::InjectDeadline` — the Nth hit trips a process-global
 //!   flag that makes every [`crate::Deadline::poll`] report
 //!   [`crate::AbortReason::DeadlineExceeded`], exercising the
-//!   cooperative-cancellation paths without waiting on a real clock.
+//!   deadline-abort paths without waiting on a real clock.
 //!
 //! Registered sites (kept in sync with the chaos suite and ROADMAP):
 //!

@@ -85,16 +85,6 @@ impl JoinSide {
     pub fn new(support: usize, sorted: bool) -> Self {
         JoinSide { support, sorted }
     }
-
-    /// Statistics of a bag operand whose key columns are `key`.
-    pub fn of_bag(bag: &Bag, key: &[usize]) -> Self {
-        Operand::bag(bag).side(key)
-    }
-
-    /// Statistics of a relation operand whose key columns are `key`.
-    pub fn of_relation(rel: &Relation, key: &[usize]) -> Self {
-        Operand::relation(rel).side(key)
-    }
 }
 
 /// A join operand as the join bodies read it: a bag, or a relation read
@@ -1289,9 +1279,9 @@ mod tests {
                 let cfg = ExecConfig::builder()
                     .threads(threads)
                     .min_parallel_support(1)
-                    .deadline(Deadline::after(std::time::Duration::from_secs(3600)))
                     .build()
-                    .unwrap();
+                    .unwrap()
+                    .with_deadline(Deadline::after(std::time::Duration::from_secs(3600)));
                 let undisturbed = join(&r, &s, &cfg).unwrap();
                 for action in [FaultAction::Panic, FaultAction::InjectDeadline] {
                     fault::arm(site, action, 1);

@@ -182,7 +182,7 @@ pub mod tuple;
 
 pub use attr::{Attr, Value};
 pub use bag::Bag;
-pub use cancel::{AbortReason, CancelToken, Deadline};
+pub use cancel::{AbortReason, Deadline};
 pub use delta::{DeltaApply, DeltaEdit, DeltaSet};
 pub use error::CoreError;
 pub use exec::{ExecConfig, ExecConfigBuilder};

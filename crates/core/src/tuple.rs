@@ -94,12 +94,6 @@ impl Tuple {
         &self.row
     }
 
-    /// Consumes the tuple, returning the raw row.
-    #[inline]
-    pub fn into_row(self) -> Row {
-        self.row
-    }
-
     /// The value of attribute `a`, if `a` is in the schema.
     pub fn get(&self, a: Attr) -> Option<Value> {
         self.schema.position(a).map(|p| self.row[p])

@@ -297,17 +297,4 @@ mod tests {
         assert_eq!(aborted, Some(AbortReason::DeadlineExceeded));
         assert_eq!(net.max_flow(0, 2), 5, "resume finds the full flow");
     }
-
-    /// A cancelled token reports `Cancelled`, not `DeadlineExceeded`.
-    #[test]
-    fn governed_abort_reports_cancellation() {
-        use bagcons_core::CancelToken;
-        let token = CancelToken::new();
-        token.cancel();
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(0, 1, 3);
-        let (got, aborted) = net.max_flow_governed(0, 1, &Deadline::cancelled_by(token));
-        assert_eq!(got, 0);
-        assert_eq!(aborted, Some(AbortReason::Cancelled));
-    }
 }

@@ -9,16 +9,7 @@
 //!
 //! Theorem 5 sharpens (3) for `m = 2` using classical Carathéodory:
 //! `‖W‖supp ≤ ‖R‖supp + ‖S‖supp`.
-//!
-//! [`minimize_support`] realizes minimal witnesses constructively by
-//! self-reducibility over the ILP (ban a support tuple, re-solve, keep the
-//! ban if still feasible) — the same shape as the paper's middle-edge
-//! deletion loop in Section 5.3, but running on `P(R₁,…,R_m)` so it also
-//! works for `m > 2` (at exponential worst-case cost, as Theorem 4 demands
-//! on cyclic schemas).
 
-use crate::ilp::{solve_masked, IlpOutcome, SolverConfig};
-use crate::ConsistencyProgram;
 use bagcons_core::Bag;
 
 /// The three bounds of Theorem 3 for a given input collection.
@@ -64,43 +55,11 @@ pub fn witness_respects_theorem3(witness: &Bag, bags: &[&Bag]) -> bool {
         && (witness.support_size() as u128) <= b.support_unary
 }
 
-/// Finds a feasible point of `prog` whose support is **inclusion-minimal**
-/// (no witness has support strictly contained in it), by greedy banning.
-///
-/// Returns `None` if the program is infeasible, or if the node budget was
-/// exhausted mid-way (in which case minimality could not be certified).
-pub fn minimize_support(prog: &ConsistencyProgram, cfg: &SolverConfig) -> Option<Vec<u64>> {
-    let n = prog.num_variables();
-    let mut banned = vec![false; n];
-    let (first, _) = solve_masked(prog, cfg, &banned);
-    let mut current = match first {
-        IlpOutcome::Sat(x) => x,
-        _ => return None,
-    };
-    for v in 0..n {
-        if banned[v] {
-            continue;
-        }
-        if current[v] == 0 {
-            // already unused — ban it so later feasibility checks can only
-            // tighten, preserving the minimality argument
-            banned[v] = true;
-            continue;
-        }
-        banned[v] = true;
-        match solve_masked(prog, cfg, &banned) {
-            (IlpOutcome::Sat(x), _) => current = x,
-            (IlpOutcome::Unsat, _) => banned[v] = false,
-            (IlpOutcome::Aborted(_), _) => return None,
-        }
-    }
-    Some(current)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ilp::solve;
+    use crate::ilp::{enumerate_solutions, SolverConfig};
+    use crate::ConsistencyProgram;
     use bagcons_core::{Attr, Bag, Schema};
 
     fn schema(ids: &[u32]) -> Schema {
@@ -124,8 +83,7 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 2), (&[2, 2][..], 2)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[2u64, 1][..], 2), (&[2, 2][..], 2)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let (sols, complete) =
-            crate::ilp::enumerate_solutions(&prog, &SolverConfig::default(), 10_000);
+        let (sols, complete) = enumerate_solutions(&prog, &SolverConfig::default(), 10_000);
         assert!(complete);
         assert!(!sols.is_empty());
         for x in sols {
@@ -134,10 +92,23 @@ mod tests {
         }
     }
 
+    /// The witnesses of `prog` whose support is inclusion-minimal, found
+    /// by enumerating every feasible point (tiny instances only).
+    fn minimal_witnesses(prog: &ConsistencyProgram) -> Vec<Vec<u64>> {
+        let (sols, complete) = enumerate_solutions(prog, &SolverConfig::default(), 10_000);
+        assert!(complete);
+        let within = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(&x, &y)| x == 0 || y > 0);
+        sols.iter()
+            .filter(|x| !sols.iter().any(|y| within(y, x) && !within(x, y)))
+            .cloned()
+            .collect()
+    }
+
     #[test]
     fn minimized_support_is_minimal_and_within_caratheodory() {
-        // Two bags with plenty of slack: support of the natural witness is
-        // larger than necessary; after minimization Theorem 5's bound holds.
+        // Two bags with plenty of slack: some witnesses have more support
+        // than needed, and every inclusion-minimal one meets Theorem 5's
+        // bound.
         let r = Bag::from_u64s(
             schema(&[0, 1]),
             [(&[1u64, 1][..], 2), (&[2, 1][..], 2), (&[3, 1][..], 2)],
@@ -145,18 +116,13 @@ mod tests {
         .unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3), (&[1, 2][..], 3)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let x = minimize_support(&prog, &SolverConfig::default()).expect("consistent");
-        assert!(prog.is_feasible_point(&x));
-        let supp = x.iter().filter(|&&v| v > 0).count();
-        assert!(supp <= two_bag_support_bound(&r, &s), "Theorem 5 bound");
-        // minimality: banning any used variable makes it infeasible
-        for v in 0..prog.num_variables() {
-            if x[v] > 0 {
-                let mut banned: Vec<bool> = x.iter().map(|&xv| xv == 0).collect();
-                banned[v] = true;
-                let (o, _) = solve_masked(&prog, &SolverConfig::default(), &banned);
-                assert_eq!(o, IlpOutcome::Unsat, "support must be minimal");
-            }
+        let (all, _) = enumerate_solutions(&prog, &SolverConfig::default(), 10_000);
+        let minimal = minimal_witnesses(&prog);
+        assert!(!minimal.is_empty() && minimal.len() < all.len());
+        for x in minimal {
+            assert!(prog.is_feasible_point(&x));
+            let supp = x.iter().filter(|&&v| v > 0).count();
+            assert!(supp <= two_bag_support_bound(&r, &s), "Theorem 5 bound");
         }
     }
 
@@ -168,17 +134,11 @@ mod tests {
             Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 100), (&[2, 1][..], 28)]).unwrap();
         let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 64), (&[1, 2][..], 64)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let x = minimize_support(&prog, &SolverConfig::default()).expect("consistent");
-        let supp = x.iter().filter(|&&v| v > 0).count() as u64;
-        assert!(supp <= es_support_bound(&[&r, &s]));
-    }
-
-    #[test]
-    fn minimize_support_on_infeasible_returns_none() {
-        let r = Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 1][..], 2)]).unwrap();
-        let s = Bag::from_u64s(schema(&[1, 2]), [(&[1u64, 1][..], 3)]).unwrap();
-        let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        assert_eq!(solve(&prog, &SolverConfig::default()).0, IlpOutcome::Unsat);
-        assert!(minimize_support(&prog, &SolverConfig::default()).is_none());
+        let minimal = minimal_witnesses(&prog);
+        assert!(!minimal.is_empty());
+        for x in minimal {
+            let supp = x.iter().filter(|&&v| v > 0).count() as u64;
+            assert!(supp <= es_support_bound(&[&r, &s]));
+        }
     }
 }

@@ -3,9 +3,9 @@
 //! For cyclic fixed schemas, GCPB(H) is NP-complete (Theorem 4), so *some*
 //! exponential-worst-case search is unavoidable unless P = NP. This module
 //! provides that search, and it is *one* search: [`solve`],
-//! [`solve_masked`], [`count_solutions`] and [`enumerate_solutions`] all
-//! run the same fail-first DFS (Haralick & Elliott's principle: branch
-//! where the program is tightest). Each node
+//! [`count_solutions`] and [`enumerate_solutions`] all run the same
+//! fail-first DFS (Haralick & Elliott's principle: branch where the
+//! program is tightest). Each node
 //!
 //! * **picks the row** with the fewest unassigned variables, ties broken
 //!   by smallest residual (the row's remaining right-hand side), then by
@@ -35,57 +35,18 @@
 use crate::ConsistencyProgram;
 use bagcons_core::{AbortReason, Deadline};
 
-/// Knobs for the exact solver.
+/// Knobs for the exact solver, e.g.
+/// `SolverConfig { node_limit: Some(n), ..Default::default() }`.
 #[derive(Clone, Debug, Default)]
 pub struct SolverConfig {
-    /// Abort after this many search nodes (`None` = unlimited).
+    /// Abort after this many search nodes (`None` = unlimited), reported
+    /// as [`IlpOutcome::Aborted`] with [`AbortReason::NodeBudget`].
     pub node_limit: Option<u64>,
-    /// Cooperative wall-clock/cancellation governance: polled every
+    /// Wall-clock governance: polled before presolve and every
     /// [`NODES_PER_POLL`] search nodes; an expired deadline aborts the
     /// search with [`IlpOutcome::Aborted`]. [`Deadline::NONE`] (the
     /// default) never fires.
     pub deadline: Deadline,
-}
-
-impl SolverConfig {
-    /// Starts building a configuration (no node budget, no deadline).
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder::default()
-    }
-}
-
-/// Builder for [`SolverConfig`]; see [`SolverConfig::builder`].
-#[derive(Clone, Debug, Default)]
-pub struct SolverConfigBuilder {
-    cfg: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Aborts the search after `nodes` search nodes (reported as
-    /// [`IlpOutcome::Aborted`] with [`AbortReason::NodeBudget`]).
-    pub fn node_limit(mut self, nodes: u64) -> Self {
-        self.cfg.node_limit = Some(nodes);
-        self
-    }
-
-    /// Aborts the search when `deadline` fires (polled every
-    /// [`NODES_PER_POLL`] nodes; reported as [`IlpOutcome::Aborted`]).
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.cfg.deadline = deadline;
-        self
-    }
-
-    /// Removes any node budget (the default).
-    pub fn unlimited(mut self) -> Self {
-        self.cfg.node_limit = None;
-        self
-    }
-
-    /// Builds the configuration (infallible — every knob combination is
-    /// legal).
-    pub fn build(self) -> SolverConfig {
-        self.cfg
-    }
 }
 
 /// Result of an exact feasibility search.
@@ -95,8 +56,8 @@ pub enum IlpOutcome {
     Sat(Vec<u64>),
     /// Proven infeasible.
     Unsat,
-    /// Search aborted before an answer — node budget exhausted, deadline
-    /// expired, or cancelled; feasibility unknown. The reason travels to
+    /// Search aborted before an answer — node budget exhausted or
+    /// deadline expired; feasibility unknown. The reason travels to
     /// the decision layer, which surfaces it in reports and JSON.
     Aborted(AbortReason),
 }
@@ -124,9 +85,8 @@ struct Search<'a> {
     prog: &'a ConsistencyProgram,
     /// Remaining right-hand side of each row.
     residual: Vec<u64>,
-    /// Unassigned variables of each row; banned variables never count.
+    /// Unassigned variables of each row.
     remaining: Vec<u32>,
-    /// Banned variables are assigned (to 0) from the start.
     assigned: Vec<bool>,
     x: Vec<u64>,
     /// `buckets[k]` holds the rows with `remaining == k`, in no particular
@@ -152,24 +112,16 @@ enum Found {
 impl<'a> Search<'a> {
     /// Sets up the search, or `None` when the presolve refutes the
     /// program.
-    fn new(prog: &'a ConsistencyProgram, banned: &[bool], cfg: &SolverConfig) -> Option<Self> {
+    fn new(prog: &'a ConsistencyProgram, cfg: &SolverConfig) -> Option<Self> {
         let n = prog.num_variables();
         let rows = prog.num_constraints();
-        debug_assert_eq!(banned.len(), n);
         // Every bag must have the same total count (the ∅-marginal
         // condition): any witness `T` has `‖T‖u = ‖R_i‖u` for all `i`.
         let totals = prog.bag_totals();
         if totals.windows(2).any(|w| w[0] != w[1]) {
             return None;
         }
-        let remaining: Vec<u32> = (0..rows)
-            .map(|r| {
-                prog.vars_of(r)
-                    .iter()
-                    .filter(|&&v| !banned[v as usize])
-                    .count() as u32
-            })
-            .collect();
+        let remaining: Vec<u32> = (0..rows).map(|r| prog.vars_of(r).len() as u32).collect();
         let top = remaining.iter().copied().max().unwrap_or(0) as usize;
         let mut buckets = vec![Vec::new(); top + 1];
         let mut slot = vec![0u32; rows];
@@ -181,7 +133,7 @@ impl<'a> Search<'a> {
             prog,
             residual: prog.rhs(),
             remaining,
-            assigned: banned.to_vec(),
+            assigned: vec![false; n],
             x: vec![0; n],
             buckets,
             slot,
@@ -190,7 +142,7 @@ impl<'a> Search<'a> {
             epoch: 0,
             nodes: 0,
             node_limit: cfg.node_limit,
-            deadline: cfg.deadline.clone(),
+            deadline: cfg.deadline,
         };
         // The capacity bound on every row (a row no variable covers has
         // capacity 0, so it must already be satisfied).
@@ -389,23 +341,13 @@ impl<'a> Search<'a> {
 /// Decides feasibility of `prog` over the non-negative integers, with the
 /// search statistics.
 pub fn solve(prog: &ConsistencyProgram, cfg: &SolverConfig) -> (IlpOutcome, SolveStats) {
-    solve_masked(prog, cfg, &vec![false; prog.num_variables()])
-}
-
-/// Feasibility with some variables banned (forced to 0) — the
-/// self-reducibility hook used by support minimization.
-pub fn solve_masked(
-    prog: &ConsistencyProgram,
-    cfg: &SolverConfig,
-    banned: &[bool],
-) -> (IlpOutcome, SolveStats) {
     // Entry poll: an already-expired deadline aborts before presolve
     // touches the program, so even instances that presolve would settle
     // respect the governance contract deterministically.
     if let Some(reason) = cfg.deadline.poll() {
         return (IlpOutcome::Aborted(reason), SolveStats::default());
     }
-    let Some(mut search) = Search::new(prog, banned, cfg) else {
+    let Some(mut search) = Search::new(prog, cfg) else {
         return (IlpOutcome::Unsat, SolveStats::default());
     };
     let mut solution = None;
@@ -428,8 +370,7 @@ pub fn solve_masked(
 /// `(count, complete)`; `complete = false` means the count hit the limit
 /// (or the node budget) and is a lower bound.
 pub fn count_solutions(prog: &ConsistencyProgram, cfg: &SolverConfig, limit: u64) -> (u64, bool) {
-    let banned = vec![false; prog.num_variables()];
-    let Some(mut search) = Search::new(prog, &banned, cfg) else {
+    let Some(mut search) = Search::new(prog, cfg) else {
         return (0, true);
     };
     let mut count = 0u64;
@@ -447,8 +388,7 @@ pub fn enumerate_solutions(
     cfg: &SolverConfig,
     limit: usize,
 ) -> (Vec<Vec<u64>>, bool) {
-    let banned = vec![false; prog.num_variables()];
-    let Some(mut search) = Search::new(prog, &banned, cfg) else {
+    let Some(mut search) = Search::new(prog, cfg) else {
         return (Vec::new(), true);
     };
     let mut out = Vec::new();
@@ -474,7 +414,6 @@ mod tests {
     /// and the per-row prune — no presolve, no capacity bound, no budget.
     struct StaticDfs<'a> {
         prog: &'a ConsistencyProgram,
-        banned: &'a [bool],
         residual: Vec<u64>,
         remaining: Vec<u32>,
         x: Vec<u64>,
@@ -488,8 +427,8 @@ mod tests {
                 return self.residual.iter().all(|&r| r == 0) && !on_solution(&self.x);
             }
             let rows = self.prog.rows_of(v);
-            if self.banned[v] || rows.is_empty() {
-                // banned, or unconstrained (m = 0): canonically 0
+            if rows.is_empty() {
+                // unconstrained (m = 0): canonically 0
                 return self.dfs(v + 1, on_solution);
             }
             let mut ub = u64::MAX;
@@ -533,18 +472,14 @@ mod tests {
         }
     }
 
-    /// Up to `limit` feasible points of `prog` under `banned`, found by
-    /// the static DFS oracle.
-    fn oracle_solutions(prog: &ConsistencyProgram, banned: &[bool], limit: usize) -> Vec<Vec<u64>> {
-        let mut remaining = vec![0u32; prog.num_constraints()];
-        for v in (0..prog.num_variables()).filter(|&v| !banned[v]) {
-            for &row in prog.rows_of(v) {
-                remaining[row as usize] += 1;
-            }
-        }
+    /// Up to `limit` feasible points of `prog`, found by the static DFS
+    /// oracle.
+    fn oracle_solutions(prog: &ConsistencyProgram, limit: usize) -> Vec<Vec<u64>> {
+        let remaining = (0..prog.num_constraints())
+            .map(|r| prog.vars_of(r).len() as u32)
+            .collect();
         let mut dfs = StaticDfs {
             prog,
-            banned,
             residual: prog.rhs(),
             remaining,
             x: vec![0; prog.num_variables()],
@@ -629,18 +564,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
         #[test]
-        fn fail_first_matches_static_dfs_oracle(
-            bags in arb_tiny_cycle(),
-            ban_bits in 0..u64::MAX,
-        ) {
+        fn fail_first_matches_static_dfs_oracle(bags in arb_tiny_cycle()) {
             let refs: Vec<&Bag> = bags.iter().collect();
             let prog = ConsistencyProgram::build(&refs).unwrap();
-            let n = prog.num_variables();
             let cfg = SolverConfig::default();
-            let none = vec![false; n];
 
             // the complete solution sets agree, point for point
-            let mut want = oracle_solutions(&prog, &none, usize::MAX);
+            let mut want = oracle_solutions(&prog, usize::MAX);
             let (mut got, complete) = enumerate_solutions(&prog, &cfg, usize::MAX);
             prop_assert!(complete);
             want.sort();
@@ -655,21 +585,6 @@ mod tests {
                 other => prop_assert_eq!(other, &IlpOutcome::Unsat),
             }
             prop_assert_eq!(outcome.is_sat(), !want.is_empty());
-
-            // and they agree under random bans (about one variable in four)
-            let banned: Vec<bool> = (0..n).map(|v| ban_bits >> (2 * v % 64) & 3 == 3).collect();
-            let oracle_sat = !oracle_solutions(&prog, &banned, 1).is_empty();
-            match solve_masked(&prog, &cfg, &banned).0 {
-                IlpOutcome::Sat(x) => {
-                    prop_assert!(oracle_sat);
-                    prop_assert!(prog.is_feasible_point(&x));
-                    prop_assert!((0..n).all(|v| !banned[v] || x[v] == 0));
-                }
-                other => {
-                    prop_assert_eq!(other, IlpOutcome::Unsat);
-                    prop_assert!(!oracle_sat);
-                }
-            }
         }
     }
 
@@ -683,10 +598,7 @@ mod tests {
             let refs: Vec<&Bag> = bags.iter().collect();
             let prog = ConsistencyProgram::build(&refs).unwrap();
             assert_eq!(solve(&prog, &SolverConfig::default()).0.is_sat(), sat);
-            assert_eq!(
-                oracle_solutions(&prog, &vec![false; prog.num_variables()], 1).is_empty(),
-                !sat
-            );
+            assert_eq!(oracle_solutions(&prog, 1).is_empty(), !sat);
         }
     }
 
@@ -777,9 +689,10 @@ mod tests {
         let r = Bag::from_u64s(schema(&[0]), [(&[0u64][..], 200), (&[1][..], 200)]).unwrap();
         let s = Bag::from_u64s(schema(&[1]), [(&[0u64][..], 200), (&[1][..], 200)]).unwrap();
         let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        let cfg = SolverConfig::builder()
-            .deadline(Deadline::at(std::time::Instant::now()))
-            .build();
+        let cfg = SolverConfig {
+            deadline: Deadline::at(std::time::Instant::now()),
+            ..Default::default()
+        };
         let (outcome, stats) = solve(&prog, &cfg);
         assert_eq!(outcome, IlpOutcome::Aborted(AbortReason::DeadlineExceeded));
         assert_eq!(stats.nodes, 0);
@@ -802,27 +715,6 @@ mod tests {
         let (count, complete) = count_solutions(&prog, &SolverConfig::default(), 3);
         assert_eq!(count, 3);
         assert!(!complete);
-    }
-
-    #[test]
-    fn masked_solve_respects_bans() {
-        let (r, s) = section3_pair();
-        let prog = ConsistencyProgram::build(&[&r, &s]).unwrap();
-        // ban everything: infeasible
-        let all = vec![true; prog.num_variables()];
-        let (o, _) = solve_masked(&prog, &SolverConfig::default(), &all);
-        assert_eq!(o, IlpOutcome::Unsat);
-        // ban one variable: the other witness remains
-        let mut one = vec![false; prog.num_variables()];
-        one[0] = true;
-        let (o, _) = solve_masked(&prog, &SolverConfig::default(), &one);
-        match o {
-            IlpOutcome::Sat(x) => {
-                assert_eq!(x[0], 0);
-                assert!(prog.is_feasible_point(&x));
-            }
-            other => panic!("expected Sat, got {other:?}"),
-        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   propagation and forced-variable detection): the NP decision procedure
 //!   that the dichotomy (Theorem 4) says is unavoidable on cyclic schemas;
 //! * [`bounds`] — the witness-size bounds of Theorem 3 / Theorem 5 /
-//!   Lemma 5 (Carathéodory and Eisenbrand–Shmonin) plus support-minimal
-//!   solution search.
+//!   Lemma 5 (Carathéodory and Eisenbrand–Shmonin).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +28,6 @@ pub mod program;
 pub mod rational;
 
 pub use bounds::{es_support_bound, theorem3_bounds, two_bag_support_bound, WitnessBounds};
-pub use ilp::{count_solutions, solve, IlpOutcome, SolverConfig, SolverConfigBuilder};
+pub use ilp::{count_solutions, solve, IlpOutcome, SolverConfig};
 pub use program::ConsistencyProgram;
 pub use rational::{rational_solution, Rational};

@@ -145,11 +145,6 @@ impl ConsistencyProgram {
         &self.row_vars[self.row_start[row] as usize..self.row_start[row + 1] as usize]
     }
 
-    /// Which input bag a constraint row belongs to.
-    pub fn row_bag(&self, row: usize) -> usize {
-        self.constraints[row].0
-    }
-
     /// Per-bag totals `‖R_i‖u` read off the right-hand sides. Feasibility
     /// requires all of them to be equal (the `∅`-marginal condition) —
     /// the solver uses this as a presolve check.

@@ -285,12 +285,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
-
-    /// True once a shutdown has been requested (by this handle, a
-    /// client's `shutdown`, or a signal).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.is_shutdown()
-    }
 }
 
 enum ClientStream {

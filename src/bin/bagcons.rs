@@ -26,10 +26,12 @@
 //!   --threads N         worker threads, 1..=256 (default: one per core, capped at 8)
 //!   --budget N          node budget for the cyclic exact search
 //!                       (default 50000000)
-//!   --timeout MS        wall-clock budget in milliseconds per operation
-//!                       (per delta under `watch`, per request under `serve`);
-//!                       on expiry the decision degrades to `unknown` (exit 3
-//!                       / status 3) instead of hanging
+//!   --timeout MS        wall-clock budget in milliseconds for each decision:
+//!                       `check`, `witness`, each delta under `watch`, each
+//!                       decision under `serve`; on expiry the decision
+//!                       degrades to `unknown` (exit 3 / status 3) instead of
+//!                       hanging. `diagnose`, `pairwise`, `schema` and
+//!                       `counterexample` ignore it
 //!   --format text|json  output format (default text)
 //!
 //! serve options:
@@ -58,8 +60,8 @@
 //! `batch` line opens a delta group that is applied — and decided — as
 //! one atomic update on the matching `end` line.
 //! Exit codes: 0 = yes/ok, 1 = no, 2 = usage or input error, 3 =
-//! undecided (search budget exhausted); `watch` exits with the code of
-//! its final decision.
+//! undecided (search budget exhausted or timeout expired); `watch` exits
+//! with the code of its final decision.
 //!
 //! `serve` turns the same delta-stream loop into a daemon (see
 //! [`bagcons_serve`]): clients speak a line protocol over TCP or a unix
@@ -69,7 +71,8 @@
 //! (or a client's `shutdown`) drain in-flight requests before exit.
 
 use bagcons::report::{Render, ReportFormat};
-use bagcons::session::{Decision, Session};
+use bagcons::session::{Decision, Session, SessionError};
+use bagcons_core::CoreError;
 use std::process::ExitCode;
 
 /// Default node budget for the cyclic branch's exact search.
@@ -332,6 +335,10 @@ fn cmd_pairwise(session: &Session, refs: &[&bagcons_core::Bag], format: ReportFo
         Ok(outcome) => {
             emit(&outcome.render(format, session.names()));
             ExitCode::from(u8::from(!outcome.report.marginals_equal))
+        }
+        Err(SessionError::Core(CoreError::Aborted(reason))) => {
+            eprintln!("undecided: {reason}");
+            ExitCode::from(3)
         }
         Err(e) => fail(e),
     }

@@ -11,7 +11,7 @@
 //!   [`CoreError::WorkerPanicked`] with the operands rolled back —
 //!   never as a wrong decision.
 //! * [`FaultAction::InjectDeadline`] on any site trips every subsequent
-//!   `Deadline::poll`, exercising the cooperative-cancellation paths
+//!   `Deadline::poll`, exercising the deadline-abort paths
 //!   (graceful `Decision::Unknown` degradation) without waiting on a
 //!   real clock. It needs a real armed deadline to bite, so every
 //!   session here carries a one-hour budget that never expires on its

@@ -57,6 +57,27 @@ fn witness_marginalizes_back() {
 }
 
 #[test]
+fn pairwise_budget_abort_is_undecided_not_infeasible() {
+    // A consistent pair whose exact search needs more than one node: the
+    // aborted search leaves (4) unknown, so `pairwise` exits 3 and names
+    // the reason instead of reporting a Lemma 2 disagreement.
+    let dir = tempdir("pairabort");
+    let r = write(&dir, "r.bag", "A B #\n0 0 : 1\n1 0 : 1\n");
+    let s = write(&dir, "s.bag", "B C #\n0 0 : 1\n0 1 : 1\n");
+    let (r, s) = (r.to_str().unwrap(), s.to_str().unwrap());
+    for format in ["text", "json"] {
+        let out = run(&["pairwise", "--budget", "1", "--format", format, r, s]);
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, "undecided: node budget exhausted\n");
+    }
+    let out = run(&["pairwise", r, s]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("all five characterizations agree"));
+}
+
+#[test]
 fn pairwise_decides_past_u64_group_sums() {
     // Legal bags whose shared-key group sums pass `u64::MAX`: `check`,
     // `witness` and `diagnose` decide them, and so must `pairwise`.

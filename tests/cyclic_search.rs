@@ -89,7 +89,10 @@ fn pinned_guard_instances_decide_within_100k_nodes() {
         (3, 22, false),
         (3, 37, false),
     ];
-    let cfg = SolverConfig::builder().node_limit(100_000).build();
+    let cfg = SolverConfig {
+        node_limit: Some(100_000),
+        ..Default::default()
+    };
     for (k, seed, sat) in pinned {
         let bags = overlap_tseitin(k, seed);
         let refs: Vec<&Bag> = bags.iter().collect();
