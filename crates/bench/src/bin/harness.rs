@@ -681,7 +681,8 @@ fn seed_boxed_hash_join(r: &Bag, s: &Bag) -> usize {
 }
 
 /// E13 — the execution layer: shard-parallel merge join, prefix marginal
-/// sweep, and the two-bag witness fill across a threads × support grid.
+/// sweep, the two-bag witness fill, and `Session::witness` (Theorem 6's
+/// chain) on a planted path(6) family across a threads × support grid.
 /// `threads = 1` runs each operator as one inline task, the baseline;
 /// writes the grid to `BENCH_e13.json` in the current directory.
 fn e13() {
@@ -695,62 +696,98 @@ fn e13() {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host} (speedups need threads <= cores)");
     println!(
-        "{:>9} {:>8} {:>12} {:>14} {:>16}",
-        "support", "threads", "join(ms)", "marginal(ms)", "witness fill(ms)"
+        "{:>9} {:>8} {:>12} {:>14} {:>16} {:>17}",
+        "support", "threads", "join(ms)", "marginal(ms)", "witness fill(ms)", "witness chain(ms)"
     );
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
     let z = Schema::range(1, 2); // prefix of y: the sharded sweep target
+    let grid = || {
+        [10u32, 12, 14]
+            .into_iter()
+            .flat_map(|exp| [1usize, 2, 4].map(|threads| (1usize << exp, threads)))
+    };
+    let exec = |threads: usize| {
+        let cfg = ExecConfig::builder()
+            .threads(threads)
+            .min_parallel_support(1024)
+            .build()
+            .unwrap();
+        let session = Session::builder().exec(cfg.clone()).build().unwrap();
+        (cfg, session)
+    };
+    let reps = 7;
+    let time_ms = |f: &dyn Fn() -> usize| -> f64 {
+        // planted inputs are non-empty, so every measured operation must
+        // produce output
+        assert!(f() > 0, "warm-up produced an empty result");
+        let mut samples: Vec<f64> = (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(f());
+                ms(t0)
+            })
+            .collect();
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        samples[reps / 2]
+    };
     let mut rng = StdRng::seed_from_u64(0xE2); // the e02 workload seed
-    let mut rows = Vec::new();
-    for exp in [10u32, 12, 14] {
-        let support = 1usize << exp;
-        let (r, s) = planted_pair(&x, &y, support as u64, support, 1 << 20, &mut rng).unwrap();
-        for threads in [1usize, 2, 4] {
-            let cfg = ExecConfig::builder()
-                .threads(threads)
-                .min_parallel_support(1024)
-                .build()
-                .unwrap();
-            let session = Session::builder().exec(cfg.clone()).build().unwrap();
-            let reps = 7;
-            let time_ms = |f: &dyn Fn() -> usize| -> f64 {
-                // planted_pair inputs are non-empty, so every measured
-                // operation must produce output
-                assert!(f() > 0, "warm-up produced an empty result");
-                let mut samples: Vec<f64> = (0..reps)
-                    .map(|_| {
-                        let t0 = Instant::now();
-                        std::hint::black_box(f());
-                        ms(t0)
-                    })
-                    .collect();
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                samples[reps / 2]
-            };
-            let join_ms = time_ms(&|| bag_join_merge_with(&r, &s, &cfg).unwrap().support_size());
-            let marginal_ms = time_ms(&|| s.marginal_with(&z, &cfg).unwrap().support_size());
-            let fill_ms = time_ms(&|| {
-                session
-                    .consistency_witness(&r, &s)
-                    .unwrap()
-                    .expect("planted pairs are consistent")
-                    .support_size()
-            });
-            println!(
-                "{support:>9} {threads:>8} {join_ms:>12.3} {marginal_ms:>14.3} {fill_ms:>16.3}"
-            );
-            rows.push(format!(
-                "    {{\"support\": {support}, \"threads\": {threads}, \
-                 \"join_merge_ms\": {join_ms:.4}, \"marginal_ms\": {marginal_ms:.4}, \
-                 \"witness_fill_ms\": {fill_ms:.4}}}"
-            ));
+    let mut pair = None;
+    let mut cols = Vec::new();
+    for (support, threads) in grid() {
+        if threads == 1 {
+            pair = Some(planted_pair(&x, &y, support as u64, support, 1 << 20, &mut rng).unwrap());
         }
+        let (r, s) = pair.as_ref().expect("drawn at threads = 1");
+        let (cfg, session) = exec(threads);
+        let join_ms = time_ms(&|| bag_join_merge_with(r, s, &cfg).unwrap().support_size());
+        let marginal_ms = time_ms(&|| s.marginal_with(&z, &cfg).unwrap().support_size());
+        let fill_ms = time_ms(&|| {
+            session
+                .consistency_witness(r, s)
+                .unwrap()
+                .expect("planted pairs are consistent")
+                .support_size()
+        });
+        cols.push((join_ms, marginal_ms, fill_ms));
+    }
+    // The chain column runs after the whole pair grid, on families drawn
+    // from their own stream, so the pair columns keep their inputs and
+    // their place in the run.
+    let mut chain_rng = StdRng::seed_from_u64(0xE13);
+    let mut family = Vec::new();
+    let mut rows = Vec::new();
+    for ((support, threads), (join_ms, marginal_ms, fill_ms)) in grid().zip(cols) {
+        if threads == 1 {
+            let drawn = planted_family(&path(6), support as u64, support, 1 << 12, &mut chain_rng);
+            family = drawn.unwrap().0;
+        }
+        let refs: Vec<&Bag> = family.iter().collect();
+        let (_, session) = exec(threads);
+        let chain_ms = time_ms(&|| {
+            session
+                .witness(&refs)
+                .unwrap()
+                .witness()
+                .expect("planted families are consistent")
+                .support_size()
+        });
+        println!(
+            "{support:>9} {threads:>8} {join_ms:>12.3} {marginal_ms:>14.3} {fill_ms:>16.3} \
+             {chain_ms:>17.3}"
+        );
+        rows.push(format!(
+            "    {{\"support\": {support}, \"threads\": {threads}, \
+             \"join_merge_ms\": {join_ms:.4}, \"marginal_ms\": {marginal_ms:.4}, \
+             \"witness_fill_ms\": {fill_ms:.4}, \"witness_chain_ms\": {chain_ms:.4}}}"
+        ));
     }
     let json = format!(
         "{{\n  \"experiment\": \"e13_parallel\",\n  \"workload\": \
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE2 (e02); \
-         marginal = S[A1] prefix sweep\",\n  \
+         marginal = S[A1] prefix sweep; witness_chain = Session::witness on \
+         planted_family(path(6)) domain=support mult=2^12 seed=0xE13, timed after \
+         the pair columns\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"threads = 1 is the sequential PR 1 path; parallel \

@@ -14,7 +14,9 @@
 //! structs** (decision + per-stage timings + which dichotomy branch ran,
 //! and the witness bag from `witness`) that render to human text or
 //! machine-readable JSON via [`report::Render`]. `check` only decides;
-//! `witness` decides the same way and then builds:
+//! `witness` reaches the same decision and builds the witness (on an
+//! acyclic schema Theorem 6's chain runs first, and the pairwise screen
+//! only when the chain refuses):
 //!
 //! ```
 //! use bagcons::prelude_session::*;

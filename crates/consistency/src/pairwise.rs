@@ -15,11 +15,11 @@
 //! witness and every step of Theorem 6's chain ([`crate::acyclic`]) are
 //! this fill.
 //!
-//! The fill emits its rows already in the witness's sorted order when
-//! one input's extra attributes all exceed the other input's attributes
-//! (`fill_witness_with` gives the argument), so [`Bag::from_arena`]
-//! adopts them without a sort. Interleaved attributes leave the order
-//! arbitrary, and `from_arena` sorts.
+//! The fill is one step of Theorem 6's chain over row ids
+//! ([`crate::acyclic`]) run on two bags: its cells come out in the
+//! witness's sorted order, by the major side's rows or, when the
+//! attributes interleave, by a sort, so [`Bag::from_arena`] adopts the
+//! one arena it writes.
 //!
 //! The fill is also Theorem 5 / Corollary 4's minimal witness: within a
 //! group its staircase is a forest, so it is a vertex of `P(R,S)`, and a
@@ -27,8 +27,8 @@
 //! `|R' ⋈ S'| + 1` max-flows is kept as the test oracle for this
 //! (`corollary4_flow_loop` in `tests/proptest_invariants.rs`).
 
-use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
-use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Schema, Value};
+use crate::acyclic::fill_chain;
+use bagcons_core::{Bag, CoreError, ExecConfig, Result, Row, RowStore, Value};
 use std::borrow::Borrow;
 
 /// A keyed marginal difference `D(k)` over the shared attributes of one
@@ -184,152 +184,14 @@ pub(crate) fn bags_consistent(r: &Bag, s: &Bag) -> Result<bool> {
 /// `‖R‖supp + ‖S‖supp − #groups` (Theorem 5), and every `q` is at most
 /// an input multiplicity (Theorem 3), so nothing can overflow.
 ///
-/// Key groups shard by range per `cfg`; each shard task polls its
-/// deadline and lists its `(R-row, S-row, q)` cells. Every `q` is
-/// positive, and distinct `(R-row, S-row)` cells assemble distinct rows,
-/// so nothing is interned or hashed on the way.
-///
-/// **Output order.** The staircase gives each `R`-row, and each
-/// `S`-row, one contiguous run of cells, with the other side's rows
-/// ascending along it. When the schemas are [`Major::R`] (every
-/// attribute of `Y∖X` exceeds every attribute of `X`), an `XY` row is
-/// its `X` part followed by its `Y∖X` part. Then listing the cells by
-/// `R`-row lists the rows in strictly ascending order: `R`'s rows ascend
-/// on `X`, and the `S`-rows of one `R`-row share its key, so they ascend
-/// on `Y∖Z = Y∖X`. [`Major::S`] is the mirror image. The fill puts its
-/// cells in that order with one counting pass ([`by_major_row`]), the
-/// cells' rows go into one flat arena, sized once, and
-/// [`Bag::from_arena`] adopts it without a sort. When the attributes
-/// interleave, the cells stay in key order and `from_arena` sorts.
+/// This is one step of Theorem 6's chain ([`crate::acyclic`]) on
+/// `[r, s]`, in argument order: the same keyed sweep, fill, cell order
+/// and single arena that [`Bag::from_arena`] adopts.
 pub(crate) fn fill_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
-    let Some((schema, data, mults)) = fill_arena(r, s, cfg)? else {
-        return Ok(None);
-    };
-    Bag::from_arena(schema, data, mults, cfg).map(Some)
-}
-
-/// A witness before [`Bag::from_arena`] adopts it: its schema, its
-/// row-major arena and its multiplicity column.
-type Arena = (Schema, Vec<Value>, Vec<u64>);
-
-/// The witness of [`fill_witness_with`] as the arena it hands to
-/// [`Bag::from_arena`].
-fn fill_arena(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Arena>> {
-    let total = r.unary_size();
-    if total != s.unary_size() {
-        return Ok(None);
+    match fill_chain(&[r, s], &[0], cfg)? {
+        Ok((schema, data, mults)) => Bag::from_arena(schema, data, mults, cfg).map(Some),
+        Err(_) => Ok(None),
     }
-    let plan = JoinPlan::new(r.schema(), s.schema());
-    let r_rows = r.sorted_rows();
-    let s_rows = s.sorted_rows();
-    let z_of_r = r.schema().projection_indices(plan.common_schema())?;
-    let z_of_s = s.schema().projection_indices(plan.common_schema())?;
-    let shards =
-        try_merge_matching_pairs_sharded(&r_rows, &z_of_r, &s_rows, &z_of_s, cfg, |sweep| {
-            bagcons_core::fault::fire("witness::fill");
-            if let Some(reason) = cfg.deadline().poll() {
-                return Err(CoreError::Aborted(reason));
-            }
-            // (R-row, S-row, q) cells in key order.
-            let mut cells: Vec<Cell> = Vec::new();
-            sweep.for_each_group(|ls, rs| {
-                let (mut a, mut b) = (0, 0);
-                let (mut left, mut right) = (r_rows[ls[0] as usize].1, s_rows[rs[0] as usize].1);
-                loop {
-                    let q = left.min(right);
-                    cells.push((ls[a], rs[b], q));
-                    left -= q;
-                    right -= q;
-                    if left == 0 {
-                        a += 1;
-                        if a == ls.len() {
-                            break;
-                        }
-                        left = r_rows[ls[a] as usize].1;
-                    }
-                    if right == 0 {
-                        b += 1;
-                        if b == rs.len() {
-                            break;
-                        }
-                        right = s_rows[rs[b] as usize].1;
-                    }
-                }
-            });
-            Ok(cells)
-        })?;
-    let shards = shards.into_iter().collect::<Result<Vec<_>>>()?;
-    // Saturated iff every key group balanced and no key was unmatched.
-    let filled: u128 = shards.iter().flatten().map(|c| u128::from(c.2)).sum();
-    if filled != total {
-        return Ok(None);
-    }
-    let cells = match Major::of(r.schema(), s.schema()) {
-        Some(Major::R) => by_major_row(&shards, r_rows.len(), |c| c.0),
-        Some(Major::S) => by_major_row(&shards, s_rows.len(), |c| c.1),
-        None => shards.concat(),
-    };
-    drop(shards);
-    let mut data = Vec::with_capacity(cells.len() * plan.output_schema().arity());
-    let mut mults = Vec::with_capacity(cells.len());
-    for &(i, j, q) in &cells {
-        plan.append_combined(r_rows[i as usize].0, s_rows[j as usize].0, &mut data);
-        mults.push(q);
-    }
-    Ok(Some((plan.output_schema().clone(), data, mults)))
-}
-
-/// One cell of the group fill: `(R-row, S-row, q)`, the rows as sorted
-/// positions.
-type Cell = (u32, u32, u64);
-
-/// The input whose sorted row order is the fill's output order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Major {
-    /// Every attribute of `Y∖X` exceeds every attribute of `X`.
-    R,
-    /// Every attribute of `X∖Y` exceeds every attribute of `Y`.
-    S,
-}
-
-impl Major {
-    /// Reads the major side off the two schemas alone, preferring `R`
-    /// when both hold (which needs one schema to contain the other);
-    /// `None` when the attributes interleave.
-    fn of(x: &Schema, y: &Schema) -> Option<Major> {
-        // Every attribute of `b∖a` exceeds every attribute of `a`.
-        let above = |a: &Schema, b: &Schema| match a.attrs().last() {
-            None => true,
-            Some(&top) => b.iter().all(|t| t > top || a.contains(t)),
-        };
-        if above(x, y) {
-            Some(Major::R)
-        } else if above(y, x) {
-            Some(Major::S)
-        } else {
-            None
-        }
-    }
-}
-
-/// The cells of every shard ordered by `row(cell)`, a sorted position
-/// below `rows`: one counting pass, no comparisons. The order is stable,
-/// so the run of cells of one major row keeps its staircase order.
-fn by_major_row(shards: &[Vec<Cell>], rows: usize, row: impl Fn(&Cell) -> u32) -> Vec<Cell> {
-    let mut next = vec![0usize; rows + 1];
-    for cell in shards.iter().flatten() {
-        next[row(cell) as usize + 1] += 1;
-    }
-    for p in 1..=rows {
-        next[p] += next[p - 1];
-    }
-    let mut out = vec![(0, 0, 0); next[rows]];
-    for cell in shards.iter().flatten() {
-        let at = &mut next[row(cell) as usize];
-        out[*at] = *cell;
-        *at += 1;
-    }
-    out
 }
 
 /// Returns the first (lexicographic) inconsistent index pair, or `None`
@@ -365,6 +227,7 @@ pub fn is_two_bag_witness(t: &Bag, r: &Bag, s: &Bag) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acyclic::Major;
     use crate::session::Session;
     use bagcons_core::{Attr, Schema};
 
@@ -582,9 +445,9 @@ mod tests {
         }
     }
 
-    /// On every `R`- or `S`-major shape the fill's arena already ascends
-    /// strictly with no zero multiplicity, so `from_arena` adopts it; on
-    /// every shape the witness marginalizes back.
+    /// On every shape, major or interleaved, the fill's arena already
+    /// ascends strictly with no zero multiplicity, so `from_arena` adopts
+    /// it, and the witness marginalizes back.
     #[test]
     fn major_fill_emits_rows_in_ascending_order() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -607,11 +470,13 @@ mod tests {
                     t.marginal(&schema(y)).unwrap(),
                 );
                 let cfg = ExecConfig::sequential();
-                let (out, data, mults) = fill_arena(&r, &s, &cfg).unwrap().expect("consistent");
+                let (out, data, mults) = fill_chain(&[&r, &s], &[0], &cfg)
+                    .unwrap()
+                    .expect("consistent");
                 let arity = out.arity();
                 assert!(!mults.contains(&0));
                 let adopted = RowStore::from_sorted_rows(arity, mults.len(), data).is_some();
-                assert!(major.is_none() || adopted, "{x:?} / {y:?} round {round}");
+                assert!(adopted, "{x:?} / {y:?} ({major:?}) round {round}");
                 let w = fill_witness_with(&r, &s, &cfg).unwrap().unwrap();
                 assert!(is_two_bag_witness(&w, &r, &s).unwrap());
             }

@@ -1025,17 +1025,36 @@ impl Session {
     /// set — never an error, never a hang.
     pub fn check(&self, bags: &[&Bag]) -> Result<CheckOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        Ok(check_impl(bags, &solver, &exec)?.0)
+        let mut stages = Vec::new();
+        let branch = schema_stage(bags, &mut stages);
+        Ok(screen(bags, branch, &solver, &exec, stages)?.0)
     }
 
-    /// [`Session::check`], then the witness of a consistent collection:
-    /// Theorem 6's chain on the acyclic branch (a `witness` stage that,
-    /// like any governed stage, can abort to [`Decision::Unknown`]), the
-    /// search's solution on the cyclic branch.
+    /// Decides as [`Session::check`] does and returns the witness of a
+    /// consistent collection.
+    ///
+    /// On an acyclic schema Theorem 6's chain runs first, as a `witness`
+    /// stage: a chain that saturates at every step certifies pairwise,
+    /// hence global, consistency and is the witness (see
+    /// [`crate::acyclic`]), so no pairwise screen runs. Only when a step
+    /// does not saturate does the screen run, as a `pairwise` stage, to
+    /// report the lexicographically first inconsistent pair, the one
+    /// [`Session::check`] reports. On a cyclic schema `witness` runs
+    /// `check`'s stages, and the witness is the search's solution.
+    ///
+    /// Either way an expired deadline degrades the outcome to
+    /// [`Decision::Unknown`] with its [`CheckOutcome::abort_reason`].
     pub fn witness(&self, bags: &[&Bag]) -> Result<WitnessOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        let (mut check, solution) = check_impl(bags, &solver, &exec)?;
-        build_witness(bags, &mut check, solution, &exec)?;
+        let mut stages = Vec::new();
+        let branch = schema_stage(bags, &mut stages);
+        let check = if branch.is_acyclic() {
+            chain_first(bags, &exec, stages)?
+        } else {
+            let (mut out, solution) = screen(bags, branch, &solver, &exec, stages)?;
+            out.witness = solution;
+            out
+        };
         Ok(WitnessOutcome { check })
     }
 
@@ -1177,12 +1196,19 @@ impl Session {
         is_global_witness_with(t, bags, &self.exec)
     }
 
-    /// Theorem 6: decides global consistency of pairwise consistent bags
-    /// over an acyclic schema and constructs a witness over the union
-    /// schema, in polynomial time. Every step is the one-pass group fill,
-    /// so the returned bag satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
+    /// Theorem 6: decides global consistency of bags over an acyclic
+    /// schema and constructs a witness over the union schema, in
+    /// polynomial time. Every step is the one-pass group fill, so the
+    /// returned bag satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
     /// [`WitnessStrategy`] has the single variant
     /// [`WitnessStrategy::Saturated`].
+    ///
+    /// The chain runs first: when every step saturates, the collection is
+    /// pairwise consistent, so by Theorem 2 consistent, and the chain's
+    /// bag is the witness. When a step does not saturate, the pairwise
+    /// screen runs to report the lexicographically first inconsistent
+    /// pair as [`AcyclicError::InconsistentPair`]. A cyclic schema is
+    /// [`AcyclicError::NotAcyclic`], whatever the bags.
     ///
     /// ```
     /// use bagcons::acyclic::WitnessStrategy;
@@ -1208,11 +1234,14 @@ impl Session {
         strategy: WitnessStrategy,
     ) -> Result<Bag, AcyclicError> {
         let WitnessStrategy::Saturated = strategy;
-        // Pairwise consistency is necessary, and sufficient by Theorem 2.
-        if let Some((i, j)) = first_inconsistent_pair_with(bags, &self.exec)? {
-            return Err(AcyclicError::InconsistentPair(i, j));
+        match witness_chain(bags, &self.exec) {
+            Err(AcyclicError::InconsistentPair(i, j)) => {
+                let first = first_inconsistent_pair_with(bags, &self.exec)?;
+                let (i, j) = first.unwrap_or((i, j));
+                Err(AcyclicError::InconsistentPair(i, j))
+            }
+            built => built,
         }
-        witness_chain(bags, &self.exec)
     }
 
     /// The set-semantics semijoin `R ⋉ S`.
@@ -1261,48 +1290,66 @@ fn outcome(decision: Decision, branch: Branch, stages: Vec<StageTiming>) -> Chec
     }
 }
 
-/// The dichotomy decision behind [`Session::check`] and
-/// [`Session::witness`]: the schema, the pairwise screen, then
-/// [`settle`]. It builds no witness.
-///
-/// Deadline aborts ([`CoreError::Aborted`]) from the
-/// pairwise sweep are converted into an [`Decision::Unknown`] outcome
-/// here, so governed callers never see them as errors.
-pub(crate) fn check_impl(
-    bags: &[&Bag],
-    solver: &SolverConfig,
-    exec: &ExecConfig,
-) -> bagcons_core::Result<(CheckOutcome, Option<Bag>)> {
-    let mut stages = Vec::new();
+/// Reads the dichotomy branch off the schema hypergraph, timed as a
+/// `schema` stage.
+fn schema_stage(bags: &[&Bag], stages: &mut Vec<StageTiming>) -> Branch {
     let t = Instant::now();
     let branch = if is_acyclic(&schema_hypergraph(bags)) {
         Branch::Acyclic
     } else {
         Branch::CyclicSearch
     };
-    push_stage(&mut stages, "schema", t);
-    // Theorem 2: pairwise consistency is necessary on every schema, so a
-    // refuted pair decides either branch before any search.
+    push_stage(stages, "schema", t);
+    branch
+}
+
+/// The pairwise screen, timed as a `pairwise` stage, then [`settle`] when
+/// it finds no inconsistent pair. Theorem 2: pairwise consistency is
+/// necessary on every schema, so a refuted pair decides either branch
+/// before any search.
+///
+/// Deadline aborts ([`CoreError::Aborted`]) from the pairwise sweep are
+/// converted into an [`Decision::Unknown`] outcome here, so governed
+/// callers never see them as errors.
+fn screen(
+    bags: &[&Bag],
+    branch: Branch,
+    solver: &SolverConfig,
+    exec: &ExecConfig,
+    mut stages: Vec<StageTiming>,
+) -> bagcons_core::Result<(CheckOutcome, Option<Bag>)> {
     let t = Instant::now();
     let pair = first_inconsistent_pair_with(bags, exec);
     push_stage(&mut stages, "pairwise", t);
-    let out = match pair {
-        Ok(None) => return settle(bags, branch, solver, stages),
-        Ok(pair) => CheckOutcome {
-            inconsistent_pair: pair,
-            ..outcome(Decision::Inconsistent, branch, stages)
-        },
-        Err(CoreError::Aborted(reason)) => CheckOutcome {
-            abort_reason: Some(reason),
-            ..outcome(Decision::Unknown, branch, stages)
-        },
-        Err(e) => return Err(e),
-    };
-    Ok((out, None))
+    match pair {
+        Ok(None) => settle(bags, branch, solver, stages),
+        pair => Ok((refuted(pair, branch, stages)?, None)),
+    }
 }
 
-/// The step after a clean pairwise screen, shared by [`check_impl`] and
-/// the stream: on an acyclic schema pairwise consistency is the decision
+/// The outcome of a stage that did not pass: the inconsistent `pair`,
+/// or [`Decision::Unknown`] when the stage aborted. Any other error
+/// passes through.
+fn refuted(
+    pair: bagcons_core::Result<Option<(usize, usize)>>,
+    branch: Branch,
+    stages: Vec<StageTiming>,
+) -> bagcons_core::Result<CheckOutcome> {
+    match pair {
+        Ok(pair) => Ok(CheckOutcome {
+            inconsistent_pair: pair,
+            ..outcome(Decision::Inconsistent, branch, stages)
+        }),
+        Err(CoreError::Aborted(reason)) => Ok(CheckOutcome {
+            abort_reason: Some(reason),
+            ..outcome(Decision::Unknown, branch, stages)
+        }),
+        Err(e) => Err(e),
+    }
+}
+
+/// The step after a clean pairwise screen, shared by [`screen`] and the
+/// stream: on an acyclic schema pairwise consistency is the decision
 /// (Theorem 2); on a cyclic one the exact search decides, and its `Sat`
 /// solution comes back as the second value.
 pub(crate) fn settle(
@@ -1332,33 +1379,40 @@ pub(crate) fn settle(
     Ok((out, search.witness))
 }
 
-/// Adds the witness to a consistent outcome: on the acyclic branch
-/// Theorem 6's chain of group fills, timed as a `witness` stage (an abort
-/// degrades the outcome to [`Decision::Unknown`]); on the cyclic branch
-/// the search's `solution`.
-pub(crate) fn build_witness(
+/// The acyclic branch of [`Session::witness`] and of the stream's
+/// witness: Theorem 6's chain, timed as a `witness` stage. A chain that
+/// saturates at every step decides consistency and carries the witness.
+/// When a step does not saturate, the pairwise screen runs, timed as a
+/// `pairwise` stage, only to name the lexicographically first
+/// inconsistent pair; the chain's own pair stands if the screen finds
+/// none. An abort in either stage degrades the outcome to
+/// [`Decision::Unknown`].
+pub(crate) fn chain_first(
     bags: &[&Bag],
-    out: &mut CheckOutcome,
-    solution: Option<Bag>,
     exec: &ExecConfig,
-) -> bagcons_core::Result<()> {
-    if out.decision != Decision::Consistent || !out.branch.is_acyclic() {
-        out.witness = solution;
-        return Ok(());
-    }
+    mut stages: Vec<StageTiming>,
+) -> bagcons_core::Result<CheckOutcome> {
+    let branch = Branch::Acyclic;
     let t = Instant::now();
     let built = witness_chain(bags, exec);
-    push_stage(&mut out.stages, "witness", t);
-    match built {
-        Ok(w) => out.witness = Some(w),
-        Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
-            out.decision = Decision::Unknown;
-            out.abort_reason = Some(reason);
+    push_stage(&mut stages, "witness", t);
+    let failed = match built {
+        Ok(w) => {
+            return Ok(CheckOutcome {
+                witness: Some(w),
+                ..outcome(Decision::Consistent, branch, stages)
+            })
         }
-        Err(AcyclicError::Core(e)) => return Err(e),
-        Err(e) => unreachable!("pairwise consistent acyclic bags always chain: {e}"),
-    }
-    Ok(())
+        Err(AcyclicError::InconsistentPair(i, j)) => (i, j),
+        Err(AcyclicError::Core(e)) => return refuted(Err(e), branch, stages),
+        Err(e @ AcyclicError::NotAcyclic(_)) => {
+            unreachable!("the acyclic branch has a join tree: {e}")
+        }
+    };
+    let t = Instant::now();
+    let pair = first_inconsistent_pair_with(bags, exec);
+    push_stage(&mut stages, "pairwise", t);
+    refuted(pair.map(|p| Some(p.unwrap_or(failed))), branch, stages)
 }
 
 #[cfg(test)]
@@ -1426,7 +1480,11 @@ mod tests {
         assert_eq!(out.branch, Branch::Acyclic);
         assert_eq!(out.search_nodes, 0);
         let names: Vec<&str> = out.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(names, ["schema", "pairwise", "witness"]);
+        assert_eq!(
+            names,
+            ["schema", "witness"],
+            "a saturated chain needs no screen"
+        );
         let w = out.witness.as_ref().unwrap();
         assert!(session.is_global_witness(w, &[&r, &s]).unwrap());
     }
@@ -1572,6 +1630,7 @@ mod tests {
         let session = Session::builder().deadline(Duration::ZERO).build().unwrap();
         let out = session.witness(&[&r, &s]).unwrap();
         assert_eq!(out.check.decision, Decision::Unknown);
+        assert_eq!(out.check.abort_reason, Some(AbortReason::DeadlineExceeded));
         assert!(out.witness().is_none());
         assert!(out.json(&AttrNames::new()).contains("deadline_exceeded"));
     }
@@ -1628,6 +1687,23 @@ mod tests {
         let out = Session::default().check(&[&r, &s]).unwrap();
         assert!(out.branch.is_acyclic());
         assert_eq!(out.decision, Decision::Inconsistent);
+    }
+
+    /// A chain step that does not saturate sends `witness` to the screen,
+    /// which names `check`'s pair; the stages record both.
+    #[test]
+    fn witness_refusal_runs_the_screen_after_the_chain() {
+        let (r, _) = path_pair();
+        let bad = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 7][..], 9)]).unwrap();
+        let session = Session::default();
+        let checked = session.check(&[&r, &bad]).unwrap();
+        let out = session.witness(&[&r, &bad]).unwrap().check;
+        assert_eq!(out.decision, Decision::Inconsistent);
+        assert_eq!(out.inconsistent_pair, checked.inconsistent_pair);
+        assert_eq!(out.inconsistent_pair, Some((0, 1)));
+        assert!(out.witness.is_none());
+        let names: Vec<&str> = out.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(names, ["schema", "witness", "pairwise"]);
     }
 
     #[test]

@@ -82,7 +82,7 @@ use crate::global::schema_hypergraph;
 use crate::pairwise::{project, PairState};
 use crate::report::{Json, Render};
 use crate::session::{
-    arm_configs, build_witness, json_stages, push_stage, settle, Branch, Decision, Session,
+    arm_configs, chain_first, json_stages, push_stage, settle, Branch, Decision, Session,
     SessionError, StageTiming,
 };
 use bagcons_core::{
@@ -565,9 +565,11 @@ impl ConsistencyStream {
         if self.witness.is_none() {
             let (exec, solver) = self.arm();
             let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-            let (mut out, solution) = settle(&refs, self.branch(), &solver, Vec::new())?;
-            build_witness(&refs, &mut out, solution, &exec)?;
-            self.witness = out.witness;
+            self.witness = if self.acyclic {
+                chain_first(&refs, &exec, Vec::new())?.witness
+            } else {
+                settle(&refs, self.branch(), &solver, Vec::new())?.1
+            };
         }
         Ok(self.witness.as_ref())
     }

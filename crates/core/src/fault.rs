@@ -23,7 +23,7 @@
 //! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]), at every thread count |
 //! | `join::hash::shard` | hash-join probe shard task ([`crate::join::bag_join_hash_with`]), at every thread count |
-//! | `witness::fill` | two-bag witness group-fill shard task (`bagcons::pairwise`) |
+//! | `witness::fill` | keyed-sweep shard task of each witness-chain step, two-bag fills included (`bagcons::acyclic`) |
 //! | `stream::update` | consistency-stream update entry |
 //!
 //! Arming is process-global (sites are hit from worker threads), so

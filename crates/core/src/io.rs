@@ -542,9 +542,10 @@ pub fn parse_delta_line(
 
 /// Writes a bag in the tabular text format (canonical: sorted rows).
 ///
-/// The text goes into one `String` sized up front: a first pass counts
-/// the digits, the second writes them with [`push_decimal`], so no
-/// per-row or per-value string is allocated.
+/// The text goes into one byte buffer sized up front: a first pass
+/// counts the digits, the second writes them as bytes, and one
+/// UTF-8 check turns the buffer into the `String`. No per-row or
+/// per-value string is allocated.
 pub fn write_bag(bag: &Bag, names: &AttrNames) -> String {
     let header: Vec<String> = bag.schema().iter().map(|a| names.name(a)).collect();
     // Per row: the values, the spaces between them, " : ", m, "\n" —
@@ -558,25 +559,39 @@ pub fn write_bag(bag: &Bag, names: &AttrNames) -> String {
                 + decimal_len(m)
         })
         .sum();
-    let mut out =
-        String::with_capacity(header.iter().map(|h| h.len() + 1).sum::<usize>() + 2 + body);
+    let mut out = Vec::with_capacity(header.iter().map(|h| h.len() + 1).sum::<usize>() + 2 + body);
     for name in &header {
-        out.push_str(name);
-        out.push(' ');
+        out.extend_from_slice(name.as_bytes());
+        out.push(b' ');
     }
-    out.push_str("#\n");
+    out.extend_from_slice(b"#\n");
     for (row, m) in bag.iter_sorted() {
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
-                out.push(' ');
+                out.push(b' ');
             }
-            push_decimal(&mut out, v.get());
+            push_digits(&mut out, v.get());
         }
-        out.push_str(" : ");
-        push_decimal(&mut out, m);
-        out.push('\n');
+        out.extend_from_slice(b" : ");
+        push_digits(&mut out, m);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("attribute names are UTF-8 and the rest is ASCII")
+}
+
+/// Appends the decimal digits of `v` to the byte buffer `out`.
+fn push_digits(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Appends the decimal digits of `v` to `out` without allocating — the
