@@ -114,7 +114,8 @@ impl Bag {
     /// Builds a sealed bag from a row-major arena without hashing: `data`
     /// holds `mults.len()` rows of the schema's arity back to back, and
     /// rows may repeat. The bulk constructor behind [`Bag::from_rows`],
-    /// the witness fill and the text parser ([`crate::io::parse_bag_with`]).
+    /// the witness fill, non-prefix marginals and the text parser
+    /// ([`crate::io::parse_bag_with`]).
     ///
     /// An arena that is already a sealed layout — rows strictly ascending,
     /// no multiplicity zero — is **adopted** as it stands: one pass over
@@ -123,15 +124,19 @@ impl Bag {
     /// sort, pack or copy. The witness fill emits its rows in order
     /// whenever the two schemas allow it, and a file
     /// [`crate::io::write_bag`] wrote parses in order, so both take this
-    /// path. Any other arena is
-    /// **sorted**: the row ids sort by the seal's packed compare and the
-    /// seal's copy routine lays the rows out in that order, both on the
-    /// calling thread; equal neighbours then merge with a checked add and
-    /// zero multiplicities drop out, compacting in place. Either way the
-    /// dedup table stays unbuilt until the first content probe, as after a
-    /// snapshot load, and the result equals inserting every row and
-    /// sealing; `cfg` contributes only its deadline. The `bag::seal`
-    /// failpoint fires on entry, before either path.
+    /// path. Any other arena is **sorted**, on the calling thread, and
+    /// one merge sums each run of equal rows with a checked add, drops
+    /// zero sums and writes each kept row out in order. When the rows
+    /// pack into 64-bit words, the radix kernel of [`crate::pack`] sorts
+    /// `(word, row)` pairs, runs are runs of equal words, and each kept
+    /// row is unpacked from its word straight into the output arena: no
+    /// comparator, gather or slice compare. Wider rows sort their ids by
+    /// the seal's compare, and runs compare and copy rows of the arena
+    /// in that order. Either way the dedup table stays unbuilt until the
+    /// first content probe, as after a snapshot load, and the result
+    /// equals inserting every row and sealing; `cfg` contributes only
+    /// its deadline. The `bag::seal` failpoint fires on entry, before
+    /// either path.
     ///
     /// # Errors
     ///
@@ -139,8 +144,8 @@ impl Bag {
     /// of the schema's arity; [`CoreError::MultiplicityOverflow`] when
     /// the copies of one row sum past `u64`; [`CoreError::Aborted`] when
     /// `cfg`'s deadline has fired. The deadline is polled on entry, so it
-    /// aborts the adopt path too, and once more before the sort path's
-    /// copy, as a seal polls it.
+    /// aborts the adopt path too, and once more between the sort path's
+    /// sort and its output, as a seal polls it.
     pub fn from_arena(
         schema: Schema,
         data: Vec<Value>,
@@ -187,42 +192,42 @@ impl Bag {
                 Err(data) => data,
             }
         };
-        let order = crate::store::sorted_order(arity, &data, (0..rows as u32).collect());
-        let mut laid_out = crate::store::gather_rows(arity, &data, &order, cfg.deadline())?;
-        drop(data);
-        let mut sums: Vec<u64> = order.iter().map(|&i| mults[i as usize]).collect();
-        // Merge runs of equal rows into their first slot and drop zero
-        // sums, compacting in place; `kept` rows are final so far.
-        let row = |p: usize| p * arity..(p + 1) * arity;
-        let mut kept = 0;
-        let mut p = 0;
-        while p < rows {
-            let mut m = sums[p];
-            let mut q = p + 1;
-            while q < rows && laid_out[row(q)] == laid_out[row(p)] {
-                m = m
-                    .checked_add(sums[q])
-                    .ok_or(CoreError::MultiplicityOverflow)?;
-                q += 1;
+        let spec = crate::pack::arena_spec(arity, &data, rows);
+        let (laid_out, sums) = match spec {
+            // Packing is injective, so equal words are equal rows, and
+            // each kept row unpacks from its word.
+            Some(spec) if spec.total_bits() <= 64 => {
+                let pairs = crate::pack::sorted_pairs(&spec, arity, &data, 0..rows as u32);
+                drop(data);
+                merge_runs(
+                    arity,
+                    rows,
+                    cfg.deadline(),
+                    |p| mults[pairs[p].1 as usize],
+                    |p, q| pairs[p].0 == pairs[q].0,
+                    |p, out| spec.unpack_row(pairs[p].0, out),
+                )?
             }
-            if m > 0 {
-                laid_out.copy_within(row(p), kept * arity);
-                sums[kept] = m;
-                kept += 1;
+            spec => {
+                let mut order: Vec<u32> = (0..rows as u32).collect();
+                crate::pack::sort_row_ids(arity, &data, spec.as_ref(), &mut order);
+                let row = |p: usize| {
+                    let at = order[p] as usize * arity;
+                    &data[at..at + arity]
+                };
+                merge_runs(
+                    arity,
+                    rows,
+                    cfg.deadline(),
+                    |p| mults[order[p] as usize],
+                    |p, q| row(p) == row(q),
+                    |p, out| out.copy_from_slice(row(p)),
+                )?
             }
-            p = q;
-        }
-        laid_out.truncate(kept * arity);
-        sums.truncate(kept);
-        let store = RowStore::from_sorted_rows(arity, kept, laid_out)
+        };
+        let store = RowStore::from_sorted_rows(arity, sums.len(), laid_out)
             .expect("merged neighbours of a sorted arena ascend strictly");
-        Ok(Bag {
-            schema,
-            store,
-            mults: sums,
-            live: kept,
-            sealed: true,
-        })
+        Ok(Bag::adopt(schema, store, sums, true))
     }
 
     /// The bag holding only the empty tuple with multiplicity `m`
@@ -426,7 +431,8 @@ impl Bag {
 
     /// [`Bag::seal`] under `cfg`'s [`crate::Deadline`], polled once
     /// before the re-layout. Both halves of the seal run on the calling
-    /// thread: the live ids sort by a packed compare, and the rows are
+    /// thread: the live ids sort by their packed words (the radix kernel
+    /// of [`crate::pack`] when the words fit 64 bits), and the rows are
     /// copied in that order into a fresh arena. Nothing is hashed: the
     /// sorted arena certifies that its rows are distinct, and the dedup
     /// table builds on the first content probe. On an abort the bag is
@@ -442,8 +448,9 @@ impl Bag {
         }
         crate::fault::fire("bag::seal");
         let arity = self.schema.arity();
-        let live: Vec<u32> = self.live_ids().collect();
-        let order = crate::store::sorted_order(arity, self.store.values(), live);
+        let mut order: Vec<u32> = self.live_ids().collect();
+        let spec = crate::pack::arena_spec(arity, self.store.values(), order.len());
+        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut order);
         let laid_out =
             crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
         self.mults = order.iter().map(|&i| self.mults[i as usize]).collect();
@@ -604,7 +611,7 @@ impl Bag {
     /// Repairs the sorted-run invariant after [`Bag::apply_delta_with`]
     /// dirtied a previously sealed bag: the prefix `0..old_len` is still
     /// one sorted run (minus tombstones), the tail holds the delta's
-    /// fresh rows. The tail sorts on its own (`k log k`), and the two
+    /// fresh rows. The tail sorts on its own, by the seal's sort, and the two
     /// runs merge — sharded into plain position ranges over the prefix
     /// (interned rows are distinct, so every position is its own key
     /// group) with the tail aligned by binary search. Each shard returns
@@ -628,8 +635,9 @@ impl Bag {
         let mut tail: Vec<u32> = (old_len as u32..self.store.len() as u32)
             .filter(|&i| self.mults[i as usize] > 0)
             .collect();
-        let ord = RowOrd::new(arity, self.store.values(), old_len + tail.len());
-        tail.sort_unstable_by(|&a, &b| ord.cmp(a, b));
+        let spec = crate::pack::arena_spec(arity, self.store.values(), old_len + tail.len());
+        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut tail);
+        let ord = RowOrd::new(arity, self.store.values(), spec.as_ref());
         let tasks = if old_len == 0 {
             vec![(0..0, 0..tail.len())]
         } else {
@@ -705,11 +713,11 @@ impl Bag {
     /// The marginal `R[Z]` of Equation (2) of the paper.
     ///
     /// Requires `Z ⊆ X`; multiplicities of collapsing tuples are summed
-    /// with overflow checking. This is one columnar scan: rows are
-    /// projected into a reused scratch buffer and accumulated in the
-    /// output arena — no per-row boxing. When `Z` is a *prefix* of a
-    /// sealed bag's schema the scan degenerates to a group-by sweep over
-    /// adjacent rows with no hashing, and the result is itself sealed.
+    /// with overflow checking, and the result is sealed. When `Z` is a
+    /// *prefix* of a sealed bag's schema this is a group-by sweep over
+    /// adjacent rows; otherwise the projected rows go into one arena with
+    /// a multiplicity column, which [`Bag::from_arena`] sorts and merges.
+    /// Neither path hashes a row.
     pub fn marginal(&self, sub: &Schema) -> Result<Bag> {
         self.marginal_with(sub, &ExecConfig::sequential())
     }
@@ -720,8 +728,13 @@ impl Bag {
     /// (`store::prefix_groups`) shards at key-group boundaries
     /// per `cfg`; its groups ascend, so the result is sealed and
     /// byte-identical at every thread count. All other cases (unsealed or
-    /// non-prefix `Z`) take the sequential scan: their rows are
-    /// unordered, so shards would collide on output groups.
+    /// non-prefix `Z`) project on the calling thread and adopt through
+    /// [`Bag::from_arena`] under `cfg`'s deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::MultiplicityOverflow`] when a group's sum passes
+    /// `u64`; [`CoreError::Aborted`] when `cfg`'s deadline has fired.
     pub fn marginal_with(&self, sub: &Schema, cfg: &ExecConfig) -> Result<Bag> {
         let idx = self.schema.projection_indices(sub)?;
         if self.sealed && crate::tuple::is_prefix_projection(&idx) {
@@ -731,14 +744,13 @@ impl Bag {
                 .expect("the groups of a sorted run ascend strictly");
             return Ok(Bag::adopt(sub.clone(), store, sums, true));
         }
-        let mut out = Bag::with_capacity(sub.clone(), self.live.min(1 << 20));
-        let mut scratch: Vec<Value> = Vec::with_capacity(idx.len());
+        let mut data = Vec::with_capacity(self.live * idx.len());
+        let mut mults = Vec::with_capacity(self.live);
         for (row, m) in self.iter() {
-            scratch.clear();
-            scratch.extend(idx.iter().map(|&i| row[i]));
-            out.insert_row(&scratch, m)?;
+            data.extend(idx.iter().map(|&i| row[i]));
+            mults.push(m);
         }
-        Ok(out)
+        Bag::from_arena(sub.clone(), data, mults, cfg)
     }
 
     /// Reassembles a sealed bag from its persisted parts — the snapshot
@@ -884,6 +896,51 @@ impl Bag {
     }
 }
 
+/// The merge half of [`Bag::from_arena`]'s sort path, over `n` sorted
+/// positions: each run of positions whose rows are the `same` sums its
+/// `mult`s with a checked add, a zero sum drops out, and each kept run
+/// has `write` put its row into the next `arity` slots of the output
+/// arena. Returns the arena and its multiplicity column.
+///
+/// # Errors
+///
+/// [`CoreError::MultiplicityOverflow`] when a run's sum passes `u64`;
+/// [`CoreError::Aborted`] when `deadline` has fired (polled once, before
+/// the output is written).
+fn merge_runs(
+    arity: usize,
+    n: usize,
+    deadline: &crate::Deadline,
+    mult: impl Fn(usize) -> u64,
+    same: impl Fn(usize, usize) -> bool,
+    mut write: impl FnMut(usize, &mut [Value]),
+) -> Result<(Vec<Value>, Vec<u64>)> {
+    if let Some(reason) = deadline.poll() {
+        return Err(CoreError::Aborted(reason));
+    }
+    let mut laid_out = vec![Value(0); n * arity];
+    let mut sums = Vec::with_capacity(n);
+    let mut p = 0;
+    while p < n {
+        let mut m = mult(p);
+        let mut q = p + 1;
+        while q < n && same(p, q) {
+            m = m
+                .checked_add(mult(q))
+                .ok_or(CoreError::MultiplicityOverflow)?;
+            q += 1;
+        }
+        if m > 0 {
+            let at = sums.len() * arity;
+            write(p, &mut laid_out[at..at + arity]);
+            sums.push(m);
+        }
+        p = q;
+    }
+    laid_out.truncate(sums.len() * arity);
+    Ok((laid_out, sums))
+}
+
 /// Iterator over a bag's `(row, multiplicity)` pairs in lexicographic
 /// order ([`Bag::iter_sorted`]). Allocation-free on sealed bags.
 pub struct SortedRows<'a>(SortedRowsInner<'a>);
@@ -937,7 +994,16 @@ pub fn bits(m: u64) -> u32 {
 }
 
 impl PartialEq for Bag {
+    /// Equal schemas and equal multiplicity functions. Two sealed bags
+    /// hold their support in one canonical layout, so they compare their
+    /// arenas and multiplicity columns directly; otherwise every row of
+    /// one is probed in the other.
     fn eq(&self, other: &Self) -> bool {
+        if self.sealed && other.sealed {
+            return self.schema == other.schema
+                && self.mults == other.mults
+                && self.store.values() == other.store.values();
+        }
         self.schema == other.schema
             && self.live == other.live
             && self.iter().all(|(r, m)| other.multiplicity(r) == m)
@@ -1142,7 +1208,7 @@ mod tests {
 
     #[test]
     fn prefix_and_generic_marginals_agree() {
-        // Sealed prefix sweep vs unsealed hash accumulation.
+        // Sealed prefix sweep vs the unsealed bag's arena sort.
         let rows: [(&[u64], u64); 5] = [
             (&[1, 1, 1], 1),
             (&[1, 1, 2], 2),
@@ -1584,6 +1650,111 @@ mod tests {
             assert_eq!(b, expect, "threads={threads}");
         }
         std::panic::set_hook(prev_hook);
+    }
+
+    /// A bag over `schema` built by inserting `rows` last to first, so it
+    /// arrives unsealed whenever the rows do not descend, plus a row
+    /// inserted and tombstoned when `tombstone` is set.
+    fn inserted(schema: &Schema, rows: &[(Vec<u64>, u64)], tombstone: bool) -> Bag {
+        let mut bag = Bag::new(schema.clone());
+        for (row, m) in rows.iter().rev() {
+            bag.insert(row.iter().copied().map(Value).collect::<Vec<_>>(), *m)
+                .unwrap();
+        }
+        if tombstone {
+            let extra = vec![Value(99); schema.arity()];
+            bag.insert(&extra, 1).unwrap();
+            bag.set(&extra, 0).unwrap();
+        }
+        bag
+    }
+
+    /// The marginal built row by row through the dedup table: every live
+    /// row projected and inserted, sorted for comparison.
+    fn inserted_marginal(bag: &Bag, sub: &Schema) -> Vec<(Vec<Value>, u64)> {
+        let idx = bag.schema().projection_indices(sub).unwrap();
+        let mut out = Bag::new(sub.clone());
+        for (row, m) in bag.iter() {
+            let projected: Vec<Value> = idx.iter().map(|&i| row[i]).collect();
+            out.insert_row(&projected, m).unwrap();
+        }
+        out.iter_sorted().map(|(r, m)| (r.to_vec(), m)).collect()
+    }
+
+    /// Equality by per-row probes, the unsealed path of `PartialEq`.
+    fn probe_eq(a: &Bag, b: &Bag) -> bool {
+        a.schema == b.schema && a.live == b.live && a.iter().all(|(r, m)| b.multiplicity(r) == m)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Every marginal is sealed and holds the insert-built marginal's
+        /// rows and sums, onto each subset of `A0 A1 A2` (the empty
+        /// schema and the non-prefixes included), from a sealed and an
+        /// unsealed bag with a tombstone, with some supports past the
+        /// radix kernel's floor.
+        #[test]
+        fn marginals_are_sealed_and_match_the_inserted_marginal(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0..12u64, 3), 1..=5u64),
+                0..=700,
+            ),
+        ) {
+            let x = schema(&[0, 1, 2]);
+            let sealed = Bag::from_u64s(x.clone(), rows.iter().map(|(r, m)| (&r[..], *m))).unwrap();
+            let unsealed = inserted(&x, &rows, true);
+            for bits in 0..8u32 {
+                let sub = schema(&(0..3).filter(|a| bits >> a & 1 == 1).collect::<Vec<_>>());
+                let want = inserted_marginal(&sealed, &sub);
+                for bag in [&sealed, &unsealed] {
+                    let got = bag.marginal(&sub).unwrap();
+                    proptest::prop_assert!(got.is_sealed(), "onto {}", sub);
+                    let got: Vec<(Vec<Value>, u64)> = got.iter().map(|(r, m)| (r.to_vec(), m)).collect();
+                    proptest::prop_assert_eq!(&got, &want, "onto {}", sub);
+                }
+            }
+        }
+
+        /// `==` agrees with the per-row probe on every mix of sealed and
+        /// unsealed operands: equal contents, one multiplicity bumped,
+        /// one row dropped, another schema, and every row's last value
+        /// shifted (same order, same multiplicity column, other rows).
+        #[test]
+        fn sealed_equality_agrees_with_the_probe(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(0..4u64, 2), 1..=3u64),
+                0..=24,
+            ),
+            edit in 0..5u8,
+            at in 0..24usize,
+        ) {
+            let x = schema(&[0, 1]);
+            let mut other_rows = rows.clone();
+            let other_schema = if edit == 3 { schema(&[0, 2]) } else { x.clone() };
+            if !rows.is_empty() {
+                let at = at % rows.len();
+                match edit {
+                    1 => other_rows[at].1 += 1,
+                    2 => {
+                        other_rows.remove(at);
+                    }
+                    4 => other_rows.iter_mut().for_each(|(row, _)| row[1] += 4),
+                    _ => {}
+                }
+            }
+            let build = |schema: &Schema, rows: &[(Vec<u64>, u64)]| {
+                let sealed = Bag::from_u64s(schema.clone(), rows.iter().map(|(r, m)| (&r[..], *m))).unwrap();
+                [sealed, inserted(schema, rows, false), inserted(schema, rows, true)]
+            };
+            let (ours, theirs) = (build(&x, &rows), build(&other_schema, &other_rows));
+            for a in &ours {
+                for b in &theirs {
+                    proptest::prop_assert_eq!(a == b, probe_eq(a, b), "{:?} vs {:?}", a, b);
+                    proptest::prop_assert_eq!(b == a, probe_eq(b, a), "{:?} vs {:?}", b, a);
+                }
+            }
+        }
     }
 
     #[test]

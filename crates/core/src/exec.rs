@@ -35,8 +35,8 @@
 //! them into a [`crate::RowStore`] with the dedup table unbuilt (only a
 //! bag a delta just resealed builds it at once, since the next delta
 //! probes it). The seal and [`crate::Bag::from_arena`] do not shard:
-//! one sort and one row copy on the calling thread beat any chunked
-//! plan at every size measured.
+//! one sort (a radix sort on 64-bit packed words) and one row copy on
+//! the calling thread beat any chunked plan at every size measured.
 
 use crate::cancel::Deadline;
 use crate::{CoreError, Value};

@@ -13,8 +13,9 @@
 //!
 //! * **sort-merge** — both sides' support rows are sorted by their
 //!   projection onto the common schema `Z` (a `u32` position sort; no
-//!   row data moves), then equal-key *runs* are matched group against
-//!   group. A side whose keys already ascend — a sealed operand whose
+//!   row data moves; a radix sort of `(word, position)` pairs when the
+//!   keys pack into 64 bits), then equal-key *runs* are matched group
+//!   against group. A side whose keys already ascend — a sealed operand whose
 //!   `Z`-columns form a schema prefix — skips its sort.
 //! * **hash** — the smaller side's keys are interned into a scratch
 //!   key arena with intrusive chains (flat vectors, no per-key boxes),
@@ -788,15 +789,16 @@ impl<'a, 'k> KeyedPairs<'a, 'k> {
 
 impl<'a, 'k> SortedKeys<'a, 'k> {
     /// Sorts the positions of `rows` by `(key, position)`: by `words`
-    /// when given, by slice compares otherwise, skipping the sort when
-    /// the keys already ascend.
+    /// through the radix kernel [`crate::pack::sort_pairs`] when given
+    /// (stable over positions that enter in order), by slice compares
+    /// otherwise, skipping the sort when the keys already ascend.
     fn sort(rows: &'a [(&'a [Value], u64)], key: &'k [usize], words: Option<Vec<u64>>) -> Self {
         let identity = || (0..rows.len() as u32).collect();
         let (order, words) = match words {
             Some(words) if words.windows(2).all(|w| w[0] <= w[1]) => (identity(), Some(words)),
             Some(words) => {
                 let mut pairs: Vec<(u64, u32)> = words.into_iter().zip(0..).collect();
-                pairs.sort_unstable();
+                crate::pack::sort_pairs(&mut pairs);
                 let (words, order) = pairs.into_iter().unzip();
                 (order, Some(words))
             }

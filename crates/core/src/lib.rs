@@ -54,8 +54,10 @@
 //! prefix keys — or when sharding spreads the sweep; **hash** (intern
 //! one side's keys into a scratch arena with intrusive chains, probe
 //! with the other) when one side is small, the size ratio is lopsided,
-//! or sorts would dominate. Marginals are single columnar scans through
-//! a reused scratch buffer.
+//! or sorts would dominate. Marginals onto a sealed bag's schema prefix
+//! are group-by sweeps; any other marginal projects its rows into one
+//! arena that [`Bag::from_arena`] sorts and merges, so every marginal
+//! comes out sealed and none hashes a row.
 //!
 //! # Parallel execution
 //!
@@ -92,10 +94,10 @@
 //!
 //! The **seal** ([`Bag::seal`], [`Bag::try_seal_with`],
 //! [`Relation::seal`]) and the bulk constructor [`Bag::from_arena`] do
-//! not shard: both halves — one `sort_unstable_by` over the row ids
-//! under a packed compare, then one row copy into the new arena — run on
-//! the calling thread, which measured faster than chunk sorts plus
-//! run merges at every size on a 2-core host. An arena whose rows
+//! not shard: both halves — one sort of the row ids, by the radix
+//! kernel [`pack`] on 64-bit packed words and by a compare otherwise,
+//! then one row copy into the new arena — run on the calling thread,
+//! which measured faster than chunk sorts plus run merges at every size on a 2-core host. An arena whose rows
 //! already ascend strictly, with no multiplicity zero, skips both:
 //! [`Bag::from_arena`] adopts it as it stands. The relational join and
 //! projection run the bag bodies with every multiplicity 1. An [`ExecConfig`] with `threads = 1` — the default of
@@ -126,7 +128,10 @@
 //! compares**: each column's value, truncated to the column's observed
 //! bit width, concatenates high-to-low into one `u64`/`u128` word per
 //! row — an injective, lexicographic-order-preserving encoding, so every
-//! packed compare returns exactly what the slice compare would.
+//! packed compare returns exactly what the slice compare would. Every
+//! sort of words that fit 64 bits is one LSD radix sort of `(word, id)`
+//! pairs, stable, with no comparator, above a floor that grows with the
+//! passes the words need (`sort_unstable` below it).
 //!
 //! Keys are packed only inside the sort or sweep that compares them: the
 //! seal, [`Bag::from_arena`] and delta-repair sorts pack their rows for

@@ -153,8 +153,9 @@ impl Relation {
             return;
         }
         let arity = self.store.arity();
-        let order = (0..self.store.len() as u32).collect();
-        let order = crate::store::sorted_order(arity, self.store.values(), order);
+        let mut order: Vec<u32> = (0..self.store.len() as u32).collect();
+        let spec = crate::pack::arena_spec(arity, self.store.values(), order.len());
+        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut order);
         let laid_out =
             crate::store::gather_rows(arity, self.store.values(), &order, &crate::Deadline::NONE)
                 .expect("a copy without a deadline cannot abort");

@@ -14,7 +14,7 @@
 //! boxes, no per-bucket vectors. The table is **lazy**: every bulk
 //! output is adopted wholesale — in sorted order through
 //! [`RowStore::from_sorted_rows`] (seals, [`crate::Bag::from_arena`],
-//! prefix marginals, snapshot loading), whose order is its distinctness
+//! marginals, snapshot loading), whose order is its distinctness
 //! certificate, or as join rows distinct by construction — and only
 //! pays for the hash table on the first content probe (lookup, intern,
 //! delta).
@@ -462,24 +462,6 @@ pub fn hash_row(row: &[Value]) -> u64 {
 fn slot_count_for(rows: usize) -> usize {
     let needed = rows + rows / 4 + 8;
     needed.next_power_of_two()
-}
-
-/// The ids of `order` sorted by the lexicographic order of their rows in
-/// the row-major arena `data` — the sort half of every seal and of
-/// [`crate::Bag::from_arena`]: one `sort_unstable_by` on the calling
-/// thread.
-///
-/// Every comparison goes through a transient [`crate::pack::RowOrd`]:
-/// one integer compare on a packed word column when a raw encoding fits,
-/// a `&[Value]` slice walk otherwise. The encoding is injective and
-/// order-preserving, so the order is bit-identical to the slice path.
-/// On distinct rows (an interned store) the order is total; equal rows
-/// of a bulk arena come out adjacent, in an unspecified order among
-/// themselves.
-pub(crate) fn sorted_order(arity: usize, data: &[Value], mut order: Vec<u32>) -> Vec<u32> {
-    let ord = crate::pack::RowOrd::new(arity, data, order.len());
-    order.sort_unstable_by(|&a, &b| ord.cmp(a, b));
-    order
 }
 
 /// Whether the `arity`-wide rows of `data` ascend strictly (vacuously

@@ -301,13 +301,19 @@ proptest! {
     /// and lays the arena out bit-identically at every thread count.
     /// Presorted arenas take the adopt path when they ascend strictly
     /// with no zero multiplicity and the sort path otherwise; each gives
-    /// the reference bit for bit.
+    /// the reference bit for bit. The same rows, spread so that they
+    /// pack into 4, 22 or 30 bits (tiled, these sort by radix once they
+    /// pass the kernel's floor for one, two or three passes), exactly
+    /// 63 or 64 bits, or past 64 (the 128-bit tier), give the reference
+    /// with every multiplicity times the tile count, and two copies of a
+    /// row whose sum passes `u64` still overflow on every tier.
     #[test]
     fn from_arena_matches_btreemap_reference(
         rows in proptest::collection::vec(
             (proptest::collection::vec(0..4u64, 2), 0..=3u64),
             0..=64,
         ),
+        tile in 1..=24u64,
     ) {
         let schema = Schema::range(0, 2);
         let mut reference: std::collections::BTreeMap<Vec<u64>, u64> = Default::default();
@@ -362,6 +368,44 @@ proptest! {
                     .collect();
                 prop_assert_eq!(&got, &want, "arena {:?}", arena);
                 prop_assert_eq!(storage(&t), storage(&one), "arena {:?}", arena);
+            }
+        }
+        // Column shifts for packed widths of 4, 22, 30, 63, 64 and 96
+        // bits. A last row of multiplicity zero holds every column's top
+        // value, so the widths are exact whatever the drawn rows hold.
+        for (s0, s1) in [(0u32, 0u32), (9, 9), (13, 13), (30, 29), (30, 30), (62, 30)] {
+            let spread = |row: &[u64]| [Value::new(row[0] << s0), Value::new(row[1] << s1)];
+            let (mut data, mut mults) = (Vec::new(), Vec::new());
+            for _ in 0..tile {
+                for (row, m) in &rows {
+                    data.extend(spread(row));
+                    mults.push(*m);
+                }
+            }
+            data.extend(spread(&[3, 3]));
+            mults.push(0);
+            let want: Vec<(Vec<u64>, u64)> = want
+                .iter()
+                .map(|(row, m)| (vec![row[0] << s0, row[1] << s1], m * tile))
+                .collect();
+            for threads in THREADS {
+                let t = Bag::from_arena(schema.clone(), data.clone(), mults.clone(), &cfg(threads)).unwrap();
+                prop_assert!(t.is_sealed());
+                let got: Vec<(Vec<u64>, u64)> = t
+                    .iter_sorted()
+                    .map(|(row, m)| (row.iter().map(|v| v.get()).collect(), m))
+                    .collect();
+                prop_assert_eq!(&got, &want, "shifts {} {}, tile {}", s0, s1, tile);
+                let mut over = (data.clone(), mults.clone());
+                for _ in 0..2 {
+                    over.0.extend(spread(&[1, 2]));
+                    over.1.push(1 << 63);
+                }
+                prop_assert_eq!(
+                    Bag::from_arena(schema.clone(), over.0, over.1, &cfg(threads)),
+                    Err(CoreError::MultiplicityOverflow),
+                    "shifts {} {}, tile {}", s0, s1, tile
+                );
             }
         }
     }
@@ -507,5 +551,45 @@ fn warm_session_checks_match_fresh_sessions() {
             strip_micros(&from_fresh.json(&names)),
             "round {round}: warm and fresh sessions must render identically"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Above the radix kernel's floor the keyed sweep sorts its key
+    /// positions by radix: `merge_matching_pairs` still emits the
+    /// nested-loop pair sequence, and the packed merge join lays out the
+    /// slice baseline's rows, with a narrow joint key (one pass, past
+    /// its floor) or with the key column moved next to `u64::MAX` (a
+    /// 64-bit key, sorted below its floor).
+    #[test]
+    fn keyed_sweep_above_the_radix_floor_matches_references(
+        l in proptest::collection::vec((proptest::collection::vec(0..16u64, 3), 1..=3u64), 520..=640),
+        r in proptest::collection::vec((proptest::collection::vec(0..16u64, 3), 1..=3u64), 520..=640),
+        wide in 0..2u8,
+    ) {
+        // R(A0,A1,A2) joins S(A1,A2,A3) on {A1}.
+        let (left_key, right_key) = (&[1usize][..], &[0usize][..]);
+        let (l_wide, r_wide) = match wide {
+            0 => (&[][..], &[][..]),
+            _ => (left_key, right_key),
+        };
+        let (l_rows, r_rows) = (widen(&l, l_wide), widen(&r, r_wide));
+        let left: Vec<(&[Value], u64)> = l_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let right: Vec<(&[Value], u64)> = r_rows.iter().map(|(v, m)| (&v[..], *m)).collect();
+        let mut pairs = Vec::new();
+        merge_matching_pairs(&left, left_key, &right, right_key, |i, j| pairs.push((i, j)));
+        prop_assert_eq!(pairs, nested_loop_pairs(&left, left_key, &right, right_key));
+        let rb = Bag::from_rows(Schema::range(0, 3), l_rows.iter().map(|(v, m)| (v, *m))).unwrap();
+        let sb = Bag::from_rows(Schema::range(1, 4), r_rows.iter().map(|(v, m)| (v, *m))).unwrap();
+        let storage = |b: &Bag| {
+            (b.store().values().to_vec(), b.live_ids().map(|i| b.mult_of(i)).collect::<Vec<_>>())
+        };
+        let baseline = bag_join_merge_baseline_with(&rb, &sb, &ExecConfig::sequential()).unwrap();
+        for threads in THREADS {
+            let hot = bag_join_merge_with(&rb, &sb, &cfg(threads)).unwrap();
+            prop_assert_eq!(storage(&hot), storage(&baseline), "threads = {}", threads);
+        }
     }
 }
