@@ -1203,7 +1203,8 @@ fn e16() {
 /// E17 — the serving layer: request latency for a read-mostly mixed
 /// workload against a live loopback daemon, vs client count × dataset
 /// size, warm (one session per client) vs cold (re-`open` before every
-/// request).
+/// request). A re-`open` forks the stream the generation stored at its
+/// first open, so the cold rows time a fork, not a stream build.
 ///
 /// Writes the grid to `BENCH_e17.json` in the current directory.
 fn e17() {
@@ -1356,7 +1357,9 @@ fn e17() {
          support, N concurrent clients each issuing a read-mostly mix \
          (4 checks per +-1 delta toggle on a private copy-on-write \
          session); warm = one open per client, cold = re-open before \
-         every request\",\n  \
+         every request (after the generation's first open, which builds \
+         and stores its stream, each re-open forks that stream: it times \
+         a fork, not a rebuild)\",\n  \
          \"unit\": \"milliseconds (client-observed per-request latency; \
          total is wall clock for the whole burst)\",\n  \
          \"host_parallelism\": {host},\n  \

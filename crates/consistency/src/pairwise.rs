@@ -33,6 +33,7 @@ use std::borrow::Borrow;
 
 /// A keyed marginal difference `D(k)` over the shared attributes of one
 /// bag pair, with the count of keys where it is nonzero.
+#[derive(Clone)]
 pub(crate) struct KeyedDiff {
     /// Every shared-attribute key either side has held since the pair
     /// was last (re)built.
@@ -71,8 +72,16 @@ impl KeyedDiff {
     }
 
     /// Adds `sign × R[Z]` for every row of `bag`, projecting rows onto
-    /// `Z` through `z_cols`.
+    /// `Z` through `z_cols`. On `Z = ∅` every row projects to the one
+    /// arity-0 key, so `R[∅]` is the total `‖R‖u`, added in one step:
+    /// it is zero, and interns nothing, exactly when the bag has no row,
+    /// as with the row loop.
     fn accumulate(&mut self, bag: &Bag, z_cols: &[usize], sign: i128) {
+        if z_cols.is_empty() {
+            // ‖R‖u < 2^96: under 2^32 rows of multiplicity < 2^64.
+            self.add(&[], sign * bag.unary_size() as i128);
+            return;
+        }
         let mut key = Vec::with_capacity(z_cols.len());
         for (row, m) in bag.iter() {
             project(row, z_cols, &mut key);
@@ -89,6 +98,9 @@ pub(crate) fn project(row: &[Value], z_cols: &[usize], key: &mut Vec<Value>) {
 
 /// Lemma 2 state of one bag pair `i < j`: `D = R_i[Z] − R_j[Z]` on
 /// their shared attributes `Z`. The pair is consistent iff `D = 0`.
+/// The state depends only on the two bags, so a clone of it is the
+/// state of the same bags (a forked stream shares it copy-on-write).
+#[derive(Clone)]
 pub(crate) struct PairState {
     pub(crate) i: usize,
     pub(crate) j: usize,
@@ -479,6 +491,126 @@ mod tests {
                 assert!(adopted, "{x:?} / {y:?} ({major:?}) round {round}");
                 let w = fill_witness_with(&r, &s, &cfg).unwrap().unwrap();
                 assert!(is_two_bag_witness(&w, &r, &s).unwrap());
+            }
+        }
+    }
+
+    /// The row loop every pair ran before disjoint pairs took totals:
+    /// each row of `r` adds, each row of `s` subtracts, at its key.
+    fn row_loop(pair: &PairState, r: &Bag, s: &Bag) -> KeyedDiff {
+        let mut d = KeyedDiff::new(pair.z_of_i.len());
+        let mut key = Vec::new();
+        for (row, m) in r.iter() {
+            project(row, &pair.z_of_i, &mut key);
+            d.add(&key, i128::from(m));
+        }
+        for (row, m) in s.iter() {
+            project(row, &pair.z_of_j, &mut key);
+            d.add(&key, -i128::from(m));
+        }
+        d
+    }
+
+    /// `D` as `key → D(key)` over the keys where it is nonzero, and the
+    /// nonzero count.
+    fn nonzero_entries(d: &KeyedDiff) -> (Vec<(Vec<Value>, i128)>, usize) {
+        let mut out: Vec<(Vec<Value>, i128)> = d
+            .keys
+            .iter()
+            .zip(&d.diff)
+            .filter(|(_, &v)| v != 0)
+            .map(|(k, &v)| (k.to_vec(), v))
+            .collect();
+        out.sort_unstable();
+        (out, d.nonzero)
+    }
+
+    /// On `Z = ∅` the pair state is the totals' difference, held at the
+    /// one arity-0 key, exactly as the row loop leaves it: the same
+    /// keys (none when both bags are empty), differences and nonzero
+    /// count, on empty bags, equal and unequal totals, totals past
+    /// `u64`, and arity-0 bags. After stream deltas (fresh rows, drops
+    /// to zero, emptied bags) it still agrees with the row loop over
+    /// the edited bags.
+    #[test]
+    fn disjoint_pair_state_equals_the_row_loop() {
+        let half = 1u64 << 63;
+        let empty_row: [(&[u64], u64); 1] = [(&[], 4)];
+        let cases = [
+            (Bag::new(schema(&[0, 1])), Bag::new(schema(&[2]))),
+            (
+                Bag::new(schema(&[0, 1])),
+                Bag::from_u64s(schema(&[2]), [(&[5u64][..], 3)]).unwrap(),
+            ),
+            (
+                Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 1), (&[2, 2][..], 2)]).unwrap(),
+                Bag::from_u64s(schema(&[2]), [(&[5u64][..], 3)]).unwrap(),
+            ),
+            (
+                Bag::from_u64s(schema(&[0, 1]), [(&[1u64, 2][..], 1), (&[2, 2][..], 2)]).unwrap(),
+                Bag::from_u64s(schema(&[3, 4]), [(&[5u64, 0][..], 2)]).unwrap(),
+            ),
+            (
+                Bag::from_u64s(schema(&[0]), [(&[1u64][..], half), (&[2][..], half)]).unwrap(),
+                Bag::from_u64s(schema(&[1]), [(&[7u64][..], u64::MAX)]).unwrap(),
+            ),
+            (
+                Bag::from_u64s(Schema::empty(), empty_row).unwrap(),
+                Bag::from_u64s(schema(&[0]), [(&[1u64][..], 4)]).unwrap(),
+            ),
+            (
+                Bag::from_u64s(Schema::empty(), empty_row).unwrap(),
+                Bag::new(Schema::empty()),
+            ),
+        ];
+        for (r, s) in &cases {
+            for (a, b) in [(r, s), (s, r)] {
+                let pair = PairState::open(0, 1, &[a, b]).unwrap();
+                let want = row_loop(&pair, a, b);
+                let got = &pair.diff;
+                assert_eq!(got.keys.len(), want.keys.len(), "{a:?} / {b:?}");
+                assert!(got.keys.iter().eq(want.keys.iter()), "{a:?} / {b:?}");
+                assert_eq!(got.diff, want.diff, "{a:?} / {b:?}");
+                assert_eq!(got.nonzero, want.nonzero, "{a:?} / {b:?}");
+                assert_eq!(
+                    pair.consistent(),
+                    a.unary_size() == b.unary_size(),
+                    "{a:?} / {b:?}"
+                );
+            }
+        }
+
+        // Deltas through a stream: bag 0 shares nothing with bags 1, 2.
+        let (r, _) = section3_pair();
+        let bags = vec![
+            r,
+            Bag::from_u64s(schema(&[2]), [(&[5u64][..], 2)]).unwrap(),
+            Bag::new(schema(&[3])),
+        ];
+        let mut stream = Session::default().open_stream(bags).unwrap();
+        let script: [(usize, &[u64], i64); 8] = [
+            (2, &[1], 3),
+            (0, &[9, 9], 5),
+            (1, &[5], -2),
+            (0, &[1, 2], -1),
+            (0, &[2, 2], -1),
+            (1, &[6], 5),
+            (0, &[9, 9], -5),
+            (2, &[1], -3),
+        ];
+        for (step, &(bag, row, delta)) in script.iter().enumerate() {
+            let mut d = bagcons_core::DeltaSet::new(stream.bags()[bag].schema().clone());
+            d.bump_u64s(row, delta).unwrap();
+            stream.update(bag, &d).unwrap();
+            for pair in stream.pairs() {
+                let want = row_loop(pair, &stream.bags()[pair.i], &stream.bags()[pair.j]);
+                assert_eq!(
+                    nonzero_entries(&pair.diff),
+                    nonzero_entries(&want),
+                    "step {step}, pair ({}, {})",
+                    pair.i,
+                    pair.j
+                );
             }
         }
     }

@@ -13,7 +13,8 @@
 //! pair is consistent iff that count is 0. Disjoint schemas are the
 //! `Z = ∅` case: one arity-0 key whose difference is `‖R‖u − ‖S‖u`.
 //! Opening a stream accumulates each side's rows straight into the
-//! differences, and an update:
+//! differences (a disjoint pair takes the two totals, with no row loop),
+//! and an update:
 //!
 //! * applies the [`DeltaSet`] to the target bag through
 //!   [`Bag::apply_delta_with`] — in-place multiplicity patches when the
@@ -38,6 +39,17 @@
 //! every concurrent reader's view, stay physically shared.
 //! [`ConsistencyStream::share_bags`] hands the current (sealed) bags
 //! back out as a new shareable generation.
+//!
+//! The pair states are shared the same way. By Lemma 2 a pair's state
+//! depends only on its two bags, so a decided stream is the decision of
+//! its bags, whoever opened it. Cloning a stream *forks* it: the clone
+//! shares every bag, every pair state and the cached witness by `Arc`,
+//! and copies only scalars and the configuration, so a fork costs
+//! O(bags + pairs) where an open costs O(rows). An update through
+//! either side copies only the bags and pair states it touches
+//! (`Arc::make_mut`); the other side never sees it. The serving daemon
+//! keeps one decided stream per published generation and forks it for
+//! every session that opens or syncs to that generation.
 //!
 //! # Batched updates
 //!
@@ -99,7 +111,10 @@ use std::time::{Duration, Instant};
 /// The stream owns a copy of the opening session's governance
 /// configuration (exec, solver, per-operation time budget), so it has
 /// no borrow of the session and can be moved across threads or stored
-/// in long-lived connection state.
+/// in long-lived connection state. A clone is a fork that shares the
+/// bags and pair states copy-on-write (see the [module docs](self)):
+/// every field it copies is an `Arc` or a scalar.
+#[derive(Clone)]
 pub struct ConsistencyStream {
     exec: ExecConfig,
     solver: SolverConfig,
@@ -110,8 +125,9 @@ pub struct ConsistencyStream {
     bags: Vec<Arc<Bag>>,
     acyclic: bool,
     /// All pairs `i < j`, in lexicographic order (so the first
-    /// inconsistent pair matches the full rebuild's reporting).
-    pairs: Vec<PairState>,
+    /// inconsistent pair matches the full rebuild's reporting), shared
+    /// copy-on-write with every fork of this stream.
+    pairs: Vec<Arc<PairState>>,
     /// Set when a failed batch could not be rolled back: the pair
     /// differences may not match the bags, so the next update recomputes
     /// every pair from the bags before deciding.
@@ -121,7 +137,8 @@ pub struct ConsistencyStream {
     search_nodes: u64,
     /// Why the current decision is [`Decision::Unknown`], when it is.
     abort_reason: Option<AbortReason>,
-    witness: Option<Bag>,
+    /// The witness of the current state, once built; shared with forks.
+    witness: Option<Arc<Bag>>,
 }
 
 /// Outcome of one [`ConsistencyStream::update`] or
@@ -270,7 +287,7 @@ impl ConsistencyStream {
         let mut pairs = Vec::new();
         for i in 0..bags.len() {
             for j in (i + 1)..bags.len() {
-                pairs.push(PairState::open(i, j, &bags)?);
+                pairs.push(Arc::new(PairState::open(i, j, &bags)?));
             }
         }
         let mut stream = ConsistencyStream {
@@ -442,7 +459,7 @@ impl ConsistencyStream {
     fn repair(&mut self, edits: &[(usize, &DeltaSet)], applied: &[DeltaApply]) -> (usize, usize) {
         if self.poisoned {
             for p in &mut self.pairs {
-                p.rebuild(&self.bags);
+                Arc::make_mut(p).rebuild(&self.bags);
             }
             self.poisoned = false;
             self.witness = None;
@@ -456,12 +473,16 @@ impl ConsistencyStream {
             }
             self.witness = None;
             for (p, hit) in self.pairs.iter_mut().zip(&mut touched) {
+                if p.i != *bag && p.j != *bag {
+                    continue;
+                }
+                // A pair state shared with a fork or a published
+                // generation is copied here, before its first edit.
+                let p = Arc::make_mut(p);
                 let (z_cols, sign) = if p.i == *bag {
                     (&p.z_of_i, 1)
-                } else if p.j == *bag {
-                    (&p.z_of_j, -1)
                 } else {
-                    continue;
+                    (&p.z_of_j, -1)
                 };
                 *hit = true;
                 for e in delta.edits() {
@@ -507,7 +528,7 @@ impl ConsistencyStream {
         self.decision = out.decision;
         self.search_nodes = out.search_nodes;
         self.abort_reason = out.abort_reason;
-        self.witness = solution.or(self.witness.take());
+        self.witness = solution.map(Arc::new).or(self.witness.take());
         Ok(!self.acyclic)
     }
 
@@ -565,13 +586,14 @@ impl ConsistencyStream {
         if self.witness.is_none() {
             let (exec, solver) = self.arm();
             let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-            self.witness = if self.acyclic {
+            let witness = if self.acyclic {
                 chain_first(&refs, &exec, Vec::new())?.witness
             } else {
                 settle(&refs, self.branch(), &solver, Vec::new())?.1
             };
+            self.witness = witness.map(Arc::new);
         }
-        Ok(self.witness.as_ref())
+        Ok(self.witness.as_deref())
     }
 }
 
@@ -598,6 +620,13 @@ fn negated(delta: &DeltaSet) -> DeltaSet {
 mod tests {
     use super::*;
     use bagcons_core::{Attr, Schema, Value};
+
+    impl ConsistencyStream {
+        /// The pair states, in lexicographic pair order.
+        pub(crate) fn pairs(&self) -> impl Iterator<Item = &PairState> {
+            self.pairs.iter().map(|p| p.as_ref())
+        }
+    }
 
     fn schema(ids: &[u32]) -> Schema {
         Schema::from_attrs(ids.iter().map(|&i| Attr::new(i)))
@@ -790,6 +819,47 @@ mod tests {
         assert!(Arc::ptr_eq(&next[1], &generation[1]));
         let reopened = session.open_stream_shared(next).unwrap();
         assert_eq!(reopened.decision(), Decision::Inconsistent);
+    }
+
+    /// A clone shares every bag, pair state and the cached witness; an
+    /// update through it copies just the edited bag and the pairs that
+    /// share it, and leaves the source as it was.
+    #[test]
+    fn fork_copies_only_what_its_update_touches() {
+        let (r, s) = path_pair();
+        let t = Bag::from_u64s(schema(&[3]), [(&[9u64][..], 5)]).unwrap();
+        let session = Session::default();
+        let mut source = session.open_stream(vec![r, s.clone(), t]).unwrap();
+        let witness = source.witness().unwrap().expect("consistent").clone();
+        let mut fork = source.clone();
+        let shared = |a: &ConsistencyStream, b: &ConsistencyStream| -> (Vec<bool>, Vec<bool>) {
+            let bags = a.bags.iter().zip(&b.bags);
+            let pairs = a.pairs.iter().zip(&b.pairs);
+            (
+                bags.map(|(x, y)| Arc::ptr_eq(x, y)).collect(),
+                pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect(),
+            )
+        };
+        assert_eq!(shared(&source, &fork), (vec![true; 3], vec![true; 3]));
+        let (a, b) = (source.witness.as_ref(), fork.witness.as_ref());
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
+
+        // Bag 1 is in pairs (0, 1) and (1, 2), not in (0, 2).
+        let mut d = DeltaSet::new(schema(&[1, 2]));
+        d.bump_u64s(&[0, 7], 1).unwrap();
+        let out = fork.update(1, &d).unwrap();
+        assert_eq!(out.decision, Decision::Inconsistent);
+        assert_eq!(out.pairs_repaired, 2);
+        assert_eq!(
+            shared(&source, &fork),
+            (vec![true, false, true], vec![false, true, false])
+        );
+
+        assert_eq!(source.decision(), Decision::Consistent);
+        assert!(source.pairs().all(|p| p.consistent()));
+        assert_eq!(*source.bags()[1], s);
+        assert_eq!(source.witness().unwrap(), Some(&witness));
+        assert!(fork.witness().unwrap().is_none());
     }
 
     #[test]

@@ -49,6 +49,14 @@
 //! packing of a path bag over a domain of 2^14, win from 512), 4096 at
 //! four, 8192 at five and 16384 at six.
 //!
+//! **Ceiling.** Above `RADIX_MAX_LEN[passes]` pairs the kernel runs
+//! `sort_unstable` again: past a few hundred thousand pairs each
+//! scatter's destination (16 bytes a pair) leaves the cache, and words
+//! of four or more passes lose to the comparisons. The measured
+//! crossovers (same host and method) are about 524288 pairs at four
+//! passes, 393216 at five and 131072 at six; words of three passes or
+//! fewer still won at a million pairs, so they have no ceiling.
+//!
 //! **Presorted rows.** The row sorts (`sorted_pairs`, behind the seal,
 //! the delta reseal and `Bag::from_arena`) return ascending words as
 //! they are and reverse strictly descending ones, as `sort_unstable`
@@ -76,6 +84,19 @@ const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
 /// two (see the module doc).
 pub(crate) const RADIX_MIN_LEN: [usize; 7] = [256, 256, 512, 1024, 4096, 8192, 16384];
 
+/// Above `RADIX_MAX_LEN[p]` pairs whose words need `p` passes,
+/// [`sort_pairs`] runs `sort_unstable`: the measured crossovers of the
+/// two on large inputs (see the module doc).
+pub(crate) const RADIX_MAX_LEN: [usize; 7] = [
+    usize::MAX,
+    usize::MAX,
+    usize::MAX,
+    usize::MAX,
+    524_288,
+    393_216,
+    131_072,
+];
+
 /// Digit `pass` of `word`: bits `11·pass ..` (the shift is at most 55).
 #[inline(always)]
 fn digit(word: u64, pass: usize) -> usize {
@@ -98,7 +119,7 @@ pub(crate) fn sort_pairs(pairs: &mut Vec<(u64, u32)>) {
     );
     let n = pairs.len();
     let passes = radix_passes(pairs.iter().fold(0, |acc, &(w, _)| acc | w));
-    if n < RADIX_MIN_LEN[passes] {
+    if n < RADIX_MIN_LEN[passes] || n > RADIX_MAX_LEN[passes] {
         pairs.sort_unstable();
         return;
     }
@@ -483,6 +504,36 @@ mod tests {
                 want.sort_unstable();
                 sort_pairs(&mut pairs);
                 assert_eq!(pairs, want, "{bits} bits, {len} pairs");
+            }
+        }
+    }
+
+    /// At four to six passes, lengths just below, at and just above the
+    /// ceiling (where the kernel hands over to `sort_unstable`) give
+    /// `sort_unstable`'s order, on random words with the width's top
+    /// bit set and on words with repeats.
+    #[test]
+    fn sort_pairs_at_each_ceiling() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for passes in 4..=6 {
+            let bits = (passes as u32 * RADIX_BITS).min(64);
+            let mask = u64::MAX >> (64 - bits);
+            let ceiling = RADIX_MAX_LEN[passes];
+            assert!(ceiling > RADIX_MIN_LEN[passes]);
+            for len in [ceiling - 1, ceiling, ceiling + 1] {
+                let mut pairs: Vec<(u64, u32)> = (0..len as u32)
+                    .map(|i| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let word = if i % 3 == 0 { x % 97 } else { x };
+                        (word & mask | 1 << (bits - 1), i)
+                    })
+                    .collect();
+                let mut want = pairs.clone();
+                want.sort_unstable();
+                sort_pairs(&mut pairs);
+                assert!(pairs == want, "{bits} bits, {len} pairs");
             }
         }
     }

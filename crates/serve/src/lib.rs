@@ -20,11 +20,22 @@
 //!
 //! * a published generation is never mutated — every bag in it is sealed
 //!   and behind an `Arc` that writers only clone away from;
-//! * `publish(parent, bags)` succeeds iff `parent` is still the current
+//! * `publish(parent, stream)` succeeds iff `parent` is still the current
 //!   sequence number (lost races surface as a `conflict` error, and the
 //!   losing writer can `sync` to the new generation and retry);
 //! * sessions never observe a generation change they did not ask for:
 //!   reads are repeatable until an explicit `sync`.
+//!
+//! A generation also keeps one decided stream over its bags (by Lemma 2
+//! the pair states depend only on the bags). `commit` publishes the
+//! writer's stream with its bags; a generation loaded from files gets
+//! its stream at its first `open`, not at load. `open` and `sync` fork
+//! that stream ([`registry::Generation::fork`]): the session shares
+//! every bag and pair state by `Arc` and copies on its first edit of
+//! each, so an open costs O(bags + pairs), not O(rows). The stored
+//! stream is never mutated, and a stream whose decision is unknown (a
+//! deadline, a node budget, a poisoned batch) is never stored: the next
+//! `open` then decides from the rows.
 //!
 //! # Wire protocol
 //!
@@ -50,13 +61,13 @@
 //! | `load <name> <file>...` | register dataset `<name>` from files (generation 0); text bags parse + seal, snapshot files decode directly (auto-detected by magic bytes) |
 //! | `save <name> <file>` | export the dataset's current generation as a snapshot file |
 //! | `list` | enumerate datasets with generation + bag counts |
-//! | `open <name>` | open this connection's session on the current generation |
+//! | `open <name>` | open this connection's session on the current generation (a fork of its stored stream: runs no decision once the generation has one, so it cannot abort on a deadline) |
 //! | `<bag> <vals...> : <±d>` | one delta (`parse_delta_line` format) → one decision |
 //! | `batch` … `end` | group deltas; one [`bagcons::stream::ConsistencyStream::update_batch`] decision on `end` |
 //! | `bulk <delta>[;<delta>]*` | a whole delta batch in one framed line: one payload, one round trip, one decision (all-or-nothing parse; `batch`/`end` stay as the incremental aliases) |
 //! | `check` | re-decide the session's current state |
-//! | `sync` | re-pin the session to the dataset's current generation |
-//! | `commit` | publish the session's bags as the next generation (CAS) |
+//! | `sync` | re-pin the session to the dataset's current generation (a fork, as for `open`) |
+//! | `commit` | publish the session's bags as the next generation (CAS), with its stream when decided |
 //! | `timeout <ms\|none>` | per-request wall-clock budget for this session |
 //! | `format <text\|json>` | response format for this connection |
 //! | `close` | close the session, keep the connection |

@@ -556,7 +556,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = dataset.current();
             let _permit = shared.budget.acquire();
-            match conn.session.open_stream_shared(generation.bags.clone()) {
+            match generation.fork(&conn.session) {
                 Ok(stream) => {
                     let reply = protocol::ok_response(
                         fmt,
@@ -587,7 +587,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = open.dataset.current();
             let _permit = shared.budget.acquire();
-            match conn.session.open_stream_shared(generation.bags.clone()) {
+            match generation.fork(&conn.session) {
                 Ok(stream) => {
                     open.parent_seq = generation.seq;
                     open.stream = stream;
@@ -613,10 +613,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
                 return err("usage", "no open session (use `open <dataset>`)");
             };
             let _permit = shared.budget.acquire();
-            match open
-                .dataset
-                .publish(open.parent_seq, open.stream.share_bags())
-            {
+            match open.dataset.publish(open.parent_seq, &open.stream) {
                 Ok(generation) => {
                     open.parent_seq = generation.seq;
                     Action::Reply(protocol::ok_response(

@@ -25,6 +25,7 @@ use bagcons_hypergraph::path;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Thread counts under test. `1` is the sequential fallback; the others
 /// shard even on a single-core host (the executor is correctness-first:
@@ -613,6 +614,112 @@ fn run_delta_stream(seed: u64, edits: usize) {
     }
 }
 
+/// A `gen::perturb`-style edit script over `bags`: mostly
+/// `bump_one_tuple` bumps (in place), with `-1` reverts (which may drop
+/// a row: the reseal path) and fresh rows mixed in. Every edit is legal
+/// after the ones before it.
+fn perturb_script(bags: &[Bag], edits: usize, rng: &mut StdRng) -> Vec<(usize, DeltaSet)> {
+    let mut reference = bags.to_vec();
+    let mut script = Vec::with_capacity(edits);
+    for step in 0..edits {
+        let kind = rng.gen_range(0..10u64);
+        let (i, row, delta) = if kind < 6 {
+            let before = reference.clone();
+            let Some(i) = bump_one_tuple(&mut reference, rng).unwrap() else {
+                continue;
+            };
+            let row: Vec<Value> = reference[i]
+                .iter()
+                .find(|(row, m)| before[i].multiplicity(row) != *m)
+                .expect("one row changed")
+                .0
+                .to_vec();
+            (i, row, 1i64)
+        } else if kind < 9 {
+            let i = rng.gen_range(0..reference.len());
+            if reference[i].is_empty() {
+                continue;
+            }
+            let (row, m) = {
+                let rows = reference[i].sorted_rows();
+                let (row, m) = rows[rng.gen_range(0..rows.len())];
+                (row.to_vec(), m)
+            };
+            reference[i].set(row.clone(), m - 1).unwrap();
+            (i, row, -1i64)
+        } else {
+            let i = rng.gen_range(0..reference.len());
+            let row: Vec<Value> = (0..reference[i].schema().arity())
+                .map(|c| Value::new(100 + step as u64 + c as u64))
+                .collect();
+            reference[i].insert(row.clone(), 2).unwrap();
+            (i, row, 2i64)
+        };
+        let mut d = DeltaSet::new(reference[i].schema().clone());
+        d.bump(&row, delta).unwrap();
+        script.push((i, d));
+    }
+    script
+}
+
+/// An update outcome without its stage timings.
+fn outcome_sans_timings(mut out: bagcons::stream::UpdateOutcome) -> String {
+    out.stages.clear();
+    format!("{out:?}")
+}
+
+/// Forks a stream after the first `k` edits of a perturb script, at
+/// threads 1/2/4. On the remaining edits the fork answers exactly as a
+/// stream freshly opened over the same bags. The fork's edits leave the
+/// source as it was: its bags are the same allocations with the same
+/// rows, its decision and reported pair are unchanged, and, replaying
+/// the remaining edits itself, it answers as the fresh stream did (pair
+/// states a fork had written through would answer differently).
+fn run_forked_stream(seed: u64, edits: usize, k: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (bags, _) = planted_family(&path(4), 3, 24, 5, &mut rng).unwrap();
+    let script = perturb_script(&bags, edits, &mut rng);
+    let k = k.min(script.len());
+    for threads in [1usize, 2, 4] {
+        let session = Session::builder().exec(cfg(threads)).build().unwrap();
+        let mut source = session.open_stream(bags.clone()).unwrap();
+        for (i, d) in &script[..k] {
+            source.update(*i, d).unwrap();
+        }
+        let pinned = source.share_bags();
+        let copies: Vec<Bag> = pinned.iter().map(|b| (**b).clone()).collect();
+        let (decision, pair) = (source.decision(), source.inconsistent_pair());
+
+        let mut fork = source.clone();
+        let mut fresh = session.open_stream_shared(pinned.clone()).unwrap();
+        assert_eq!(fork.decision(), fresh.decision(), "threads {threads}");
+        for (step, (i, d)) in script[k..].iter().enumerate() {
+            let (a, b) = (fork.update(*i, d).unwrap(), fresh.update(*i, d).unwrap());
+            assert_eq!(
+                outcome_sans_timings(a),
+                outcome_sans_timings(b),
+                "threads {threads}, fork after {k}, step {step}"
+            );
+        }
+
+        for (b, (bag, copy)) in source.bags().iter().zip(&copies).enumerate() {
+            assert!(Arc::ptr_eq(bag, &pinned[b]), "threads {threads}, bag {b}");
+            assert_eq!(**bag, *copy, "threads {threads}, bag {b}");
+        }
+        assert_eq!(source.decision(), decision, "threads {threads}");
+        assert_eq!(source.inconsistent_pair(), pair, "threads {threads}");
+        let mut replay = session.open_stream_shared(pinned).unwrap();
+        for (step, (i, d)) in script[k..].iter().enumerate() {
+            let (a, b) = (source.update(*i, d).unwrap(), replay.update(*i, d).unwrap());
+            assert_eq!(
+                outcome_sans_timings(a),
+                outcome_sans_timings(b),
+                "threads {threads}, source after {k}, step {step}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -622,5 +729,13 @@ proptest! {
     #[test]
     fn delta_stream_matches_full_rebuild_100_edits(seed in 0u64..1 << 32) {
         run_delta_stream(seed, 100);
+    }
+
+    /// A fork of a stream after `k` edits of a 60-edit perturb script
+    /// answers the rest as a fresh stream over the same bags, at threads
+    /// 1/2/4, and leaves the source unchanged.
+    #[test]
+    fn forked_stream_matches_a_fresh_open(seed in 0u64..1 << 32, k in 0usize..=60) {
+        run_forked_stream(seed, 60, k);
     }
 }

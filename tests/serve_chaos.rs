@@ -96,3 +96,43 @@ fn injected_deadline_degrades_to_unknown() {
     assert!(c.request("0 0 0 : -1").starts_with("status=0 "));
     server.stop();
 }
+
+/// A session poisoned by a failed rollback (its decision unknown until
+/// the pairs are recomputed) that commits publishes its bags but not its
+/// stream: the next `open` decides from the published rows, and later
+/// opens fork the stream that open stored.
+#[test]
+fn poisoned_session_commit_is_not_the_stored_stream() {
+    let _lock = fault::test_lock();
+    fault::reset();
+    let _quiet = quiet_panics();
+
+    let server = TestServer::start(Some(1));
+    let mut writer = server.client();
+    assert!(writer.request("open fixture").starts_with("ok open "));
+
+    // The first delta drops row (0, 0) of bag 0, a reseal (the merge's
+    // first hit); the second underflows, so the batch rolls back.
+    // Restoring the row reseals bag 0 again, and that second hit
+    // panics: the rollback fails and the session is poisoned.
+    fault::arm("bag::reseal_delta::merge", FaultAction::Panic, 2);
+    let resp = writer.request("bulk 0 0 0 : -2; 1 0 7 : -10");
+    fault::reset();
+    assert!(resp.starts_with("err update: "), "{resp}");
+
+    let committed = writer.request("commit");
+    assert_eq!(committed, "ok commit dataset=fixture gen=1");
+
+    // Bag 0 lost the row the rollback could not restore, so the
+    // published rows are inconsistent (totals 3 against 5).
+    let mut reader = server.client();
+    for _ in 0..2 {
+        let opened = reader.request("open fixture");
+        assert!(opened.contains("gen=1"), "{opened}");
+        assert!(opened.contains("decision=inconsistent"), "{opened}");
+        assert!(opened.ends_with("status=1"), "{opened}");
+        assert!(reader.request("check").starts_with("status=1 "));
+    }
+    assert!(reader.request("0 0 0 : 2").starts_with("status=0 "));
+    server.stop();
+}
