@@ -463,6 +463,8 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
     // command: stop accepting, finish in-flight requests, then exit.
     #[cfg(unix)]
     bagcons_serve::server::install_signal_handlers();
+    // After the preload, so that start-up allocates as it always has.
+    bagcons_serve::server::tune_allocator();
     if let Some(addr) = server.local_addr() {
         println!("listening on {addr}");
     }
