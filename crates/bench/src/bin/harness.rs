@@ -933,24 +933,32 @@ fn e14() {
 }
 
 /// E15 — the incremental layer: delta re-checks through
-/// `Session::open_stream` and `update` vs a from-scratch per-pair flow
-/// rebuild (network build and solve), across the e02 support grid. Three delta shapes: an in-place
-/// bump of an existing row (+1 then a −1 revert; the bag's multiplicity
-/// column and one key of the pair's marginal difference change), a
-/// support-changing fresh-row delta (incremental bag reseal + the same
-/// one-key difference update), and the flow construction a checker
-/// without Lemma 2 marginals would redo per edit. Writes the grid to
-/// `BENCH_e15.json` in the current directory.
+/// `Session::open_stream` and `update` vs opening the stream from
+/// scratch, across the e02 support grid. Four delta shapes, each the
+/// cost `serve` pays for it: an in-place bump of an existing row (+1
+/// then a −1 revert; the bag's multiplicity column and one key of the
+/// pair's marginal difference change), a fresh-row delta on the
+/// stream's own bag (a successor bag built in one merge, plus the same
+/// one-key difference update), the removal of an existing row, and the
+/// first fresh-row delta on a fork whose bags a second stream shares
+/// (as a session's first bulk after `open` or `sync`). The baseline is
+/// `open_stream` over the same pair: every pair state rebuilt from the
+/// rows. Writes the grid to `BENCH_e15.json` in the current directory.
 fn e15() {
     use bagcons_core::DeltaSet;
-    use bagcons_flow::ConsistencyNetwork;
 
-    header("E15", "incremental delta re-check vs full flow rebuild");
+    header("E15", "incremental delta re-check vs stream open");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("host parallelism: {host}");
     println!(
-        "{:>9} {:>15} {:>13} {:>13} {:>9}",
-        "support", "in-place(ms)", "reseal(ms)", "rebuild(ms)", "speedup"
+        "{:>9} {:>13} {:>11} {:>11} {:>11} {:>12} {:>9}",
+        "support",
+        "in-place(ms)",
+        "reseal(ms)",
+        "remove(ms)",
+        "shared(ms)",
+        "rebuild(ms)",
+        "speedup"
     );
     let x = Schema::range(0, 2);
     let y = Schema::range(1, 3);
@@ -967,7 +975,12 @@ fn e15() {
         // its join key, so the pair flips inconsistent and back to
         // consistent through the same marginal-difference key; the
         // reverts flip it again.
-        let r_target: Vec<u64> = r.sorted_rows()[0].0.iter().map(|v| v.get()).collect();
+        let r_rows: Vec<(Vec<u64>, u64)> = r
+            .sorted_rows()
+            .iter()
+            .map(|(row, m)| (row.iter().map(|v| v.get()).collect(), *m))
+            .collect();
+        let r_target = &r_rows[0].0;
         let key = r_target[1]; // shared attribute A1: last column of R
         let s_target: Vec<u64> = s
             .sorted_rows()
@@ -978,14 +991,19 @@ fn e15() {
             .iter()
             .map(|v| v.get())
             .collect();
-        let mut r_plus = DeltaSet::new(r.schema().clone());
-        r_plus.bump_u64s(&r_target, 1).unwrap();
-        let mut r_minus = DeltaSet::new(r.schema().clone());
-        r_minus.bump_u64s(&r_target, -1).unwrap();
-        let mut s_plus = DeltaSet::new(s.schema().clone());
-        s_plus.bump_u64s(&s_target, 1).unwrap();
-        let mut s_minus = DeltaSet::new(s.schema().clone());
-        s_minus.bump_u64s(&s_target, -1).unwrap();
+        let bump = |schema: &Schema, row: &[u64], by: i64| {
+            let mut d = DeltaSet::new(schema.clone());
+            d.bump_u64s(row, by).unwrap();
+            d
+        };
+        let (r_plus, r_minus) = (
+            bump(r.schema(), r_target, 1),
+            bump(r.schema(), r_target, -1),
+        );
+        let (s_plus, s_minus) = (
+            bump(s.schema(), &s_target, 1),
+            bump(s.schema(), &s_target, -1),
+        );
 
         let reps = 7;
         let median = |mut samples: Vec<f64>| -> f64 {
@@ -1016,46 +1034,68 @@ fn e15() {
                 })
                 .collect(),
         );
-        // Fresh-row delta: incremental reseal + difference update.
-        let reseal_ms = median(
+        // A fresh row that sorts after the whole run, added (timed) and
+        // removed again; on a fork when `shared`.
+        let fresh = |rep: u64| [2 * support as u64 + rep, 2 * support as u64];
+        let mut fresh_row = |rep: u64, shared: bool| -> f64 {
+            let (add, del) = (
+                bump(r.schema(), &fresh(rep), 1),
+                bump(r.schema(), &fresh(rep), -1),
+            );
+            let mut fork = shared.then(|| stream.clone());
+            let target = match fork.as_mut() {
+                Some(fork) => fork,
+                None => &mut stream,
+            };
+            let t0 = Instant::now();
+            let out = target.update(0, &add).unwrap();
+            let dt = ms(t0);
+            assert!(out.applied.support_changed());
+            target.update(0, &del).unwrap();
+            dt
+        };
+        let reseal_ms = median((0..reps).map(|rep| fresh_row(rep, false)).collect());
+        let shared_reseal_ms = median((0..reps).map(|rep| fresh_row(rep, true)).collect());
+        // An existing row mid-run dropped (timed) and restored.
+        let remove_ms = median(
             (0..reps)
                 .map(|rep| {
-                    let fresh = [2 * support as u64 + rep, 2 * support as u64];
-                    let mut add = DeltaSet::new(r.schema().clone());
-                    add.bump_u64s(&fresh, 1).unwrap();
-                    let mut del = DeltaSet::new(r.schema().clone());
-                    del.bump_u64s(&fresh, -1).unwrap();
+                    let (row, m) = &r_rows[r_rows.len() / 2 + rep as usize];
                     let t0 = Instant::now();
-                    let out = stream.update(0, &add).unwrap();
+                    let out = stream
+                        .update(0, &bump(r.schema(), row, -(*m as i64)))
+                        .unwrap();
                     let dt = ms(t0);
-                    assert!(out.applied.support_changed());
-                    stream.update(0, &del).unwrap();
+                    assert_eq!(out.applied.removed, 1);
+                    stream.update(0, &bump(r.schema(), row, *m as i64)).unwrap();
                     dt
                 })
                 .collect(),
         );
-        // Baseline: the per-pair flow construction, from scratch.
+        // Baseline: the stream opened from scratch over the same pair.
         let rebuild_ms = median(
             (0..reps)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let witness = ConsistencyNetwork::build(&stream.bags()[0], &stream.bags()[1])
-                        .unwrap()
-                        .solve_with(session.exec())
-                        .unwrap();
+                    let fresh = session.open_stream_shared(stream.share_bags()).unwrap();
                     let dt = ms(t0);
-                    assert!(std::hint::black_box(witness).is_some());
+                    assert_eq!(
+                        std::hint::black_box(fresh).decision().as_str(),
+                        "consistent"
+                    );
                     dt
                 })
                 .collect(),
         );
         println!(
-            "{support:>9} {inplace_ms:>15.4} {reseal_ms:>13.4} {rebuild_ms:>13.4} {:>8.1}x",
+            "{support:>9} {inplace_ms:>13.4} {reseal_ms:>11.4} {remove_ms:>11.4} \
+             {shared_reseal_ms:>11.4} {rebuild_ms:>12.4} {:>8.1}x",
             rebuild_ms / inplace_ms
         );
         rows.push(format!(
             "    {{\"support\": {support}, \"incremental_ms\": {inplace_ms:.4}, \
-             \"reseal_ms\": {reseal_ms:.4}, \"rebuild_ms\": {rebuild_ms:.4}}}"
+             \"reseal_ms\": {reseal_ms:.4}, \"remove_ms\": {remove_ms:.4}, \
+             \"shared_reseal_ms\": {shared_reseal_ms:.4}, \"rebuild_ms\": {rebuild_ms:.4}}}"
         ));
     }
     let json = format!(
@@ -1063,13 +1103,15 @@ fn e15() {
          \"planted_pair x={{A0,A1}} y={{A1,A2}} mult=2^20 seed=0xE2 (e02); \
          in-place = per-update cost of a matched +-1 bump cycle on both \
          sides sharing a join key (each update changes one key of the \
-         pair's marginal difference); reseal = fresh-row delta; rebuild = \
-         per-pair network build + solve from scratch\",\n  \
+         pair's marginal difference); reseal = fresh-row delta; remove = \
+         one existing row dropped; shared_reseal = the first fresh-row \
+         delta on a fork whose bags another stream shares; rebuild = \
+         open_stream over the same pair, every pair state from the rows\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"incremental_ms must beat rebuild_ms: an update adds \
          each edit to one key of the pair's marginal difference while the \
-         rebuild re-sorts, re-joins, and re-solves everything\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         rebuild accumulates every row of both bags into it\",\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_e15.json", &json).expect("write BENCH_e15.json");

@@ -123,16 +123,9 @@ impl PairState {
             z_of_j: s.schema().projection_indices(&z)?,
             diff: KeyedDiff::new(z.arity()),
         };
-        pair.rebuild(bags);
+        pair.diff.accumulate(r, &pair.z_of_i, 1);
+        pair.diff.accumulate(s, &pair.z_of_j, -1);
         Ok(pair)
-    }
-
-    /// Recomputes `D` from the bags, discarding the incremental state.
-    pub(crate) fn rebuild<B: Borrow<Bag>>(&mut self, bags: &[B]) {
-        self.diff = KeyedDiff::new(self.z_of_i.len());
-        self.diff.accumulate(bags[self.i].borrow(), &self.z_of_i, 1);
-        self.diff
-            .accumulate(bags[self.j].borrow(), &self.z_of_j, -1);
     }
 
     pub(crate) fn consistent(&self) -> bool {

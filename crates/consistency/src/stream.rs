@@ -16,9 +16,11 @@
 //! differences (a disjoint pair takes the two totals, with no row loop),
 //! and an update:
 //!
-//! * applies the [`DeltaSet`] to the target bag through
-//!   [`Bag::apply_delta_with`] — in-place multiplicity patches when the
-//!   support is untouched, an incremental prefix/tail merge otherwise;
+//! * stages each [`DeltaSet`] against its target bag
+//!   ([`Bag::stage`]): every edit is checked first, and a bag whose
+//!   support changes gets a **successor** built in one merge from the
+//!   shared source ([`bagcons_core::StagedDelta::build`]), while a bag
+//!   whose support stays the same gets new counts for the edited rows;
 //! * adds each edit's `±delta` to one key of every pair the edited bag
 //!   participates in — support-preserving and support-changing edits
 //!   take the same path, and this step cannot fail;
@@ -34,9 +36,12 @@
 //! opens a stream directly over a shared, sealed *generation* of bags —
 //! many readers (the serving daemon's sessions) can pin the same
 //! generation with zero copying, because sealed [`Bag`] state is
-//! immutable. The first delta a writer applies to a shared bag
-//! copy-on-writes just that bag (`Arc::make_mut`); the other bags, and
-//! every concurrent reader's view, stay physically shared.
+//! immutable. A writer's delta never mutates a shared bag: a
+//! support-changing delta replaces the stream's `Arc` with the successor
+//! it built, and an in-place delta copies the bag first
+//! (`Arc::make_mut`), which copies only its multiplicity column because
+//! a bag's rows sit behind their own `Arc`. The other bags, and every
+//! concurrent reader's view, stay physically shared.
 //! [`ConsistencyStream::share_bags`] hands the current (sealed) bags
 //! back out as a new shareable generation.
 //!
@@ -54,9 +59,13 @@
 //! # Batched updates
 //!
 //! [`ConsistencyStream::update_batch`] applies a burst of deltas and
-//! re-decides **once**. The batch is atomic: if any delta fails to
-//! apply, the already-applied prefix is rolled back with negated deltas
-//! and the stream state is exactly as before.
+//! re-decides **once**. The batch is atomic by one rule: **a batch
+//! mutates nothing until it can no longer fail.** It checks every delta
+//! in batch order (each bag's deltas fold into one staged delta, so a
+//! later delta sees the counts the earlier ones left), builds every
+//! successor off to the side, and only then installs them and updates
+//! the pairs. A failure at any step drops what was built, and the stream
+//! is exactly as before: there is nothing to roll back.
 //!
 //! # Decision invariants
 //!
@@ -76,16 +85,14 @@
 //! from the opening session's time budget
 //! ([`crate::session::SessionBuilder::deadline`]; adjustable per stream
 //! via [`ConsistencyStream::set_time_budget`]). The apply stage honours
-//! it (an abort there rolls the batch back). Once the delta is applied
-//! the pair differences are updated unconditionally, then the deadline
-//! is polled once: an expiry at that point reports
-//! [`Decision::Unknown`] with [`UpdateOutcome::abort_reason`] set, and
-//! the next update re-decides from the (exact) pair state. A worker
-//! panic while applying (surfaced as
-//! [`bagcons_core::CoreError::WorkerPanicked`]) rolls the batch back and
-//! propagates as an error; the stream stays usable. If a rollback itself
-//! fails, the stream is poisoned: its decision is unknown until the next
-//! update recomputes every pair from the bags. The cyclic branch's exact
+//! it: an abort while a successor is built fails the batch, which has
+//! changed nothing. Once the successors are installed the pair
+//! differences are updated unconditionally, then the deadline is polled
+//! once: an expiry at that point reports [`Decision::Unknown`] with
+//! [`UpdateOutcome::abort_reason`] set, and the next update re-decides
+//! from the (exact) pair state. A panic while a successor is built
+//! (surfaced as [`bagcons_core::CoreError::WorkerPanicked`]) fails the
+//! batch the same way; the stream stays usable. The cyclic branch's exact
 //! search carries its own abort reason: a node budget exhausted
 //! mid-search reports [`bagcons_core::AbortReason::NodeBudget`] through
 //! the outcome's text and JSON.
@@ -98,7 +105,7 @@ use crate::session::{
     SessionError, StageTiming,
 };
 use bagcons_core::{
-    AbortReason, AttrNames, Bag, CoreError, Deadline, DeltaApply, DeltaSet, ExecConfig,
+    AbortReason, AttrNames, Bag, CoreError, DeltaApply, DeltaSet, ExecConfig, StagedDelta,
 };
 use bagcons_hypergraph::is_acyclic;
 use bagcons_lp::ilp::SolverConfig;
@@ -128,10 +135,6 @@ pub struct ConsistencyStream {
     /// inconsistent pair matches the full rebuild's reporting), shared
     /// copy-on-write with every fork of this stream.
     pairs: Vec<Arc<PairState>>,
-    /// Set when a failed batch could not be rolled back: the pair
-    /// differences may not match the bags, so the next update recomputes
-    /// every pair from the bags before deciding.
-    poisoned: bool,
     decision: Decision,
     inconsistent_pair: Option<(usize, usize)>,
     search_nodes: u64,
@@ -158,8 +161,9 @@ pub struct UpdateOutcome {
     /// Pairs whose marginal differences the batch updated: every pair
     /// sharing an edited bag, disjoint-schema pairs included.
     pub pairs_repaired: usize,
-    /// Pairs recomputed from the bags — nonzero only on the first update
-    /// after a failed rollback poisoned the stream.
+    /// Pairs recomputed from the bags. Always 0: a failed batch changes
+    /// nothing, so no update ever has to recompute a pair. The field
+    /// stays for the outcome's text and JSON shapes.
     pub pairs_rebuilt: usize,
     /// The first inconsistent pair, when the decision is negative on
     /// pairwise evidence.
@@ -297,7 +301,6 @@ impl ConsistencyStream {
             bags,
             acyclic,
             pairs,
-            poisoned: false,
             decision: Decision::Consistent,
             inconsistent_pair: None,
             search_nodes: 0,
@@ -331,8 +334,8 @@ impl ConsistencyStream {
 
     /// Applies a whole batch of deltas, then re-decides **once** — the
     /// amortized form of calling [`ConsistencyStream::update`] per
-    /// delta. The batch is atomic: on any apply failure the
-    /// already-applied prefix is rolled back (with negated deltas) and
+    /// delta. The batch is atomic: it changes nothing until every delta
+    /// has been checked and every successor bag built, so on any failure
     /// the error is returned with the stream state unchanged. An empty
     /// batch re-decides without touching the bags.
     pub fn update_batch(&mut self, edits: &[BatchEdit]) -> Result<UpdateOutcome, SessionError> {
@@ -371,21 +374,21 @@ impl ConsistencyStream {
         push_stage(&mut stages, "apply", t);
 
         let t = Instant::now();
-        let (repaired, rebuilt) = self.repair(edits, &applied);
+        let repaired = self.repair(edits, &applied);
         push_stage(&mut stages, "repair", t);
 
         let t = Instant::now();
         // The pair update cannot be interrupted, so the deadline is
         // polled once after it: an expiry reports Unknown, yet the pair
         // state stays exact for the next update to decide from.
-        let abort = if repaired + rebuilt > 0 {
+        let abort = if repaired > 0 {
             exec.deadline().poll()
         } else {
             None
         };
         let full_search = match abort {
             Some(reason) => {
-                self.degrade(Some(reason));
+                self.degrade(reason);
                 false
             }
             None => self.decide(&solver)?,
@@ -399,7 +402,7 @@ impl ConsistencyStream {
             deltas: edits.len(),
             applied: agg,
             pairs_repaired: repaired,
-            pairs_rebuilt: rebuilt,
+            pairs_rebuilt: 0,
             inconsistent_pair: self.inconsistent_pair,
             full_search,
             search_nodes: if full_search { self.search_nodes } else { 0 },
@@ -408,63 +411,42 @@ impl ConsistencyStream {
         })
     }
 
-    /// Applies every delta of the batch in order, copy-on-writing shared
-    /// bags. On failure at any point the already-applied prefix is
-    /// undone (each apply is individually atomic, so the rollback
-    /// replays negated deltas) and the original error is returned.
+    /// Applies every delta of the batch, in three steps: fold each delta
+    /// into its bag's staged delta, in batch order (the checks); build
+    /// every staged bag's successor; install the successors. Only the
+    /// last step writes, and it cannot fail, so an error from either of
+    /// the first two leaves every bag as it was.
     fn apply_batch(
         &mut self,
         edits: &[(usize, &DeltaSet)],
         exec: &ExecConfig,
     ) -> Result<Vec<DeltaApply>, SessionError> {
-        let mut applied: Vec<DeltaApply> = Vec::with_capacity(edits.len());
-        for (k, (bag, delta)) in edits.iter().enumerate() {
-            match Arc::make_mut(&mut self.bags[*bag]).apply_delta_with(delta, exec) {
-                Ok(a) => applied.push(a),
-                Err(e) => {
-                    // Roll back the applied prefix, newest first, under
-                    // an ungoverned deadline (a rollback must not be
-                    // interrupted by the same expiry that may have
-                    // caused the failure).
-                    let ungoverned = exec.clone().with_deadline(Deadline::NONE);
-                    let mut rollback_failed = false;
-                    for (b, d) in edits[..k].iter().rev() {
-                        let neg = negated(d);
-                        rollback_failed |= Arc::make_mut(&mut self.bags[*b])
-                            .apply_delta_with(&neg, &ungoverned)
-                            .is_err();
-                    }
-                    if rollback_failed {
-                        // The pre-batch state could not be restored. The
-                        // negated deltas revisit only counts the batch
-                        // itself held, so they cannot overflow or
-                        // underflow; a worker panicking in the rollback's
-                        // reseal can still fail it. Nothing incremental can
-                        // be trusted until the pairs are recomputed.
-                        self.poisoned = true;
-                        self.degrade(None);
-                    }
-                    return Err(e.into());
+        let mut staged: Vec<(usize, StagedDelta<'_>)> = Vec::new();
+        let mut applied = Vec::with_capacity(edits.len());
+        for &(bag, delta) in edits {
+            let at = match staged.iter().position(|(b, _)| *b == bag) {
+                Some(at) => at,
+                None => {
+                    staged.push((bag, self.bags[bag].stage()));
+                    staged.len() - 1
                 }
-            }
+            };
+            applied.push(staged[at].1.fold(delta)?);
+        }
+        let successors = staged
+            .into_iter()
+            .map(|(bag, s)| Ok((bag, s.build(exec)?)))
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        for (bag, next) in successors {
+            next.install(&mut self.bags[bag]);
         }
         Ok(applied)
     }
 
     /// Brings every pair's marginal difference in step with the bags:
     /// each applied edit adds its `±delta` to one key of every pair that
-    /// shares its bag, or — on a poisoned stream — every pair is
-    /// recomputed from the bags. Returns `(repaired, rebuilt)` pair
-    /// counts; cannot fail.
-    fn repair(&mut self, edits: &[(usize, &DeltaSet)], applied: &[DeltaApply]) -> (usize, usize) {
-        if self.poisoned {
-            for p in &mut self.pairs {
-                Arc::make_mut(p).rebuild(&self.bags);
-            }
-            self.poisoned = false;
-            self.witness = None;
-            return (0, self.pairs.len());
-        }
+    /// shares its bag. Returns the number of pairs updated; cannot fail.
+    fn repair(&mut self, edits: &[(usize, &DeltaSet)], applied: &[DeltaApply]) -> usize {
         let mut touched = vec![false; self.pairs.len()];
         let mut key = Vec::new();
         for ((bag, delta), a) in edits.iter().zip(applied) {
@@ -491,14 +473,13 @@ impl ConsistencyStream {
                 }
             }
         }
-        (touched.iter().filter(|&&hit| hit).count(), 0)
+        touched.iter().filter(|&&hit| hit).count()
     }
 
-    /// Marks the current decision unknown (`reason` says why, when the
-    /// cause is an abort).
-    fn degrade(&mut self, reason: Option<AbortReason>) {
+    /// Marks the current decision unknown, aborted for `reason`.
+    fn degrade(&mut self, reason: AbortReason) {
         self.decision = Decision::Unknown;
-        self.abort_reason = reason;
+        self.abort_reason = Some(reason);
         self.inconsistent_pair = None;
         self.search_nodes = 0;
         self.witness = None;
@@ -595,25 +576,6 @@ impl ConsistencyStream {
         }
         Ok(self.witness.as_deref())
     }
-}
-
-/// The delta set that undoes an applied `delta` (used to roll back a
-/// batch): its edits in reverse order with their signs flipped, so each
-/// row steps back through the counts the forward edits produced and
-/// never leaves `u64`. `-i64::MIN` does not fit an `i64`, so that edit
-/// becomes the two edits `i64::MAX` and `1`.
-fn negated(delta: &DeltaSet) -> DeltaSet {
-    let mut neg = DeltaSet::new(delta.schema().clone());
-    for e in delta.edits().iter().rev() {
-        match e.delta().checked_neg() {
-            Some(d) => neg.bump(e.row(), d),
-            None => neg
-                .bump(e.row(), i64::MAX)
-                .and_then(|()| neg.bump(e.row(), 1)),
-        }
-        .expect("negation preserves arity");
-    }
-    neg
 }
 
 #[cfg(test)]
@@ -771,7 +733,7 @@ mod tests {
         let mut bad = DeltaSet::new(schema(&[1, 2]));
         bad.bump_u64s(&[0, 7], -10).unwrap(); // underflow
         assert!(stream.update_batch(&[(0, ok), (1, bad)]).is_err());
-        // the first delta was applied, then rolled back
+        // the first delta was checked, but the batch changed nothing
         assert_eq!(*stream.bags()[0], r);
         assert_eq!(*stream.bags()[1], s);
         assert_eq!(stream.decision(), Decision::Consistent);
@@ -1062,14 +1024,15 @@ mod tests {
     }
 
     /// A batch that fails after an edit of `i64::MIN`, or after a delta
-    /// whose edits of one row go up and then down, rolls back to the
-    /// exact pre-batch bags without poisoning the stream.
+    /// whose edits of one row go up and then down, leaves the exact
+    /// pre-batch bags, and the stream keeps its decision.
     #[test]
     fn failed_batch_rolls_back_extreme_and_repeated_edits() {
         let big = 1u64 << 63;
         let r = Bag::from_u64s(schema(&[0]), [(&[1u64][..], big), (&[2][..], 1)]).unwrap();
         let session = Session::default();
         let mut stream = session.open_stream(vec![r.clone()]).unwrap();
+        let source = Arc::clone(&stream.bags()[0]);
         let mut drop_one = DeltaSet::new(schema(&[0]));
         drop_one.bump_u64s(&[1], i64::MIN).unwrap();
         let mut up_down = DeltaSet::new(schema(&[0]));
@@ -1080,35 +1043,10 @@ mod tests {
         for first in [drop_one, up_down] {
             let batch = [(0, first), (0, underflow.clone())];
             assert!(stream.update_batch(&batch).is_err());
+            assert!(Arc::ptr_eq(&stream.bags()[0], &source));
             assert_eq!(*stream.bags()[0], r);
-            assert!(!stream.poisoned);
             assert_eq!(stream.decision(), Decision::Consistent);
         }
-    }
-
-    /// A poisoned stream (failed rollback) recomputes every pair from
-    /// the bags on its next update.
-    #[test]
-    fn poisoned_stream_rebuilds_every_pair() {
-        let (r, s) = path_pair();
-        let t = Bag::from_u64s(schema(&[3]), [(&[9u64][..], 5)]).unwrap();
-        let session = Session::default();
-        let mut stream = session.open_stream(vec![r, s, t]).unwrap();
-        stream.poisoned = true;
-        stream.degrade(None);
-        let mut d = DeltaSet::new(schema(&[0, 1]));
-        d.bump_u64s(&[0, 0], 1).unwrap();
-        let out = stream.update(0, &d).unwrap();
-        assert_eq!(out.pairs_rebuilt, 3);
-        assert_eq!(out.pairs_repaired, 0);
-        assert_eq!(out.decision, Decision::Inconsistent);
-        assert_eq!(out.inconsistent_pair, Some((0, 1)));
-        let mut d = DeltaSet::new(schema(&[0, 1]));
-        d.bump_u64s(&[0, 0], -1).unwrap();
-        let out = stream.update(0, &d).unwrap();
-        assert_eq!(out.pairs_rebuilt, 0);
-        assert_eq!(out.pairs_repaired, 2);
-        assert_eq!(out.decision, Decision::Consistent);
     }
 
     #[test]

@@ -31,16 +31,21 @@
 //! * `R[Z][W] = R[W]` for `W ⊆ Z ⊆ X` (marginals commute with nesting).
 
 use crate::exec::ExecConfig;
-use crate::pack::RowOrd;
 use crate::store::{RowId, RowStore};
-use crate::{CoreError, Relation, Result, Schema, Value};
+use crate::{CoreError, DeltaApply, DeltaSet, Relation, Result, Schema, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A finite bag (multiset) of tuples over a fixed schema.
+///
+/// The rows sit behind an `Arc`, so a clone copies only the
+/// multiplicity column, and a bag that changes only counts (an in-place
+/// delta on a bag shared with another owner) shares its rows with the
+/// original. A mutation that adds rows to shared rows copies them first.
 #[derive(Clone)]
 pub struct Bag {
     schema: Schema,
-    store: RowStore,
+    store: Arc<RowStore>,
     /// Parallel to `store` ids; `0` is a tombstone (row removed by `set`).
     mults: Vec<u64>,
     /// Number of ids with non-zero multiplicity (`‖R‖supp`).
@@ -55,7 +60,7 @@ impl Bag {
         let arity = schema.arity();
         Bag {
             schema,
-            store: RowStore::new(arity),
+            store: Arc::new(RowStore::new(arity)),
             mults: Vec::new(),
             live: 0,
             sealed: true,
@@ -67,7 +72,7 @@ impl Bag {
         let arity = schema.arity();
         Bag {
             schema,
-            store: RowStore::with_capacity(arity, n),
+            store: Arc::new(RowStore::with_capacity(arity, n)),
             mults: Vec::with_capacity(n),
             live: 0,
             sealed: true,
@@ -183,7 +188,7 @@ impl Bag {
                 Ok(store) => {
                     return Ok(Bag {
                         schema,
-                        store,
+                        store: Arc::new(store),
                         mults,
                         live: rows,
                         sealed: true,
@@ -290,7 +295,7 @@ impl Bag {
     /// present row for the caller to update.
     fn intern_row(&mut self, row: &[Value], mult: u64) -> Option<RowId> {
         let last = self.store.len();
-        let (id, fresh) = self.store.intern(row);
+        let (id, fresh) = Arc::make_mut(&mut self.store).intern(row);
         if !fresh {
             return Some(id);
         }
@@ -454,8 +459,10 @@ impl Bag {
         let laid_out =
             crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
         self.mults = order.iter().map(|&i| self.mults[i as usize]).collect();
-        self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
-            .expect("distinct interned rows sort strictly");
+        self.store = Arc::new(
+            RowStore::from_sorted_rows(arity, order.len(), laid_out)
+                .expect("distinct interned rows sort strictly"),
+        );
         self.sealed = true;
         Ok(())
     }
@@ -463,239 +470,71 @@ impl Bag {
     /// Applies a batch of signed multiplicity edits atomically; see
     /// [`Bag::apply_delta_with`]. Equivalent to it under a sequential
     /// configuration.
-    pub fn apply_delta(&mut self, delta: &crate::DeltaSet) -> Result<crate::DeltaApply> {
+    pub fn apply_delta(&mut self, delta: &DeltaSet) -> Result<DeltaApply> {
         self.apply_delta_with(delta, &ExecConfig::sequential())
     }
 
-    /// Applies a [`crate::DeltaSet`] of signed multiplicity edits — the
-    /// update primitive of the incremental consistency layer.
-    ///
-    /// The whole batch is validated first (every intermediate count must
-    /// stay inside `u64`; otherwise [`CoreError::MultiplicityUnderflow`] /
-    /// [`CoreError::MultiplicityOverflow`] and the bag is left untouched),
-    /// then applied:
+    /// Applies a [`DeltaSet`] of signed multiplicity edits — the update
+    /// primitive of the incremental consistency layer — by staging it
+    /// ([`Bag::stage`]), building the successor, and only then writing
+    /// the result into `self`:
     ///
     /// * edits that change an existing row's multiplicity to another
     ///   non-zero value patch the multiplicity column **in place** — a
     ///   sealed bag stays sealed with no re-layout at all;
-    /// * edits that add fresh rows or drop rows to zero dirty the sorted
-    ///   run; the seal is then repaired **incrementally**: only the new
-    ///   rows are sorted (`O(k log k)` for `k` fresh rows) and merged
-    ///   with the existing run in one linear pass, sharded over `cfg`'s
-    ///   executor — never the full `O(n log n)` re-sort of [`Bag::seal`].
+    /// * edits that add fresh rows or drop rows to zero build a
+    ///   **successor** bag in one merge of the old run with the sorted
+    ///   fresh rows ([`StagedDelta::build`]) — never the full
+    ///   `O(n log n)` re-sort of [`Bag::seal`].
     ///
-    /// The bag always leaves sealed (an unsealed input is fully sealed as
-    /// a side effect); the returned [`crate::DeltaApply`] reports what
-    /// happened, letting callers that mirror the bag (flow networks,
-    /// cached marginals) repair rather than rebuild when
-    /// [`crate::DeltaApply::support_changed`] is false.
-    pub fn apply_delta_with(
-        &mut self,
-        delta: &crate::DeltaSet,
-        cfg: &ExecConfig,
-    ) -> Result<crate::DeltaApply> {
-        if *delta.schema() != self.schema {
-            return Err(CoreError::SchemaMismatch {
-                left: delta.schema().clone(),
-                right: self.schema.clone(),
-            });
-        }
-        // Validation pass: fold each row's edits to a final count,
-        // rejecting any step outside u64 before the bag is touched.
-        let mut finals: crate::FxHashMap<&[Value], u64> = Default::default();
-        for e in delta.edits() {
-            let cur = match finals.get(e.row()) {
-                Some(&m) => m,
-                None => self.multiplicity(e.row()),
-            };
-            let next = cur.checked_add_signed(e.delta()).ok_or(if e.delta() < 0 {
-                CoreError::MultiplicityUnderflow
-            } else {
-                CoreError::MultiplicityOverflow
-            })?;
-            finals.insert(e.row(), next);
-        }
-        // Apply pass, in first-touch edit order so the storage layout of
-        // fresh rows is deterministic. Every in-place multiplicity write
-        // journals the old count so a failed reseal can roll the whole
-        // batch back (fresh interned rows roll back by truncation).
-        let was_sealed = self.sealed;
-        let old_len = self.store.len();
-        let old_live = self.live;
-        let mut journal: Vec<(usize, u64)> = Vec::new();
-        let mut out = crate::DeltaApply {
-            touched: 0,
-            added: 0,
-            removed: 0,
-            resealed: false,
-            unary_change: 0,
-        };
-        for e in delta.edits() {
-            let Some(fin) = finals.remove(e.row()) else {
-                continue; // later edit of an already-applied row
-            };
-            let old = self.multiplicity(e.row());
-            if fin == old {
-                continue;
-            }
-            out.unary_change += fin as i128 - old as i128;
-            if fin == 0 {
-                let id = self
-                    .store
-                    .lookup(e.row())
-                    .expect("old > 0 implies interned");
-                journal.push((id.index(), old));
-                self.mults[id.index()] = 0;
-                self.live -= 1;
-                self.sealed = false;
-                out.removed += 1;
-            } else if old == 0 {
-                match self.store.lookup(e.row()) {
-                    // Reviving a tombstone (only possible on an unsealed
-                    // input — sealed bags have none).
-                    Some(id) => {
-                        journal.push((id.index(), 0));
-                        self.mults[id.index()] = fin;
-                        self.live += 1;
-                    }
-                    None => self.insert_row(e.row(), fin)?,
-                }
-                out.added += 1;
-            } else {
-                let id = self
-                    .store
-                    .lookup(e.row())
-                    .expect("old > 0 implies interned");
-                journal.push((id.index(), old));
-                self.mults[id.index()] = fin;
-                out.touched += 1;
-            }
-        }
-        if !self.sealed {
-            // Contain panics from the repair (failpoints, worker bugs on
-            // the sequential path) so the rollback below always runs —
-            // the batch is atomic: it either commits fully resealed or
-            // the bag reverts to its exact pre-call state.
-            let resealed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if was_sealed {
-                    self.try_reseal_delta(old_len, cfg)
-                } else {
-                    self.try_seal_with(cfg)
-                }
-            }))
-            .unwrap_or_else(|payload| {
-                Err(CoreError::WorkerPanicked {
-                    task: 0,
-                    message: crate::exec::panic_message(payload),
-                })
-            });
-            if let Err(e) = resealed {
-                // Roll back the apply pass: drop the batch's fresh rows,
-                // restore every journaled count, and re-establish the
-                // pre-call seal state.
-                self.store.truncate(old_len);
-                self.mults.truncate(old_len);
-                for &(id, m) in &journal {
-                    debug_assert!(id < old_len, "journal only covers pre-existing rows");
-                    self.mults[id] = m;
-                }
-                self.live = old_live;
-                self.sealed = was_sealed;
-                return Err(e);
-            }
-            out.resealed = true;
-        }
-        Ok(out)
+    /// Nothing is written until the successor is built, so a failed
+    /// update — an overflow or underflow of any intermediate count, a
+    /// schema mismatch, an abort, a contained panic — leaves the bag
+    /// exactly as it was. An unsealed bag is sealed first ([`Bag::seal`]
+    /// keeps its contents, even when the delta then fails, and
+    /// [`DeltaApply::resealed`] reports it); the returned [`DeltaApply`]
+    /// reports what happened.
+    pub fn apply_delta_with(&mut self, delta: &DeltaSet, cfg: &ExecConfig) -> Result<DeltaApply> {
+        let unsealed = !self.sealed;
+        self.try_seal_with(cfg)?;
+        let mut staged = self.stage();
+        let mut applied = staged.fold(delta)?;
+        let next = staged.build(cfg)?;
+        next.commit(self);
+        applied.resealed |= unsealed;
+        Ok(applied)
     }
 
-    /// Repairs the sorted-run invariant after [`Bag::apply_delta_with`]
-    /// dirtied a previously sealed bag: the prefix `0..old_len` is still
-    /// one sorted run (minus tombstones), the tail holds the delta's
-    /// fresh rows. The tail sorts on its own, by the seal's sort, and the two
-    /// runs merge — sharded into plain position ranges over the prefix
-    /// (interned rows are distinct, so every position is its own key
-    /// group) with the tail aligned by binary search. Each shard returns
-    /// its merged id order; the orders join end to end, the seal's copy
-    /// routine lays the rows out, and the store is adopted — so the
-    /// layout is identical to the sequential merge at every thread count.
+    /// Starts staging deltas against this bag; see [`StagedDelta`].
     ///
-    /// Hot-loop details: compares go through a transient [`RowOrd`]
-    /// (single integer compares when a packed encoding fits), and the merge
-    /// walks the **tail**, bulk-emitting each prefix stretch; with the
-    /// prefix ≥ [`crate::exec::GALLOP_RATIO`]× the tail (the motivating
-    /// tiny-delta-against-huge-run skew), stretch ends are found by
-    /// galloping ([`crate::exec::gallop_bound`]) instead of a
-    /// row-at-a-time scan. Both changes are order-exact: distinct
-    /// interned rows make "prefix row < tail row" a strict total order,
-    /// so emitting prefix-until-bound then the tail row reproduces the
-    /// linear tail-pushing loop's sequence byte for byte.
-    fn try_reseal_delta(&mut self, old_len: usize, cfg: &ExecConfig) -> Result<()> {
-        debug_assert!(!self.sealed);
-        let arity = self.schema.arity();
-        let mut tail: Vec<u32> = (old_len as u32..self.store.len() as u32)
-            .filter(|&i| self.mults[i as usize] > 0)
-            .collect();
-        let spec = crate::pack::arena_spec(arity, self.store.values(), old_len + tail.len());
-        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut tail);
-        let ord = RowOrd::new(arity, self.store.values(), spec.as_ref());
-        let tasks = if old_len == 0 {
-            vec![(0..0, 0..tail.len())]
-        } else {
-            let mut tasks = crate::exec::aligned_shard_tasks(
-                old_len,
-                tail.len(),
-                cfg.shards_for(old_len),
-                |_| false,
-                |p| crate::exec::lower_bound_by(tail.len(), |t| ord.less(tail[t], p as u32)),
-            );
-            // The aligned planner assigns right rows below the first left
-            // key to no task (joins drop them; this merge must not).
-            tasks
-                .first_mut()
-                .expect("old_len > 0 yields a task")
-                .1
-                .start = 0;
-            tasks
-        };
-        let (tail, ord, mults) = (&tail, &ord, &self.mults);
-        let live = |range: std::ops::Range<usize>| {
-            (range.start as u32..range.end as u32).filter(|&q| mults[q as usize] > 0)
-        };
-        let orders = crate::exec::try_run_tasks(cfg, tasks, |(pr, tr)| {
-            crate::fault::fire("bag::reseal_delta::merge");
-            let mut order = Vec::with_capacity(pr.len() + tr.len());
-            let use_gallop = pr.len() >= crate::exec::GALLOP_RATIO * tr.len().max(1);
-            let mut p = pr.start;
-            for &tid in &tail[tr] {
-                // End of the prefix stretch that sorts before this tail
-                // row: galloped under skew, scanned otherwise.
-                let bound = if use_gallop {
-                    crate::exec::gallop_bound(p, pr.end, |q| ord.less(q as u32, tid))
-                } else {
-                    let mut q = p;
-                    while q < pr.end && ord.less(q as u32, tid) {
-                        q += 1;
-                    }
-                    q
-                };
-                order.extend(live(p..bound));
-                order.push(tid);
-                p = bound;
+    /// # Panics
+    ///
+    /// Panics if the bag is not sealed ([`Bag::seal`]); a stream's bags
+    /// always are.
+    pub fn stage(&self) -> StagedDelta<'_> {
+        assert!(self.sealed, "deltas are staged against sealed bags");
+        StagedDelta {
+            bag: self,
+            rows: Default::default(),
+            round: 0,
+        }
+    }
+
+    /// Where `row` sits in a sealed bag's run: `Ok(position)` when it is
+    /// stored, `Err(insertion point)` otherwise. One binary search of the
+    /// arena, so the dedup table is never built.
+    fn position(&self, row: &[Value]) -> std::result::Result<usize, usize> {
+        let (arity, vals) = (self.schema.arity(), self.store.values());
+        let (mut lo, mut hi) = (0, self.store.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match vals[mid * arity..(mid + 1) * arity].cmp(row) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
             }
-            order.extend(live(p..pr.end));
-            order
-        })?;
-        let order = orders.concat();
-        let data = crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
-        let mults = order.iter().map(|&i| self.mults[i as usize]).collect();
-        let store = RowStore::from_sorted_rows(arity, order.len(), data)
-            .expect("the merged run ascends strictly");
-        // Unlike other bulk outputs, build the index now: the next delta
-        // probes this bag at once, and a build deferred onto that probe
-        // measured slower in the serving benchmark.
-        store.build_index();
-        *self = Bag::adopt(self.schema.clone(), store, mults, true);
-        Ok(())
+        }
+        Err(lo)
     }
 
     /// The support `Supp(R)` as a relation over the same schema.
@@ -785,7 +624,7 @@ impl Bag {
         let live = store.len();
         Bag {
             schema,
-            store,
+            store: Arc::new(store),
             mults,
             live,
             sealed,
@@ -939,6 +778,229 @@ fn merge_runs(
     }
     laid_out.truncate(sums.len() * arity);
     Ok((laid_out, sums))
+}
+
+/// Deltas staged against one sealed bag: validated, but not yet applied. A
+/// batch folds its deltas into one staged delta per bag before anything
+/// is written, builds each bag's [`Successor`] off to the side, and only
+/// then installs them, so a failure at any step leaves every bag as it
+/// was: the source is borrowed, never mutated, and dropping a staged
+/// delta or a successor undoes nothing because nothing was done.
+///
+/// Each edited row is found by one binary search of the sorted run, so
+/// staging builds no dedup table.
+pub struct StagedDelta<'a> {
+    bag: &'a Bag,
+    /// Every edited row, by content.
+    rows: crate::FxHashMap<&'a [Value], StagedRow>,
+    /// The number of deltas folded so far.
+    round: usize,
+}
+
+/// One edited row of a [`StagedDelta`].
+#[derive(Clone, Copy)]
+struct StagedRow {
+    /// `Ok(position)` of a stored row, `Err(insertion point)` of a
+    /// fresh one.
+    slot: std::result::Result<usize, usize>,
+    /// The row's multiplicity in the bag.
+    old: u64,
+    /// The row's count after every delta folded so far.
+    count: u64,
+    /// The count before the round that last edited the row.
+    before: u64,
+    /// The round that last edited the row.
+    round: usize,
+}
+
+impl<'a> StagedDelta<'a> {
+    /// Folds `delta` into the staged counts, after the deltas folded
+    /// before it, and reports what it does against those counts.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SchemaMismatch`] when `delta` is over another schema;
+    /// [`CoreError::MultiplicityUnderflow`] /
+    /// [`CoreError::MultiplicityOverflow`] at the first edit that takes a
+    /// count outside `u64`. The staged delta is then spent: drop it.
+    pub fn fold(&mut self, delta: &'a DeltaSet) -> Result<DeltaApply> {
+        let bag = self.bag;
+        if *delta.schema() != bag.schema {
+            return Err(CoreError::SchemaMismatch {
+                left: delta.schema().clone(),
+                right: bag.schema.clone(),
+            });
+        }
+        self.round += 1;
+        for e in delta.edits() {
+            let row = self.rows.entry(e.row()).or_insert_with(|| {
+                let slot = bag.position(e.row());
+                let old = slot.map_or(0, |at| bag.mults[at]);
+                StagedRow {
+                    slot,
+                    old,
+                    count: old,
+                    before: old,
+                    round: 0,
+                }
+            });
+            if row.round != self.round {
+                row.round = self.round;
+                row.before = row.count;
+            }
+            row.count = row
+                .count
+                .checked_add_signed(e.delta())
+                .ok_or(if e.delta() < 0 {
+                    CoreError::MultiplicityUnderflow
+                } else {
+                    CoreError::MultiplicityOverflow
+                })?;
+        }
+        let mut out = DeltaApply {
+            touched: 0,
+            added: 0,
+            removed: 0,
+            resealed: false,
+            unary_change: 0,
+        };
+        for row in self.rows.values().filter(|r| r.round == self.round) {
+            let StagedRow { before, count, .. } = *row;
+            if count == before {
+                continue;
+            }
+            out.unary_change += count as i128 - before as i128;
+            match (before, count) {
+                (_, 0) => out.removed += 1,
+                (0, _) => out.added += 1,
+                _ => out.touched += 1,
+            }
+        }
+        out.resealed = out.support_changed();
+        Ok(out)
+    }
+
+    /// Builds the bag's successor from the folded deltas' net effect.
+    ///
+    /// When the support stays the same, the successor is the new counts
+    /// of the edited rows. Otherwise it is a new sealed bag, built in
+    /// **one merge** on the calling thread: the old run,
+    /// copied stretch by stretch and minus the dropped rows, interleaved
+    /// with the fresh rows sorted by insertion point, written into new
+    /// columns and adopted through [`RowStore::from_sorted_rows`]. The
+    /// merge runs as one executor task, so `cfg`'s deadline is polled
+    /// before and after it and a panic there (the
+    /// `bag::reseal_delta::merge` failpoint) surfaces as
+    /// [`CoreError::WorkerPanicked`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Aborted`] and [`CoreError::WorkerPanicked`] from the
+    /// merge.
+    pub fn build(self, cfg: &ExecConfig) -> Result<Successor> {
+        let bag = self.bag;
+        let mut counts: Vec<(usize, u64)> = Vec::new();
+        let mut fresh: Vec<(usize, &[Value], u64)> = Vec::new();
+        for (&row, r) in &self.rows {
+            match r.slot {
+                Ok(at) if r.count != r.old => counts.push((at, r.count)),
+                Err(at) if r.count > 0 => fresh.push((at, row, r.count)),
+                _ => {}
+            }
+        }
+        if fresh.is_empty() && counts.iter().all(|&(_, m)| m > 0) {
+            return Ok(Successor(Next::Counts(counts)));
+        }
+        counts.sort_unstable_by_key(|&(at, _)| at);
+        fresh.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        let mut next = crate::exec::try_run_tasks(cfg, vec![()], |()| {
+            crate::fault::fire("bag::reseal_delta::merge");
+            merge_successor(bag, &counts, &fresh)
+        })?;
+        Ok(Successor(Next::Rebuilt(
+            next.pop().expect("one task, one bag"),
+        )))
+    }
+}
+
+/// The merge behind [`StagedDelta::build`]: the sealed run of `bag`
+/// with each of `counts` (ascending positions) set to its new count,
+/// the zeros dropped, and `fresh` (ascending insertion points, rows
+/// ascending within one point) inserted, as a new sealed bag. A fresh
+/// row sorts before the stored row at its insertion point, and every
+/// stretch between two edits is copied whole.
+fn merge_successor(bag: &Bag, counts: &[(usize, u64)], fresh: &[(usize, &[Value], u64)]) -> Bag {
+    let (arity, vals, mults) = (bag.schema.arity(), bag.store.values(), &bag.mults[..]);
+    let dropped = counts.iter().filter(|&&(_, m)| m == 0).count();
+    let len = mults.len() - dropped + fresh.len();
+    let (mut data, mut sums) = (Vec::with_capacity(len * arity), Vec::with_capacity(len));
+    let copy = |data: &mut Vec<Value>, sums: &mut Vec<u64>, from: usize, to: usize| {
+        data.extend_from_slice(&vals[from * arity..to * arity]);
+        sums.extend_from_slice(&mults[from..to]);
+    };
+    let (mut at, mut c, mut f) = (0, 0, 0);
+    loop {
+        let fresh_first = match (fresh.get(f), counts.get(c)) {
+            (Some(&(ins, ..)), Some(&(pos, _))) => ins <= pos,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        if fresh_first {
+            let (ins, row, m) = fresh[f];
+            copy(&mut data, &mut sums, at, ins);
+            data.extend_from_slice(row);
+            sums.push(m);
+            (at, f) = (ins, f + 1);
+        } else {
+            let (pos, m) = counts[c];
+            copy(&mut data, &mut sums, at, pos + usize::from(m > 0));
+            if m > 0 {
+                *sums.last_mut().expect("the copy ends with row pos") = m;
+            }
+            (at, c) = (pos + 1, c + 1);
+        }
+    }
+    copy(&mut data, &mut sums, at, mults.len());
+    let store = RowStore::from_sorted_rows(arity, sums.len(), data)
+        .expect("the merged run ascends strictly");
+    Bag::adopt(bag.schema.clone(), store, sums, true)
+}
+
+/// What a [`StagedDelta`] does to its bag, built and ready to install.
+pub struct Successor(Next);
+
+enum Next {
+    /// The support is unchanged: new counts by position in the run.
+    Counts(Vec<(usize, u64)>),
+    /// A new sealed bag.
+    Rebuilt(Bag),
+}
+
+impl Successor {
+    /// Writes the successor into `bag`, the bag it was staged against.
+    pub fn commit(self, bag: &mut Bag) {
+        match self.0 {
+            Next::Counts(counts) => {
+                for (at, m) in counts {
+                    bag.mults[at] = m;
+                }
+            }
+            Next::Rebuilt(next) => *bag = next,
+        }
+    }
+
+    /// [`Successor::commit`] into a shared bag: a rebuilt successor
+    /// replaces the `Arc`, and new counts are written into a copy when
+    /// the bag is shared (`Arc::make_mut`), which copies only the
+    /// multiplicity column.
+    pub fn install(self, bag: &mut Arc<Bag>) {
+        match self.0 {
+            Next::Rebuilt(next) => *bag = Arc::new(next),
+            Next::Counts(counts) if counts.is_empty() => {}
+            counts => Successor(counts).commit(Arc::make_mut(bag)),
+        }
+    }
 }
 
 /// Iterator over a bag's `(row, multiplicity)` pairs in lexicographic
@@ -1550,6 +1612,28 @@ mod tests {
         }
     }
 
+    /// A clone shares its rows with the original; a delta that only
+    /// changes counts keeps sharing them, and one that changes the
+    /// support builds new ones, with the original left as it was.
+    #[test]
+    fn clones_share_rows_until_the_support_changes() {
+        let base = section2_bag();
+        let mut bumped = base.clone();
+        assert!(std::ptr::eq(bumped.store(), base.store()));
+        let mut d = crate::DeltaSet::new(base.schema().clone());
+        d.bump_u64s(&[2, 2], 4).unwrap();
+        bumped.apply_delta(&d).unwrap();
+        assert!(std::ptr::eq(bumped.store(), base.store()));
+        assert_eq!(bumped.multiplicity(&[Value(2), Value(2)]), 5);
+        assert_eq!(base.multiplicity(&[Value(2), Value(2)]), 1);
+        let mut d = crate::DeltaSet::new(base.schema().clone());
+        d.bump_u64s(&[2, 2], -5).unwrap();
+        bumped.apply_delta(&d).unwrap();
+        assert!(!std::ptr::eq(bumped.store(), base.store()));
+        assert_eq!(bumped.support_size(), 2);
+        assert_eq!(base, section2_bag());
+    }
+
     /// A bag fingerprint for atomicity assertions: physical layout
     /// (row-major values in id order), multiplicity column, live count,
     /// and seal flag.
@@ -1582,6 +1666,8 @@ mod tests {
         (base, d)
     }
 
+    /// A deadline that fires before the successor is built fails the
+    /// delta, and the bag keeps its layout, counts and seal.
     #[test]
     fn apply_delta_rolls_back_when_reseal_aborts() {
         let (base, d) = atomicity_fixture();

@@ -5,14 +5,15 @@
 //! consistency layer. It models exactly the small-perturbation workload
 //! of `bagcons-gen`'s `perturb` module (bump one tuple, revert it, drop
 //! a row to zero) without forcing the consumer to rebuild the bag:
-//! [`crate::Bag::apply_delta`] patches the multiplicity column in place
-//! and repairs the sorted-run invariant incrementally.
+//! [`crate::Bag::apply_delta`] patches the multiplicity column in place,
+//! or builds the successor of a support-changing delta in one merge.
 //!
 //! Edits are *signed* (`i64`) and applied atomically: the whole set is
 //! validated against the target bag first (no intermediate state may
 //! drive a count below zero or above `u64::MAX`), and the bag is only
-//! mutated when every edit is feasible. A failed application leaves the
-//! bag untouched.
+//! written once every edit is feasible and the successor is built
+//! ([`crate::StagedDelta`]). A failed application leaves the bag
+//! untouched.
 
 use crate::{CoreError, Result, Schema, Value};
 
@@ -45,7 +46,7 @@ impl DeltaEdit {
 /// let mut bag = Bag::from_u64s(Schema::range(0, 2), [(&[1u64, 2][..], 3)])?;
 /// let mut delta = DeltaSet::new(bag.schema().clone());
 /// delta.bump([Value(1), Value(2)], -1)?;          // existing row: in place
-/// delta.bump([Value(5), Value(5)], 2)?;           // fresh row: reseal
+/// delta.bump([Value(5), Value(5)], 2)?;           // fresh row: successor
 /// let applied = bag.apply_delta(&delta)?;
 /// assert!(applied.support_changed());
 /// assert_eq!(bag.multiplicity(&[Value(1), Value(2)]), 2);
@@ -116,13 +117,15 @@ impl DeltaSet {
     }
 }
 
-/// What [`crate::Bag::apply_delta`] did to the bag.
+/// What [`crate::Bag::apply_delta`] (or one
+/// [`crate::StagedDelta::fold`]) did to the bag, counted against the
+/// counts the delta found.
 ///
-/// The flags drive the incremental consistency layer's repair decision:
-/// a delta that left the support unchanged
-/// ([`DeltaApply::support_changed`] `== false`) maps 1:1 onto
-/// edge-capacity edits of an existing flow network, while a
-/// support-changing delta forces the affected networks to rebuild.
+/// A delta that left the support unchanged
+/// ([`DeltaApply::support_changed`] `== false`) only changed counts, and
+/// a sealed bag took them in place; a support-changing delta built a
+/// successor bag. A stream adds every edit to its pair differences
+/// either way; it skips a delta that [`DeltaApply::is_noop`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaApply {
     /// Rows whose (non-zero) multiplicity changed in place.
@@ -131,8 +134,9 @@ pub struct DeltaApply {
     pub added: usize,
     /// Rows removed from the support (dropped to zero).
     pub removed: usize,
-    /// True iff the sorted-run invariant had to be repaired (an
-    /// incremental prefix/tail merge, not a full re-sort).
+    /// True iff the bag was laid out anew: a successor merge on a
+    /// support change, or the seal of an unsealed bag — never a full
+    /// re-sort of a sealed one.
     pub resealed: bool,
     /// Net change to `‖R‖u` (the unary size), for total-tracking callers.
     pub unary_change: i128,

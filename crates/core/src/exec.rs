@@ -28,15 +28,14 @@
 //!   sharded operator.
 //!
 //! The sharded operators (joins, prefix marginals and projections, the
-//! delta reseal's merge, the witness fill) have one body that runs per
-//! shard. A shard returns a plain row-major arena with its multiplicity
-//! column (the reseal merge returns an id order for the shared copy
-//! routine instead); the caller joins the outputs end to end and adopts
-//! them into a [`crate::RowStore`] with the dedup table unbuilt (only a
-//! bag a delta just resealed builds it at once, since the next delta
-//! probes it). The seal and [`crate::Bag::from_arena`] do not shard:
-//! one sort (a radix sort on 64-bit packed words) and one row copy on
-//! the calling thread beat any chunked plan at every size measured.
+//! witness fill) have one body that runs per shard. A shard returns a
+//! plain row-major arena with its multiplicity column; the caller joins
+//! the outputs end to end and adopts them into a [`crate::RowStore`]
+//! with the dedup table unbuilt. The seal, [`crate::Bag::from_arena`]
+//! and a delta's successor merge ([`crate::StagedDelta::build`], one
+//! task) do not shard: one sort (a radix sort on 64-bit packed words)
+//! and one row copy on the calling thread beat any chunked plan at every
+//! size measured, and a successor copies its old run stretch by stretch.
 
 use crate::cancel::Deadline;
 use crate::{CoreError, Value};

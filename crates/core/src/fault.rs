@@ -20,7 +20,7 @@
 //! | site | path |
 //! |---|---|
 //! | `bag::seal` | [`crate::Bag::try_seal_with`] and [`crate::Bag::from_arena`] entry, on the calling thread |
-//! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
+//! | `bag::reseal_delta::merge` | a delta's successor merge ([`crate::StagedDelta::build`]), one executor task on the calling thread |
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]), at every thread count |
 //! | `join::hash::shard` | hash-join probe shard task ([`crate::join::bag_join_hash_with`]), at every thread count |
 //! | `witness::fill` | keyed-sweep shard task of each witness-chain step, two-bag fills included (`bagcons::acyclic`) |

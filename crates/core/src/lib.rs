@@ -83,8 +83,6 @@
 //! * **prefix marginals and projections** ([`Bag::marginal_with`],
 //!   [`Relation::project`]) — the sealed run splits at prefix-group
 //!   boundaries and each shard runs the group-by sweep;
-//! * **delta reseal** ([`Bag::apply_delta_with`]) — the fresh tail's
-//!   merge into the old sorted run shards by position ranges;
 //! * **two-bag witness fill** (`bagcons::pairwise`, through
 //!   [`join::try_merge_matching_pairs_sharded`]) — shared-key groups
 //!   split across shards, each shard fills its groups in one pass, and
@@ -93,8 +91,8 @@
 //!   input's extra attributes all exceed the other's.
 //!
 //! The **seal** ([`Bag::seal`], [`Bag::try_seal_with`],
-//! [`Relation::seal`]) and the bulk constructor [`Bag::from_arena`] do
-//! not shard: both halves — one sort of the row ids, by the radix
+//! [`Relation::seal`]), the bulk constructor [`Bag::from_arena`] and a
+//! delta's successor merge ([`StagedDelta::build`]) do not shard: both halves — one sort of the row ids, by the radix
 //! kernel [`pack`] on 64-bit packed words and by a compare otherwise,
 //! then one row copy into the new arena — run on the calling thread,
 //! which measured faster than chunk sorts plus run merges at every size on a 2-core host. An arena whose rows
@@ -117,8 +115,8 @@
 //! result store **adopts it with the dedup table unbuilt**
 //! ([`RowStore::from_sorted_rows`] for sorted outputs; join rows are
 //! distinct by construction) — the table builds on the first content
-//! probe. The one exception is a bag that a delta just edited: it builds
-//! its index at once, since the next delta probes it.
+//! probe. A delta finds its rows in a sealed bag by binary search, so
+//! the delta path never builds one.
 //!
 //! # Hot-loop encoding: packed key codes
 //!
@@ -134,14 +132,14 @@
 //! passes the words need (`sort_unstable` below it).
 //!
 //! Keys are packed only inside the sort or sweep that compares them: the
-//! seal, [`Bag::from_arena`] and delta-repair sorts pack their rows for
+//! seal and [`Bag::from_arena`] sorts pack their rows for
 //! the length of the sort, and the keyed sort-and-sweep behind the merge
 //! join and the witness fill packs both sides' key columns under one
 //! joint spec so cross-side key compares are single integer compares
 //! too. No bag or relation caches words. Skewed merges additionally
 //! **gallop** ([`exec::gallop_bound`]): when one side is ≥
-//! [`exec::GALLOP_RATIO`]× the other, the delta reseal's fresh-tail
-//! merge and the keyed sweep's advancement step by exponential search
+//! [`exec::GALLOP_RATIO`]× the other, the keyed sweep's advancement
+//! steps by exponential search
 //! instead of linearly — same emission order, bit-identical output.
 //!
 //! # Incremental updates
@@ -151,9 +149,13 @@
 //! [`Bag::apply_delta`] applies a batch atomically: edits that keep
 //! every edited row in the support patch the multiplicity column in
 //! place (a sealed bag stays sealed, no re-layout), and
-//! support-changing edits repair the sorted run **incrementally** — the
-//! fresh tail sorts alone and merges with the old run in one sharded
-//! linear pass — never the full re-sort of [`Bag::seal`].
+//! support-changing edits build a **successor** bag in one merge on the
+//! calling thread — the old run, copied stretch by stretch minus the
+//! dropped rows, with the sorted fresh rows inserted — never the full
+//! re-sort of [`Bag::seal`]. The source is only read until the successor
+//! is built ([`StagedDelta`]), so a failed delta leaves it untouched
+//! with no journal or rollback. A bag's rows sit behind an `Arc`, so a
+//! clone copies only its multiplicity column.
 //!
 //! Invariants maintained by construction:
 //!
@@ -186,7 +188,7 @@ pub mod store;
 pub mod tuple;
 
 pub use attr::{Attr, Value};
-pub use bag::Bag;
+pub use bag::{Bag, StagedDelta, Successor};
 pub use cancel::{AbortReason, Deadline};
 pub use delta::{DeltaApply, DeltaEdit, DeltaSet};
 pub use error::CoreError;

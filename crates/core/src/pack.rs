@@ -17,17 +17,16 @@
 //! bits there is no encoding and the callers keep the slice compare.
 //!
 //! Keys are packed only inside the sort or sweep that compares them:
-//! `sort_row_ids` packs the rows of one seal or delta reseal sort,
-//! `sorted_pairs` those of one `Bag::from_arena` sort, `RowOrd`
-//! those of one delta reseal merge (and of the wider tiers' comparator
-//! sorts), and the keyed sort-and-sweep of [`crate::join`] packs one
+//! `sort_row_ids` packs the rows of one seal sort, `sorted_pairs` those
+//! of one `Bag::from_arena` sort, `RowOrd` those of the wider tiers'
+//! comparator sorts, and the keyed sort-and-sweep of [`crate::join`] packs one
 //! pair's join keys. No bag or relation keeps words past the operation
 //! that built them.
 //!
 //! # The radix kernel
 //!
-//! Every sort of words that fit 64 bits — the seal's and the delta
-//! reseal's row ids, `Bag::from_arena`'s rows, the keyed sweep's key
+//! Every sort of words that fit 64 bits — the seal's row ids,
+//! `Bag::from_arena`'s rows, the keyed sweep's key
 //! positions — runs one kernel, `sort_pairs`: an LSD radix sort of
 //! `(word, id)` pairs by word, with no comparator. It makes one read
 //! pass that counts every digit, then one scatter pass per 11-bit digit
@@ -57,8 +56,8 @@
 //! passes, 393216 at five and 131072 at six; words of three passes or
 //! fewer still won at a million pairs, so they have no ceiling.
 //!
-//! **Presorted rows.** The row sorts (`sorted_pairs`, behind the seal,
-//! the delta reseal and `Bag::from_arena`) return ascending words as
+//! **Presorted rows.** The row sorts (`sorted_pairs`, behind the seal
+//! and `Bag::from_arena`) return ascending words as
 //! they are and reverse strictly descending ones, as `sort_unstable`
 //! detects such runs too: a text file written in reverse order would
 //! otherwise pay every pass where the comparator sort paid one scan.
@@ -262,8 +261,8 @@ pub(crate) fn sorted_pairs(
 
 /// Sorts `ids`, ascending on entry, by the lexicographic order of their
 /// rows in the row-major arena `data`, packed under `spec` (the
-/// [`arena_spec`] of `data`) — the sort half of every seal, of the delta
-/// reseal's fresh tail and of [`crate::Bag::from_arena`]'s wider tiers,
+/// [`arena_spec`] of `data`) — the sort half of every seal and of
+/// [`crate::Bag::from_arena`]'s wider tiers,
 /// on the calling thread. When the rows pack into 64 bits they sort
 /// through [`sorted_pairs`], with no comparator; otherwise
 /// `sort_unstable_by` runs [`RowOrd::cmp`]. Either way the order is
@@ -296,8 +295,8 @@ enum Words {
 }
 
 /// Row-id ordering over one row-major arena, through packed words when
-/// they fit and the slice compare otherwise: the compare of the delta
-/// reseal's merge and of the 128-bit and slice tiers' sorts, so their
+/// they fit and the slice compare otherwise: the compare of the 128-bit
+/// and slice tiers' sorts, so their
 /// hot loops are integer compares whenever possible while staying
 /// bit-identical to the slice path.
 pub(crate) struct RowOrd<'a> {
@@ -338,12 +337,6 @@ impl<'a> RowOrd<'a> {
                 self.data[a * k..(a + 1) * k].cmp(&self.data[b * k..(b + 1) * k])
             }
         }
-    }
-
-    /// `row(a) < row(b)`.
-    #[inline]
-    pub(crate) fn less(&self, a: u32, b: u32) -> bool {
-        self.cmp(a, b) == Ordering::Less
     }
 }
 

@@ -14,10 +14,11 @@
 //! boxes, no per-bucket vectors. The table is **lazy**: every bulk
 //! output is adopted wholesale — in sorted order through
 //! [`RowStore::from_sorted_rows`] (seals, [`crate::Bag::from_arena`],
-//! marginals, snapshot loading), whose order is its distinctness
-//! certificate, or as join rows distinct by construction — and only
-//! pays for the hash table on the first content probe (lookup, intern,
-//! delta).
+//! marginals, delta successors, snapshot loading), whose order is its
+//! distinctness certificate, or as join rows distinct by construction —
+//! and only pays for the hash table on the first content probe (lookup,
+//! intern). A delta finds its rows in a sealed bag by binary search, so
+//! it probes no table.
 //!
 //! Invariants:
 //!
@@ -217,12 +218,6 @@ impl RowStore {
         }
     }
 
-    /// Builds the dedup table now rather than at the first probe, for a
-    /// store whose next use is known to probe it.
-    pub(crate) fn build_index(&self) {
-        self.table();
-    }
-
     /// Row length this store accepts.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -350,23 +345,6 @@ impl RowStore {
         let id = self.push_row(row);
         self.index.get_mut().expect("built above").slots[vacant] = id.0;
         id
-    }
-
-    /// Drops every row with id `>= new_len`, restoring the store to an
-    /// earlier length — the rollback half of the delta-apply atomicity
-    /// guarantee ([`crate::Bag::apply_delta_with`]). Error-path-only:
-    /// individual slots cannot be unlinked from a linear-probing table
-    /// without corrupting probe chains, so the dedup table is simply
-    /// discarded and rebuilt lazily from the surviving rows on the next
-    /// probe (`O(new_len)` — acceptable where the alternative is a
-    /// corrupted bag).
-    pub(crate) fn truncate(&mut self, new_len: usize) {
-        if new_len >= self.len() {
-            return;
-        }
-        self.data.truncate(new_len * self.arity);
-        self.len = new_len as u32;
-        self.index = OnceLock::new();
     }
 
     /// The dedup table, built on first use.
@@ -505,8 +483,7 @@ const ASCEND_BLOCK: usize = 64;
 
 /// Copies the `arity`-wide rows of the row-major arena `data` listed in
 /// `order` into a fresh arena, in that order — the re-layout half of
-/// every seal, of [`crate::Bag::from_arena`] and of the delta reseal,
-/// and the copy behind [`crate::Bag::support`]. One pass on the calling
+/// every seal, and the copy behind [`crate::Bag::support`]. One pass on the calling
 /// thread; nothing is hashed: callers adopt the result through
 /// [`RowStore::from_sorted_rows`], whose dedup table builds on the first
 /// content probe.
@@ -743,22 +720,6 @@ mod tests {
         let (id, fresh) = s.intern(&v(&[0, 9]));
         assert!(fresh);
         assert_eq!(s.lookup(&v(&[0, 9])), Some(id));
-    }
-
-    #[test]
-    fn truncate_discards_and_lazily_rebuilds_index() {
-        let mut s = RowStore::new(1);
-        for i in 0..10 {
-            s.intern(&v(&[i]));
-        }
-        s.truncate(4);
-        assert!(s.index.get().is_none());
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.lookup(&v(&[3])), Some(RowId(3)));
-        assert_eq!(s.lookup(&v(&[7])), None);
-        let (id, fresh) = s.intern(&v(&[7]));
-        assert!(fresh);
-        assert_eq!(id, RowId(4));
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! Sealed [`bagcons_core::Bag`] runs are immutable, so a dataset is a
 //! sequence of [`registry::Generation`]s — each a `Vec<Arc<Bag>>` plus a
 //! sequence number. Any number of reader sessions pin a generation by
-//! cloning its `Arc`s (zero copying); a writer session applies deltas
-//! through the stream's copy-on-write path (`Arc::make_mut` clones only
-//! the touched bag) and publishes the result as the next generation with
-//! a compare-and-swap on the sequence number. The invariants:
+//! cloning its `Arc`s (zero copying); a writer session's delta never
+//! mutates a shared bag — a support-changing delta builds a successor
+//! bag from it in one merge, and an in-place delta copies only the
+//! bag's multiplicity column, since its rows sit behind their own
+//! `Arc` — and the session publishes the result as the next generation
+//! with a compare-and-swap on the sequence number. A failed batch
+//! changes nothing in the session. The invariants:
 //!
 //! * a published generation is never mutated — every bag in it is sealed
 //!   and behind an `Arc` that writers only clone away from;
@@ -34,7 +37,7 @@
 //! every bag and pair state by `Arc` and copies on its first edit of
 //! each, so an open costs O(bags + pairs), not O(rows). The stored
 //! stream is never mutated, and a stream whose decision is unknown (a
-//! deadline, a node budget, a poisoned batch) is never stored: the next
+//! deadline or a node budget) is never stored: the next
 //! `open` then decides from the rows.
 //!
 //! # Wire protocol

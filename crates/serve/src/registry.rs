@@ -29,8 +29,8 @@ pub struct Generation {
     pub bags: Vec<Arc<Bag>>,
     /// A stream over `bags` whose decision is `Consistent` or
     /// `Inconsistent`, set at most once and never mutated: sessions get
-    /// forks of it. A stream left `Unknown` (a deadline, a node budget,
-    /// a poisoned batch) is never stored. Loading sets none, so that
+    /// forks of it. A stream left `Unknown` (a deadline or a node
+    /// budget) is never stored. Loading sets none, so that
     /// start-up builds no pair state; the first [`Generation::fork`]
     /// builds it.
     stream: OnceLock<ConsistencyStream>,

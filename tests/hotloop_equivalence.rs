@@ -3,9 +3,10 @@
 //!
 //! Each optimisation must be observationally invisible: the packed,
 //! galloping merge join reproduces the slice-compare baseline at every
-//! thread count (in storage order on wide, skewed keys), delta repair
-//! (which gallops its fresh-tail merge) lands on the same bag a
-//! from-scratch rebuild does, and a `Session` reused
+//! thread count (in storage order on wide, skewed keys), a delta's
+//! successor merge lands on the same bag a from-scratch build does (in
+//! every width tier, and a failed batch leaves its source bags as they
+//! were), and a `Session` reused
 //! across a hundred checks reports exactly what a fresh `Session`
 //! reports. The hash-free witness path is pinned the same way: the
 //! packed key sort of `merge_matching_pairs` against a nested-loop
@@ -19,6 +20,7 @@ use bagcons_core::join::{
 };
 use bagcons_core::DeltaSet;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Thread counts under test (the packed/gallop paths shard above 1).
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -91,9 +93,9 @@ proptest! {
         }
     }
 
-    /// Delta repair on a sealed bag (packed-order binary search for the
-    /// touched rows, galloping fresh-tail merge) lands on exactly the
-    /// bag a from-scratch rebuild produces — at threads 1/2/4.
+    /// Delta repair on a sealed bag (binary search for the touched rows,
+    /// one successor merge) lands on exactly the bag a from-scratch
+    /// rebuild produces — at threads 1/2/4.
     #[test]
     fn delta_repair_matches_from_scratch_rebuild(
         base in arb_bag(0, 2, 5, 30),
@@ -590,6 +592,153 @@ proptest! {
         for threads in THREADS {
             let hot = bag_join_merge_with(&rb, &sb, &cfg(threads)).unwrap();
             prop_assert_eq!(storage(&hot), storage(&baseline), "threads = {}", threads);
+        }
+    }
+}
+
+/// Column count and value bound of each width tier of the successor
+/// oracle: rows that pack into at most 64 bits (two columns below
+/// 2^20), into 65–128 bits (three below 2^40), and into none (three
+/// below 2^60, the slice compare). The bound itself is the value of the
+/// row that sorts after the whole run.
+const SUCCESSOR_TIERS: [(usize, u64); 3] = [(2, 1 << 20), (3, 1 << 40), (3, 1 << 60)];
+
+/// The physical layout of a bag: its arena and its multiplicity column.
+fn layout(bag: &Bag) -> (Vec<Value>, Vec<u64>) {
+    let ids = 0..bag.store().len() as u32;
+    (
+        bag.store().values().to_vec(),
+        ids.map(|i| bag.mult_of(i)).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A batch builds each bag's successor in one merge from the shared
+    /// source: at threads 1/2/4 and in every width tier, the arena and
+    /// the multiplicity column equal `Bag::from_rows` of the expected
+    /// multiset. The batch drops rows, bumps rows in place, adds fresh
+    /// rows before, inside and after the run, adds and removes one fresh
+    /// row within a delta, and edits bag 0 in two of its deltas. A batch
+    /// that then fails, on a later underflow or (with failpoints) on an
+    /// injected deadline in the merge, leaves every source bag `Arc` as
+    /// it was.
+    #[test]
+    fn successor_merge_matches_from_rows(
+        tier in 0..3usize,
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(0..u64::MAX, 3), 1..=5u64), 0..=300),
+        ops in proptest::collection::vec(
+            ((0..6u8, 0..usize::MAX), 1..=4u64, proptest::collection::vec(0..u64::MAX, 3), 0..3usize),
+            1..=24),
+    ) {
+        let (arity, bound) = SUCCESSOR_TIERS[tier];
+        let value = |raw: &[u64]| -> Vec<u64> { raw[..arity].iter().map(|v| v % (bound - 1) + 1).collect() };
+        let mut base: std::collections::BTreeMap<Vec<u64>, u64> = Default::default();
+        for (raw, m) in &rows {
+            *base.entry(value(raw)).or_default() += m;
+        }
+        // The widest row pins the tier.
+        let top = vec![bound - 1; arity];
+        base.insert(top.clone(), 3);
+        let stored: Vec<Vec<u64>> = base.keys().cloned().collect();
+        let schemas = [Schema::range(0, arity as u32), Schema::range(8, 8 + arity as u32)];
+        let bag = |schema: &Schema, rows: &std::collections::BTreeMap<Vec<u64>, u64>| {
+            let live = rows.iter().filter(|(_, &m)| m > 0);
+            Bag::from_rows(schema.clone(), live.map(|(r, &m)| (r.iter().copied().map(Value).collect::<Vec<_>>(), m))).unwrap()
+        };
+        let sources = [bag(&schemas[0], &base), bag(&schemas[1], &base)];
+
+        // Deltas 0 and 2 edit bag 0, delta 1 edits bag 1.
+        let mut model = [base.clone(), base.clone()];
+        let mut batch: Vec<(usize, DeltaSet)> =
+            [0, 1, 0].iter().map(|&b| (b, DeltaSet::new(schemas[b].clone()))).collect();
+        // In batch order, so each drop takes the count its delta sees.
+        for ((kind, pick), m, raw, d) in (0..3).flat_map(|d| ops.iter().filter(move |op| op.3 == d)) {
+            let (b, delta) = &mut batch[*d];
+            let counts = &mut model[*b];
+            let existing = &stored[pick % stored.len()];
+            let current = counts.get(existing).copied().unwrap_or(0);
+            let mut bump = |row: &[u64], by: i64| {
+                delta.bump_u64s(row, by).unwrap();
+                let c = counts.entry(row.to_vec()).or_default();
+                *c = c.checked_add_signed(by).unwrap();
+            };
+            match kind {
+                0 => {
+                    if current > 0 {
+                        bump(existing, -(current as i64));
+                    }
+                }
+                1 => bump(existing, *m as i64),
+                2 => bump(&vec![0; arity], *m as i64),
+                3 => bump(&vec![bound; arity], *m as i64),
+                4 => bump(&value(raw), *m as i64),
+                _ => {
+                    bump(&value(raw), *m as i64);
+                    bump(&value(raw), -(*m as i64));
+                }
+            }
+        }
+        let expected = [bag(&schemas[0], &model[0]), bag(&schemas[1], &model[1])];
+
+        for threads in THREADS {
+            let session = Session::builder().exec(cfg(threads)).build().unwrap();
+            let mut stream = session.open_stream(sources.to_vec()).unwrap();
+            stream.update_batch(&batch).unwrap();
+            for (got, want) in stream.bags().iter().zip(&expected) {
+                prop_assert!(got.is_sealed());
+                prop_assert_eq!(layout(got), layout(want), "threads = {}", threads);
+            }
+
+            // Fresh rows on both bags (no edit above makes a row that
+            // mixes 0 or `bound` with other values), then an underflow:
+            // the batch fails at its last delta and changes nothing.
+            let held = stream.share_bags();
+            let (mut low, mut high) = (vec![0; arity], vec![bound; arity]);
+            low[arity - 1] = 1;
+            high[arity - 1] = 0;
+            let mut failing: Vec<(usize, DeltaSet)> = Vec::new();
+            for (b, schema) in schemas.iter().enumerate() {
+                let mut fresh = DeltaSet::new(schema.clone());
+                fresh.bump_u64s(&high, 1).unwrap();
+                fresh.bump_u64s(&low, 2).unwrap();
+                failing.push((b, fresh));
+            }
+            let mut underflow = DeltaSet::new(schemas[1].clone());
+            underflow.bump_u64s(&top, i64::MIN).unwrap();
+            failing.push((1, underflow));
+            prop_assert!(stream.update_batch(&failing).is_err());
+            for (now, then) in stream.bags().iter().zip(&held) {
+                prop_assert!(Arc::ptr_eq(now, then));
+            }
+            for (got, want) in stream.bags().iter().zip(&expected) {
+                prop_assert_eq!(layout(got), layout(want));
+            }
+
+            #[cfg(feature = "fault-injection")]
+            {
+                use bagcons_core::fault::{self, FaultAction};
+                let _serial = fault::test_lock();
+                // An injected expiry needs a real deadline to bite; an hour
+                // never fires on its own.
+                stream.set_time_budget(Some(std::time::Duration::from_secs(3600)));
+                failing.pop();
+                // The second merge trips it: bag 0's successor is built
+                // by then, and the batch must drop it.
+                fault::arm("bag::reseal_delta::merge", FaultAction::InjectDeadline, 2);
+                let out = stream.update_batch(&failing);
+                fault::reset();
+                prop_assert!(
+                    matches!(out, Err(SessionError::Core(CoreError::Aborted(_)))),
+                    "threads = {}: {:?}", threads, out.map(|o| o.decision)
+                );
+                for (now, then) in stream.bags().iter().zip(&held) {
+                    prop_assert!(Arc::ptr_eq(now, then));
+                    prop_assert_eq!(layout(now), layout(then));
+                }
+            }
         }
     }
 }
