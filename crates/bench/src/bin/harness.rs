@@ -801,8 +801,8 @@ fn e13() {
 
 /// E14 — the adaptive scheduler under skew: a workload with one giant
 /// key group next to many tiny ones, across a threads × support grid.
-/// Times the seal (one sort and one row copy on the calling thread, so
-/// its column should not move with the thread count), the sharded hash
+/// Times the seal (one row sort and merge on the calling thread, so its
+/// column should not move with the thread count), the sharded hash
 /// probe (giant probe chains in a few chunks), and the skew-sharded
 /// merge join (the giant group collapses shards; work stealing
 /// rebalances the rest). `threads = 1` is the sequential baseline;
@@ -827,16 +827,25 @@ fn e14() {
     for exp in [13u32, 15] {
         let support = 1usize << exp;
         // Probe side: 1/8 of the rows pile onto key 0 (the giant
-        // group); the rest spread over ~1k tiny keys. Reverse insertion
-        // order leaves the bag unsealed — the seal's worst case.
-        let mut probe = Bag::new(x.clone());
-        for i in (0..support as u64).rev() {
+        // group); the rest spread over ~1k tiny keys. The joins read it
+        // in reverse insertion order. The seal sorts the same rows
+        // inserted in a fixed scrambled order (an odd multiplier
+        // permutes `0..support`): a reverse-inserted bag is one strictly
+        // descending run, which the row sort reverses in one scan.
+        let probe_row = |i: u64| {
             let key = if i % 8 == 0 { 0 } else { i % 1023 + 1 };
-            probe
-                .insert(vec![Value(i), Value(key)], i % 5 + 1)
-                .expect("arity matches");
+            (vec![Value(i), Value(key)], i % 5 + 1)
+        };
+        let mut probe = Bag::new(x.clone());
+        let mut scrambled = Bag::new(x.clone());
+        for i in (0..support as u64).rev() {
+            let (row, m) = probe_row(i);
+            probe.insert(row, m).expect("arity matches");
+            let (row, m) = probe_row(i.wrapping_mul(0x9E37_79B9) % support as u64);
+            scrambled.insert(row, m).expect("arity matches");
         }
-        assert!(!probe.is_sealed());
+        assert!(!probe.is_sealed() && !scrambled.is_sealed());
+        assert_eq!(scrambled.support_size(), support);
         // Build side: 32 rows behind the giant key, one behind each tiny
         // key — so giant-group probes emit 32 rows each and the rest one.
         let mut build = Bag::new(y.clone());
@@ -866,16 +875,16 @@ fn e14() {
                 samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
                 samples[samples.len() / 2]
             };
-            // Seal: each rep re-seals a fresh clone; the clone is
-            // outside the timed region.
+            // Seal: each rep re-seals a fresh clone of the scrambled
+            // bag; the clone is outside the timed region.
             let seal_ms = {
-                let mut warm = probe.clone();
+                let mut warm = scrambled.clone();
                 warm.try_seal_with(&cfg).unwrap();
-                assert!(warm.is_sealed() && warm.support_size() > 0);
+                assert!(warm == probe_sealed);
                 median(
                     (0..reps)
                         .map(|_| {
-                            let mut b = probe.clone();
+                            let mut b = scrambled.clone();
                             let t0 = Instant::now();
                             b.try_seal_with(&cfg).unwrap();
                             let dt = ms(t0);
@@ -919,7 +928,7 @@ fn e14() {
         "{{\n  \"experiment\": \"e14_skew\",\n  \"workload\": \
          \"skewed keys: 1/8 of probe rows on one giant key (32 build \
          partners), rest on ~1k tiny keys (1 partner); seal re-lays-out \
-         an unsealed reverse-inserted bag\",\n  \
+         the probe rows inserted in a fixed scrambled order\",\n  \
          \"unit\": \"milliseconds, median of 7\",\n  \
          \"host_parallelism\": {host},\n  \
          \"note\": \"threads = 1 is the sequential path; the seal runs \

@@ -29,8 +29,8 @@ use std::sync::Arc;
 /// Parses one delta line (`<bag-index> <values...> : <±delta>`,
 /// `%`-comments, blank lines) against the stream's bags into a
 /// ready-to-apply edit. `Ok(None)` for lines that carry no delta; `Err`
-/// is the message to surface (`line_no` is echoed by the underlying
-/// parser). The bag-index range check and the schema-arity check (via
+/// is the message to surface, which names `line_no` once. The bag-index
+/// range check and the schema-arity check (via
 /// [`DeltaSet::bump`]) both happen here, so every front end rejects the
 /// same malformed input with the same words.
 pub fn parse_delta_edit(
@@ -45,12 +45,13 @@ pub fn parse_delta_edit(
     };
     let Some(bag) = bags.get(index) else {
         return Err(format!(
-            "bag index {index} out of range (0..{})",
+            "line {line_no}: bag index {index} out of range (0..{})",
             bags.len()
         ));
     };
     let mut set = DeltaSet::new(bag.schema().clone());
-    set.bump(row, delta).map_err(|e| e.to_string())?;
+    set.bump(row, delta)
+        .map_err(|e| format!("line {line_no}: {e}"))?;
     Ok(Some((index, set)))
 }
 
@@ -166,7 +167,7 @@ mod tests {
         assert!(parse_delta_edit("% comment", 2, &bags).unwrap().is_none());
         assert!(parse_delta_edit("", 3, &bags).unwrap().is_none());
         let err = parse_delta_edit("7 0 1 : +1", 4, &bags).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
+        assert_eq!(err, "line 4: bag index 7 out of range (0..1)");
         // Wrong arity surfaces from DeltaSet::bump.
         assert!(parse_delta_edit("0 1 : +1", 5, &bags).is_err());
     }

@@ -35,29 +35,25 @@ fn key_set<'a>(rows: impl Iterator<Item = &'a [Value]>, idx: &[usize]) -> RowSto
 }
 
 /// The project-and-probe sweep shared by both semijoin variants: returns
-/// the ids in `0..len` (ascending) that pass `live` and whose
-/// `idx`-projection is interned in `s_keys`. Rows are independent, so
+/// the ids of `store` (ascending) whose `idx`-projection is interned in
+/// `s_keys`. Rows are independent, so
 /// the scan shards by plain index ranges per `cfg` (a single range at
 /// `threads = 1` runs inline); per-shard survivor lists concatenate back
 /// in row order. The executor polls `cfg`'s deadline and contains a
 /// worker panic, so both come back as typed errors.
 fn probe_ids(
     store: &RowStore,
-    live: &(impl Fn(u32) -> bool + Sync),
-    len: usize,
     idx: &[usize],
     s_keys: &RowStore,
     cfg: &ExecConfig,
 ) -> Result<Vec<u32>> {
+    let len = store.len();
     let ranges = shard_ranges(len, cfg.shards_for(len), |_| false);
     let kept: Vec<Vec<u32>> = try_run_tasks(cfg, ranges, |range| {
         let mut scratch = Vec::with_capacity(idx.len());
         let mut ids = Vec::new();
         for id in range {
             let id = id as u32;
-            if !live(id) {
-                continue;
-            }
             let row = store.row(bagcons_core::RowId(id));
             scratch.clear();
             scratch.extend(idx.iter().map(|&i| row[i]));
@@ -81,7 +77,7 @@ pub(crate) fn semijoin_with(r: &Relation, s: &Relation, cfg: &ExecConfig) -> Res
     let s_keys = key_set(s.iter(), &s.schema().projection_indices(&z)?);
     let idx = r.schema().projection_indices(&z)?;
     let store = r.store();
-    let kept = probe_ids(store, &|_| true, r.len(), &idx, &s_keys, cfg)?;
+    let kept = probe_ids(store, &idx, &s_keys, cfg)?;
     let mut out = Relation::with_capacity(r.schema().clone(), kept.len());
     for id in kept {
         out.insert_row(store.row(bagcons_core::RowId(id)))?;
@@ -218,15 +214,7 @@ pub(crate) fn naive_bag_semijoin_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Res
     );
     let idx = r.schema().projection_indices(&z)?;
     let store = r.store();
-    // `live` skips tombstones left by `Bag::set`.
-    let kept = probe_ids(
-        store,
-        &|id| r.mult_of(id) > 0,
-        store.len(),
-        &idx,
-        &s_keys,
-        cfg,
-    )?;
+    let kept = probe_ids(store, &idx, &s_keys, cfg)?;
     let mut out = Bag::with_capacity(r.schema().clone(), kept.len());
     for id in kept {
         out.insert_row(store.row(bagcons_core::RowId(id)), r.mult_of(id))?;

@@ -10,12 +10,13 @@
 //!
 //! Storage invariants:
 //!
-//! * each distinct row is interned exactly once; `mults[id]` is its
-//!   multiplicity (`0` marks a tombstone left by [`Bag::set`]);
+//! * each distinct row is interned exactly once, and only live rows are
+//!   stored: `mults[id]` is its multiplicity, never `0` ([`Bag::set`] to
+//!   `0` removes the row from the columns);
 //! * a **sealed** bag ([`Bag::is_sealed`]) additionally has its rows laid
-//!   out in strictly increasing lexicographic order with no tombstones —
-//!   the "sorted run" at-rest form that bulk constructors produce and
-//!   [`Bag::seal`] restores after mutation;
+//!   out in strictly increasing lexicographic order — the "sorted run"
+//!   at-rest form that bulk constructors produce and [`Bag::seal`]
+//!   restores after out-of-order inserts;
 //! * multiplicity arithmetic is checked ([`CoreError::MultiplicityOverflow`]).
 //!
 //! The central operation is the **marginal** `R[Z]` of Equation (2):
@@ -46,11 +47,9 @@ use std::sync::Arc;
 pub struct Bag {
     schema: Schema,
     store: Arc<RowStore>,
-    /// Parallel to `store` ids; `0` is a tombstone (row removed by `set`).
+    /// Parallel to `store` ids; never `0`.
     mults: Vec<u64>,
-    /// Number of ids with non-zero multiplicity (`‖R‖supp`).
-    live: usize,
-    /// True iff rows are in strictly increasing lex order, tombstone-free.
+    /// True iff rows are in strictly increasing lex order.
     sealed: bool,
 }
 
@@ -62,7 +61,6 @@ impl Bag {
             schema,
             store: Arc::new(RowStore::new(arity)),
             mults: Vec::new(),
-            live: 0,
             sealed: true,
         }
     }
@@ -74,7 +72,6 @@ impl Bag {
             schema,
             store: Arc::new(RowStore::with_capacity(arity, n)),
             mults: Vec::with_capacity(n),
-            live: 0,
             sealed: true,
         }
     }
@@ -129,19 +126,17 @@ impl Bag {
     /// sort, pack or copy. The witness fill emits its rows in order
     /// whenever the two schemas allow it, and a file
     /// [`crate::io::write_bag`] wrote parses in order, so both take this
-    /// path. Any other arena is **sorted**, on the calling thread, and
-    /// one merge sums each run of equal rows with a checked add, drops
-    /// zero sums and writes each kept row out in order. When the rows
-    /// pack into 64-bit words, the radix kernel of [`crate::pack`] sorts
-    /// `(word, row)` pairs, runs are runs of equal words, and each kept
-    /// row is unpacked from its word straight into the output arena: no
-    /// comparator, gather or slice compare. Wider rows sort their ids by
-    /// the seal's compare, and runs compare and copy rows of the arena
-    /// in that order. Either way the dedup table stays unbuilt until the
-    /// first content probe, as after a snapshot load, and the result
-    /// equals inserting every row and sealing; `cfg` contributes only
-    /// its deadline. The `bag::seal` failpoint fires on entry, before
-    /// either path.
+    /// path. Any other arena is **sorted**, on the calling thread, by
+    /// the row sort every seal shares (`sort_and_merge`), and one merge
+    /// sums each run of equal rows with a checked add, drops zero sums
+    /// and writes each kept row out in order. Rows that pack into 64-bit
+    /// words sort as `(word, row)` pairs through the radix kernel of
+    /// [`crate::pack`] and unpack from their words; wider rows sort their
+    /// ids by one slice compare and are copied. Either way the dedup
+    /// table stays unbuilt until the first content probe, as after a
+    /// snapshot load, and the result equals inserting every row and
+    /// sealing; `cfg` contributes only its deadline. The `bag::seal`
+    /// failpoint fires on entry, before either path.
     ///
     /// # Errors
     ///
@@ -190,46 +185,13 @@ impl Bag {
                         schema,
                         store: Arc::new(store),
                         mults,
-                        live: rows,
                         sealed: true,
                     })
                 }
                 Err(data) => data,
             }
         };
-        let spec = crate::pack::arena_spec(arity, &data, rows);
-        let (laid_out, sums) = match spec {
-            // Packing is injective, so equal words are equal rows, and
-            // each kept row unpacks from its word.
-            Some(spec) if spec.total_bits() <= 64 => {
-                let pairs = crate::pack::sorted_pairs(&spec, arity, &data, 0..rows as u32);
-                drop(data);
-                merge_runs(
-                    arity,
-                    rows,
-                    cfg.deadline(),
-                    |p| mults[pairs[p].1 as usize],
-                    |p, q| pairs[p].0 == pairs[q].0,
-                    |p, out| spec.unpack_row(pairs[p].0, out),
-                )?
-            }
-            spec => {
-                let mut order: Vec<u32> = (0..rows as u32).collect();
-                crate::pack::sort_row_ids(arity, &data, spec.as_ref(), &mut order);
-                let row = |p: usize| {
-                    let at = order[p] as usize * arity;
-                    &data[at..at + arity]
-                };
-                merge_runs(
-                    arity,
-                    rows,
-                    cfg.deadline(),
-                    |p| mults[order[p] as usize],
-                    |p, q| row(p) == row(q),
-                    |p, out| out.copy_from_slice(row(p)),
-                )?
-            }
-        };
+        let (laid_out, sums) = sort_and_merge(arity, rows, &data, |i| mults[i], cfg.deadline())?;
         let store = RowStore::from_sorted_rows(arity, sums.len(), laid_out)
             .expect("merged neighbours of a sorted arena ascend strictly");
         Ok(Bag::adopt(schema, store, sums, true))
@@ -277,11 +239,6 @@ impl Bag {
         }
         if let Some(id) = self.intern_row(row, mult) {
             let slot = &mut self.mults[id.index()];
-            if *slot == 0 {
-                self.live += 1;
-                // Reviving a tombstone: row order unchanged, but a sealed
-                // bag has no tombstones, so `sealed` is already false.
-            }
             *slot = slot
                 .checked_add(mult)
                 .ok_or(CoreError::MultiplicityOverflow)?;
@@ -289,10 +246,10 @@ impl Bag {
         Ok(())
     }
 
-    /// Interns `row`; when fresh, records `mult`, bumps `live`, and
-    /// updates the sorted-run tracking (a fresh append keeps the run
-    /// sealed only when it extends it). Returns the id of an already
-    /// present row for the caller to update.
+    /// Interns `row`; when fresh, records `mult` and updates the
+    /// sorted-run tracking (a fresh append keeps the run sealed only
+    /// when it extends it). Returns the id of an already present row for
+    /// the caller to update.
     fn intern_row(&mut self, row: &[Value], mult: u64) -> Option<RowId> {
         let last = self.store.len();
         let (id, fresh) = Arc::make_mut(&mut self.store).intern(row);
@@ -300,14 +257,16 @@ impl Bag {
             return Some(id);
         }
         self.mults.push(mult);
-        self.live += 1;
         if self.sealed && last > 0 && self.store.row(RowId(id.0 - 1)) >= row {
             self.sealed = false;
         }
         None
     }
 
-    /// Sets the multiplicity of `row` exactly (0 removes it).
+    /// Sets the multiplicity of `row` exactly. Setting `0` removes the
+    /// row from the columns and leaves the bag **sealed**: an unsealed
+    /// bag is sealed first ([`Bag::seal`]), and a stored row is dropped
+    /// by copying the run around it, as a delta that removes one row does.
     pub fn set(&mut self, row: impl AsRef<[Value]>, mult: u64) -> Result<()> {
         let row = row.as_ref();
         if row.len() != self.schema.arity() {
@@ -317,20 +276,13 @@ impl Bag {
             });
         }
         if mult == 0 {
-            // Tombstone without interning rows we never stored.
-            if let Some(id) = self.store.lookup(row) {
-                if self.mults[id.index()] > 0 {
-                    self.mults[id.index()] = 0;
-                    self.live -= 1;
-                    self.sealed = false;
-                }
+            self.seal();
+            if let Ok(at) = self.position(row) {
+                *self = merge_successor(self, &[(at, 0)], &[]);
             }
             return Ok(());
         }
         if let Some(id) = self.intern_row(row, mult) {
-            if self.mults[id.index()] == 0 {
-                self.live += 1;
-            }
             self.mults[id.index()] = mult;
         }
         Ok(())
@@ -348,13 +300,13 @@ impl Bag {
     /// `‖R‖supp`: the number of support tuples.
     #[inline]
     pub fn support_size(&self) -> usize {
-        self.live
+        self.mults.len()
     }
 
     /// True iff the bag is empty (all multiplicities zero).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.mults.is_empty()
     }
 
     /// `‖R‖mu`: the largest multiplicity (0 for the empty bag).
@@ -381,10 +333,7 @@ impl Bag {
 
     /// Iterates over `(row, multiplicity)` in storage (id) order.
     pub fn iter(&self) -> impl Iterator<Item = (&[Value], u64)> + '_ {
-        self.store
-            .iter()
-            .zip(self.mults.iter())
-            .filter_map(|(r, &m)| (m > 0).then_some((r, m)))
+        self.store.iter().zip(self.mults.iter().copied())
     }
 
     /// Rows with multiplicities in lexicographic order — use whenever
@@ -415,14 +364,14 @@ impl Bag {
     }
 
     /// True iff rows are physically laid out as one lexicographically
-    /// sorted, tombstone-free columnar run.
+    /// sorted columnar run.
     #[inline]
     pub fn is_sealed(&self) -> bool {
         self.sealed
     }
 
     /// Restores the sorted-run invariant: rows are re-laid-out in
-    /// lexicographic order and tombstones are compacted away.
+    /// lexicographic order.
     ///
     /// `O(n log n)` when unsorted; a no-op on sealed bags. Sealing makes
     /// [`Bag::iter_sorted`] allocation-free, lets prefix marginals and
@@ -435,14 +384,13 @@ impl Bag {
     }
 
     /// [`Bag::seal`] under `cfg`'s [`crate::Deadline`], polled once
-    /// before the re-layout. Both halves of the seal run on the calling
-    /// thread: the live ids sort by their packed words (the radix kernel
-    /// of [`crate::pack`] when the words fit 64 bits), and the rows are
-    /// copied in that order into a fresh arena. Nothing is hashed: the
-    /// sorted arena certifies that its rows are distinct, and the dedup
-    /// table builds on the first content probe. On an abort the bag is
-    /// left **exactly** as it was — unsealed, layout and multiplicities
-    /// untouched — because the seal commits only after the copy.
+    /// before the re-layout. The rows go through the row sort of
+    /// [`Bag::from_arena`] (`sort_and_merge`) on the calling thread, and
+    /// the result is adopted with its dedup table unbuilt: the sorted
+    /// arena certifies that its rows are distinct, and the table builds
+    /// on the first content probe. On an abort the bag is left
+    /// **exactly** as it was — unsealed, layout and multiplicities
+    /// untouched — because the seal commits only after the merge.
     ///
     /// # Errors
     ///
@@ -453,17 +401,16 @@ impl Bag {
         }
         crate::fault::fire("bag::seal");
         let arity = self.schema.arity();
-        let mut order: Vec<u32> = self.live_ids().collect();
-        let spec = crate::pack::arena_spec(arity, self.store.values(), order.len());
-        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut order);
-        let laid_out =
-            crate::store::gather_rows(arity, self.store.values(), &order, cfg.deadline())?;
-        self.mults = order.iter().map(|&i| self.mults[i as usize]).collect();
-        self.store = Arc::new(
-            RowStore::from_sorted_rows(arity, order.len(), laid_out)
-                .expect("distinct interned rows sort strictly"),
-        );
-        self.sealed = true;
+        let (laid_out, sums) = sort_and_merge(
+            arity,
+            self.mults.len(),
+            self.store.values(),
+            |i| self.mults[i],
+            cfg.deadline(),
+        )?;
+        let store = RowStore::from_sorted_rows(arity, sums.len(), laid_out)
+            .expect("distinct interned rows sort strictly");
+        *self = Bag::adopt(self.schema.clone(), store, sums, true);
         Ok(())
     }
 
@@ -539,14 +486,8 @@ impl Bag {
 
     /// The support `Supp(R)` as a relation over the same schema.
     pub fn support(&self) -> Relation {
-        let arity = self.schema.arity();
-        let ids: Vec<u32> = self.live_ids().collect();
-        let data =
-            crate::store::gather_rows(arity, self.store.values(), &ids, &crate::Deadline::NONE)
-                .expect("a copy without a deadline cannot abort");
-        // Support rows of an interned bag are distinct.
-        let store = RowStore::from_distinct_rows(arity, ids.len(), data);
-        Relation::from_store(self.schema.clone(), store, self.sealed || ids.is_empty())
+        // Every stored row is live, so the support is the arena whole.
+        Relation::from_store(self.schema.clone(), (*self.store).clone(), self.sealed)
     }
 
     /// The marginal `R[Z]` of Equation (2) of the paper.
@@ -583,8 +524,8 @@ impl Bag {
                 .expect("the groups of a sorted run ascend strictly");
             return Ok(Bag::adopt(sub.clone(), store, sums, true));
         }
-        let mut data = Vec::with_capacity(self.live * idx.len());
-        let mut mults = Vec::with_capacity(self.live);
+        let mut data = Vec::with_capacity(self.mults.len() * idx.len());
+        let mut mults = Vec::with_capacity(self.mults.len());
         for (row, m) in self.iter() {
             data.extend(idx.iter().map(|&i| row[i]));
             mults.push(m);
@@ -595,10 +536,10 @@ impl Bag {
     /// Reassembles a sealed bag from its persisted parts — the snapshot
     /// loading seam. `store` must already satisfy the sealed sorted-run
     /// invariant (certified by [`RowStore::from_sorted_rows`], not
-    /// recomputed here), `mults` is the dense multiplicity column with no
-    /// tombstones. No re-interning, no re-sorting. Returns `None` on any shape
-    /// violation: arity mismatch, column-length mismatch, or a zero
-    /// multiplicity (tombstones never survive a seal).
+    /// recomputed here), `mults` is the dense multiplicity column. No
+    /// re-interning, no re-sorting. Returns `None` on any shape violation:
+    /// arity mismatch, column-length mismatch, or a zero multiplicity (a
+    /// bag stores only live rows).
     pub fn from_sealed_parts(schema: Schema, store: RowStore, mults: Vec<u64>) -> Option<Bag> {
         if store.arity() != schema.arity() || mults.len() != store.len() {
             return None;
@@ -621,17 +562,15 @@ impl Bag {
             !sealed || store.iter().zip(store.iter().skip(1)).all(|(a, b)| a < b),
             "a sealed bag requires a strictly ascending arena"
         );
-        let live = store.len();
         Bag {
             schema,
             store: Arc::new(store),
             mults,
-            live,
             sealed,
         }
     }
 
-    /// The multiplicity column by dense row id (`0` marks a tombstone).
+    /// The multiplicity column by dense row id.
     pub(crate) fn mults(&self) -> &[u64] {
         &self.mults
     }
@@ -645,16 +584,17 @@ impl Bag {
         &self.store
     }
 
-    /// Multiplicity by dense row id (0 for tombstoned rows).
+    /// Multiplicity by dense row id.
     #[inline]
     pub fn mult_of(&self, id: u32) -> u64 {
         self.mults[id as usize]
     }
 
-    /// Ids of live (non-tombstone) rows in storage order. On a sealed
-    /// bag this is `0..store().len()` in lexicographic row order.
-    pub fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.store.len() as u32).filter(|&i| self.mults[i as usize] > 0)
+    /// Ids of the support rows in storage order: `0..store().len()`,
+    /// since every stored row is live. On a sealed bag this is
+    /// lexicographic row order.
+    pub fn live_ids(&self) -> std::ops::Range<u32> {
+        0..self.store.len() as u32
     }
 
     /// Bag containment `R ⊆ᵇ S`: `R(t) ≤ S(t)` for every tuple.
@@ -691,7 +631,7 @@ impl Bag {
         if k == 0 {
             return Ok(Bag::new(self.schema.clone()));
         }
-        // Scaling keeps the rows, their order, and the tombstones.
+        // Scaling keeps the rows and their order.
         let mut out = self.clone();
         for m in &mut out.mults {
             *m = m.checked_mul(k).ok_or(CoreError::MultiplicityOverflow)?;
@@ -723,7 +663,7 @@ impl Bag {
         for (i, &a) in new_attrs.iter().enumerate() {
             src[new_schema.position(a).expect("renamed attr in new schema")] = i;
         }
-        let (mut data, mut mults) = (Vec::with_capacity(self.live * src.len()), Vec::new());
+        let (mut data, mut mults) = (Vec::with_capacity(self.mults.len() * src.len()), Vec::new());
         for (row, m) in self.iter() {
             data.extend(src.iter().map(|&i| row[i]));
             mults.push(m);
@@ -735,8 +675,56 @@ impl Bag {
     }
 }
 
-/// The merge half of [`Bag::from_arena`]'s sort path, over `n` sorted
-/// positions: each run of positions whose rows are the `same` sums its
+/// The row sort behind every sealed run: [`Bag::from_arena`]'s sort
+/// path, [`Bag::try_seal_with`] and [`Relation::seal`] (every count 1).
+/// Sorts the `rows` rows of the row-major arena `data` and merges each
+/// run of equal rows, summing `mult(i)` of row `i` with a checked add and
+/// dropping zero sums. Returns the sorted arena and its multiplicity
+/// column; callers adopt them through [`RowStore::from_sorted_rows`].
+///
+/// When the rows pack into 64-bit words, the radix kernel of
+/// [`crate::pack`] sorts `(word, row)` pairs, runs are runs of equal
+/// words, and each kept row is unpacked from its word straight into the
+/// output arena: no comparator, gather or slice compare. Wider rows
+/// (and arenas below the packing floor) sort their ids by one
+/// `sort_unstable_by` slice compare, and the merge copies their rows.
+///
+/// # Errors
+///
+/// As [`merge_runs`].
+pub(crate) fn sort_and_merge(
+    arity: usize,
+    rows: usize,
+    data: &[Value],
+    mult: impl Fn(usize) -> u64,
+    deadline: &crate::Deadline,
+) -> Result<(Vec<Value>, Vec<u64>)> {
+    // Packing is injective, so equal words are equal rows.
+    if let Some(spec) = crate::pack::arena_spec(arity, data, rows) {
+        let pairs = crate::pack::sorted_pairs(&spec, arity, data, 0..rows as u32);
+        return merge_runs(
+            arity,
+            rows,
+            deadline,
+            |p| mult(pairs[p].1 as usize),
+            |p, q| pairs[p].0 == pairs[q].0,
+            |p, out| spec.unpack_row(pairs[p].0, out),
+        );
+    }
+    let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
+    let mut order: Vec<u32> = (0..rows as u32).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    merge_runs(
+        arity,
+        rows,
+        deadline,
+        |p| mult(order[p] as usize),
+        |p, q| row(order[p]) == row(order[q]),
+        |p, out| out.copy_from_slice(row(order[p])),
+    )
+}
+
+/// The merge half of [`sort_and_merge`], over `n` sorted positions: each run of positions whose rows are the `same` sums its
 /// `mult`s with a checked add, a zero sum drops out, and each kept run
 /// has `write` put its row into the next `arity` slots of the output
 /// arena. Returns the arena and its multiplicity column.
@@ -1067,7 +1055,7 @@ impl PartialEq for Bag {
                 && self.store.values() == other.store.values();
         }
         self.schema == other.schema
-            && self.live == other.live
+            && self.mults.len() == other.mults.len()
             && self.iter().all(|(r, m)| other.multiplicity(r) == m)
     }
 }
@@ -1222,10 +1210,10 @@ mod tests {
         let mut b = section2_bag();
         b.set(vec![Value(1), Value(1)], 0).unwrap();
         assert_eq!(b.multiplicity(&[Value(1), Value(1)]), 0);
+        assert_eq!(b.store().len(), 2, "a removed row leaves the columns");
         b.insert(vec![Value(1), Value(1)], 4).unwrap();
         assert_eq!(b.multiplicity(&[Value(1), Value(1)]), 4);
         assert_eq!(b.support_size(), 3);
-        // unary size ignores tombstones
         assert_eq!(b.unary_size(), 4 + 1 + 5);
     }
 
@@ -1415,33 +1403,45 @@ mod tests {
         assert_eq!(Bag::of_empty_tuple(3).unary_size(), 3);
     }
 
+    /// A removal seals an unsealed bag and drops the row from the run;
+    /// removing a row the bag does not hold only seals it.
     #[test]
-    fn seal_compacts_tombstones_and_sorts() {
-        let mut b = Bag::new(schema(&[0]));
-        for v in [5u64, 1, 9, 3] {
-            b.insert(vec![Value(v)], v).unwrap();
-        }
+    fn set_zero_seals_and_drops_the_row() {
+        let unsealed = || {
+            let mut b = Bag::new(schema(&[0]));
+            for v in [5u64, 1, 9, 3] {
+                b.insert(vec![Value(v)], v).unwrap();
+            }
+            assert!(!b.is_sealed());
+            b
+        };
+        let mut b = unsealed();
         b.set(vec![Value(9)], 0).unwrap();
-        assert!(!b.is_sealed());
-        b.seal();
         assert!(b.is_sealed());
         assert_eq!(b.support_size(), 3);
         let rows: Vec<u64> = b.iter().map(|(r, _)| r[0].get()).collect();
         assert_eq!(rows, vec![1, 3, 5], "iteration follows the sorted run");
         assert_eq!(b.multiplicity(&[Value(9)]), 0);
         assert_eq!(b.multiplicity(&[Value(3)]), 3);
+        let mut absent = unsealed();
+        absent.set(vec![Value(7)], 0).unwrap();
+        assert!(absent.is_sealed());
+        assert_eq!(absent, unsealed());
+        for v in [1u64, 3, 5] {
+            b.set(vec![Value(v)], 0).unwrap();
+        }
+        assert!(b.is_empty() && b.is_sealed());
     }
 
     #[test]
     fn try_seal_with_is_bit_identical_to_sequential_seal() {
-        // duplicate-heavy rows, reverse insertion order, and a tombstone:
-        // everything the seal has to repair.
+        // duplicate-heavy rows in reverse insertion order: everything the
+        // seal has to repair.
         let mut bag = Bag::new(schema(&[0, 1]));
         for i in (0..500u64).rev() {
             bag.insert(vec![Value(i % 23), Value(i % 7)], i % 5 + 1)
                 .unwrap();
         }
-        bag.set(vec![Value(3), Value(3)], 0).unwrap();
         assert!(!bag.is_sealed());
         let mut seq = bag.clone();
         seq.seal();
@@ -1635,7 +1635,7 @@ mod tests {
     }
 
     /// A bag fingerprint for atomicity assertions: physical layout
-    /// (row-major values in id order), multiplicity column, live count,
+    /// (row-major values in id order), multiplicity column, support size,
     /// and seal flag.
     fn fingerprint(b: &Bag) -> (Vec<Value>, Vec<u64>, usize, bool) {
         (
@@ -1688,7 +1688,7 @@ mod tests {
             assert_eq!(
                 fingerprint(&b),
                 before,
-                "threads={threads}: layout, mults, live count and seal flag \
+                "threads={threads}: layout, mults, support size and seal flag \
                  must be untouched after an aborted apply"
             );
             // The rolled-back bag is fully usable: the same delta applies
@@ -1739,18 +1739,23 @@ mod tests {
     }
 
     /// A bag over `schema` built by inserting `rows` last to first, so it
-    /// arrives unsealed whenever the rows do not descend, plus a row
-    /// inserted and tombstoned when `tombstone` is set.
-    fn inserted(schema: &Schema, rows: &[(Vec<u64>, u64)], tombstone: bool) -> Bag {
+    /// arrives unsealed whenever the rows do not descend. With
+    /// `max_first` the greatest row goes in first, so the bag arrives
+    /// unsealed whenever it holds two distinct rows.
+    fn inserted(schema: &Schema, rows: &[(Vec<u64>, u64)], max_first: bool) -> Bag {
+        let mut order: Vec<&(Vec<u64>, u64)> = rows.iter().rev().collect();
+        if max_first {
+            if let Some(top) = (0..order.len()).max_by_key(|&i| &order[i].0) {
+                order[..=top].rotate_right(1);
+            }
+        }
         let mut bag = Bag::new(schema.clone());
-        for (row, m) in rows.iter().rev() {
+        for (row, m) in order {
             bag.insert(row.iter().copied().map(Value).collect::<Vec<_>>(), *m)
                 .unwrap();
         }
-        if tombstone {
-            let extra = vec![Value(99); schema.arity()];
-            bag.insert(&extra, 1).unwrap();
-            bag.set(&extra, 0).unwrap();
+        if max_first && bag.support_size() > 1 {
+            assert!(!bag.is_sealed());
         }
         bag
     }
@@ -1769,7 +1774,9 @@ mod tests {
 
     /// Equality by per-row probes, the unsealed path of `PartialEq`.
     fn probe_eq(a: &Bag, b: &Bag) -> bool {
-        a.schema == b.schema && a.live == b.live && a.iter().all(|(r, m)| b.multiplicity(r) == m)
+        a.schema == b.schema
+            && a.support_size() == b.support_size()
+            && a.iter().all(|(r, m)| b.multiplicity(r) == m)
     }
 
     proptest::proptest! {
@@ -1778,8 +1785,7 @@ mod tests {
         /// Every marginal is sealed and holds the insert-built marginal's
         /// rows and sums, onto each subset of `A0 A1 A2` (the empty
         /// schema and the non-prefixes included), from a sealed and an
-        /// unsealed bag with a tombstone, with some supports past the
-        /// radix kernel's floor.
+        /// unsealed bag, with some supports past the radix kernel's floor.
         #[test]
         fn marginals_are_sealed_and_match_the_inserted_marginal(
             rows in proptest::collection::vec(

@@ -68,6 +68,13 @@ pub enum ParseError {
         /// The offending token.
         token: String,
     },
+    /// A delta line's delta failed to parse as a signed integer.
+    BadDelta {
+        /// 1-based line number.
+        line: usize,
+        /// The offending token.
+        token: String,
+    },
     /// A relation was requested but some multiplicity exceeded 1.
     NotARelation,
     /// Accumulating a duplicate row's multiplicity exceeded `u64::MAX`.
@@ -97,6 +104,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::BadNumber { line, token } => {
                 write!(f, "line {line}: {token:?} is not an unsigned integer")
+            }
+            ParseError::BadDelta { line, token } => {
+                write!(f, "line {line}: {token:?} is not a signed integer")
             }
             ParseError::NotARelation => {
                 write!(
@@ -530,7 +540,7 @@ pub fn parse_delta_line(
     let delta: i64 = match delta_part {
         Some(d) => {
             let d = d.trim();
-            d.parse().map_err(|_| ParseError::BadNumber {
+            d.parse().map_err(|_| ParseError::BadDelta {
                 line: line_no,
                 token: d.to_string(),
             })?
@@ -1057,7 +1067,7 @@ mod tests {
         ));
         assert!(matches!(
             parse_delta_line("0 1 : ++2", 8),
-            Err(ParseError::BadNumber { line: 8, .. })
+            Err(ParseError::BadDelta { line: 8, .. })
         ));
     }
 

@@ -132,8 +132,8 @@ impl<'a> Operand<'a> {
     }
 
     /// Ids of the support rows, in storage order.
-    fn live_ids(self) -> impl Iterator<Item = u32> + 'a {
-        (0..self.store.len() as u32).filter(move |&i| self.mult(i) > 0)
+    fn live_ids(self) -> std::ops::Range<u32> {
+        0..self.store.len() as u32
     }
 
     /// The input statistics of [`JoinStrategy::select`].
@@ -319,7 +319,7 @@ fn pack_joint_keys(
             *m = (*m).max(r_key(p, c).get());
         }
     }
-    let spec = crate::pack::PackSpec::raw(&maxes).filter(|s| s.total_bits() <= 64)?;
+    let spec = crate::pack::PackSpec::raw(&maxes)?;
     Some((
         pack_keys(&spec, k, l_len, l_key),
         pack_keys(&spec, k, r_len, r_key),
@@ -339,7 +339,7 @@ fn pack_keys(
             buf.clear();
             buf.extend((0..k).map(|c| key(p, c)));
             spec.pack_row(&buf)
-                .expect("joint per-column maxes cover both sides") as u64
+                .expect("joint per-column maxes cover both sides")
         })
         .collect()
 }
@@ -611,18 +611,17 @@ impl Iterator for ProbeIter<'_> {
 fn join_hash(r: Operand<'_>, s: Operand<'_>, plan: &JoinPlan, cfg: &ExecConfig) -> Result<Joined> {
     let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.common.arity());
     let index = KeyIndex::build(s.store, s.live_ids(), &plan.right_key, &mut key_scratch);
-    // Contiguous ranges of the live-id list keep the joined output in
-    // probe order; the oversubscribed plan + work stealing absorb skewed
-    // chains (probe rows whose key matches a giant build-side group).
-    let probe_ids: Vec<u32> = r.live_ids().collect();
-    let ranges = crate::exec::shard_ranges(probe_ids.len(), cfg.shards_for(r.support), |_| false);
-    let (probe_ids, index) = (&probe_ids, &index);
+    // Contiguous id ranges keep the joined output in probe order; the
+    // oversubscribed plan + work stealing absorb skewed chains (probe
+    // rows whose key matches a giant build-side group).
+    let ranges = crate::exec::shard_ranges(r.support, cfg.shards_for(r.support), |_| false);
+    let index = &index;
     let runs = crate::exec::try_run_tasks(cfg, ranges, |range| {
         crate::fault::fire("join::hash::shard");
         let mut data = Vec::with_capacity(range.len() * plan.out.arity());
         let mut mults = Vec::with_capacity(range.len());
         let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.common.arity());
-        for &a in &probe_ids[range] {
+        for a in range.start as u32..range.end as u32 {
             let (lrow, lm) = (r.row(a), r.mult(a));
             for b in index.probe(lrow, &plan.left_key, &mut key_scratch) {
                 let m = lm

@@ -39,10 +39,11 @@
 //!   semantics). Per-row companions (flow capacities, edge ids) can be
 //!   plain vectors indexed by `RowId`.
 //! * **sorted runs**: a *sealed* bag/relation additionally keeps its rows
-//!   in strictly increasing lexicographic order with no tombstones. Bulk
-//!   constructors return sealed values; point mutations may unseal
-//!   (appends that extend the run keep the seal), and [`Bag::seal`] /
-//!   [`Relation::seal`] restore the invariant by one sort + compaction.
+//!   in strictly increasing lexicographic order. Bulk constructors return
+//!   sealed values; out-of-order inserts unseal (appends that extend the
+//!   run keep the seal), a removal ([`Bag::set`] to `0`) leaves the bag
+//!   sealed, and [`Bag::seal`] / [`Relation::seal`] restore the invariant
+//!   by the one row sort that [`Bag::from_arena`] runs too.
 //!   Sealed data gives order-free `iter_sorted`, group-by marginals on
 //!   schema prefixes (no hashing), and sort-free merge joins on prefix
 //!   keys.
@@ -124,16 +125,16 @@
 //! compare-bound, and a row compare is a `&[Value]` slice walk. The
 //! [`pack`] module collapses those walks into **single integer
 //! compares**: each column's value, truncated to the column's observed
-//! bit width, concatenates high-to-low into one `u64`/`u128` word per
-//! row — an injective, lexicographic-order-preserving encoding, so every
-//! packed compare returns exactly what the slice compare would. Every
-//! sort of words that fit 64 bits is one LSD radix sort of `(word, id)`
-//! pairs, stable, with no comparator, above a floor that grows with the
-//! passes the words need (`sort_unstable` below it).
+//! bit width, concatenates high-to-low into one `u64` word per row — an
+//! injective, lexicographic-order-preserving encoding, so every packed
+//! compare returns exactly what the slice compare would; rows wider than
+//! 64 bits keep the slice compare. Every sort of words is one LSD radix
+//! sort of `(word, id)` pairs, stable, with no comparator, above a floor
+//! that grows with the passes the words need (`sort_unstable` below it).
 //!
 //! Keys are packed only inside the sort or sweep that compares them: the
-//! seal and [`Bag::from_arena`] sorts pack their rows for
-//! the length of the sort, and the keyed sort-and-sweep behind the merge
+//! one row sort behind every seal and [`Bag::from_arena`] packs its rows
+//! for the length of the sort, and the keyed sort-and-sweep behind the merge
 //! join and the witness fill packs both sides' key columns under one
 //! joint spec so cross-side key compares are single integer compares
 //! too. No bag or relation caches words. Skewed merges additionally
@@ -160,10 +161,9 @@
 //! Invariants maintained by construction:
 //!
 //! * A [`Schema`] is a strictly sorted sequence of attributes.
-//! * A [`Bag`] never *reports* a tuple with multiplicity `0` (tombstones
-//!   left by [`Bag::set`] are invisible to every observation and are
-//!   compacted away by [`Bag::seal`]), so `Supp(R)` is exactly the live
-//!   row set.
+//! * A [`Bag`] never *stores* a tuple with multiplicity `0` ([`Bag::set`]
+//!   to `0` removes the row from the columns), so `Supp(R)` is exactly
+//!   the stored row set.
 //! * Rows are stored in schema order, so row equality is tuple equality.
 //! * Interning is injective on content: one distinct row, one `RowId`.
 

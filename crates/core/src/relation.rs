@@ -146,20 +146,22 @@ impl Relation {
     }
 
     /// Restores the sorted-run layout (no-op when already sealed): the
-    /// same sort and row copy as [`crate::Bag::seal`], on the calling
-    /// thread, with no hashing.
+    /// row sort of [`crate::Bag::seal`] with every count 1, on the
+    /// calling thread, with no hashing.
     pub fn seal(&mut self) {
         if self.sealed {
             return;
         }
         let arity = self.store.arity();
-        let mut order: Vec<u32> = (0..self.store.len() as u32).collect();
-        let spec = crate::pack::arena_spec(arity, self.store.values(), order.len());
-        crate::pack::sort_row_ids(arity, self.store.values(), spec.as_ref(), &mut order);
-        let laid_out =
-            crate::store::gather_rows(arity, self.store.values(), &order, &crate::Deadline::NONE)
-                .expect("a copy without a deadline cannot abort");
-        self.store = RowStore::from_sorted_rows(arity, order.len(), laid_out)
+        let (laid_out, _) = crate::bag::sort_and_merge(
+            arity,
+            self.store.len(),
+            self.store.values(),
+            |_| 1,
+            &crate::Deadline::NONE,
+        )
+        .expect("distinct rows neither overflow nor abort");
+        self.store = RowStore::from_sorted_rows(arity, self.store.len(), laid_out)
             .expect("distinct interned rows sort strictly");
         self.sealed = true;
     }

@@ -481,34 +481,6 @@ fn strictly_ascending(arity: usize, data: &[Value]) -> bool {
 /// Adjacent pairs [`strictly_ascending`] folds between two exits.
 const ASCEND_BLOCK: usize = 64;
 
-/// Copies the `arity`-wide rows of the row-major arena `data` listed in
-/// `order` into a fresh arena, in that order — the re-layout half of
-/// every seal, and the copy behind [`crate::Bag::support`]. One pass on the calling
-/// thread; nothing is hashed: callers adopt the result through
-/// [`RowStore::from_sorted_rows`], whose dedup table builds on the first
-/// content probe.
-///
-/// # Errors
-///
-/// [`crate::CoreError::Aborted`] when `deadline` has fired; it is polled
-/// once, before the copy.
-pub(crate) fn gather_rows(
-    arity: usize,
-    data: &[Value],
-    order: &[u32],
-    deadline: &crate::Deadline,
-) -> crate::Result<Vec<Value>> {
-    if let Some(reason) = deadline.poll() {
-        return Err(crate::CoreError::Aborted(reason));
-    }
-    let mut out = Vec::with_capacity(order.len() * arity);
-    for &id in order {
-        let at = id as usize * arity;
-        out.extend_from_slice(&data[at..at + arity]);
-    }
-    Ok(out)
-}
-
 /// The group-by sweep over the first `k` columns of a store whose rows
 /// are sorted, so that equal prefixes are adjacent: one `(prefix, summed
 /// multiplicity)` row per group, in ascending order. `mults` is the
@@ -654,18 +626,6 @@ mod tests {
         s.intern(&v(&[7]));
         let rows: Vec<u64> = s.iter().map(|r| r[0].get()).collect();
         assert_eq!(rows, vec![9, 3, 7]);
-    }
-
-    #[test]
-    fn gather_rows_keeps_content_and_drops_unlisted() {
-        let data = v(&[10, 11, 20, 21, 30, 31, 40, 41, 50, 51]);
-        let none = crate::Deadline::NONE;
-        let out = gather_rows(2, &data, &[4, 0, 2], &none).unwrap();
-        assert_eq!(out, v(&[50, 51, 10, 11, 30, 31]));
-        let r = RowStore::from_sorted_rows(2, 3, gather_rows(2, &data, &[0, 2, 4], &none).unwrap())
-            .unwrap();
-        assert_eq!(r.lookup(&v(&[20, 21])), None);
-        assert_eq!(r.lookup(&v(&[30, 31])), Some(RowId(1)));
     }
 
     #[test]

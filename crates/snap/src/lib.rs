@@ -419,14 +419,18 @@ pub struct SnapInfo {
 /// bounds, and the table hash; per-payload hashes are the caller's
 /// second pass.
 fn read_table(bytes: &[u8]) -> Result<(u32, Vec<SectionInfo>), SnapError> {
+    // The magic first: a short file that is not a prefix of it is no
+    // snapshot, while a prefix of a real one (the empty file too) is a
+    // truncated one.
+    let magic = bytes.len().min(MAGIC.len());
+    if bytes[..magic] != MAGIC[..magic] {
+        return Err(SnapError::BadMagic);
+    }
     if bytes.len() < HEADER_LEN {
         return Err(SnapError::Truncated {
             expected: HEADER_LEN as u64,
             actual: bytes.len() as u64,
         });
-    }
-    if bytes[..8] != MAGIC {
-        return Err(SnapError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
     if version != VERSION {
@@ -795,6 +799,18 @@ mod tests {
             Snapshot::from_bytes(&[]),
             Err(SnapError::Truncated { .. })
         ));
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes[..5]),
+            Err(SnapError::Truncated { .. })
+        ));
+        // A short file that is not a prefix of the magic is no snapshot.
+        for short in [&b"A B #\n0 0 : 2\n1 1 : 3\n"[..], b"BAGSNAP2", b"x"] {
+            assert!(short.len() < 32);
+            assert!(
+                matches!(Snapshot::from_bytes(short), Err(SnapError::BadMagic)),
+                "{short:?}"
+            );
+        }
     }
 
     #[test]

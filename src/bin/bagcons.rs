@@ -415,7 +415,8 @@ fn cmd_watch(session: &Session, bags: Vec<bagcons_core::Bag>, format: ReportForm
         {
             Ok(Some(edit)) => edit,
             Ok(None) => continue,
-            Err(e) => return fail(format!("stdin line {line_no}: {e}")),
+            // The message names the line already.
+            Err(e) => return fail(format!("stdin {e}")),
         };
         if let Some(edits) = batch.as_mut() {
             edits.push((index, set));

@@ -868,6 +868,57 @@ fn watch_rejects_bad_delta_lines() {
     }
 }
 
+/// Each bad delta line is reported once, with its line named once, and
+/// a bad delta token is a bad *signed* integer.
+#[test]
+fn watch_names_the_bad_line_once() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = tempdir("watchbadline");
+    let r = write(&dir, "r.bag", "A B #\n0 0 : 2\n");
+    let s = write(&dir, "s.bag", "B C #\n0 7 : 2\n");
+    for (input, want) in [
+        (
+            "0 1 2 : x\n",
+            "error: stdin line 1: \"x\" is not a signed integer\n",
+        ),
+        (
+            "0 a b\n",
+            "error: stdin line 1: \"a\" is not an unsigned integer\n",
+        ),
+        (
+            "-1 1 2\n",
+            "error: stdin line 1: \"-1\" is not an unsigned integer\n",
+        ),
+        (
+            "% header\n9 0 0 : 1\n",
+            "error: stdin line 2: bag index 9 out of range (0..2)\n",
+        ),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_bagcons"))
+            .args(["watch", r.to_str().unwrap(), s.to_str().unwrap()])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(input.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "input {input:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            want,
+            "input {input:?}"
+        );
+    }
+}
+
 #[test]
 fn timeout_zero_degrades_check_to_unknown() {
     let dir = tempdir("timeout");

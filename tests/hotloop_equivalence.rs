@@ -306,7 +306,7 @@ proptest! {
     /// the reference bit for bit. The same rows, spread so that they
     /// pack into 4, 22 or 30 bits (tiled, these sort by radix once they
     /// pass the kernel's floor for one, two or three passes), exactly
-    /// 63 or 64 bits, or past 64 (the 128-bit tier), give the reference
+    /// 63 or 64 bits, or past 64 (the slice compare), give the reference
     /// with every multiplicity times the tile count, and two copies of a
     /// row whose sum passes `u64` still overflow on every tier.
     #[test]
@@ -409,6 +409,69 @@ proptest! {
                     "shifts {} {}, tile {}", s0, s1, tile
                 );
             }
+        }
+    }
+
+    /// Every sealed run comes out of one row sort. `Bag::from_arena` of
+    /// an arena with repeated rows and zero counts, `Bag::seal` of a bag
+    /// whose rows went in out of order (the greatest first) and
+    /// `Relation::seal` of its support all equal a `sort_unstable`
+    /// oracle, bit for bit, with the rows spread so that they pack into
+    /// 9 or 64 bits (radix words), 65 or 128 bits, or 192 bits (both the
+    /// slice compare). A row of every column's top value is always in,
+    /// so the widths are exact; up to 400 rows over 512 distinct ones
+    /// take the seal past the radix kernel's floor.
+    #[test]
+    fn every_seal_matches_a_sort_unstable_oracle_in_every_width_tier(
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(0..8u64, 3), 0..=3u64),
+            0..=400,
+        ),
+    ) {
+        let schema = Schema::range(0, 3);
+        for shifts in [[0u32, 0, 0], [55, 0, 0], [56, 0, 0], [61, 58, 0], [61, 61, 61]] {
+            let spread = |row: &[u64]| -> Vec<u64> {
+                row.iter().zip(shifts).map(|(&v, s)| v << s).collect()
+            };
+            let mut all: Vec<(Vec<u64>, u64)> = vec![(spread(&[7, 7, 7]), 1)];
+            all.extend(rows.iter().map(|(row, m)| (spread(row), *m)));
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            let mut want: Vec<(Vec<u64>, u64)> = Vec::new();
+            for (row, m) in sorted {
+                match want.last_mut() {
+                    Some((last, sum)) if *last == row => *sum += m,
+                    _ => want.push((row, m)),
+                }
+            }
+            want.retain(|(_, m)| *m > 0);
+            let bag_rows = |b: &Bag| -> Vec<(Vec<u64>, u64)> {
+                b.iter().map(|(row, m)| (row.iter().map(|v| v.get()).collect(), m)).collect()
+            };
+            let vals = |row: &[u64]| -> Vec<Value> { row.iter().copied().map(Value::new).collect() };
+
+            let data: Vec<Value> = all.iter().flat_map(|(row, _)| vals(row)).collect();
+            let mults: Vec<u64> = all.iter().map(|(_, m)| *m).collect();
+            let bulk = Bag::from_arena(schema.clone(), data, mults, &cfg(1)).unwrap();
+            prop_assert!(bulk.is_sealed());
+            prop_assert_eq!(bag_rows(&bulk), want.clone(), "from_arena, shifts {:?}", shifts);
+
+            let mut bag = Bag::new(schema.clone());
+            for (row, m) in &all {
+                bag.insert(vals(row), *m).unwrap();
+            }
+            prop_assert_eq!(bag.is_sealed(), want.len() < 2);
+            let mut rel = Relation::new(schema.clone());
+            for (row, _) in bag.iter() {
+                rel.insert_row(row).unwrap();
+            }
+            bag.seal();
+            prop_assert!(bag.is_sealed());
+            prop_assert_eq!(bag_rows(&bag), want.clone(), "Bag::seal, shifts {:?}", shifts);
+            prop_assert_eq!(bag.store().values(), bulk.store().values());
+            rel.seal();
+            prop_assert!(rel.is_sealed());
+            prop_assert_eq!(rel.store().values(), bulk.store().values(), "Relation::seal, shifts {:?}", shifts);
         }
     }
 

@@ -273,12 +273,22 @@ fn model_of(ops: &[Op]) -> FxHashMap<Vec<u64>, u64> {
 }
 
 /// Replays the script on a columnar `Bag`.
+///
+/// After each removal (`set` to 0) the bag must be sealed and equal, in
+/// layout too, the bag built in bulk from the model so far.
 fn bag_of(schema: &Schema, ops: &[Op]) -> Bag {
     let mut bag = Bag::new(schema.clone());
-    for (row, m, is_set) in ops {
+    for (at, (row, m, is_set)) in ops.iter().enumerate() {
         let vals: Vec<Value> = row.iter().copied().map(Value::new).collect();
         if *is_set {
             bag.set(vals, *m).unwrap();
+            if *m == 0 {
+                assert!(bag.is_sealed(), "a removal leaves the bag sealed");
+                let model = model_of(&ops[..=at]);
+                let want = Bag::from_u64s(schema.clone(), model.iter().map(|(r, &m)| (&r[..], m)))
+                    .unwrap();
+                assert_eq!(bag, want, "after op {at}");
+            }
         } else {
             bag.insert(vals, *m).unwrap();
         }
